@@ -1,8 +1,8 @@
 // Planner benchmark + misprediction gate.
 //
 // Families (tracked by the CI perf gate at n=4096, see bench/compare.py):
-//   BM_planner_anchor_rowwise     forced rowwise BNL (the per-file anchor
-//                                 that cancels machine speed)
+//   BM_planner_anchor_scalar      forced scalar-kernel BNL (the per-file
+//                                 anchor that cancels machine speed)
 //   BM_planner_overhead_estimate  statistics-level planning only
 //                                 (EstimateTermStats + cost model)
 //   BM_planner_overhead_measured  measured planning only (sampled window
@@ -51,21 +51,22 @@ const Family kFamilies[] = {
     {"corr_d4", Correlation::kCorrelated, 4},
 };
 
-// --- anchor: forced rowwise BNL so committed baselines normalize out
-// machine speed (compare.py picks the first family containing "rowwise").
-void BM_planner_anchor_rowwise(benchmark::State& state) {
+// --- anchor: forced scalar-kernel BNL so committed baselines normalize
+// out machine speed (compare.py picks the first family containing
+// "scalar").
+void BM_planner_anchor_scalar(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Relation r = GenerateVectors(n, 4, Correlation::kIndependent, 42);
   PrefPtr p = SkylinePref(4);
   BmoOptions options;
   options.algorithm = BmoAlgorithm::kBlockNestedLoop;
-  options.simd = SimdMode::kOff;
+  options.simd = SimdMode::kScalar;
   for (auto _ : state) {
     std::vector<size_t> rows = BmoIndices(r, p, options);
     benchmark::DoNotOptimize(rows);
   }
 }
-BENCHMARK(BM_planner_anchor_rowwise)->Arg(4096)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_planner_anchor_scalar)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 // --- planning overhead, statistics level (what ChooseAlgorithm costs on
 // the engine's cached TableStats).
@@ -75,7 +76,7 @@ void BM_planner_overhead_estimate(benchmark::State& state) {
   PrefPtr p = SkylinePref(4);
   TableStats stats = TableStats::Derive(r, p->attributes());
   for (auto _ : state) {
-    PhysicalPlan plan = ChooseAlgorithm(stats, r.schema(), n, p, {});
+    PhysicalPlan plan = ChooseAlgorithm(stats, n, p, {});
     benchmark::DoNotOptimize(plan);
   }
 }

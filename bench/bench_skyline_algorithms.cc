@@ -136,31 +136,28 @@ BENCHMARK(BM_auto_anti)
     ->ArgsProduct({{1024, 4096, 16384}, {2, 4}})
     ->Unit(benchmark::kMillisecond);
 
-// Vectorized score-table kernels vs the closure-based equivalents, up to
-// N=100k (the headline comparison; tiny N kept for the CI smoke).
-#define VECTOR_VS_CLOSURE(algo_name, algo)                                 \
-  void BM_##algo_name##_closure_anti(benchmark::State& state) {            \
-    RunSkyline(state, algo, Correlation::kAntiCorrelated, false);          \
-  }                                                                        \
-  BENCHMARK(BM_##algo_name##_closure_anti)                                 \
-      ->ArgsProduct({{1024, 16384, 100000}, {2, 4}})                       \
-      ->Unit(benchmark::kMillisecond);                                     \
-  void BM_##algo_name##_vector_anti(benchmark::State& state) {             \
-    RunSkyline(state, algo, Correlation::kAntiCorrelated, true);           \
-  }                                                                        \
-  BENCHMARK(BM_##algo_name##_vector_anti)                                  \
-      ->ArgsProduct({{1024, 16384, 100000}, {2, 4}})                       \
-      ->Unit(benchmark::kMillisecond)
-
-VECTOR_VS_CLOSURE(bnl, BmoAlgorithm::kBlockNestedLoop);
-VECTOR_VS_CLOSURE(sfs, BmoAlgorithm::kSortFilter);
-VECTOR_VS_CLOSURE(dc, BmoAlgorithm::kDivideConquer);
+// Vectorized score-table BNL vs the closure BNL (the closure path runs
+// BNL only), up to N=100k (the headline comparison; tiny N kept for the
+// CI smoke).
+void BM_bnl_closure_anti(benchmark::State& state) {
+  RunSkyline(state, BmoAlgorithm::kBlockNestedLoop,
+             Correlation::kAntiCorrelated, false);
+}
+BENCHMARK(BM_bnl_closure_anti)
+    ->ArgsProduct({{1024, 16384, 100000}, {2, 4}})
+    ->Unit(benchmark::kMillisecond);
+void BM_bnl_vector_anti(benchmark::State& state) {
+  RunSkyline(state, BmoAlgorithm::kBlockNestedLoop,
+             Correlation::kAntiCorrelated, true);
+}
+BENCHMARK(BM_bnl_vector_anti)
+    ->ArgsProduct({{1024, 16384, 100000}, {2, 4}})
+    ->Unit(benchmark::kMillisecond);
 
 // Kernel-variant families (the CI perf gate tracks these at N=4096, see
 // bench/compare.py): one compiled score table, measuring only the maxima
-// kernel, across the PR 2 row-major pair loops ("rowwise"), the portable
-// batch kernels ("scalar"), forced AVX2, and AVX2 + the L2-tiled BNL
-// window loop. On CPUs without AVX2 the forced-AVX2 variants degrade to
+// kernel, across the portable batch kernels ("scalar", the perf gate's
+// anchor), forced AVX2, and AVX2 + the L2-tiled BNL window loop. On CPUs without AVX2 the forced-AVX2 variants degrade to
 // the batch scalar kernels (identical numbers, never a crash).
 constexpr size_t kUntiled = std::numeric_limits<size_t>::max();
 
@@ -202,7 +199,6 @@ void RunKernelFamily(benchmark::State& state, BmoAlgorithm algo,
                anti, Correlation::kAntiCorrelated,                       \
                (std::vector<std::vector<int64_t>>{{4096, 10000, 100000}, \
                                                   {2, 4}}))
-KERNEL_BNL_ANTI(rowwise, SimdMode::kOff, kUntiled);
 KERNEL_BNL_ANTI(scalar, SimdMode::kScalar, kUntiled);
 KERNEL_BNL_ANTI(avx2, SimdMode::kAvx2, kUntiled);
 KERNEL_BNL_ANTI(avx2_tiled, SimdMode::kAvx2, 0);
@@ -212,7 +208,6 @@ KERNEL_BNL_ANTI(avx2_tiled, SimdMode::kAvx2, 0);
                indep, Correlation::kIndependent,                         \
                (std::vector<std::vector<int64_t>>{                       \
                    {4096, 10000, 100000, 1000000}, {4}}))
-KERNEL_BNL_INDEP(rowwise, SimdMode::kOff, kUntiled);
 KERNEL_BNL_INDEP(scalar, SimdMode::kScalar, kUntiled);
 KERNEL_BNL_INDEP(avx2, SimdMode::kAvx2, kUntiled);
 KERNEL_BNL_INDEP(avx2_tiled, SimdMode::kAvx2, 0);
@@ -222,7 +217,6 @@ KERNEL_BNL_INDEP(avx2_tiled, SimdMode::kAvx2, 0);
                anti, Correlation::kAntiCorrelated,                      \
                (std::vector<std::vector<int64_t>>{{4096, 10000, 100000}, \
                                                   {4}}))
-KERNEL_SFS_ANTI(rowwise, SimdMode::kOff);
 KERNEL_SFS_ANTI(avx2, SimdMode::kAvx2);
 
 #define KERNEL_DC_INDEP(variant, simd)                                     \
@@ -230,7 +224,6 @@ KERNEL_SFS_ANTI(avx2, SimdMode::kAvx2);
                indep, Correlation::kIndependent,                           \
                (std::vector<std::vector<int64_t>>{{4096, 10000, 100000},   \
                                                   {4}}))
-KERNEL_DC_INDEP(rowwise, SimdMode::kOff);
 KERNEL_DC_INDEP(avx2, SimdMode::kAvx2);
 
 // Cold score-table compilation: the deduplicating gather path

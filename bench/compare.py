@@ -9,11 +9,11 @@ regresses by more than --tolerance, or disappears.
 Committed baselines come from a different machine than the CI runner, so
 by default times are *anchored*: each family is normalized by the file's
 anchor family (the first entry matching an --anchor substring, e.g. the
-rowwise/pre-SIMD kernel, or a cold engine run) before comparing. Machine
-speed then cancels out and the gate tracks kernel-relative regressions —
-e.g. "avx2 BNL lost ground against the rowwise baseline". The trade-off:
-a uniform slowdown that hits the anchor equally is invisible; run with
---absolute on same-machine baselines to catch that instead.
+portable scalar batch kernel, or a cold engine run) before comparing.
+Machine speed then cancels out and the gate tracks kernel-relative
+regressions — e.g. "avx2 BNL lost ground against the scalar kernel". The
+trade-off: a uniform slowdown that hits the anchor equally is invisible;
+run with --absolute on same-machine baselines to catch that instead.
 
 Regenerating baselines: download the bench-compare job's artifact (or run
 `ctest -L bench-smoke` in a Release build) and copy the BENCH_*.json
@@ -147,7 +147,7 @@ def main() -> int:
                     help="allowed relative slowdown per family (default 0.15)")
     ap.add_argument("--anchor", action="append", default=None,
                     help="substring(s) selecting the per-file anchor family "
-                         "(default: rowwise, then cold)")
+                         "(default: scalar, then cold)")
     ap.add_argument("--absolute", action="store_true",
                     help="compare raw times instead of anchor-normalized ones")
     ap.add_argument("--min-gate-us", type=float, default=50.0,
@@ -157,7 +157,7 @@ def main() -> int:
                     help="baseline file name substring(s) to compare and "
                          "print without failing the gate (trajectory data)")
     args = ap.parse_args()
-    anchor_keys: list[str] = args.anchor if args.anchor else ["rowwise", "cold"]
+    anchor_keys: list[str] = args.anchor if args.anchor else ["scalar", "cold"]
     tolerance: float = args.tolerance
     min_gate_us: float = args.min_gate_us
     report_only: list[str] = args.report_only

@@ -250,7 +250,7 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
       TableStats empty;
       empty.rows = table.size();
       optimized = Optimize(table_stats != nullptr ? *table_stats : empty,
-                           table.schema(), pool_size, preference, options);
+                           pool_size, preference, options);
       exec->optimize_ns += ElapsedNs(t0, Clock::now());
       exec_pref = optimized.simplified;
       if (options.algorithm == BmoAlgorithm::kAuto) {
@@ -368,8 +368,7 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
               group.table
                   ? MeasureTermStats(*group.table, exec_pref,
                                      group.rows.size())
-                  : EstimateClosureBlockStats(group.proj.proj_schema,
-                                              group.proj.values.size(),
+                  : EstimateClosureBlockStats(group.proj.values.size(),
                                               group.rows.size(), exec_pref);
           group.plan = PlanPhysical(group_stats, options, group_scope);
         } else {
@@ -401,9 +400,8 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
       exec->plan = physical;
       exec->compile_ns += ElapsedNs(t0, Clock::now());
       if (options.vectorize && ScoreTable::CompilableTerm(exec_pref)) {
-        const simd::KernelOps* ops = simd::ResolveKernel(options.simd);
-        exec->kernel_variant =
-            std::string("per-group[") + (ops ? ops->name : "rowwise") + "]";
+        exec->kernel_variant = std::string("per-group[") +
+                               simd::ResolveKernel(options.simd).name + "]";
       } else {
         exec->kernel_variant = "closure";
       }
@@ -1193,38 +1191,31 @@ Engine::Subscription Engine::Subscribe(const std::string& sql,
                                  ? max_pending_deltas
                                  : options_.max_pending_deltas;
   const std::string prefix = plan->key + "|" + OptionsSignature(options);
-  // Copy-on-write style retry: seed the view outside the lock against a
-  // snapshot, install it only if the table version has not moved.
-  for (;;) {
-    std::shared_ptr<const Relation> snapshot;
-    uint64_t version = 0;
-    {
-      auto lock = Lock();
-      snapshot = catalog_.GetShared(stmt.table);  // throws when unknown
-      version = catalog_.Version(stmt.table);
-      for (auto& slot : views_[stmt.table]) {
-        if (slot->exec_key_prefix == prefix) {
-          return AttachSubscriber(*slot, max_pending);
-        }
-      }
+  // Seed the view under the lock: a seed taken outside it against a
+  // snapshot would have to be retried whenever the table version moved,
+  // and under a steady write stream that retry never settles.
+  auto lock = Lock();
+  std::shared_ptr<const Relation> snapshot =
+      catalog_.GetShared(stmt.table);  // throws when unknown
+  const uint64_t version = catalog_.Version(stmt.table);
+  for (auto& slot : views_[stmt.table]) {
+    if (slot->exec_key_prefix == prefix) {
+      return AttachSubscriber(*slot, max_pending);
     }
-    std::function<bool(const Tuple&)> where;
-    if (stmt.where) {
-      where = psql::CompileCondition(*stmt.where, snapshot->schema());
-    }
-    auto view = std::make_shared<ivm::MaintainedView>(
-        plan->preference, std::move(where), *snapshot, version, options);
-    auto lock = Lock();
-    if (catalog_.Version(stmt.table) != version) continue;  // raced; reseed
-    auto slot = std::make_shared<ViewSlot>();
-    slot->view = std::move(view);
-    slot->plan = plan;
-    slot->options = options;
-    slot->exec_key_prefix = prefix;
-    views_[stmt.table].push_back(slot);
-    RefreshViewExec(*slot, version);
-    return AttachSubscriber(*slot, max_pending);
   }
+  std::function<bool(const Tuple&)> where;
+  if (stmt.where) {
+    where = psql::CompileCondition(*stmt.where, snapshot->schema());
+  }
+  auto slot = std::make_shared<ViewSlot>();
+  slot->view = std::make_shared<ivm::MaintainedView>(
+      plan->preference, std::move(where), *snapshot, version, options);
+  slot->plan = plan;
+  slot->options = options;
+  slot->exec_key_prefix = prefix;
+  views_[stmt.table].push_back(slot);
+  RefreshViewExec(*slot, version);
+  return AttachSubscriber(*slot, max_pending);
 }
 
 Engine::Subscription Engine::AttachSubscriber(ViewSlot& slot,

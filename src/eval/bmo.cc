@@ -1,11 +1,9 @@
 #include "eval/bmo.h"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 #include <numeric>
 #include <optional>
-#include <stdexcept>
-#include <unordered_map>
 
 #include "core/numeric_preferences.h"
 #include "eval/bmo_internal.h"
@@ -33,7 +31,6 @@ const char* BmoAlgorithmName(BmoAlgorithm algo) {
 const char* SimdModeName(SimdMode mode) {
   switch (mode) {
     case SimdMode::kAuto: return "auto";
-    case SimdMode::kOff: return "off";
     case SimdMode::kScalar: return "scalar";
     case SimdMode::kAvx2: return "avx2";
   }
@@ -107,50 +104,6 @@ std::vector<bool> MaximaBnlRange(const Tuple* values, size_t m,
   return maximal;
 }
 
-std::vector<bool> MaximaSortFilterRange(const Tuple* values, size_t m,
-                                        const LessFn& less,
-                                        const std::vector<ScoreFn>& keys) {
-  std::vector<std::vector<double>> key_vals(m);
-  for (size_t i = 0; i < m; ++i) {
-    key_vals[i].reserve(keys.size());
-    for (const auto& k : keys) {
-      double v = k(values[i]);
-      if (!std::isfinite(v)) {
-        // Non-finite keys void the topological guarantee: NaN makes the
-        // sort comparator inconsistent (UB), and +/-inf absorbs Pareto
-        // key *sums* — the sum ties although a component is strictly
-        // better, so a later key can sort a dominator behind its
-        // dominatee (e.g. LOWEST over non-numeric values scores -inf).
-        // The one-sided window pass is only sound under strict key
-        // compatibility; degrade this block to the BNL window.
-        return MaximaBnlRange(values, m, less);
-      }
-      key_vals[i].push_back(v);
-    }
-  }
-  std::vector<size_t> order(m);
-  std::iota(order.begin(), order.end(), 0);
-  // Descending lexicographic: with all-finite keys, dominators come
-  // strictly before dominatees (BindSortKeys' compatibility contract).
-  std::sort(order.begin(), order.end(), [&key_vals](size_t a, size_t b) {
-    return key_vals[b] < key_vals[a];
-  });
-  std::vector<bool> maximal(m, false);
-  std::vector<size_t> window;
-  for (size_t i : order) {
-    bool dominated = false;
-    for (size_t w : window) {
-      if (less(values[i], values[w])) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) window.push_back(i);
-  }
-  for (size_t idx : window) maximal[idx] = true;
-  return maximal;
-}
-
 }  // namespace
 
 std::vector<bool> MaximaNaive(const std::vector<Tuple>& values,
@@ -163,33 +116,27 @@ std::vector<bool> MaximaBnl(const std::vector<Tuple>& values,
   return MaximaBnlRange(values.data(), values.size(), less);
 }
 
-std::vector<bool> MaximaSortFilter(const std::vector<Tuple>& values,
-                                   const LessFn& less,
-                                   const std::vector<ScoreFn>& keys) {
-  return MaximaSortFilterRange(values.data(), values.size(), less, keys);
-}
-
 namespace {
 
 // Flat row-major matrix view for the KLP75 recursion: row i is the `d`
 // doubles at data + i * stride (zero-copy over score-table storage).
-// When `kernel` is set, the quadratic base-case blocks run through the
-// batch dominance kernels over `prog` (flat Pareto, score equality only
-// — exactly coordinatewise dominance) with a correspondingly larger
-// cutoff.
+// The quadratic base-case blocks run through the batch dominance
+// `kernel` over `prog` (flat Pareto, score equality only — exactly
+// coordinatewise dominance).
 struct ScoreMatrix {
   const double* data;
   size_t d;
   size_t stride;
-  const simd::KernelOps* kernel = nullptr;
-  const simd::DominanceProgram* prog = nullptr;
+  const simd::KernelOps& kernel;
+  const simd::DominanceProgram& prog;
   const double* row(size_t i) const { return data + i * stride; }
 };
 
 // Quadratic maxima over a small block; maximal[i] is only ever set, so
 // callers can accumulate across disjoint blocks. Self-comparison is
 // harmless (nothing dominates itself), so the batch path scans each row
-// against the whole gathered block.
+// against the whole gathered block; blocks under two lane chunks keep a
+// plain pair loop.
 void QuadraticBlock(const ScoreMatrix& scores, const std::vector<size_t>& idx,
                     std::vector<bool>& maximal);
 
@@ -236,12 +183,12 @@ bool DominatesFrom(const ScoreMatrix& scores, size_t a, size_t b,
 
 void QuadraticBlock(const ScoreMatrix& scores, const std::vector<size_t>& idx,
                     std::vector<bool>& maximal) {
-  if (scores.kernel != nullptr && idx.size() >= 2 * simd::kLanes) {
+  if (idx.size() >= 2 * simd::kLanes) {
     simd::RowBlock block(scores.d);
     for (size_t i : idx) block.Append(scores.row(i), nullptr, i);
     for (size_t i : idx) {
-      if (!scores.kernel->dominated(*scores.prog, scores.row(i), nullptr,
-                                    block)) {
+      if (!scores.kernel.dominated(scores.prog, scores.row(i), nullptr,
+                                   block)) {
         maximal[i] = true;
       }
     }
@@ -262,10 +209,9 @@ void QuadraticBlock(const ScoreMatrix& scores, const std::vector<size_t>& idx,
 void MaximaDcRec(const ScoreMatrix& scores, std::vector<size_t> idx,
                  std::vector<bool>& maximal) {
   const size_t d = scores.d;
-  // The batch kernels make a larger quadratic base case cheaper than
+  // The batch kernels make a 32-row quadratic base case cheaper than
   // further recursion levels.
-  const size_t cutoff = scores.kernel != nullptr ? 32 : 8;
-  if (idx.size() <= cutoff) {
+  if (idx.size() <= 32) {
     QuadraticBlock(scores, idx, maximal);
     return;
   }
@@ -328,7 +274,7 @@ void MaximaDcRec(const ScoreMatrix& scores, std::vector<size_t> idx,
 
 std::vector<bool> MaximaDivideConquerFlat(const double* scores, size_t n,
                                           size_t d, size_t stride,
-                                          const simd::KernelOps* kernel) {
+                                          const simd::KernelOps& kernel) {
   std::vector<bool> maximal(n, false);
   if (n == 0) return maximal;
   // Coordinatewise dominance == flat Pareto over score-equality columns.
@@ -336,7 +282,7 @@ std::vector<bool> MaximaDivideConquerFlat(const double* scores, size_t n,
   prog.mode = simd::DominanceProgram::Mode::kFlatPareto;
   prog.cols = d;
   prog.use_ids.assign(d, 0);
-  ScoreMatrix m{scores, d, stride, kernel, &prog};
+  ScoreMatrix m{scores, d, stride, kernel, prog};
   if (d < 2) {
     // 1-d: maxima are the rows attaining the maximum score.
     double best = -std::numeric_limits<double>::infinity();
@@ -350,53 +296,7 @@ std::vector<bool> MaximaDivideConquerFlat(const double* scores, size_t n,
   return maximal;
 }
 
-std::vector<bool> MaximaDivideConquer(
-    const std::vector<std::vector<double>>& scores) {
-  if (scores.empty()) return {};
-  const size_t d = scores[0].size();
-  if (d == 0) return std::vector<bool>(scores.size(), false);
-  std::vector<double> flat(scores.size() * d);
-  for (size_t i = 0; i < scores.size(); ++i) {
-    std::copy(scores[i].begin(), scores[i].end(), flat.begin() + i * d);
-  }
-  return MaximaDivideConquerFlat(flat.data(), scores.size(), d, d);
-}
-
-bool CanUseDivideConquer(const PrefPtr& p, std::vector<PrefPtr>* leaves) {
-  switch (p->kind()) {
-    case PreferenceKind::kPareto: {
-      auto kids = p->children();
-      return CanUseDivideConquer(kids[0], leaves) &&
-             CanUseDivideConquer(kids[1], leaves);
-    }
-    case PreferenceKind::kLowest:
-    case PreferenceKind::kHighest: {
-      // Leaf attributes must be pairwise distinct for score dominance to
-      // coincide with Def. 8.
-      for (const auto& seen : *leaves) {
-        if (seen->attributes()[0] == p->attributes()[0]) return false;
-      }
-      leaves->push_back(p);
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
 namespace internal {
-
-BmoAlgorithm ResolveBlockAlgorithm(const PrefPtr& p,
-                                   const Schema& proj_schema) {
-  std::vector<PrefPtr> leaves;
-  if (CanUseDivideConquer(p, &leaves)) {
-    return BmoAlgorithm::kDivideConquer;
-  }
-  if (p->BindSortKeys(proj_schema)) {
-    return BmoAlgorithm::kSortFilter;
-  }
-  return BmoAlgorithm::kBlockNestedLoop;
-}
 
 std::vector<bool> ComputeMaximaBlock(const Tuple* values, size_t count,
                                      const PrefPtr& p,
@@ -405,59 +305,15 @@ std::vector<bool> ComputeMaximaBlock(const Tuple* values, size_t count,
   BmoAlgorithm algo = plan.algorithm;
   if (plan.vectorize) {
     if (auto table = ScoreTable::Compile(p, proj_schema, values, count)) {
-      // kAuto resolves with the table's data-aware rules (D&C when score
-      // dominance is exact, SFS whenever keys compile — a superset of the
-      // closure path's eligibility); ineligible requests degrade to BNL
-      // inside MaximaRange.
+      // kAuto resolves with the table's data-aware rules; ineligible
+      // requests degrade to BNL inside MaximaRange.
       return table->MaximaRange(algo, 0, count, plan);
     }
   }
-  if (algo == BmoAlgorithm::kAuto) {
-    algo = ResolveBlockAlgorithm(p, proj_schema);
-  }
-  switch (algo) {
-    case BmoAlgorithm::kNaive:
-      return MaximaNaiveRange(values, count, p->Bind(proj_schema));
-    case BmoAlgorithm::kBlockNestedLoop:
-      return MaximaBnlRange(values, count, p->Bind(proj_schema));
-    case BmoAlgorithm::kSortFilter: {
-      auto keys = p->BindSortKeys(proj_schema);
-      if (!keys) return MaximaBnlRange(values, count, p->Bind(proj_schema));
-      return MaximaSortFilterRange(values, count, p->Bind(proj_schema),
-                                   *keys);
-    }
-    case BmoAlgorithm::kDivideConquer: {
-      std::vector<PrefPtr> leaves;
-      if (!CanUseDivideConquer(p, &leaves)) {
-        return MaximaBnlRange(values, count, p->Bind(proj_schema));
-      }
-      std::vector<ScoreFn> fns;
-      for (const auto& leaf : leaves) {
-        fns.push_back((*leaf->BindSortKeys(proj_schema))[0]);
-      }
-      std::vector<std::vector<double>> scores(count);
-      for (size_t i = 0; i < count; ++i) {
-        scores[i].reserve(fns.size());
-        for (const auto& f : fns) {
-          double v = f(values[i]);
-          if (std::isnan(v)) {
-            // NaN scores break the recursion's sort comparator (UB) and
-            // compare false against everything, so score dominance no
-            // longer coincides with Def. 8 — degrade to the BNL window,
-            // same contract as MaximaSortFilterRange's key guard.
-            return MaximaBnlRange(values, count, p->Bind(proj_schema));
-          }
-          scores[i].push_back(v);
-        }
-      }
-      return MaximaDivideConquer(scores);
-    }
-    case BmoAlgorithm::kDecomposition:
-    case BmoAlgorithm::kParallel:
-    case BmoAlgorithm::kAuto:
-      break;  // relation-level strategies, dispatched by BmoIndices
-  }
-  return MaximaBnlRange(values, count, p->Bind(proj_schema));
+  // Closure path: the naive oracle on request, the BNL window otherwise.
+  const LessFn less = p->Bind(proj_schema);
+  return algo == BmoAlgorithm::kNaive ? MaximaNaiveRange(values, count, less)
+                                      : MaximaBnlRange(values, count, less);
 }
 
 std::vector<bool> ExecuteBlockPlan(const Tuple* values, size_t count,
@@ -505,8 +361,7 @@ PhysicalPlan PlanBlock(const ProjectionIndex& proj, const PrefPtr& p,
   TermStats stats =
       table != nullptr
           ? MeasureTermStats(*table, p, input_rows)
-          : EstimateClosureBlockStats(proj.proj_schema, proj.values.size(),
-                                      input_rows, p);
+          : EstimateClosureBlockStats(proj.values.size(), input_rows, p);
   return PlanPhysical(stats, options, scope);
 }
 

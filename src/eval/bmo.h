@@ -7,12 +7,13 @@
 //                    projections (the paper's baseline, §5.1)
 //   kBlockNestedLoop BNL window algorithm [BKS01], generalized to arbitrary
 //                    strict partial orders
-//   kSortFilter      SFS-style: presort by topologically compatible sort
-//                    keys (Preference::BindSortKeys), then a one-sided
+//   kSortFilter      SFS-style: presort by the compiled score table's
+//                    topologically compatible sort keys, then a one-sided
 //                    window scan; falls back to BNL when no keys exist
-//   kDivideConquer   the maxima algorithm of [KLP75]; applies to Pareto
-//                    combinations of LOWEST/HIGHEST chains (the 'SKYLINE
-//                    OF' fragment, §6.1); falls back to BNL otherwise
+//   kDivideConquer   the maxima algorithm of [KLP75] over compiled score
+//                    columns; applies when coordinatewise score dominance
+//                    is the preference order (the 'SKYLINE OF' fragment,
+//                    §6.1); falls back to BNL otherwise
 //   kDecomposition   divide & conquer via the decomposition theorems
 //                    Props 8-12 (see eval/decomposition.h)
 //   kParallel        partition-and-merge parallel evaluation on a worker
@@ -25,6 +26,12 @@
 //                    plan. (kDecomposition is never auto-picked at block
 //                    level; the optimizer in eval/optimizer.h routes it
 //                    before the block is materialized.)
+//
+// kSortFilter and kDivideConquer run only on compiled score tables
+// (exec/score_table.h). Terms that do not compile, and vectorize = false,
+// evaluate through the preference's closures with two algorithms: kNaive
+// (the reference oracle every other path is tested against) and BNL, to
+// which every other request degrades.
 
 #ifndef PREFDB_EVAL_BMO_H_
 #define PREFDB_EVAL_BMO_H_
@@ -48,16 +55,13 @@ enum class BmoAlgorithm {
 
 const char* BmoAlgorithmName(BmoAlgorithm algo);
 
-/// Which dominance kernel implementation the compiled score-table paths
-/// run (exec/simd/dominance.h). Only meaningful when `vectorize` is on;
-/// the closure path is always scalar.
+/// Which batch dominance kernel the compiled score-table paths run
+/// (exec/simd/dominance.h). Only meaningful when `vectorize` is on; the
+/// closure path is always scalar.
 enum class SimdMode : uint8_t {
   /// Runtime dispatch: AVX2 when the build and CPU support it, else the
   /// portable batch kernels.
   kAuto,
-  /// The row-major one-pair-per-iteration kernels (the pre-SIMD
-  /// vectorized baseline; benchmarks compare against this).
-  kOff,
   /// Force the portable 4-lane batch kernels (no AVX2 even if available).
   kScalar,
   /// Force AVX2; degrades to kScalar when the build or CPU lacks it.
@@ -81,8 +85,8 @@ struct BmoOptions {
   size_t parallel_threshold = 32768;
   /// Compile the term into the vectorized score-table kernels
   /// (exec/score_table.h) when possible; terms that do not compile fall
-  /// back to the closure path regardless. Off = always closures (the
-  /// baseline for equivalence tests and benchmarks).
+  /// back to the closure path regardless. Off = always closures (naive
+  /// or BNL; the baseline for equivalence tests and benchmarks).
   bool vectorize = true;
   /// Dominance-kernel implementation for the compiled paths.
   SimdMode simd = SimdMode::kAuto;
@@ -142,33 +146,19 @@ std::vector<bool> MaximaNaive(const std::vector<Tuple>& values,
                               const LessFn& less);
 std::vector<bool> MaximaBnl(const std::vector<Tuple>& values,
                             const LessFn& less);
-std::vector<bool> MaximaSortFilter(const std::vector<Tuple>& values,
-                                   const LessFn& less,
-                                   const std::vector<ScoreFn>& keys);
-/// [KLP75] divide & conquer over numeric score vectors; `scores[i]` is the
-/// to-maximize vector of values[i]. Exact iff the preference order equals
-/// coordinatewise score dominance (see CanUseDivideConquer).
-std::vector<bool> MaximaDivideConquer(
-    const std::vector<std::vector<double>>& scores);
 
 namespace simd {
 struct KernelOps;
 }  // namespace simd
 
-/// Same, over a flat row-major matrix: row i is the `d` doubles at
-/// `scores + i * stride`. The zero-copy entry point for the vectorized
-/// score-table kernels (exec/score_table.h). A non-null `kernel` runs the
-/// quadratic base-case blocks through the batch dominance kernels
-/// (exec/simd/dominance.h) with a correspondingly larger cutoff.
+/// [KLP75] divide & conquer over a flat row-major matrix of to-maximize
+/// scores: row i is the `d` doubles at `scores + i * stride`. Exact iff
+/// the preference order equals coordinatewise score dominance
+/// (ScoreTable::CanDivideConquer). The quadratic base-case blocks run
+/// through the batch dominance `kernel` (exec/simd/dominance.h).
 std::vector<bool> MaximaDivideConquerFlat(const double* scores, size_t n,
                                           size_t d, size_t stride,
-                                          const simd::KernelOps* kernel =
-                                              nullptr);
-
-/// True when `p` is a Pareto tree over LOWEST/HIGHEST leaves with pairwise
-/// distinct attributes — the fragment where score-vector dominance
-/// coincides with Def. 8 (injective leaf scores). Fills `leaves`.
-bool CanUseDivideConquer(const PrefPtr& p, std::vector<PrefPtr>* leaves);
+                                          const simd::KernelOps& kernel);
 
 }  // namespace prefdb
 

@@ -17,19 +17,15 @@ class ScoreTable;
 
 namespace prefdb::internal {
 
-/// Resolves kAuto for a block of distinct values the way sequential BMO
-/// does: D&C for skyline fragments, SFS when sort keys are derivable, BNL
-/// otherwise. Never returns kAuto, kParallel or kDecomposition.
-BmoAlgorithm ResolveBlockAlgorithm(const PrefPtr& p, const Schema& proj_schema);
-
 /// Maximal-value flags for the `count` values at `values`, under p bound
 /// against proj_schema, executing `plan`: its algorithm (kAuto resolves
-/// data-aware per block — via the compiled table when plan.vectorize and
-/// the term compiles, else ResolveBlockAlgorithm), its vectorize switch
-/// and its kernel fields (SIMD mode, BNL tile size). Takes a raw range so
-/// partition-parallel callers can evaluate contiguous slices without
-/// copying tuples. kParallel and kDecomposition are relation-level
-/// strategies, not block algorithms; they fall back to BNL here.
+/// data-aware per block via the compiled table when plan.vectorize and
+/// the term compiles), its vectorize switch and its kernel fields (SIMD
+/// mode, BNL tile size). The closure path runs kNaive as requested and
+/// BNL for everything else. Takes a raw range so partition-parallel
+/// callers can evaluate contiguous slices without copying tuples.
+/// kParallel and kDecomposition are relation-level strategies, not block
+/// algorithms; they fall back to BNL here.
 std::vector<bool> ComputeMaximaBlock(const Tuple* values, size_t count,
                                      const PrefPtr& p,
                                      const Schema& proj_schema,

@@ -10,21 +10,12 @@ namespace prefdb {
 PhysicalPlan ChooseAlgorithm(const Relation& r, const PrefPtr& p,
                              const BmoOptions& options) {
   TableStats stats = TableStats::Derive(r, p->attributes());
-  return ChooseAlgorithm(stats, r.schema(), r.size(), p, options);
+  return ChooseAlgorithm(stats, r.size(), p, options);
 }
 
-PhysicalPlan ChooseAlgorithm(const TableStats& stats, const Schema& schema,
-                             size_t pool_rows, const PrefPtr& p,
-                             const BmoOptions& options) {
-  return PlanPhysical(EstimateTermStats(stats, schema, p, pool_rows),
-                      options);
-}
-
-PhysicalPlan ChooseAlgorithm(const Schema& schema, size_t num_rows,
+PhysicalPlan ChooseAlgorithm(const TableStats& stats, size_t pool_rows,
                              const PrefPtr& p, const BmoOptions& options) {
-  TableStats empty;
-  empty.rows = num_rows;
-  return ChooseAlgorithm(empty, schema, num_rows, p, options);
+  return PlanPhysical(EstimateTermStats(stats, p, pool_rows), options);
 }
 
 std::string OptimizedQuery::Explain() const {
@@ -66,18 +57,10 @@ OptimizedQuery Optimize(const Relation& r, const PrefPtr& p,
   });
 }
 
-OptimizedQuery Optimize(const TableStats& stats, const Schema& schema,
-                        size_t pool_rows, const PrefPtr& p,
-                        const BmoOptions& options) {
-  return OptimizeWith(p, [&](const PrefPtr& simplified) {
-    return ChooseAlgorithm(stats, schema, pool_rows, simplified, options);
-  });
-}
-
-OptimizedQuery Optimize(const Schema& schema, size_t num_rows,
+OptimizedQuery Optimize(const TableStats& stats, size_t pool_rows,
                         const PrefPtr& p, const BmoOptions& options) {
   return OptimizeWith(p, [&](const PrefPtr& simplified) {
-    return ChooseAlgorithm(schema, num_rows, simplified, options);
+    return ChooseAlgorithm(stats, pool_rows, simplified, options);
   });
 }
 

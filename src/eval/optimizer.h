@@ -35,14 +35,9 @@ PhysicalPlan ChooseAlgorithm(const Relation& r, const PrefPtr& p,
 /// Same, over statistics the caller already maintains (the engine's
 /// incremental per-table stats). `pool_rows` is the candidate pool size
 /// (WHERE survivors; pass stats.rows when unfiltered).
-PhysicalPlan ChooseAlgorithm(const TableStats& stats, const Schema& schema,
-                             size_t pool_rows, const PrefPtr& p,
-                             const BmoOptions& options = {});
-
-/// Statistics-free entry point: only the schema and the (filtered) row
-/// count are known, so column distinct counts fall back to worst-case
-/// assumptions. Kept for callers that plan before any scan.
-PhysicalPlan ChooseAlgorithm(const Schema& schema, size_t num_rows,
+/// A TableStats carrying only `rows` plans statistics-free: column
+/// distinct counts then fall back to worst-case assumptions.
+PhysicalPlan ChooseAlgorithm(const TableStats& stats, size_t pool_rows,
                              const PrefPtr& p, const BmoOptions& options = {});
 
 /// A fully optimized query: simplified term, rewrite trace, physical
@@ -61,11 +56,8 @@ struct OptimizedQuery {
 OptimizedQuery Optimize(const Relation& r, const PrefPtr& p,
                         const BmoOptions& options = {});
 
-/// Stats-based overloads (see ChooseAlgorithm above).
-OptimizedQuery Optimize(const TableStats& stats, const Schema& schema,
-                        size_t pool_rows, const PrefPtr& p,
-                        const BmoOptions& options = {});
-OptimizedQuery Optimize(const Schema& schema, size_t num_rows,
+/// Stats-based overload (see ChooseAlgorithm above).
+OptimizedQuery Optimize(const TableStats& stats, size_t pool_rows,
                         const PrefPtr& p, const BmoOptions& options = {});
 
 /// Optimizes and evaluates in one step (equivalent to Bmo() by Prop 7,

@@ -2,11 +2,11 @@
 //
 // Calibration (PR 4 bench families, bench/baselines/BENCH_kernels.json,
 // Release, one core; m = 4096 distinct values):
-//   BNL anti d4:  rowwise 14.35ms / scalar 8.04ms / AVX2 4.05ms with a
-//                 measured window ~1.5k rows -> per-(pair, column) costs
-//                 of ~1.15 / 0.65 / 0.32 ns (cost = c * d * m * w/2).
-//   DC indep d4:  rowwise 2.29ms / AVX2-base-cases 1.88ms
-//                 -> c_dc * m * log2(m)^(d-2) with c_dc ~3.9 / ~3.2 ns.
+//   BNL anti d4:  scalar 8.04ms / AVX2 4.05ms with a measured window
+//                 ~1.5k rows -> per-(pair, column) costs of ~0.65 /
+//                 0.32 ns (cost = c * d * m * w/2).
+//   DC indep d4:  AVX2 base cases 1.88ms
+//                 -> c_dc * m * log2(m)^(d-2) with c_dc ~3.2 ns.
 //   SFS anti d4:  AVX2 1.46ms = presort (~20 ns per (element, key)
 //                 comparison at m log2 m) + the one-sided scan, which
 //                 costs early-exit probes for dominated candidates plus
@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 
 #include "exec/hardware.h"
@@ -30,12 +29,11 @@ namespace prefdb {
 
 namespace {
 
-enum class KernelClass { kClosure, kRowwise, kScalar, kAvx2 };
+enum class KernelClass { kClosure, kScalar, kAvx2 };
 
 const char* KernelClassName(KernelClass k) {
   switch (k) {
     case KernelClass::kClosure: return "closure";
-    case KernelClass::kRowwise: return "rowwise";
     case KernelClass::kScalar: return "scalar";
     case KernelClass::kAvx2: return "avx2";
   }
@@ -45,11 +43,9 @@ const char* KernelClassName(KernelClass k) {
 KernelClass ResolveKernelClass(const TermStats& stats,
                                const BmoOptions& request) {
   if (!request.vectorize || !stats.compilable) return KernelClass::kClosure;
-  if (request.simd == SimdMode::kOff) return KernelClass::kRowwise;
-  const simd::KernelOps* ops = simd::ResolveKernel(request.simd);
-  if (ops == nullptr) return KernelClass::kRowwise;
-  return std::string(ops->name) == "avx2" ? KernelClass::kAvx2
-                                          : KernelClass::kScalar;
+  return std::string(simd::ResolveKernel(request.simd).name) == "avx2"
+             ? KernelClass::kAvx2
+             : KernelClass::kScalar;
 }
 
 /// Cost of one dominance test between two rows, by kernel class. The
@@ -58,7 +54,6 @@ KernelClass ResolveKernelClass(const TermStats& stats,
 double PairNs(const CostConstants& c, KernelClass k, double d) {
   switch (k) {
     case KernelClass::kClosure: return c.pair_closure_ns + 8.0 * d;
-    case KernelClass::kRowwise: return c.pair_rowwise_ns * d;
     case KernelClass::kScalar: return c.pair_scalar_ns * d;
     case KernelClass::kAvx2: return c.pair_avx2_ns * d;
   }
@@ -109,20 +104,12 @@ double EstimateViewReseedNs(size_t rows, size_t window,
          n * w / 2.0 * c.pair_scalar_ns;
 }
 
-TermStats EstimateClosureBlockStats(const Schema& proj_schema,
-                                    size_t distinct_values, size_t input_rows,
-                                    const PrefPtr& p) {
+TermStats EstimateClosureBlockStats(size_t distinct_values,
+                                    size_t input_rows, const PrefPtr& p) {
   TermStats stats;
   stats.input_rows = input_rows;
   stats.distinct_values = distinct_values;
   stats.dims = std::max<size_t>(1, p->attributes().size());
-  std::vector<PrefPtr> leaves;
-  stats.dc_exact = CanUseDivideConquer(p, &leaves);
-  try {
-    stats.closure_keys = p->BindSortKeys(proj_schema).has_value();
-  } catch (const std::out_of_range&) {
-    stats.closure_keys = false;
-  }
   stats.est_window = WindowClosedForm(distinct_values, stats.dims);
   return stats;
 }
@@ -177,7 +164,7 @@ PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
   const double d = static_cast<double>(std::max<size_t>(1, stats.dims));
   const double w = std::max(1.0, stats.est_window);
   const double pair = PairNs(c, kc, d);
-  const bool batch = kc == KernelClass::kScalar || kc == KernelClass::kAvx2;
+  const bool compiled = kc != KernelClass::kClosure;
 
   std::vector<AlgorithmCost>& costs = plan.considered;
 
@@ -196,19 +183,18 @@ PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
   double bnl_ns = pair * m * std::max(1.0, w) / 2.0 + c.stream_row_ns * m;
   if (w > tile_rows) bnl_ns += pair * (m / tile_rows) * w;
   costs.push_back({BmoAlgorithm::kBlockNestedLoop, true, bnl_ns,
-                   batch ? "tiled SIMD batch window" : "window scan"});
+                   compiled ? "tiled SIMD batch window" : "window scan"});
 
-  // --- SFS: presort by the table's (or closure's) topologically
-  // compatible keys, then a one-sided scan — dominated candidates exit
-  // after a few probes, survivors cross-test against the whole window.
-  const bool sfs_eligible =
-      kc == KernelClass::kClosure ? stats.closure_keys : stats.table_keys > 0;
-  if (sfs_eligible) {
-    const double keys = static_cast<double>(std::max<size_t>(
-        1, kc == KernelClass::kClosure ? 1 : stats.table_keys));
-    const double sort_ns =
-        (kc == KernelClass::kClosure ? c.closure_sort_ns : c.sort_key_ns) *
-        keys * m * Log2(m);
+  // --- SFS: presort by the table's topologically compatible keys, then
+  // a one-sided scan — dominated candidates exit after a few probes,
+  // survivors cross-test against the whole window.
+  if (!compiled) {
+    costs.push_back({BmoAlgorithm::kSortFilter, false, 0.0,
+                     "closure path runs BNL only"});
+  } else if (stats.table_keys > 0) {
+    const double sort_ns = c.sort_key_ns *
+                           static_cast<double>(stats.table_keys) * m *
+                           Log2(m);
     const double scan_ns = pair * (m * c.sfs_probe_rows + w * w / 4.0);
     costs.push_back({BmoAlgorithm::kSortFilter, true, sort_ns + scan_ns,
                      "presort + one-sided window"});
@@ -219,10 +205,12 @@ PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
 
   // --- KLP75 divide & conquer: exact only when coordinatewise score
   // dominance is the preference order (flat Pareto, injective columns).
-  if (stats.dc_exact) {
-    const double dc_c = batch ? c.dc_batch_ns : c.dc_rowwise_ns;
+  if (!compiled) {
+    costs.push_back({BmoAlgorithm::kDivideConquer, false, 0.0,
+                     "closure path runs BNL only"});
+  } else if (stats.dc_exact) {
     const double dc_ns =
-        dc_c * m * std::pow(Log2(m), std::max(1.0, d - 2.0));
+        c.dc_batch_ns * m * std::pow(Log2(m), std::max(1.0, d - 2.0));
     costs.push_back({BmoAlgorithm::kDivideConquer, true, dc_ns,
                      "KLP75 recursion"});
   } else {
@@ -301,8 +289,9 @@ PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
   switch (plan.algorithm) {
     case BmoAlgorithm::kBlockNestedLoop:
       plan.rationale =
-          std::string(batch ? "tiled SIMD BNL window beats the alternatives"
-                            : "generic BNL window scan is cheapest") +
+          std::string(compiled
+                          ? "tiled SIMD BNL window beats the alternatives"
+                          : "generic BNL window scan is cheapest") +
           " (" + summary + ")";
       break;
     case BmoAlgorithm::kSortFilter:

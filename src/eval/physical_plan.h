@@ -90,11 +90,10 @@ struct PhysicalPlan {
 };
 
 /// Light structural statistics for a materialized distinct-value block
-/// on the closure path (no compiled table): exact m, syntactic D&C and
-/// sort-key eligibility, closed-form window estimate.
-TermStats EstimateClosureBlockStats(const Schema& proj_schema,
-                                    size_t distinct_values, size_t input_rows,
-                                    const PrefPtr& p);
+/// on the closure path (no compiled table): exact m and the closed-form
+/// window estimate.
+TermStats EstimateClosureBlockStats(size_t distinct_values,
+                                    size_t input_rows, const PrefPtr& p);
 
 /// Builds the plan for evaluating a term over a pool described by
 /// `stats` (derive stats with EstimateTermStats or MeasureTermStats).
@@ -111,7 +110,6 @@ PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
 struct CostConstants {
   /// Per-(row pair, column) dominance test, by kernel class.
   double pair_closure_ns = 45.0;  // LessFn closure dispatch, per pair
-  double pair_rowwise_ns = 1.15;  // row-major pair loops (SimdMode::kOff)
   double pair_scalar_ns = 0.65;   // portable batch kernels
   double pair_avx2_ns = 0.32;     // AVX2 batch kernels
   /// Per-(element, key) presort comparison (SFS, compiled keys).
@@ -120,9 +118,8 @@ struct CostConstants {
   double closure_sort_ns = 40.0;
   /// Early-exit window probes a presorted (dominated) candidate pays.
   double sfs_probe_rows = 6.0;
-  /// KLP75 per-(element, log-level) constant, by kernel class.
+  /// KLP75 per-(element, log-level) constant (batch-kernel base cases).
   double dc_batch_ns = 3.2;
-  double dc_rowwise_ns = 3.9;
   /// Per-row streaming overhead of a window scan.
   double stream_row_ns = 2.0;
   /// Per-partition spawn/collect overhead of the parallel engine.

@@ -76,11 +76,9 @@ std::vector<bool> MaximaParallel(const Tuple* values, size_t m,
     if (local_table) table = &*local_table;
   }
 
+  // The closure path runs naive or BNL (kAuto resolves to BNL there).
   BmoAlgorithm algo = plan.partition_algorithm;
-  if (algo == BmoAlgorithm::kAuto) {
-    algo = table ? table->ResolveAlgorithm()
-                 : internal::ResolveBlockAlgorithm(p, proj_schema);
-  }
+  if (algo == BmoAlgorithm::kAuto && table) algo = table->ResolveAlgorithm();
 
   // The closure fallback plan: block evaluation without recompiling the
   // table that already failed (or was disabled) above.
@@ -131,35 +129,25 @@ std::vector<bool> MaximaParallel(const Tuple* values, size_t m,
     pool.ParallelForChunks(
         pairs, pairs, 1,
         [&values, &p, &proj_schema, &lists, &next, &table, &plan,
-         &closure_plan, algo](size_t, size_t begin, size_t end) {
+         algo](size_t, size_t begin, size_t end) {
           for (size_t k = begin; k < end; ++k) {
             const std::vector<size_t>& a = lists[2 * k];
             const std::vector<size_t>& b = lists[2 * k + 1];
-            if (algo == BmoAlgorithm::kDivideConquer) {
+            if (!table) {
+              next[k] =
+                  MergeAntichains(values, p->Bind(proj_schema), a, b);
+            } else if (algo == BmoAlgorithm::kDivideConquer) {
               // D&C's asymptotics on big merges repay the gather copy.
               std::vector<size_t> cand;
               cand.reserve(a.size() + b.size());
               cand.insert(cand.end(), a.begin(), a.end());
               cand.insert(cand.end(), b.begin(), b.end());
-              std::vector<bool> flags;
-              if (table) {
-                flags = table->MaximaSubset(algo, cand, plan);
-              } else {
-                std::vector<Tuple> cand_values;
-                cand_values.reserve(cand.size());
-                for (size_t i : cand) cand_values.push_back(values[i]);
-                flags = internal::ComputeMaximaBlock(cand_values, p,
-                                                     proj_schema,
-                                                     closure_plan);
-              }
+              std::vector<bool> flags = table->MaximaSubset(algo, cand, plan);
               for (size_t i = 0; i < cand.size(); ++i) {
                 if (flags[i]) next[k].push_back(cand[i]);
               }
-            } else if (table) {
-              next[k] = table->MergeAntichains(a, b, plan);
             } else {
-              next[k] =
-                  MergeAntichains(values, p->Bind(proj_schema), a, b);
+              next[k] = table->MergeAntichains(a, b, plan);
             }
           }
         });

@@ -898,13 +898,12 @@ BmoAlgorithm ScoreTable::ResolveAlgorithm() const {
   return BmoAlgorithm::kBlockNestedLoop;
 }
 
-BmoAlgorithm ScoreTable::ResolveFor(BmoAlgorithm algo,
-                                    const simd::KernelOps* ops) const {
+BmoAlgorithm ScoreTable::ResolveFor(BmoAlgorithm algo) const {
   if (algo == BmoAlgorithm::kAuto) {
     algo = ResolveAlgorithm();
     // With the batch kernels, the tiled BNL window beats the KLP75
     // recursion at every measured size (see ChooseAlgorithm).
-    if (algo == BmoAlgorithm::kDivideConquer && ops != nullptr) {
+    if (algo == BmoAlgorithm::kDivideConquer) {
       algo = BmoAlgorithm::kBlockNestedLoop;
     }
   }
@@ -918,58 +917,9 @@ BmoAlgorithm ScoreTable::ResolveFor(BmoAlgorithm algo,
 }
 
 // ---------------------------------------------------------------------------
-// Kernels. Each runs over an explicit row-index list so contiguous
-// partitions and merge candidate sets share one code path; `less` is a
-// mode-specialized predicate over global row indices, inlined per
-// instantiation.
-
-namespace {
-
-template <typename LessPred>
-std::vector<bool> NaiveKernel(const std::vector<size_t>& rows,
-                              const LessPred& less) {
-  const size_t m = rows.size();
-  std::vector<bool> maximal(m, true);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = 0; j < m; ++j) {
-      if (i != j && less(rows[i], rows[j])) {
-        maximal[i] = false;
-        break;
-      }
-    }
-  }
-  return maximal;
-}
-
-template <typename LessPred>
-std::vector<bool> BnlKernel(const std::vector<size_t>& rows,
-                            const LessPred& less) {
-  const size_t m = rows.size();
-  std::vector<bool> maximal(m, false);
-  std::vector<size_t> window;  // positions into `rows`
-  for (size_t i = 0; i < m; ++i) {
-    bool dominated = false;
-    size_t keep = 0;
-    for (size_t w = 0; w < window.size(); ++w) {
-      size_t cand = window[w];
-      if (!dominated && less(rows[i], rows[cand])) {
-        dominated = true;
-        // The rest of the window cannot be dominated by i (asymmetry +
-        // transitivity), keep everything from here on.
-        for (; w < window.size(); ++w) window[keep++] = window[w];
-        break;
-      }
-      if (less(rows[cand], rows[i])) continue;  // evict cand
-      window[keep++] = cand;
-    }
-    window.resize(keep);
-    if (!dominated) window.push_back(i);
-  }
-  for (size_t idx : window) maximal[idx] = true;
-  return maximal;
-}
-
-}  // namespace
+// Kernels. Each runs over an explicit row-index list through the batch
+// dominance kernels, so contiguous partitions and merge candidate sets
+// share one code path.
 
 double ScoreTable::SortKeyValue(size_t row, size_t key) const {
   double sum = 0.0;
@@ -1062,8 +1012,8 @@ std::vector<bool> ScoreTable::BnlBatch(const simd::KernelOps& ops,
 std::vector<bool> ScoreTable::MaximaSubset(BmoAlgorithm algo,
                                            const std::vector<size_t>& rows,
                                            const PhysicalPlan& plan) const {
-  const simd::KernelOps* ops = simd::ResolveKernel(plan.simd);
-  algo = ResolveFor(algo, ops);
+  const simd::KernelOps& ops = simd::ResolveKernel(plan.simd);
+  algo = ResolveFor(algo);
 
   const size_t m = rows.size();
   if (algo == BmoAlgorithm::kDivideConquer) {
@@ -1075,6 +1025,18 @@ std::vector<bool> ScoreTable::MaximaSubset(BmoAlgorithm algo,
       std::copy(s, s + cols_, flat.begin() + i * cols_);
     }
     return MaximaDivideConquerFlat(flat.data(), m, cols_, cols_, ops);
+  }
+
+  if (algo == BmoAlgorithm::kNaive) {
+    // The exhaustive baseline: every row against the whole block (an
+    // entry equal to the row never dominates it).
+    simd::RowBlock block(cols_);
+    for (size_t i = 0; i < m; ++i) block.Append(Row(rows[i]), Ids(rows[i]), i);
+    std::vector<bool> maximal(m);
+    for (size_t i = 0; i < m; ++i) {
+      maximal[i] = !ops.dominated(prog_, Row(rows[i]), Ids(rows[i]), block);
+    }
+    return maximal;
   }
 
   if (algo == BmoAlgorithm::kSortFilter) {
@@ -1112,85 +1074,35 @@ std::vector<bool> ScoreTable::MaximaSubset(BmoAlgorithm algo,
                   }
                   return false;
                 });
+      // One-sided batch window scan: the presort guarantees candidates
+      // never evict, so only "is it dominated" is needed.
       std::vector<bool> maximal(m, false);
-      if (ops) {
-        // One-sided batch window scan: the presort guarantees candidates
-        // never evict, so only "is it dominated" is needed.
-        simd::RowBlock window(cols_);
-        for (uint32_t i : order) {
-          if (ops->dominated(prog_, Row(rows[i]), Ids(rows[i]), window)) {
-            continue;
-          }
-          window.Append(Row(rows[i]), Ids(rows[i]), i);
+      simd::RowBlock window(cols_);
+      for (uint32_t i : order) {
+        if (ops.dominated(prog_, Row(rows[i]), Ids(rows[i]), window)) {
+          continue;
         }
-        for (size_t w = 0; w < window.size(); ++w) {
-          maximal[window.payload(w)] = true;
-        }
-        return maximal;
+        window.Append(Row(rows[i]), Ids(rows[i]), i);
       }
-      std::vector<uint32_t> window;
-      auto scan = [&](auto&& less) {
-        for (uint32_t i : order) {
-          bool dominated = false;
-          for (uint32_t w : window) {
-            if (less(rows[i], rows[w])) {
-              dominated = true;
-              break;
-            }
-          }
-          if (!dominated) window.push_back(i);
-        }
-        for (uint32_t idx : window) maximal[idx] = true;
-      };
-      switch (prog_.mode) {
-        case simd::DominanceProgram::Mode::kFlatPareto:
-          scan([this](size_t x, size_t y) { return ParetoLess(x, y); });
-          break;
-        case simd::DominanceProgram::Mode::kFlatLex:
-          scan([this](size_t x, size_t y) { return LexLess(x, y); });
-          break;
-        case simd::DominanceProgram::Mode::kGeneral:
-          scan([this](size_t x, size_t y) { return GeneralLess(x, y); });
-          break;
+      for (size_t w = 0; w < window.size(); ++w) {
+        maximal[window.payload(w)] = true;
       }
       return maximal;
     }
-    algo = BmoAlgorithm::kBlockNestedLoop;
   }
 
-  // Everything left degrades to a window scan (kNaive keeps the exact
-  // quadratic baseline); relation-level strategies (kParallel,
-  // kDecomposition) land here too and run the batch BNL like the rest.
-  if (algo != BmoAlgorithm::kNaive && ops) {
-    return BnlBatch(*ops, rows, ResolveTileRows(plan.bnl_tile_rows));
-  }
-
-  switch (prog_.mode) {
-    case simd::DominanceProgram::Mode::kFlatPareto: {
-      auto less = [this](size_t x, size_t y) { return ParetoLess(x, y); };
-      return algo == BmoAlgorithm::kNaive ? NaiveKernel(rows, less)
-                                          : BnlKernel(rows, less);
-    }
-    case simd::DominanceProgram::Mode::kFlatLex: {
-      auto less = [this](size_t x, size_t y) { return LexLess(x, y); };
-      return algo == BmoAlgorithm::kNaive ? NaiveKernel(rows, less)
-                                          : BnlKernel(rows, less);
-    }
-    case simd::DominanceProgram::Mode::kGeneral:
-      break;
-  }
-  auto less = [this](size_t x, size_t y) { return GeneralLess(x, y); };
-  return algo == BmoAlgorithm::kNaive ? NaiveKernel(rows, less)
-                                      : BnlKernel(rows, less);
+  // Everything left runs the tiled BNL window; relation-level strategies
+  // (kParallel, kDecomposition) land here too.
+  return BnlBatch(ops, rows, ResolveTileRows(plan.bnl_tile_rows));
 }
 
 std::vector<bool> ScoreTable::MaximaRange(BmoAlgorithm algo, size_t begin,
                                           size_t end,
                                           const PhysicalPlan& plan) const {
-  const simd::KernelOps* ops = simd::ResolveKernel(plan.simd);
-  algo = ResolveFor(algo, ops);
+  algo = ResolveFor(algo);
   if (algo == BmoAlgorithm::kDivideConquer) {
     // Contiguous range: run KLP75 directly over the table storage.
+    const simd::KernelOps& ops = simd::ResolveKernel(plan.simd);
     return MaximaDivideConquerFlat(scores_.data() + begin * cols_,
                                    end - begin, cols_, cols_, ops);
   }
@@ -1202,61 +1114,34 @@ std::vector<bool> ScoreTable::MaximaRange(BmoAlgorithm algo, size_t begin,
 std::vector<size_t> ScoreTable::MergeAntichains(
     const std::vector<size_t>& a, const std::vector<size_t>& b,
     const PhysicalPlan& plan) const {
+  // Gather each side column-major once, then every row of the other side
+  // is a single one-sided batch scan.
+  const simd::KernelOps& ops = simd::ResolveKernel(plan.simd);
+  simd::RowBlock block_a(cols_);
+  simd::RowBlock block_b(cols_);
+  for (size_t x : a) block_a.Append(Row(x), Ids(x), x);
+  for (size_t y : b) block_b.Append(Row(y), Ids(y), y);
   std::vector<size_t> out;
   out.reserve(a.size() + b.size());
-  const simd::KernelOps* ops = simd::ResolveKernel(plan.simd);
-  if (ops && a.size() + b.size() >= 4 * simd::kLanes) {
-    // Gather each side column-major once, then every row of the other
-    // side is a single one-sided batch scan.
-    simd::RowBlock block_a(cols_);
-    simd::RowBlock block_b(cols_);
-    for (size_t x : a) block_a.Append(Row(x), Ids(x), x);
-    for (size_t y : b) block_b.Append(Row(y), Ids(y), y);
-    for (size_t x : a) {
-      if (!ops->dominated(prog_, Row(x), Ids(x), block_b)) out.push_back(x);
-    }
-    for (size_t y : b) {
-      if (!ops->dominated(prog_, Row(y), Ids(y), block_a)) out.push_back(y);
-    }
-    return out;
-  }
   for (size_t x : a) {
-    bool dominated = false;
-    for (size_t y : b) {
-      if (Less(x, y)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) out.push_back(x);
+    if (!ops.dominated(prog_, Row(x), Ids(x), block_b)) out.push_back(x);
   }
   for (size_t y : b) {
-    bool dominated = false;
-    for (size_t x : a) {
-      if (Less(y, x)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) out.push_back(y);
+    if (!ops.dominated(prog_, Row(y), Ids(y), block_a)) out.push_back(y);
   }
   return out;
 }
 
 std::string ScoreTable::KernelVariant(BmoAlgorithm algo,
                                       const PhysicalPlan& plan) const {
-  const simd::KernelOps* ops = simd::ResolveKernel(plan.simd);
-  algo = ResolveFor(algo, ops);
-  const std::string impl = ops ? ops->name : "rowwise";
+  algo = ResolveFor(algo);
+  const std::string impl = simd::ResolveKernel(plan.simd).name;
   switch (algo) {
     case BmoAlgorithm::kNaive:
-      return "naive[rowwise]";
+      return "naive[" + impl + "]";
     case BmoAlgorithm::kBlockNestedLoop:
-      if (ops) {
-        return "bnl[" + impl + ",tile=" +
-               std::to_string(ResolveTileRows(plan.bnl_tile_rows)) + "]";
-      }
-      return "bnl[rowwise]";
+      return "bnl[" + impl + ",tile=" +
+             std::to_string(ResolveTileRows(plan.bnl_tile_rows)) + "]";
     case BmoAlgorithm::kSortFilter:
       return "sfs[" + impl + "]";
     case BmoAlgorithm::kDivideConquer:

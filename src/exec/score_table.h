@@ -143,7 +143,7 @@ class ScoreTable {
   /// immutable table and evaluate disjoint ranges concurrently. `plan`
   /// supplies the kernel fields of the physical plan — the batch
   /// dominance kernel (scalar/AVX2 dispatch) and the tiled-BNL block
-  /// size; SimdMode::kOff keeps the row-major pair loops.
+  /// size.
   std::vector<bool> MaximaRange(BmoAlgorithm algo, size_t begin, size_t end,
                                 const PhysicalPlan& plan = {}) const;
 
@@ -161,7 +161,7 @@ class ScoreTable {
 
   /// Human-readable label of the kernel variant MaximaRange would run for
   /// `algo` under `plan` — e.g. "bnl[avx2,tile=8192]", "sfs[scalar]",
-  /// "dc[avx2]", "bnl[rowwise]" — surfaced by EXPLAIN and QueryStats.
+  /// "dc[avx2]", "naive[scalar]" — surfaced by EXPLAIN and QueryStats.
   std::string KernelVariant(BmoAlgorithm algo,
                             const PhysicalPlan& plan = {}) const;
 
@@ -203,11 +203,10 @@ class ScoreTable {
 
   /// Shared resolution for the execution entry points and KernelVariant:
   /// kAuto via ResolveAlgorithm (preferring the tiled BNL window over
-  /// D&C when batch kernels are active), then the degrade rules (SFS
-  /// without sort keys -> BNL, D&C without exactness -> BNL), so the
-  /// reported variant can never drift from what executes.
-  BmoAlgorithm ResolveFor(BmoAlgorithm algo,
-                          const simd::KernelOps* ops) const;
+  /// D&C), then the degrade rules (SFS without sort keys -> BNL, D&C
+  /// without exactness -> BNL), so the reported variant can never drift
+  /// from what executes.
+  BmoAlgorithm ResolveFor(BmoAlgorithm algo) const;
 
   /// Blocked/tiled BNL over the batch dominance kernels. Streams
   /// candidates against the window while it is smaller than `tile_rows`;

@@ -243,20 +243,11 @@ bool Avx2Available() {
 #endif
 }
 
-const KernelOps* ResolveKernel(SimdMode mode) {
-  switch (mode) {
-    case SimdMode::kOff:
-      return nullptr;
-    case SimdMode::kScalar:
-      return &ScalarKernel();
-    case SimdMode::kAuto:
-    case SimdMode::kAvx2:
-      break;
-  }
+const KernelOps& ResolveKernel([[maybe_unused]] SimdMode mode) {
 #if defined(PREFDB_HAVE_AVX2)
-  if (Avx2Available()) return &avx2_impl::kOps;
+  if (mode != SimdMode::kScalar && Avx2Available()) return avx2_impl::kOps;
 #endif
-  return &ScalarKernel();
+  return ScalarKernel();
 }
 
 }  // namespace prefdb::simd

@@ -124,10 +124,9 @@ struct KernelOps {
 /// them (runtime dispatch; false under -DPREFDB_SIMD=OFF).
 bool Avx2Available();
 
-/// Maps the execution option to a kernel: kOff -> nullptr (callers keep
-/// the row-major pair loops), kAuto/kAvx2 -> AVX2 when available, else
-/// the portable batch kernels.
-const KernelOps* ResolveKernel(SimdMode mode);
+/// Maps the execution option to a kernel: kScalar -> the portable batch
+/// kernels, kAuto/kAvx2 -> AVX2 when available, else the portable ones.
+const KernelOps& ResolveKernel(SimdMode mode);
 
 /// The portable kernels (always present; the AVX2 tail reuses them).
 const KernelOps& ScalarKernel();

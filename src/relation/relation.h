@@ -107,7 +107,7 @@ class Relation {
   static std::vector<size_t> IndexUnion(const std::vector<size_t>& a,
                                         const std::vector<size_t>& b);
 
-  /// Schema + rowwise Value equality (order-sensitive).
+  /// Schema + row-by-row Value equality (order-sensitive).
   bool operator==(const Relation& other) const;
 
   /// Multiset equality of rows ignoring order (for test assertions).

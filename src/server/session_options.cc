@@ -38,8 +38,6 @@ const char* SimdName(SimdMode simd) {
   switch (simd) {
     case SimdMode::kAuto:
       return "auto";
-    case SimdMode::kOff:
-      return "off";
     case SimdMode::kScalar:
       return "scalar";
     case SimdMode::kAvx2:
@@ -101,8 +99,6 @@ std::string SessionOptions::Apply(const std::string& name,
   if (name == "simd") {
     if (value == "auto") {
       bmo.simd = SimdMode::kAuto;
-    } else if (value == "off") {
-      bmo.simd = SimdMode::kOff;
     } else if (value == "scalar") {
       bmo.simd = SimdMode::kScalar;
     } else if (value == "avx2") {

@@ -11,7 +11,7 @@
 //   timeout_ms=<n>         per-query deadline (0 = none)
 //   vectorize=on|off       score-table kernels vs closure baseline
 //   algorithm=auto|naive|bnl|sfs|dc|parallel
-//   simd=auto|off|scalar|avx2
+//   simd=auto|scalar|avx2
 //   max_pending_deltas=<n> per-subscription server-side delta bound
 //                          before coalescing (0 = engine default);
 //                          applies to subscriptions opened after the SET

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
-#include <stdexcept>
 
 #include "exec/score_table.h"
 
@@ -310,17 +309,11 @@ std::string TermStats::ToString() const {
   return buf;
 }
 
-TermStats EstimateTermStats(const TableStats& stats, const Schema& schema,
-                            const PrefPtr& p, size_t pool_rows) {
+TermStats EstimateTermStats(const TableStats& stats, const PrefPtr& p,
+                            size_t pool_rows) {
   TermStats out;
   out.input_rows = pool_rows;
   out.compilable = ScoreTable::CompilableTerm(p);
-  try {
-    out.closure_keys =
-        p->BindSortKeys(schema.Project(p->attributes())).has_value();
-  } catch (const std::out_of_range&) {
-    out.closure_keys = false;
-  }
 
   std::vector<PrefPtr> leaves;
   CollectLeaves(p, &leaves);

@@ -99,8 +99,6 @@ struct TermStats {
   size_t dims = 0;
   /// Lexicographic sort keys the compiled table exposes (0 = none).
   size_t table_keys = 0;
-  /// Closure-derivable sort keys exist (Preference::BindSortKeys).
-  bool closure_keys = false;
   /// The term compiles into the score-table kernels.
   bool compilable = false;
   /// Coordinatewise score dominance is (predicted to be) exact: flat
@@ -123,10 +121,9 @@ struct TermStats {
 /// materialized): distinct projections from per-column distinct counts,
 /// window width from the independence closed form, injectivity from
 /// leaf kinds + column numeric-ness. `pool_rows` is the candidate pool
-/// (WHERE survivors); pass stats.rows when unfiltered. `schema` resolves
-/// the closure sort-key probe (Preference::BindSortKeys).
-TermStats EstimateTermStats(const TableStats& stats, const Schema& schema,
-                            const PrefPtr& p, size_t pool_rows);
+/// (WHERE survivors); pass stats.rows when unfiltered.
+TermStats EstimateTermStats(const TableStats& stats, const PrefPtr& p,
+                            size_t pool_rows);
 
 /// Measures term statistics from a compiled score table over the actual
 /// distinct-value block: exact column distinct counts and injectivity;

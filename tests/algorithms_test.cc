@@ -9,6 +9,7 @@
 #include "core/numeric_preferences.h"
 #include "datagen/vectors.h"
 #include "eval/bmo.h"
+#include "exec/simd/dominance.h"
 #include "test_support.h"
 
 namespace prefdb {
@@ -103,32 +104,11 @@ TEST_P(MixedTermAgreementTest, GeneralTermsAgreeAcrossGenericAlgorithms) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MixedTermAgreementTest,
                          ::testing::Values(2, 4, 6, 10, 12, 14));
 
-TEST(DivideConquerTest, ApplicabilityDetection) {
-  std::vector<PrefPtr> leaves;
-  EXPECT_TRUE(CanUseDivideConquer(
-      Pareto(Highest("a"), Lowest("b")), &leaves));
-  EXPECT_EQ(leaves.size(), 2u);
-
-  leaves.clear();
-  // AROUND leaves break the injective-score requirement.
-  EXPECT_FALSE(CanUseDivideConquer(
-      Pareto(Around("a", 1), Lowest("b")), &leaves));
-
-  leaves.clear();
-  // Repeated attributes break coordinatewise dominance.
-  EXPECT_FALSE(CanUseDivideConquer(
-      Pareto(Highest("a"), Lowest("a")), &leaves));
-
-  leaves.clear();
-  EXPECT_FALSE(CanUseDivideConquer(Prioritized(Highest("a"), Lowest("b")),
-                                   &leaves));
-}
-
 TEST(DivideConquerTest, MaximaOnKnownPoints) {
-  // Maximize both dims: skyline of a staircase.
-  std::vector<std::vector<double>> pts = {
-      {1, 9}, {2, 8}, {3, 7}, {3, 9}, {0, 0}, {9, 1}, {9, 1}};
-  std::vector<bool> max = MaximaDivideConquer(pts);
+  // Maximize both dims: skyline of a staircase, one row per point.
+  const std::vector<double> pts = {1, 9, 2, 8, 3, 7, 3, 9, 0, 0, 9, 1, 9, 1};
+  std::vector<bool> max = MaximaDivideConquerFlat(
+      pts.data(), 7, 2, 2, simd::ResolveKernel(SimdMode::kAuto));
   EXPECT_FALSE(max[0]);  // (1,9) < (3,9)
   EXPECT_FALSE(max[1]);  // (2,8) < (3,9)
   EXPECT_FALSE(max[2]);  // (3,7) < (3,9)
@@ -139,8 +119,9 @@ TEST(DivideConquerTest, MaximaOnKnownPoints) {
 }
 
 TEST(DivideConquerTest, OneDimensionalMaxima) {
-  std::vector<std::vector<double>> pts = {{3}, {9}, {9}, {1}};
-  std::vector<bool> max = MaximaDivideConquer(pts);
+  const std::vector<double> pts = {3, 9, 9, 1};
+  std::vector<bool> max = MaximaDivideConquerFlat(
+      pts.data(), 4, 1, 1, simd::ResolveKernel(SimdMode::kAuto));
   EXPECT_EQ(max, (std::vector<bool>{false, true, true, false}));
 }
 

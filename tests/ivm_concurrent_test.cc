@@ -40,12 +40,23 @@ TEST(IvmConcurrentTest, SubscribeMutateUnsubscribeRaceFree) {
   std::atomic<uint64_t> deltas_seen{0};
 
   // Mutators: concurrent inserts and deletes on the subscribed table.
+  // Once a (0,0) row lands, random rows rarely move the skyline (only
+  // deleting every (0,0) row does), so every 64th step also inserts, then
+  // deletes, a negative-coordinate row that enters it: deltas keep
+  // flowing while the mutators run. Subscribe must complete under this
+  // write stream too (see Engine::Subscribe's bounded optimistic seed).
   std::vector<std::thread> threads;
   for (int m = 0; m < 2; ++m) {
     threads.emplace_back([&engine, &stop, m] {
       std::mt19937 rng(100 + m);
-      while (!stop.load()) {
-        if (rng() % 4 != 0) {
+      const Value best(static_cast<int64_t>(-1 - m));
+      for (uint64_t step = 0; !stop.load(); ++step) {
+        if (step % 64 == 0) {
+          engine.Insert("t", {best, best});
+          engine.Delete("t", [&best](const Tuple& row) {
+            return row[0] == best && row[1] == best;
+          });
+        } else if (rng() % 4 != 0) {
           engine.Insert("t", {Value(static_cast<int64_t>(rng() % 64)),
                               Value(static_cast<int64_t>(rng() % 64))});
         } else {

@@ -24,21 +24,15 @@ TEST(ChooserTest, SmallInputsUseBnl) {
 }
 
 TEST(ChooserTest, SkylineFragmentPrefersTiledSimdBnl) {
-  // With the batch dominance kernels active, the tiled SIMD BNL window
-  // beats the KLP75 recursion on the estimated windows of every measured
-  // workload; D&C remains the pick for the row-wise kernels.
+  // With the batch dominance kernels, the tiled SIMD BNL window beats
+  // the KLP75 recursion on the estimated windows of every measured
+  // workload.
   Relation r = GenerateVectors(5000, 3, Correlation::kIndependent, 1);
   PrefPtr p = Pareto({Highest("d0"), Highest("d1"), Lowest("d2")});
   PhysicalPlan c = ChooseAlgorithm(r, p);
   EXPECT_EQ(c.algorithm, BmoAlgorithm::kBlockNestedLoop);
   EXPECT_NE(c.rationale.find("SIMD"), std::string::npos);
   EXPECT_GT(c.estimated_ns, 0.0);
-
-  BmoOptions rowwise;
-  rowwise.simd = SimdMode::kOff;
-  PhysicalPlan d = ChooseAlgorithm(r, p, rowwise);
-  EXPECT_EQ(d.algorithm, BmoAlgorithm::kDivideConquer);
-  EXPECT_NE(d.rationale.find("KLP75"), std::string::npos);
 }
 
 TEST(ChooserTest, ChainHeadMakesDecompositionEligible) {
@@ -72,6 +66,7 @@ TEST(ChooserTest, SelectiveChainHeadOverClosureTailUsesDecomposition) {
   // term that only evaluates through closures (non-compilable tail) with
   // a wide estimated window — sorting once and cascading into the best
   // block beats paying closure dominance tests across the whole pool.
+  // That is the sequential regime: one worker.
   TermStats stats;
   stats.input_rows = 50000;
   stats.distinct_values = 50000;
@@ -80,9 +75,18 @@ TEST(ChooserTest, SelectiveChainHeadOverClosureTailUsesDecomposition) {
   stats.chain_head = true;
   stats.head_distinct = 5;
   stats.est_window = 130.0;
-  PhysicalPlan plan = PlanPhysical(stats, BmoOptions{});
+  BmoOptions sequential;
+  sequential.num_threads = 1;
+  PhysicalPlan plan = PlanPhysical(stats, sequential);
   EXPECT_EQ(plan.algorithm, BmoAlgorithm::kDecomposition);
   EXPECT_NE(plan.rationale.find("Prop 11"), std::string::npos);
+
+  // With four workers, splitting the closure BNL across partitions beats
+  // the cascade's single-threaded sort.
+  BmoOptions four_workers;
+  four_workers.num_threads = 4;
+  EXPECT_EQ(PlanPhysical(stats, four_workers).algorithm,
+            BmoAlgorithm::kParallel);
 }
 
 TEST(ChooserTest, LevelTermsStayEligibleForVectorizedSfs) {

@@ -31,10 +31,6 @@ PrefPtr SkylinePref(size_t d) {
   return Pareto(prefs);
 }
 
-const simd::KernelOps* BatchKernels() {
-  return simd::ResolveKernel(SimdMode::kAuto);
-}
-
 // Plans a workload through the measured path (compile + sampled window
 // probe), exactly what BmoIndices and the engine's exec builder do.
 PhysicalPlan PlanMeasured(const Relation& r, const PrefPtr& p,
@@ -52,8 +48,7 @@ TEST(PlannerGoldenTest, AntiCorrelatedWideWindowPicksSfs) {
   // PR 4 measured winner on the gated anti-correlated d4 family: the
   // presorted one-sided SFS scan (1.46ms) beats the BNL window (4.05ms)
   // once the window is wide. The sampled probe is what reveals the wide
-  // window; batch kernels must be available for the constants to apply.
-  if (BatchKernels() == nullptr) GTEST_SKIP() << "batch kernels disabled";
+  // window.
   Relation r = GenerateVectors(8192, 4, Correlation::kAntiCorrelated, 42);
   PhysicalPlan plan = PlanMeasured(r, SkylinePref(4));
   EXPECT_EQ(plan.algorithm, BmoAlgorithm::kSortFilter);
@@ -63,7 +58,6 @@ TEST(PlannerGoldenTest, AntiCorrelatedWideWindowPicksSfs) {
 TEST(PlannerGoldenTest, IndependentNarrowWindowPicksBnl) {
   // PR 4 measured winner on the independent d4 family: tiled SIMD BNL
   // (0.22ms) over SFS (whose presort alone costs ~1ms) and D&C (1.88ms).
-  if (BatchKernels() == nullptr) GTEST_SKIP() << "batch kernels disabled";
   Relation r = GenerateVectors(8192, 4, Correlation::kIndependent, 42);
   PhysicalPlan plan = PlanMeasured(r, SkylinePref(4));
   EXPECT_EQ(plan.algorithm, BmoAlgorithm::kBlockNestedLoop);
@@ -74,16 +68,6 @@ TEST(PlannerGoldenTest, CorrelatedDataPicksBnl) {
   Relation r = GenerateVectors(8192, 4, Correlation::kCorrelated, 42);
   PhysicalPlan plan = PlanMeasured(r, SkylinePref(4));
   EXPECT_EQ(plan.algorithm, BmoAlgorithm::kBlockNestedLoop);
-}
-
-TEST(PlannerGoldenTest, RowwiseKernelsKeepDivideConquer) {
-  // With SimdMode::kOff the pair loops are ~4x dearer and the KLP75
-  // recursion wins on injective skylines — the PR 4 finding preserved.
-  Relation r = GenerateVectors(8192, 3, Correlation::kIndependent, 7);
-  BmoOptions rowwise;
-  rowwise.simd = SimdMode::kOff;
-  PhysicalPlan plan = PlanMeasured(r, SkylinePref(3), rowwise);
-  EXPECT_EQ(plan.algorithm, BmoAlgorithm::kDivideConquer);
 }
 
 TEST(PlannerGoldenTest, NonInjectiveColumnsDisqualifyDc) {
@@ -119,8 +103,8 @@ TEST(PlannerGoldenTest, LowDistinctCountsShrinkTheEstimate) {
   Relation cars = GenerateCars(20000, 3);
   TableStats table_stats = TableStats::Derive(cars);
   TermStats stats = EstimateTermStats(
-      table_stats, cars.schema(),
-      Pareto(Pos("color", {"red"}), Pos("make", {"Audi"})), 20000);
+      table_stats, Pareto(Pos("color", {"red"}), Pos("make", {"Audi"})),
+      20000);
   EXPECT_LT(stats.distinct_values, 2000u);
   PhysicalPlan plan = PlanPhysical(stats, BmoOptions{});
   EXPECT_EQ(plan.algorithm, BmoAlgorithm::kBlockNestedLoop);

@@ -564,6 +564,7 @@ TEST(SessionOptionsTest, AppliesAndSerializesTheWholeVocabulary) {
 
   EXPECT_NE(options.Apply("threads", "many"), "");
   EXPECT_NE(options.Apply("algorithm", "quantum"), "");
+  EXPECT_NE(options.Apply("simd", "off"), "");
   EXPECT_NE(options.Apply("no_such_option", "1"), "");
   EXPECT_NE(options.ApplyWire("garbage"), "");
 

@@ -78,7 +78,7 @@ TEST(TermStatsTest, EstimateSeesStructure) {
   TableStats table = TableStats::Derive(cars);
   // Injective numeric skyline: D&C-exact, window from the closed form.
   TermStats sky = EstimateTermStats(
-      table, cars.schema(), Pareto(Lowest("price"), Lowest("mileage")), 5000);
+      table, Pareto(Lowest("price"), Lowest("mileage")), 5000);
   EXPECT_TRUE(sky.compilable);
   EXPECT_TRUE(sky.dc_exact);
   EXPECT_EQ(sky.dims, 2u);
@@ -86,14 +86,12 @@ TEST(TermStatsTest, EstimateSeesStructure) {
   EXPECT_LT(sky.est_window, 200.0);
   // AROUND breaks injectivity but keeps keys.
   TermStats around = EstimateTermStats(
-      table, cars.schema(), Pareto(Around("price", 20000), Lowest("mileage")),
-      5000);
+      table, Pareto(Around("price", 20000), Lowest("mileage")), 5000);
   EXPECT_FALSE(around.dc_exact);
   EXPECT_GT(around.table_keys, 0u);
   // Chain-head prioritization is flagged with the head's cardinality.
   TermStats chain = EstimateTermStats(
-      table, cars.schema(), Prioritized(Lowest("price"), Pos("color", {"red"})),
-      5000);
+      table, Prioritized(Lowest("price"), Pos("color", {"red"})), 5000);
   EXPECT_TRUE(chain.chain_head);
   EXPECT_GT(chain.head_distinct, 0u);
   // An injective chain head pins the window near one group.
@@ -176,8 +174,7 @@ TEST(TermStatsTest, AntiChainInParetoMultipliesTheWindow) {
   const size_t makes = table.Column("make")->distinct;
   ASSERT_GT(makes, 2u);
   TermStats stats = EstimateTermStats(
-      table, cars.schema(), Pareto(AntiChain("make"), Lowest("price")),
-      20000);
+      table, Pareto(AntiChain("make"), Lowest("price")), 20000);
   EXPECT_GE(stats.est_window, static_cast<double>(makes));
 }
 
