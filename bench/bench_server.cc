@@ -5,8 +5,8 @@
 //
 //   --mode load    closed-loop replay at fixed concurrency and pipeline
 //                  depth: C client threads each keep up to D requests in
-//                  flight over protocol v2 (D=1 degenerates to the classic
-//                  blocking request/response loop). Reports p50/p99
+//                  flight on one connection (D=1 degenerates to the
+//                  classic blocking request/response loop). Reports p50/p99
 //                  per-query latency and sustained QPS, and (with --out)
 //                  writes Google-Benchmark-shaped JSON families so the CI
 //                  perf gate (bench/compare.py) can diff them against the
@@ -414,8 +414,9 @@ int RunLoad(const DriverOptions& opt,
   // of their sum. Skipped under --connect (the external server holds the
   // wrong table sizes).
   if (pipe_endpoint != nullptr) {
-    // Depth-1 over two sessions is the protocol-v1-equivalent
-    // request/response baseline the acceptance ratio is measured against.
+    // Depth-1 over two sessions (one request in flight per connection) is
+    // the blocking request/response baseline the acceptance ratio is
+    // measured against.
     // Each scenario takes the fastest of --repeat passes: scheduler noise
     // only ever adds time, and these sub-second replays are too short for
     // a single pass to be trustworthy on a loaded runner.

@@ -1,23 +1,31 @@
-// Fuzz harness for the wire codec (server/protocol.h): frame headers,
-// value/row decoding, and result parsing. Invariants under test:
+// Fuzz harness for the wire codec (server/protocol.h) and the server's
+// frame reassembly (FrameAssembler, server/wire_io.h): frame headers,
+// value/row decoding, result parsing, and chunked reassembly of the raw
+// client byte stream. Invariants under test:
 //
 //  - no decoder crashes, hangs, or overflows on arbitrary bytes (the
 //    payload is attacker-controlled up to the frame cap);
 //  - decoding always makes forward progress (*pos never moves backwards —
 //    the 'S' length-wrap bug fixed in this PR violated exactly this);
 //  - a payload that parses re-serializes to a payload that parses to the
-//    same shape (round-trip stability).
+//    same shape (round-trip stability);
+//  - reassembly does not depend on how the stream was chunked: any
+//    chunking yields the frames (and the final oversized/need-more
+//    verdict) of a one-shot append, and no frame exceeds the cap.
 //
 // Links against libFuzzer under -DPREFDB_FUZZERS=ON; otherwise
 // fuzz/driver_main.cc replays the seed corpus in plain ctest.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "psql/executor.h"
 #include "server/protocol.h"
+#include "server/wire_io.h"
 
 namespace {
 
@@ -82,15 +90,65 @@ void CheckTagged(const std::string& payload) {
   }
 }
 
-void CheckHello(const std::string& payload) {
-  // Version negotiation payloads: an accepted hello must round-trip
-  // through the canonical encoding, and 0 is never a valid version.
-  auto version = prefdb::server::ParseHello(payload);
-  if (!version) return;
-  if (*version == 0) __builtin_trap();
-  auto reparsed =
-      prefdb::server::ParseHello(prefdb::server::EncodeHello(*version));
-  if (!reparsed || *reparsed != *version) __builtin_trap();
+using prefdb::server::FrameAssembler;
+
+/// Pulls frames until the assembler stops yielding them; returns the
+/// verdict that stopped it (kNeedMore or kOversized).
+FrameAssembler::Next DrainFrames(FrameAssembler* assembler,
+                                 std::vector<prefdb::server::Frame>* out,
+                                 uint32_t* oversized_len) {
+  for (;;) {
+    size_t before = assembler->buffered();
+    prefdb::server::Frame frame;
+    FrameAssembler::Next next = assembler->TryNext(&frame, oversized_len);
+    if (next != FrameAssembler::Next::kFrame) return next;
+    if (assembler->buffered() > before) __builtin_trap();
+    out->push_back(std::move(frame));
+  }
+}
+
+void CheckAssembler(const std::string& bytes) {
+  // Every byte a client sends passes through a FrameAssembler. Chunk the
+  // input with sizes taken from the input itself (1..64 bytes, like
+  // short socket reads) and compare against one Append of all of it.
+  constexpr size_t kCap = 4096;
+  FrameAssembler whole(kCap);
+  whole.Append(bytes.data(), bytes.size());
+  std::vector<prefdb::server::Frame> expected;
+  uint32_t expected_len = 0;
+  FrameAssembler::Next expected_end =
+      DrainFrames(&whole, &expected, &expected_len);
+
+  FrameAssembler chunked(kCap);
+  std::vector<prefdb::server::Frame> seen;
+  uint32_t seen_len = 0;
+  FrameAssembler::Next end = FrameAssembler::Next::kNeedMore;
+  size_t pos = 0;
+  for (;;) {
+    end = DrainFrames(&chunked, &seen, &seen_len);
+    // An oversized header ends framing: the server drains the connection.
+    if (end == FrameAssembler::Next::kOversized || pos >= bytes.size()) {
+      break;
+    }
+    size_t chunk = std::min<size_t>(
+        1 + static_cast<unsigned char>(bytes[pos]) % 64, bytes.size() - pos);
+    chunked.Append(bytes.data() + pos, chunk);
+    pos += chunk;
+  }
+
+  if (end != expected_end || seen.size() != expected.size()) {
+    __builtin_trap();
+  }
+  if (end == FrameAssembler::Next::kOversized && seen_len != expected_len) {
+    __builtin_trap();
+  }
+  for (size_t i = 0; i < seen.size(); ++i) {
+    if (seen[i].payload.size() > kCap) __builtin_trap();
+    if (seen[i].type != expected[i].type ||
+        seen[i].payload != expected[i].payload) {
+      __builtin_trap();
+    }
+  }
 }
 
 }  // namespace
@@ -105,6 +163,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   CheckResult(payload);
   CheckDelta(payload);
   CheckTagged(payload);
-  CheckHello(payload);
+  CheckAssembler(payload);
   return 0;
 }

@@ -29,7 +29,6 @@ Client::~Client() { Close(); }
 
 Client::Client(Client&& other) noexcept
     : fd_(other.fd_),
-      version_(other.version_),
       next_request_id_(other.next_request_id_),
       outstanding_(std::move(other.outstanding_)),
       pending_deltas_(std::move(other.pending_deltas_)) {
@@ -40,7 +39,6 @@ Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     Close();
     fd_ = other.fd_;
-    version_ = other.version_;
     next_request_id_ = other.next_request_id_;
     outstanding_ = std::move(other.outstanding_);
     pending_deltas_ = std::move(other.pending_deltas_);
@@ -49,8 +47,7 @@ Client& Client::operator=(Client&& other) noexcept {
   return *this;
 }
 
-void Client::Connect(const std::string& host, uint16_t port,
-                     ConnectOptions options) {
+void Client::Connect(const std::string& host, uint16_t port) {
   Close();
   fd_ = socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) throw psql::ServerError("socket() failed");
@@ -69,36 +66,7 @@ void Client::Connect(const std::string& host, uint16_t port,
   }
   int one = 1;
   setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-  version_ = kProtocolV1;
   next_request_id_ = 1;
-  if (options.protocol_version >= kProtocolV2) {
-    // Handshake: offer our version, adopt the server's pick. Both hello
-    // frames are untagged by definition.
-    SendRawBytes(EncodeFrame(
-        Frame{FrameType::kHello, EncodeHello(options.protocol_version)}));
-    Frame reply;
-    if (ReadFrame(fd_, &reply, UINT32_MAX) != ReadStatus::kOk) {
-      Close();
-      throw psql::ServerError("connection closed during version handshake");
-    }
-    if (reply.type == FrameType::kError) {
-      // A pre-v2 server answers the unknown 'V' frame with an error and
-      // keeps serving: fall back to plain v1 so default-config clients
-      // survive a rolling upgrade against old servers.
-      return;
-    }
-    if (reply.type != FrameType::kHello) {
-      Close();
-      throw psql::ProtocolError("expected a hello response");
-    }
-    std::optional<uint32_t> negotiated = ParseHello(reply.payload);
-    if (!negotiated || *negotiated > options.protocol_version) {
-      Close();
-      throw psql::ProtocolError("malformed hello response");
-    }
-    version_ = *negotiated;
-  }
 }
 
 void Client::Close() {
@@ -107,7 +75,6 @@ void Client::Close() {
     fd_ = -1;
   }
   outstanding_.clear();
-  version_ = kProtocolV1;
 }
 
 void Client::SendRawBytes(const std::string& bytes) {
@@ -115,7 +82,7 @@ void Client::SendRawBytes(const std::string& bytes) {
   if (!WriteFully(fd_, bytes)) throw psql::ServerError("send failed");
 }
 
-Frame Client::ReadResponse() {
+Frame Client::ReadResponse(uint64_t* request_id) {
   if (fd_ < 0) throw psql::ServerError("not connected");
   Frame frame;
   // Responses are server-sized; accept anything the server can produce.
@@ -124,31 +91,21 @@ Frame Client::ReadResponse() {
     Close();
     throw psql::ServerError("connection closed by server");
   }
-  if (version_ >= kProtocolV2 && frame.type != FrameType::kHello) {
-    uint64_t request_id = 0;
-    if (!DecodeTaggedPayload(&frame, &request_id)) {
-      throw psql::ProtocolError("v2 response shorter than its request id");
-    }
+  uint64_t id = kNoRequestId;
+  if (!DecodeTaggedPayload(&frame, &id)) {
+    throw psql::ProtocolError("response shorter than its request id");
   }
+  if (request_id != nullptr) *request_id = id;
   return frame;
 }
 
 Client::ResponseFuture Client::Send(const Frame& frame) {
   if (fd_ < 0) throw psql::ServerError("not connected");
-  if (version_ < kProtocolV2 && !outstanding_.empty()) {
-    // v1 has no request ids: responses are only attributable when at
-    // most one request is in flight.
-    throw psql::ProtocolError(
-        "protocol v1 allows a single in-flight request");
-  }
   uint64_t request_id = next_request_id_++;
-  std::string wire = version_ >= kProtocolV2
-                         ? EncodeTaggedFrame(request_id, frame)
-                         : EncodeFrame(frame);
   auto slot = std::make_shared<ResponseFuture::Slot>();
   outstanding_.emplace(request_id, slot);
   try {
-    SendRawBytes(wire);
+    SendRawBytes(EncodeTaggedFrame(request_id, frame));
   } catch (...) {
     outstanding_.erase(request_id);
     throw;
@@ -156,19 +113,9 @@ Client::ResponseFuture Client::Send(const Frame& frame) {
   return ResponseFuture(this, request_id, std::move(slot));
 }
 
-uint64_t Client::PumpOne() {
-  if (fd_ < 0) throw psql::ServerError("not connected");
-  Frame frame;
-  ReadStatus status = ReadFrame(fd_, &frame, UINT32_MAX);
-  if (status != ReadStatus::kOk) {
-    Close();
-    throw psql::ServerError("connection closed by server");
-  }
-  uint64_t request_id = 0;
-  if (version_ >= kProtocolV2 &&
-      !DecodeTaggedPayload(&frame, &request_id)) {
-    throw psql::ProtocolError("v2 response shorter than its request id");
-  }
+void Client::PumpOne() {
+  uint64_t request_id = kNoRequestId;
+  Frame frame = ReadResponse(&request_id);
   if (frame.type == FrameType::kDelta) {
     // Pushes are tagged with their kSubscribe's id, which is not an
     // outstanding request; the payload's subscription id is the
@@ -176,19 +123,24 @@ uint64_t Client::PumpOne() {
     auto delta = ParseDelta(frame.payload);
     if (!delta) throw psql::ProtocolError("malformed delta frame");
     pending_deltas_.push_back(std::move(*delta));
-    return request_id;
+    return;
   }
-  auto it = version_ >= kProtocolV2 ? outstanding_.find(request_id)
-                                    : outstanding_.begin();
+  if (request_id == kNoRequestId && frame.type == FrameType::kError) {
+    // A fault no request owns (session limit, unframable stream): the
+    // server closes the connection after this frame.
+    psql::QueryError error = psql::DeserializeError(frame.payload);
+    Close();
+    throw psql::ServerError(std::string(psql::ErrorCodeName(error.code)) +
+                            ": " + error.message);
+  }
+  auto it = outstanding_.find(request_id);
   if (it == outstanding_.end()) {
     throw psql::ProtocolError("response for an unknown request id");
   }
-  request_id = it->first;
   std::shared_ptr<ResponseFuture::Slot> slot = it->second;
   outstanding_.erase(it);
   slot->response = ParseResponse(std::move(frame));
   slot->done = true;
-  return request_id;
 }
 
 ClientResponse Client::ResponseFuture::Get() {
@@ -301,16 +253,6 @@ std::optional<WireDelta> Client::ReadDelta(uint64_t timeout_ms) {
     }
     // May resolve an outstanding future instead of yielding a delta —
     // loop until a push lands or the deadline passes.
-    if (outstanding_.empty() && pending_deltas_.empty()) {
-      // Nothing pipelined is in flight: the next frame must be a push.
-      Frame frame = ReadResponse();
-      if (frame.type != FrameType::kDelta) {
-        throw psql::ProtocolError("expected a delta frame");
-      }
-      auto delta = ParseDelta(frame.payload);
-      if (!delta) throw psql::ProtocolError("malformed delta frame");
-      return delta;
-    }
     PumpOne();
   }
 }

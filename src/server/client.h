@@ -4,8 +4,8 @@
 // shared across threads without external serialization (drivers open one
 // Client per thread).
 //
-// The client speaks protocol v2 by default (negotiated by a kHello
-// handshake on Connect) and exposes two surfaces over one socket:
+// Every request is tagged with a fresh request id (protocol.h), and the
+// client exposes two surfaces over one socket:
 //
 //   async     Send*(...) writes the request immediately and returns a
 //             ResponseFuture. Many futures may be outstanding at once
@@ -16,10 +16,6 @@
 //   blocking  Query()/Prepare()/... are one-liners over the async
 //             surface (Send + Get), preserving the original
 //             request/response API.
-//
-// Connect(..., {.protocol_version = kProtocolV1}) skips the handshake
-// and speaks plain v1 (one request in flight, untagged frames) — the
-// interop surface for testing the server's compat shim.
 
 #ifndef PREFDB_SERVER_CLIENT_H_
 #define PREFDB_SERVER_CLIENT_H_
@@ -54,17 +50,6 @@ struct ClientResponse {
   std::string info;
   /// kPrepare responses: the prepared-statement handle.
   uint64_t handle = 0;
-};
-
-struct ConnectOptions {
-  /// Highest protocol version to offer. kProtocolV2 performs the kHello
-  /// handshake; kProtocolV1 skips it entirely (a v1 client never sends
-  /// frames a v1 server would not understand). A pre-v2 server that
-  /// answers the hello with an error frame ("unknown frame type") is
-  /// treated as speaking v1 — the connection downgrades instead of
-  /// failing, so new clients work against old servers during a rolling
-  /// upgrade.
-  uint32_t protocol_version = kProtocolV2;
 };
 
 class Client {
@@ -104,13 +89,9 @@ class Client {
   Client(Client&& other) noexcept;
   Client& operator=(Client&& other) noexcept;
 
-  /// Connects over TCP and (by default) negotiates protocol v2; throws
-  /// std::runtime_error on failure.
-  void Connect(const std::string& host, uint16_t port,
-               ConnectOptions options = {});
+  /// Connects over TCP; throws std::runtime_error on failure.
+  void Connect(const std::string& host, uint16_t port);
   bool connected() const { return fd_ >= 0; }
-  /// The negotiated protocol version (valid after Connect()).
-  uint32_t protocol_version() const { return version_; }
   void Close();
 
   // --- async surface (pipelining) ------------------------------------
@@ -164,26 +145,29 @@ class Client {
 
   // --- test/debug surface ---------------------------------------------
   /// Sends an arbitrary frame (even a malformed one) and reads back the
-  /// server's single response. On v2 the frame is tagged with a fresh
-  /// request id and the response's tag is stripped; connect with
-  /// kProtocolV1 to control the exact bytes on the wire.
+  /// server's single response. The frame is tagged with a fresh request
+  /// id and the response's tag is stripped; SendRawBytes controls the
+  /// exact bytes on the wire.
   ClientResponse RoundTrip(const Frame& frame);
   /// Sends raw bytes as-is (for malformed-header tests).
   void SendRawBytes(const std::string& bytes);
-  /// Reads one frame off the socket, undoing v2 tagging; throws on
-  /// transport error/EOF. Bypasses response routing — do not mix with
-  /// outstanding futures.
-  Frame ReadResponse();
+  /// Reads one frame off the socket and strips its request id (stored in
+  /// `*request_id` when non-null); throws on transport error/EOF (closing
+  /// the client) or a payload too short for the id. Bypasses response
+  /// routing — do not mix with outstanding futures.
+  Frame ReadResponse(uint64_t* request_id = nullptr);
 
  private:
   ResponseFuture Send(const Frame& frame);
   /// Reads one frame and routes it: a delta is stashed, a response
-  /// resolves its future. Returns the routed frame's request id.
-  uint64_t PumpOne();
+  /// resolves its future. A kError tagged kNoRequestId is a
+  /// connection-level fault (session limit, unframable stream): the
+  /// client closes and throws psql::ServerError carrying the server's
+  /// message.
+  void PumpOne();
   static ClientResponse ParseResponse(Frame reply);
 
   int fd_ = -1;
-  uint32_t version_ = kProtocolV1;
   uint64_t next_request_id_ = 1;
   std::unordered_map<uint64_t, std::shared_ptr<ResponseFuture::Slot>>
       outstanding_;

@@ -105,19 +105,6 @@ bool DecodeTaggedPayload(Frame* frame, uint64_t* request_id) {
   return true;
 }
 
-std::string EncodeHello(uint32_t version) { return std::to_string(version); }
-
-std::optional<uint32_t> ParseHello(const std::string& payload) {
-  if (payload.empty() || payload.size() > 9) return std::nullopt;
-  uint32_t version = 0;
-  for (char c : payload) {
-    if (c < '0' || c > '9') return std::nullopt;
-    version = version * 10 + static_cast<uint32_t>(c - '0');
-  }
-  if (version == 0) return std::nullopt;
-  return version;
-}
-
 std::string EncodeValue(const Value& value) {
   switch (value.type()) {
     case ValueType::kNull:

@@ -4,28 +4,20 @@
 //
 //   uint32  payload length, big-endian (excludes these 5 header bytes)
 //   uint8   frame type (FrameType below)
-//   bytes   payload
+//   uint64  request id, big-endian (the first 8 payload bytes)
+//   bytes   body
 //
 // Requests carry Preference SQL text or small textual commands; responses
 // carry a serialized QueryResult, an acknowledgement, or a serialized
 // QueryError (psql/error.h).
 //
-// Two protocol versions share this outer framing:
-//
-//   v1  strictly request/response per session: a client sends one frame
-//       and reads exactly one frame back (kDelta pushes excepted).
-//   v2  pipelined: the first 8 payload bytes of every frame after the
-//       hello exchange are a big-endian client-assigned request id,
-//       echoed on the response, so many requests can be in flight and
-//       responses may arrive out of order. Server-initiated kDelta
-//       pushes carry the id of the kSubscribe that created them.
-//
-// A connection starts in v1. A client upgrades by making its FIRST frame
-// a kHello ('V') whose payload is its highest supported version in
-// decimal; the server replies with a kHello carrying min(client, server)
-// and both sides switch to that version. Clients that never send a hello
-// stay on v1 — the compat shim that keeps old clients and the committed
-// fuzz corpora valid. Hello frames themselves are never id-tagged.
+// The request id is client-assigned and echoed on the response, so many
+// requests can be in flight on one connection and responses may arrive
+// out of order. Server-initiated kDelta pushes carry the id of the
+// kSubscribe that created them; faults no request owns (oversized frame,
+// missing id prefix, session limit) carry kNoRequestId. There is no
+// version negotiation: a connection's first frame already carries its
+// request id.
 //
 // Result payloads use a self-delimiting text encoding (SerializeResult /
 // ParseResult) that round-trips Values exactly — including NULLs, negative
@@ -50,7 +42,8 @@
 namespace prefdb::server {
 
 /// One byte on the wire. Requests and responses share the enum; the
-/// direction disambiguates.
+/// direction disambiguates. "Payload" below means the body after the
+/// request id.
 enum class FrameType : uint8_t {
   // --- requests
   /// Payload: Preference SQL text. Response: kResult or kError.
@@ -68,11 +61,10 @@ enum class FrameType : uint8_t {
   /// Payload: empty. Response: kOk ("pong"). Liveness probe.
   kPing = 'G',
   /// Payload: Preference SQL text of a BMO statement. Response: kHandle
-  /// (decimal subscription id) or kError — followed by server-initiated
-  /// kDelta pushes. The ONE exception to strict request/response: after a
-  /// successful subscribe, kDelta frames for that id may arrive
-  /// interleaved before any response frame (each one is whole; the
-  /// framing keeps the stream self-delimiting). The first delta is
+  /// (decimal subscription id) or kError. A successful subscribe is
+  /// followed by server-initiated kDelta pushes tagged with this
+  /// request's id, interleaved with other responses (each frame is whole;
+  /// the framing keeps the stream self-delimiting). The first delta is
   /// always a resync snapshot of the current result.
   kSubscribe = 'U',
   /// Payload: empty. The server stops reading the session, lets every
@@ -80,12 +72,6 @@ enum class FrameType : uint8_t {
   /// response, then acknowledges with kOk and closes — a pipelined
   /// "send work, send goodbye" client never loses an answer.
   kGoodbye = 'X',
-  /// Version negotiation. Client → server: highest protocol version the
-  /// client speaks, in decimal; must be the FIRST frame on the
-  /// connection (a hello anywhere else is a protocol error). Server →
-  /// client: the negotiated version, min(client, kProtocolV2). Hello
-  /// payloads never carry a request id in either direction.
-  kHello = 'V',
 
   // --- responses
   /// Payload: SerializeResult(...).
@@ -108,7 +94,8 @@ struct Frame {
 /// Frame header size on the wire (4-byte length + 1-byte type).
 inline constexpr size_t kFrameHeaderBytes = 5;
 
-/// Serializes a frame (header + payload) into wire bytes.
+/// Serializes the outer framing only (header + payload, no request id):
+/// the primitive under EncodeTaggedFrame.
 std::string EncodeFrame(const Frame& frame);
 
 /// Parses the 5 header bytes; returns the payload length and writes the
@@ -116,38 +103,24 @@ std::string EncodeFrame(const Frame& frame);
 uint32_t DecodeFrameHeader(const unsigned char header[kFrameHeaderBytes],
                            FrameType* type);
 
-// --- protocol v2: request-id tagging and version negotiation ---------------
+// --- request-id tagging ----------------------------------------------------
 
-/// The two wire protocol versions. v2 adds the request-id prefix; the
-/// outer 5-byte framing is identical, so one byte-stream scanner serves
-/// both.
-inline constexpr uint32_t kProtocolV1 = 1;
-inline constexpr uint32_t kProtocolV2 = 2;
-
-/// Size of the big-endian request id that prefixes every v2 frame
-/// payload (hellos excepted).
+/// Size of the big-endian request id that prefixes every frame payload.
 inline constexpr size_t kRequestIdBytes = 8;
 
 /// Request id 0 is reserved: requests must use a nonzero id, and the
-/// server tags frame-level faults (oversized frame, missing id prefix)
-/// with 0 because no request can own them.
+/// server tags connection-level faults (oversized frame, missing id
+/// prefix, session limit) with 0 because no request can own them.
 inline constexpr uint64_t kNoRequestId = 0;
 
-/// Serializes a v2 frame: header + 8-byte big-endian `request_id` +
-/// payload.
+/// Serializes a frame as it goes on the wire: header + 8-byte big-endian
+/// `request_id` + payload.
 std::string EncodeTaggedFrame(uint64_t request_id, const Frame& frame);
 
-/// Strips the leading request id from a v2 frame payload in place.
-/// Returns false (frame untouched) when the payload is shorter than the
-/// id prefix — a protocol error on a v2 connection.
+/// Strips the leading request id from a frame payload in place. Returns
+/// false (frame untouched) when the payload is shorter than the id
+/// prefix — a protocol error.
 bool DecodeTaggedPayload(Frame* frame, uint64_t* request_id);
-
-/// Renders a kHello payload (decimal version).
-std::string EncodeHello(uint32_t version);
-
-/// Parses a kHello payload; nullopt on malformed input (empty, non-digit,
-/// zero, or > 9 digits).
-std::optional<uint32_t> ParseHello(const std::string& payload);
 
 // --- value / row / result text encoding -----------------------------------
 //

@@ -50,14 +50,6 @@ bool IsTimeoutFrame(const Frame& frame) {
              psql::ErrorCode::kTimeout;
 }
 
-/// Renders a response for one connection's negotiated version: v2 frames
-/// carry the request id, v1 frames never do.
-std::string EncodeForVersion(uint32_t version, uint64_t request_id,
-                             const Frame& frame) {
-  return version >= kProtocolV2 ? EncodeTaggedFrame(request_id, frame)
-                                : EncodeFrame(frame);
-}
-
 struct Connection;
 
 /// One admitted unit of work, tagged with its completion route. A worker
@@ -133,8 +125,6 @@ struct Connection {
   // --- event-loop-only state
   int fd = -1;
   uint64_t id = 0;
-  uint32_t version = kProtocolV1;
-  bool saw_first_frame = false;
   /// Goodbye received / stream unframable: stop reading; close once
   /// in-flight work drains and the out-buffer flushes.
   bool draining = false;
@@ -149,13 +139,11 @@ struct Connection {
   SessionOptions options;
   std::unordered_map<uint64_t, PreparedQuery> handles;
   uint64_t next_handle = 1;
-  /// v1 has no wire ids; in-flight jobs get synthetic ones.
-  uint64_t next_internal_id = 1;
 
   struct Sub {
     Engine::Subscription handle;
-    /// Echoed on this subscription's kDelta frames (v2 tags pushes with
-    /// the id of the kSubscribe that opened the stream).
+    /// Echoed on this subscription's kDelta frames: the id of the
+    /// kSubscribe that opened the stream.
     uint64_t request_id = 0;
   };
   std::list<Sub> subscriptions;
@@ -457,18 +445,22 @@ void Server::Impl::EventLoop() {
 void Server::Impl::AcceptReady() {
   for (;;) {
     int fd = AcceptClient(listen_fd_);
-    if (fd == kAcceptRetry) return;
-    if (fd < 0) return;  // listener gone; the stop path closes it
+    // kAcceptRetry (no client pending) and kAcceptClosed (listener gone;
+    // the stop path closes it) both end the burst.
+    if (fd < 0) return;
     int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     if (conns_.size() >= options.max_sessions) {
       sessions_rejected_.fetch_add(1);
       // Still blocking here (SetNonBlocking comes after admission): a
-      // fresh socket's send buffer always takes this one small frame.
-      WriteFrame(fd, ErrorFrame(psql::ErrorCode::kOverloaded,
-                                "session limit reached (" +
-                                    std::to_string(options.max_sessions) +
-                                    ")"));
+      // fresh socket's send buffer always takes this one small frame. No
+      // request owns the rejection, so it is tagged kNoRequestId.
+      WriteFully(fd, EncodeTaggedFrame(
+                         kNoRequestId,
+                         ErrorFrame(psql::ErrorCode::kOverloaded,
+                                    "session limit reached (" +
+                                        std::to_string(options.max_sessions) +
+                                        ")")));
       close(fd);
       continue;
     }
@@ -563,71 +555,37 @@ void Server::Impl::ReadPass(const std::shared_ptr<Connection>& conn) {
 
 void Server::Impl::DispatchFrame(const std::shared_ptr<Connection>& conn,
                                  Frame frame) {
-  const bool first = !conn->saw_first_frame;
-  conn->saw_first_frame = true;
-
-  if (frame.type == FrameType::kHello) {
-    if (!first) {
-      protocol_errors_.fetch_add(1);
-      AppendResponse(conn, kNoRequestId,
-                     ErrorFrame(psql::ErrorCode::kProtocol,
-                                "hello must be the first frame"));
-      StartDrain(conn);
-      return;
-    }
-    std::optional<uint32_t> requested = ParseHello(frame.payload);
-    if (!requested) {
-      protocol_errors_.fetch_add(1);
-      AppendResponse(conn, kNoRequestId,
-                     ErrorFrame(psql::ErrorCode::kProtocol,
-                                "malformed hello payload"));
-      StartDrain(conn);
-      return;
-    }
-    conn->version = std::min(*requested, kProtocolV2);
-    // The hello response is itself never tagged (the client needs the
-    // negotiated version to know the framing of everything after it).
-    std::lock_guard<std::mutex> lock(conn->out_mu);
-    conn->out_buf += EncodeFrame(
-        Frame{FrameType::kHello, EncodeHello(conn->version)});
+  uint64_t request_id = kNoRequestId;
+  if (!DecodeTaggedPayload(&frame, &request_id)) {
+    protocol_errors_.fetch_add(1);
+    AppendResponse(conn, kNoRequestId,
+                   ErrorFrame(psql::ErrorCode::kProtocol,
+                              "frame shorter than its request id"));
+    StartDrain(conn);
     return;
   }
-
-  uint64_t request_id = kNoRequestId;
-  if (conn->version >= kProtocolV2) {
-    if (!DecodeTaggedPayload(&frame, &request_id)) {
-      protocol_errors_.fetch_add(1);
-      AppendResponse(conn, kNoRequestId,
-                     ErrorFrame(psql::ErrorCode::kProtocol,
-                                "v2 frame shorter than its request id"));
-      StartDrain(conn);
-      return;
-    }
-    if (request_id == kNoRequestId) {
-      protocol_errors_.fetch_add(1);
-      AppendResponse(conn, kNoRequestId,
-                     ErrorFrame(psql::ErrorCode::kProtocol,
-                                "request id must be nonzero"));
-      return;
-    }
-    bool duplicate = false;
-    {
-      std::lock_guard<std::mutex> lock(conn->out_mu);
-      duplicate = conn->inflight.count(request_id) > 0;
-    }
-    for (const auto& sub : conn->subscriptions) {
-      duplicate = duplicate || sub.request_id == request_id;
-    }
-    if (duplicate) {
-      protocol_errors_.fetch_add(1);
-      AppendResponse(conn, request_id,
-                     ErrorFrame(psql::ErrorCode::kProtocol,
-                                "request id " + std::to_string(request_id) +
-                                    " is already in flight"));
-      return;
-    }
-  } else {
-    request_id = conn->next_internal_id++;
+  if (request_id == kNoRequestId) {
+    protocol_errors_.fetch_add(1);
+    AppendResponse(conn, kNoRequestId,
+                   ErrorFrame(psql::ErrorCode::kProtocol,
+                              "request id must be nonzero"));
+    return;
+  }
+  bool duplicate = false;
+  {
+    std::lock_guard<std::mutex> lock(conn->out_mu);
+    duplicate = conn->inflight.count(request_id) > 0;
+  }
+  for (const auto& sub : conn->subscriptions) {
+    duplicate = duplicate || sub.request_id == request_id;
+  }
+  if (duplicate) {
+    protocol_errors_.fetch_add(1);
+    AppendResponse(conn, request_id,
+                   ErrorFrame(psql::ErrorCode::kProtocol,
+                              "request id " + std::to_string(request_id) +
+                                  " is already in flight"));
+    return;
   }
 
   switch (frame.type) {
@@ -873,7 +831,7 @@ void Server::Impl::CompleteJob(const std::shared_ptr<Job>& job, Frame frame) {
       } else {
         queries_ok_.fetch_add(1);
       }
-      conn->out_buf += EncodeForVersion(conn->version, job->request_id, frame);
+      conn->out_buf += EncodeTaggedFrame(job->request_id, frame);
       appended = true;
     }
   }
@@ -943,12 +901,11 @@ void Server::Impl::ExpireDeadlines(Clock::time_point now) {
         const std::shared_ptr<Job>& job = it->second;
         if (job->has_deadline && now > job->deadline) {
           job->abandoned.store(true);
-          conn->out_buf += EncodeForVersion(
-              conn->version, it->first,
-              ErrorFrame(psql::ErrorCode::kTimeout,
-                         "query exceeded its " +
-                             std::to_string(job->timeout_ms) +
-                             "ms deadline"));
+          conn->out_buf += EncodeTaggedFrame(
+              it->first, ErrorFrame(psql::ErrorCode::kTimeout,
+                                    "query exceeded its " +
+                                        std::to_string(job->timeout_ms) +
+                                        "ms deadline"));
           queries_timeout_.fetch_add(1);
           it = conn->inflight.erase(it);
           wrote = true;
@@ -994,7 +951,7 @@ void Server::Impl::AppendResponse(const std::shared_ptr<Connection>& conn,
                                   uint64_t request_id, const Frame& frame) {
   std::lock_guard<std::mutex> lock(conn->out_mu);
   if (conn->closed) return;
-  conn->out_buf += EncodeForVersion(conn->version, request_id, frame);
+  conn->out_buf += EncodeTaggedFrame(request_id, frame);
 }
 
 Server::Impl::FlushResult Server::Impl::FlushOut(
@@ -1057,9 +1014,8 @@ void Server::Impl::MaybeFinish(const std::shared_ptr<Connection>& conn) {
     if (conn->goodbye_pending && conn->inflight.empty()) {
       // Every request admitted before the goodbye has answered and its
       // response sits in the out-buffer ahead of this ack.
-      conn->out_buf += EncodeForVersion(conn->version,
-                                        conn->goodbye_request_id,
-                                        Frame{FrameType::kOk, "bye"});
+      conn->out_buf += EncodeTaggedFrame(conn->goodbye_request_id,
+                                         Frame{FrameType::kOk, "bye"});
       conn->goodbye_pending = false;
       ack_appended = true;
     }

@@ -1,8 +1,8 @@
 // The prefdb preference query server: concurrent serving on the Engine
 // seam. One shared prefdb::Engine (plan/exec caches, COW snapshots) behind
-// a TCP front end speaking the length-prefixed protocol of protocol.h —
-// v1 request/response and v2 pipelined (request-id tagged frames,
-// negotiated by a kHello handshake; see protocol.h).
+// a TCP front end speaking the length-prefixed, request-id tagged
+// protocol of protocol.h (pipelined: many requests in flight per
+// connection).
 //
 // Architecture (all threads owned by the Server):
 //
@@ -20,10 +20,10 @@
 //                   are deferred) until the client consumes what is
 //                   already owed, so a non-reading pipeliner cannot
 //                   grow server memory without bound. Sessions
-//                   (protocol version, SessionOptions, prepared handles,
-//                   subscriptions) are plain event-loop state: no
-//                   per-session thread, no per-session read stack, which
-//                   is what lifts the practical connection count.
+//                   (SessionOptions, prepared handles, subscriptions)
+//                   are plain event-loop state: no per-session thread,
+//                   no per-session read stack, which is what lifts the
+//                   practical connection count.
 //   worker pool     num_workers threads draining a bounded job queue;
 //                   queries/runs/inserts are admitted here, tagged with
 //                   (connection, request_id). A completion re-checks the
@@ -42,7 +42,7 @@
 //                   carries a notifier (ivm::SubscriptionState hook)
 //                   that flags the connection and signals the eventfd;
 //                   the event loop drains via Poll() and appends kDelta
-//                   frames — tagged, on v2, with the request id of the
+//                   frames — tagged with the request id of the
 //                   kSubscribe that opened the stream — to the same
 //                   out-buffer as responses. A slow subscriber's backlog
 //                   is still coalesced engine-side into one resync
@@ -50,8 +50,7 @@
 //
 // With many requests pipelined on one connection, responses come back in
 // completion order, not request order — the request id is the client's
-// correlation key. v1 connections never tag frames; a v1 client keeps at
-// most one request in flight, so ordering is unobservable there.
+// correlation key.
 //
 // Reads are snapshot-consistent: a query executes against the relation
 // snapshot its exec-cache entry was compiled for, so INSERT frames racing
@@ -81,7 +80,7 @@ struct ServerOptions {
   /// Query-execution workers (0 = hardware concurrency).
   size_t num_workers = 0;
   /// Concurrent-connection cap; connections beyond it are turned away
-  /// with an OVERLOADED error frame.
+  /// with an OVERLOADED error frame tagged kNoRequestId, then closed.
   size_t max_sessions = 4096;
   /// Bound on queries admitted but not yet executing. A full queue is
   /// backpressure: new queries get an OVERLOADED error immediately.

@@ -68,10 +68,6 @@ ReadStatus ReadFrame(int fd, Frame* frame, size_t max_payload_bytes,
   return ReadStatus::kOk;
 }
 
-bool WriteFrame(int fd, const Frame& frame) {
-  return WriteFully(fd, EncodeFrame(frame));
-}
-
 bool WaitReadable(int fd, uint64_t timeout_ms) {
   pollfd pfd{};
   pfd.fd = fd;

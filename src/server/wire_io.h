@@ -46,23 +46,23 @@ bool WriteFully(int fd, const std::string& data);
 ReadStatus ReadFrame(int fd, Frame* frame, size_t max_payload_bytes,
                      uint32_t* oversized_len = nullptr);
 
-/// Encodes and writes one frame; false on transport error.
-bool WriteFrame(int fd, const Frame& frame);
-
 /// Blocks until `fd` is readable or `timeout_ms` elapses (poll-based, so
 /// no partial frame is ever consumed). False on timeout; true when a
 /// read would not block (data, EOF, or socket error — the follow-up
 /// ReadFrame disambiguates).
 bool WaitReadable(int fd, uint64_t timeout_ms);
 
-/// AcceptClient outcomes below 0. The accept loop polls with SO_RCVTIMEO
-/// on the listener, so kRetry is the steady-state "no client yet" result.
+/// AcceptClient outcomes below 0. The listener is non-blocking under
+/// epoll, so kAcceptRetry is the steady-state "no client left" result
+/// that ends an accept burst; the event loop stops the burst on either
+/// code alike (a closed listener is the stop path's to clean up).
 inline constexpr int kAcceptRetry = -1;   // EAGAIN/EWOULDBLOCK/EINTR
 inline constexpr int kAcceptClosed = -2;  // listener gone; stop accepting
 
 /// Accepts one connection on `listen_fd`. Returns the connected fd
-/// (>= 0), kAcceptRetry when the poll timed out or was interrupted, or
-/// kAcceptClosed on any other error (the listening socket is unusable).
+/// (>= 0), kAcceptRetry when no connection is pending or the call was
+/// interrupted, or kAcceptClosed on any other error (the listening
+/// socket is unusable).
 /// The peer address is discarded — sessions are identified by fd.
 int AcceptClient(int listen_fd);
 

@@ -44,7 +44,8 @@ TEST(IvmConcurrentTest, SubscribeMutateUnsubscribeRaceFree) {
   // deleting every (0,0) row does), so every 64th step also inserts, then
   // deletes, a negative-coordinate row that enters it: deltas keep
   // flowing while the mutators run. Subscribe must complete under this
-  // write stream too (see Engine::Subscribe's bounded optimistic seed).
+  // write stream too (Engine::Subscribe seeds its view under the engine
+  // lock, so a mutator cannot force it to retry).
   std::vector<std::thread> threads;
   for (int m = 0; m < 2; ++m) {
     threads.emplace_back([&engine, &stop, m] {

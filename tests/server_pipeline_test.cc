@@ -1,8 +1,8 @@
-// Protocol v2 pipelining tests: version negotiation and the v1 compat
-// shim, request-id tagged frames with out-of-order completion routed by
-// the epoll event loop, duplicate/zero/unknown request-id protocol
-// errors, partial-frame reassembly under byte-dribble writes, and the
-// FrameAssembler unit surface. Part of CI's TSan matrix job: the event
+// Pipelining tests: request-id tagged frames with out-of-order
+// completion routed by the epoll event loop, duplicate/zero/unknown
+// request-id protocol errors, connection-level faults tagged
+// kNoRequestId, partial-frame reassembly under byte-dribble writes, and
+// the FrameAssembler unit surface. Part of CI's TSan matrix job: the event
 // loop / worker pool / async client interplay must be data-race-free.
 
 #include <gtest/gtest.h>
@@ -10,6 +10,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,9 +51,9 @@ class PipelineFixture : public ::testing::Test {
     server_ = std::make_unique<Server>(&engine_, Options());
     server_->Start();
   }
-  Client Connect(uint32_t version = kProtocolV2) {
+  Client Connect() {
     Client client;
-    client.Connect(kHost, server_->port(), {.protocol_version = version});
+    client.Connect(kHost, server_->port());
     return client;
   }
   psql::QueryResult Reference(const std::string& sql) {
@@ -83,17 +85,6 @@ TEST(TaggedFrameTest, ShortPayloadFailsToDecode) {
   Frame frame{FrameType::kQuery, "1234567"};  // 7 bytes < the 8-byte id
   uint64_t request_id = 0;
   EXPECT_FALSE(DecodeTaggedPayload(&frame, &request_id));
-}
-
-TEST(TaggedFrameTest, HelloPayloadRoundTripsAndRejectsGarbage) {
-  EXPECT_EQ(ParseHello(EncodeHello(1)), 1u);
-  EXPECT_EQ(ParseHello(EncodeHello(2)), 2u);
-  EXPECT_EQ(ParseHello(EncodeHello(134217728)), 134217728u);
-  EXPECT_FALSE(ParseHello("").has_value());
-  EXPECT_FALSE(ParseHello("0").has_value());
-  EXPECT_FALSE(ParseHello("-1").has_value());
-  EXPECT_FALSE(ParseHello("2x").has_value());
-  EXPECT_FALSE(ParseHello("9999999999").has_value());  // > 9 digits
 }
 
 // --- FrameAssembler units --------------------------------------------------
@@ -155,109 +146,6 @@ TEST(ReadAvailableTest, CapsBytesPerPassAndDrainsOnTheNext) {
   EXPECT_EQ(assembler.buffered(), kPayload);
   close(fds[0]);
   close(fds[1]);
-}
-
-// --- version negotiation ---------------------------------------------------
-
-TEST_F(PipelineFixture, V1ClientSpeaksToV2ServerUnchanged) {
-  Client client = Connect(kProtocolV1);
-  EXPECT_EQ(client.protocol_version(), kProtocolV1);
-  for (const char* sql : kMixQueries) {
-    ClientResponse response = client.Query(sql);
-    ASSERT_TRUE(response.ok) << sql << ": " << response.error.message;
-    EXPECT_TRUE(response.relation == Reference(sql).relation) << sql;
-  }
-  // v1 keeps strict request/response: a second in-flight send is refused
-  // client-side (there is no id to route the responses by).
-  Client::ResponseFuture pending = client.SendPing();
-  EXPECT_THROW(client.SendPing(), psql::ProtocolError);
-  EXPECT_TRUE(pending.Get().ok);
-  EXPECT_TRUE(client.Goodbye().ok);
-}
-
-TEST_F(PipelineFixture, HelloNegotiatesDownToTheClientsVersion) {
-  Client client = Connect();
-  EXPECT_EQ(client.protocol_version(), kProtocolV2);
-  // A client offering a higher version than the server speaks is capped
-  // at the server's maximum, not rejected.
-  Client eager;
-  eager.Connect(kHost, server_->port(), {.protocol_version = 7});
-  EXPECT_EQ(eager.protocol_version(), kProtocolV2);
-  EXPECT_TRUE(eager.Ping().ok);
-}
-
-TEST(ClientFallbackTest, HelloErrorFromPreV2ServerDowngradesToV1) {
-  // A pre-v2 server answers the unknown 'V' frame with an error and
-  // keeps serving v1: a default-config (v2-offering) client must
-  // downgrade and continue, not fail — the rolling-upgrade path.
-  int listen_fd = socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listen_fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                 sizeof(addr)),
-            0);
-  ASSERT_EQ(listen(listen_fd, 1), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len),
-            0);
-  uint16_t port = ntohs(addr.sin_port);
-
-  std::thread old_server([listen_fd] {
-    int fd = accept(listen_fd, nullptr, nullptr);
-    ASSERT_GE(fd, 0);
-    Frame hello;
-    ASSERT_EQ(ReadFrame(fd, &hello, 1 << 20), ReadStatus::kOk);
-    ASSERT_EQ(hello.type, FrameType::kHello);
-    ASSERT_TRUE(WriteFrame(
-        fd,
-        Frame{FrameType::kError,
-              psql::SerializeError(psql::QueryError{
-                  psql::ErrorCode::kProtocol, "unknown frame type 'V'"})}));
-    Frame ping;
-    ASSERT_EQ(ReadFrame(fd, &ping, 1 << 20), ReadStatus::kOk);
-    EXPECT_EQ(ping.type, FrameType::kPing);
-    EXPECT_TRUE(ping.payload.empty());  // untagged: the client fell back
-    ASSERT_TRUE(WriteFrame(fd, Frame{FrameType::kOk, "pong"}));
-    Frame bye;
-    ASSERT_EQ(ReadFrame(fd, &bye, 1 << 20), ReadStatus::kOk);
-    EXPECT_EQ(bye.type, FrameType::kGoodbye);
-    ASSERT_TRUE(WriteFrame(fd, Frame{FrameType::kOk, "bye"}));
-    close(fd);
-  });
-
-  Client client;
-  client.Connect(kHost, port);  // offers v2 by default
-  EXPECT_EQ(client.protocol_version(), kProtocolV1);
-  ClientResponse pong = client.Ping();
-  ASSERT_TRUE(pong.ok) << pong.error.message;
-  EXPECT_EQ(pong.info, "pong");
-  EXPECT_TRUE(client.Goodbye().ok);
-  old_server.join();
-  close(listen_fd);
-}
-
-TEST_F(PipelineFixture, MalformedHelloClosesTheConnection) {
-  // Raw v1 socket (no handshake), then a garbage hello as first frame.
-  Client client = Connect(kProtocolV1);
-  client.SendRawBytes(EncodeFrame(Frame{FrameType::kHello, "two"}));
-  Frame reply = client.ReadResponse();
-  ASSERT_EQ(reply.type, FrameType::kError);
-  EXPECT_EQ(psql::DeserializeError(reply.payload).code,
-            psql::ErrorCode::kProtocol);
-  EXPECT_THROW(client.ReadResponse(), std::runtime_error);
-}
-
-TEST_F(PipelineFixture, MidStreamHelloClosesTheConnection) {
-  Client client = Connect(kProtocolV1);
-  ASSERT_TRUE(client.Ping().ok);
-  client.SendRawBytes(EncodeFrame(Frame{FrameType::kHello, "2"}));
-  Frame reply = client.ReadResponse();
-  ASSERT_EQ(reply.type, FrameType::kError);
-  EXPECT_EQ(psql::DeserializeError(reply.payload).code,
-            psql::ErrorCode::kProtocol);
-  EXPECT_THROW(client.ReadResponse(), std::runtime_error);
 }
 
 // --- pipelining ------------------------------------------------------------
@@ -475,53 +363,111 @@ TEST_F(PipelineFixture, ZeroRequestIdIsRejectedWithoutClosing) {
 }
 
 TEST_F(PipelineFixture, UntaggedV2FrameClosesTheConnection) {
-  Client client = Connect();
-  // A 3-byte payload cannot carry the 8-byte request id: unframable.
-  client.SendRawBytes(EncodeFrame(Frame{FrameType::kQuery, "abc"}));
-  Frame reply = client.ReadResponse();
-  ASSERT_EQ(reply.type, FrameType::kError);
-  EXPECT_EQ(psql::DeserializeError(reply.payload).code,
-            psql::ErrorCode::kProtocol);
-  EXPECT_THROW(client.ReadResponse(), std::runtime_error);
+  const std::string inputs[] = {
+      // A 3-byte payload cannot carry the 8-byte request id: unframable.
+      EncodeFrame(Frame{FrameType::kQuery, "abc"}),
+      // An old client's version hello ('V', payload "2") gets the same
+      // answer: there is no negotiation to special-case it.
+      EncodeFrame(Frame{static_cast<FrameType>('V'), "2"}),
+  };
+  for (const std::string& bytes : inputs) {
+    Client client = Connect();
+    client.SendRawBytes(bytes);
+    Frame reply = client.ReadResponse();
+    ASSERT_EQ(reply.type, FrameType::kError);
+    EXPECT_EQ(psql::DeserializeError(reply.payload).code,
+              psql::ErrorCode::kProtocol);
+    EXPECT_THROW(client.ReadResponse(), std::runtime_error);
+  }
 }
 
-TEST(ClientRoutingTest, UnknownRequestIdOnTheWireThrows) {
-  // A hand-rolled one-connection server that answers request 1 with a
-  // response tagged 999: the client must refuse to guess.
-  int listen_fd = socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listen_fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                 sizeof(addr)),
-            0);
-  ASSERT_EQ(listen(listen_fd, 1), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len),
-            0);
-  uint16_t port = ntohs(addr.sin_port);
+/// A hand-rolled one-connection server on an ephemeral loopback port:
+/// `script` runs on its own thread against the accepted fd, so a test
+/// can put arbitrary bytes in front of a real Client.
+class Impostor {
+ public:
+  explicit Impostor(std::function<void(int fd)> script) {
+    listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (listen_fd_ < 0 ||
+        bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+            0 ||
+        listen(listen_fd_, 1) != 0 ||
+        getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
+            0) {
+      if (listen_fd_ >= 0) close(listen_fd_);
+      throw std::runtime_error("impostor listener setup failed");
+    }
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this, script = std::move(script)] {
+      int fd = accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      script(fd);
+      close(fd);
+    });
+  }
+  Impostor(const Impostor&) = delete;
+  Impostor& operator=(const Impostor&) = delete;
+  ~Impostor() {
+    // Wakes a still-blocked accept() if the test failed before
+    // connecting; a no-op once the connection was accepted.
+    shutdown(listen_fd_, SHUT_RDWR);
+    thread_.join();
+    close(listen_fd_);
+  }
+  uint16_t port() const { return port_; }
 
-  std::thread impostor([listen_fd] {
-    int fd = accept(listen_fd, nullptr, nullptr);
-    ASSERT_GE(fd, 0);
-    Frame hello;
-    ASSERT_EQ(ReadFrame(fd, &hello, 1 << 20), ReadStatus::kOk);
-    ASSERT_EQ(hello.type, FrameType::kHello);
-    ASSERT_TRUE(WriteFrame(fd, Frame{FrameType::kHello, EncodeHello(2)}));
+ private:
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+TEST(ClientRoutingTest, UnknownRequestIdOnTheWireThrows) {
+  // Answers request 1 with a response tagged 999: the client must refuse
+  // to guess.
+  Impostor impostor([](int fd) {
     Frame request;
     ASSERT_EQ(ReadFrame(fd, &request, 1 << 20), ReadStatus::kOk);
     ASSERT_TRUE(WriteFully(
         fd, EncodeTaggedFrame(999, Frame{FrameType::kOk, "pong"})));
-    close(fd);
   });
-
   Client client;
-  client.Connect(kHost, port);
+  client.Connect(kHost, impostor.port());
   Client::ResponseFuture future = client.SendPing();
   EXPECT_THROW(future.Get(), psql::ProtocolError);
-  impostor.join();
-  close(listen_fd);
+}
+
+TEST(ClientRoutingTest, ConnectionLevelErrorThrowsWithTheServersMessage) {
+  // Answers request 1 with an error tagged kNoRequestId: a fault no
+  // request owns. Get() must surface it as a ServerError carrying the
+  // server's message, not as an unknown-id routing failure.
+  Impostor impostor([](int fd) {
+    Frame request;
+    ASSERT_EQ(ReadFrame(fd, &request, 1 << 20), ReadStatus::kOk);
+    ASSERT_TRUE(WriteFully(
+        fd, EncodeTaggedFrame(
+                kNoRequestId,
+                Frame{FrameType::kError,
+                      psql::SerializeError(psql::QueryError{
+                          psql::ErrorCode::kOverloaded,
+                          "session limit reached (2)"})})));
+  });
+  Client client;
+  client.Connect(kHost, impostor.port());
+  Client::ResponseFuture future = client.SendPing();
+  try {
+    future.Get();
+    ADD_FAILURE() << "Get() returned instead of throwing";
+  } catch (const psql::ServerError& e) {
+    EXPECT_NE(std::string(e.what()).find("session limit reached (2)"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(client.connected());
 }
 
 // --- partial-frame reassembly over the wire ---------------------------------

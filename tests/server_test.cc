@@ -468,11 +468,14 @@ TEST(ServerTest, SessionLimitTurnsAwayExtraConnections) {
   Client b = served.Connect();
   ASSERT_TRUE(a.Ping().ok);
   ASSERT_TRUE(b.Ping().ok);
-  // The rejection frame is written before any handshake, so connect as
-  // v1 (no hello) and read the raw error frame.
+  // The server writes the rejection unprompted, tagged kNoRequestId, and
+  // closes. Read it without sending first: a write to the closed socket
+  // would race an RST that can discard the frame.
   Client c;
-  c.Connect(kHost, served.server_->port(), {.protocol_version = kProtocolV1});
-  Frame reply = c.ReadResponse();
+  c.Connect(kHost, served.server_->port());
+  uint64_t request_id = 1;
+  Frame reply = c.ReadResponse(&request_id);
+  EXPECT_EQ(request_id, kNoRequestId);
   ASSERT_EQ(reply.type, FrameType::kError);
   EXPECT_EQ(psql::DeserializeError(reply.payload).code,
             psql::ErrorCode::kOverloaded);
