@@ -33,11 +33,33 @@ struct Plan {
   uint64_t translate_ns = 0;
 };
 
+namespace {
+
+template <typename T>
+size_t VectorBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+// Row map plus any retained Tuples and their Value cells (one per
+// projected column; string payloads past the inline buffer are not
+// counted), in O(1).
+size_t ProjectionBytes(const ProjectionIndex& proj) {
+  return VectorBytes(proj.row_to_value) + VectorBytes(proj.values) +
+         proj.values.size() * proj.proj_schema.size() * sizeof(Value);
+}
+
+}  // namespace
+
 /// Data-dependent half: everything derivable from (plan, table snapshot,
 /// options) that repeated Run() calls should not redo — the WHERE row
-/// set, the PhysicalPlan, the projection index and the compiled score
-/// table (per group for GROUPING statements). Immutable once built;
-/// concurrent Run() calls share it.
+/// set, the PhysicalPlan, the row map from candidates to distinct values
+/// and the compiled score table (per group for GROUPING statements).
+/// An entry holds only what ExecuteExec reads: once a score table
+/// compiles, the distinct projected Tuples it was built from are
+/// released (the table's rows() is their count); the closure fallback
+/// (terms that do not compile, vectorize=false) keeps them, since the
+/// closure kernels read them. Immutable once built; concurrent Run() calls share
+/// it.
 struct Exec {
   std::string table_name;
   uint64_t version = 0;
@@ -47,7 +69,9 @@ struct Exec {
   bool use_row_subset = false;
   /// The candidate pool: WHERE survivors — and for ranked queries, the
   /// BUT ONLY quality bound too (ranking draws from qualifying rows, so
-  /// TOP k fills k whenever k qualifying rows exist).
+  /// TOP k fills k whenever k qualifying rows exist). A plain LIMIT
+  /// statement (no preference, ranking or grouping) keeps only the first
+  /// limit + 1 candidates: the extra row tells the LIMIT stage it cuts.
   std::vector<size_t> filtered_rows;
   std::function<bool(const Tuple&)> but_only;  // null when absent
   std::string preference_term;
@@ -61,17 +85,19 @@ struct Exec {
   // BMO block path (ungrouped, non-decomposition): kernel inputs.
   bool block_path = false;
   // Zero-copy compile: score_table was built straight off the snapshot's
-  // column buffers (no projection index; proj.values stays empty) and its
-  // row i is candidate-pool position i — maximal flags map back by
-  // identity.
+  // column buffers (no projection index; proj.values and row_to_value
+  // stay empty) and its row i is candidate-pool position i — maximal
+  // flags map back by identity.
   bool zero_copy = false;
-  ProjectionIndex proj;  // distinct projections over filtered_rows
+  // Distinct projections over filtered_rows: the row map always, the
+  // values themselves only without a score table.
+  ProjectionIndex proj;
   std::optional<ScoreTable> score_table;
   // GROUPING path (non-decomposition): per-group cached plans + compiled
   // state, so warm runs do only per-group kernel work.
   struct GroupExec {
     std::vector<size_t> rows;  // global row indices of the group
-    ProjectionIndex proj;
+    ProjectionIndex proj;      // values kept only when `table` is null
     std::optional<ScoreTable> table;
     PhysicalPlan plan;
   };
@@ -90,6 +116,24 @@ struct Exec {
   std::vector<std::vector<size_t>> ranked_groups;  // first-occurrence order
   uint64_t optimize_ns = 0;
   uint64_t compile_ns = 0;
+
+  /// Heap bytes this entry owns: row vectors, row maps, retained Tuples,
+  /// score and id buffers, and group entries. Not counted: the relation
+  /// snapshot (the catalog's, shared) and the decomposition path's
+  /// materialized WHERE relation.
+  size_t HeapBytes() const {
+    size_t bytes = VectorBytes(filtered_rows) + ProjectionBytes(proj) +
+                   (score_table ? score_table->HeapBytes() : 0) +
+                   VectorBytes(groups) + VectorBytes(ranked_groups);
+    for (const GroupExec& group : groups) {
+      bytes += VectorBytes(group.rows) + ProjectionBytes(group.proj) +
+               (group.table ? group.table->HeapBytes() : 0);
+    }
+    for (const std::vector<size_t>& rows : ranked_groups) {
+      bytes += VectorBytes(rows);
+    }
+    return bytes;
+  }
 };
 
 }  // namespace engine_internal
@@ -137,6 +181,42 @@ std::vector<std::vector<size_t>> GroupPoolRows(
   return groups;
 }
 
+// Gather-path compile: the score table over proj's distinct values. On
+// success the values are released — the kernels read only the table, and
+// the row map still ties candidates to table rows. Without a table they
+// stay for the closure path.
+std::optional<ScoreTable> CompileAndRelease(const PrefPtr& pref,
+                                            const BmoOptions& options,
+                                            ProjectionIndex* proj) {
+  if (!options.vectorize || proj->values.empty()) return std::nullopt;
+  std::optional<ScoreTable> table = ScoreTable::Compile(
+      pref, proj->proj_schema, proj->values.data(), proj->values.size());
+  if (table) std::vector<Tuple>().swap(proj->values);
+  return table;
+}
+
+// Kernel work for one cached block: maximal flags over the table's rows
+// (the retained distinct values without a table), mapped back through
+// proj.row_to_value (identity when empty: a zero-copy table's row i is
+// pool position i), appending the qualifying pool positions as global
+// rows (`rows` null = identity).
+void AppendMaximalRows(const PrefPtr& pref, const ProjectionIndex& proj,
+                       const ScoreTable* table, const PhysicalPlan& plan,
+                       size_t pool_size, const std::vector<size_t>* rows,
+                       std::vector<size_t>* out) {
+  const size_t distinct = table ? table->rows() : proj.values.size();
+  if (distinct == 0) return;
+  std::vector<bool> maximal = internal::ExecuteBlockPlan(
+      table ? nullptr : proj.values.data(), distinct, pref, proj.proj_schema,
+      table, plan);
+  const bool identity = proj.row_to_value.empty();
+  for (size_t i = 0; i < pool_size; ++i) {
+    if (maximal[identity ? i : proj.row_to_value[i]]) {
+      out->push_back(rows ? (*rows)[i] : i);
+    }
+  }
+}
+
 // Builds the exec entry for (plan, snapshot, options). Heavy: runs the
 // WHERE filter, the statistics-driven planner and the score-table
 // compiler. Called without engine locks; everything it touches is
@@ -157,21 +237,34 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
 
   std::string plan_str = "scan(" + stmt.table + ")";
 
+  const PrefPtr& preference = plan.preference;
+  // A plain LIMIT statement (no preference, ranking or grouping) returns
+  // the first `limit` candidates, so the pool stops one past them: the
+  // extra row tells the LIMIT stage it truncates.
+  const size_t pool_cap =
+      !preference && !stmt.ranked && stmt.grouping.empty() && stmt.limit > 0
+          ? stmt.limit + 1
+          : table.size();
+
   // Hard selection (exact-match world). Row indices, not a copy; the
   // WHERE-less case keeps "all rows" implicit instead of materializing an
   // identity vector per cached entry.
   Clock::time_point t0 = Clock::now();
   if (stmt.where) {
     auto pred = psql::CompileCondition(*stmt.where, table.schema());
-    for (size_t i = 0; i < table.size(); ++i) {
+    for (size_t i = 0;
+         i < table.size() && exec->filtered_rows.size() < pool_cap; ++i) {
       if (pred(table.RowAt(i))) exec->filtered_rows.push_back(i);
     }
     exec->use_row_subset = true;
     plan_str += " -> where[" + stmt.where->ToString() + "]";
+  } else if (pool_cap < table.size()) {
+    exec->filtered_rows.resize(pool_cap);
+    std::iota(exec->filtered_rows.begin(), exec->filtered_rows.end(), 0);
+    exec->use_row_subset = true;
   }
   exec->compile_ns += ElapsedNs(t0, Clock::now());
 
-  const PrefPtr& preference = plan.preference;
   if (stmt.ranked && !preference) {
     // Unreachable through the parser; guards hand-built statements.
     throw std::invalid_argument("TOP/RANKED requires a PREFERRING clause");
@@ -287,12 +380,7 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
         exec->proj.proj_schema = table.schema().Project(exec_pref->attributes());
       } else {
         exec->proj = BuildProjectionIndex(table, *exec_pref, pool_ptr);
-        if (options.vectorize && !exec->proj.values.empty()) {
-          exec->score_table =
-              ScoreTable::Compile(exec_pref, exec->proj.proj_schema,
-                                  exec->proj.values.data(),
-                                  exec->proj.values.size());
-        }
+        exec->score_table = CompileAndRelease(exec_pref, options, &exec->proj);
       }
       exec->compile_ns += ElapsedNs(t0, Clock::now());
       // Stage 2 — refine the costed plan with measured block statistics
@@ -358,11 +446,7 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
       group_scope.allow_decomposition = false;
       for (Exec::GroupExec& group : exec->groups) {
         group.proj = BuildProjectionIndex(table, *exec_pref, &group.rows);
-        if (options.vectorize && !group.proj.values.empty()) {
-          group.table = ScoreTable::Compile(
-              exec_pref, group.proj.proj_schema, group.proj.values.data(),
-              group.proj.values.size());
-        }
+        group.table = CompileAndRelease(exec_pref, options, &group.proj);
         if (options.algorithm == BmoAlgorithm::kAuto) {
           TermStats group_stats =
               group.table
@@ -466,24 +550,10 @@ psql::QueryResult ExecuteExec(const Plan& plan, const Exec& exec) {
   } else if (plan.preference) {
     if (exec.block_path) {
       std::vector<size_t> rows;
-      if (exec.zero_copy) {
-        // Zero-copy table: row i is pool position i, no projection index.
-        std::vector<bool> maximal = internal::ExecuteBlockPlan(
-            nullptr, pool_size, exec.exec_pref, exec.proj.proj_schema,
-            &*exec.score_table, exec.plan);
-        for (size_t i = 0; i < pool_size; ++i) {
-          if (maximal[i]) rows.push_back(subset ? exec.filtered_rows[i] : i);
-        }
-      } else if (!exec.proj.values.empty()) {
-        std::vector<bool> maximal = internal::ExecuteBlockPlan(
-            exec.proj.values, exec.exec_pref, exec.proj.proj_schema,
-            exec.score_table ? &*exec.score_table : nullptr, exec.plan);
-        for (size_t i = 0; i < pool_size; ++i) {
-          if (maximal[exec.proj.row_to_value[i]]) {
-            rows.push_back(subset ? exec.filtered_rows[i] : i);
-          }
-        }
-      }
+      AppendMaximalRows(exec.exec_pref, exec.proj,
+                        exec.score_table ? &*exec.score_table : nullptr,
+                        exec.plan, pool_size,
+                        subset ? &exec.filtered_rows : nullptr, &rows);
       current = table.SelectRows(rows);
     } else if (exec.filtered) {
       // Decomposition cascade (grouped or not): relation-level evaluator
@@ -504,17 +574,11 @@ psql::QueryResult ExecuteExec(const Plan& plan, const Exec& exec) {
       std::vector<size_t> rows;
       auto run_group = [&exec](const Exec::GroupExec& group,
                                std::vector<size_t>* out) {
-        if (group.proj.values.empty()) return;
         // kParallel only ever reaches here for a single (degenerate)
         // group, which runs inline — the pool is free for the fan-out.
-        std::vector<bool> maximal = internal::ExecuteBlockPlan(
-            group.proj.values, exec.exec_pref, group.proj.proj_schema,
-            group.table ? &*group.table : nullptr, group.plan);
-        for (size_t i = 0; i < group.rows.size(); ++i) {
-          if (maximal[group.proj.row_to_value[i]]) {
-            out->push_back(group.rows[i]);
-          }
-        }
+        AppendMaximalRows(exec.exec_pref, group.proj,
+                          group.table ? &*group.table : nullptr, group.plan,
+                          group.rows.size(), &group.rows, out);
       };
       ThreadPool& pool = ThreadPool::Shared();
       const size_t threads =
@@ -544,7 +608,7 @@ psql::QueryResult ExecuteExec(const Plan& plan, const Exec& exec) {
       plan_str += " -> but_only[" + stmt.but_only->ToString() + "]";
     }
   } else {
-    current = stmt.where ? table.SelectRows(exec.filtered_rows) : table;
+    current = subset ? table.SelectRows(exec.filtered_rows) : table;
   }
 
   // Projection.
@@ -1136,6 +1200,8 @@ Engine::CacheStats Engine::cache_stats() const {
   CacheStats out = stats_;
   out.lock_acquisitions = lock_acquisitions_.load(std::memory_order_relaxed);
   out.lock_contentions = lock_contentions_.load(std::memory_order_relaxed);
+  exec_cache_.ForEach(
+      [&out](const Exec& exec) { out.exec_bytes += exec.HeapBytes(); });
   return out;
 }
 

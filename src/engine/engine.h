@@ -13,10 +13,18 @@
 //                                     term (data-independent);
 //                     - exec cache:   (statement, table version, options) ->
 //                                     the PhysicalPlan, WHERE row set,
-//                                     projection index and compiled
-//                                     ScoreTable — including per-group
-//                                     plans + compiled state for GROUPING
-//                                     statements (data-dependent).
+//                                     32-bit row map onto the distinct
+//                                     values and compiled ScoreTable —
+//                                     including per-group plans +
+//                                     compiled state for GROUPING
+//                                     statements (data-dependent). A
+//                                     compiled entry holds row maps and
+//                                     score buffers, not projected
+//                                     Tuples; only the closure fallback
+//                                     (terms that do not compile) keeps
+//                                     the Tuples its kernels read.
+//                                     CacheStats::exec_bytes sums what
+//                                     the live entries hold.
 //   PreparedQuery   Engine::Prepare(sql)'s handle on a cached plan;
 //                   Run() does only the BMO kernel work (or the ranked
 //                   sort) plus result materialization on a warm cache.
@@ -94,6 +102,12 @@ class LruMap {
       ++evicted;
     }
     return evicted;
+  }
+
+  /// Calls `fn(value)` for every entry, without touching recency.
+  template <typename Fn>
+  void ForEach(const Fn& fn) const {
+    for (const auto& [key, entry] : map_) fn(*entry.value);
   }
 
   /// Removes entries matching `pred(value)`; returns how many.
@@ -379,6 +393,10 @@ class Engine {
     /// means the cache lookup path itself has become the bottleneck.
     uint64_t lock_acquisitions = 0;
     uint64_t lock_contentions = 0;
+    /// Gauge: heap bytes held by the live exec-cache entries (row sets,
+    /// row maps, retained Tuples, score and id buffers, group entries;
+    /// relation snapshots are shared with the catalog and not counted).
+    size_t exec_bytes = 0;
   };
   CacheStats cache_stats() const;
   void ClearCaches();

@@ -46,7 +46,7 @@ ProjectionIndex BuildProjectionIndex(const Relation& r, const Preference& p,
   // buffers instead of per-row Tuple::Project + hashing. Codes come out
   // in first-occurrence order, matching the old hash-map assignment.
   GroupCoding coding = ComputeGroupCoding(r, cols, rows);
-  out.row_to_value.assign(coding.codes.begin(), coding.codes.end());
+  out.row_to_value = std::move(coding.codes);
   out.values.reserve(coding.num_groups);
   for (uint32_t rep : coding.group_rows) {
     const size_t row = rows ? (*rows)[rep] : rep;

@@ -36,6 +36,7 @@
 #ifndef PREFDB_EVAL_BMO_H_
 #define PREFDB_EVAL_BMO_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/preference.h"
@@ -131,11 +132,12 @@ bool IsPerfectMatch(const Tuple& t, const Relation& r, const PrefPtr& p,
 
 /// Distinct projections of R onto P's attributes plus row mapping. When
 /// `rows` is given, only that row subset is indexed (row_to_value then
-/// maps positions within `rows`), used by per-group evaluation.
+/// maps positions within `rows`), used by per-group evaluation. The row
+/// map holds the 32-bit equality codes ComputeGroupCoding assigns.
 struct ProjectionIndex {
-  Schema proj_schema;                 // schema of the projected columns
-  std::vector<Tuple> values;          // distinct projections ("R[A]")
-  std::vector<size_t> row_to_value;   // row index -> values index
+  Schema proj_schema;                   // schema of the projected columns
+  std::vector<Tuple> values;            // distinct projections ("R[A]")
+  std::vector<uint32_t> row_to_value;   // row index -> values index
 };
 
 ProjectionIndex BuildProjectionIndex(const Relation& r, const Preference& p,

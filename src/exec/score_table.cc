@@ -243,9 +243,12 @@ void ScoreTable::Assemble(std::vector<ColumnData>&& columns, size_t count,
                                    : simd::DominanceProgram::Mode::kFlatLex)
                      : simd::DominanceProgram::Mode::kFlatPareto;
 
-  // Assemble the row-major matrix.
+  // Assemble the row-major matrix. The id matrix exists only when some
+  // column needs the id test: no dominance path reads an id otherwise.
+  bool any_ids = false;
+  for (const ColumnData& col : columns) any_ids = any_ids || col.use_ids;
   scores_.resize(count * cols_);
-  ids_.resize(count * cols_);
+  if (any_ids) ids_.resize(count * cols_);
   prog_.use_ids.resize(cols_);
   col_distinct_.resize(cols_);
   for (size_t c = 0; c < cols_; ++c) {
@@ -253,7 +256,7 @@ void ScoreTable::Assemble(std::vector<ColumnData>&& columns, size_t count,
     col_distinct_[c] = columns[c].classes;
     for (size_t r = 0; r < count; ++r) {
       scores_[r * cols_ + c] = columns[c].scores[r];
-      ids_[r * cols_ + c] = columns[c].ids[r];
+      if (any_ids) ids_[r * cols_ + c] = columns[c].ids[r];
     }
   }
 
@@ -804,6 +807,20 @@ std::optional<ScoreTable> ScoreTable::CompileColumnar(
   table.prog_.root = build(p, false);
   table.Assemble(std::move(columns), count, has_pareto, has_prio, has_other);
   return table;
+}
+
+size_t ScoreTable::HeapBytes() const {
+  size_t bytes = scores_.capacity() * sizeof(double) +
+                 ids_.capacity() * sizeof(uint32_t) +
+                 col_distinct_.capacity() * sizeof(uint32_t) +
+                 prog_.use_ids.capacity() * sizeof(uint8_t) +
+                 prog_.nodes.capacity() *
+                     sizeof(simd::DominanceProgram::Node) +
+                 sort_keys_.capacity() * sizeof(std::vector<int>);
+  for (const std::vector<int>& key : sort_keys_) {
+    bytes += key.capacity() * sizeof(int);
+  }
+  return bytes;
 }
 
 // ---------------------------------------------------------------------------

@@ -101,6 +101,10 @@ class ScoreTable {
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
 
+  /// Heap bytes owned by the table: score matrix, id matrix (empty when
+  /// no column uses ids), per-column counts, descriptor and sort keys.
+  size_t HeapBytes() const;
+
   /// Exact strict-partial-order test "x <P y" between two compiled rows;
   /// agrees with the closure p->Bind(proj_schema) on the block.
   bool Less(size_t x, size_t y) const;
@@ -182,7 +186,11 @@ class ScoreTable {
                 bool has_pareto, bool has_prio, bool has_other);
 
   const double* Row(size_t r) const { return scores_.data() + r * cols_; }
-  const uint32_t* Ids(size_t r) const { return ids_.data() + r * cols_; }
+  /// Row r's equality-class ids, or nullptr when no column uses the id
+  /// test (the id matrix is then never built; see Assemble).
+  const uint32_t* Ids(size_t r) const {
+    return ids_.empty() ? nullptr : ids_.data() + r * cols_;
+  }
 
   bool ColumnEq(size_t c, const double* sx, const double* sy,
                 const uint32_t* ix, const uint32_t* iy) const {
@@ -221,7 +229,8 @@ class ScoreTable {
   size_t rows_ = 0;
   size_t cols_ = 0;
   std::vector<double> scores_;  // row-major rows_ x cols_
-  std::vector<uint32_t> ids_;   // row-major equality-class ids
+  std::vector<uint32_t> ids_;   // row-major equality-class ids; empty
+                                // when no column has use_ids
   std::vector<uint32_t> col_distinct_;  // per-column classes (0 = injective)
   /// Dominance descriptor (mode, per-column id flags, node program),
   /// shared with the batch kernels.

@@ -15,7 +15,8 @@
 // requests can be in flight on one connection and responses may arrive
 // out of order. Server-initiated kDelta pushes carry the id of the
 // kSubscribe that created them; faults no request owns (oversized frame,
-// missing id prefix, session limit) carry kNoRequestId. There is no
+// missing id prefix, a request tagged id 0, session limit) carry
+// kNoRequestId and close the connection. There is no
 // version negotiation: a connection's first frame already carries its
 // request id.
 //
@@ -110,7 +111,8 @@ inline constexpr size_t kRequestIdBytes = 8;
 
 /// Request id 0 is reserved: requests must use a nonzero id, and the
 /// server tags connection-level faults (oversized frame, missing id
-/// prefix, session limit) with 0 because no request can own them.
+/// prefix, a request tagged 0, session limit) with 0 because no request
+/// can own them; each of these closes the connection.
 inline constexpr uint64_t kNoRequestId = 0;
 
 /// Serializes a frame as it goes on the wire: header + 8-byte big-endian

@@ -569,6 +569,7 @@ void Server::Impl::DispatchFrame(const std::shared_ptr<Connection>& conn,
     AppendResponse(conn, kNoRequestId,
                    ErrorFrame(psql::ErrorCode::kProtocol,
                               "request id must be nonzero"));
+    StartDrain(conn);
     return;
   }
   bool duplicate = false;

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <random>
+#include <string>
 #include <thread>
 
 #include "core/base_preferences.h"
@@ -16,6 +19,7 @@
 #include "core/numeric_preferences.h"
 #include "datagen/cars.h"
 #include "eval/ranked.h"
+#include "exec/score_table.h"
 #include "psql/executor.h"
 
 namespace prefdb {
@@ -464,6 +468,121 @@ TEST(EngineTest, CacheFreeExecutionMatchesCachedEngine) {
     psql::QueryResult cold = ColdExecute(sql, catalog);
     psql::QueryResult direct = engine.Execute(sql);
     EXPECT_EQ(cold.relation, direct.relation) << sql;
+  }
+}
+
+TEST(EngineTest, ExecBytesGaugeCountsCompactEntries) {
+  // The exec-cache gauge sums what the live entries hold. A compiled
+  // gather-path entry keeps the row set, the 32-bit row map and the score
+  // and id buffers, not the distinct projected Tuples the table was
+  // compiled from, so the CASCADE template of the serving workloads (three
+  // score columns, two with cross-value ties) costs about 50 bytes per
+  // candidate row; retaining 40-byte Values per column costs four times
+  // that.
+  Engine engine;
+  engine.RegisterTable("car", GenerateCars(100000, 7));
+  EXPECT_EQ(engine.cache_stats().exec_bytes, 0u);
+  const std::string sql =
+      "SELECT * FROM car WHERE price < 30000 PREFERRING (category = "
+      "'roadster' ELSE category <> 'passenger') AND price AROUND 20000 "
+      "CASCADE LOWEST(mileage)";
+  psql::QueryResult cold = engine.Execute(sql);
+  psql::QueryResult warm = engine.Execute(sql);
+  ASSERT_TRUE(warm.stats.exec_cache_hit);
+  EXPECT_EQ(warm.relation, cold.relation);
+  const std::shared_ptr<const Relation> car = engine.Snapshot("car");
+  const size_t price = *car->schema().IndexOf("price");
+  size_t candidates = 0;
+  for (size_t i = 0; i < car->size(); ++i) {
+    if (car->RowAt(i)[price] < Value(30000)) ++candidates;
+  }
+  ASSERT_GT(candidates, 10000u);
+  const size_t bytes = engine.cache_stats().exec_bytes;
+  EXPECT_GT(bytes, candidates * sizeof(uint32_t));
+  EXPECT_LT(bytes, candidates * 100) << bytes / candidates << " B/row";
+
+  engine.ClearCaches();
+  EXPECT_EQ(engine.cache_stats().exec_bytes, 0u);
+  engine.Execute(sql);
+  EXPECT_GT(engine.cache_stats().exec_bytes, 0u);
+  engine.Insert("car", car->RowAt(0));  // invalidates the entry
+  EXPECT_EQ(engine.cache_stats().exec_bytes, 0u);
+}
+
+TEST(EngineTest, ClosureFallbackKeepsItsTuplesAndMatchesTheOracle) {
+  // Terms that do not compile (here vectorize=false, and an EXPLICIT
+  // graph that is not a weak order) run the closure kernels over the
+  // retained distinct Tuples, warm from the cache, and must return the
+  // naive oracle's rows.
+  Engine engine;
+  engine.RegisterTable("car", GenerateCars(3000, 5));
+  const std::shared_ptr<const Relation> car = engine.Snapshot("car");
+  BmoOptions oracle;
+  oracle.algorithm = BmoAlgorithm::kNaive;
+  oracle.vectorize = false;
+  BmoOptions closures;
+  closures.vectorize = false;
+  PrefPtr pareto = Pareto(Lowest("price"), Lowest("mileage"));
+  PreparedQuery sql = engine.Prepare(
+      "SELECT * FROM car PREFERRING LOWEST(price) AND LOWEST(mileage)",
+      closures);
+  PrefPtr forest = Pareto(
+      Explicit("category", {{Value("roadster"), Value("coupe")},
+                            {Value("passenger"), Value("van")}}),
+      Lowest("price"));
+  ASSERT_FALSE(ScoreTable::CompilableTerm(forest));
+  PreparedQuery term = engine.Prepare("car", forest);
+  for (int run = 0; run < 2; ++run) {
+    psql::QueryResult a = sql.Run();
+    psql::QueryResult b = term.Run();
+    EXPECT_EQ(a.stats.exec_cache_hit, run > 0);
+    EXPECT_EQ(b.stats.exec_cache_hit, run > 0);
+    EXPECT_EQ(a.stats.kernel, "closure");
+    EXPECT_EQ(b.stats.kernel, "closure");
+    EXPECT_TRUE(a.relation.SameRows(Bmo(*car, pareto, oracle)));
+    EXPECT_TRUE(b.relation.SameRows(Bmo(*car, forest, oracle)));
+  }
+  EXPECT_GT(engine.cache_stats().exec_bytes, 0u);
+}
+
+TEST(EngineTest, PlainLimitStopsAtLimitSurvivors) {
+  // Without a preference, ranking or grouping, LIMIT n needs only the
+  // first n candidates: the cached entry stops the WHERE scan there. The
+  // result must equal a full scan plus truncation.
+  Relation car = GenerateCars(20000, 9);
+  psql::Catalog catalog;
+  catalog.Register("car", car);
+  Engine engine(catalog);
+  const std::pair<const char*, size_t> cases[] = {
+      {"SELECT oid FROM car WHERE price < 20000", 5},
+      {"SELECT oid, price, mileage FROM car WHERE price < 20000", 40},
+      // More than the WHERE clause lets through: nothing to cut.
+      {"SELECT * FROM car WHERE price < 6000", 100000},
+      {"SELECT * FROM car", 7},
+      {"SELECT make FROM car", 3},
+  };
+  for (const auto& [full, limit] : cases) {
+    const std::string limited =
+        std::string(full) + " LIMIT " + std::to_string(limit);
+    SCOPED_TRACE(limited);
+    Relation all = engine.Execute(full).relation;
+    std::vector<size_t> head(std::min(limit, all.size()));
+    std::iota(head.begin(), head.end(), 0);
+    Relation expected = all.SelectRows(head);
+    engine.ClearCaches();
+    psql::QueryResult cold = ColdExecute(limited, catalog);
+    psql::QueryResult first = engine.Execute(limited);
+    psql::QueryResult warm = engine.Execute(limited);
+    EXPECT_TRUE(warm.stats.exec_cache_hit);
+    EXPECT_EQ(first.relation, expected);
+    EXPECT_EQ(warm.relation, expected);
+    EXPECT_EQ(cold.relation, expected);
+    EXPECT_EQ(warm.plan, first.plan);
+    EXPECT_EQ(warm.plan.find("-> limit") != std::string::npos,
+              all.size() > limit);
+    // The entry holds at most limit + 1 candidate rows.
+    EXPECT_LE(engine.cache_stats().exec_bytes,
+              std::max<size_t>(1024, 2 * (limit + 1) * sizeof(size_t)));
   }
 }
 

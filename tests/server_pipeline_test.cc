@@ -310,9 +310,19 @@ TEST_F(TinyOutBufFixture, NonReadingPipelinerPausesReadsAndLosesNothing) {
     for (int i = 0; i < kPerRound; ++i) {
       futures.push_back(client.SendQuery(sql));
     }
-    // Let this round's responses land before the next round's requests,
-    // so a read pass observes the backlog.
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    // Wait until this round's responses sit in the out-buffer (queries_ok
+    // counts a response in the same critical section that appends it), so
+    // the next round's read pass sees a fixed backlog however fast the
+    // worker runs. A paused connection reads no further requests, so the
+    // wait ends there too.
+    const uint64_t answered = static_cast<uint64_t>((round + 1) * kPerRound);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (server_->stats().queries_ok < answered &&
+           server_->stats().read_pauses == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
   EXPECT_GT(server_->stats().read_pauses, 0u);
   // Backpressure deferred — not dropped — the paused requests: draining
@@ -350,7 +360,10 @@ TEST_F(TwoWorkerFixture, DuplicateInFlightRequestIdIsRejected) {
   EXPECT_EQ(client.ReadResponse().type, FrameType::kOk);
 }
 
-TEST_F(PipelineFixture, ZeroRequestIdIsRejectedWithoutClosing) {
+TEST_F(PipelineFixture, ZeroRequestIdIsRejectedAndCloses) {
+  // Id 0 tags connection-level faults, so a request carrying it is one:
+  // the server answers with an id-0 protocol error, then closes, exactly
+  // as the client treats every id-0 error.
   Client client = Connect();
   client.SendRawBytes(EncodeTaggedFrame(kNoRequestId,
                                         Frame{FrameType::kPing, ""}));
@@ -358,8 +371,7 @@ TEST_F(PipelineFixture, ZeroRequestIdIsRejectedWithoutClosing) {
   ASSERT_EQ(reply.type, FrameType::kError);
   EXPECT_EQ(psql::DeserializeError(reply.payload).code,
             psql::ErrorCode::kProtocol);
-  client.SendRawBytes(EncodeTaggedFrame(1, Frame{FrameType::kPing, ""}));
-  EXPECT_EQ(client.ReadResponse().type, FrameType::kOk);
+  EXPECT_THROW(client.ReadResponse(), std::runtime_error);
 }
 
 TEST_F(PipelineFixture, UntaggedV2FrameClosesTheConnection) {

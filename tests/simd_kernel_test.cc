@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -244,6 +247,110 @@ TEST(SimdKernelTest, AllNullAndConstantColumns) {
               expected);
     EXPECT_EQ(Rows(r, p, WithKernel(BmoAlgorithm::kSortFilter, mode)),
               expected);
+  }
+}
+
+TEST(SimdKernelTest, TablesWithAndWithoutIdMatrixMatchTheOracle) {
+  // Two terms at the id-matrix boundary. LOWEST/HIGHEST scores are
+  // injective on values, so no column needs the id test and the table
+  // builds no id matrix (Ids() is null). AROUND(50) scores 45 and 55
+  // alike although the values differ: exactly that one column needs ids.
+  // Every table entry point must agree with the closure naive oracle
+  // either way; under ASan a dereferenced null id row fails loudly.
+  std::mt19937_64 rng(41);
+  Schema s({{"x", ValueType::kInt},
+            {"y", ValueType::kDouble},
+            {"z", ValueType::kInt}});
+  Relation r(s);
+  for (int i = 0; i < 300; ++i) {
+    r.Add(Tuple({Value(int64_t(rng() % 120)), Value(double(rng() % 90) / 3),
+                 Value(int64_t(rng() % 101))}));
+  }
+  const std::vector<std::pair<PrefPtr, size_t>> cases = {
+      {Pareto(Lowest("x"), Highest("y")), 0},
+      {Pareto(Lowest("x"), Around("z", 50.0)), 1},
+  };
+  for (const auto& [p, id_columns] : cases) {
+    SCOPED_TRACE(p->ToString());
+    ProjectionIndex proj = BuildProjectionIndex(r, *p);
+    const size_t m = proj.values.size();
+    const LessFn less = p->Bind(proj.proj_schema);
+    std::optional<ScoreTable> table = ScoreTable::Compile(
+        p, proj.proj_schema, proj.values.data(), m);
+    ASSERT_TRUE(table.has_value());
+    const std::vector<uint8_t>& use_ids = table->program().use_ids;
+    EXPECT_EQ(static_cast<size_t>(
+                  std::count(use_ids.begin(), use_ids.end(), 1)),
+              id_columns);
+    // The id matrix exists exactly when some column reads it.
+    const size_t matrix_bytes = m * table->cols() * sizeof(double);
+    const size_t id_bytes = m * table->cols() * sizeof(uint32_t);
+    if (id_columns == 0) {
+      EXPECT_LT(table->HeapBytes(), matrix_bytes + id_bytes);
+    } else {
+      EXPECT_GE(table->HeapBytes(), matrix_bytes + id_bytes);
+    }
+
+    const std::vector<bool> expected = MaximaNaive(proj.values, less);
+    for (size_t x = 0; x < m; ++x) {
+      for (size_t y = 0; y < m; ++y) {
+        ASSERT_EQ(table->Less(x, y), less(proj.values[x], proj.values[y]))
+            << x << " vs " << y;
+      }
+    }
+    std::vector<size_t> all(m);
+    std::iota(all.begin(), all.end(), 0);
+    for (size_t x = 0; x < m; ++x) {
+      const size_t dominator = table->FindDominator(x, all);
+      if (expected[x]) {
+        EXPECT_EQ(dominator, static_cast<size_t>(-1)) << x;
+      } else {
+        ASSERT_LT(dominator, m) << x;
+        EXPECT_TRUE(less(proj.values[x], proj.values[dominator])) << x;
+      }
+    }
+
+    // Odd rows as an arbitrary subset, and the two halves' antichains.
+    std::vector<size_t> odd;
+    std::vector<Tuple> odd_values;
+    for (size_t i = 1; i < m; i += 2) {
+      odd.push_back(i);
+      odd_values.push_back(proj.values[i]);
+    }
+    const std::vector<bool> expected_odd = MaximaNaive(odd_values, less);
+    std::vector<size_t> expected_rows;
+    for (size_t i = 0; i < m; ++i) {
+      if (expected[i]) expected_rows.push_back(i);
+    }
+    for (SimdMode mode : KernelModes()) {
+      PhysicalPlan plan;
+      plan.simd = mode;
+      SCOPED_TRACE(SimdModeName(mode));
+      for (BmoAlgorithm algo :
+           {BmoAlgorithm::kNaive, BmoAlgorithm::kBlockNestedLoop,
+            BmoAlgorithm::kSortFilter, BmoAlgorithm::kDivideConquer}) {
+        EXPECT_EQ(table->MaximaRange(algo, 0, m, plan), expected)
+            << BmoAlgorithmName(algo);
+        EXPECT_EQ(table->MaximaSubset(algo, odd, plan), expected_odd)
+            << BmoAlgorithmName(algo);
+      }
+      const size_t half = m / 2;
+      std::vector<size_t> a;
+      std::vector<size_t> b;
+      std::vector<bool> left =
+          table->MaximaRange(BmoAlgorithm::kBlockNestedLoop, 0, half, plan);
+      std::vector<bool> right =
+          table->MaximaRange(BmoAlgorithm::kBlockNestedLoop, half, m, plan);
+      for (size_t i = 0; i < half; ++i) {
+        if (left[i]) a.push_back(i);
+      }
+      for (size_t i = half; i < m; ++i) {
+        if (right[i - half]) b.push_back(i);
+      }
+      std::vector<size_t> merged = table->MergeAntichains(a, b, plan);
+      std::sort(merged.begin(), merged.end());
+      EXPECT_EQ(merged, expected_rows);
+    }
   }
 }
 
