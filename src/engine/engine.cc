@@ -12,9 +12,7 @@
 #include "eval/bmo_internal.h"
 #include "eval/optimizer.h"
 #include "eval/ranked.h"
-#include "exec/parallel_bmo.h"
 #include "exec/score_table.h"
-#include "exec/thread_pool.h"
 #include "psql/error.h"
 #include "psql/translator.h"
 
@@ -33,33 +31,14 @@ struct Plan {
   uint64_t translate_ns = 0;
 };
 
-namespace {
-
-template <typename T>
-size_t VectorBytes(const std::vector<T>& v) {
-  return v.capacity() * sizeof(T);
-}
-
-// Row map plus any retained Tuples and their Value cells (one per
-// projected column; string payloads past the inline buffer are not
-// counted), in O(1).
-size_t ProjectionBytes(const ProjectionIndex& proj) {
-  return VectorBytes(proj.row_to_value) + VectorBytes(proj.values) +
-         proj.values.size() * proj.proj_schema.size() * sizeof(Value);
-}
-
-}  // namespace
-
 /// Data-dependent half: everything derivable from (plan, table snapshot,
 /// options) that repeated Run() calls should not redo — the WHERE row
-/// set, the PhysicalPlan, the row map from candidates to distinct values
-/// and the compiled score table (per group for GROUPING statements).
-/// An entry holds only what ExecuteExec reads: once a score table
-/// compiles, the distinct projected Tuples it was built from are
-/// released (the table's rows() is their count); the closure fallback
-/// (terms that do not compile, vectorize=false) keeps them, since the
-/// closure kernels read them. Immutable once built; concurrent Run() calls share
-/// it.
+/// set, the PhysicalPlan and, for BMO statements, the compiled blocks
+/// (eval/bmo_internal.h): one over the candidate pool, or one per group
+/// for GROUPING statements. A block holds only what a run reads: its row
+/// map and score table, and the distinct projected Tuples only on the
+/// closure fallback (terms that do not compile, vectorize=false).
+/// Immutable once built; concurrent Run() calls share it.
 struct Exec {
   std::string table_name;
   uint64_t version = 0;
@@ -80,29 +59,15 @@ struct Exec {
   std::string kernel_variant;  // BMO kernel label (QueryStats.kernel)
   PrefPtr exec_pref;  // term actually evaluated (simplified when routed)
   /// The planned artifact: algorithm, kernel fields, parallel shape,
-  /// statistics and the per-algorithm cost table.
+  /// statistics and the per-algorithm cost table. For GROUPING, the
+  /// statement-level plan; each block carries its own.
   PhysicalPlan plan;
-  // BMO block path (ungrouped, non-decomposition): kernel inputs.
-  bool block_path = false;
-  // Zero-copy compile: score_table was built straight off the snapshot's
-  // column buffers (no projection index; proj.values and row_to_value
-  // stay empty) and its row i is candidate-pool position i — maximal
-  // flags map back by identity.
-  bool zero_copy = false;
-  // Distinct projections over filtered_rows: the row map always, the
-  // values themselves only without a score table.
-  ProjectionIndex proj;
-  std::optional<ScoreTable> score_table;
-  // GROUPING path (non-decomposition): per-group cached plans + compiled
-  // state, so warm runs do only per-group kernel work.
-  struct GroupExec {
-    std::vector<size_t> rows;  // global row indices of the group
-    ProjectionIndex proj;      // values kept only when `table` is null
-    std::optional<ScoreTable> table;
-    PhysicalPlan plan;
-  };
-  std::vector<GroupExec> groups;
-  bool grouped = false;
+  /// BMO kernel inputs (every path but decomposition): one block over
+  /// the candidate pool, or blocks[g] over groups[g] for GROUPING.
+  std::vector<internal::CompiledBlock> blocks;
+  /// GROUPING (BMO and ranked): the candidate pool's global rows per
+  /// group, groups in first-occurrence order.
+  std::vector<std::vector<size_t>> groups;
   // Decomposition path: materialized WHERE result for the relation-level
   // cascade evaluator (null otherwise).
   std::shared_ptr<const Relation> filtered;
@@ -110,28 +75,23 @@ struct Exec {
   // maintained result set, so execution is pure row materialization —
   // no kernel work. Written by Engine::RefreshViewExec on mutation.
   bool ivm = false;
-  // Ranked path (§6.2): bound utility + deterministic group order.
+  // Ranked path (§6.2): bound utility.
   bool ranked = false;
   ScoreFn utility;
-  std::vector<std::vector<size_t>> ranked_groups;  // first-occurrence order
   uint64_t optimize_ns = 0;
   uint64_t compile_ns = 0;
 
-  /// Heap bytes this entry owns: row vectors, row maps, retained Tuples,
-  /// score and id buffers, and group entries. Not counted: the relation
-  /// snapshot (the catalog's, shared) and the decomposition path's
-  /// materialized WHERE relation.
+  /// Heap bytes this entry owns: row vectors and the compiled blocks.
+  /// Not counted: the relation snapshot (the catalog's, shared) and the
+  /// decomposition path's materialized WHERE relation.
   size_t HeapBytes() const {
-    size_t bytes = VectorBytes(filtered_rows) + ProjectionBytes(proj) +
-                   (score_table ? score_table->HeapBytes() : 0) +
-                   VectorBytes(groups) + VectorBytes(ranked_groups);
-    for (const GroupExec& group : groups) {
-      bytes += VectorBytes(group.rows) + ProjectionBytes(group.proj) +
-               (group.table ? group.table->HeapBytes() : 0);
+    using internal::VectorBytes;
+    size_t bytes = VectorBytes(filtered_rows) + VectorBytes(blocks) +
+                   VectorBytes(groups);
+    for (const internal::CompiledBlock& block : blocks) {
+      bytes += block.HeapBytes();
     }
-    for (const std::vector<size_t>& rows : ranked_groups) {
-      bytes += VectorBytes(rows);
-    }
+    for (const std::vector<size_t>& rows : groups) bytes += VectorBytes(rows);
     return bytes;
   }
 };
@@ -142,6 +102,10 @@ namespace {
 
 using engine_internal::Exec;
 using engine_internal::Plan;
+using internal::AppendMaximalRows;
+using internal::CompileBlock;
+using internal::CompiledBlock;
+using internal::GroupMaximalRows;
 using Clock = std::chrono::steady_clock;
 
 uint64_t ElapsedNs(Clock::time_point begin, Clock::time_point end) {
@@ -164,57 +128,25 @@ std::string TopKText(size_t k) {
   return k > 0 ? "k=" + std::to_string(k) : "k=all";
 }
 
-// Buckets the candidate pool by its projection onto `cols`, groups in
-// first-occurrence order; rows are global indices. Shared by the ranked
-// and BMO GROUPING paths.
-std::vector<std::vector<size_t>> GroupPoolRows(
-    const Relation& table, const std::vector<size_t>& cols, bool subset,
-    const std::vector<size_t>& filtered_rows, size_t pool_size) {
-  // Columnar equality coding instead of per-row Tuple::Project + hashing;
-  // codes come out in first-occurrence order, matching the old map.
-  GroupCoding coding =
-      ComputeGroupCoding(table, cols, subset ? &filtered_rows : nullptr);
-  std::vector<std::vector<size_t>> groups(coding.num_groups);
-  for (size_t i = 0; i < pool_size; ++i) {
-    groups[coding.codes[i]].push_back(subset ? filtered_rows[i] : i);
+// EXPLAIN's compile line: which path each compiled block took — zero-copy
+// off the column buffers, or the deduplicating gather — with per-path
+// block counts for GROUPING statements. Empty when nothing compiled.
+std::string CompilePaths(const std::vector<CompiledBlock>& blocks,
+                         bool grouped) {
+  size_t columnar = 0;
+  size_t gathered = 0;
+  for (const CompiledBlock& block : blocks) {
+    if (block.table) ++(block.zero_copy ? columnar : gathered);
   }
-  return groups;
-}
-
-// Gather-path compile: the score table over proj's distinct values. On
-// success the values are released — the kernels read only the table, and
-// the row map still ties candidates to table rows. Without a table they
-// stay for the closure path.
-std::optional<ScoreTable> CompileAndRelease(const PrefPtr& pref,
-                                            const BmoOptions& options,
-                                            ProjectionIndex* proj) {
-  if (!options.vectorize || proj->values.empty()) return std::nullopt;
-  std::optional<ScoreTable> table = ScoreTable::Compile(
-      pref, proj->proj_schema, proj->values.data(), proj->values.size());
-  if (table) std::vector<Tuple>().swap(proj->values);
-  return table;
-}
-
-// Kernel work for one cached block: maximal flags over the table's rows
-// (the retained distinct values without a table), mapped back through
-// proj.row_to_value (identity when empty: a zero-copy table's row i is
-// pool position i), appending the qualifying pool positions as global
-// rows (`rows` null = identity).
-void AppendMaximalRows(const PrefPtr& pref, const ProjectionIndex& proj,
-                       const ScoreTable* table, const PhysicalPlan& plan,
-                       size_t pool_size, const std::vector<size_t>* rows,
-                       std::vector<size_t>* out) {
-  const size_t distinct = table ? table->rows() : proj.values.size();
-  if (distinct == 0) return;
-  std::vector<bool> maximal = internal::ExecuteBlockPlan(
-      table ? nullptr : proj.values.data(), distinct, pref, proj.proj_schema,
-      table, plan);
-  const bool identity = proj.row_to_value.empty();
-  for (size_t i = 0; i < pool_size; ++i) {
-    if (maximal[identity ? i : proj.row_to_value[i]]) {
-      out->push_back(rows ? (*rows)[i] : i);
-    }
+  std::string out;
+  for (const auto& [path, count] :
+       {std::pair<const char*, size_t>{"zero-copy", columnar},
+        std::pair<const char*, size_t>{"gather", gathered}}) {
+    if (count == 0) continue;
+    out += (out.empty() ? "compile: " : ", ") + std::string(path);
+    if (grouped) out += " " + std::to_string(count);
   }
+  return out.empty() ? out : out + "\n";
 }
 
 // Builds the exec entry for (plan, snapshot, options). Heavy: runs the
@@ -303,11 +235,9 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
     if (!stmt.grouping.empty()) {
       // Def. 16 grouping under the ranked model: top k per group, groups
       // in deterministic first-occurrence order of the candidate pool.
-      const size_t n =
-          exec->use_row_subset ? exec->filtered_rows.size() : table.size();
-      exec->ranked_groups =
-          GroupPoolRows(table, table.ResolveColumns(stmt.grouping),
-                        exec->use_row_subset, exec->filtered_rows, n);
+      exec->groups =
+          GroupRowsBy(table, table.ResolveColumns(stmt.grouping),
+                      exec->use_row_subset ? &exec->filtered_rows : nullptr);
       plan_str += " -> ranked_groupby[" + exec->preference_term + ", " +
                   TopKText(stmt.top_k) + "]";
     } else {
@@ -354,66 +284,7 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
     }
     exec->exec_pref = exec_pref;
 
-    if (stmt.grouping.empty() &&
-        physical.algorithm != BmoAlgorithm::kDecomposition) {
-      // Block path: precompute the distinct-value index and compile the
-      // score table once; Run() then does only the kernel work.
-      exec->block_path = true;
-      t0 = Clock::now();
-      const std::vector<size_t>* pool_ptr =
-          exec->use_row_subset ? &exec->filtered_rows : nullptr;
-      // Zero-copy compile: numerical terms over NaN-free columns compile
-      // straight off the snapshot's column buffers, skipping the
-      // projection-index gather and dedup. Gated on a sampled
-      // distinctness probe — under heavy duplication the deduplicating
-      // gather shrinks the kernel input enough to win instead.
-      if (options.vectorize && pool_size > 0 &&
-          ScoreTable::CompilableColumnar(exec_pref, table) &&
-          LikelyMostlyDistinct(
-              table, table.ResolveColumns(exec_pref->attributes()),
-              pool_ptr)) {
-        exec->score_table =
-            ScoreTable::CompileColumnar(exec_pref, table, pool_ptr);
-        exec->zero_copy = exec->score_table.has_value();
-      }
-      if (exec->zero_copy) {
-        exec->proj.proj_schema = table.schema().Project(exec_pref->attributes());
-      } else {
-        exec->proj = BuildProjectionIndex(table, *exec_pref, pool_ptr);
-        exec->score_table = CompileAndRelease(exec_pref, options, &exec->proj);
-      }
-      exec->compile_ns += ElapsedNs(t0, Clock::now());
-      // Stage 2 — refine the costed plan with measured block statistics
-      // (exact distinct counts, injectivity, the sampled window probe):
-      // the compiled table sees the actual data, so the refined choice
-      // supersedes the estimate-level one.
-      if (costed && exec->score_table) {
-        t0 = Clock::now();
-        PlanScope scope;
-        scope.allow_decomposition = false;
-        TermStats measured =
-            MeasureTermStats(*exec->score_table, exec_pref, pool_size);
-        physical = PlanPhysical(measured, options, scope);
-        exec->optimize_ns += ElapsedNs(t0, Clock::now());
-        if (stmt.explain) {
-          optimized.plan = physical;
-          exec->plan_details = optimized.Explain();
-        }
-      }
-      exec->plan = physical;
-      if (exec->score_table) {
-        const std::string variant = exec->score_table->KernelVariant(
-            physical.algorithm == BmoAlgorithm::kParallel
-                ? BmoAlgorithm::kAuto
-                : physical.algorithm,
-            physical);
-        exec->kernel_variant = physical.algorithm == BmoAlgorithm::kParallel
-                                   ? "parallel+" + variant
-                                   : variant;
-      } else {
-        exec->kernel_variant = "closure";
-      }
-    } else if (physical.algorithm == BmoAlgorithm::kDecomposition) {
+    if (physical.algorithm == BmoAlgorithm::kDecomposition) {
       // Decomposition cascade: relation-level evaluator; materialize the
       // WHERE result once and share it.
       t0 = Clock::now();
@@ -421,73 +292,75 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
           stmt.where ? std::make_shared<const Relation>(
                            table.SelectRows(exec->filtered_rows))
                      : exec->snapshot;
-      exec->grouped = !stmt.grouping.empty();
       exec->plan = physical;
       exec->compile_ns += ElapsedNs(t0, Clock::now());
       exec->kernel_variant = "closure";  // Prop 11 cascade, closure order
     } else {
-      // GROUPING path: group the candidate pool once and cache one
-      // compiled plan per group (projection index, score table, refined
-      // PhysicalPlan), so warm runs do only per-group kernel work.
-      exec->grouped = true;
+      // Stage 2 — compile each block once and refine its plan with the
+      // measured block statistics (exact distinct counts, injectivity,
+      // the sampled window probe): one block over the candidate pool, or
+      // one per group (Def. 16), so warm runs do only kernel work.
       t0 = Clock::now();
-      for (std::vector<size_t>& rows : GroupPoolRows(
-               table, table.ResolveColumns(stmt.grouping),
-               exec->use_row_subset, exec->filtered_rows, pool_size)) {
-        exec->groups.emplace_back();
-        exec->groups.back().rows = std::move(rows);
+      const std::vector<size_t>* pool_ptr =
+          exec->use_row_subset ? &exec->filtered_rows : nullptr;
+      PlanScope scope;
+      scope.allow_decomposition = false;
+      if (stmt.grouping.empty()) {
+        exec->blocks.push_back(
+            CompileBlock(table, exec_pref, pool_ptr, options, scope));
+      } else {
+        exec->groups = GroupRowsBy(
+            table, table.ResolveColumns(stmt.grouping), pool_ptr);
+        // Multiple groups saturate the pool themselves; a single
+        // (degenerate) group runs inline, so partition-parallelism inside
+        // it stays on the table.
+        scope.allow_parallel = exec->groups.size() == 1;
+        exec->blocks.reserve(exec->groups.size());
+        for (const std::vector<size_t>& rows : exec->groups) {
+          exec->blocks.push_back(
+              CompileBlock(table, exec_pref, &rows, options, scope));
+        }
       }
-      PlanScope group_scope;
-      // Multiple groups saturate the pool themselves; a single
-      // (degenerate) group runs inline, so partition-parallelism inside
-      // it stays on the table — the pre-plan behavior for skewed
-      // grouping keys.
-      group_scope.allow_parallel = exec->groups.size() == 1;
-      group_scope.allow_decomposition = false;
-      for (Exec::GroupExec& group : exec->groups) {
-        group.proj = BuildProjectionIndex(table, *exec_pref, &group.rows);
-        group.table = CompileAndRelease(exec_pref, options, &group.proj);
-        if (options.algorithm == BmoAlgorithm::kAuto) {
-          TermStats group_stats =
-              group.table
-                  ? MeasureTermStats(*group.table, exec_pref,
-                                     group.rows.size())
-                  : EstimateClosureBlockStats(group.proj.values.size(),
-                                              group.rows.size(), exec_pref);
-          group.plan = PlanPhysical(group_stats, options, group_scope);
-        } else {
-          group.plan = PhysicalPlan::FromOptions(options);
-          if (group.plan.algorithm == BmoAlgorithm::kParallel &&
-              exec->groups.size() > 1) {
-            group.plan.algorithm = BmoAlgorithm::kAuto;
+      uint64_t plan_ns = 0;
+      for (const CompiledBlock& block : exec->blocks) {
+        plan_ns += block.plan_ns;
+      }
+      exec->compile_ns += ElapsedNs(t0, Clock::now()) - plan_ns;
+      exec->optimize_ns += plan_ns;
+      if (stmt.grouping.empty()) {
+        // The block saw the actual data, so its plan supersedes the
+        // estimate-level one.
+        exec->plan = exec->blocks[0].plan;
+        if (costed && stmt.explain) {
+          optimized.plan = exec->plan;
+          exec->plan_details = optimized.Explain();
+        }
+        exec->kernel_variant = exec->blocks[0].KernelVariant();
+      } else {
+        // The grouped statement's estimate is the sum of the per-group
+        // plans actually executed — the stage-1 table-level estimate
+        // would make EXPLAIN's estimated-vs-actual comparison meaningless.
+        if (costed) {
+          physical.estimated_ns = 0.0;
+          for (const CompiledBlock& block : exec->blocks) {
+            physical.estimated_ns += block.plan.estimated_ns;
+          }
+          if (stmt.explain) {
+            // The cost table above is the stage-1 table-level view; make
+            // explicit that execution runs one refined plan per group and
+            // that the reported estimate is their sum.
+            exec->plan_details +=
+                "grouping: " + std::to_string(exec->groups.size()) +
+                " group(s), plans refined per group; estimated cost is "
+                "the per-group sum\n";
           }
         }
-      }
-      // The grouped statement's estimate is the sum of the per-group
-      // plans actually executed — the stage-1 table-level estimate would
-      // make EXPLAIN's estimated-vs-actual comparison meaningless.
-      if (options.algorithm == BmoAlgorithm::kAuto) {
-        physical.estimated_ns = 0.0;
-        for (const Exec::GroupExec& group : exec->groups) {
-          physical.estimated_ns += group.plan.estimated_ns;
-        }
-        if (stmt.explain) {
-          // The cost table above is the stage-1 table-level view; make
-          // explicit that execution runs one refined plan per group and
-          // that the reported estimate is their sum.
-          exec->plan_details +=
-              "grouping: " + std::to_string(exec->groups.size()) +
-              " group(s), plans refined per group; estimated cost is "
-              "the per-group sum\n";
-        }
-      }
-      exec->plan = physical;
-      exec->compile_ns += ElapsedNs(t0, Clock::now());
-      if (options.vectorize && ScoreTable::CompilableTerm(exec_pref)) {
-        exec->kernel_variant = std::string("per-group[") +
-                               simd::ResolveKernel(options.simd).name + "]";
-      } else {
-        exec->kernel_variant = "closure";
+        exec->plan = physical;
+        exec->kernel_variant =
+            options.vectorize && ScoreTable::CompilableTerm(exec_pref)
+                ? std::string("per-group[") +
+                      simd::ResolveKernel(options.simd).name + "]"
+                : "closure";
       }
     }
     plan_str += std::string(stmt.grouping.empty() ? " -> bmo[" : " -> bmo_groupby[") +
@@ -495,12 +368,8 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
                 BmoAlgorithmName(exec->plan.algorithm) +
                 ", kernel=" + exec->kernel_variant + "]";
     if (stmt.explain && !exec->plan_details.empty()) {
-      exec->plan_details += "kernel: " + exec->kernel_variant + "\n";
-      if (exec->block_path && exec->score_table) {
-        exec->plan_details += std::string("compile: ") +
-                              (exec->zero_copy ? "zero-copy" : "gather") +
-                              "\n";
-      }
+      exec->plan_details += "kernel: " + exec->kernel_variant + "\n" +
+                            CompilePaths(exec->blocks, !stmt.grouping.empty());
     }
   }
 
@@ -522,7 +391,6 @@ psql::QueryResult ExecuteExec(const Plan& plan, const Exec& exec) {
   Relation current;
   std::vector<double> utilities;
   const bool subset = exec.use_row_subset;
-  const size_t pool_size = subset ? exec.filtered_rows.size() : table.size();
 
   if (exec.ivm) {
     // Maintained view: the result row set is already known exactly.
@@ -531,7 +399,7 @@ psql::QueryResult ExecuteExec(const Plan& plan, const Exec& exec) {
     // WHERE and BUT ONLY were folded into the candidate pool at compile.
     std::vector<size_t> rows;
     if (!stmt.grouping.empty()) {
-      for (const auto& group : exec.ranked_groups) {
+      for (const auto& group : exec.groups) {
         RankedRows rr = TopKRows(table, exec.utility, stmt.top_k, &group);
         for (size_t i = 0; i < rr.rows.size(); ++i) {
           rows.push_back(group[rr.rows[i]]);
@@ -548,60 +416,28 @@ psql::QueryResult ExecuteExec(const Plan& plan, const Exec& exec) {
     }
     current = table.SelectRows(rows);
   } else if (plan.preference) {
-    if (exec.block_path) {
-      std::vector<size_t> rows;
-      AppendMaximalRows(exec.exec_pref, exec.proj,
-                        exec.score_table ? &*exec.score_table : nullptr,
-                        exec.plan, pool_size,
-                        subset ? &exec.filtered_rows : nullptr, &rows);
-      current = table.SelectRows(rows);
-    } else if (exec.filtered) {
+    if (exec.filtered) {
       // Decomposition cascade (grouped or not): relation-level evaluator
       // over the materialized WHERE result.
       BmoOptions run_options;
       run_options.algorithm = BmoAlgorithm::kDecomposition;
-      run_options.num_threads = exec.plan.num_threads;
-      run_options.vectorize = exec.plan.vectorize;
-      run_options.simd = exec.plan.simd;
-      run_options.bnl_tile_rows = exec.plan.bnl_tile_rows;
-      current = exec.grouped
-                    ? BmoGroupBy(*exec.filtered, exec.exec_pref,
-                                 stmt.grouping, run_options)
-                    : Bmo(*exec.filtered, exec.exec_pref, run_options);
-    } else {
-      // GROUPING: per-group kernel work over the cached per-group plans
-      // and compiled tables.
+      current = stmt.grouping.empty()
+                    ? Bmo(*exec.filtered, exec.exec_pref, run_options)
+                    : BmoGroupBy(*exec.filtered, exec.exec_pref,
+                                 stmt.grouping, run_options);
+    } else if (stmt.grouping.empty()) {
       std::vector<size_t> rows;
-      auto run_group = [&exec](const Exec::GroupExec& group,
-                               std::vector<size_t>* out) {
-        // kParallel only ever reaches here for a single (degenerate)
-        // group, which runs inline — the pool is free for the fan-out.
-        AppendMaximalRows(exec.exec_pref, group.proj,
-                          group.table ? &*group.table : nullptr, group.plan,
-                          group.rows.size(), &group.rows, out);
-      };
-      ThreadPool& pool = ThreadPool::Shared();
-      const size_t threads =
-          ThreadPool::ResolveThreads(exec.plan.num_threads);
-      if (exec.groups.size() > 1 && threads > 1 && !pool.OnWorkerThread()) {
-        std::vector<std::vector<size_t>> results(exec.groups.size());
-        pool.ParallelForChunks(
-            exec.groups.size(), threads, 1,
-            [&exec, &results, &run_group](size_t, size_t begin, size_t end) {
-              for (size_t g = begin; g < end; ++g) {
-                run_group(exec.groups[g], &results[g]);
-              }
-            });
-        for (const auto& group_rows : results) {
-          rows.insert(rows.end(), group_rows.begin(), group_rows.end());
-        }
-      } else {
-        for (const Exec::GroupExec& group : exec.groups) {
-          run_group(group, &rows);
-        }
-      }
-      std::sort(rows.begin(), rows.end());
+      AppendMaximalRows(exec.exec_pref, exec.blocks[0],
+                        subset ? &exec.filtered_rows : nullptr, &rows);
       current = table.SelectRows(rows);
+    } else {
+      // GROUPING: per-group kernel work over the cached blocks.
+      current = table.SelectRows(GroupMaximalRows(
+          exec.groups.size(), exec.plan.num_threads,
+          [&exec](size_t g, std::vector<size_t>* out) {
+            AppendMaximalRows(exec.exec_pref, exec.blocks[g],
+                              &exec.groups[g], out);
+          }));
     }
     if (exec.but_only) {
       current = current.Filter(exec.but_only);

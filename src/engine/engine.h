@@ -12,14 +12,17 @@
 //                                     parsed AST + translated preference
 //                                     term (data-independent);
 //                     - exec cache:   (statement, table version, options) ->
-//                                     the PhysicalPlan, WHERE row set,
-//                                     32-bit row map onto the distinct
-//                                     values and compiled ScoreTable —
-//                                     including per-group plans +
-//                                     compiled state for GROUPING
-//                                     statements (data-dependent). A
-//                                     compiled entry holds row maps and
-//                                     score buffers, not projected
+//                                     the PhysicalPlan, WHERE row set and
+//                                     the compiled blocks — one over the
+//                                     candidate pool, or one per group
+//                                     for GROUPING statements — each
+//                                     built by the same compile -> plan
+//                                     unit Bmo/BmoGroupBy use
+//                                     (internal::CompileBlock in
+//                                     eval/bmo_internal.h; data-
+//                                     dependent). A block holds its
+//                                     32-bit row map, score table and
+//                                     refined plan, not projected
 //                                     Tuples; only the closure fallback
 //                                     (terms that do not compile) keeps
 //                                     the Tuples its kernels read.

@@ -1,9 +1,10 @@
 #include "eval/bmo.h"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <numeric>
-#include <optional>
+#include <functional>
 
 #include "core/numeric_preferences.h"
 #include "eval/bmo_internal.h"
@@ -301,16 +302,7 @@ namespace internal {
 std::vector<bool> ComputeMaximaBlock(const Tuple* values, size_t count,
                                      const PrefPtr& p,
                                      const Schema& proj_schema,
-                                     const PhysicalPlan& plan) {
-  BmoAlgorithm algo = plan.algorithm;
-  if (plan.vectorize) {
-    if (auto table = ScoreTable::Compile(p, proj_schema, values, count)) {
-      // kAuto resolves with the table's data-aware rules; ineligible
-      // requests degrade to BNL inside MaximaRange.
-      return table->MaximaRange(algo, 0, count, plan);
-    }
-  }
-  // Closure path: the naive oracle on request, the BNL window otherwise.
+                                     BmoAlgorithm algo) {
   const LessFn less = p->Bind(proj_schema);
   return algo == BmoAlgorithm::kNaive ? MaximaNaiveRange(values, count, less)
                                       : MaximaBnlRange(values, count, less);
@@ -327,45 +319,113 @@ std::vector<bool> ExecuteBlockPlan(const Tuple* values, size_t count,
   if (table != nullptr) {
     return table->MaximaRange(plan.algorithm, 0, count, plan);
   }
-  PhysicalPlan closure_plan = plan;
-  closure_plan.vectorize = false;  // compilation was already attempted
-  return ComputeMaximaBlock(values, count, p, proj_schema, closure_plan);
+  return ComputeMaximaBlock(values, count, p, proj_schema, plan.algorithm);
 }
 
-std::vector<bool> ExecuteBlockPlan(const std::vector<Tuple>& values,
-                                   const PrefPtr& p,
-                                   const Schema& proj_schema,
-                                   const ScoreTable* table,
-                                   const PhysicalPlan& plan) {
-  return ExecuteBlockPlan(values.data(), values.size(), p, proj_schema, table,
-                          plan);
+std::string CompiledBlock::KernelVariant() const {
+  if (!table) return "closure";
+  if (plan.algorithm == BmoAlgorithm::kParallel) {
+    return ParallelKernelVariant(*table, plan);
+  }
+  return table->KernelVariant(plan.algorithm, plan);
+}
+
+size_t CompiledBlock::HeapBytes() const {
+  return VectorBytes(proj.row_to_value) + VectorBytes(proj.values) +
+         proj.values.size() * proj.proj_schema.size() * sizeof(Value) +
+         (table ? table->HeapBytes() : 0);
+}
+
+CompiledBlock CompileBlock(const Relation& r, const PrefPtr& p,
+                           const std::vector<size_t>* rows,
+                           const BmoOptions& options, const PlanScope& scope) {
+  CompiledBlock block;
+  const size_t pool_size = rows ? rows->size() : r.size();
+  // Zero-copy: compile straight off the column buffers — no projection
+  // index, no dedup, identity row map. Gated on a sampled distinctness
+  // probe: under heavy duplication the deduplicating gather shrinks the
+  // kernel input enough to win instead.
+  if (options.vectorize && pool_size > 0 &&
+      ScoreTable::CompilableColumnar(p, r) &&
+      LikelyMostlyDistinct(r, r.ResolveColumns(p->attributes()), rows)) {
+    block.table = ScoreTable::CompileColumnar(p, r, rows);
+    block.zero_copy = block.table.has_value();
+  }
+  if (block.zero_copy) {
+    block.proj.proj_schema = r.schema().Project(p->attributes());
+  } else {
+    block.proj = BuildProjectionIndex(r, *p, rows);
+    if (options.vectorize && !block.proj.values.empty()) {
+      block.table = ScoreTable::Compile(p, block.proj.proj_schema,
+                                        block.proj.values.data(),
+                                        block.proj.values.size());
+      // The kernels read only the table; the row map still ties
+      // candidates to its rows.
+      if (block.table) std::vector<Tuple>().swap(block.proj.values);
+    }
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  TermStats stats;
+  if (options.algorithm == BmoAlgorithm::kAuto) {
+    stats = block.table ? MeasureTermStats(*block.table, p, pool_size)
+                        : EstimateClosureBlockStats(block.proj.values.size(),
+                                                    pool_size, p);
+  }
+  block.plan = PlanPhysical(stats, options, scope);
+  if (!scope.allow_parallel &&
+      block.plan.algorithm == BmoAlgorithm::kParallel) {
+    block.plan.algorithm = BmoAlgorithm::kAuto;
+  }
+  block.plan_ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  return block;
+}
+
+void AppendMaximalRows(const PrefPtr& p, const CompiledBlock& block,
+                       const std::vector<size_t>* rows,
+                       std::vector<size_t>* out) {
+  const ScoreTable* table = block.table ? &*block.table : nullptr;
+  const size_t distinct = table ? table->rows() : block.proj.values.size();
+  if (distinct == 0) return;
+  const std::vector<bool> maximal = ExecuteBlockPlan(
+      table ? nullptr : block.proj.values.data(), distinct, p,
+      block.proj.proj_schema, table, block.plan);
+  const size_t pool_size =
+      block.zero_copy ? distinct : block.proj.row_to_value.size();
+  for (size_t i = 0; i < pool_size; ++i) {
+    if (maximal[block.zero_copy ? i : block.proj.row_to_value[i]]) {
+      out->push_back(rows ? (*rows)[i] : i);
+    }
+  }
+}
+
+std::vector<size_t> GroupMaximalRows(
+    size_t num_groups, size_t num_threads,
+    const std::function<void(size_t, std::vector<size_t>*)>& group_maxima) {
+  std::vector<size_t> out;
+  ThreadPool& pool = ThreadPool::Shared();
+  const size_t threads = ThreadPool::ResolveThreads(num_threads);
+  if (num_groups > 1 && threads > 1 && !pool.OnWorkerThread()) {
+    std::vector<std::vector<size_t>> results(num_groups);
+    pool.ParallelForChunks(num_groups, threads, 1,
+                           [&](size_t, size_t begin, size_t end) {
+                             for (size_t g = begin; g < end; ++g) {
+                               group_maxima(g, &results[g]);
+                             }
+                           });
+    for (const std::vector<size_t>& rows : results) {
+      out.insert(out.end(), rows.begin(), rows.end());
+    }
+  } else {
+    for (size_t g = 0; g < num_groups; ++g) group_maxima(g, &out);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace internal
-
-namespace {
-
-/// Plans one distinct-value block: measured statistics from the compiled
-/// table when available (exact column distinct counts + the sampled
-/// window probe), a cheap structural estimate otherwise. Relation-level
-/// decomposition is not considered here — the optimizer routes it before
-/// the block is materialized.
-PhysicalPlan PlanBlock(const ProjectionIndex& proj, const PrefPtr& p,
-                       const ScoreTable* table, size_t input_rows,
-                       const BmoOptions& options) {
-  PlanScope scope;
-  scope.allow_decomposition = false;
-  if (options.algorithm != BmoAlgorithm::kAuto) {
-    return PlanPhysical(TermStats{}, options, scope);
-  }
-  TermStats stats =
-      table != nullptr
-          ? MeasureTermStats(*table, p, input_rows)
-          : EstimateClosureBlockStats(proj.values.size(), input_rows, p);
-  return PlanPhysical(stats, options, scope);
-}
-
-}  // namespace
 
 std::vector<size_t> BmoIndices(const Relation& r, const PrefPtr& p,
                                const BmoOptions& options) {
@@ -373,39 +433,12 @@ std::vector<size_t> BmoIndices(const Relation& r, const PrefPtr& p,
   if (options.algorithm == BmoAlgorithm::kDecomposition) {
     return BmoDecompositionIndices(r, p);
   }
-  // Zero-copy fast path: compile straight off the column buffers — no
-  // projection index, no dedup, identity row mapping. Gated on a sampled
-  // distinctness probe: with heavy duplication the deduplicating gather
-  // below shrinks the kernel input enough to win instead.
-  if (options.vectorize && ScoreTable::CompilableColumnar(p, r) &&
-      LikelyMostlyDistinct(r, r.ResolveColumns(p->attributes()))) {
-    if (auto table = ScoreTable::CompileColumnar(p, r)) {
-      Schema proj_schema = r.schema().Project(p->attributes());
-      PhysicalPlan plan =
-          PlanBlock(ProjectionIndex{}, p, &*table, r.size(), options);
-      std::vector<bool> maximal = internal::ExecuteBlockPlan(
-          nullptr, r.size(), p, proj_schema, &*table, plan);
-      std::vector<size_t> rows;
-      for (size_t i = 0; i < r.size(); ++i) {
-        if (maximal[i]) rows.push_back(i);
-      }
-      return rows;
-    }
-  }
-  ProjectionIndex proj = BuildProjectionIndex(r, *p);
-  std::optional<ScoreTable> table;
-  if (options.vectorize && !proj.values.empty()) {
-    table = ScoreTable::Compile(p, proj.proj_schema, proj.values.data(),
-                                proj.values.size());
-  }
-  PhysicalPlan plan =
-      PlanBlock(proj, p, table ? &*table : nullptr, r.size(), options);
-  std::vector<bool> maximal = internal::ExecuteBlockPlan(
-      proj.values, p, proj.proj_schema, table ? &*table : nullptr, plan);
+  PlanScope scope;
+  scope.allow_decomposition = false;
   std::vector<size_t> rows;
-  for (size_t i = 0; i < r.size(); ++i) {
-    if (maximal[proj.row_to_value[i]]) rows.push_back(i);
-  }
+  internal::AppendMaximalRows(
+      p, internal::CompileBlock(r, p, nullptr, options, scope), nullptr,
+      &rows);
   return rows;
 }
 
@@ -413,70 +446,27 @@ Relation Bmo(const Relation& r, const PrefPtr& p, const BmoOptions& options) {
   return r.SelectRows(BmoIndices(r, p, options));
 }
 
-namespace {
-
-// σ[P] row indices for one group, projecting the group's rows in place
-// (no SelectRows deep copy). Appends qualifying *global* row indices.
-void BmoGroupMaxima(const Relation& r, const std::vector<size_t>& rows,
-                    const PrefPtr& p, const PhysicalPlan& plan,
-                    std::vector<size_t>* out) {
-  ProjectionIndex proj = BuildProjectionIndex(r, *p, &rows);
-  std::vector<bool> maximal =
-      internal::ComputeMaximaBlock(proj.values, p, proj.proj_schema, plan);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (maximal[proj.row_to_value[i]]) out->push_back(rows[i]);
-  }
-}
-
-}  // namespace
-
 std::vector<size_t> BmoGroupByIndices(
     const Relation& r, const PrefPtr& p,
     const std::vector<std::string>& group_attrs, const BmoOptions& options) {
   if (r.empty()) return {};
-  std::vector<size_t> group_cols = r.ResolveColumns(group_attrs);
-  auto groups = r.GroupIndicesBy(group_cols);
-  std::vector<size_t> out;
-
-  ThreadPool& pool = ThreadPool::Shared();
-  const size_t threads = ThreadPool::ResolveThreads(options.num_threads);
-  // The decomposition evaluator is relation-level (it cascades through
-  // BmoDecompositionIndices), so it keeps the materializing path; every
-  // block algorithm runs straight off the groups' row lists. Per-group
-  // evaluation never nests kParallel: groups already saturate the pool.
-  if (options.algorithm != BmoAlgorithm::kDecomposition && groups.size() > 1 &&
-      threads > 1 && !pool.OnWorkerThread()) {
-    std::vector<const std::vector<size_t>*> group_rows;
-    group_rows.reserve(groups.size());
-    for (const auto& [key, rows] : groups) group_rows.push_back(&rows);
-    // Per-group pass-through plan: the block algorithm resolves
-    // data-aware inside each group (groups already saturate the pool, so
-    // kParallel never nests).
-    PhysicalPlan group_plan = PhysicalPlan::FromOptions(options);
-    if (group_plan.algorithm == BmoAlgorithm::kParallel) {
-      group_plan.algorithm = BmoAlgorithm::kAuto;
-    }
-    std::vector<std::vector<size_t>> results(group_rows.size());
-    pool.ParallelForChunks(
-        group_rows.size(), threads, 1,
-        [&](size_t, size_t begin, size_t end) {
-          for (size_t g = begin; g < end; ++g) {
-            BmoGroupMaxima(r, *group_rows[g], p, group_plan, &results[g]);
-          }
-        });
-    for (const auto& rows : results) {
-      out.insert(out.end(), rows.begin(), rows.end());
-    }
-  } else {
-    for (const auto& [key, rows] : groups) {
-      Relation group = r.SelectRows(rows);
-      for (size_t local : BmoIndices(group, p, options)) {
-        out.push_back(rows[local]);
-      }
-    }
+  if (options.algorithm == BmoAlgorithm::kDecomposition) {
+    return BmoDecompositionGroupByIndices(r, p, group_attrs);
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  const std::vector<std::vector<size_t>> groups =
+      GroupRowsBy(r, r.ResolveColumns(group_attrs));
+  PlanScope scope;
+  scope.allow_decomposition = false;
+  // Several groups already saturate the pool; a single group keeps
+  // partition-parallelism inside its block.
+  scope.allow_parallel = groups.size() == 1;
+  return internal::GroupMaximalRows(
+      groups.size(), options.num_threads,
+      [&](size_t g, std::vector<size_t>* out) {
+        internal::AppendMaximalRows(
+            p, internal::CompileBlock(r, p, &groups[g], options, scope),
+            &groups[g], out);
+      });
 }
 
 Relation BmoGroupBy(const Relation& r, const PrefPtr& p,

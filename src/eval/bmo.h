@@ -18,7 +18,8 @@
 //                    Props 8-12 (see eval/decomposition.h)
 //   kParallel        partition-and-merge parallel evaluation on a worker
 //                    pool (see exec/parallel_bmo.h); each partition runs
-//                    the auto-resolved sequential algorithm
+//                    the table's data-aware algorithm (D&C on exact
+//                    flat-Pareto tables)
 //   kAuto            cost-based: the statistics subsystem (stats/stats.h)
 //                    measures the block (distinct counts, injectivity, a
 //                    sampled window probe) and the calibrated cost model
@@ -32,6 +33,14 @@
 // evaluate through the preference's closures with two algorithms: kNaive
 // (the reference oracle every other path is tested against) and BNL, to
 // which every other request degrades.
+//
+// One pipeline: every evaluation — Bmo, each group of BmoGroupBy, and the
+// engine's cached statements (engine/engine.h) — compiles one block per
+// candidate pool through internal::CompileBlock (eval/bmo_internal.h):
+// zero-copy off the column buffers when the term allows it and the pool
+// is mostly distinct, the deduplicating gather otherwise, then plans it.
+// Grouping is that evaluation run once per group, fanned out across the
+// worker pool.
 
 #ifndef PREFDB_EVAL_BMO_H_
 #define PREFDB_EVAL_BMO_H_
@@ -54,6 +63,8 @@ enum class BmoAlgorithm {
   kParallel,
 };
 
+/// The algorithm's SQL/wire name ("auto", "bnl", "dc", ...); "?" for a
+/// value past the last enumerator.
 const char* BmoAlgorithmName(BmoAlgorithm algo);
 
 /// Which batch dominance kernel the compiled score-table paths run
@@ -69,6 +80,8 @@ enum class SimdMode : uint8_t {
   kAvx2,
 };
 
+/// The mode's SQL/wire name ("auto", "scalar", "avx2"); "?" for a value
+/// past the last enumerator.
 const char* SimdModeName(SimdMode mode);
 
 /// The caller-facing execution *request*. These knobs are inputs to the
@@ -107,8 +120,9 @@ Relation Bmo(const Relation& r, const PrefPtr& p, const BmoOptions& options = {}
 std::vector<size_t> BmoIndices(const Relation& r, const PrefPtr& p,
                                const BmoOptions& options = {});
 
-/// Evaluates σ[P groupby A](R) (Def. 16): grouping by equal A-values, then
-/// BMO per group.
+/// Evaluates σ[P groupby A](R) (Def. 16): grouping by equal A-values
+/// (GroupRowsBy), then σ[P] per group — in parallel across groups when
+/// there are several (a single group keeps kParallel inside its block).
 Relation BmoGroupBy(const Relation& r, const PrefPtr& p,
                     const std::vector<std::string>& group_attrs,
                     const BmoOptions& options = {});

@@ -1,43 +1,93 @@
-// Internals shared by eval/bmo.cc and the exec/ parallel engine: maxima
-// computation over a block of distinct projected values, steered by a
-// PhysicalPlan. Not part of the public API surface.
+// Internals shared by eval/bmo.cc, the engine and the exec/ parallel
+// engine: the one BMO block pipeline (compile -> plan -> run) and the
+// maxima dispatch over a block of distinct projected values. Not part of
+// the public API surface.
 
 #ifndef PREFDB_EVAL_BMO_INTERNAL_H_
 #define PREFDB_EVAL_BMO_INTERNAL_H_
 
+#include <cstdint>
+#include <functional>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/preference.h"
 #include "eval/bmo.h"
 #include "eval/physical_plan.h"
-
-namespace prefdb {
-class ScoreTable;
-}  // namespace prefdb
+#include "exec/score_table.h"
+#include "relation/relation.h"
 
 namespace prefdb::internal {
 
-/// Maximal-value flags for the `count` values at `values`, under p bound
-/// against proj_schema, executing `plan`: its algorithm (kAuto resolves
-/// data-aware per block via the compiled table when plan.vectorize and
-/// the term compiles), its vectorize switch and its kernel fields (SIMD
-/// mode, BNL tile size). The closure path runs kNaive as requested and
-/// BNL for everything else. Takes a raw range so partition-parallel
-/// callers can evaluate contiguous slices without copying tuples.
-/// kParallel and kDecomposition are relation-level strategies, not block
-/// algorithms; they fall back to BNL here.
+template <typename T>
+size_t VectorBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+/// σ[P] over one candidate pool, compiled and planned: everything a run
+/// reads, and nothing else. The engine caches one per ungrouped statement
+/// and one per GROUPING group; Bmo/BmoGroupBy build them transiently.
+struct CompiledBlock {
+  /// Projected schema and the 32-bit row map from pool positions to
+  /// table rows (empty after a zero-copy compile: table row i is pool
+  /// position i). `proj.values` holds the distinct projected Tuples only
+  /// when nothing compiled — the closure kernels read them.
+  ProjectionIndex proj;
+  std::optional<ScoreTable> table;
+  PhysicalPlan plan;
+  /// The table was compiled straight off the column buffers.
+  bool zero_copy = false;
+  /// Part of CompileBlock's wall time spent planning (statistics + cost
+  /// model), so callers can report it apart from compilation.
+  uint64_t plan_ns = 0;
+
+  /// Label of the kernel a run executes (QueryStats.kernel): the table's
+  /// variant for the planned algorithm, "parallel+<partition variant>"
+  /// under kParallel, "closure" when nothing compiled.
+  std::string KernelVariant() const;
+  /// Heap bytes: row map, retained Tuples and their Value cells (string
+  /// payloads past the inline buffer not counted) and the table.
+  size_t HeapBytes() const;
+};
+
+/// Compiles and plans σ[P](R) over `rows` of `r` (null = every row):
+///   1. zero-copy when the request vectorizes, the term compiles off the
+///      column buffers and the pool is likely mostly distinct;
+///   2. otherwise the deduplicating gather (projection index) and
+///      ScoreTable::Compile, releasing the Tuples when it succeeds;
+///   3. kAuto plans with measured table statistics (a structural estimate
+///      on the closure path) under `scope`; an explicit algorithm is a
+///      pass-through plan. Without scope.allow_parallel, kParallel
+///      becomes kAuto (the caller already fans out across blocks).
+/// kDecomposition is relation-level: callers route it before this.
+CompiledBlock CompileBlock(const Relation& r, const PrefPtr& p,
+                           const std::vector<size_t>* rows,
+                           const BmoOptions& options, const PlanScope& scope);
+
+/// Runs a compiled block and appends the qualifying pool positions to
+/// `out` as global rows through `rows` (null = identity), ascending.
+void AppendMaximalRows(const PrefPtr& p, const CompiledBlock& block,
+                       const std::vector<size_t>* rows,
+                       std::vector<size_t>* out);
+
+/// The grouped fan-out of σ[P groupby A](R): calls `group_maxima(g, out)`
+/// for each of `num_groups` groups — across the shared pool when there is
+/// more than one group, more than one thread, and the caller is not a
+/// pool worker — and returns the union of the appended rows, sorted.
+std::vector<size_t> GroupMaximalRows(
+    size_t num_groups, size_t num_threads,
+    const std::function<void(size_t, std::vector<size_t>*)>& group_maxima);
+
+/// Closure-path maximal-value flags for the `count` values at `values`,
+/// under p bound against proj_schema: the naive oracle for kNaive, the
+/// BNL window for every other algorithm. Takes a raw range so
+/// partition-parallel callers can evaluate contiguous slices without
+/// copying tuples.
 std::vector<bool> ComputeMaximaBlock(const Tuple* values, size_t count,
                                      const PrefPtr& p,
                                      const Schema& proj_schema,
-                                     const PhysicalPlan& plan);
-
-inline std::vector<bool> ComputeMaximaBlock(const std::vector<Tuple>& values,
-                                            const PrefPtr& p,
-                                            const Schema& proj_schema,
-                                            const PhysicalPlan& plan) {
-  return ComputeMaximaBlock(values.data(), values.size(), p, proj_schema,
-                            plan);
-}
+                                     BmoAlgorithm algo);
 
 /// Executes a planned block over an (optionally) precompiled table — the
 /// one dispatch every consumer shares: kParallel routes to the
@@ -47,11 +97,6 @@ inline std::vector<bool> ComputeMaximaBlock(const std::vector<Tuple>& values,
 /// `table` is non-null (the zero-copy columnar compile has no
 /// materialized value block); every table-backed path reads only `count`.
 std::vector<bool> ExecuteBlockPlan(const Tuple* values, size_t count,
-                                   const PrefPtr& p, const Schema& proj_schema,
-                                   const ScoreTable* table,
-                                   const PhysicalPlan& plan);
-
-std::vector<bool> ExecuteBlockPlan(const std::vector<Tuple>& values,
                                    const PrefPtr& p, const Schema& proj_schema,
                                    const ScoreTable* table,
                                    const PhysicalPlan& plan);

@@ -41,22 +41,6 @@ std::vector<size_t> FallbackIndices(const Relation& r, const PrefPtr& p) {
   return BmoIndices(r, p, {BmoAlgorithm::kBlockNestedLoop});
 }
 
-// σ[P groupby A](R) with recursive decomposition inside each group.
-std::vector<size_t> GroupByIndices(const Relation& r, const PrefPtr& p,
-                                   const std::vector<std::string>& attrs) {
-  std::vector<size_t> group_cols = r.ResolveColumns(attrs);
-  auto groups = r.GroupIndicesBy(group_cols);
-  std::vector<size_t> out;
-  for (const auto& [key, rows] : groups) {
-    Relation group = r.SelectRows(rows);
-    for (size_t local : BmoDecompositionIndices(group, p)) {
-      out.push_back(rows[local]);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::vector<size_t> Remap(const std::vector<size_t>& outer,
                           const std::vector<size_t>& inner) {
   std::vector<size_t> out;
@@ -67,6 +51,21 @@ std::vector<size_t> Remap(const std::vector<size_t>& outer,
 }
 
 }  // namespace
+
+std::vector<size_t> BmoDecompositionGroupByIndices(
+    const Relation& r, const PrefPtr& p,
+    const std::vector<std::string>& attrs) {
+  std::vector<size_t> out;
+  for (const std::vector<size_t>& rows :
+       GroupRowsBy(r, r.ResolveColumns(attrs))) {
+    Relation group = r.SelectRows(rows);
+    for (size_t local : BmoDecompositionIndices(group, p)) {
+      out.push_back(rows[local]);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
 
 std::vector<size_t> NonMaximalIndices(const Relation& r, const PrefPtr& p) {
   std::vector<size_t> max_rows = BmoIndices(r, p, {});
@@ -150,7 +149,8 @@ std::vector<size_t> BmoDecompositionIndices(const Relation& r,
       }
       // Prop 10: σ[P1](R) ∩ σ[P2 groupby A1](R).
       std::vector<size_t> left = BmoDecompositionIndices(r, p1);
-      std::vector<size_t> right = GroupByIndices(r, p2, p1->attributes());
+      std::vector<size_t> right =
+          BmoDecompositionGroupByIndices(r, p2, p1->attributes());
       return Relation::IndexIntersect(left, right);
     }
     case PreferenceKind::kPareto: {

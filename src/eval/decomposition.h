@@ -11,6 +11,7 @@
 #ifndef PREFDB_EVAL_DECOMPOSITION_H_
 #define PREFDB_EVAL_DECOMPOSITION_H_
 
+#include <string>
 #include <vector>
 
 #include "core/preference.h"
@@ -24,6 +25,12 @@ namespace prefdb {
 /// back to a generic window algorithm.
 std::vector<size_t> BmoDecompositionIndices(const Relation& r,
                                             const PrefPtr& p);
+
+/// σ[P groupby A](R) (Def. 16) with the decomposition evaluator run inside
+/// each group; row indices sorted ascending.
+std::vector<size_t> BmoDecompositionGroupByIndices(
+    const Relation& r, const PrefPtr& p,
+    const std::vector<std::string>& attrs);
 
 /// YY(P1, P2)_R of Def. 17c: rows whose projection is non-maximal in both
 /// (P1)_R and (P2)_R yet has no common dominator within R[A]. The two

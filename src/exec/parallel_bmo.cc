@@ -42,7 +42,24 @@ std::vector<size_t> MergeAntichains(const Tuple* values, const LessFn& less,
   return out;
 }
 
+// The algorithm every partition runs: the plan's partition_algorithm,
+// kAuto resolved by the table's data-aware rules (D&C on exact
+// flat-Pareto tables). The closure path runs naive or BNL (kAuto
+// resolves to BNL there).
+BmoAlgorithm PartitionAlgorithm(const PhysicalPlan& plan,
+                                const ScoreTable* table) {
+  BmoAlgorithm algo = plan.partition_algorithm;
+  if (algo == BmoAlgorithm::kAuto && table) algo = table->ResolveAlgorithm();
+  return algo;
+}
+
 }  // namespace
+
+std::string ParallelKernelVariant(const ScoreTable& table,
+                                  const PhysicalPlan& plan) {
+  return "parallel+" +
+         table.KernelVariant(PartitionAlgorithm(plan, &table), plan);
+}
 
 std::vector<bool> MaximaParallel(const std::vector<Tuple>& values,
                                  const PrefPtr& p, const Schema& proj_schema,
@@ -76,15 +93,7 @@ std::vector<bool> MaximaParallel(const Tuple* values, size_t m,
     if (local_table) table = &*local_table;
   }
 
-  // The closure path runs naive or BNL (kAuto resolves to BNL there).
-  BmoAlgorithm algo = plan.partition_algorithm;
-  if (algo == BmoAlgorithm::kAuto && table) algo = table->ResolveAlgorithm();
-
-  // The closure fallback plan: block evaluation without recompiling the
-  // table that already failed (or was disabled) above.
-  PhysicalPlan closure_plan = plan;
-  closure_plan.vectorize = false;
-  closure_plan.algorithm = algo;
+  const BmoAlgorithm algo = PartitionAlgorithm(plan, table);
 
   ThreadPool& pool = ThreadPool::Shared();
   const size_t threads = ThreadPool::ResolveThreads(plan.num_threads);
@@ -94,8 +103,7 @@ std::vector<bool> MaximaParallel(const Tuple* values, size_t m,
     // Too small to split, or already on a pool worker (where blocking on
     // further pool tasks could deadlock): evaluate sequentially.
     if (table) return table->MaximaRange(algo, 0, m, plan);
-    return internal::ComputeMaximaBlock(values, m, p, proj_schema,
-                                        closure_plan);
+    return internal::ComputeMaximaBlock(values, m, p, proj_schema, algo);
   }
 
   // Phase 1: local maxima per contiguous partition, in parallel. Each
@@ -103,13 +111,12 @@ std::vector<bool> MaximaParallel(const Tuple* values, size_t m,
   std::vector<std::vector<size_t>> local(parts);
   pool.ParallelForChunks(
       m, parts, min_part,
-      [&values, &p, &proj_schema, &local, &table, &plan, &closure_plan, algo](
+      [&values, &p, &proj_schema, &local, &table, &plan, algo](
           size_t c, size_t begin, size_t end) {
         std::vector<bool> flags =
             table ? table->MaximaRange(algo, begin, end, plan)
                   : internal::ComputeMaximaBlock(values + begin, end - begin,
-                                                 p, proj_schema,
-                                                 closure_plan);
+                                                 p, proj_schema, algo);
         for (size_t i = begin; i < end; ++i) {
           if (flags[i - begin]) local[c].push_back(i);
         }

@@ -18,6 +18,7 @@
 #ifndef PREFDB_EXEC_PARALLEL_BMO_H_
 #define PREFDB_EXEC_PARALLEL_BMO_H_
 
+#include <string>
 #include <vector>
 
 #include "core/preference.h"
@@ -54,6 +55,12 @@ std::vector<bool> MaximaParallel(const Tuple* values, size_t count,
                                  const PrefPtr& p, const Schema& proj_schema,
                                  const PhysicalPlan& plan,
                                  const ScoreTable* precompiled);
+
+/// Kernel label of a kParallel plan over `table`: "parallel+" and the
+/// variant each partition runs, resolved exactly as MaximaParallel
+/// resolves partition_algorithm (kAuto via ScoreTable::ResolveAlgorithm).
+std::string ParallelKernelVariant(const ScoreTable& table,
+                                  const PhysicalPlan& plan);
 
 /// σ[P](R) row indices (ascending) evaluated with the parallel engine;
 /// same contract as BmoIndices().

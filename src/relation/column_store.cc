@@ -277,6 +277,17 @@ GroupCoding ComputeGroupCoding(const Relation& r,
   return out;
 }
 
+std::vector<std::vector<size_t>> GroupRowsBy(
+    const Relation& r, const std::vector<size_t>& cols,
+    const std::vector<size_t>* pool) {
+  const GroupCoding coding = ComputeGroupCoding(r, cols, pool);
+  std::vector<std::vector<size_t>> groups(coding.num_groups);
+  for (size_t i = 0; i < coding.codes.size(); ++i) {
+    groups[coding.codes[i]].push_back(pool ? (*pool)[i] : i);
+  }
+  return groups;
+}
+
 bool LikelyMostlyDistinct(const Relation& r, const std::vector<size_t>& cols,
                           const std::vector<size_t>* pool) {
   const ColumnStore& store = r.store();

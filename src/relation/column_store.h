@@ -128,7 +128,7 @@ class ColumnStore {
 /// equal. `pool` restricts and reorders the scanned rows (logical
 /// indices); null means all rows. `group_rows[g]` is a representative
 /// pool position for code g. This is the columnar core behind Distinct,
-/// DistinctProjections, GroupIndicesBy and the projection index.
+/// DistinctProjections, GroupRowsBy and the projection index.
 struct GroupCoding {
   std::vector<uint32_t> codes;       // one per scanned pool position
   std::vector<uint32_t> group_rows;  // representative pool position per code
@@ -139,6 +139,14 @@ class Relation;
 GroupCoding ComputeGroupCoding(const Relation& r,
                                const std::vector<size_t>& cols,
                                const std::vector<size_t>* pool = nullptr);
+
+/// Groups the rows of `r` (or of `pool`, logical row indices) by equal
+/// projections onto `cols` — the grouping of σ[P groupby A](R) (Def. 16).
+/// Groups come in first-occurrence order and hold global row indices in
+/// scan order.
+std::vector<std::vector<size_t>> GroupRowsBy(
+    const Relation& r, const std::vector<size_t>& cols,
+    const std::vector<size_t>* pool = nullptr);
 
 /// Cheap sampled distinctness probe over the projection onto `cols`:
 /// hashes ~512 strided rows and reports whether at least half were

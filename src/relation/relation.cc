@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace prefdb {
@@ -196,24 +197,6 @@ Relation Relation::Sorted(const std::vector<std::string>& names) const {
   out.schema_ = schema_;
   out.store_ = ColumnStore::View(store_, std::move(order));
   return out;
-}
-
-std::unordered_map<Tuple, std::vector<size_t>, TupleHash>
-Relation::GroupIndicesBy(const std::vector<size_t>& cols) const {
-  GroupCoding coding = ComputeGroupCoding(*this, cols);
-  std::vector<std::vector<size_t>> by_code(coding.num_groups);
-  for (size_t i = 0; i < coding.codes.size(); ++i) {
-    by_code[coding.codes[i]].push_back(i);
-  }
-  std::unordered_map<Tuple, std::vector<size_t>, TupleHash> groups;
-  groups.reserve(coding.num_groups);
-  for (size_t g = 0; g < coding.num_groups; ++g) {
-    std::vector<Value> key;
-    key.reserve(cols.size());
-    for (size_t c : cols) key.push_back(ValueAt(coding.group_rows[g], c));
-    groups.emplace(Tuple(std::move(key)), std::move(by_code[g]));
-  }
-  return groups;
 }
 
 Relation Relation::SelectRows(const std::vector<size_t>& row_indices) const {

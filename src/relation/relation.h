@@ -17,7 +17,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "relation/column_store.h"
@@ -90,11 +89,6 @@ class Relation {
   /// Deterministic sort by the Value total order over the given columns
   /// (all columns if empty); the result is an index view.
   Relation Sorted(const std::vector<std::string>& names = {}) const;
-
-  /// Groups row indices by equal values of the given columns. The map key
-  /// is the group's projection tuple. Used by σ[P groupby A](R) (Def. 16).
-  std::unordered_map<Tuple, std::vector<size_t>, TupleHash> GroupIndicesBy(
-      const std::vector<size_t>& cols) const;
 
   /// Builds a relation from a subset of row indices of this relation —
   /// an index view over the shared column buffers (materialized when the

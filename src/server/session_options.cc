@@ -16,34 +16,20 @@ bool ParseCount(const std::string& value, uint64_t* out) {
   return true;
 }
 
-const char* AlgorithmName(BmoAlgorithm algorithm) {
-  switch (algorithm) {
-    case BmoAlgorithm::kAuto:
-      return "auto";
-    case BmoAlgorithm::kNaive:
-      return "naive";
-    case BmoAlgorithm::kBlockNestedLoop:
-      return "bnl";
-    case BmoAlgorithm::kSortFilter:
-      return "sfs";
-    case BmoAlgorithm::kDivideConquer:
-      return "dc";
-    case BmoAlgorithm::kParallel:
-      return "parallel";
+// Parses `value` as one of the names `name_of` gives the enumerators of
+// `Enum`. Enumerators are dense from 0, and the name tables answer "?"
+// past the last one, so the vocabulary is exactly the name table.
+template <typename Enum>
+bool ParseName(const std::string& value, const char* (*name_of)(Enum),
+               Enum* out) {
+  for (int i = 0;; ++i) {
+    const std::string name = name_of(static_cast<Enum>(i));
+    if (name == "?") return false;
+    if (name == value) {
+      *out = static_cast<Enum>(i);
+      return true;
+    }
   }
-  return "auto";
-}
-
-const char* SimdName(SimdMode simd) {
-  switch (simd) {
-    case SimdMode::kAuto:
-      return "auto";
-    case SimdMode::kScalar:
-      return "scalar";
-    case SimdMode::kAvx2:
-      return "avx2";
-  }
-  return "auto";
 }
 
 }  // namespace
@@ -79,34 +65,14 @@ std::string SessionOptions::Apply(const std::string& name,
     return "";
   }
   if (name == "algorithm") {
-    if (value == "auto") {
-      bmo.algorithm = BmoAlgorithm::kAuto;
-    } else if (value == "naive") {
-      bmo.algorithm = BmoAlgorithm::kNaive;
-    } else if (value == "bnl") {
-      bmo.algorithm = BmoAlgorithm::kBlockNestedLoop;
-    } else if (value == "sfs") {
-      bmo.algorithm = BmoAlgorithm::kSortFilter;
-    } else if (value == "dc") {
-      bmo.algorithm = BmoAlgorithm::kDivideConquer;
-    } else if (value == "parallel") {
-      bmo.algorithm = BmoAlgorithm::kParallel;
-    } else {
-      return "unknown algorithm '" + value + "'";
-    }
-    return "";
+    return ParseName(value, BmoAlgorithmName, &bmo.algorithm)
+               ? ""
+               : "unknown algorithm '" + value + "'";
   }
   if (name == "simd") {
-    if (value == "auto") {
-      bmo.simd = SimdMode::kAuto;
-    } else if (value == "scalar") {
-      bmo.simd = SimdMode::kScalar;
-    } else if (value == "avx2") {
-      bmo.simd = SimdMode::kAvx2;
-    } else {
-      return "unknown simd mode '" + value + "'";
-    }
-    return "";
+    return ParseName(value, SimdModeName, &bmo.simd)
+               ? ""
+               : "unknown simd mode '" + value + "'";
   }
   return "unknown session option '" + name + "'";
 }
@@ -125,8 +91,8 @@ std::vector<std::pair<std::string, std::string>> SessionOptions::Serialize()
       {"threads", std::to_string(bmo.num_threads)},
       {"timeout_ms", std::to_string(timeout_ms)},
       {"vectorize", bmo.vectorize ? "on" : "off"},
-      {"algorithm", AlgorithmName(bmo.algorithm)},
-      {"simd", SimdName(bmo.simd)},
+      {"algorithm", BmoAlgorithmName(bmo.algorithm)},
+      {"simd", SimdModeName(bmo.simd)},
       {"max_pending_deltas", std::to_string(max_pending_deltas)},
   };
 }

@@ -259,7 +259,7 @@ TEST(ColumnStoreTest, ViewPipelinesMatchTheRowMajorReference) {
   }
 }
 
-TEST(ColumnStoreTest, GroupCodingMatchesGroupIndicesBy) {
+TEST(ColumnStoreTest, GroupCodingMatchesGroupRowsBy) {
   for (uint64_t seed : {41u, 42u}) {
     Relation r = MessyRelation(300, seed);
     for (const std::vector<size_t>& cols :
@@ -279,26 +279,30 @@ TEST(ColumnStoreTest, GroupCodingMatchesGroupIndicesBy) {
         }
       }
       EXPECT_EQ(next, coding.num_groups);
-      // Equal codes iff equal projections — checked against the
-      // row-major grouping (which also pins NULL==NULL, NaN!=NaN).
-      auto groups = r.GroupIndicesBy(cols);
-      std::unordered_map<uint32_t, std::vector<size_t>> by_code;
-      for (size_t i = 0; i < r.size(); ++i) by_code[coding.codes[i]].push_back(i);
-      for (const auto& [code, members] : by_code) {
-        // All members of one code must be in one GroupIndicesBy bucket.
-        std::vector<Value> proj;
-        for (size_t c : cols) proj.push_back(r.ValueAt(members[0], c));
-        auto it = groups.find(Tuple(proj));
-        if (it == groups.end()) {
-          // NaN projections never equal themselves, so lookup cannot
-          // retrieve them; the coding makes each its own singleton group.
-          EXPECT_EQ(members.size(), 1u);
-          continue;
+      // GroupRowsBy buckets the coding: group g holds the rows of code g
+      // in scan order. Equal groups iff equal projections, checked
+      // against row-major Tuple equality (which also pins NULL==NULL,
+      // NaN!=NaN: a NaN projection never equals itself, so the coding
+      // makes each its own singleton group).
+      const std::vector<std::vector<size_t>> groups = GroupRowsBy(r, cols);
+      ASSERT_EQ(groups.size(), coding.num_groups);
+      std::vector<Tuple> reps;
+      size_t rows_seen = 0;
+      for (size_t g = 0; g < groups.size(); ++g) {
+        ASSERT_FALSE(groups[g].empty());
+        EXPECT_EQ(groups[g].front(), coding.group_rows[g]);
+        const Tuple rep = r.RowAt(groups[g].front()).Project(cols);
+        for (size_t k = 0; k < groups[g].size(); ++k) {
+          EXPECT_EQ(coding.codes[groups[g][k]], g);
+          if (k > 0) {
+            EXPECT_TRUE(r.RowAt(groups[g][k]).Project(cols) == rep);
+          }
         }
-        EXPECT_EQ(it->second, members);
+        for (const Tuple& other : reps) EXPECT_FALSE(other == rep);
+        reps.push_back(rep);
+        rows_seen += groups[g].size();
       }
-      // One map entry per code (NaN groups land as separate entries).
-      EXPECT_EQ(by_code.size(), groups.size());
+      EXPECT_EQ(rows_seen, r.size());
     }
   }
 }

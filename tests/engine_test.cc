@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <numeric>
 #include <random>
 #include <string>
@@ -18,6 +19,7 @@
 #include "core/complex_preferences.h"
 #include "core/numeric_preferences.h"
 #include "datagen/cars.h"
+#include "datagen/vectors.h"
 #include "eval/ranked.h"
 #include "exec/score_table.h"
 #include "psql/executor.h"
@@ -583,6 +585,187 @@ TEST(EngineTest, PlainLimitStopsAtLimitSurvivors) {
     // The entry holds at most limit + 1 candidate rows.
     EXPECT_LE(engine.cache_stats().exec_bytes,
               std::max<size_t>(1024, 2 * (limit + 1) * sizeof(size_t)));
+  }
+}
+
+TEST(EngineTest, ParallelKernelLabelNamesThePartitionKernel) {
+  // kParallel resolves kAuto partitions with the table's data-aware rules,
+  // which pick D&C on an exact flat-Pareto table; the label must name the
+  // kernel that runs, not the sequential kAuto resolution (BNL).
+  Engine engine;
+  engine.RegisterTable(
+      "v", GenerateVectors(20000, 2, Correlation::kAntiCorrelated, 7));
+  BmoOptions parallel;
+  parallel.algorithm = BmoAlgorithm::kParallel;
+  parallel.num_threads = 4;
+  psql::QueryResult result = engine.Execute(
+      "SELECT * FROM v PREFERRING LOWEST(d0) AND LOWEST(d1)", parallel);
+  EXPECT_EQ(result.stats.kernel.rfind("parallel+dc[", 0), 0u)
+      << result.stats.kernel;
+  EXPECT_TRUE(result.relation.SameRows(
+      Bmo(*engine.Snapshot("v"), Pareto(Lowest("d0"), Lowest("d1")))));
+}
+
+TEST(EngineTest, ExplainNamesTheCompilePathOfEveryGroup) {
+  // Groups take the same zero-copy gate as ungrouped blocks; EXPLAIN
+  // counts the blocks per compile path.
+  Engine engine;
+  engine.RegisterTable("car", GenerateCars(5000, 3));
+  const std::shared_ptr<const Relation> car = engine.Snapshot("car");
+  const size_t makes = car->DistinctProjections({"make"}).size();
+  ASSERT_GT(makes, 1u);
+  psql::QueryResult explain = engine.Execute(
+      "EXPLAIN SELECT * FROM car PREFERRING LOWEST(price) GROUPING make");
+  EXPECT_NE(explain.plan_details.find("compile: zero-copy " +
+                                      std::to_string(makes) + "\n"),
+            std::string::npos)
+      << explain.plan_details;
+  psql::QueryResult ungrouped =
+      engine.Execute("EXPLAIN SELECT * FROM car PREFERRING LOWEST(price)");
+  EXPECT_NE(ungrouped.plan_details.find("compile: zero-copy\n"),
+            std::string::npos)
+      << ungrouped.plan_details;
+}
+
+// One term family of the cross-path agreement test: a relation with an
+// "id" column (row i has id i) and a grouping column "g", plus the term.
+struct AgreementFamily {
+  std::string name;
+  Relation relation;
+  std::string preferring;  // SQL spelling; empty when SQL has none
+  PrefPtr term;
+  std::string compile_path;  // EXPLAIN's path; empty when nothing compiles
+};
+
+std::vector<AgreementFamily> AgreementFamilies() {
+  std::vector<AgreementFamily> families;
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> uni(0.0, 1.0);
+  const char* groups[] = {"north", "south", "east", "west"};
+  {
+    // Mostly-distinct NaN-free doubles: compiles off the column buffers.
+    Relation r(Schema{{"id", ValueType::kInt},
+                      {"g", ValueType::kString},
+                      {"a", ValueType::kDouble},
+                      {"b", ValueType::kDouble}});
+    for (int64_t i = 0; i < 9000; ++i) {
+      r.Add({Value(i), groups[rng() % 4], Value(uni(rng)), Value(uni(rng))});
+    }
+    families.push_back({"zero-copy numeric Pareto", r,
+                        "LOWEST(a) AND LOWEST(b)",
+                        Pareto(Lowest("a"), Lowest("b")), "zero-copy"});
+  }
+  {
+    // Few distinct values and a string column: the deduplicating gather.
+    Relation r(Schema{{"id", ValueType::kInt},
+                      {"g", ValueType::kString},
+                      {"color", ValueType::kString},
+                      {"price", ValueType::kInt}});
+    const char* colors[] = {"red", "blue", "green", "black", "white"};
+    for (int64_t i = 0; i < 6000; ++i) {
+      r.Add({Value(i), groups[rng() % 3], colors[rng() % 5],
+             Value(int64_t(rng() % 50))});
+    }
+    families.push_back(
+        {"gather with duplicates and strings", r,
+         "color IN ('red', 'blue') AND LOWEST(price)",
+         Pareto(Pos("color", {Value("red"), Value("blue")}), Lowest("price")),
+         "gather"});
+  }
+  {
+    // LINEAR_SUM does not compile: the closure kernels run. SQL cannot
+    // spell it, so the engine runs it as a programmatic term (ungrouped).
+    Relation r(Schema{{"id", ValueType::kInt},
+                      {"g", ValueType::kString},
+                      {"x", ValueType::kInt},
+                      {"y", ValueType::kInt}});
+    for (int64_t i = 0; i < 3000; ++i) {
+      r.Add({Value(i), groups[rng() % 4], Value(int64_t(rng() % 100)),
+             Value(int64_t(rng() % 1000))});
+    }
+    PrefPtr fused = LinearSum(
+        "x", Lowest("x"), Highest("x"),
+        [](const Value& v) { return *v.numeric() < 50; },
+        [](const Value& v) { return *v.numeric() >= 50; });
+    families.push_back({"closure-only LINEAR_SUM", r, "",
+                        Pareto(fused, Lowest("y")), ""});
+  }
+  {
+    // NaN and NULL cells rule out the zero-copy compile.
+    Relation r(Schema{{"id", ValueType::kInt},
+                      {"g", ValueType::kString},
+                      {"x", ValueType::kDouble},
+                      {"y", ValueType::kInt}});
+    for (int64_t i = 0; i < 5000; ++i) {
+      const uint64_t dice = rng() % 20;
+      Value x = dice == 0   ? Value()
+                : dice == 1 ? Value(std::nan(""))
+                            : Value(double(rng() % 400) / 4);
+      r.Add({Value(i), groups[rng() % 4], x, Value(int64_t(rng() % 300))});
+    }
+    families.push_back({"NaN and NULL column", r, "LOWEST(x) AND HIGHEST(y)",
+                        Pareto(Lowest("x"), Highest("y")), "gather"});
+  }
+  return families;
+}
+
+std::vector<int64_t> Ids(const Relation& r) {
+  const size_t id = *r.schema().IndexOf("id");
+  std::vector<int64_t> out;
+  for (size_t i = 0; i < r.size(); ++i) {
+    out.push_back(r.ValueAt(i, id).as_int());
+  }
+  return out;
+}
+
+TEST(EngineTest, EveryPathAgreesWithTheNaiveOracle) {
+  // The engine's cached blocks, the library's Bmo/BmoGroupBy and the
+  // closure naive oracle must return the same rows for every term family,
+  // grouped or not, under kAuto, explicit BNL and kParallel.
+  BmoOptions oracle;
+  oracle.algorithm = BmoAlgorithm::kNaive;
+  oracle.vectorize = false;
+  for (const AgreementFamily& family : AgreementFamilies()) {
+    Engine engine;
+    engine.RegisterTable("t", family.relation);
+    const Relation& r = family.relation;
+    for (bool grouped : {false, true}) {
+      const std::vector<size_t> expected =
+          grouped ? BmoGroupByIndices(r, family.term, {"g"}, oracle)
+                  : BmoIndices(r, family.term, oracle);
+      std::vector<int64_t> expected_ids(expected.begin(), expected.end());
+      const std::string sql =
+          "SELECT * FROM t PREFERRING " + family.preferring +
+          (grouped ? " GROUPING g" : "");
+      for (BmoAlgorithm algorithm :
+           {BmoAlgorithm::kAuto, BmoAlgorithm::kBlockNestedLoop,
+            BmoAlgorithm::kParallel}) {
+        SCOPED_TRACE(family.name + (grouped ? ", grouped, " : ", ") +
+                     BmoAlgorithmName(algorithm));
+        BmoOptions options;
+        options.algorithm = algorithm;
+        options.num_threads = 4;
+        EXPECT_EQ(grouped
+                      ? BmoGroupByIndices(r, family.term, {"g"}, options)
+                      : BmoIndices(r, family.term, options),
+                  expected);
+        if (family.preferring.empty() && grouped) continue;
+        PreparedQuery query = family.preferring.empty()
+                                  ? engine.Prepare("t", family.term, options)
+                                  : engine.Prepare(sql, options);
+        for (int run = 0; run < 2; ++run) {  // cold, then cached
+          psql::QueryResult result = query.Run();
+          EXPECT_EQ(result.stats.exec_cache_hit, run > 0);
+          EXPECT_EQ(Ids(result.relation), expected_ids);
+        }
+      }
+      if (family.preferring.empty()) continue;
+      psql::QueryResult explain = engine.Execute("EXPLAIN " + sql);
+      EXPECT_EQ(explain.plan_details.find("compile: " + family.compile_path) !=
+                    std::string::npos,
+                !family.compile_path.empty())
+          << explain.plan_details;
+    }
   }
 }
 

@@ -203,7 +203,7 @@ TEST_P(PlannerEquivalenceTest, ChosenPlanEqualsReferenceAnswer) {
     }
     std::vector<size_t> reference =
         BmoIndices(cars, p, {BmoAlgorithm::kNaive});
-    // kAuto routes through PlanBlock -> PlanPhysical -> kernels.
+    // kAuto routes through CompileBlock -> PlanPhysical -> kernels.
     EXPECT_EQ(BmoIndices(cars, p, {}), reference) << p->ToString();
     // And the full optimizer pipeline (rewrites + plan) agrees too.
     EXPECT_TRUE(

@@ -112,11 +112,16 @@ TEST(RelationTest, SortedIsDeterministic) {
   EXPECT_EQ(sorted.at(3)[1], Value(50000));
 }
 
-TEST(RelationTest, GroupIndicesByGroupsEqualKeys) {
+TEST(RelationTest, GroupRowsByGroupsEqualKeys) {
   Relation cars = SmallCars();
-  auto groups = cars.GroupIndicesBy({*cars.schema().IndexOf("make")});
-  EXPECT_EQ(groups.size(), 3u);  // Audi, BMW, VW
-  EXPECT_EQ(groups[Tuple({Value("BMW")})].size(), 2u);
+  const std::vector<size_t> make = {*cars.schema().IndexOf("make")};
+  // Audi, BMW, VW in first-occurrence order; rows in scan order.
+  EXPECT_EQ(GroupRowsBy(cars, make),
+            (std::vector<std::vector<size_t>>{{0}, {1, 3}, {2}}));
+  // A pool restricts and reorders the scan; rows stay global indices.
+  const std::vector<size_t> pool = {3, 2, 1};
+  EXPECT_EQ(GroupRowsBy(cars, make, &pool),
+            (std::vector<std::vector<size_t>>{{3, 1}, {2}}));
 }
 
 TEST(RelationTest, SelectRowsPicksByIndex) {

@@ -537,6 +537,28 @@ TEST(SessionOptionsTest, AppliesAndSerializesTheWholeVocabulary) {
   EXPECT_EQ(copy.bmo.algorithm, options.bmo.algorithm);
   EXPECT_EQ(copy.bmo.simd, options.bmo.simd);
   EXPECT_EQ(copy.max_pending_deltas, options.max_pending_deltas);
+
+  // Every algorithm and SIMD mode survives the round trip under its
+  // BmoAlgorithmName / SimdModeName.
+  for (BmoAlgorithm algorithm :
+       {BmoAlgorithm::kAuto, BmoAlgorithm::kNaive,
+        BmoAlgorithm::kBlockNestedLoop, BmoAlgorithm::kSortFilter,
+        BmoAlgorithm::kDivideConquer, BmoAlgorithm::kDecomposition,
+        BmoAlgorithm::kParallel}) {
+    for (SimdMode simd :
+         {SimdMode::kAuto, SimdMode::kScalar, SimdMode::kAvx2}) {
+      SessionOptions sent;
+      sent.bmo.algorithm = algorithm;
+      sent.bmo.simd = simd;
+      SessionOptions received;
+      for (const auto& [name, value] : sent.Serialize()) {
+        EXPECT_EQ(received.Apply(name, value), "") << name << "=" << value;
+      }
+      EXPECT_EQ(received.bmo.algorithm, algorithm)
+          << BmoAlgorithmName(algorithm);
+      EXPECT_EQ(received.bmo.simd, simd) << SimdModeName(simd);
+    }
+  }
 }
 
 TEST_F(PipelineFixture, ConfigureAppliesSessionOptionsOverTheWire) {
