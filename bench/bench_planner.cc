@@ -90,9 +90,7 @@ void BM_planner_overhead_measured(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Relation r = GenerateVectors(n, 4, Correlation::kAntiCorrelated, 42);
   PrefPtr p = SkylinePref(4);
-  ProjectionIndex proj = BuildProjectionIndex(r, *p);
-  auto table = ScoreTable::Compile(p, proj.proj_schema, proj.values.data(),
-                                   proj.values.size());
+  auto table = ScoreTable::Compile(p, r);
   for (auto _ : state) {
     TermStats stats = MeasureTermStats(*table, p, n);
     PhysicalPlan plan = PlanPhysical(stats, {});
@@ -146,15 +144,13 @@ double MedianMs(const std::function<void()>& fn) {
 bool CheckFamily(const Family& family, size_t n) {
   Relation r = GenerateVectors(n, family.d, family.corr, 42);
   PrefPtr p = SkylinePref(family.d);
-  ProjectionIndex proj = BuildProjectionIndex(r, *p);
-  auto table = ScoreTable::Compile(p, proj.proj_schema, proj.values.data(),
-                                   proj.values.size());
+  auto table = ScoreTable::Compile(p, r);
   if (!table) {
     std::fprintf(stderr, "planner-check %s: term did not compile\n",
                  family.name);
     return false;
   }
-  const size_t m = proj.values.size();
+  const size_t m = table->rows();
   PlanScope scope;
   scope.allow_decomposition = false;
   PhysicalPlan plan = PlanPhysical(MeasureTermStats(*table, p, n), {}, scope);

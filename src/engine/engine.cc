@@ -81,9 +81,11 @@ struct Exec {
   uint64_t optimize_ns = 0;
   uint64_t compile_ns = 0;
 
-  /// Heap bytes this entry owns: row vectors and the compiled blocks.
-  /// Not counted: the relation snapshot (the catalog's, shared) and the
-  /// decomposition path's materialized WHERE relation.
+  /// Heap bytes this entry owns: row vectors and the compiled blocks
+  /// (row maps, score and id buffers; distinct Tuples only on the
+  /// closure fallback). Not counted: the relation snapshot (the
+  /// catalog's, shared) and the decomposition path's materialized WHERE
+  /// relation.
   size_t HeapBytes() const {
     using internal::VectorBytes;
     size_t bytes = VectorBytes(filtered_rows) + VectorBytes(blocks) +
@@ -128,20 +130,21 @@ std::string TopKText(size_t k) {
   return k > 0 ? "k=" + std::to_string(k) : "k=all";
 }
 
-// EXPLAIN's compile line: which path each compiled block took — zero-copy
-// off the column buffers, or the deduplicating gather — with per-path
-// block counts for GROUPING statements. Empty when nothing compiled.
+// EXPLAIN's compile line: how each compiled block met its pool — as it
+// is ("zero-copy": identity row map) or deduplicated first ("dedup") —
+// with per-path block counts for GROUPING statements. Empty when nothing
+// compiled.
 std::string CompilePaths(const std::vector<CompiledBlock>& blocks,
                          bool grouped) {
-  size_t columnar = 0;
-  size_t gathered = 0;
+  size_t identity = 0;
+  size_t dedup = 0;
   for (const CompiledBlock& block : blocks) {
-    if (block.table) ++(block.zero_copy ? columnar : gathered);
+    if (block.table) ++(block.identity() ? identity : dedup);
   }
   std::string out;
   for (const auto& [path, count] :
-       {std::pair<const char*, size_t>{"zero-copy", columnar},
-        std::pair<const char*, size_t>{"gather", gathered}}) {
+       {std::pair<const char*, size_t>{"zero-copy", identity},
+        std::pair<const char*, size_t>{"dedup", dedup}}) {
     if (count == 0) continue;
     out += (out.empty() ? "compile: " : ", ") + std::string(path);
     if (grouped) out += " " + std::to_string(count);

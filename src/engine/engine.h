@@ -21,8 +21,9 @@
 //                                     (internal::CompileBlock in
 //                                     eval/bmo_internal.h; data-
 //                                     dependent). A block holds its
-//                                     32-bit row map, score table and
-//                                     refined plan, not projected
+//                                     score table, refined plan and,
+//                                     when it deduplicated the pool, a
+//                                     32-bit row map — not projected
 //                                     Tuples; only the closure fallback
 //                                     (terms that do not compile) keeps
 //                                     the Tuples its kernels read.

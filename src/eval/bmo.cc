@@ -162,8 +162,7 @@ void Maxima2D(const ScoreMatrix& scores, std::vector<size_t>& idx,
     } else if (scores.row(i)[1] == best1 && scores.row(i)[0] == best0) {
       // Exact duplicate of the current sweep maximum: equal rows never
       // dominate each other (no strict coordinate), so it is maximal too.
-      // Reachable only from the zero-copy compile path, which skips
-      // duplicate elimination.
+      // Reachable when the block was compiled without deduplication.
       maximal[i] = true;
     }
   }
@@ -341,28 +340,24 @@ CompiledBlock CompileBlock(const Relation& r, const PrefPtr& p,
                            const BmoOptions& options, const PlanScope& scope) {
   CompiledBlock block;
   const size_t pool_size = rows ? rows->size() : r.size();
-  // Zero-copy: compile straight off the column buffers — no projection
-  // index, no dedup, identity row map. Gated on a sampled distinctness
-  // probe: under heavy duplication the deduplicating gather shrinks the
-  // kernel input enough to win instead.
-  if (options.vectorize && pool_size > 0 &&
-      ScoreTable::CompilableColumnar(p, r) &&
-      LikelyMostlyDistinct(r, r.ResolveColumns(p->attributes()), rows)) {
-    block.table = ScoreTable::CompileColumnar(p, r, rows);
-    block.zero_copy = block.table.has_value();
-  }
-  if (block.zero_copy) {
-    block.proj.proj_schema = r.schema().Project(p->attributes());
+  if (options.vectorize && pool_size > 0 && ScoreTable::CompilableTerm(p)) {
+    const std::vector<size_t> cols = r.ResolveColumns(p->attributes());
+    if (LikelyMostlyDistinct(r, cols, rows)) {
+      block.table = ScoreTable::Compile(p, r, rows);
+    } else {
+      // Heavy duplication: compile one representative row per value
+      // combination; the row map ties candidates to their class.
+      GroupCoding coding = ComputeGroupCoding(r, cols, rows);
+      std::vector<size_t> reps(coding.group_rows.begin(),
+                               coding.group_rows.end());
+      if (rows) {
+        for (size_t& rep : reps) rep = (*rows)[rep];
+      }
+      block.table = ScoreTable::Compile(p, r, &reps);
+      block.proj.row_to_value = std::move(coding.codes);
+    }
   } else {
     block.proj = BuildProjectionIndex(r, *p, rows);
-    if (options.vectorize && !block.proj.values.empty()) {
-      block.table = ScoreTable::Compile(p, block.proj.proj_schema,
-                                        block.proj.values.data(),
-                                        block.proj.values.size());
-      // The kernels read only the table; the row map still ties
-      // candidates to its rows.
-      if (block.table) std::vector<Tuple>().swap(block.proj.values);
-    }
   }
   const auto t0 = std::chrono::steady_clock::now();
   TermStats stats;
@@ -393,9 +388,9 @@ void AppendMaximalRows(const PrefPtr& p, const CompiledBlock& block,
       table ? nullptr : block.proj.values.data(), distinct, p,
       block.proj.proj_schema, table, block.plan);
   const size_t pool_size =
-      block.zero_copy ? distinct : block.proj.row_to_value.size();
+      block.identity() ? distinct : block.proj.row_to_value.size();
   for (size_t i = 0; i < pool_size; ++i) {
-    if (maximal[block.zero_copy ? i : block.proj.row_to_value[i]]) {
+    if (maximal[block.identity() ? i : block.proj.row_to_value[i]]) {
       out->push_back(rows ? (*rows)[i] : i);
     }
   }

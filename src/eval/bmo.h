@@ -37,8 +37,9 @@
 // One pipeline: every evaluation — Bmo, each group of BmoGroupBy, and the
 // engine's cached statements (engine/engine.h) — compiles one block per
 // candidate pool through internal::CompileBlock (eval/bmo_internal.h):
-// zero-copy off the column buffers when the term allows it and the pool
-// is mostly distinct, the deduplicating gather otherwise, then plans it.
+// one score-table compile over the column store — of the pool as it is,
+// or of its deduplicated representatives under heavy duplication — then
+// plans it.
 // Grouping is that evaluation run once per group, fanned out across the
 // worker pool.
 

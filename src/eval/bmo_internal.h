@@ -29,33 +29,39 @@ size_t VectorBytes(const std::vector<T>& v) {
 /// reads, and nothing else. The engine caches one per ungrouped statement
 /// and one per GROUPING group; Bmo/BmoGroupBy build them transiently.
 struct CompiledBlock {
-  /// Projected schema and the 32-bit row map from pool positions to
-  /// table rows (empty after a zero-copy compile: table row i is pool
-  /// position i). `proj.values` holds the distinct projected Tuples only
-  /// when nothing compiled — the closure kernels read them.
+  /// The 32-bit row map from pool positions to table rows (or to
+  /// `proj.values` on the closure path). Empty means identity: table row
+  /// i is pool position i. `proj.values` and `proj.proj_schema` are set
+  /// only when nothing compiled — the closure kernels read them.
   ProjectionIndex proj;
   std::optional<ScoreTable> table;
   PhysicalPlan plan;
-  /// The table was compiled straight off the column buffers.
-  bool zero_copy = false;
   /// Part of CompileBlock's wall time spent planning (statistics + cost
   /// model), so callers can report it apart from compilation.
   uint64_t plan_ns = 0;
 
+  /// True when the table was compiled over the pool's rows as they are
+  /// (identity row map), false when over deduplicated representatives.
+  bool identity() const { return proj.row_to_value.empty(); }
   /// Label of the kernel a run executes (QueryStats.kernel): the table's
   /// variant for the planned algorithm, "parallel+<partition variant>"
   /// under kParallel, "closure" when nothing compiled.
   std::string KernelVariant() const;
-  /// Heap bytes: row map, retained Tuples and their Value cells (string
-  /// payloads past the inline buffer not counted) and the table.
+  /// Heap bytes: row map, the closure path's Tuples and their Value
+  /// cells (string payloads past the inline buffer not counted) and the
+  /// table.
   size_t HeapBytes() const;
 };
 
 /// Compiles and plans σ[P](R) over `rows` of `r` (null = every row):
-///   1. zero-copy when the request vectorizes, the term compiles off the
-///      column buffers and the pool is likely mostly distinct;
-///   2. otherwise the deduplicating gather (projection index) and
-///      ScoreTable::Compile, releasing the Tuples when it succeeds;
+///   1. when the request vectorizes and the term compiles, one
+///      ScoreTable::Compile over the column store. Its one decision,
+///      observed from the data by LikelyMostlyDistinct: compile the pool
+///      as it is (identity row map), or deduplicate first — the pool is
+///      then ComputeGroupCoding's representatives and the row map its
+///      codes;
+///   2. otherwise the closure path: the distinct projected Tuples of the
+///      projection index;
 ///   3. kAuto plans with measured table statistics (a structural estimate
 ///      on the closure path) under `scope`; an explicit algorithm is a
 ///      pass-through plan. Without scope.allow_parallel, kParallel
@@ -89,13 +95,12 @@ std::vector<bool> ComputeMaximaBlock(const Tuple* values, size_t count,
                                      const Schema& proj_schema,
                                      BmoAlgorithm algo);
 
-/// Executes a planned block over an (optionally) precompiled table — the
+/// Executes a planned block over an (optionally) compiled table — the
 /// one dispatch every consumer shares: kParallel routes to the
 /// partition-and-merge engine (handing the table in), a compiled table
-/// runs its kernels directly, and a null table falls back to the closure
-/// path without re-attempting compilation. `values` may be null when
-/// `table` is non-null (the zero-copy columnar compile has no
-/// materialized value block); every table-backed path reads only `count`.
+/// runs its kernels directly, and a null table runs the closure path.
+/// `values` may be null when `table` is non-null; every table-backed
+/// path reads only `count`.
 std::vector<bool> ExecuteBlockPlan(const Tuple* values, size_t count,
                                    const PrefPtr& p, const Schema& proj_schema,
                                    const ScoreTable* table,

@@ -1,7 +1,6 @@
 #include "exec/parallel_bmo.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "eval/bmo_internal.h"
 #include "exec/score_table.h"
@@ -61,38 +60,15 @@ std::string ParallelKernelVariant(const ScoreTable& table,
          table.KernelVariant(PartitionAlgorithm(plan, &table), plan);
 }
 
-std::vector<bool> MaximaParallel(const std::vector<Tuple>& values,
-                                 const PrefPtr& p, const Schema& proj_schema,
-                                 const PhysicalPlan& plan) {
-  return MaximaParallel(values, p, proj_schema, plan, nullptr);
-}
-
-std::vector<bool> MaximaParallel(const std::vector<Tuple>& values,
-                                 const PrefPtr& p, const Schema& proj_schema,
-                                 const PhysicalPlan& plan,
-                                 const ScoreTable* precompiled) {
-  return MaximaParallel(values.data(), values.size(), p, proj_schema, plan,
-                        precompiled);
-}
-
 std::vector<bool> MaximaParallel(const Tuple* values, size_t m,
                                  const PrefPtr& p, const Schema& proj_schema,
                                  const PhysicalPlan& plan,
-                                 const ScoreTable* precompiled) {
+                                 const ScoreTable* table) {
   std::vector<bool> maximal(m, false);
   if (m == 0) return maximal;
 
-  // Compile once (unless the caller hands a cached table in); every
-  // partition and merge round shares the immutable table (reads only, no
-  // synchronization needed). A null `values` requires `precompiled`
-  // (header contract): every branch below then goes through the table.
-  std::optional<ScoreTable> local_table;
-  const ScoreTable* table = precompiled;
-  if (table == nullptr && plan.vectorize) {
-    local_table = ScoreTable::Compile(p, proj_schema, values, m);
-    if (local_table) table = &*local_table;
-  }
-
+  // Every partition and merge round shares the immutable table (reads
+  // only, no synchronization needed).
   const BmoAlgorithm algo = PartitionAlgorithm(plan, table);
 
   ThreadPool& pool = ThreadPool::Shared();
@@ -168,13 +144,15 @@ std::vector<bool> MaximaParallel(const Tuple* values, size_t m,
 std::vector<size_t> ParallelBmoIndices(const Relation& r, const PrefPtr& p,
                                        const PhysicalPlan& plan) {
   if (r.empty()) return {};
-  ProjectionIndex proj = BuildProjectionIndex(r, *p);
-  std::vector<bool> maximal =
-      MaximaParallel(proj.values, p, proj.proj_schema, plan);
+  BmoOptions options;
+  options.algorithm = BmoAlgorithm::kParallel;
+  options.vectorize = plan.vectorize;
+  internal::CompiledBlock block =
+      internal::CompileBlock(r, p, nullptr, options, PlanScope{});
+  block.plan = plan;
+  block.plan.algorithm = BmoAlgorithm::kParallel;
   std::vector<size_t> rows;
-  for (size_t i = 0; i < r.size(); ++i) {
-    if (maximal[proj.row_to_value[i]]) rows.push_back(i);
-  }
+  internal::AppendMaximalRows(p, block, nullptr, &rows);
   return rows;
 }
 

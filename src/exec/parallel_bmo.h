@@ -30,31 +30,18 @@ namespace prefdb {
 
 class ScoreTable;
 
-/// Maximal-value flags over a distinct-value set, partition-parallel.
-/// Consulted plan fields: num_threads (0 = hardware), min_partition_size
-/// (inputs below two partitions run sequentially), partition_algorithm
-/// (kAuto resolves data-aware), vectorize, simd, bnl_tile_rows.
-std::vector<bool> MaximaParallel(const std::vector<Tuple>& values,
-                                 const PrefPtr& p, const Schema& proj_schema,
-                                 const PhysicalPlan& plan = {});
-
-/// Same, over a caller-supplied score table already compiled for exactly
-/// these `values` (the engine's per-(relation version, term) cache hands
-/// its table in so repeated runs skip recompilation). `precompiled` may be
-/// null, in which case the table is compiled locally per plan.vectorize.
-std::vector<bool> MaximaParallel(const std::vector<Tuple>& values,
-                                 const PrefPtr& p, const Schema& proj_schema,
-                                 const PhysicalPlan& plan,
-                                 const ScoreTable* precompiled);
-
-/// Raw-range core shared by both overloads. `values` may be null when
-/// `precompiled` is non-null: with a table every partition and merge pass
-/// runs off the compiled matrix, so the value block is never read (the
-/// zero-copy columnar compile path has none).
+/// Maximal flags over `count` block rows, partition-parallel: the rows of
+/// the caller's compiled `table`, or — when `table` is null — the closure
+/// order over the distinct values at `values` bound against
+/// `proj_schema`. `values` may be null when `table` is non-null: every
+/// partition and merge pass then runs off the compiled matrix. Nothing
+/// is compiled here. Consulted plan fields: num_threads (0 = hardware),
+/// min_partition_size (inputs below two partitions run sequentially),
+/// partition_algorithm (kAuto resolves data-aware), simd, bnl_tile_rows.
 std::vector<bool> MaximaParallel(const Tuple* values, size_t count,
                                  const PrefPtr& p, const Schema& proj_schema,
                                  const PhysicalPlan& plan,
-                                 const ScoreTable* precompiled);
+                                 const ScoreTable* table);
 
 /// Kernel label of a kParallel plan over `table`: "parallel+" and the
 /// variant each partition runs, resolved exactly as MaximaParallel
@@ -62,8 +49,9 @@ std::vector<bool> MaximaParallel(const Tuple* values, size_t count,
 std::string ParallelKernelVariant(const ScoreTable& table,
                                   const PhysicalPlan& plan);
 
-/// σ[P](R) row indices (ascending) evaluated with the parallel engine;
-/// same contract as BmoIndices().
+/// σ[P](R) row indices (ascending) evaluated with the parallel engine
+/// over one internal::CompileBlock block (plan.vectorize = false keeps
+/// the closure path); same contract as BmoIndices().
 std::vector<size_t> ParallelBmoIndices(const Relation& r, const PrefPtr& p,
                                        const PhysicalPlan& plan = {});
 

@@ -5,7 +5,6 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/base_preferences.h"
 #include "core/complex_preferences.h"
@@ -183,6 +182,23 @@ size_t ResolveColumnOrThrow(const Schema& schema, const std::string& name) {
   return *idx;
 }
 
+// True when score equality does not imply value equality on a leaf
+// scored once per equality class: two classes tie, or a score is NaN (NaN
+// compares unequal to itself). Such a column needs the id test.
+// Sort-based: one double sort beats hashing.
+bool ClassScoresTie(std::vector<double> class_scores) {
+  for (double s : class_scores) {
+    if (std::isnan(s)) return true;  // also keeps NaN out of the sort
+  }
+  std::sort(class_scores.begin(), class_scores.end());
+  for (size_t i = 1; i < class_scores.size(); ++i) {
+    if (exec::ScoreEqNanFree(class_scores[i - 1], class_scores[i])) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 bool ScoreTable::CompilableTerm(const PrefPtr& p) {
@@ -199,36 +215,10 @@ bool ScoreTable::HasStaticSortKeys(const PrefPtr& p) {
 // Per-column materialization state, assembled row-major afterwards.
 struct ScoreTable::ColumnData {
   std::vector<double> scores;
-  std::vector<uint32_t> ids;
+  std::vector<uint32_t> ids;  // read only when use_ids
   bool use_ids = false;
   uint32_t classes = 0;  // equality classes (0 = injective fast path)
 };
-
-// Detects score ties across distinct equality classes (and NaN scores,
-// which compare unequal to themselves): such columns need the id test.
-// Sort-based: one double sort beats per-row hashing by a wide margin.
-void ScoreTable::DetectUseIds(ColumnData& col) {
-  const size_t n = col.scores.size();
-  for (double s : col.scores) {
-    if (std::isnan(s)) {
-      col.use_ids = true;
-      return;  // also keeps NaN out of the sort comparator below
-    }
-  }
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&col](uint32_t a, uint32_t b) {
-    return col.scores[a] < col.scores[b];
-  });
-  for (size_t i = 1; i < n; ++i) {
-    if (exec::ScoreEqNanFree(col.scores[order[i - 1]],
-                             col.scores[order[i]]) &&
-        col.ids[order[i - 1]] != col.ids[order[i]]) {
-      col.use_ids = true;
-      return;
-    }
-  }
-}
 
 void ScoreTable::Assemble(std::vector<ColumnData>&& columns, size_t count,
                           bool has_pareto, bool has_prio, bool has_other) {
@@ -256,7 +246,10 @@ void ScoreTable::Assemble(std::vector<ColumnData>&& columns, size_t count,
     col_distinct_[c] = columns[c].classes;
     for (size_t r = 0; r < count; ++r) {
       scores_[r * cols_ + c] = columns[c].scores[r];
-      if (any_ids) ids_[r * cols_ + c] = columns[c].ids[r];
+    }
+    if (!columns[c].use_ids) continue;
+    for (size_t r = 0; r < count; ++r) {
+      ids_[r * cols_ + c] = columns[c].ids[r];
     }
   }
 
@@ -291,10 +284,11 @@ void ScoreTable::Assemble(std::vector<ColumnData>&& columns, size_t count,
 }
 
 std::optional<ScoreTable> ScoreTable::Compile(const PrefPtr& p,
-                                              const Schema& proj_schema,
-                                              const Tuple* values,
-                                              size_t count) {
+                                              const Relation& r,
+                                              const std::vector<size_t>* pool) {
   if (!CompilableTerm(p)) return std::nullopt;
+  const ColumnStore& store = r.store();
+  const size_t count = pool ? pool->size() : r.size();
 
   ScoreTable table;
   table.rows_ = count;
@@ -303,155 +297,79 @@ std::optional<ScoreTable> ScoreTable::Compile(const PrefPtr& p,
   bool has_prio = false;
   bool has_other = false;  // intersection/union: forces kGeneral
 
-  auto finish_column = [&columns]() { DetectUseIds(columns.back()); };
-
-  // Materializes a leaf: equality-class ids by sorting row indices under a
-  // total order whose ties coincide with value equality (Value::operator<
-  // resp. Tuple::operator<), scores computed once per run. O(m log m)
-  // cheap comparisons instead of per-row Value hashing.
-  auto build_leaf = [&](const std::function<bool(size_t, size_t)>& row_less,
-                        const std::function<bool(size_t, size_t)>& row_eq,
-                        const std::function<double(size_t)>& score_of_row) {
-    columns.emplace_back();
-    ColumnData& out = columns.back();
-    out.scores.resize(count);
-    out.ids.resize(count);
-    std::vector<uint32_t> order(count);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), row_less);
-    uint32_t next_id = 0;
+  // Logical row i -> physical row in the column buffers. Identity when
+  // compiling a flat store without a pool — the common cold path — so the
+  // numeric leaf loops read the column buffers with zero indirection.
+  std::vector<uint32_t> phys;
+  const bool identity = pool == nullptr && !store.IsView();
+  if (!identity) {
+    phys.resize(count);
     for (size_t i = 0; i < count; ++i) {
-      if (i > 0 && row_eq(order[i - 1], order[i])) {
-        out.ids[order[i]] = out.ids[order[i - 1]];
-        out.scores[order[i]] = out.scores[order[i - 1]];
-      } else {
-        out.ids[order[i]] = next_id++;
-        out.scores[order[i]] = score_of_row(order[i]);
-      }
+      phys[i] =
+          static_cast<uint32_t>(store.PhysicalRow(pool ? (*pool)[i] : i));
     }
-    out.classes = next_id;
-    finish_column();
+  }
+
+  // Appends a leaf column from per-row equality ids and one score per
+  // class.
+  auto add_classes = [&](std::vector<uint32_t> ids,
+                         std::vector<double> class_scores) {
+    ColumnData out;
+    out.scores.resize(count);
+    for (size_t i = 0; i < count; ++i) out.scores[i] = class_scores[ids[i]];
+    out.classes = static_cast<uint32_t>(class_scores.size());
+    out.use_ids = ClassScoresTie(std::move(class_scores));
+    out.ids = std::move(ids);
+    columns.push_back(std::move(out));
     return static_cast<int>(columns.size() - 1);
   };
 
-  // NaN data values break Value::operator<'s strict weak ordering (and
-  // are each their own equality class while tying against everything), so
-  // such columns take the hash-dict path instead of the sort path.
-  auto value_is_nan = [](const Value& v) {
-    return v.is_double() && std::isnan(v.as_double());
+  // Scored leaf on an all-numeric, NaN-free column: the widened doubles
+  // are exactly the Value-semantics column, so equality ids come from one
+  // sort over raw doubles, scored once per run.
+  auto build_numeric_leaf = [&](size_t c,
+                                const std::function<double(double)>& score_of) {
+    const std::vector<double>& col = store.column(c).nums;
+    std::vector<double> gathered;
+    if (!identity) {
+      gathered.resize(count);
+      for (size_t i = 0; i < count; ++i) gathered[i] = col[phys[i]];
+    }
+    const double* nums = identity ? col.data() : gathered.data();
+    std::vector<uint32_t> order(count);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [nums](uint32_t a, uint32_t b) { return nums[a] < nums[b]; });
+    std::vector<uint32_t> ids(count);
+    std::vector<double> class_scores;
+    for (size_t i = 0; i < count; ++i) {
+      if (i > 0 &&
+          exec::ScoreEqNanFree(nums[order[i - 1]], nums[order[i]])) {
+        ids[order[i]] = ids[order[i - 1]];
+      } else {
+        ids[order[i]] = static_cast<uint32_t>(class_scores.size());
+        class_scores.push_back(score_of(nums[order[i]]));
+      }
+    }
+    return add_classes(std::move(ids), std::move(class_scores));
   };
 
-  auto build_value_leaf =
-      [&](size_t col, const std::function<double(const Value&)>& score_of) {
-        bool has_nan_value = false;
-        bool all_numeric = true;
-        for (size_t r = 0; r < count; ++r) {
-          const Value& v = values[r][col];
-          if (value_is_nan(v)) {
-            has_nan_value = true;
-            break;
-          }
-          all_numeric = all_numeric && v.is_numeric();
-        }
-        if (all_numeric && !has_nan_value) {
-          // Numeric fast path: one widened-double gather, then the sort
-          // runs over raw doubles (numeric equality == value equality by
-          // the int/double widening rule of Value::operator==).
-          std::vector<double> nums(count);
-          for (size_t r = 0; r < count; ++r) {
-            nums[r] = *values[r][col].numeric();
-          }
-          return build_leaf(
-              [&nums](size_t a, size_t b) { return nums[a] < nums[b]; },
-              [&nums](size_t a, size_t b) {
-                return exec::ScoreEqNanFree(nums[a], nums[b]);
-              },
-              [values, col, &score_of](size_t r) {
-                return score_of(values[r][col]);
-              });
-        }
-        if (has_nan_value) {
-          columns.emplace_back();
-          ColumnData& out = columns.back();
-          out.scores.resize(count);
-          out.ids.resize(count);
-          std::unordered_map<Value, uint32_t, ValueHash> dict;
-          std::vector<double> score_of_id;
-          for (size_t r = 0; r < count; ++r) {
-            const Value& v = values[r][col];
-            auto [it, inserted] =
-                dict.emplace(v, static_cast<uint32_t>(dict.size()));
-            if (inserted) score_of_id.push_back(score_of(v));
-            out.ids[r] = it->second;
-            out.scores[r] = score_of_id[it->second];
-          }
-          out.classes = static_cast<uint32_t>(dict.size());
-          finish_column();
-          return static_cast<int>(columns.size() - 1);
-        }
-        return build_leaf(
-            [values, col](size_t a, size_t b) {
-              return values[a][col] < values[b][col];
-            },
-            [values, col](size_t a, size_t b) {
-              return values[a][col] == values[b][col];
-            },
-            [values, col, &score_of](size_t r) {
-              return score_of(values[r][col]);
-            });
-      };
-
-  // Multi-attribute leaves (anti-chains, rank(F)): equality classes are
-  // value combinations. Per-run score evaluation is sound because the
-  // equality set is the leaf's full attribute union, which is everything
-  // the score may read.
-  auto build_tuple_leaf =
-      [&](const std::vector<size_t>& cols,
-          const std::function<double(const Tuple&)>& score_of_row) {
-        bool has_nan_value = false;
-        for (size_t r = 0; r < count && !has_nan_value; ++r) {
-          for (size_t c : cols) {
-            if (value_is_nan(values[r][c])) {
-              has_nan_value = true;
-              break;
-            }
-          }
-        }
-        if (has_nan_value) {
-          columns.emplace_back();
-          ColumnData& out = columns.back();
-          out.scores.resize(count);
-          out.ids.resize(count);
-          std::unordered_map<Tuple, uint32_t, TupleHash> dict;
-          for (size_t r = 0; r < count; ++r) {
-            Tuple proj = values[r].Project(cols);
-            auto [it, inserted] = dict.emplace(
-                std::move(proj), static_cast<uint32_t>(dict.size()));
-            (void)inserted;
-            out.ids[r] = it->second;
-            out.scores[r] = score_of_row(values[r]);
-          }
-          out.classes = static_cast<uint32_t>(dict.size());
-          finish_column();
-          return static_cast<int>(columns.size() - 1);
-        }
-        auto cmp_lt = [values, &cols](size_t a, size_t b) {
-          for (size_t c : cols) {
-            if (values[a][c] < values[b][c]) return true;
-            if (values[b][c] < values[a][c]) return false;
-          }
-          return false;
-        };
-        auto cmp_eq = [values, &cols](size_t a, size_t b) {
-          for (size_t c : cols) {
-            if (values[a][c] != values[b][c]) return false;
-          }
-          return true;
-        };
-        return build_leaf(cmp_lt, cmp_eq, [values, &score_of_row](size_t r) {
-          return score_of_row(values[r]);
-        });
-      };
+  // Every other leaf: equality classes are the value combinations over
+  // the leaf's columns (ComputeGroupCoding: Value equality, so NULL, NaN,
+  // strings and mixed columns are all exact), scored once per class from
+  // a representative row. Per-class scoring is sound because the class
+  // key is the leaf's full attribute set, which is everything the score
+  // reads.
+  auto build_coded_leaf = [&](const std::vector<size_t>& cols,
+                              const std::function<double(size_t)>& score_of) {
+    GroupCoding coding = ComputeGroupCoding(r, cols, pool);
+    std::vector<double> class_scores;
+    class_scores.reserve(coding.num_groups);
+    for (uint32_t rep : coding.group_rows) {
+      class_scores.push_back(score_of(pool ? (*pool)[rep] : rep));
+    }
+    return add_classes(std::move(coding.codes), std::move(class_scores));
+  };
 
   // Recursive descriptor build; returns the node index.
   std::function<int(const PrefPtr&, bool)> build = [&](const PrefPtr& p0,
@@ -467,269 +385,6 @@ std::optional<ScoreTable> ScoreTable::Compile(const PrefPtr& p,
         cur->kind() == PreferenceKind::kDisjointUnion) {
       // A surrounding DUAL distributes over every aggregation here: flip
       // the order of every leaf below instead (score negation).
-      auto kids = cur->children();
-      int l = build(kids[0], dual);
-      int r = build(kids[1], dual);
-      simd::DominanceProgram::Node node;
-      switch (cur->kind()) {
-        case PreferenceKind::kPareto:
-          node.kind = simd::DominanceProgram::Node::Kind::kPareto;
-          has_pareto = true;
-          break;
-        case PreferenceKind::kPrioritized:
-          node.kind = simd::DominanceProgram::Node::Kind::kPrioritized;
-          has_prio = true;
-          break;
-        case PreferenceKind::kIntersection:
-          node.kind = simd::DominanceProgram::Node::Kind::kIntersect;
-          has_other = true;
-          break;
-        default:
-          node.kind = simd::DominanceProgram::Node::Kind::kUnion;
-          has_other = true;
-          break;
-      }
-      node.a = l;
-      node.b = r;
-      table.prog_.nodes.push_back(node);
-      return static_cast<int>(table.prog_.nodes.size() - 1);
-    }
-
-    const double sign = dual ? -1.0 : 1.0;
-    int col = -1;
-    if (IsScoredLeafKind(cur->kind())) {
-      size_t c = ResolveColumnOrThrow(proj_schema, cur->attributes()[0]);
-      const auto* scored = dynamic_cast<const ScoredBasePreference*>(cur.get());
-      bool plain_numeric = true;  // all numeric, no NaN
-      for (size_t r = 0; r < count && plain_numeric; ++r) {
-        const Value& v = values[r][c];
-        plain_numeric = v.is_numeric() && !value_is_nan(v);
-      }
-      if (plain_numeric && (cur->kind() == PreferenceKind::kLowest ||
-                            cur->kind() == PreferenceKind::kHighest)) {
-        // LOWEST/HIGHEST scores are strictly monotone in the value, so on
-        // an all-numeric column score equality *is* value equality: no
-        // sort, no equality ids, column injective by construction.
-        columns.emplace_back();
-        ColumnData& out = columns.back();
-        out.scores.resize(count);
-        out.ids.assign(count, 0);
-        for (size_t r = 0; r < count; ++r) {
-          out.scores[r] = sign * scored->ScoreOf(values[r][c]);
-        }
-        col = static_cast<int>(columns.size() - 1);
-      } else {
-        col = build_value_leaf(c, [scored, sign](const Value& v) {
-          return sign * scored->ScoreOf(v);
-        });
-      }
-    } else if (IsLevelLeafKind(cur->kind()) ||
-               cur->kind() == PreferenceKind::kExplicit) {
-      size_t c = ResolveColumnOrThrow(proj_schema, cur->attributes()[0]);
-      const Preference* raw = cur.get();
-      // Lower level = better, so the uniform "higher score wins" view
-      // negates the level.
-      col = build_value_leaf(c, [raw, sign](const Value& v) {
-        return -sign * static_cast<double>(IntrinsicLevel(*raw, v));
-      });
-    } else if (cur->kind() == PreferenceKind::kAntiChain) {
-      std::vector<size_t> cols;
-      for (const auto& name : cur->attributes()) {
-        cols.push_back(ResolveColumnOrThrow(proj_schema, name));
-      }
-      col = build_tuple_leaf(cols, [](const Tuple&) { return 0.0; });
-    } else {  // kRankF (guaranteed by CompilableTerm)
-      std::vector<size_t> cols;
-      for (const auto& name : cur->attributes()) {
-        cols.push_back(ResolveColumnOrThrow(proj_schema, name));
-      }
-      ScoreFn utility =
-          dynamic_cast<const RankPreference*>(cur.get())->BindUtility(
-              proj_schema);
-      col = build_tuple_leaf(cols, [utility, sign](const Tuple& t) {
-        return sign * utility(t);
-      });
-    }
-    simd::DominanceProgram::Node node;
-    node.kind = simd::DominanceProgram::Node::Kind::kLeaf;
-    node.a = col;
-    table.prog_.nodes.push_back(node);
-    return static_cast<int>(table.prog_.nodes.size() - 1);
-  };
-
-  table.prog_.root = build(p, false);
-  table.Assemble(std::move(columns), count, has_pareto, has_prio, has_other);
-  return table;
-}
-
-// ---------------------------------------------------------------------------
-// Zero-copy (columnar) compilation
-
-namespace {
-
-bool ColumnarNumericColumn(const Relation& r, const std::string& name) {
-  auto idx = r.schema().IndexOf(name);
-  return idx && r.store().column(*idx).NumericNanFree();
-}
-
-bool ColumnarRec(const PrefPtr& p0, const Relation& r) {
-  PrefPtr p = p0;
-  while (p->kind() == PreferenceKind::kDual) p = p->children()[0];
-  if (p->kind() == PreferenceKind::kPareto ||
-      p->kind() == PreferenceKind::kPrioritized ||
-      p->kind() == PreferenceKind::kIntersection ||
-      p->kind() == PreferenceKind::kDisjointUnion) {
-    auto kids = p->children();
-    return ColumnarRec(kids[0], r) && ColumnarRec(kids[1], r);
-  }
-  if (IsScoredLeafKind(p->kind())) {
-    return dynamic_cast<const ScoredBasePreference*>(p.get()) != nullptr &&
-           ColumnarNumericColumn(r, p->attributes()[0]);
-  }
-  if (p->kind() == PreferenceKind::kRankF) {
-    if (!CompilableLeaf(p)) return false;
-    for (const auto& name : p->attributes()) {
-      if (!ColumnarNumericColumn(r, name)) return false;
-    }
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-bool ScoreTable::CompilableColumnar(const PrefPtr& p, const Relation& r) {
-  return ColumnarRec(p, r);
-}
-
-std::optional<ScoreTable> ScoreTable::CompileColumnar(
-    const PrefPtr& p, const Relation& r, const std::vector<size_t>* pool) {
-  if (!CompilableColumnar(p, r)) return std::nullopt;
-  const ColumnStore& store = r.store();
-  const size_t count = pool ? pool->size() : r.size();
-
-  ScoreTable table;
-  table.rows_ = count;
-  std::vector<ColumnData> columns;
-  bool has_pareto = false;
-  bool has_prio = false;
-  bool has_other = false;  // intersection/union: forces kGeneral
-
-  // Logical row i -> physical row in the column buffers. Identity when
-  // compiling a flat store without a pool — the common cold path — so the
-  // leaf loops read the column buffers with zero indirection.
-  std::vector<uint32_t> phys;
-  const bool identity = pool == nullptr && !store.IsView();
-  if (!identity) {
-    phys.resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      phys[i] =
-          static_cast<uint32_t>(store.PhysicalRow(pool ? (*pool)[i] : i));
-    }
-  }
-
-  // Pool-ordered widened doubles of one column: borrows the column buffer
-  // outright in the identity case, gathers once otherwise.
-  std::vector<std::vector<double>> scratch;  // keeps gathered copies alive
-  auto leaf_nums = [&](size_t c) -> const double* {
-    const std::vector<double>& nums = store.column(c).nums;
-    if (identity) return nums.data();
-    scratch.emplace_back(count);
-    std::vector<double>& out = scratch.back();
-    for (size_t i = 0; i < count; ++i) out[i] = nums[phys[i]];
-    return out.data();
-  };
-
-  // Sort-based id assignment over a raw double array; NaN-free by the
-  // eligibility check, so double equality is exactly value equality.
-  auto build_numeric_leaf = [&](const double* nums,
-                                const std::function<double(double)>&
-                                    score_of) {
-    columns.emplace_back();
-    ColumnData& out = columns.back();
-    out.scores.resize(count);
-    out.ids.resize(count);
-    std::vector<uint32_t> order(count);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [nums](uint32_t a, uint32_t b) { return nums[a] < nums[b]; });
-    uint32_t next_id = 0;
-    for (size_t i = 0; i < count; ++i) {
-      if (i > 0 &&
-          exec::ScoreEqNanFree(nums[order[i - 1]], nums[order[i]])) {
-        out.ids[order[i]] = out.ids[order[i - 1]];
-        out.scores[order[i]] = out.scores[order[i - 1]];
-      } else {
-        out.ids[order[i]] = next_id++;
-        out.scores[order[i]] = score_of(nums[order[i]]);
-      }
-    }
-    out.classes = next_id;
-    DetectUseIds(out);
-    return static_cast<int>(columns.size() - 1);
-  };
-
-  // rank(F): equality classes are the value combinations over the leaf's
-  // columns (lexicographic double sort); the utility reads rows through a
-  // Tuple, so one full-arity scratch tuple is reused, mutating only the
-  // leaf's cells — once per equality class, not per row.
-  auto build_rank_leaf = [&](const std::vector<size_t>& cols,
-                             const RankPreference* rank, double sign) {
-    std::vector<const double*> ptrs;
-    ptrs.reserve(cols.size());
-    for (size_t c : cols) ptrs.push_back(leaf_nums(c));
-    ScoreFn utility = rank->BindUtility(r.schema());
-    Tuple scratch{std::vector<Value>(r.schema().size())};
-    columns.emplace_back();
-    ColumnData& out = columns.back();
-    out.scores.resize(count);
-    out.ids.resize(count);
-    std::vector<uint32_t> order(count);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&ptrs](uint32_t a, uint32_t b) {
-                for (const double* col : ptrs) {
-                  if (col[a] < col[b]) return true;
-                  if (col[b] < col[a]) return false;
-                }
-                return false;
-              });
-    auto rows_eq = [&ptrs](uint32_t a, uint32_t b) {
-      for (const double* col : ptrs) {
-        if (!exec::ScoreEqNanFree(col[a], col[b])) return false;
-      }
-      return true;
-    };
-    uint32_t next_id = 0;
-    for (size_t i = 0; i < count; ++i) {
-      const uint32_t row = order[i];
-      if (i > 0 && rows_eq(order[i - 1], row)) {
-        out.ids[row] = out.ids[order[i - 1]];
-        out.scores[row] = out.scores[order[i - 1]];
-      } else {
-        out.ids[row] = next_id++;
-        for (size_t k = 0; k < cols.size(); ++k) {
-          scratch[cols[k]] = Value(ptrs[k][row]);
-        }
-        out.scores[row] = sign * utility(scratch);
-      }
-    }
-    out.classes = next_id;
-    DetectUseIds(out);
-    return static_cast<int>(columns.size() - 1);
-  };
-
-  std::function<int(const PrefPtr&, bool)> build = [&](const PrefPtr& p0,
-                                                       bool dual) -> int {
-    PrefPtr cur = p0;
-    while (cur->kind() == PreferenceKind::kDual) {
-      dual = !dual;
-      cur = cur->children()[0];
-    }
-    if (cur->kind() == PreferenceKind::kPareto ||
-        cur->kind() == PreferenceKind::kPrioritized ||
-        cur->kind() == PreferenceKind::kIntersection ||
-        cur->kind() == PreferenceKind::kDisjointUnion) {
       auto kids = cur->children();
       int l = build(kids[0], dual);
       int rr = build(kids[1], dual);
@@ -759,21 +414,27 @@ std::optional<ScoreTable> ScoreTable::CompileColumnar(
     }
 
     const double sign = dual ? -1.0 : 1.0;
+    std::vector<size_t> cols;
+    for (const auto& name : cur->attributes()) {
+      cols.push_back(ResolveColumnOrThrow(r.schema(), name));
+    }
     int col = -1;
     if (IsScoredLeafKind(cur->kind())) {
-      size_t c = ResolveColumnOrThrow(r.schema(), cur->attributes()[0]);
       const auto* scored =
           dynamic_cast<const ScoredBasePreference*>(cur.get());
-      if (cur->kind() == PreferenceKind::kLowest ||
-          cur->kind() == PreferenceKind::kHighest) {
+      const size_t c = cols[0];
+      if (!store.column(c).NumericNanFree()) {
+        col = build_coded_leaf(cols, [&r, scored, sign, c](size_t row) {
+          return sign * scored->ScoreOf(r.ValueAt(row, c));
+        });
+      } else if (cur->kind() == PreferenceKind::kLowest ||
+                 cur->kind() == PreferenceKind::kHighest) {
         // Strictly monotone score on an all-numeric column: injective by
         // construction — a straight fill off the column buffer, no sort,
         // no ids.
         const std::vector<double>& nums = store.column(c).nums;
-        columns.emplace_back();
-        ColumnData& out = columns.back();
+        ColumnData out;
         out.scores.resize(count);
-        out.ids.assign(count, 0);
         if (identity) {
           for (size_t i = 0; i < count; ++i) {
             out.scores[i] = sign * scored->ScoreOf(Value(nums[i]));
@@ -783,19 +444,35 @@ std::optional<ScoreTable> ScoreTable::CompileColumnar(
             out.scores[i] = sign * scored->ScoreOf(Value(nums[phys[i]]));
           }
         }
+        columns.push_back(std::move(out));
         col = static_cast<int>(columns.size() - 1);
       } else {
-        col = build_numeric_leaf(leaf_nums(c), [scored, sign](double v) {
+        col = build_numeric_leaf(c, [scored, sign](double v) {
           return sign * scored->ScoreOf(Value(v));
         });
       }
-    } else {  // kRankF (guaranteed by CompilableColumnar)
-      std::vector<size_t> cols;
-      for (const auto& name : cur->attributes()) {
-        cols.push_back(ResolveColumnOrThrow(r.schema(), name));
-      }
-      col = build_rank_leaf(
-          cols, dynamic_cast<const RankPreference*>(cur.get()), sign);
+    } else if (IsLevelLeafKind(cur->kind()) ||
+               cur->kind() == PreferenceKind::kExplicit) {
+      // Lower level = better, so the uniform "higher score wins" view
+      // negates the level.
+      const Preference* raw = cur.get();
+      const size_t c = cols[0];
+      col = build_coded_leaf(cols, [&r, raw, sign, c](size_t row) {
+        return -sign * static_cast<double>(IntrinsicLevel(*raw, r.ValueAt(row, c)));
+      });
+    } else if (cur->kind() == PreferenceKind::kAntiChain) {
+      col = build_coded_leaf(cols, [](size_t) { return 0.0; });
+    } else {  // kRankF (guaranteed by CompilableTerm)
+      // The utility reads a full-arity Tuple; one scratch tuple is reused,
+      // mutating only the leaf's cells.
+      ScoreFn utility =
+          dynamic_cast<const RankPreference*>(cur.get())->BindUtility(
+              r.schema());
+      Tuple scratch{std::vector<Value>(r.schema().size())};
+      col = build_coded_leaf(cols, [&](size_t row) {
+        for (size_t c : cols) scratch[c] = r.ValueAt(row, c);
+        return sign * utility(scratch);
+      });
     }
     simd::DominanceProgram::Node node;
     node.kind = simd::DominanceProgram::Node::Kind::kLeaf;

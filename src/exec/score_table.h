@@ -1,15 +1,19 @@
 // Vectorized score-table execution layer: compiles a preference term once
-// against a block of distinct projected values into a flat numeric matrix
-// plus a dominance descriptor, so the BMO inner loops (BNL window, SFS
-// presort + window, KLP75 divide & conquer) run over raw `const double*`
-// rows instead of chasing per-comparison std::function closures and Tuple
-// copies.
+// over a pool of rows of a relation's column store into a flat numeric
+// matrix plus a dominance descriptor, so the BMO inner loops (BNL window,
+// SFS presort + window, KLP75 divide & conquer) run over raw
+// `const double*` rows instead of chasing per-comparison std::function
+// closures and Tuple copies.
 //
-// What compiles (Kießling Defs. 6-9 fragment):
+// What compiles (Kießling Defs. 6-9 fragment), and how each leaf reads
+// the column store (relation/column_store.h):
 //  - numerical base preferences (LOWEST/HIGHEST/AROUND/BETWEEN/SCORE,
-//    Def. 7): the leaf's inducing score, raw;
+//    Def. 7): the leaf's inducing score, raw. On an all-numeric NaN-free
+//    column they read the widened double buffer directly: LOWEST/HIGHEST
+//    are injective (a straight fill, no ids), the others take equality
+//    ids from one sort over the doubles;
 //  - level-based base preferences (POS/NEG/POS/POS/POS/NEG/LAYERED and
-//    weak-order EXPLICIT graphs, Def. 6): dict-encoded intrinsic levels
+//    weak-order EXPLICIT graphs, Def. 6): intrinsic levels
 //    (eval/quality.h), negated so "higher score = better" holds uniformly;
 //  - rank(F) (Def. 10): the combined utility as one column;
 //  - anti-chains (Def. 3b): a constant column whose equality classes are
@@ -29,12 +33,17 @@
 // Everything else (SUBSET, LINEAR_SUM, non-weak-order EXPLICIT) does not
 // compile and the caller falls back to the closure-based path.
 //
+// Every leaf but the numeric fast paths — strings, NULL, NaN or mixed
+// columns included — takes its equality classes from ComputeGroupCoding
+// over the leaf's columns (dictionary codes for string columns) and is
+// scored once per class from a representative cell.
+//
 // Def. 8/9 equality is *value* equality, not score equality: AROUND(10)
 // scores 5 and 15 identically although the values are incomparable. Each
-// column therefore carries dict-encoded equality classes; columns whose
-// scores are injective on the block skip the id test (score equality
-// suffices), which is also the data-dependent precondition for the
-// divide & conquer kernel (coordinatewise score dominance == Def. 8).
+// column therefore carries equality-class ids; columns whose scores are
+// injective on the pool skip the id test (score equality suffices), which
+// is also the data-dependent precondition for the divide & conquer
+// kernel (coordinatewise score dominance == Def. 8).
 //
 // The matrix is stored row-major: a dominance test touches every column of
 // exactly two rows, so the two rows' scores are contiguous cache lines.
@@ -60,7 +69,7 @@ class Relation;
 class ScoreTable {
  public:
   /// Static (data-independent) compilability of a term. True iff Compile()
-  /// will succeed for any value block (modulo schema resolution errors,
+  /// will succeed for any relation (modulo schema resolution errors,
   /// which throw from Compile exactly like Preference::Bind would).
   static bool CompilableTerm(const PrefPtr& p);
 
@@ -71,30 +80,15 @@ class ScoreTable {
   /// weak orders and always yield a key here.
   static bool HasStaticSortKeys(const PrefPtr& p);
 
-  /// Compiles `p` against the `count` distinct projected values at
-  /// `values`. Returns nullopt for non-compilable terms. Throws
+  /// Compiles `p` over the rows of `r`'s column store selected by `pool`
+  /// (logical row indices; null means every row): row i of the table is
+  /// pool position i. Returns nullopt for non-compilable terms. Throws
   /// std::out_of_range when an attribute of `p` does not resolve in
-  /// `proj_schema` (mirroring Preference::Bind).
-  static std::optional<ScoreTable> Compile(const PrefPtr& p,
-                                           const Schema& proj_schema,
-                                           const Tuple* values, size_t count);
-
-  /// True when CompileColumnar() can compile `p` straight off `r`'s column
-  /// buffers: every leaf under the Pareto / prioritized / intersection /
-  /// disjoint-union nesting is a numerical scored leaf (LOWEST / HIGHEST /
-  /// AROUND / BETWEEN / SCORE) or rank(F), and every referenced column is
-  /// all-numeric and NaN-free (an O(attributes) check over the store's
-  /// running summary flags — no data scan).
-  static bool CompilableColumnar(const PrefPtr& p, const Relation& r);
-
-  /// Zero-copy compilation: builds the score matrix directly from the
-  /// relation's contiguous numeric column buffers — no projection-index
-  /// gather, no per-row Value materialization, no duplicate elimination.
-  /// Row i of the table is pool position i (`pool` null means all rows),
-  /// so maximal flags map back to rows by identity. Sound for duplicate
-  /// rows too (equal values share scores and equality ids); callers gate
-  /// on a distinctness heuristic purely for kernel-cost reasons.
-  static std::optional<ScoreTable> CompileColumnar(
+  /// `r`'s schema (mirroring Preference::Bind). Sound for duplicate rows
+  /// (equal values share scores and equality ids); callers deduplicate
+  /// only for kernel-cost reasons, by passing one representative row per
+  /// value combination as the pool.
+  static std::optional<ScoreTable> Compile(
       const PrefPtr& p, const Relation& r,
       const std::vector<size_t>* pool = nullptr);
 
@@ -174,12 +168,8 @@ class ScoreTable {
 
   struct ColumnData;  // per-column materialization state (score_table.cc)
 
-  /// Sets ColumnData::use_ids when score equality does not imply value
-  /// equality on the block (cross-class score ties or NaN scores).
-  static void DetectUseIds(ColumnData& col);
-
-  /// Shared tail of both compile paths: mode resolution, row-major matrix
-  /// assembly, per-column flags and sort-key derivation. Consumes
+  /// Tail of Compile: mode resolution, row-major matrix assembly,
+  /// per-column flags and sort-key derivation. Consumes
   /// `columns`; prog_.nodes/root must already be built. `has_other` marks
   /// intersection/union nodes, which force the general evaluation mode.
   void Assemble(std::vector<ColumnData>&& columns, size_t count,

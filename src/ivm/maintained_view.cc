@@ -53,19 +53,19 @@ std::vector<bool> MaintainedView::MaximaOf(
     const std::vector<size_t>& subset,
     std::optional<ScoreTable>* table_out) const {
   if (subset.empty()) return {};
+  if (compilable_) {
+    // Table row k is subset position k: the witness probes index it so.
+    Relation block(proj_schema_);
+    for (size_t i : subset) block.Add(cands_[i].proj);
+    auto table = ScoreTable::Compile(pref_, block);
+    auto flags =
+        table->MaximaRange(BmoAlgorithm::kAuto, 0, table->rows(), plan_);
+    if (table_out) *table_out = std::move(table);
+    return flags;
+  }
   std::vector<Tuple> projs;
   projs.reserve(subset.size());
   for (size_t i : subset) projs.push_back(cands_[i].proj);
-  if (compilable_) {
-    auto table = ScoreTable::Compile(pref_, proj_schema_, projs.data(),
-                                     projs.size());
-    if (table) {
-      auto flags =
-          table->MaximaRange(BmoAlgorithm::kAuto, 0, table->rows(), plan_);
-      if (table_out) *table_out = std::move(table);
-      return flags;
-    }
-  }
   return MaximaBnl(projs, less_);
 }
 

@@ -223,8 +223,25 @@ GroupCoding ComputeGroupCoding(const Relation& r,
   bool first_col = true;
   for (size_t c : cols) {
     const Column& col = store.column(c);
-    ids.clear();
     std::vector<uint32_t> group_rows;
+    if (first_col && col.string_count == col.size()) {
+      // An all-string leading column: its dictionary codes already are
+      // exact equality ids, so densifying them needs no hashing.
+      std::vector<uint32_t> dense(col.dict->size(), UINT32_MAX);
+      for (size_t i = 0; i < n; ++i) {
+        uint32_t& code =
+            dense[col.codes[store.PhysicalRow(pool ? (*pool)[i] : i)]];
+        if (code == UINT32_MAX) {
+          code = static_cast<uint32_t>(group_rows.size());
+          group_rows.push_back(static_cast<uint32_t>(i));
+        }
+        out.codes[i] = code;
+      }
+      out.group_rows = std::move(group_rows);
+      first_col = false;
+      continue;
+    }
+    ids.clear();
     for (size_t i = 0; i < n; ++i) {
       const size_t phys =
           store.PhysicalRow(pool ? (*pool)[i] : i);

@@ -60,7 +60,7 @@ class Relation {
   Value ValueAt(size_t row, size_t col) const {
     return store_.ValueAt(row, col);
   }
-  /// The columnar storage, for columnar scans and zero-copy compilation.
+  /// The columnar storage, for columnar scans and score-table compilation.
   const ColumnStore& store() const { return store_; }
 
   /// Appends a row; the arity must match the schema.

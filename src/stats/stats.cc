@@ -21,7 +21,8 @@ constexpr size_t kDistinctCap = 1 << 16;
 
 /// Leaves of a compilable accumulation in score-table column order
 /// (DUAL wrappers stripped; Pareto/prioritized left-to-right, matching
-/// ScoreTable::Compile's build recursion).
+/// the descriptor build of ScoreTable::Compile, the one score-table
+/// compiler, in exec/score_table.cc).
 void CollectLeaves(const PrefPtr& p, std::vector<PrefPtr>* out) {
   PrefPtr cur = p;
   while (cur->kind() == PreferenceKind::kDual) cur = cur->children()[0];

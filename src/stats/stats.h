@@ -126,7 +126,8 @@ TermStats EstimateTermStats(const TableStats& stats, const PrefPtr& p,
                             size_t pool_rows);
 
 /// Measures term statistics from a compiled score table over the actual
-/// distinct-value block: exact column distinct counts and injectivity;
+/// block (the pool, or its deduplicated representatives): exact column
+/// distinct counts and injectivity;
 /// when the block is large enough, the window width is extrapolated from
 /// maxima probes of two nested sample prefixes (a two-point fit of the
 /// Pareto-front growth exponent), which is what distinguishes

@@ -1,9 +1,9 @@
 // Randomized equivalence suite for the columnar (SoA) storage layer
 // (relation/column_store.h): every construction path and every
 // view-producing relational op must agree with a row-major reference
-// model across NULL / NaN / string-dictionary columns; the zero-copy
-// score-table compilation must agree with the gather path and the bound
-// closure order; and IVM maintenance over columnar snapshots must match
+// model across NULL / NaN / string-dictionary columns; the score-table
+// compile, over the rows as they are and over deduplicated pools, must
+// agree with the bound closure order; and IVM maintenance over columnar snapshots must match
 // full recomputation. Per-column copy-on-write is pinned by buffer
 // identity, not just by value.
 
@@ -36,7 +36,7 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 // A relation exercising every storage feature at once: a dictionary
 // string column (with repeats, so codes are shared), an int column with
 // NULLs (exact int64 shadow + validity map), and a double column with
-// NULLs and NaNs (the zero-copy disqualifiers).
+// NULLs and NaNs (which rule out reading the raw double buffer).
 Relation MessyRelation(size_t n, uint64_t seed) {
   std::mt19937_64 rng(seed);
   Schema s({{"tag", ValueType::kString},
@@ -309,7 +309,7 @@ TEST(ColumnStoreTest, GroupCodingMatchesGroupRowsBy) {
 
 TEST(ColumnStoreTest, DistinctnessProbeGatesOnDuplication) {
   // All-distinct numeric data passes the probe; a two-value column fails
-  // it (collisions only under-report, i.e. toward the gather side).
+  // it (collisions only under-report, i.e. toward deduplication).
   Relation distinct(Schema{{"x", ValueType::kDouble}});
   Relation dupes(Schema{{"x", ValueType::kDouble}});
   for (int i = 0; i < 4096; ++i) {
@@ -318,6 +318,20 @@ TEST(ColumnStoreTest, DistinctnessProbeGatesOnDuplication) {
   }
   EXPECT_TRUE(LikelyMostlyDistinct(distinct, {0}));
   EXPECT_FALSE(LikelyMostlyDistinct(dupes, {0}));
+}
+
+TEST(ColumnStoreTest, DistinctnessProbeDetectsOnlyHeavyDuplication) {
+  // The probe asks whether half of ~512 sampled rows are distinct, so it
+  // flips near a few hundred distinct values whatever the pool size: 200
+  // values over 100k rows read as duplicated, 1000 values (1%) and 21%
+  // distinct (like the car table's price) read as mostly distinct.
+  std::mt19937_64 rng(5);
+  for (const auto& [values, mostly_distinct] :
+       {std::pair<uint64_t, bool>{200, false}, {1000, true}, {21000, true}}) {
+    Relation r(Schema{{"x", ValueType::kInt}});
+    for (int i = 0; i < 100000; ++i) r.Add({Value(int64_t(rng() % values))});
+    EXPECT_EQ(LikelyMostlyDistinct(r, {0}), mostly_distinct) << values;
+  }
 }
 
 // Columnar-compilable terms over the d-dimensional vector schema,
@@ -332,10 +346,10 @@ std::vector<PrefPtr> VectorTerms() {
   };
 }
 
-TEST(ColumnStoreTest, ZeroCopyGatherAndClosureAgree) {
+TEST(ColumnStoreTest, IdentityDedupAndClosureAgree) {
   Relation r = GenerateVectors(1500, 3, Correlation::kAntiCorrelated, 99);
   // Heavy-duplicate variant: quantizing to 3 levels per dimension fails
-  // the distinctness probe, forcing the deduplicating gather path.
+  // the distinctness probe, forcing the deduplicating compile.
   Relation quantized(r.schema());
   for (size_t i = 0; i < r.size(); ++i) {
     Tuple t = r.RowAt(i);
@@ -350,34 +364,46 @@ TEST(ColumnStoreTest, ZeroCopyGatherAndClosureAgree) {
   BmoOptions vectorized;
   vectorized.vectorize = true;
   for (const PrefPtr& p : VectorTerms()) {
-    ASSERT_TRUE(ScoreTable::CompilableColumnar(p, r)) << p->ToString();
-    // Mostly-distinct input → the vectorized path compiles zero-copy.
+    ASSERT_TRUE(ScoreTable::CompilableTerm(p)) << p->ToString();
+    // Mostly-distinct input → the vectorized path compiles the rows as
+    // they are.
     EXPECT_EQ(BmoIndices(r, p, vectorized), BmoIndices(r, p, closure))
         << p->ToString();
-    // Duplicated input → the vectorized path takes the gather compile.
+    // Duplicated input → the vectorized path deduplicates first.
     EXPECT_EQ(BmoIndices(quantized, p, vectorized),
               BmoIndices(quantized, p, closure))
         << p->ToString();
 
-    // Direct zero-copy contract: table row i is relation row i, and the
-    // compiled order is exactly the bound closure order on sampled pairs.
-    auto table = ScoreTable::CompileColumnar(p, r);
-    ASSERT_TRUE(table.has_value()) << p->ToString();
+    // Direct compile contract: table row i is pool position i (relation
+    // row i without a pool), and the compiled order is exactly the bound
+    // closure order on sampled pairs.
+    std::vector<size_t> pool;
+    for (size_t i = r.size(); i-- > 0;) {
+      if (i % 3 != 1) pool.push_back(i);
+    }
+    auto table = ScoreTable::Compile(p, r);
+    auto pooled = ScoreTable::Compile(p, r, &pool);
+    ASSERT_TRUE(table.has_value() && pooled.has_value()) << p->ToString();
     ASSERT_EQ(table->rows(), r.size());
+    ASSERT_EQ(pooled->rows(), pool.size());
     LessFn less = p->Bind(r.schema());
     std::mt19937_64 rng(4242);
     for (int k = 0; k < 400; ++k) {
       const size_t x = rng() % r.size(), y = rng() % r.size();
       EXPECT_EQ(table->Less(x, y), less(r.RowAt(x), r.RowAt(y)))
           << p->ToString() << " rows " << x << "," << y;
+      const size_t px = rng() % pool.size(), py = rng() % pool.size();
+      EXPECT_EQ(pooled->Less(px, py),
+                less(r.RowAt(pool[px]), r.RowAt(pool[py])))
+          << p->ToString() << " pool positions " << px << "," << py;
     }
   }
 }
 
-TEST(ColumnStoreTest, NullAndNanColumnsDisqualifyZeroCopyOnly) {
-  // A NaN (or NULL) in a referenced column breaks the zero-copy contract
-  // (NumericNanFree); compilation must fall back to the gather path and
-  // still agree with the closure.
+TEST(ColumnStoreTest, NullAndNanColumnsCompileAndAgreeWithTheClosure) {
+  // A NaN (or NULL) in a referenced column rules out the raw double
+  // buffer (NumericNanFree); the leaves then take their equality classes
+  // from the column coding and must still agree with the closure.
   Relation r = GenerateVectors(400, 2, Correlation::kIndependent, 7);
   Relation poisoned(r.schema());
   std::mt19937_64 rng(11);
@@ -388,9 +414,6 @@ TEST(ColumnStoreTest, NullAndNanColumnsDisqualifyZeroCopyOnly) {
     poisoned.Add(t);
   }
   PrefPtr p = Pareto(Highest("d0"), Lowest("d1"));
-  EXPECT_TRUE(ScoreTable::CompilableColumnar(p, r));
-  EXPECT_FALSE(ScoreTable::CompilableColumnar(p, poisoned));
-  EXPECT_FALSE(ScoreTable::CompileColumnar(p, poisoned).has_value());
   BmoOptions closure;
   closure.vectorize = false;
   BmoOptions vectorized;

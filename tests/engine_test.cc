@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <random>
 #include <string>
@@ -475,12 +476,11 @@ TEST(EngineTest, CacheFreeExecutionMatchesCachedEngine) {
 
 TEST(EngineTest, ExecBytesGaugeCountsCompactEntries) {
   // The exec-cache gauge sums what the live entries hold. A compiled
-  // gather-path entry keeps the row set, the 32-bit row map and the score
-  // and id buffers, not the distinct projected Tuples the table was
-  // compiled from, so the CASCADE template of the serving workloads (three
-  // score columns, two with cross-value ties) costs about 50 bytes per
-  // candidate row; retaining 40-byte Values per column costs four times
-  // that.
+  // entry keeps the row set and the score and id buffers (plus a 32-bit
+  // row map when it deduplicated), not projected Tuples, so the CASCADE
+  // template of the serving workloads (three score columns, two with
+  // cross-value ties) costs about 50 bytes per candidate row; retaining
+  // 40-byte Values per column costs four times that.
   Engine engine;
   engine.RegisterTable("car", GenerateCars(100000, 7));
   EXPECT_EQ(engine.cache_stats().exec_bytes, 0u);
@@ -607,7 +607,7 @@ TEST(EngineTest, ParallelKernelLabelNamesThePartitionKernel) {
 }
 
 TEST(EngineTest, ExplainNamesTheCompilePathOfEveryGroup) {
-  // Groups take the same zero-copy gate as ungrouped blocks; EXPLAIN
+  // Groups take the same dedup decision as ungrouped blocks; EXPLAIN
   // counts the blocks per compile path.
   Engine engine;
   engine.RegisterTable("car", GenerateCars(5000, 3));
@@ -637,6 +637,19 @@ struct AgreementFamily {
   std::string compile_path;  // EXPLAIN's path; empty when nothing compiles
 };
 
+// Adds a family twice: over a mostly-distinct pool, which compiles as it
+// is ("zero-copy"), and over a heavily duplicated one, which compiles
+// deduplicated ("dedup"). `make(duplicated)` builds the relation.
+void AddBothPools(std::vector<AgreementFamily>* families,
+                  const std::string& name,
+                  const std::function<Relation(bool)>& make,
+                  const std::string& preferring, const PrefPtr& term) {
+  families->push_back({name + ", distinct pool", make(false), preferring,
+                       term, "zero-copy"});
+  families->push_back({name + ", duplicated pool", make(true), preferring,
+                       term, "dedup"});
+}
+
 std::vector<AgreementFamily> AgreementFamilies() {
   std::vector<AgreementFamily> families;
   std::mt19937_64 rng(2024);
@@ -656,7 +669,7 @@ std::vector<AgreementFamily> AgreementFamilies() {
                         Pareto(Lowest("a"), Lowest("b")), "zero-copy"});
   }
   {
-    // Few distinct values and a string column: the deduplicating gather.
+    // Few distinct values and a string column: compiled deduplicated.
     Relation r(Schema{{"id", ValueType::kInt},
                       {"g", ValueType::kString},
                       {"color", ValueType::kString},
@@ -667,10 +680,10 @@ std::vector<AgreementFamily> AgreementFamilies() {
              Value(int64_t(rng() % 50))});
     }
     families.push_back(
-        {"gather with duplicates and strings", r,
+        {"dedup with duplicates and strings", r,
          "color IN ('red', 'blue') AND LOWEST(price)",
          Pareto(Pos("color", {Value("red"), Value("blue")}), Lowest("price")),
-         "gather"});
+         "dedup"});
   }
   {
     // LINEAR_SUM does not compile: the closure kernels run. SQL cannot
@@ -691,7 +704,8 @@ std::vector<AgreementFamily> AgreementFamilies() {
                         Pareto(fused, Lowest("y")), ""});
   }
   {
-    // NaN and NULL cells rule out the zero-copy compile.
+    // NaN and NULL cells: the leaves code their equality classes from
+    // the column store instead of reading the raw double buffer.
     Relation r(Schema{{"id", ValueType::kInt},
                       {"g", ValueType::kString},
                       {"x", ValueType::kDouble},
@@ -704,8 +718,103 @@ std::vector<AgreementFamily> AgreementFamilies() {
       r.Add({Value(i), groups[rng() % 4], x, Value(int64_t(rng() % 300))});
     }
     families.push_back({"NaN and NULL column", r, "LOWEST(x) AND HIGHEST(y)",
-                        Pareto(Lowest("x"), Highest("y")), "gather"});
+                        Pareto(Lowest("x"), Highest("y")), "zero-copy"});
   }
+  // The CASCADE shape of the serving workloads: a string level term (an
+  // ELSE chain, i.e. POS/NEG) beside AROUND, then LOWEST. The distinct
+  // pool's string column is itself mostly distinct.
+  AddBothPools(
+      &families, "string level term beside AROUND",
+      [&](bool duplicated) {
+        Relation r(Schema{{"id", ValueType::kInt},
+                          {"g", ValueType::kString},
+                          {"c", ValueType::kString},
+                          {"price", ValueType::kInt},
+                          {"mileage", ValueType::kInt}});
+        const char* named[] = {"roadster", "passenger", "coupe"};
+        for (int64_t i = 0; i < 6000; ++i) {
+          const uint64_t pick = rng() % (duplicated ? 4 : 3000);
+          const std::string c =
+              pick < 3 ? named[pick] : "model" + std::to_string(pick);
+          const int64_t price = duplicated ? 17000 + 1000 * int64_t(rng() % 6)
+                                           : int64_t(rng() % 40000);
+          const int64_t mileage = duplicated ? 10000 * int64_t(rng() % 5)
+                                             : int64_t(rng() % 200000);
+          r.Add({Value(i), groups[rng() % 4], Value(c), Value(price),
+                 Value(mileage)});
+        }
+        return r;
+      },
+      "(c = 'roadster' ELSE c <> 'passenger') AND price AROUND 20000 "
+      "CASCADE LOWEST(mileage)",
+      Prioritized(Pareto(PosNeg("c", {Value("roadster")}, {Value("passenger")}),
+                         Around("price", 20000)),
+                  Lowest("mileage")));
+  // POS on a column mixing ints, strings and NULLs.
+  AddBothPools(
+      &families, "POS on a mixed int/string/NULL column",
+      [&](bool duplicated) {
+        Relation r(Schema{{"id", ValueType::kInt},
+                          {"g", ValueType::kString},
+                          {"m", ValueType::kInt},
+                          {"y", ValueType::kInt}});
+        for (int64_t i = 0; i < 6000; ++i) {
+          const uint64_t pick = rng() % (duplicated ? 6 : 4000);
+          Value m = pick % 3 == 0   ? Value(int64_t(pick))
+                    : pick % 3 == 1 ? Value("s" + std::to_string(pick))
+                                    : Value();
+          if (!duplicated && pick % 3 == 2 && pick % 2 == 0) {
+            m = Value(double(pick) + 0.5);  // keep the pool mostly distinct
+          }
+          r.Add({Value(i), groups[rng() % 4], m,
+                 Value(int64_t(rng() % (duplicated ? 20 : 5000)))});
+        }
+        return r;
+      },
+      "m IN (3, 's4', 12) AND LOWEST(y)",
+      Pareto(Pos("m", {Value(int64_t(3)), Value("s4"), Value(int64_t(12))}),
+             Lowest("y")));
+  // An anti-chain grouping term A<-> & P (Prop. σ[A<-> & P] = σ[P groupby
+  // A]); SQL spells grouping as GROUPING, so the term is programmatic.
+  AddBothPools(
+      &families, "anti-chain grouping term",
+      [&](bool duplicated) {
+        Relation r(Schema{{"id", ValueType::kInt},
+                          {"g", ValueType::kString},
+                          {"k", ValueType::kString},
+                          {"x", ValueType::kDouble},
+                          {"y", ValueType::kDouble}});
+        for (int64_t i = 0; i < 6000; ++i) {
+          const double x = duplicated ? double(rng() % 6) : uni(rng);
+          const double y = duplicated ? double(rng() % 6) : uni(rng);
+          r.Add({Value(i), groups[rng() % 4],
+                 Value("k" + std::to_string(rng() % (duplicated ? 4 : 50))),
+                 Value(x), Value(y)});
+        }
+        return r;
+      },
+      "", Prioritized(AntiChain("k"), Pareto(Lowest("x"), Highest("y"))));
+  // rank(F) over a column with NULLs (unscorable: the HIGHEST input
+  // scores them -inf), beside LOWEST.
+  AddBothPools(
+      &families, "rank(F) over a column with NULLs",
+      [&](bool duplicated) {
+        Relation r(Schema{{"id", ValueType::kInt},
+                          {"g", ValueType::kString},
+                          {"x", ValueType::kInt},
+                          {"y", ValueType::kInt},
+                          {"z", ValueType::kInt}});
+        const uint64_t span = duplicated ? 5 : 100000;
+        for (int64_t i = 0; i < 6000; ++i) {
+          Value x = rng() % 10 == 0 ? Value() : Value(int64_t(rng() % span));
+          r.Add({Value(i), groups[rng() % 4], x,
+                 Value(int64_t(rng() % span)), Value(int64_t(rng() % span))});
+        }
+        return r;
+      },
+      "",
+      Pareto(RankWeightedSum({0.6, 0.4}, {Highest("x"), Lowest("y")}),
+             Lowest("z")));
   return families;
 }
 
@@ -729,6 +838,13 @@ TEST(EngineTest, EveryPathAgreesWithTheNaiveOracle) {
     Engine engine;
     engine.RegisterTable("t", family.relation);
     const Relation& r = family.relation;
+    if (!family.compile_path.empty()) {
+      // The pool shape the family claims, as CompileBlock's probe sees it.
+      EXPECT_EQ(LikelyMostlyDistinct(
+                    r, r.ResolveColumns(family.term->attributes())),
+                family.compile_path == "zero-copy")
+          << family.name;
+    }
     for (bool grouped : {false, true}) {
       const std::vector<size_t> expected =
           grouped ? BmoGroupByIndices(r, family.term, {"g"}, oracle)
@@ -757,6 +873,9 @@ TEST(EngineTest, EveryPathAgreesWithTheNaiveOracle) {
           psql::QueryResult result = query.Run();
           EXPECT_EQ(result.stats.exec_cache_hit, run > 0);
           EXPECT_EQ(Ids(result.relation), expected_ids);
+          EXPECT_EQ(result.stats.kernel != "closure",
+                    !family.compile_path.empty())
+              << result.stats.kernel;
         }
       }
       if (family.preferring.empty()) continue;
@@ -767,6 +886,53 @@ TEST(EngineTest, EveryPathAgreesWithTheNaiveOracle) {
           << explain.plan_details;
     }
   }
+}
+
+TEST(EngineTest, SubscribedLevelTermMatchesAFreshExecute) {
+  // A subscribed POS / LAYERED statement over string columns: every
+  // maintenance pass compiles its candidates' projections, and the
+  // maintained answer must equal a fresh Execute after inserts and
+  // deletes.
+  const std::string sql =
+      "SELECT * FROM t PREFERRING c IN ('red', 'blue') AND "
+      "(k = 'a' ELSE k <> 'b') CASCADE LOWEST(price)";
+  std::mt19937_64 rng(77);
+  const char* colors[] = {"red", "blue", "green", "black"};
+  const char* kinds[] = {"a", "b", "c"};
+  auto row = [&](int64_t id) {
+    return Tuple{Value(id), Value(colors[rng() % 4]), Value(kinds[rng() % 3]),
+                 Value(int64_t(rng() % 500))};
+  };
+  Relation seed(Schema{{"id", ValueType::kInt},
+                       {"c", ValueType::kString},
+                       {"k", ValueType::kString},
+                       {"price", ValueType::kInt}});
+  for (int64_t i = 0; i < 400; ++i) seed.Add(row(i));
+  Engine subscribed;
+  subscribed.RegisterTable("t", seed);
+  Engine::Subscription sub = subscribed.Subscribe(sql);
+  auto sorted_ids = [](const Relation& r) {
+    std::vector<int64_t> ids = Ids(r);
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  int64_t next_id = 400;
+  for (int step = 0; step < 60; ++step) {
+    if (rng() % 3 != 0) {
+      subscribed.Insert("t", row(next_id++));
+    } else {
+      const Value cut(int64_t(rng() % 40));
+      subscribed.Delete("t", [cut](const Tuple& t) { return t[3] < cut; });
+    }
+    Engine fresh;
+    fresh.RegisterTable("t", *subscribed.Snapshot("t"));
+    ASSERT_EQ(sorted_ids(subscribed.Execute(sql).relation),
+              sorted_ids(fresh.Execute(sql).relation))
+        << "step " << step;
+  }
+  EXPECT_GT(subscribed.cache_stats().exec_refreshes, 0u);
+  EXPECT_GT(sub.view_stats().inserts, 0u);
+  EXPECT_GT(sub.view_stats().deletes, 0u);
 }
 
 }  // namespace

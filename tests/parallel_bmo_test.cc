@@ -97,9 +97,9 @@ TEST(ParallelBmoTest, NestedCallFromSharedPoolWorkerCompletes) {
 TEST(ParallelBmoTest, EmptyInputs) {
   Relation r(Schema{{"x", ValueType::kInt}});
   EXPECT_TRUE(ParallelBmo(r, Lowest("x"), TinyPartitions()).empty());
-  std::vector<Tuple> no_values;
-  EXPECT_TRUE(MaximaParallel(no_values, Lowest("x"),
-                             Schema{{"x", ValueType::kInt}}, TinyPartitions())
+  EXPECT_TRUE(MaximaParallel(nullptr, 0, Lowest("x"),
+                             Schema{{"x", ValueType::kInt}}, TinyPartitions(),
+                             nullptr)
                   .empty());
 }
 

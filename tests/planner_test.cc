@@ -35,9 +35,7 @@ PrefPtr SkylinePref(size_t d) {
 // probe), exactly what BmoIndices and the engine's exec builder do.
 PhysicalPlan PlanMeasured(const Relation& r, const PrefPtr& p,
                           const BmoOptions& options = {}) {
-  ProjectionIndex proj = BuildProjectionIndex(r, *p);
-  auto table = ScoreTable::Compile(p, proj.proj_schema, proj.values.data(),
-                                   proj.values.size());
+  auto table = ScoreTable::Compile(p, r);
   EXPECT_TRUE(table.has_value());
   PlanScope scope;
   scope.allow_decomposition = false;
@@ -81,9 +79,7 @@ TEST(PlannerGoldenTest, NonInjectiveColumnsDisqualifyDc) {
     r.Add({Value(int64_t(rng() % 21)), Value(int64_t(rng() % 1000))});
   }
   PrefPtr p = Pareto(Around("d0", 10), Highest("d1"));
-  ProjectionIndex proj = BuildProjectionIndex(r, *p);
-  auto table = ScoreTable::Compile(p, proj.proj_schema, proj.values.data(),
-                                   proj.values.size());
+  auto table = ScoreTable::Compile(p, r);
   ASSERT_TRUE(table.has_value());
   TermStats stats = MeasureTermStats(*table, p, r.size());
   EXPECT_FALSE(stats.dc_exact);

@@ -231,8 +231,7 @@ TEST(ScoreTableTest, DivideConquerRequiresInjectiveScores) {
   r.Add({5, 2});
   r.Add({15, 1});
   PrefPtr p = Pareto(Around("a", 10), Highest("b"));
-  const Tuple* values = r.tuples().data();
-  auto table = ScoreTable::Compile(p, s, values, r.size());
+  auto table = ScoreTable::Compile(p, r);
   ASSERT_TRUE(table.has_value());
   EXPECT_FALSE(table->CanDivideConquer());
   // Both rows are maximal whatever algorithm is requested.
@@ -246,8 +245,7 @@ TEST(ScoreTableTest, DivideConquerRequiresInjectiveScores) {
   // Injective numeric skylines do qualify.
   Relation v = GenerateVectors(500, 3, Correlation::kAntiCorrelated, 5);
   PrefPtr sky = Pareto({Highest("d0"), Highest("d1"), Highest("d2")});
-  auto sky_table =
-      ScoreTable::Compile(sky, v.schema(), v.tuples().data(), v.size());
+  auto sky_table = ScoreTable::Compile(sky, v);
   ASSERT_TRUE(sky_table.has_value());
   EXPECT_TRUE(sky_table->CanDivideConquer());
   EXPECT_EQ(BmoIndices(v, sky, Vectorized(BmoAlgorithm::kDivideConquer)),

@@ -201,18 +201,22 @@ TEST(SimdKernelTest, ParallelSharedTableAcrossKernels) {
   PrefPtr p = Prioritized(
       Pareto(Highest("d0"), Highest("d1")), Lowest("d2"));
   ProjectionIndex proj = BuildProjectionIndex(r, *p);
+  const size_t m = proj.values.size();
+  std::optional<ScoreTable> table =
+      ScoreTable::Compile(p, Relation(proj.proj_schema, proj.values));
+  ASSERT_TRUE(table.has_value());
   PhysicalPlan closure_plan;
-  closure_plan.vectorize = false;
   closure_plan.min_partition_size = 512;
-  std::vector<bool> expected =
-      MaximaParallel(proj.values, p, proj.proj_schema, closure_plan);
+  std::vector<bool> expected = MaximaParallel(
+      proj.values.data(), m, p, proj.proj_schema, closure_plan, nullptr);
   for (SimdMode mode : KernelModes()) {
     PhysicalPlan plan;
     plan.min_partition_size = 512;
     plan.simd = mode;
     plan.bnl_tile_rows = 256;  // exercise tiling inside partitions
-    EXPECT_EQ(MaximaParallel(proj.values, p, proj.proj_schema, plan),
-              expected)
+    EXPECT_EQ(
+        MaximaParallel(nullptr, m, p, proj.proj_schema, plan, &*table),
+        expected)
         << "simd=" << SimdModeName(mode);
   }
 }
@@ -275,8 +279,8 @@ TEST(SimdKernelTest, TablesWithAndWithoutIdMatrixMatchTheOracle) {
     ProjectionIndex proj = BuildProjectionIndex(r, *p);
     const size_t m = proj.values.size();
     const LessFn less = p->Bind(proj.proj_schema);
-    std::optional<ScoreTable> table = ScoreTable::Compile(
-        p, proj.proj_schema, proj.values.data(), m);
+    std::optional<ScoreTable> table =
+        ScoreTable::Compile(p, Relation(proj.proj_schema, proj.values));
     ASSERT_TRUE(table.has_value());
     const std::vector<uint8_t>& use_ids = table->program().use_ids;
     EXPECT_EQ(static_cast<size_t>(

@@ -107,9 +107,7 @@ TEST(TermStatsTest, MeasuredWindowSeparatesCorrelationRegimes) {
                       Highest("d3")});
   auto measure = [&](Correlation corr) {
     Relation r = GenerateVectors(n, 4, corr, 42);
-    ProjectionIndex proj = BuildProjectionIndex(r, *p);
-    auto table = ScoreTable::Compile(p, proj.proj_schema, proj.values.data(),
-                                     proj.values.size());
+    auto table = ScoreTable::Compile(p, r);
     EXPECT_TRUE(table.has_value());
     return MeasureTermStats(*table, p, n);
   };
@@ -131,9 +129,7 @@ TEST(TermStatsTest, StridedProbeSurvivesPhysicallySortedInput) {
   PrefPtr p = Pareto({Highest("d0"), Highest("d1"), Highest("d2"),
                       Highest("d3")});
   auto measure = [&](const Relation& r) {
-    ProjectionIndex proj = BuildProjectionIndex(r, *p);
-    auto table = ScoreTable::Compile(p, proj.proj_schema, proj.values.data(),
-                                     proj.values.size());
+    auto table = ScoreTable::Compile(p, r);
     EXPECT_TRUE(table.has_value());
     return MeasureTermStats(*table, p, n).est_window;
   };
@@ -184,9 +180,7 @@ TEST(TermStatsTest, MeasuredColumnDistinctIsExact) {
   const char* colors[] = {"red", "blue", "green"};
   for (int i = 0; i < 60; ++i) r.Add({colors[i % 3], i});
   PrefPtr p = Pareto(Pos("color", {"red"}), Lowest("price"));
-  ProjectionIndex proj = BuildProjectionIndex(r, *p);
-  auto table = ScoreTable::Compile(p, proj.proj_schema, proj.values.data(),
-                                   proj.values.size());
+  auto table = ScoreTable::Compile(p, r);
   ASSERT_TRUE(table.has_value());
   // POS(red) collapses blue/green into one level but their equality
   // classes stay distinct values: 3 classes on the color column.
