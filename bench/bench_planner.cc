@@ -162,7 +162,7 @@ bool CheckFamily(const Family& family, size_t n) {
   std::vector<Candidate> candidates;
   auto time_algo = [&](BmoAlgorithm algo) {
     return MedianMs([&] {
-      std::vector<bool> maximal = table->MaximaRange(algo, 0, m, plan);
+      std::vector<bool> maximal = table->Maxima(algo, plan);
       benchmark::DoNotOptimize(maximal);
     });
   };
@@ -183,8 +183,8 @@ bool CheckFamily(const Family& family, size_t n) {
     if (c.algo == plan.algorithm) chosen = &c;
   }
   if (chosen == nullptr) {
-    // kParallel cannot be timed via MaximaRange; it is never chosen at
-    // smoke sizes (below parallel_threshold), so this is a real failure.
+    // Block scope leaves only the table's kernels (BNL, SFS, D&C), all
+    // timed above; any other choice is a real failure.
     std::fprintf(stderr, "planner-check %s: chose %s, not a block kernel\n",
                  family.name, BmoAlgorithmName(plan.algorithm));
     return false;

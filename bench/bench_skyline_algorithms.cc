@@ -173,8 +173,7 @@ void RunKernelFamily(benchmark::State& state, BmoAlgorithm algo,
   plan.bnl_tile_rows = tile;
   size_t skyline = 0;
   for (auto _ : state) {
-    std::vector<bool> maximal =
-        table->MaximaRange(algo, 0, table->rows(), plan);
+    std::vector<bool> maximal = table->Maxima(algo, plan);
     skyline = static_cast<size_t>(
         std::count(maximal.begin(), maximal.end(), true));
     benchmark::DoNotOptimize(maximal);
@@ -285,8 +284,7 @@ void RunEndToEndCold(benchmark::State& state, bool zero_copy) {
     } else {
       std::vector<uint32_t> codes;
       auto table = CompileDedup(r, p, &codes);
-      std::vector<bool> maximal =
-          table->MaximaRange(BmoAlgorithm::kAuto, 0, table->rows());
+      std::vector<bool> maximal = table->Maxima(BmoAlgorithm::kAuto);
       for (size_t i = 0; i < r.size(); ++i) {
         if (maximal[codes[i]]) rows.push_back(i);
       }

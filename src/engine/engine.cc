@@ -1,5 +1,6 @@
 #include "engine/engine.h"
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -58,9 +59,9 @@ struct Exec {
   std::string plan_details;  // optimizer / ranked EXPLAIN text
   std::string kernel_variant;  // BMO kernel label (QueryStats.kernel)
   PrefPtr exec_pref;  // term actually evaluated (simplified when routed)
-  /// The planned artifact: algorithm, kernel fields, parallel shape,
-  /// statistics and the per-algorithm cost table. For GROUPING, the
-  /// statement-level plan; each block carries its own.
+  /// The planned artifact: algorithm, kernel fields, statistics and the
+  /// per-algorithm cost table. For GROUPING, the statement-level plan;
+  /// each block carries its own.
   PhysicalPlan plan;
   /// BMO kernel inputs (every path but decomposition): one block over
   /// the candidate pool, or blocks[g] over groups[g] for GROUPING.
@@ -107,7 +108,6 @@ using engine_internal::Plan;
 using internal::AppendMaximalRows;
 using internal::CompileBlock;
 using internal::CompiledBlock;
-using internal::GroupMaximalRows;
 using Clock = std::chrono::steady_clock;
 
 uint64_t ElapsedNs(Clock::time_point begin, Clock::time_point end) {
@@ -120,8 +120,6 @@ uint64_t ElapsedNs(Clock::time_point begin, Clock::time_point end) {
 // inputs, the vectorization switch and the kernel policy.
 std::string OptionsSignature(const BmoOptions& o) {
   return std::to_string(static_cast<int>(o.algorithm)) + ":" +
-         std::to_string(o.num_threads) + ":" +
-         std::to_string(o.parallel_threshold) + ":" +
          (o.vectorize ? "v" : "c") + ":" + SimdModeName(o.simd) + ":" +
          std::to_string(o.bnl_tile_rows);
 }
@@ -314,10 +312,6 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
       } else {
         exec->groups = GroupRowsBy(
             table, table.ResolveColumns(stmt.grouping), pool_ptr);
-        // Multiple groups saturate the pool themselves; a single
-        // (degenerate) group runs inline, so partition-parallelism inside
-        // it stays on the table.
-        scope.allow_parallel = exec->groups.size() == 1;
         exec->blocks.reserve(exec->groups.size());
         for (const std::vector<size_t>& rows : exec->groups) {
           exec->blocks.push_back(
@@ -359,8 +353,10 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
           }
         }
         exec->plan = physical;
+        // An empty pool has no groups, so nothing compiles.
         exec->kernel_variant =
-            options.vectorize && ScoreTable::CompilableTerm(exec_pref)
+            !exec->blocks.empty() && options.vectorize &&
+                    ScoreTable::CompilableTerm(exec_pref)
                 ? std::string("per-group[") +
                       simd::ResolveKernel(options.simd).name + "]"
                 : "closure";
@@ -435,12 +431,13 @@ psql::QueryResult ExecuteExec(const Plan& plan, const Exec& exec) {
       current = table.SelectRows(rows);
     } else {
       // GROUPING: per-group kernel work over the cached blocks.
-      current = table.SelectRows(GroupMaximalRows(
-          exec.groups.size(), exec.plan.num_threads,
-          [&exec](size_t g, std::vector<size_t>* out) {
-            AppendMaximalRows(exec.exec_pref, exec.blocks[g],
-                              &exec.groups[g], out);
-          }));
+      std::vector<size_t> rows;
+      for (size_t g = 0; g < exec.groups.size(); ++g) {
+        AppendMaximalRows(exec.exec_pref, exec.blocks[g], &exec.groups[g],
+                          &rows);
+      }
+      std::sort(rows.begin(), rows.end());
+      current = table.SelectRows(rows);
     }
     if (exec.but_only) {
       current = current.Filter(exec.but_only);

@@ -4,15 +4,12 @@
 #include <chrono>
 #include <limits>
 #include <numeric>
-#include <functional>
 
 #include "core/numeric_preferences.h"
 #include "eval/bmo_internal.h"
 #include "eval/decomposition.h"
-#include "exec/parallel_bmo.h"
 #include "exec/score_table.h"
 #include "exec/simd/dominance.h"
-#include "exec/thread_pool.h"
 
 namespace prefdb {
 
@@ -24,7 +21,6 @@ const char* BmoAlgorithmName(BmoAlgorithm algo) {
     case BmoAlgorithm::kSortFilter: return "sfs";
     case BmoAlgorithm::kDivideConquer: return "dc";
     case BmoAlgorithm::kDecomposition: return "decomposition";
-    case BmoAlgorithm::kParallel: return "parallel";
   }
   return "?";
 }
@@ -59,13 +55,9 @@ ProjectionIndex BuildProjectionIndex(const Relation& r, const Preference& p,
   return out;
 }
 
-namespace {
-
-// Range-based implementations: partition-parallel callers evaluate
-// contiguous slices of the distinct-value array without copying tuples.
-
-std::vector<bool> MaximaNaiveRange(const Tuple* values, size_t m,
-                                   const LessFn& less) {
+std::vector<bool> MaximaNaive(const std::vector<Tuple>& values,
+                              const LessFn& less) {
+  const size_t m = values.size();
   std::vector<bool> maximal(m, true);
   for (size_t i = 0; i < m; ++i) {
     for (size_t j = 0; j < m; ++j) {
@@ -78,8 +70,9 @@ std::vector<bool> MaximaNaiveRange(const Tuple* values, size_t m,
   return maximal;
 }
 
-std::vector<bool> MaximaBnlRange(const Tuple* values, size_t m,
-                                 const LessFn& less) {
+std::vector<bool> MaximaBnl(const std::vector<Tuple>& values,
+                            const LessFn& less) {
+  const size_t m = values.size();
   std::vector<bool> maximal(m, false);
   std::vector<size_t> window;
   for (size_t i = 0; i < m; ++i) {
@@ -103,18 +96,6 @@ std::vector<bool> MaximaBnlRange(const Tuple* values, size_t m,
   }
   for (size_t idx : window) maximal[idx] = true;
   return maximal;
-}
-
-}  // namespace
-
-std::vector<bool> MaximaNaive(const std::vector<Tuple>& values,
-                              const LessFn& less) {
-  return MaximaNaiveRange(values.data(), values.size(), less);
-}
-
-std::vector<bool> MaximaBnl(const std::vector<Tuple>& values,
-                            const LessFn& less) {
-  return MaximaBnlRange(values.data(), values.size(), less);
 }
 
 namespace {
@@ -298,34 +279,8 @@ std::vector<bool> MaximaDivideConquerFlat(const double* scores, size_t n,
 
 namespace internal {
 
-std::vector<bool> ComputeMaximaBlock(const Tuple* values, size_t count,
-                                     const PrefPtr& p,
-                                     const Schema& proj_schema,
-                                     BmoAlgorithm algo) {
-  const LessFn less = p->Bind(proj_schema);
-  return algo == BmoAlgorithm::kNaive ? MaximaNaiveRange(values, count, less)
-                                      : MaximaBnlRange(values, count, less);
-}
-
-std::vector<bool> ExecuteBlockPlan(const Tuple* values, size_t count,
-                                   const PrefPtr& p,
-                                   const Schema& proj_schema,
-                                   const ScoreTable* table,
-                                   const PhysicalPlan& plan) {
-  if (plan.algorithm == BmoAlgorithm::kParallel) {
-    return MaximaParallel(values, count, p, proj_schema, plan, table);
-  }
-  if (table != nullptr) {
-    return table->MaximaRange(plan.algorithm, 0, count, plan);
-  }
-  return ComputeMaximaBlock(values, count, p, proj_schema, plan.algorithm);
-}
-
 std::string CompiledBlock::KernelVariant() const {
   if (!table) return "closure";
-  if (plan.algorithm == BmoAlgorithm::kParallel) {
-    return ParallelKernelVariant(*table, plan);
-  }
   return table->KernelVariant(plan.algorithm, plan);
 }
 
@@ -367,10 +322,6 @@ CompiledBlock CompileBlock(const Relation& r, const PrefPtr& p,
                                                     pool_size, p);
   }
   block.plan = PlanPhysical(stats, options, scope);
-  if (!scope.allow_parallel &&
-      block.plan.algorithm == BmoAlgorithm::kParallel) {
-    block.plan.algorithm = BmoAlgorithm::kAuto;
-  }
   block.plan_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
@@ -381,43 +332,22 @@ CompiledBlock CompileBlock(const Relation& r, const PrefPtr& p,
 void AppendMaximalRows(const PrefPtr& p, const CompiledBlock& block,
                        const std::vector<size_t>* rows,
                        std::vector<size_t>* out) {
-  const ScoreTable* table = block.table ? &*block.table : nullptr;
-  const size_t distinct = table ? table->rows() : block.proj.values.size();
-  if (distinct == 0) return;
-  const std::vector<bool> maximal = ExecuteBlockPlan(
-      table ? nullptr : block.proj.values.data(), distinct, p,
-      block.proj.proj_schema, table, block.plan);
+  std::vector<bool> maximal;
+  if (block.table) {
+    maximal = block.table->Maxima(block.plan.algorithm, block.plan);
+  } else {
+    const LessFn less = p->Bind(block.proj.proj_schema);
+    maximal = block.plan.algorithm == BmoAlgorithm::kNaive
+                  ? MaximaNaive(block.proj.values, less)
+                  : MaximaBnl(block.proj.values, less);
+  }
   const size_t pool_size =
-      block.identity() ? distinct : block.proj.row_to_value.size();
+      block.identity() ? maximal.size() : block.proj.row_to_value.size();
   for (size_t i = 0; i < pool_size; ++i) {
     if (maximal[block.identity() ? i : block.proj.row_to_value[i]]) {
       out->push_back(rows ? (*rows)[i] : i);
     }
   }
-}
-
-std::vector<size_t> GroupMaximalRows(
-    size_t num_groups, size_t num_threads,
-    const std::function<void(size_t, std::vector<size_t>*)>& group_maxima) {
-  std::vector<size_t> out;
-  ThreadPool& pool = ThreadPool::Shared();
-  const size_t threads = ThreadPool::ResolveThreads(num_threads);
-  if (num_groups > 1 && threads > 1 && !pool.OnWorkerThread()) {
-    std::vector<std::vector<size_t>> results(num_groups);
-    pool.ParallelForChunks(num_groups, threads, 1,
-                           [&](size_t, size_t begin, size_t end) {
-                             for (size_t g = begin; g < end; ++g) {
-                               group_maxima(g, &results[g]);
-                             }
-                           });
-    for (const std::vector<size_t>& rows : results) {
-      out.insert(out.end(), rows.begin(), rows.end());
-    }
-  } else {
-    for (size_t g = 0; g < num_groups; ++g) group_maxima(g, &out);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace internal
@@ -452,16 +382,13 @@ std::vector<size_t> BmoGroupByIndices(
       GroupRowsBy(r, r.ResolveColumns(group_attrs));
   PlanScope scope;
   scope.allow_decomposition = false;
-  // Several groups already saturate the pool; a single group keeps
-  // partition-parallelism inside its block.
-  scope.allow_parallel = groups.size() == 1;
-  return internal::GroupMaximalRows(
-      groups.size(), options.num_threads,
-      [&](size_t g, std::vector<size_t>* out) {
-        internal::AppendMaximalRows(
-            p, internal::CompileBlock(r, p, &groups[g], options, scope),
-            &groups[g], out);
-      });
+  std::vector<size_t> out;
+  for (const std::vector<size_t>& rows : groups) {
+    internal::AppendMaximalRows(
+        p, internal::CompileBlock(r, p, &rows, options, scope), &rows, &out);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 Relation BmoGroupBy(const Relation& r, const PrefPtr& p,

@@ -16,10 +16,6 @@
 //                    §6.1); falls back to BNL otherwise
 //   kDecomposition   divide & conquer via the decomposition theorems
 //                    Props 8-12 (see eval/decomposition.h)
-//   kParallel        partition-and-merge parallel evaluation on a worker
-//                    pool (see exec/parallel_bmo.h); each partition runs
-//                    the table's data-aware algorithm (D&C on exact
-//                    flat-Pareto tables)
 //   kAuto            cost-based: the statistics subsystem (stats/stats.h)
 //                    measures the block (distinct counts, injectivity, a
 //                    sampled window probe) and the calibrated cost model
@@ -40,8 +36,9 @@
 // one score-table compile over the column store — of the pool as it is,
 // or of its deduplicated representatives under heavy duplication — then
 // plans it.
-// Grouping is that evaluation run once per group, fanned out across the
-// worker pool.
+// Grouping is that evaluation run once per group, in a plain loop.
+// Every evaluation runs on its caller's thread: a server's workers are
+// its only parallelism.
 
 #ifndef PREFDB_EVAL_BMO_H_
 #define PREFDB_EVAL_BMO_H_
@@ -61,7 +58,6 @@ enum class BmoAlgorithm {
   kSortFilter,
   kDivideConquer,
   kDecomposition,
-  kParallel,
 };
 
 /// The algorithm's SQL/wire name ("auto", "bnl", "dc", ...); "?" for a
@@ -92,12 +88,6 @@ const char* SimdModeName(SimdMode mode);
 /// paths).
 struct BmoOptions {
   BmoAlgorithm algorithm = BmoAlgorithm::kAuto;
-  /// Worker threads for kParallel (0 = hardware concurrency).
-  size_t num_threads = 0;
-  /// kParallel becomes *eligible* for kAuto at/above this many distinct
-  /// values (the cost model still compares it against the sequential
-  /// plans); set to SIZE_MAX to opt out of auto-parallelism.
-  size_t parallel_threshold = 32768;
   /// Compile the term into the vectorized score-table kernels
   /// (exec/score_table.h) when possible; terms that do not compile fall
   /// back to the closure path regardless. Off = always closures (naive
@@ -122,8 +112,7 @@ std::vector<size_t> BmoIndices(const Relation& r, const PrefPtr& p,
                                const BmoOptions& options = {});
 
 /// Evaluates σ[P groupby A](R) (Def. 16): grouping by equal A-values
-/// (GroupRowsBy), then σ[P] per group — in parallel across groups when
-/// there are several (a single group keeps kParallel inside its block).
+/// (GroupRowsBy), then σ[P] per group.
 Relation BmoGroupBy(const Relation& r, const PrefPtr& p,
                     const std::vector<std::string>& group_attrs,
                     const BmoOptions& options = {});

@@ -1,13 +1,10 @@
-// Internals shared by eval/bmo.cc, the engine and the exec/ parallel
-// engine: the one BMO block pipeline (compile -> plan -> run) and the
-// maxima dispatch over a block of distinct projected values. Not part of
-// the public API surface.
+// Internals shared by eval/bmo.cc and the engine: the one BMO block
+// pipeline (compile -> plan -> run). Not part of the public API surface.
 
 #ifndef PREFDB_EVAL_BMO_INTERNAL_H_
 #define PREFDB_EVAL_BMO_INTERNAL_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,8 +41,7 @@ struct CompiledBlock {
   /// (identity row map), false when over deduplicated representatives.
   bool identity() const { return proj.row_to_value.empty(); }
   /// Label of the kernel a run executes (QueryStats.kernel): the table's
-  /// variant for the planned algorithm, "parallel+<partition variant>"
-  /// under kParallel, "closure" when nothing compiled.
+  /// variant for the planned algorithm, "closure" when nothing compiled.
   std::string KernelVariant() const;
   /// Heap bytes: row map, the closure path's Tuples and their Value
   /// cells (string payloads past the inline buffer not counted) and the
@@ -64,47 +60,20 @@ struct CompiledBlock {
 ///      projection index;
 ///   3. kAuto plans with measured table statistics (a structural estimate
 ///      on the closure path) under `scope`; an explicit algorithm is a
-///      pass-through plan. Without scope.allow_parallel, kParallel
-///      becomes kAuto (the caller already fans out across blocks).
+///      pass-through plan.
 /// kDecomposition is relation-level: callers route it before this.
 CompiledBlock CompileBlock(const Relation& r, const PrefPtr& p,
                            const std::vector<size_t>* rows,
                            const BmoOptions& options, const PlanScope& scope);
 
-/// Runs a compiled block and appends the qualifying pool positions to
-/// `out` as global rows through `rows` (null = identity), ascending.
+/// Runs a compiled block on the caller's thread — the table's kernels
+/// when it compiled, else the closure path (the naive oracle for kNaive,
+/// the BNL window for every other algorithm) — and appends the
+/// qualifying pool positions to `out` as global rows through `rows`
+/// (null = identity), ascending.
 void AppendMaximalRows(const PrefPtr& p, const CompiledBlock& block,
                        const std::vector<size_t>* rows,
                        std::vector<size_t>* out);
-
-/// The grouped fan-out of σ[P groupby A](R): calls `group_maxima(g, out)`
-/// for each of `num_groups` groups — across the shared pool when there is
-/// more than one group, more than one thread, and the caller is not a
-/// pool worker — and returns the union of the appended rows, sorted.
-std::vector<size_t> GroupMaximalRows(
-    size_t num_groups, size_t num_threads,
-    const std::function<void(size_t, std::vector<size_t>*)>& group_maxima);
-
-/// Closure-path maximal-value flags for the `count` values at `values`,
-/// under p bound against proj_schema: the naive oracle for kNaive, the
-/// BNL window for every other algorithm. Takes a raw range so
-/// partition-parallel callers can evaluate contiguous slices without
-/// copying tuples.
-std::vector<bool> ComputeMaximaBlock(const Tuple* values, size_t count,
-                                     const PrefPtr& p,
-                                     const Schema& proj_schema,
-                                     BmoAlgorithm algo);
-
-/// Executes a planned block over an (optionally) compiled table — the
-/// one dispatch every consumer shares: kParallel routes to the
-/// partition-and-merge engine (handing the table in), a compiled table
-/// runs its kernels directly, and a null table runs the closure path.
-/// `values` may be null when `table` is non-null; every table-backed
-/// path reads only `count`.
-std::vector<bool> ExecuteBlockPlan(const Tuple* values, size_t count,
-                                   const PrefPtr& p, const Schema& proj_schema,
-                                   const ScoreTable* table,
-                                   const PhysicalPlan& plan);
 
 }  // namespace prefdb::internal
 

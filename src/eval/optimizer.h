@@ -26,9 +26,8 @@ namespace prefdb {
 /// Plans σ[P](R) from term structure and relation statistics: derives
 /// TableStats (restricted to P's attributes), estimates TermStats, and
 /// runs the cost model over every eligible algorithm (tiled-SIMD BNL,
-/// SFS, KLP75 D&C, partition-and-merge parallel, Prop 11 decomposition
-/// cascade). `options` supplies the thread budget, kernel fields and the
-/// parallel-eligibility threshold.
+/// SFS, KLP75 D&C, Prop 11 decomposition cascade). `options` supplies
+/// the kernel fields.
 PhysicalPlan ChooseAlgorithm(const Relation& r, const PrefPtr& p,
                              const BmoOptions& options = {});
 

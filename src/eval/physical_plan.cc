@@ -23,7 +23,6 @@
 
 #include "exec/hardware.h"
 #include "exec/simd/dominance.h"
-#include "exec/thread_pool.h"
 
 namespace prefdb {
 
@@ -120,7 +119,6 @@ PhysicalPlan PhysicalPlan::FromOptions(const BmoOptions& options) {
   plan.vectorize = options.vectorize;
   plan.simd = options.simd;
   plan.bnl_tile_rows = options.bnl_tile_rows;
-  plan.num_threads = ThreadPool::ResolveThreads(options.num_threads);
   return plan;
 }
 
@@ -149,12 +147,6 @@ PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
 
   if (request.algorithm != BmoAlgorithm::kAuto) {
     plan.rationale = "algorithm explicitly requested";
-    if (request.algorithm == BmoAlgorithm::kParallel) {
-      plan.partitions = std::max<size_t>(
-          1, std::min(plan.num_threads,
-                      stats.distinct_values /
-                          std::max<size_t>(1, plan.min_partition_size)));
-    }
     return plan;
   }
 
@@ -219,37 +211,6 @@ PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
                      "prioritized term)"});
   }
 
-  // Best sequential estimate so far feeds the parallel formula.
-  double best_seq = bnl_ns;
-  for (const AlgorithmCost& cost : costs) {
-    if (cost.eligible) best_seq = std::min(best_seq, cost.est_ns);
-  }
-
-  // --- Partition-and-merge parallel: near-linear speedup on the local
-  // maxima passes, plus spawn overhead and the antichain merge rounds.
-  const size_t workers = plan.num_threads;
-  const size_t partitions = std::min(
-      workers, stats.distinct_values / std::max<size_t>(1, plan.min_partition_size));
-  if (!scope.allow_parallel) {
-    costs.push_back({BmoAlgorithm::kParallel, false, 0.0,
-                     "relation-level strategy not available here"});
-  } else if (workers <= 1) {
-    costs.push_back({BmoAlgorithm::kParallel, false, 0.0, "single worker"});
-  } else if (stats.distinct_values < request.parallel_threshold) {
-    costs.push_back({BmoAlgorithm::kParallel, false, 0.0,
-                     "below parallel_threshold"});
-  } else if (partitions < 2) {
-    costs.push_back({BmoAlgorithm::kParallel, false, 0.0,
-                     "too few distinct values to split"});
-  } else {
-    const double par_ns = best_seq / static_cast<double>(partitions) +
-                          c.spawn_ns * static_cast<double>(partitions) +
-                          pair * w * w;
-    costs.push_back({BmoAlgorithm::kParallel, true, par_ns,
-                     std::to_string(partitions) + " partitions on " +
-                         std::to_string(workers) + " workers"});
-  }
-
   // --- Prop 11 decomposition cascade: sort once by the chain head, then
   // evaluate the submodel only on the head's best block (closure path).
   if (!scope.allow_decomposition) {
@@ -279,7 +240,6 @@ PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
   }
   plan.algorithm = chosen->algorithm;
   plan.estimated_ns = chosen->est_ns;
-  if (plan.algorithm == BmoAlgorithm::kParallel) plan.partitions = partitions;
 
   char summary[192];
   std::snprintf(summary, sizeof(summary),
@@ -303,14 +263,6 @@ PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
       plan.rationale =
           "KLP75 divide & conquer wins on exact score dominance (" +
           std::string(summary) + ")";
-      break;
-    case BmoAlgorithm::kParallel:
-      plan.rationale = std::to_string(stats.distinct_values) +
-                       " distinct values across " +
-                       std::to_string(plan.partitions) + " partitions on " +
-                       std::to_string(workers) +
-                       " workers: partitioned local maxima + merge (" +
-                       summary + ")";
       break;
     case BmoAlgorithm::kDecomposition:
       plan.rationale =

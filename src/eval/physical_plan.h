@@ -1,11 +1,8 @@
 // The physical plan: the single planned artifact the whole execution
-// pipeline consumes. One PhysicalPlan replaces the planning state that
-// used to be smeared across AlgorithmChoice (the optimizer's pick),
-// KernelPolicy (SIMD mode + BNL tile size), ParallelBmoConfig (worker
-// and partition shape) and the planning fields of BmoOptions: the
-// optimizer emits it, eval/bmo + exec/score_table + exec/parallel_bmo
-// execute it, and engine/engine caches it per (statement, table version,
-// options).
+// pipeline consumes — the algorithm, the kernel fields (SIMD mode, BNL
+// tile size) and the cost model's report. The optimizer emits it,
+// eval/bmo + exec/score_table execute it on the caller's thread, and
+// engine/engine caches it per (statement, table version, options).
 //
 // Plans are produced by a calibrated cost model (the paper's §7 outlook:
 // "cost-based optimization to choose between direct implementations of
@@ -37,10 +34,8 @@ struct AlgorithmCost {
 
 /// Which algorithm families the planner may consider. Block-level
 /// planning (a single distinct-value block) excludes the relation-level
-/// strategies; per-group and per-partition planning additionally exclude
-/// nested parallelism.
+/// decomposition cascade.
 struct PlanScope {
-  bool allow_parallel = true;
   bool allow_decomposition = true;
 };
 
@@ -56,18 +51,6 @@ struct PhysicalPlan {
   SimdMode simd = SimdMode::kAuto;
   /// Blocked-BNL tile size; 0 = auto (L2-sized via BnlTileBudgetBytes).
   size_t bnl_tile_rows = 0;
-  /// Worker budget (0 = hardware concurrency; FromOptions and the
-  /// planner resolve it to a concrete count).
-  size_t num_threads = 0;
-  /// Advisory partition shape the cost model assumed for kParallel
-  /// (1 = sequential). The executor re-derives the actual count from
-  /// num_threads / min_partition_size / the live value count with the
-  /// same formula; explicit pass-through requests leave this at 1.
-  size_t partitions = 1;
-  size_t min_partition_size = 4096;
-  /// Per-partition algorithm for kParallel (kAuto = data-aware per
-  /// partition, the default).
-  BmoAlgorithm partition_algorithm = BmoAlgorithm::kAuto;
 
   /// The statistics the plan was costed against.
   TermStats stats;
@@ -79,8 +62,8 @@ struct PhysicalPlan {
   std::string rationale;
 
   /// Pass-through plan for callers that resolve the algorithm per block
-  /// (per-group evaluation, partition fallbacks, direct kernel tests):
-  /// carries the request's execution knobs, costs nothing.
+  /// (explicit algorithm requests, direct kernel tests): carries the
+  /// request's execution knobs, costs nothing.
   static PhysicalPlan FromOptions(const BmoOptions& options);
 
   /// Multi-line cost report: the stats line plus one line per considered
@@ -122,8 +105,6 @@ struct CostConstants {
   double dc_batch_ns = 3.2;
   /// Per-row streaming overhead of a window scan.
   double stream_row_ns = 2.0;
-  /// Per-partition spawn/collect overhead of the parallel engine.
-  double spawn_ns = 30000.0;
   /// The blocked-BNL tile budget measured from the machine's L2 cache at
   /// startup (exec/hardware.h). Windows wider than the rows this budget
   /// holds pay the tile-reduce-then-merge passes, modeled as extra

@@ -612,8 +612,8 @@ BmoAlgorithm ScoreTable::ResolveFor(BmoAlgorithm algo) const {
 
 // ---------------------------------------------------------------------------
 // Kernels. Each runs over an explicit row-index list through the batch
-// dominance kernels, so contiguous partitions and merge candidate sets
-// share one code path.
+// dominance kernels, so the whole table and a sampled row subset share
+// one code path.
 
 double ScoreTable::SortKeyValue(size_t row, size_t key) const {
   double sum = 0.0;
@@ -785,45 +785,22 @@ std::vector<bool> ScoreTable::MaximaSubset(BmoAlgorithm algo,
     }
   }
 
-  // Everything left runs the tiled BNL window; relation-level strategies
-  // (kParallel, kDecomposition) land here too.
+  // Everything left runs the tiled BNL window; the relation-level
+  // kDecomposition lands here too.
   return BnlBatch(ops, rows, ResolveTileRows(plan.bnl_tile_rows));
 }
 
-std::vector<bool> ScoreTable::MaximaRange(BmoAlgorithm algo, size_t begin,
-                                          size_t end,
-                                          const PhysicalPlan& plan) const {
+std::vector<bool> ScoreTable::Maxima(BmoAlgorithm algo,
+                                     const PhysicalPlan& plan) const {
   algo = ResolveFor(algo);
   if (algo == BmoAlgorithm::kDivideConquer) {
-    // Contiguous range: run KLP75 directly over the table storage.
+    // The whole table is contiguous: run KLP75 directly over its storage.
     const simd::KernelOps& ops = simd::ResolveKernel(plan.simd);
-    return MaximaDivideConquerFlat(scores_.data() + begin * cols_,
-                                   end - begin, cols_, cols_, ops);
+    return MaximaDivideConquerFlat(scores_.data(), rows_, cols_, cols_, ops);
   }
-  std::vector<size_t> rows(end - begin);
-  std::iota(rows.begin(), rows.end(), begin);
+  std::vector<size_t> rows(rows_);
+  std::iota(rows.begin(), rows.end(), 0);
   return MaximaSubset(algo, rows, plan);
-}
-
-std::vector<size_t> ScoreTable::MergeAntichains(
-    const std::vector<size_t>& a, const std::vector<size_t>& b,
-    const PhysicalPlan& plan) const {
-  // Gather each side column-major once, then every row of the other side
-  // is a single one-sided batch scan.
-  const simd::KernelOps& ops = simd::ResolveKernel(plan.simd);
-  simd::RowBlock block_a(cols_);
-  simd::RowBlock block_b(cols_);
-  for (size_t x : a) block_a.Append(Row(x), Ids(x), x);
-  for (size_t y : b) block_b.Append(Row(y), Ids(y), y);
-  std::vector<size_t> out;
-  out.reserve(a.size() + b.size());
-  for (size_t x : a) {
-    if (!ops.dominated(prog_, Row(x), Ids(x), block_b)) out.push_back(x);
-  }
-  for (size_t y : b) {
-    if (!ops.dominated(prog_, Row(y), Ids(y), block_a)) out.push_back(y);
-  }
-  return out;
 }
 
 std::string ScoreTable::KernelVariant(BmoAlgorithm algo,

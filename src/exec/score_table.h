@@ -135,29 +135,21 @@ class ScoreTable {
   /// else BNL.
   BmoAlgorithm ResolveAlgorithm() const;
 
-  /// Maximal-row flags for the contiguous row range [begin, end) under the
-  /// chosen kernel (kAuto resolves via ResolveAlgorithm; ineligible
-  /// requests degrade to BNL). Partition-parallel callers share one
-  /// immutable table and evaluate disjoint ranges concurrently. `plan`
-  /// supplies the kernel fields of the physical plan — the batch
-  /// dominance kernel (scalar/AVX2 dispatch) and the tiled-BNL block
-  /// size.
-  std::vector<bool> MaximaRange(BmoAlgorithm algo, size_t begin, size_t end,
-                                const PhysicalPlan& plan = {}) const;
+  /// Maximal-row flags over the whole table under the chosen kernel
+  /// (kAuto resolves via ResolveAlgorithm; ineligible requests degrade to
+  /// BNL). `plan` supplies the kernel fields of the physical plan — the
+  /// batch dominance kernel (scalar/AVX2 dispatch) and the tiled-BNL
+  /// block size.
+  std::vector<bool> Maxima(BmoAlgorithm algo,
+                           const PhysicalPlan& plan = {}) const;
 
-  /// Maximal flags over an arbitrary row subset (the parallel engine's
-  /// divide & conquer merge step). Returned flags align with `rows`.
+  /// Maximal flags over an arbitrary row subset (the statistics window
+  /// probe, stats/stats.h). Returned flags align with `rows`.
   std::vector<bool> MaximaSubset(BmoAlgorithm algo,
                                  const std::vector<size_t>& rows,
                                  const PhysicalPlan& plan = {}) const;
 
-  /// Maxima of the union of two antichains by cross-comparison only (the
-  /// parallel engine's pairwise merge).
-  std::vector<size_t> MergeAntichains(const std::vector<size_t>& a,
-                                      const std::vector<size_t>& b,
-                                      const PhysicalPlan& plan = {}) const;
-
-  /// Human-readable label of the kernel variant MaximaRange would run for
+  /// Human-readable label of the kernel variant Maxima would run for
   /// `algo` under `plan` — e.g. "bnl[avx2,tile=8192]", "sfs[scalar]",
   /// "dc[avx2]", "naive[scalar]" — surfaced by EXPLAIN and QueryStats.
   std::string KernelVariant(BmoAlgorithm algo,

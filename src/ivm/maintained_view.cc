@@ -58,8 +58,7 @@ std::vector<bool> MaintainedView::MaximaOf(
     Relation block(proj_schema_);
     for (size_t i : subset) block.Add(cands_[i].proj);
     auto table = ScoreTable::Compile(pref_, block);
-    auto flags =
-        table->MaximaRange(BmoAlgorithm::kAuto, 0, table->rows(), plan_);
+    auto flags = table->Maxima(BmoAlgorithm::kAuto, plan_);
     if (table_out) *table_out = std::move(table);
     return flags;
   }

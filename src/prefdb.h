@@ -28,10 +28,8 @@
 #include "eval/quality.h"
 #include "eval/ranked.h"
 #include "exec/hardware.h"
-#include "exec/parallel_bmo.h"
 #include "exec/score_table.h"
 #include "exec/simd/dominance.h"
-#include "exec/thread_pool.h"
 #include "ivm/maintained_view.h"
 #include "stats/stats.h"
 #include "mining/miner.h"

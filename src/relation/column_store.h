@@ -74,8 +74,8 @@ struct Column {
 /// A column-major table: shared column buffers plus an optional row
 /// permutation (`perm`). A non-null perm makes this store an index view
 /// over the same buffers — SelectRows/Filter/Sorted produce views, so
-/// downstream consumers (engine exec cache, parallel partitions, IVM
-/// passes) never copy rows. Views compose: a view of a view folds the
+/// downstream consumers (engine exec cache, IVM passes) never copy
+/// rows. Views compose: a view of a view folds the
 /// permutations into one flat vector, keeping lookups single-hop.
 class ColumnStore {
  public:

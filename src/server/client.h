@@ -111,8 +111,8 @@ class Client {
     return SendPrepare(sql).Get();
   }
   ClientResponse Run(uint64_t handle) { return SendRun(handle).Get(); }
-  /// Session option ("threads", "timeout_ms", "vectorize", "algorithm",
-  /// "simd", "max_pending_deltas").
+  /// Session option ("timeout_ms", "vectorize", "algorithm", "simd",
+  /// "max_pending_deltas"; see server/session_options.h).
   ClientResponse Set(const std::string& name, const std::string& value) {
     return SendSet(name, value).Get();
   }

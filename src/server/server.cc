@@ -472,7 +472,7 @@ void Server::Impl::AcceptReady() {
     auto conn = std::make_shared<Connection>(options.max_frame_bytes);
     conn->fd = fd;
     conn->id = next_conn_id_++;
-    conn->options.bmo = options.session_bmo;
+    conn->options.bmo = ServerOptions::DefaultSessionBmo();
     conn->options.timeout_ms = options.query_timeout_ms;
     conn->options.max_pending_deltas = options.max_pending_deltas;
     conns_.emplace(conn->id, conn);

@@ -104,10 +104,6 @@ struct ServerOptions {
   /// (0 = the engine's EngineOptions::max_pending_deltas default).
   /// Sessions may override their own via "SET max_pending_deltas=<n>".
   size_t max_pending_deltas = 0;
-  /// Starting BmoOptions for every session. Workers already provide the
-  /// serving-side parallelism, so per-query kernels default to one
-  /// thread; sessions opt into more via "SET threads=<n>".
-  BmoOptions session_bmo = DefaultSessionBmo();
   /// Test hook: artificial per-query execution delay (milliseconds),
   /// applied in the worker before the engine call. Lets admission and
   /// timeout paths be exercised deterministically.
@@ -122,12 +118,10 @@ struct ServerOptions {
   /// deterministically.
   uint64_t debug_push_delay_ms = 0;
 
-  static BmoOptions DefaultSessionBmo() {
-    BmoOptions bmo;
-    bmo.num_threads = 1;
-    bmo.parallel_threshold = SIZE_MAX;  // workers are the parallelism
-    return bmo;
-  }
+  /// Starting BmoOptions for every session: the library defaults. Each
+  /// query runs on the worker that took it, so the workers are the
+  /// serving-side parallelism.
+  static BmoOptions DefaultSessionBmo() { return BmoOptions{}; }
 };
 
 /// Monotonic counters, readable while serving. Snapshot semantics.

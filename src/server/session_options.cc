@@ -1,5 +1,6 @@
 #include "server/session_options.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 
@@ -7,11 +8,17 @@ namespace prefdb::server {
 
 namespace {
 
+// Decimal digits only. strtoull alone would skip leading whitespace and
+// accept a sign, negating "-1" into UINT64_MAX.
 bool ParseCount(const std::string& value, uint64_t* out) {
+  if (value.empty() ||
+      !std::all_of(value.begin(), value.end(),
+                   [](char c) { return c >= '0' && c <= '9'; })) {
+    return false;
+  }
   errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (errno != 0 || end == value.c_str() || *end != '\0') return false;
+  const unsigned long long v = std::strtoull(value.c_str(), nullptr, 10);
+  if (errno != 0) return false;
   *out = v;
   return true;
 }
@@ -36,17 +43,14 @@ bool ParseName(const std::string& value, const char* (*name_of)(Enum),
 
 std::string SessionOptions::Apply(const std::string& name,
                                   const std::string& value) {
-  if (name == "threads") {
-    uint64_t v = 0;
-    if (!ParseCount(value, &v)) return "threads expects a number";
-    bmo.num_threads = static_cast<size_t>(v);
-    // A session asking for intra-query parallelism also gets kAuto's
-    // parallel plans back (the serving default opts out of them).
-    bmo.parallel_threshold = v > 1 ? 32768 : SIZE_MAX;
-    return "";
-  }
   if (name == "timeout_ms") {
-    return ParseCount(value, &timeout_ms) ? "" : "timeout_ms expects a number";
+    uint64_t v = 0;
+    if (!ParseCount(value, &v) || v > kMaxTimeoutMs) {
+      return "timeout_ms expects a number of milliseconds up to " +
+             std::to_string(kMaxTimeoutMs);
+    }
+    timeout_ms = v;
+    return "";
   }
   if (name == "max_pending_deltas") {
     uint64_t v = 0;
@@ -88,7 +92,6 @@ std::string SessionOptions::ApplyWire(const std::string& payload) {
 std::vector<std::pair<std::string, std::string>> SessionOptions::Serialize()
     const {
   return {
-      {"threads", std::to_string(bmo.num_threads)},
       {"timeout_ms", std::to_string(timeout_ms)},
       {"vectorize", bmo.vectorize ? "on" : "off"},
       {"algorithm", BmoAlgorithmName(bmo.algorithm)},

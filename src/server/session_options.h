@@ -5,16 +5,18 @@
 //
 // Vocabulary:
 //
-//   threads=<n>            kernel threads per query; n>1 also re-enables
-//                          kAuto's parallel plans (serving opts out by
-//                          default — the worker pool is the parallelism)
-//   timeout_ms=<n>         per-query deadline (0 = none)
+//   timeout_ms=<n>         per-query deadline (0 = none, at most
+//                          kMaxTimeoutMs)
 //   vectorize=on|off       score-table kernels vs closure baseline
-//   algorithm=auto|naive|bnl|sfs|dc|parallel
+//   algorithm=auto|naive|bnl|sfs|dc|decomposition
 //   simd=auto|scalar|avx2
 //   max_pending_deltas=<n> per-subscription server-side delta bound
 //                          before coalescing (0 = engine default);
 //                          applies to subscriptions opened after the SET
+//
+// Counts (<n>) are decimal digits only: no sign, no whitespace.
+// Every query runs on one server worker thread; there is no per-query
+// thread option.
 
 #ifndef PREFDB_SERVER_SESSION_OPTIONS_H_
 #define PREFDB_SERVER_SESSION_OPTIONS_H_
@@ -29,9 +31,12 @@
 namespace prefdb::server {
 
 struct SessionOptions {
-  /// Kernel options for this session's queries. `threads` writes
-  /// num_threads (and flips parallel_threshold, see Apply); vectorize /
-  /// algorithm / simd write their fields directly.
+  /// Largest accepted timeout_ms: one week. It keeps the deadline
+  /// `now + timeout` far inside the steady clock's nanosecond range.
+  static constexpr uint64_t kMaxTimeoutMs = 7ull * 24 * 3600 * 1000;
+
+  /// Kernel options for this session's queries; vectorize / algorithm /
+  /// simd write their fields directly.
   BmoOptions bmo;
   /// Per-query deadline in milliseconds (0 = none).
   uint64_t timeout_ms = 30000;

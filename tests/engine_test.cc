@@ -401,34 +401,6 @@ TEST(EngineTest, PerGroupCompiledStateIsCachedAndReused) {
   EXPECT_TRUE(warm.relation.SameRows(direct));
 }
 
-TEST(EngineTest, DegenerateSingleGroupKeepsParallelEligibility) {
-  // A grouping key with one distinct value produces a single group that
-  // runs inline; partition-parallelism inside it must stay available
-  // (explicitly here; kAuto applies the same scope) and stay correct.
-  Schema s({{"g", ValueType::kString},
-            {"a", ValueType::kInt},
-            {"b", ValueType::kInt}});
-  Relation r(s);
-  std::mt19937_64 rng(13);
-  for (int i = 0; i < 20000; ++i) {
-    r.Add({"only", Value(int64_t(rng() % 10000)),
-           Value(int64_t(rng() % 10000))});
-  }
-  Engine engine;
-  engine.RegisterTable("t", r);
-  BmoOptions parallel;
-  parallel.algorithm = BmoAlgorithm::kParallel;
-  parallel.num_threads = 4;
-  psql::QueryResult par = engine.Execute(
-      "SELECT * FROM t PREFERRING LOWEST(a) AND LOWEST(b) GROUPING g",
-      parallel);
-  psql::QueryResult seq = engine.Execute(
-      "SELECT * FROM t PREFERRING LOWEST(a) AND LOWEST(b) GROUPING g");
-  EXPECT_EQ(par.relation, seq.relation);
-  EXPECT_TRUE(par.relation.SameRows(
-      BmoGroupBy(r, Pareto(Lowest("a"), Lowest("b")), {"g"})));
-}
-
 TEST(EngineTest, ExplainReportsEstimatedVersusActualCost) {
   Engine engine;
   engine.RegisterTable("car", GenerateCars(1500, 3));
@@ -586,24 +558,6 @@ TEST(EngineTest, PlainLimitStopsAtLimitSurvivors) {
     EXPECT_LE(engine.cache_stats().exec_bytes,
               std::max<size_t>(1024, 2 * (limit + 1) * sizeof(size_t)));
   }
-}
-
-TEST(EngineTest, ParallelKernelLabelNamesThePartitionKernel) {
-  // kParallel resolves kAuto partitions with the table's data-aware rules,
-  // which pick D&C on an exact flat-Pareto table; the label must name the
-  // kernel that runs, not the sequential kAuto resolution (BNL).
-  Engine engine;
-  engine.RegisterTable(
-      "v", GenerateVectors(20000, 2, Correlation::kAntiCorrelated, 7));
-  BmoOptions parallel;
-  parallel.algorithm = BmoAlgorithm::kParallel;
-  parallel.num_threads = 4;
-  psql::QueryResult result = engine.Execute(
-      "SELECT * FROM v PREFERRING LOWEST(d0) AND LOWEST(d1)", parallel);
-  EXPECT_EQ(result.stats.kernel.rfind("parallel+dc[", 0), 0u)
-      << result.stats.kernel;
-  EXPECT_TRUE(result.relation.SameRows(
-      Bmo(*engine.Snapshot("v"), Pareto(Lowest("d0"), Lowest("d1")))));
 }
 
 TEST(EngineTest, ExplainNamesTheCompilePathOfEveryGroup) {
@@ -815,6 +769,28 @@ std::vector<AgreementFamily> AgreementFamilies() {
       "",
       Pareto(RankWeightedSum({0.6, 0.4}, {Highest("x"), Lowest("y")}),
              Lowest("z")));
+  {
+    // Exact duplicates tying at the best value: every copy qualifies,
+    // in row order.
+    Relation r(Schema{{"id", ValueType::kInt},
+                      {"g", ValueType::kString},
+                      {"x", ValueType::kInt}});
+    const int64_t xs[] = {5, 1, 5, 1, 2, 1};
+    for (int64_t i = 0; i < 600; ++i) {
+      r.Add({Value(i), groups[i % 4], Value(xs[i % 6])});
+    }
+    families.push_back(
+        {"duplicates tying at the best value", r, "LOWEST(x)", Lowest("x"),
+         "dedup"});
+  }
+  // An empty relation: nothing to compile, nothing qualifies.
+  families.push_back({"empty relation",
+                      Relation(Schema{{"id", ValueType::kInt},
+                                      {"g", ValueType::kString},
+                                      {"a", ValueType::kDouble},
+                                      {"b", ValueType::kDouble}}),
+                      "LOWEST(a) AND LOWEST(b)",
+                      Pareto(Lowest("a"), Lowest("b")), ""});
   return families;
 }
 
@@ -830,7 +806,8 @@ std::vector<int64_t> Ids(const Relation& r) {
 TEST(EngineTest, EveryPathAgreesWithTheNaiveOracle) {
   // The engine's cached blocks, the library's Bmo/BmoGroupBy and the
   // closure naive oracle must return the same rows for every term family,
-  // grouped or not, under kAuto, explicit BNL and kParallel.
+  // grouped or not, under kAuto and every explicit block algorithm (SFS
+  // and D&C degrade to BNL where they do not apply).
   BmoOptions oracle;
   oracle.algorithm = BmoAlgorithm::kNaive;
   oracle.vectorize = false;
@@ -855,12 +832,11 @@ TEST(EngineTest, EveryPathAgreesWithTheNaiveOracle) {
           (grouped ? " GROUPING g" : "");
       for (BmoAlgorithm algorithm :
            {BmoAlgorithm::kAuto, BmoAlgorithm::kBlockNestedLoop,
-            BmoAlgorithm::kParallel}) {
+            BmoAlgorithm::kSortFilter, BmoAlgorithm::kDivideConquer}) {
         SCOPED_TRACE(family.name + (grouped ? ", grouped, " : ", ") +
                      BmoAlgorithmName(algorithm));
         BmoOptions options;
         options.algorithm = algorithm;
-        options.num_threads = 4;
         EXPECT_EQ(grouped
                       ? BmoGroupByIndices(r, family.term, {"g"}, options)
                       : BmoIndices(r, family.term, options),

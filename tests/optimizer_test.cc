@@ -66,7 +66,6 @@ TEST(ChooserTest, SelectiveChainHeadOverClosureTailUsesDecomposition) {
   // term that only evaluates through closures (non-compilable tail) with
   // a wide estimated window — sorting once and cascading into the best
   // block beats paying closure dominance tests across the whole pool.
-  // That is the sequential regime: one worker.
   TermStats stats;
   stats.input_rows = 50000;
   stats.distinct_values = 50000;
@@ -75,18 +74,9 @@ TEST(ChooserTest, SelectiveChainHeadOverClosureTailUsesDecomposition) {
   stats.chain_head = true;
   stats.head_distinct = 5;
   stats.est_window = 130.0;
-  BmoOptions sequential;
-  sequential.num_threads = 1;
-  PhysicalPlan plan = PlanPhysical(stats, sequential);
+  PhysicalPlan plan = PlanPhysical(stats, BmoOptions{});
   EXPECT_EQ(plan.algorithm, BmoAlgorithm::kDecomposition);
   EXPECT_NE(plan.rationale.find("Prop 11"), std::string::npos);
-
-  // With four workers, splitting the closure BNL across partitions beats
-  // the cascade's single-threaded sort.
-  BmoOptions four_workers;
-  four_workers.num_threads = 4;
-  EXPECT_EQ(PlanPhysical(stats, four_workers).algorithm,
-            BmoAlgorithm::kParallel);
 }
 
 TEST(ChooserTest, LevelTermsStayEligibleForVectorizedSfs) {

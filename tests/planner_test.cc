@@ -107,28 +107,6 @@ TEST(PlannerGoldenTest, LowDistinctCountsShrinkTheEstimate) {
   EXPECT_LT(plan.estimated_ns, 1e6);
 }
 
-TEST(PlannerGoldenTest, ParallelNeedsWorkersAndVolume) {
-  TermStats stats;
-  stats.input_rows = 200000;
-  stats.distinct_values = 200000;
-  stats.dims = 2;
-  stats.compilable = true;
-  stats.dc_exact = true;
-  stats.est_window = 12.0;
-  BmoOptions options;
-  options.num_threads = 8;
-  PhysicalPlan plan = PlanPhysical(stats, options);
-  EXPECT_EQ(plan.algorithm, BmoAlgorithm::kParallel);
-  EXPECT_GE(plan.partitions, 2u);
-  // One worker: never parallel.
-  options.num_threads = 1;
-  EXPECT_NE(PlanPhysical(stats, options).algorithm, BmoAlgorithm::kParallel);
-  // Below the threshold: never parallel (the explicit opt-out knob).
-  options.num_threads = 8;
-  options.parallel_threshold = 1000000;
-  EXPECT_NE(PlanPhysical(stats, options).algorithm, BmoAlgorithm::kParallel);
-}
-
 TEST(PlannerGoldenTest, ScopeMasksRelationLevelStrategies) {
   TermStats stats;
   stats.input_rows = 100000;
@@ -137,17 +115,12 @@ TEST(PlannerGoldenTest, ScopeMasksRelationLevelStrategies) {
   stats.chain_head = true;
   stats.head_distinct = 4;
   stats.est_window = 500.0;
-  BmoOptions options;
-  options.num_threads = 8;
   PlanScope block_scope;
-  block_scope.allow_parallel = false;
   block_scope.allow_decomposition = false;
-  PhysicalPlan plan = PlanPhysical(stats, options, block_scope);
-  EXPECT_NE(plan.algorithm, BmoAlgorithm::kParallel);
+  PhysicalPlan plan = PlanPhysical(stats, BmoOptions{}, block_scope);
   EXPECT_NE(plan.algorithm, BmoAlgorithm::kDecomposition);
   for (const AlgorithmCost& cost : plan.considered) {
-    if (cost.algorithm == BmoAlgorithm::kParallel ||
-        cost.algorithm == BmoAlgorithm::kDecomposition) {
+    if (cost.algorithm == BmoAlgorithm::kDecomposition) {
       EXPECT_FALSE(cost.eligible);
     }
   }
@@ -161,7 +134,7 @@ TEST(PlannerGoldenTest, ExplainCostsListsEveryConsideredAlgorithm) {
   EXPECT_NE(text.find("bnl:"), std::string::npos);
   EXPECT_NE(text.find("sfs:"), std::string::npos);
   EXPECT_NE(text.find("dc:"), std::string::npos);
-  EXPECT_NE(text.find("parallel:"), std::string::npos);
+  EXPECT_NE(text.find("decomposition:"), std::string::npos);
   EXPECT_NE(text.find("<- chosen"), std::string::npos);
 }
 
@@ -171,13 +144,11 @@ TEST(PlannerGoldenTest, FromOptionsIsPassThrough) {
   options.vectorize = false;
   options.simd = SimdMode::kScalar;
   options.bnl_tile_rows = 77;
-  options.num_threads = 3;
   PhysicalPlan plan = PhysicalPlan::FromOptions(options);
   EXPECT_EQ(plan.algorithm, BmoAlgorithm::kSortFilter);
   EXPECT_FALSE(plan.vectorize);
   EXPECT_EQ(plan.simd, SimdMode::kScalar);
   EXPECT_EQ(plan.bnl_tile_rows, 77u);
-  EXPECT_EQ(plan.num_threads, 3u);
   EXPECT_TRUE(plan.considered.empty());
 }
 

@@ -19,7 +19,6 @@
 #include "core/numeric_preferences.h"
 #include "datagen/vectors.h"
 #include "eval/bmo.h"
-#include "exec/parallel_bmo.h"
 #include "test_support.h"
 
 namespace prefdb {
@@ -346,27 +345,13 @@ TEST(ScoreTableTest, GroupingTermsCompileViaAntiChain) {
             BmoIndices(r, p, Closure()));
   EXPECT_EQ(BmoIndices(r, p, Vectorized(BmoAlgorithm::kAuto)),
             BmoGroupByIndices(r, Lowest("price"), {"make"}, Closure()));
-}
-
-TEST(ScoreTableTest, ParallelGroupByMatchesSequential) {
-  Relation r = MixedRelation(2000, 21);
-  PrefPtr p = Pareto(Lowest("price"), Pos("color", {"red"}));
-  BmoOptions sequential = Closure();
-  sequential.num_threads = 1;
-  std::vector<size_t> expected =
-      BmoGroupByIndices(r, p, {"make"}, sequential);
-  for (bool vectorize : {false, true}) {
-    BmoOptions parallel;
-    parallel.num_threads = 4;
-    parallel.vectorize = vectorize;
-    EXPECT_EQ(BmoGroupByIndices(r, p, {"make"}, parallel), expected)
-        << "vectorize=" << vectorize;
-    // Multi-attribute grouping exercises the tuple-keyed group map.
-    EXPECT_EQ(BmoGroupByIndices(r, Lowest("price"), {"make", "color"},
-                                parallel),
-              BmoGroupByIndices(r, Lowest("price"), {"make", "color"},
-                                sequential))
-        << "vectorize=" << vectorize;
+  // Multi-attribute grouping keys groups on value combinations.
+  for (const PrefPtr& q :
+       {Lowest("price"), Pareto(Lowest("price"), Pos("color", {"red"}))}) {
+    EXPECT_EQ(BmoGroupByIndices(r, q, {"make", "color"},
+                                Vectorized(BmoAlgorithm::kAuto)),
+              BmoGroupByIndices(r, q, {"make", "color"}, Closure()))
+        << q->ToString();
   }
 }
 
@@ -381,23 +366,6 @@ TEST(ScoreTableTest, FallbackTermsStillEvaluate) {
       LinearSum("x", Lowest("x"), Highest("x"),
                 {Value(1), Value(2), Value(3)}, {Value(4), Value(5), Value(6)});
   EXPECT_TRUE(Bmo(r, lin).SameRows(Bmo(r, lin, Closure())));
-}
-
-TEST(ScoreTableTest, ParallelEngineSharesOneTable) {
-  // Level terms through the parallel engine: partitions + merge rounds
-  // run on the shared compiled table and must match sequential closures.
-  Relation r = MixedRelation(4000, 31);
-  PrefPtr p = Prioritized(Pos("color", {"red", "blue"}),
-                          Pareto(Lowest("price"), Around("score", 4)));
-  std::vector<size_t> expected = BmoIndices(r, p, Closure());
-  for (bool vectorize : {false, true}) {
-    PhysicalPlan plan;
-    plan.num_threads = 4;
-    plan.min_partition_size = 64;
-    plan.vectorize = vectorize;
-    EXPECT_EQ(ParallelBmoIndices(r, p, plan), expected)
-        << "vectorize=" << vectorize;
-  }
 }
 
 }  // namespace

@@ -508,8 +508,6 @@ TEST_F(PipelineFixture, ByteDribbledFramesAreReassembled) {
 
 TEST(SessionOptionsTest, AppliesAndSerializesTheWholeVocabulary) {
   SessionOptions options;
-  EXPECT_EQ(options.Apply("threads", "4"), "");
-  EXPECT_EQ(options.bmo.num_threads, 4u);
   EXPECT_EQ(options.Apply("timeout_ms", "1500"), "");
   EXPECT_EQ(options.timeout_ms, 1500u);
   EXPECT_EQ(options.Apply("vectorize", "off"), "");
@@ -520,7 +518,28 @@ TEST(SessionOptionsTest, AppliesAndSerializesTheWholeVocabulary) {
   EXPECT_EQ(options.Apply("max_pending_deltas", "8"), "");
   EXPECT_EQ(options.max_pending_deltas, 8u);
 
-  EXPECT_NE(options.Apply("threads", "many"), "");
+  EXPECT_NE(options.Apply("timeout_ms", "many"), "");
+  // Counts are digits only: a sign or whitespace is rejected, not
+  // negated or skipped, and a rejected value leaves the field untouched.
+  for (const char* count : {"-1", "+5", " 5", ""}) {
+    EXPECT_NE(options.Apply("timeout_ms", count), "") << "'" << count << "'";
+    EXPECT_NE(options.Apply("max_pending_deltas", count), "")
+        << "'" << count << "'";
+  }
+  EXPECT_EQ(options.timeout_ms, 1500u);
+  EXPECT_EQ(options.max_pending_deltas, 8u);
+  // A deadline past the cap would overflow now + timeout.
+  EXPECT_EQ(options.Apply("timeout_ms",
+                          std::to_string(SessionOptions::kMaxTimeoutMs)),
+            "");
+  EXPECT_NE(options.Apply("timeout_ms",
+                          std::to_string(SessionOptions::kMaxTimeoutMs + 1)),
+            "");
+  EXPECT_NE(options.Apply("timeout_ms", "18446744073709551611"), "");
+  EXPECT_EQ(options.timeout_ms, SessionOptions::kMaxTimeoutMs);
+  EXPECT_EQ(options.Apply("timeout_ms", "1500"), "");
+  EXPECT_NE(options.Apply("threads", "4"), "");
+  EXPECT_NE(options.Apply("algorithm", "parallel"), "");
   EXPECT_NE(options.Apply("algorithm", "quantum"), "");
   EXPECT_NE(options.Apply("simd", "off"), "");
   EXPECT_NE(options.Apply("no_such_option", "1"), "");
@@ -531,7 +550,6 @@ TEST(SessionOptionsTest, AppliesAndSerializesTheWholeVocabulary) {
   for (const auto& [name, value] : options.Serialize()) {
     EXPECT_EQ(copy.Apply(name, value), "") << name << "=" << value;
   }
-  EXPECT_EQ(copy.bmo.num_threads, options.bmo.num_threads);
   EXPECT_EQ(copy.timeout_ms, options.timeout_ms);
   EXPECT_EQ(copy.bmo.vectorize, options.bmo.vectorize);
   EXPECT_EQ(copy.bmo.algorithm, options.bmo.algorithm);
@@ -543,8 +561,7 @@ TEST(SessionOptionsTest, AppliesAndSerializesTheWholeVocabulary) {
   for (BmoAlgorithm algorithm :
        {BmoAlgorithm::kAuto, BmoAlgorithm::kNaive,
         BmoAlgorithm::kBlockNestedLoop, BmoAlgorithm::kSortFilter,
-        BmoAlgorithm::kDivideConquer, BmoAlgorithm::kDecomposition,
-        BmoAlgorithm::kParallel}) {
+        BmoAlgorithm::kDivideConquer, BmoAlgorithm::kDecomposition}) {
     for (SimdMode simd :
          {SimdMode::kAuto, SimdMode::kScalar, SimdMode::kAvx2}) {
       SessionOptions sent;
@@ -564,7 +581,7 @@ TEST(SessionOptionsTest, AppliesAndSerializesTheWholeVocabulary) {
 TEST_F(PipelineFixture, ConfigureAppliesSessionOptionsOverTheWire) {
   Client client = Connect();
   SessionOptions options;
-  options.bmo.num_threads = 2;
+  options.bmo.algorithm = BmoAlgorithm::kBlockNestedLoop;
   options.timeout_ms = 10000;
   client.Configure(options);
   ClientResponse response = client.Query(kMixQueries[0]);

@@ -22,6 +22,7 @@
 #include "psql/error.h"
 #include "server/client.h"
 #include "server/protocol.h"
+#include "server/session_options.h"
 
 namespace prefdb::server {
 namespace {
@@ -202,7 +203,9 @@ TEST(ServerTest, SessionOptionsApplyAndValidate) {
   Client client = served.Connect();
   EXPECT_TRUE(client.Set("vectorize", "off").ok);
   EXPECT_TRUE(client.Set("algorithm", "bnl").ok);
-  EXPECT_TRUE(client.Set("threads", "2").ok);
+  // Every query runs on one worker thread: there is no threads option.
+  EXPECT_EQ(client.Set("threads", "2").error.code,
+            psql::ErrorCode::kBadArgument);
   ClientResponse response = client.Query(kMixQueries[0]);
   ASSERT_TRUE(response.ok);
   EXPECT_TRUE(response.relation ==
@@ -213,6 +216,16 @@ TEST(ServerTest, SessionOptionsApplyAndValidate) {
   EXPECT_EQ(client.Set("no_such_option", "1").error.code,
             psql::ErrorCode::kBadArgument);
   EXPECT_EQ(client.RoundTrip(Frame{FrameType::kSet, "garbage"}).error.code,
+            psql::ErrorCode::kBadArgument);
+  // Counts take digits only, and timeouts stop at the cap.
+  for (const std::string& bad :
+       {std::string("-1"), std::string("+5"), std::string(" 5"),
+        std::to_string(SessionOptions::kMaxTimeoutMs + 1)}) {
+    EXPECT_EQ(client.Set("timeout_ms", bad).error.code,
+              psql::ErrorCode::kBadArgument)
+        << "'" << bad << "'";
+  }
+  EXPECT_EQ(client.Set("max_pending_deltas", "-1").error.code,
             psql::ErrorCode::kBadArgument);
 }
 

@@ -3,8 +3,7 @@
 // return exactly the closure-based answer for every compilable term —
 // randomized across Pareto/prioritized/layered/pos-neg/numeric leaves,
 // including NULL and NaN columns, ragged tails (N not a multiple of the
-// lane width), forced-algorithm paths (BNL/SFS/D&C) and the parallel
-// engine's shared-table merge.
+// lane width) and forced-algorithm paths (BNL/SFS/D&C).
 
 #include <gtest/gtest.h>
 
@@ -21,7 +20,6 @@
 #include "core/numeric_preferences.h"
 #include "datagen/vectors.h"
 #include "eval/bmo.h"
-#include "exec/parallel_bmo.h"
 #include "exec/score_table.h"
 #include "exec/simd/dominance.h"
 #include "test_support.h"
@@ -196,31 +194,6 @@ TEST(SimdKernelTest, SkylineDivideConquerAcrossKernels) {
   }
 }
 
-TEST(SimdKernelTest, ParallelSharedTableAcrossKernels) {
-  Relation r = GenerateVectors(20000, 3, Correlation::kIndependent, 3);
-  PrefPtr p = Prioritized(
-      Pareto(Highest("d0"), Highest("d1")), Lowest("d2"));
-  ProjectionIndex proj = BuildProjectionIndex(r, *p);
-  const size_t m = proj.values.size();
-  std::optional<ScoreTable> table =
-      ScoreTable::Compile(p, Relation(proj.proj_schema, proj.values));
-  ASSERT_TRUE(table.has_value());
-  PhysicalPlan closure_plan;
-  closure_plan.min_partition_size = 512;
-  std::vector<bool> expected = MaximaParallel(
-      proj.values.data(), m, p, proj.proj_schema, closure_plan, nullptr);
-  for (SimdMode mode : KernelModes()) {
-    PhysicalPlan plan;
-    plan.min_partition_size = 512;
-    plan.simd = mode;
-    plan.bnl_tile_rows = 256;  // exercise tiling inside partitions
-    EXPECT_EQ(
-        MaximaParallel(nullptr, m, p, proj.proj_schema, plan, &*table),
-        expected)
-        << "simd=" << SimdModeName(mode);
-  }
-}
-
 TEST(SimdKernelTest, ForcedAvx2DegradesGracefully) {
   // On machines without AVX2 the forced mode must silently run the batch
   // scalar kernels; on machines with it, both must agree anyway.
@@ -314,7 +287,7 @@ TEST(SimdKernelTest, TablesWithAndWithoutIdMatrixMatchTheOracle) {
       }
     }
 
-    // Odd rows as an arbitrary subset, and the two halves' antichains.
+    // Odd rows as an arbitrary subset.
     std::vector<size_t> odd;
     std::vector<Tuple> odd_values;
     for (size_t i = 1; i < m; i += 2) {
@@ -322,10 +295,6 @@ TEST(SimdKernelTest, TablesWithAndWithoutIdMatrixMatchTheOracle) {
       odd_values.push_back(proj.values[i]);
     }
     const std::vector<bool> expected_odd = MaximaNaive(odd_values, less);
-    std::vector<size_t> expected_rows;
-    for (size_t i = 0; i < m; ++i) {
-      if (expected[i]) expected_rows.push_back(i);
-    }
     for (SimdMode mode : KernelModes()) {
       PhysicalPlan plan;
       plan.simd = mode;
@@ -333,27 +302,11 @@ TEST(SimdKernelTest, TablesWithAndWithoutIdMatrixMatchTheOracle) {
       for (BmoAlgorithm algo :
            {BmoAlgorithm::kNaive, BmoAlgorithm::kBlockNestedLoop,
             BmoAlgorithm::kSortFilter, BmoAlgorithm::kDivideConquer}) {
-        EXPECT_EQ(table->MaximaRange(algo, 0, m, plan), expected)
+        EXPECT_EQ(table->Maxima(algo, plan), expected)
             << BmoAlgorithmName(algo);
         EXPECT_EQ(table->MaximaSubset(algo, odd, plan), expected_odd)
             << BmoAlgorithmName(algo);
       }
-      const size_t half = m / 2;
-      std::vector<size_t> a;
-      std::vector<size_t> b;
-      std::vector<bool> left =
-          table->MaximaRange(BmoAlgorithm::kBlockNestedLoop, 0, half, plan);
-      std::vector<bool> right =
-          table->MaximaRange(BmoAlgorithm::kBlockNestedLoop, half, m, plan);
-      for (size_t i = 0; i < half; ++i) {
-        if (left[i]) a.push_back(i);
-      }
-      for (size_t i = half; i < m; ++i) {
-        if (right[i - half]) b.push_back(i);
-      }
-      std::vector<size_t> merged = table->MergeAntichains(a, b, plan);
-      std::sort(merged.begin(), merged.end());
-      EXPECT_EQ(merged, expected_rows);
     }
   }
 }
