@@ -54,6 +54,7 @@ struct Exec {
   /// limit + 1 candidates: the extra row tells the LIMIT stage it cuts.
   std::vector<size_t> filtered_rows;
   std::function<bool(const Tuple&)> but_only;  // null when absent
+  std::vector<size_t> but_only_cols;  // the columns but_only reads
   std::string preference_term;
   std::string plan_prefix;   // scan -> where -> bmo/ranked stage
   std::string plan_details;  // optimizer / ranked EXPLAIN text
@@ -78,7 +79,7 @@ struct Exec {
   bool ivm = false;
   // Ranked path (§6.2): bound utility.
   bool ranked = false;
-  ScoreFn utility;
+  RankedUtility utility;
   uint64_t optimize_ns = 0;
   uint64_t compile_ns = 0;
 
@@ -181,14 +182,14 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
 
   // Hard selection (exact-match world). Row indices, not a copy; the
   // WHERE-less case keeps "all rows" implicit instead of materializing an
-  // identity vector per cached entry.
+  // identity vector per cached entry. The predicate reads one scratch row
+  // whose condition cells are refreshed per row — no whole-row Tuples.
   Clock::time_point t0 = Clock::now();
   if (stmt.where) {
-    auto pred = psql::CompileCondition(*stmt.where, table.schema());
-    for (size_t i = 0;
-         i < table.size() && exec->filtered_rows.size() < pool_cap; ++i) {
-      if (pred(table.RowAt(i))) exec->filtered_rows.push_back(i);
-    }
+    exec->filtered_rows = table.SelectWhere(
+        psql::CompileCondition(*stmt.where, table.schema()),
+        psql::ConditionColumns(*stmt.where, table.schema()), nullptr,
+        pool_cap);
     exec->use_row_subset = true;
     plan_str += " -> where[" + stmt.where->ToString() + "]";
   } else if (pool_cap < table.size()) {
@@ -208,6 +209,8 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
   if (stmt.but_only) {
     exec->but_only = psql::CompileQualityCondition(*stmt.but_only, preference,
                                                    table.schema());
+    exec->but_only_cols =
+        psql::QualityConditionColumns(*stmt.but_only, table.schema());
   }
 
   if (preference && stmt.ranked) {
@@ -222,14 +225,9 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
       // Unlike BMO (where BUT ONLY supervises the best-matches result),
       // ranking draws from the qualifying pool: TOP k returns k rows
       // whenever k rows satisfy the quality bound.
-      std::vector<size_t> pool;
-      const size_t n =
-          exec->use_row_subset ? exec->filtered_rows.size() : table.size();
-      for (size_t i = 0; i < n; ++i) {
-        size_t row = exec->use_row_subset ? exec->filtered_rows[i] : i;
-        if (exec->but_only(table.RowAt(row))) pool.push_back(row);
-      }
-      exec->filtered_rows = std::move(pool);
+      exec->filtered_rows = table.SelectWhere(
+          exec->but_only, exec->but_only_cols,
+          exec->use_row_subset ? &exec->filtered_rows : nullptr);
       exec->use_row_subset = true;
       plan_str += " -> but_only[" + stmt.but_only->ToString() + "]";
     }
@@ -440,7 +438,8 @@ psql::QueryResult ExecuteExec(const Plan& plan, const Exec& exec) {
       current = table.SelectRows(rows);
     }
     if (exec.but_only) {
-      current = current.Filter(exec.but_only);
+      current = current.SelectRows(
+          current.SelectWhere(exec.but_only, exec.but_only_cols));
       plan_str += " -> but_only[" + stmt.but_only->ToString() + "]";
     }
   } else {
@@ -626,6 +625,12 @@ void Engine::Insert(const std::string& name, Tuple row) {
 
 size_t Engine::Delete(const std::string& name,
                       const std::function<bool(const Tuple&)>& pred) {
+  return DeleteWhere(name, pred, nullptr);
+}
+
+size_t Engine::DeleteWhere(const std::string& name,
+                           const std::function<bool(const Tuple&)>& pred,
+                           const std::vector<size_t>* cols) {
   // Same copy-on-write discipline as Insert: partition + survivor copy
   // run outside the engine mutex; a version check before the swap
   // restarts when another mutation won the race.
@@ -638,16 +643,27 @@ size_t Engine::Delete(const std::string& name,
       version = catalog_.Version(name);
     }
     std::vector<size_t> deleted;
+    if (pred && cols != nullptr) {
+      deleted = snapshot->SelectWhere(pred, *cols);
+    } else if (pred) {
+      // An opaque predicate may read any cell: refresh every column.
+      std::vector<size_t> all(snapshot->schema().size());
+      std::iota(all.begin(), all.end(), 0);
+      deleted = snapshot->SelectWhere(pred, all);
+    } else {
+      deleted.resize(snapshot->size());
+      std::iota(deleted.begin(), deleted.end(), 0);
+    }
+    if (deleted.empty()) return 0;  // nothing matched: no version bump
     std::vector<size_t> survivors;
-    survivors.reserve(snapshot->size());
-    for (size_t i = 0; i < snapshot->size(); ++i) {
-      if (!pred || pred(snapshot->RowAt(i))) {
-        deleted.push_back(i);
+    survivors.reserve(snapshot->size() - deleted.size());
+    for (size_t i = 0, d = 0; i < snapshot->size(); ++i) {
+      if (d < deleted.size() && deleted[d] == i) {
+        ++d;
       } else {
         survivors.push_back(i);
       }
     }
-    if (deleted.empty()) return 0;  // nothing matched: no version bump
     Relation next = snapshot->SelectRows(survivors);
     auto lock = Lock();
     if (catalog_.Version(name) != version) continue;  // raced; redo the scan
@@ -775,7 +791,8 @@ std::shared_ptr<const engine_internal::Exec> Engine::GetOrBuildExec(
   std::shared_ptr<const TableStats> table_stats;
   if (plan.preference && !plan.stmt.ranked &&
       (plan.stmt.explain || options.algorithm == BmoAlgorithm::kAuto)) {
-    table_stats = GetStats(plan.stmt.table, version, snapshot);
+    table_stats = GetStats(plan.stmt.table, version, snapshot,
+                           &stats->stats_ns);
   }
   // Build outside the lock: compilation may be heavy and must not block
   // concurrent queries. A racing build of the same key produces an
@@ -800,7 +817,7 @@ std::shared_ptr<const engine_internal::Exec> Engine::GetOrBuildExec(
 
 std::shared_ptr<const TableStats> Engine::GetStats(
     const std::string& name, uint64_t version,
-    const std::shared_ptr<const Relation>& snapshot) {
+    const std::shared_ptr<const Relation>& snapshot, uint64_t* derive_ns) {
   {
     auto lock = Lock();
     auto it = stats_cache_.find(name);
@@ -809,10 +826,12 @@ std::shared_ptr<const TableStats> Engine::GetStats(
       return it->second.stats;
     }
   }
-  // Derive outside the lock (full scan of the snapshot), then publish
-  // unless the table moved on while we scanned.
+  // Derive outside the lock (a columnar scan of the snapshot), then
+  // publish unless the table moved on while we scanned.
+  Clock::time_point t0 = Clock::now();
   auto builder = std::make_shared<TableStatsBuilder>(*snapshot);
   auto derived = std::make_shared<const TableStats>(builder->Snapshot());
+  if (derive_ns != nullptr) *derive_ns += ElapsedNs(t0, Clock::now());
   auto lock = Lock();
   if (catalog_.Has(name) && catalog_.Version(name) == version) {
     stats_cache_[name] = StatsEntry{version, std::move(builder), derived};
@@ -865,13 +884,16 @@ psql::QueryResult Engine::RunDelete(const engine_internal::Plan& plan,
                                     std::chrono::steady_clock::time_point t0) {
   const psql::SelectStatement& stmt = plan.stmt;
   std::function<bool(const Tuple&)> pred;
+  std::vector<size_t> cols;
   if (stmt.where) {
     // Compile against the current schema; DELETE has no cached exec (the
     // predicate is cheap next to the survivor copy).
-    pred = psql::CompileCondition(*stmt.where, Snapshot(stmt.table)->schema());
+    const Schema schema = Snapshot(stmt.table)->schema();
+    pred = psql::CompileCondition(*stmt.where, schema);
+    cols = psql::ConditionColumns(*stmt.where, schema);
   }
   Clock::time_point t1 = Clock::now();
-  const size_t removed = Delete(stmt.table, pred);
+  const size_t removed = DeleteWhere(stmt.table, pred, &cols);
   Clock::time_point t2 = Clock::now();
   psql::QueryResult result;
   Relation rel{Schema{{"deleted", ValueType::kInt}}};

@@ -407,7 +407,10 @@ class Engine {
 
   /// Current statistics snapshot for `name` (derived on demand, then
   /// maintained incrementally across Insert). Throws std::out_of_range
-  /// when the table is unknown.
+  /// when the table is unknown. Derivation scans the snapshot's column
+  /// buffers (TableStatsBuilder), never its row cache: no served path —
+  /// statistics, WHERE / BUT ONLY / DELETE scans, TOP k, subscription
+  /// seeds — materializes a whole-row Tuple copy of a catalog snapshot.
   std::shared_ptr<const TableStats> Stats(const std::string& name);
 
   const EngineOptions& options() const { return options_; }
@@ -429,16 +432,26 @@ class Engine {
   /// holds mu_.
   void InvalidateTable(const std::string& name);
   /// Stats for (name, version): served from the per-table entry when
-  /// fresh, else derived from `snapshot` outside the lock.
+  /// fresh, else derived from `snapshot` outside the lock, adding the
+  /// derivation time to `*derive_ns` when non-null.
   std::shared_ptr<const TableStats> GetStats(
       const std::string& name, uint64_t version,
-      const std::shared_ptr<const Relation>& snapshot);
+      const std::shared_ptr<const Relation>& snapshot,
+      uint64_t* derive_ns = nullptr);
 
   std::shared_ptr<const engine_internal::Plan> BuildTermPlan(
       const std::string& table, const PrefPtr& preference, bool ranked,
       size_t top_k);
 
-  /// DELETE FROM routing target of RunWithStats: runs Engine::Delete and
+  /// Delete's scan: `pred` runs on one scratch row whose `cols` cells are
+  /// refreshed per row (Relation::SelectWhere), so `cols` must name every
+  /// column it reads; null refreshes every column of the scanned
+  /// snapshot.
+  size_t DeleteWhere(const std::string& name,
+                     const std::function<bool(const Tuple&)>& pred,
+                     const std::vector<size_t>* cols);
+
+  /// DELETE FROM routing target of RunWithStats: runs the delete scan and
   /// shapes the removed-count result relation.
   psql::QueryResult RunDelete(const engine_internal::Plan& plan,
                               psql::QueryStats stats,

@@ -24,15 +24,15 @@ std::vector<size_t> ScoredBaseIndices(const Relation& r,
   }
   double best = -std::numeric_limits<double>::infinity();
   bool seen = false;
-  for (const Tuple& t : r.tuples()) {
-    double s = p.ScoreOf(t[*idx]);
+  for (size_t i = 0; i < r.size(); ++i) {
+    double s = p.ScoreOf(r.ValueAt(i, *idx));
     if (!seen || s > best) {
       best = s;
       seen = true;
     }
   }
   for (size_t i = 0; i < r.size(); ++i) {
-    if (p.ScoreOf(r.at(i)[*idx]) == best) out.push_back(i);
+    if (p.ScoreOf(r.ValueAt(i, *idx)) == best) out.push_back(i);
   }
   return out;
 }
@@ -95,7 +95,10 @@ std::vector<size_t> YYIndices(const Relation& r, const PrefPtr& p1,
   {
     std::unordered_map<Tuple, size_t, TupleHash> ids;
     for (size_t i = 0; i < r.size(); ++i) {
-      Tuple proj = r.at(i).Project(cols);
+      std::vector<Value> cells;
+      cells.reserve(cols.size());
+      for (size_t c : cols) cells.push_back(r.ValueAt(i, c));
+      Tuple proj(std::move(cells));
       auto [it, inserted] = ids.emplace(std::move(proj), values.size());
       if (inserted) values.push_back(it->first);
       row_to_value[i] = it->second;

@@ -24,12 +24,14 @@ MaintainedView::MaintainedView(PrefPtr preference,
 
 void MaintainedView::Seed(const Relation& snapshot) {
   cands_.reserve(snapshot.size());
+  // RowAt, not at(): the candidates keep their own rows, so the
+  // snapshot's shared row cache would be a second, permanent copy.
   for (size_t i = 0; i < snapshot.size(); ++i) {
-    const Tuple& row = snapshot.at(i);
+    Tuple row = snapshot.RowAt(i);
     if (where_ && !where_(row)) continue;
     Candidate c;
-    c.row = row;
     c.proj = row.Project(proj_cols_);
+    c.row = std::move(row);
     c.table_row = i;
     c.witness = kMaximal;
     cands_.push_back(std::move(c));

@@ -11,7 +11,8 @@ std::string QueryStats::ToString() const {
     return std::string(buf);
   };
   std::string out = "parse=" + ms(parse_ns) + "ms translate=" +
-                    ms(translate_ns) + "ms optimize=" + ms(optimize_ns) +
+                    ms(translate_ns) + "ms stats=" + ms(stats_ns) +
+                    "ms optimize=" + ms(optimize_ns) +
                     "ms compile=" + ms(compile_ns) + "ms execute=" +
                     ms(execute_ns) + "ms total=" + ms(total_ns) + "ms";
   out += std::string(" plan_cache=") + (plan_cache_hit ? "hit" : "miss");

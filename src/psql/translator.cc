@@ -1,5 +1,6 @@
 #include "psql/translator.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "psql/error.h"
@@ -12,6 +13,12 @@
 namespace prefdb::psql {
 
 namespace {
+
+size_t ColumnOf(const std::string& attribute, const Schema& schema) {
+  auto idx = schema.IndexOf(attribute);
+  if (!idx) throw NotFoundError("unknown attribute '" + attribute + "'");
+  return *idx;
+}
 
 bool EvalCompare(const Value& lhs, CompareOp op, const Value& rhs) {
   switch (op) {
@@ -154,11 +161,7 @@ std::function<bool(const Tuple&)> CompileCondition(const Condition& cond,
                                                    const Schema& schema) {
   switch (cond.kind) {
     case Condition::Kind::kCompare: {
-      auto idx = schema.IndexOf(cond.attribute);
-      if (!idx) {
-        throw NotFoundError("unknown attribute '" + cond.attribute + "'");
-      }
-      size_t col = *idx;
+      size_t col = ColumnOf(cond.attribute, schema);
       CompareOp op = cond.op;
       Value rhs = cond.value;
       return [col, op, rhs](const Tuple& t) {
@@ -166,11 +169,7 @@ std::function<bool(const Tuple&)> CompileCondition(const Condition& cond,
       };
     }
     case Condition::Kind::kInList: {
-      auto idx = schema.IndexOf(cond.attribute);
-      if (!idx) {
-        throw NotFoundError("unknown attribute '" + cond.attribute + "'");
-      }
-      size_t col = *idx;
+      size_t col = ColumnOf(cond.attribute, schema);
       auto set = std::make_shared<ValueSet>();
       for (const Value& v : cond.list) set->insert(v);
       bool negated = cond.negated;
@@ -224,11 +223,7 @@ std::function<bool(const Tuple&)> CompileQualityCondition(
             "no base preference on attribute '" + cond.attribute +
             "' to resolve " + cond.ToString());
       }
-      auto idx = schema.IndexOf(cond.attribute);
-      if (!idx) {
-        throw NotFoundError("unknown attribute '" + cond.attribute + "'");
-      }
-      size_t col = *idx;
+      size_t col = ColumnOf(cond.attribute, schema);
       CompareOp op = cond.op;
       double threshold = cond.threshold;
       bool is_level = cond.kind == QualityCondition::Kind::kLevel;
@@ -241,6 +236,52 @@ std::function<bool(const Tuple&)> CompileQualityCondition(
     }
   }
   throw BadArgumentError("unknown quality condition kind");
+}
+
+namespace {
+
+std::vector<size_t> SortedUnique(std::vector<size_t> cols) {
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  return cols;
+}
+
+void CollectConditionColumns(const Condition& cond, const Schema& schema,
+                             std::vector<size_t>* out) {
+  if (cond.kind == Condition::Kind::kCompare ||
+      cond.kind == Condition::Kind::kInList) {
+    out->push_back(ColumnOf(cond.attribute, schema));
+  }
+  for (const auto& child : cond.children) {
+    CollectConditionColumns(*child, schema, out);
+  }
+}
+
+void CollectQualityColumns(const QualityCondition& cond, const Schema& schema,
+                           std::vector<size_t>* out) {
+  if (cond.kind == QualityCondition::Kind::kLevel ||
+      cond.kind == QualityCondition::Kind::kDistance) {
+    out->push_back(ColumnOf(cond.attribute, schema));
+  }
+  for (const auto& child : cond.children) {
+    CollectQualityColumns(*child, schema, out);
+  }
+}
+
+}  // namespace
+
+std::vector<size_t> ConditionColumns(const Condition& cond,
+                                     const Schema& schema) {
+  std::vector<size_t> cols;
+  CollectConditionColumns(cond, schema, &cols);
+  return SortedUnique(std::move(cols));
+}
+
+std::vector<size_t> QualityConditionColumns(const QualityCondition& cond,
+                                            const Schema& schema) {
+  std::vector<size_t> cols;
+  CollectQualityColumns(cond, schema, &cols);
+  return SortedUnique(std::move(cols));
 }
 
 }  // namespace prefdb::psql

@@ -11,6 +11,7 @@
 #define PREFDB_PSQL_TRANSLATOR_H_
 
 #include <functional>
+#include <vector>
 
 #include "core/preference.h"
 #include "psql/ast.h"
@@ -30,6 +31,12 @@ PrefPtr TranslatePreferenceChain(const std::vector<PrefExprPtr>& chain);
 std::function<bool(const Tuple&)> CompileCondition(const Condition& cond,
                                                    const Schema& schema);
 
+/// The schema columns a CompileCondition predicate reads, ascending and
+/// deduplicated: what a cell-only scan (Relation::SelectWhere) refreshes
+/// per row. Unknown attributes raise std::out_of_range.
+std::vector<size_t> ConditionColumns(const Condition& cond,
+                                     const Schema& schema);
+
 /// Compiles a BUT ONLY tree into a row predicate; LEVEL/DISTANCE resolve
 /// against base preferences found in `preference` (std::invalid_argument
 /// if an attribute has no matching base preference or lacks the quality
@@ -37,6 +44,11 @@ std::function<bool(const Tuple&)> CompileCondition(const Condition& cond,
 std::function<bool(const Tuple&)> CompileQualityCondition(
     const QualityCondition& cond, const PrefPtr& preference,
     const Schema& schema);
+
+/// The schema columns a CompileQualityCondition predicate reads (the
+/// LEVEL/DISTANCE attributes), ascending and deduplicated.
+std::vector<size_t> QualityConditionColumns(const QualityCondition& cond,
+                                            const Schema& schema);
 
 }  // namespace prefdb::psql
 

@@ -134,12 +134,35 @@ Relation Relation::Project(const std::vector<std::string>& names) const {
   return out;
 }
 
+void Relation::LoadCells(size_t i, const std::vector<size_t>& cols,
+                         Tuple* scratch) const {
+  if (scratch->size() != schema_.size()) {
+    *scratch = Tuple(std::vector<Value>(schema_.size()));
+  }
+  for (size_t c : cols) (*scratch)[c] = store_.ValueAt(i, c);
+}
+
+std::vector<size_t> Relation::SelectWhere(
+    const std::function<bool(const Tuple&)>& pred,
+    const std::vector<size_t>& cols, const std::vector<size_t>* pool,
+    size_t limit) const {
+  std::vector<size_t> out;
+  Tuple scratch;
+  const size_t n = pool ? pool->size() : size();
+  for (size_t k = 0; k < n && out.size() < limit; ++k) {
+    const size_t row = pool ? (*pool)[k] : k;
+    LoadCells(row, cols, &scratch);
+    if (pred(scratch)) out.push_back(row);
+  }
+  return out;
+}
+
 Relation Relation::Filter(
     const std::function<bool(const Tuple&)>& pred) const {
-  std::vector<uint32_t> rows;
-  for (size_t i = 0; i < size(); ++i) {
-    if (pred(RowAt(i))) rows.push_back(static_cast<uint32_t>(i));
-  }
+  std::vector<size_t> all(schema_.size());
+  std::iota(all.begin(), all.end(), 0);
+  std::vector<size_t> matched = SelectWhere(pred, all);
+  std::vector<uint32_t> rows(matched.begin(), matched.end());
   Relation out;
   out.schema_ = schema_;
   out.store_ = ColumnStore::View(store_, std::move(rows));

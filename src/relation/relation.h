@@ -54,12 +54,34 @@ class Relation {
   bool empty() const { return store_.rows() == 0; }
   const Tuple& at(size_t i) const { return tuples()[i]; }
 
+  /// True once tuples()/at() has materialized the row cache — an
+  /// observer for tests that pin "this path reads columns only".
+  bool row_cache_built() const {
+    return cache_ptr_.load(std::memory_order_acquire) != nullptr;
+  }
+
   /// Materializes a single row from the column buffers (no cache).
   Tuple RowAt(size_t i) const { return store_.MaterializeRow(i); }
   /// Materializes a single cell from the column buffers.
   Value ValueAt(size_t row, size_t col) const {
     return store_.ValueAt(row, col);
   }
+  /// Refreshes the `cols` cells of `*scratch` from row `i`, first sizing
+  /// it to the schema's arity (NULL cells) when it is not. The other
+  /// cells keep what they held, so a row closure that reads only `cols`
+  /// runs on one reused Tuple instead of a fresh RowAt per row.
+  void LoadCells(size_t i, const std::vector<size_t>& cols,
+                 Tuple* scratch) const;
+  /// Logical rows for which `pred` holds, in scan order: all rows
+  /// ascending, or the rows listed in `pool` in pool order. `pred` runs
+  /// on one scratch row whose `cols` cells are refreshed per row
+  /// (LoadCells), so `cols` must name every column it reads. Stops after
+  /// `limit` matches.
+  std::vector<size_t> SelectWhere(
+      const std::function<bool(const Tuple&)>& pred,
+      const std::vector<size_t>& cols,
+      const std::vector<size_t>* pool = nullptr,
+      size_t limit = static_cast<size_t>(-1)) const;
   /// The columnar storage, for columnar scans and score-table compilation.
   const ColumnStore& store() const { return store_; }
 
@@ -76,7 +98,9 @@ class Relation {
   /// projected column buffers — no row copies.
   Relation Project(const std::vector<std::string>& names) const;
 
-  /// Hard selection σ_pred(R); the result is an index view.
+  /// Hard selection σ_pred(R); the result is an index view. `pred` sees
+  /// one reused scratch row refreshed per row (SelectWhere over every
+  /// column).
   Relation Filter(const std::function<bool(const Tuple&)>& pred) const;
 
   /// Duplicate elimination over whole rows (columnar scan, index view).

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 
 namespace prefdb::server {
 
@@ -221,8 +222,17 @@ std::string SerializeResult(const psql::QueryResult& result) {
     out += FormatDouble(result.utilities[i]);
   }
   out += "\nkernel " + result.stats.kernel;
-  out += "\nrows " + std::to_string(result.relation.size()) + "\n";
-  for (const Tuple& row : result.relation.tuples()) EncodeRow(row, &out);
+  const Relation& rel = result.relation;
+  out += "\nrows " + std::to_string(rel.size()) + "\n";
+  // One scratch row refreshed per result row: no Tuple copy of the whole
+  // result (the relation's row cache) is built just to be encoded.
+  std::vector<size_t> cols(schema.size());
+  std::iota(cols.begin(), cols.end(), 0);
+  Tuple row;
+  for (size_t i = 0; i < rel.size(); ++i) {
+    rel.LoadCells(i, cols, &row);
+    EncodeRow(row, &out);
+  }
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 
 #include "exec/score_table.h"
@@ -11,13 +12,96 @@ namespace prefdb {
 
 namespace {
 
-bool ValueIsNan(const Value& v) {
-  return v.is_double() && std::isnan(v.as_double());
-}
+using stats_internal::DistinctValues;
+using stats_internal::KeySet;
 
 /// Distinct tracking saturates at this many values per column, bounding
 /// both derivation paths' memory independent of table size.
 constexpr size_t kDistinctCap = 1 << 16;
+
+/// The one per-cell rule of every derivation path (TableStats::Derive,
+/// the columnar TableStatsBuilder scan, AddRow). Beyond the saturation
+/// cap the count freezes and the flag is set (the real count is "at
+/// least the cap"); estimation then treats the column as pool-scale
+/// cardinality.
+class CellCounter {
+ public:
+  CellCounter(ColumnStats* stats, DistinctValues* seen)
+      : stats_(*stats), seen_(*seen) {}
+
+  void Null() {
+    ++stats_.null_count;
+    if (!Room() || seen_.has_null) return;
+    seen_.has_null = true;
+    ++stats_.distinct;
+  }
+
+  void Number(double x) {
+    if (std::isnan(x)) {
+      // NaN != NaN under Value equality: one logical class, counted
+      // once, never inserted (a NaN-heavy column would otherwise fill
+      // the set with one entry per row).
+      if (stats_.nan_count == 0) ++stats_.distinct;
+      ++stats_.nan_count;
+      return;
+    }
+    if (x == 0.0) x = 0.0;  // -0.0 == 0.0 under Value equality
+    uint64_t key;
+    std::memcpy(&key, &x, sizeof(key));
+    if (Room() && seen_.numbers.Insert(key)) ++stats_.distinct;
+  }
+
+  /// Returns whether `s` is in the distinct set afterwards. `known`: an
+  /// earlier call returned true for this string (a repeated dictionary
+  /// code), so only the counters move, without hashing it again.
+  bool String(const std::string& s, bool known = false) {
+    ++stats_.non_numeric_count;
+    if (!Room()) return known;
+    if (!known && seen_.strings.insert(s).second) ++stats_.distinct;
+    return true;
+  }
+
+ private:
+  bool Room() {
+    if (seen_.size() < kDistinctCap) return true;
+    stats_.distinct_saturated = true;
+    return false;
+  }
+
+  ColumnStats& stats_;
+  DistinctValues& seen_;
+};
+
+/// Feeds column `col` of `r` through one CellCounter, reading the column
+/// buffers: tags for NULL, the widened doubles for numerics, and each
+/// distinct dictionary string once (repeated codes skip the hash).
+void ScanColumn(const Relation& r, size_t col, ColumnStats* stats,
+                DistinctValues* seen) {
+  const ColumnStore& store = r.store();
+  const Column& column = store.column(col);
+  CellCounter counter(stats, seen);
+  std::vector<char> code_seen;
+  for (size_t i = 0; i < store.rows(); ++i) {
+    const size_t row = store.PhysicalRow(i);
+    switch (column.TagAt(row)) {
+      case ValueType::kNull:
+        counter.Null();
+        break;
+      case ValueType::kInt:
+      case ValueType::kDouble:
+        counter.Number(column.nums[row]);
+        break;
+      case ValueType::kString: {
+        const uint32_t code = column.codes[row];
+        if (code >= code_seen.size()) code_seen.resize(column.dict->size(), 0);
+        if (counter.String(column.dict->At(code), code_seen[code] != 0)) {
+          code_seen[code] = 1;
+        }
+        break;
+      }
+    }
+  }
+}
 
 /// Leaves of a compilable accumulation in score-table column order
 /// (DUAL wrappers stripped; Pareto/prioritized left-to-right, matching
@@ -215,41 +299,16 @@ const ColumnStats* TableStats::Column(const std::string& name) const {
 
 TableStats TableStats::Derive(const Relation& r,
                               const std::vector<std::string>& attrs) {
-  if (attrs.empty()) {
-    TableStatsBuilder builder(r);
-    return builder.Snapshot();
-  }
+  if (attrs.empty()) return TableStatsBuilder(r).Snapshot();
   // Restricted derivation: scan only the named columns.
   TableStats out;
   out.rows = r.size();
-  std::vector<size_t> cols = r.ResolveColumns(attrs);
   out.names = attrs;
   out.columns.resize(attrs.size());
-  std::vector<std::unordered_set<Value, ValueHash>> distinct(attrs.size());
-  for (const Tuple& t : r.tuples()) {
-    for (size_t i = 0; i < cols.size(); ++i) {
-      const Value& v = t[cols[i]];
-      ColumnStats& c = out.columns[i];
-      if (v.is_null()) ++c.null_count;
-      else if (ValueIsNan(v)) {
-        // NaN != NaN under Value equality: inserting NaNs would chain
-        // one bucket per row (quadratic) while the kernels collapse
-        // them into one score class anyway — count, don't track.
-        ++c.nan_count;
-        continue;
-      } else if (!v.is_numeric()) {
-        ++c.non_numeric_count;
-      }
-      if (distinct[i].size() >= kDistinctCap) {
-        c.distinct_saturated = true;
-        continue;
-      }
-      distinct[i].insert(v);
-    }
-  }
-  for (size_t i = 0; i < attrs.size(); ++i) {
-    out.columns[i].distinct =
-        distinct[i].size() + (out.columns[i].nan_count > 0 ? 1 : 0);
+  const std::vector<size_t> cols = r.ResolveColumns(attrs);
+  for (size_t i = 0; i < cols.size(); ++i) {
+    DistinctValues seen;
+    ScanColumn(r, cols[i], &out.columns[i], &seen);
   }
   return out;
 }
@@ -263,39 +322,59 @@ TableStatsBuilder::TableStatsBuilder(const Schema& schema) {
 
 TableStatsBuilder::TableStatsBuilder(const Relation& r)
     : TableStatsBuilder(r.schema()) {
-  for (const Tuple& t : r.tuples()) AddRow(t);
+  stats_.rows = r.size();
+  for (size_t c = 0; c < stats_.columns.size(); ++c) {
+    ScanColumn(r, c, &stats_.columns[c], &distinct_[c]);
+  }
 }
 
 void TableStatsBuilder::AddRow(const Tuple& row) {
-  // Beyond the saturation cap the count freezes and the flag is set
-  // (the real count is "at least the cap"); estimation then treats the
-  // column as pool-scale cardinality.
   ++stats_.rows;
   for (size_t i = 0; i < stats_.columns.size() && i < row.size(); ++i) {
     const Value& v = row[i];
-    ColumnStats& c = stats_.columns[i];
-    if (v.is_null()) ++c.null_count;
-    else if (ValueIsNan(v)) {
-      // NaN != NaN under Value equality: one logical class, counted
-      // once, never inserted (a NaN-heavy column would otherwise chain
-      // one hash bucket per row).
-      if (c.nan_count == 0) ++c.distinct;
-      ++c.nan_count;
-      continue;
-    } else if (!v.is_numeric()) {
-      ++c.non_numeric_count;
+    CellCounter counter(&stats_.columns[i], &distinct_[i]);
+    if (v.is_null()) {
+      counter.Null();
+    } else if (v.is_string()) {
+      counter.String(v.as_string());
+    } else {
+      counter.Number(*v.numeric());
     }
-    if (distinct_[i].size() >= kDistinctCap) {
-      c.distinct_saturated = true;
-      continue;
-    }
-    auto [it, inserted] = distinct_[i].insert(v);
-    (void)it;
-    if (inserted) ++c.distinct;
   }
 }
 
 TableStats TableStatsBuilder::Snapshot() const { return stats_; }
+
+namespace stats_internal {
+
+bool KeySet::Insert(uint64_t key) {
+  if ((size_ + 1) * 2 > slots_.size()) {
+    // Grow (or allocate) to keep the load factor at most 1/2.
+    std::vector<uint64_t> old = std::move(slots_);
+    slots_.assign(std::max<size_t>(16, old.size() * 2), kEmpty);
+    size_ = 0;
+    for (uint64_t k : old) {
+      if (k != kEmpty) Insert(k);
+    }
+  }
+  const size_t mask = slots_.size() - 1;
+  // splitmix64 finalizer: spreads the low-entropy bit patterns of small
+  // integral doubles across the table.
+  uint64_t h = key;
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  for (size_t i = h & mask;; i = (i + 1) & mask) {
+    if (slots_[i] == key) return false;
+    if (slots_[i] == kEmpty) {
+      slots_[i] = key;
+      ++size_;
+      return true;
+    }
+  }
+}
+
+}  // namespace stats_internal
 
 // ---------------------------------------------------------------------------
 // TermStats

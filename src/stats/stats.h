@@ -29,8 +29,8 @@ namespace prefdb {
 class ScoreTable;
 
 /// Per-column statistics of one relation snapshot. Distinct counts are
-/// exact (hash-set based); the builder keeps the sets so Insert-time
-/// maintenance is O(columns) per row instead of a rescan.
+/// exact (hash-set based, up to a cap); the builder keeps the sets so
+/// Insert-time maintenance is O(columns) per row instead of a rescan.
 struct ColumnStats {
   size_t distinct = 0;
   /// True when distinct tracking hit the builder's saturation cap: the
@@ -62,16 +62,54 @@ struct TableStats {
 
   /// Full-scan derivation for standalone callers (the free-function BMO
   /// paths and tests). `attrs` restricts the scan to the named columns
-  /// (empty = all), so per-term derivation costs O(rows * |A|).
+  /// (empty = all), so per-term derivation costs O(rows * |A|). Scans the
+  /// column buffers, like TableStatsBuilder(const Relation&).
   static TableStats Derive(const Relation& r,
                            const std::vector<std::string>& attrs = {});
 };
+
+namespace stats_internal {
+
+/// Open-addressing set of 64-bit keys (the bit patterns of widened
+/// numerics): one flat array at load factor <= 1/2 instead of one heap
+/// node per value.
+class KeySet {
+ public:
+  /// True when `key` was not present. `key` must not be kEmpty.
+  bool Insert(uint64_t key);
+  size_t size() const { return size_; }
+
+  /// A NaN bit pattern: NaN cells are counted, never inserted.
+  static constexpr uint64_t kEmpty = 0x7ff8000000000001ULL;
+
+ private:
+  std::vector<uint64_t> slots_;
+  size_t size_ = 0;
+};
+
+/// The distinct non-NaN values seen in one column, keyed exactly like
+/// Value equality: one NULL class, numerics by the bits of their widened
+/// double (-0.0 folded onto 0.0, so 3 and 3.0 are one value), strings by
+/// content.
+struct DistinctValues {
+  bool has_null = false;
+  KeySet numbers;
+  std::unordered_set<std::string> strings;
+
+  size_t size() const {
+    return (has_null ? 1 : 0) + numbers.size() + strings.size();
+  }
+};
+
+}  // namespace stats_internal
 
 /// Incremental maintainer of TableStats: the engine keeps one per table
 /// and feeds Insert rows through AddRow, so statistics stay exact across
 /// mutations without rescanning the relation. Per-column distinct
 /// tracking saturates at 2^16 values (the count then reads "at least
 /// 65536"), bounding the builder's memory independent of table size.
+/// Building from a relation scans its column buffers (tags, widened
+/// numerics, dictionary strings), never its row cache.
 class TableStatsBuilder {
  public:
   explicit TableStatsBuilder(const Schema& schema);
@@ -83,7 +121,7 @@ class TableStatsBuilder {
 
  private:
   TableStats stats_;
-  std::vector<std::unordered_set<Value, ValueHash>> distinct_;
+  std::vector<stats_internal::DistinctValues> distinct_;
 };
 
 /// Statistics of one preference term against one candidate pool: the

@@ -911,5 +911,71 @@ TEST(EngineTest, SubscribedLevelTermMatchesAFreshExecute) {
   EXPECT_GT(sub.view_stats().deletes, 0u);
 }
 
+TEST(EngineTest, ServedPathsNeverBuildTheSnapshotRowCache) {
+  // Statistics, WHERE / BUT ONLY / DELETE scans, TOP k and subscription
+  // seeds read the column buffers: none of them may materialize the
+  // catalog snapshot's whole-row Tuple cache.
+  Engine engine;
+  engine.RegisterTable("car", GenerateCars(2000, 41));
+  auto built = [&engine] { return engine.Snapshot("car")->row_cache_built(); };
+  const std::vector<std::string> reads = {
+      "SELECT * FROM car WHERE year >= 2000 AND make <> 'BMW' "
+      "PREFERRING LOWEST(price) AND HIGHEST(horsepower)",
+      "EXPLAIN SELECT oid, price FROM car WHERE color IN ('red', 'blue') "
+      "PREFERRING LOWEST(mileage) AND LOWEST(price)",
+      "SELECT * FROM car WHERE price < 30000 PREFERRING price AROUND 15000 "
+      "BUT ONLY DISTANCE(price) <= 2000",
+      "SELECT TOP 5 * FROM car WHERE year >= 1998 PREFERRING price AROUND "
+      "15000 BUT ONLY DISTANCE(price) <= 5000",
+      "SELECT TOP 3 * FROM car PREFERRING LOWEST(price)",
+      "SELECT TOP 2 * FROM car PREFERRING HIGHEST(horsepower) GROUPING make",
+      "SELECT * FROM car PREFERRING LOWEST(price) GROUPING category"};
+  engine.Stats("car");
+  EXPECT_FALSE(built());
+  for (const std::string& sql : reads) {
+    for (int run = 0; run < 2; ++run) {  // cold, then warm
+      EXPECT_GT(engine.Execute(sql).relation.size(), 0u) << sql;
+      EXPECT_FALSE(built()) << sql;
+    }
+  }
+  Engine::Subscription sub = engine.Subscribe(
+      "SELECT * FROM car WHERE year >= 2000 "
+      "PREFERRING LOWEST(price) AND LOWEST(mileage)");
+  EXPECT_FALSE(built());
+  std::shared_ptr<const Relation> before = engine.Snapshot("car");
+  const psql::QueryResult removed =
+      engine.Execute("DELETE FROM car WHERE price > 25000 OR mileage < 5000");
+  EXPECT_GT(removed.relation.ValueAt(0, 0).as_int(), 0);
+  EXPECT_FALSE(before->row_cache_built());
+  EXPECT_FALSE(built());
+  EXPECT_GT(engine.Delete("car", [](const Tuple& t) { return t[8] < 1995; }),
+            0u);
+  EXPECT_FALSE(built());
+  engine.Stats("car");
+  EXPECT_FALSE(built());
+  EXPECT_TRUE(sub.Poll().has_value());  // the bootstrap resync
+}
+
+TEST(EngineTest, StatsDerivationIsItsOwnPhase) {
+  Engine engine;
+  engine.RegisterTable("car", GenerateCars(2000, 5));
+  const std::string sql = "EXPLAIN SELECT * FROM car PREFERRING LOWEST(price)";
+  psql::QueryResult cold = engine.Execute(sql);
+  EXPECT_GT(cold.stats.stats_ns, 0u);
+  EXPECT_NE(cold.plan_details.find(" stats="), std::string::npos)
+      << cold.plan_details;
+  const psql::QueryStats& s = cold.stats;
+  EXPECT_LE(s.parse_ns + s.translate_ns + s.stats_ns + s.optimize_ns +
+                s.compile_ns + s.execute_ns,
+            s.total_ns);
+  // Fresh statistics are served from the engine's per-table entry.
+  engine.ClearCaches();
+  engine.Stats("car");
+  EXPECT_EQ(engine.Execute(sql).stats.stats_ns, 0u);
+  // A delete drops them; the next planned read derives again.
+  engine.Execute("DELETE FROM car WHERE price > 20000");
+  EXPECT_GT(engine.Execute(sql).stats.stats_ns, 0u);
+}
+
 }  // namespace
 }  // namespace prefdb

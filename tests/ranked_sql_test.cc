@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "core/numeric_preferences.h"
 #include "datagen/cars.h"
@@ -175,6 +180,77 @@ TEST(RankedSqlTest, GroupedTopKMatchesPerGroupDirect) {
   }
   EXPECT_EQ(res.relation, expected);
   EXPECT_EQ(res.utilities, expected_utilities);
+}
+
+TEST(RankedSqlTest, NaNUtilitiesRankLastGroupedAndNot) {
+  // AROUND over a NaN cell scores NaN. Rank order: utility descending,
+  // NaN after every number, input order on ties — checked against a
+  // brute-force order for k = 1, ties cut at the boundary, and k = all.
+  const double nan = std::nan("");
+  Relation t(Schema{{"id", ValueType::kInt},
+                    {"g", ValueType::kString},
+                    {"x", ValueType::kDouble}});
+  const std::vector<double> xs = {nan, 7, 3, 5, nan, 9, 3, 1, 7,
+                                  nan, 5, 3, 2, 8, nan, 7};
+  const char* groups[] = {"a", "b", "c"};
+  for (size_t i = 0; i < xs.size(); ++i) {
+    t.Add({Value(static_cast<int64_t>(i)), Value(groups[(i * 7) % 3]),
+           Value(xs[i])});
+  }
+  auto utility = [](double x) { return -std::fabs(x - 5.0); };
+  // Brute-force order of table rows `pool` (ascending table order).
+  auto reference = [&](const std::vector<size_t>& pool, size_t k) {
+    std::vector<size_t> numbers;
+    std::vector<size_t> nans;
+    for (size_t row : pool) {
+      (std::isnan(xs[row]) ? nans : numbers).push_back(row);
+    }
+    std::stable_sort(numbers.begin(), numbers.end(), [&](size_t a, size_t b) {
+      return utility(xs[a]) > utility(xs[b]);
+    });
+    numbers.insert(numbers.end(), nans.begin(), nans.end());
+    if (k > 0 && k < numbers.size()) numbers.resize(k);
+    return numbers;
+  };
+  auto ids = [](const psql::QueryResult& res) {
+    std::vector<size_t> out;
+    for (size_t i = 0; i < res.relation.size(); ++i) {
+      out.push_back(static_cast<size_t>(res.relation.ValueAt(i, 0).as_int()));
+    }
+    return out;
+  };
+  Engine engine;
+  engine.RegisterTable("t", t);
+  std::vector<size_t> all(xs.size());
+  std::iota(all.begin(), all.end(), 0);
+  for (size_t k : {size_t{1}, size_t{2}, size_t{3}, size_t{5}, size_t{0}}) {
+    const std::string head = k == 0 ? "SELECT RANKED * FROM t"
+                                    : "SELECT TOP " + std::to_string(k) +
+                                          " * FROM t";
+    const std::string ungrouped = head + " PREFERRING x AROUND 5";
+    psql::QueryResult res = engine.Execute(ungrouped);
+    const std::vector<size_t> want = reference(all, k);
+    EXPECT_EQ(ids(res), want) << ungrouped;
+    ASSERT_EQ(res.utilities.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      const double u = utility(xs[want[i]]);
+      EXPECT_TRUE(std::isnan(u) ? std::isnan(res.utilities[i])
+                                : res.utilities[i] == u)
+          << ungrouped << " rank " << i;
+    }
+
+    std::vector<size_t> grouped_want;
+    for (const char* g : {"a", "b", "c"}) {  // first-occurrence order
+      std::vector<size_t> pool;
+      for (size_t row = 0; row < xs.size(); ++row) {
+        if (std::string(groups[(row * 7) % 3]) == g) pool.push_back(row);
+      }
+      for (size_t row : reference(pool, k)) grouped_want.push_back(row);
+    }
+    const std::string grouped = ungrouped + " GROUPING g";
+    EXPECT_EQ(ids(engine.Execute(grouped)), grouped_want) << grouped;
+  }
+  EXPECT_FALSE(engine.Snapshot("t")->row_cache_built());
 }
 
 TEST(RankedSqlTest, RandomizedTermsMatchDirect) {

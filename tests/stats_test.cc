@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "core/base_preferences.h"
 #include "core/complex_preferences.h"
@@ -158,6 +161,159 @@ TEST(TableStatsTest, DistinctTrackingSaturatesNotGrows) {
     return r;
   }());
   EXPECT_FALSE(derived.Column("x")->distinct_saturated);
+}
+
+// Tuple-walking reference for the columnar derivation: the per-value
+// rule the builder applied before statistics read the column buffers —
+// one unordered_set<Value> per column (Value equality: numeric widening,
+// NULL == NULL), NaN counted once and never inserted, saturation at the
+// cap flagged by any later non-NaN value.
+TableStats ReferenceStats(const Schema& schema, const std::vector<Tuple>& rows,
+                          size_t cap = size_t{1} << 16) {
+  TableStats out;
+  out.rows = rows.size();
+  for (const Attribute& a : schema.attributes()) out.names.push_back(a.name);
+  out.columns.resize(schema.size());
+  std::vector<std::unordered_set<Value, ValueHash>> seen(schema.size());
+  for (const Tuple& t : rows) {
+    for (size_t i = 0; i < schema.size(); ++i) {
+      const Value& v = t[i];
+      ColumnStats& c = out.columns[i];
+      if (v.is_null()) {
+        ++c.null_count;
+      } else if (v.is_double() && std::isnan(v.as_double())) {
+        if (c.nan_count == 0) ++c.distinct;
+        ++c.nan_count;
+        continue;
+      } else if (!v.is_numeric()) {
+        ++c.non_numeric_count;
+      }
+      if (seen[i].size() >= cap) {
+        c.distinct_saturated = true;
+        continue;
+      }
+      if (seen[i].insert(v).second) ++c.distinct;
+    }
+  }
+  return out;
+}
+
+std::vector<Tuple> RowsOf(const Relation& r) {
+  std::vector<Tuple> rows;
+  for (size_t i = 0; i < r.size(); ++i) rows.push_back(r.RowAt(i));
+  return rows;
+}
+
+void ExpectSameStats(const TableStats& got, const TableStats& want) {
+  ASSERT_EQ(got.rows, want.rows);
+  ASSERT_EQ(got.names, want.names);
+  ASSERT_EQ(got.columns.size(), want.columns.size());
+  for (size_t c = 0; c < want.columns.size(); ++c) {
+    const ColumnStats& g = got.columns[c];
+    const ColumnStats& w = want.columns[c];
+    EXPECT_EQ(g.distinct, w.distinct) << want.names[c];
+    EXPECT_EQ(g.distinct_saturated, w.distinct_saturated) << want.names[c];
+    EXPECT_EQ(g.null_count, w.null_count) << want.names[c];
+    EXPECT_EQ(g.nan_count, w.nan_count) << want.names[c];
+    EXPECT_EQ(g.non_numeric_count, w.non_numeric_count) << want.names[c];
+  }
+}
+
+// A table whose every column is an edge case of Value equality.
+Relation EdgeCaseTable() {
+  const double nan = std::nan("");
+  const int64_t big = (int64_t{1} << 53) + 1;  // widens onto 2^53
+  Relation r(Schema{{"num", ValueType::kDouble},
+                    {"mixed", ValueType::kInt},
+                    {"big", ValueType::kInt},
+                    {"text", ValueType::kString}});
+  r.Add({Value(3), Value(3), Value(big), Value("a")});
+  r.Add({Value(3.0), Value("3"), Value(int64_t{1} << 53), Value("b")});
+  r.Add({Value(-0.0), Value(), Value(big - 2), Value()});
+  r.Add({Value(0.0), Value("x"), Value(big), Value("a")});
+  r.Add({Value(nan), Value(3.0), Value(), Value("")});
+  r.Add({Value(nan), Value(nan), Value(9007199254740992.0), Value("b")});
+  r.Add({Value(), Value("x"), Value(big + 1), Value("")});
+  r.Add({Value(), Value(-0.0), Value(big), Value()});
+  return r;
+}
+
+TEST(TableStatsTest, ColumnarDeriveMatchesTupleReference) {
+  Relation r = EdgeCaseTable();
+  const TableStats want = ReferenceStats(r.schema(), RowsOf(r));
+  ExpectSameStats(TableStats::Derive(r), want);
+  ExpectSameStats(TableStatsBuilder(r).Snapshot(), want);
+  // Spot-check the reference itself on the equality edge cases
+  // (num: 3 == 3.0, -0 == 0, NaN, NULL).
+  EXPECT_EQ(want.Column("num")->distinct, 4u);
+  EXPECT_EQ(want.Column("mixed")->distinct, 6u);  // 3, '3', NULL, 'x', NaN, -0
+  EXPECT_EQ(want.Column("big")->distinct, 4u);    // 2^53, 2^53-1, NULL, 2^53+2
+  EXPECT_EQ(want.Column("text")->distinct, 4u);   // 'a', 'b', NULL, ''
+
+  // Restricted derivation and index views (permuted, filtered rows).
+  TableStats restricted = TableStats::Derive(r, {"text", "num"});
+  ASSERT_EQ(restricted.names, (std::vector<std::string>{"text", "num"}));
+  EXPECT_EQ(restricted.columns[0].distinct, want.Column("text")->distinct);
+  EXPECT_EQ(restricted.columns[1].distinct, want.Column("num")->distinct);
+  EXPECT_EQ(restricted.columns[1].nan_count, 2u);
+  Relation view = r.SelectRows({7, 5, 3, 1, 0, 2, 4, 6});
+  ExpectSameStats(TableStats::Derive(view),
+                  ReferenceStats(view.schema(), RowsOf(view)));
+  Relation sorted = r.Sorted({"text"});
+  ExpectSameStats(TableStatsBuilder(sorted).Snapshot(),
+                  ReferenceStats(sorted.schema(), RowsOf(sorted)));
+  EXPECT_FALSE(r.row_cache_built());
+}
+
+TEST(TableStatsTest, ColumnarSaturationMatchesTupleReference) {
+  // Distinct values past the cap, in numeric, string and mixed columns,
+  // with repeats and NULLs after saturation: the frozen count and the
+  // saturation flag must be exactly the reference's.
+  const size_t cap = size_t{1} << 16;
+  Relation r(Schema{{"n", ValueType::kInt},
+                    {"s", ValueType::kString},
+                    {"m", ValueType::kInt},
+                    {"exact", ValueType::kInt}});
+  for (size_t i = 0; i < cap + 300; ++i) {
+    const int64_t k = static_cast<int64_t>(i);
+    r.Add({Value(k), Value("s" + std::to_string(i % (cap + 100))),
+           i % 3 == 0 ? Value("m" + std::to_string(i)) : Value(k),
+           Value(k % static_cast<int64_t>(cap))});
+  }
+  // Repeats and NULLs after every column hit the cap.
+  r.Add({Value(int64_t{1}), Value("s1"), Value(), Value(int64_t{0})});
+  r.Add({Value(std::nan("")), Value("s2"), Value("m0"), Value()});
+  const TableStats want = ReferenceStats(r.schema(), RowsOf(r));
+  EXPECT_TRUE(want.Column("n")->distinct_saturated);
+  EXPECT_TRUE(want.Column("s")->distinct_saturated);
+  EXPECT_TRUE(want.Column("exact")->distinct_saturated);  // the late NULL
+  EXPECT_EQ(want.Column("n")->distinct, cap + 1);  // cap + the NaN class
+  ExpectSameStats(TableStats::Derive(r), want);
+  ExpectSameStats(TableStatsBuilder(r).Snapshot(), want);
+
+  // Exactly cap distinct values and nothing after: not saturated.
+  Relation exact(Schema{{"x", ValueType::kInt}});
+  for (size_t i = 0; i < cap; ++i) exact.Add({Value(static_cast<int64_t>(i))});
+  TableStats at_cap = TableStats::Derive(exact);
+  EXPECT_EQ(at_cap.Column("x")->distinct, cap);
+  EXPECT_FALSE(at_cap.Column("x")->distinct_saturated);
+  ExpectSameStats(at_cap, ReferenceStats(exact.schema(), RowsOf(exact)));
+}
+
+TEST(TableStatsTest, AddRowAfterColumnarBuildMatchesReference) {
+  Relation r = EdgeCaseTable();
+  TableStatsBuilder builder(r);
+  std::vector<Tuple> rows = RowsOf(r);
+  const std::vector<Tuple> more = {
+      Tuple{Value(3), Value(3), Value((int64_t{1} << 53) + 1), Value("a")},
+      Tuple{Value(-0.0), Value("3"), Value(7), Value("new")},
+      Tuple{Value(std::nan("")), Value(), Value(), Value()},
+      Tuple{Value(4.5), Value(4.5), Value(8), Value("b")}};
+  for (const Tuple& t : more) {
+    builder.AddRow(t);
+    rows.push_back(t);
+    ExpectSameStats(builder.Snapshot(), ReferenceStats(r.schema(), rows));
+  }
 }
 
 TEST(TermStatsTest, AntiChainInParetoMultipliesTheWindow) {

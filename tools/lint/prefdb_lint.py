@@ -40,6 +40,12 @@ each rule):
       snapshots, views and zero-copy score tables; a stray mutation path
       that skips the per-column clone corrupts every borrower. Everything
       else mutates through Relation's API (Add / Delete / Update).
+  prefdb-row-cache
+      No Relation::tuples() in the served paths (src/engine/, src/stats/,
+      src/ivm/, src/server/, src/eval/ranked.cc): it materializes a
+      permanent whole-row Tuple copy of a catalog snapshot (49.7 MiB for
+      a 100k-row, 12-column table). Read cells (ValueAt, LoadCells /
+      SelectWhere, the ColumnStore buffers) instead.
   prefdb-nolint-reason
       Every NOLINT must name its check(s) and carry an inline reason:
       "NOLINT(check): reason". All suppressions are counted and listed.
@@ -104,6 +110,7 @@ RULES = (
     "prefdb-float-eq",
     "prefdb-raw-delta-queue",
     "prefdb-raw-store-mutation",
+    "prefdb-row-cache",
     "prefdb-nolint-reason",
 )
 
@@ -388,6 +395,30 @@ def store_mutation_findings(src: SourceFile):
     return findings
 
 
+ROW_CACHE_DIRS = ("src/engine/", "src/stats/", "src/ivm/", "src/server/")
+ROW_CACHE_FILES = {"src/eval/ranked.cc"}
+
+
+def row_cache_findings(src: SourceFile):
+    """prefdb-row-cache, shared by both engines: the accessor's spelling
+    is the marker — any tuples() call in a served path builds (or reads)
+    the snapshot-lifetime row cache the columnar store exists to avoid."""
+    findings = []
+    path = src.effective_path
+    if not (any(in_dir(path, d) for d in ROW_CACHE_DIRS)
+            or path in ROW_CACHE_FILES):
+        return findings
+    for line_no, text in enumerate(src.lines, 1):
+        for _ in re.finditer(r"\btuples\s*\(\s*\)", text):
+            if not src.is_suppressed("prefdb-row-cache", line_no):
+                findings.append(Finding(
+                    path, line_no, "prefdb-row-cache",
+                    "Relation::tuples() on a served path materializes a "
+                    "whole-row copy of the snapshot; read cells (ValueAt, "
+                    "LoadCells/SelectWhere, ColumnStore buffers) instead"))
+    return findings
+
+
 def fallback_lint(src: SourceFile):
     findings = []
     path = src.effective_path
@@ -476,6 +507,9 @@ def fallback_lint(src: SourceFile):
 
     # --- prefdb-raw-store-mutation (whole tree outside src/relation/)
     findings.extend(store_mutation_findings(src))
+
+    # --- prefdb-row-cache (served paths)
+    findings.extend(row_cache_findings(src))
 
     return findings
 
@@ -606,10 +640,11 @@ def clang_lint(src: SourceFile, extra_args):
                          "direct guard on the Engine mutex; acquire it via "
                          "Engine::Lock() so the contention counters count it")
 
-    # The delta-queue and store-mutation ownership rules are likewise
+    # The delta-queue, store-mutation and row-cache rules are likewise
     # name-marker checks — identical in both engines.
     findings.extend(delta_queue_findings(src))
     findings.extend(store_mutation_findings(src))
+    findings.extend(row_cache_findings(src))
     return findings
 
 
