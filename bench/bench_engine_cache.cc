@@ -5,10 +5,15 @@
 //   cold_execute      caches off — full parse/translate/optimize/compile/
 //                     execute every call (the legacy free-function path)
 //   cached_execute    Engine::Execute with plan + exec caches — repeated
-//                     text skips everything but the BMO kernel
+//                     text serves the exec entry's memoized answer rows
 //   prepared_run      PreparedQuery::Run on a warm exec cache — the
 //                     steady-state serving cost
 //   prepare_only      plan-cache hit cost (normalize + lookup)
+//
+// A warm hit runs no kernel, so the cached and prepared families measure
+// materialization only: the gather of the answer rows and the
+// projection. Kernel time is measured by bench_skyline_algorithms
+// (BENCH_kernels.json) and by the cold families here.
 //
 // The tiny N=1024 points exist for the CI smoke job
 // (BENCH_engine_cache.json artifact).

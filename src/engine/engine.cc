@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "eval/bmo_internal.h"
+#include "eval/decomposition.h"
 #include "eval/optimizer.h"
 #include "eval/ranked.h"
 #include "exec/score_table.h"
@@ -32,71 +33,40 @@ struct Plan {
   uint64_t translate_ns = 0;
 };
 
-/// Data-dependent half: everything derivable from (plan, table snapshot,
-/// options) that repeated Run() calls should not redo — the WHERE row
-/// set, the PhysicalPlan and, for BMO statements, the compiled blocks
-/// (eval/bmo_internal.h): one over the candidate pool, or one per group
-/// for GROUPING statements. A block holds only what a run reads: its row
-/// map and score table, and the distinct projected Tuples only on the
-/// closure fallback (terms that do not compile, vectorize=false).
-/// Immutable once built; concurrent Run() calls share it.
+/// Data-dependent half: the memoized answer of (plan, table snapshot,
+/// options). σ[P](R) is a pure function of the term and the relation, and
+/// the key pins both, so the entry keeps the final table rows — after the
+/// BMO, GROUPING, TOP k, BUT ONLY and LIMIT stages, in result order — and
+/// drops everything the build compiled to find them. A run gathers the
+/// rows and projects them; it runs no kernel. Immutable once built;
+/// concurrent Run() calls share it.
 struct Exec {
   std::string table_name;
   uint64_t version = 0;
   std::shared_ptr<const Relation> snapshot;
-  /// True when filtered_rows is a proper subset view; false means "all
-  /// rows" (no identity vector is materialized for WHERE-less statements).
-  bool use_row_subset = false;
-  /// The candidate pool: WHERE survivors — and for ranked queries, the
-  /// BUT ONLY quality bound too (ranking draws from qualifying rows, so
-  /// TOP k fills k whenever k qualifying rows exist). A plain LIMIT
-  /// statement (no preference, ranking or grouping) keeps only the first
-  /// limit + 1 candidates: the extra row tells the LIMIT stage it cuts.
-  std::vector<size_t> filtered_rows;
-  std::function<bool(const Tuple&)> but_only;  // null when absent
-  std::vector<size_t> but_only_cols;  // the columns but_only reads
+  /// The answer: table rows of `snapshot`, in result order.
+  std::vector<uint32_t> rows;
+  /// Ranked statements: utilities aligned 1:1 with `rows`, descending.
+  std::vector<double> utilities;
   std::string preference_term;
-  std::string plan_prefix;   // scan -> where -> bmo/ranked stage
+  std::string plan_text;     // the executed plan, every stage included
   std::string plan_details;  // optimizer / ranked EXPLAIN text
   std::string kernel_variant;  // BMO kernel label (QueryStats.kernel)
-  PrefPtr exec_pref;  // term actually evaluated (simplified when routed)
-  /// The planned artifact: algorithm, kernel fields, statistics and the
-  /// per-algorithm cost table. For GROUPING, the statement-level plan;
-  /// each block carries its own.
-  PhysicalPlan plan;
-  /// BMO kernel inputs (every path but decomposition): one block over
-  /// the candidate pool, or blocks[g] over groups[g] for GROUPING.
-  std::vector<internal::CompiledBlock> blocks;
-  /// GROUPING (BMO and ranked): the candidate pool's global rows per
-  /// group, groups in first-occurrence order.
-  std::vector<std::vector<size_t>> groups;
-  // Decomposition path: materialized WHERE result for the relation-level
-  // cascade evaluator (null otherwise).
-  std::shared_ptr<const Relation> filtered;
-  // IVM-refreshed entry (subscribed statements): filtered_rows IS the
-  // maintained result set, so execution is pure row materialization —
-  // no kernel work. Written by Engine::RefreshViewExec on mutation.
-  bool ivm = false;
-  // Ranked path (§6.2): bound utility.
-  bool ranked = false;
-  RankedUtility utility;
+  /// The cost model's estimate for the plan that ran (0 when uncosted).
+  double estimated_ns = 0.0;
   uint64_t optimize_ns = 0;
   uint64_t compile_ns = 0;
+  /// The build's kernel (or ranked sort), plus a BMO statement's BUT ONLY
+  /// filter over its answer.
+  uint64_t kernel_ns = 0;
 
-  /// Heap bytes this entry owns: row vectors and the compiled blocks
-  /// (row maps, score and id buffers; distinct Tuples only on the
-  /// closure fallback). Not counted: the relation snapshot (the
-  /// catalog's, shared) and the decomposition path's materialized WHERE
-  /// relation.
+  /// Heap bytes this entry owns: the answer and its texts. The relation
+  /// snapshot is the catalog's (shared) and not counted.
   size_t HeapBytes() const {
-    using internal::VectorBytes;
-    size_t bytes = VectorBytes(filtered_rows) + VectorBytes(blocks) +
-                   VectorBytes(groups);
-    for (const internal::CompiledBlock& block : blocks) {
-      bytes += block.HeapBytes();
-    }
-    for (const std::vector<size_t>& rows : groups) bytes += VectorBytes(rows);
-    return bytes;
+    return rows.capacity() * sizeof(uint32_t) +
+           utilities.capacity() * sizeof(double) + table_name.capacity() + preference_term.capacity() +
+           plan_text.capacity() + plan_details.capacity() +
+           kernel_variant.capacity();
   }
 };
 
@@ -117,8 +87,9 @@ uint64_t ElapsedNs(Clock::time_point begin, Clock::time_point end) {
           .count());
 }
 
-// Option fields that change the compiled exec state: algorithm choice
-// inputs, the vectorization switch and the kernel policy.
+// Option fields that change an exec entry (its plan text and kernel
+// label; never its rows): algorithm choice inputs, the vectorization
+// switch and the kernel policy.
 std::string OptionsSignature(const BmoOptions& o) {
   return std::to_string(static_cast<int>(o.algorithm)) + ":" +
          (o.vectorize ? "v" : "c") + ":" + SimdModeName(o.simd) + ":" +
@@ -151,9 +122,10 @@ std::string CompilePaths(const std::vector<CompiledBlock>& blocks,
   return out.empty() ? out : out + "\n";
 }
 
-// Builds the exec entry for (plan, snapshot, options). Heavy: runs the
-// WHERE filter, the statistics-driven planner and the score-table
-// compiler. Called without engine locks; everything it touches is
+// Builds the exec entry for (plan, snapshot, options): runs the whole
+// data-dependent pipeline once — the WHERE filter, the statistics-driven
+// planner, the score-table compiler and the kernel — and keeps only the
+// answer rows. Called without engine locks; everything it touches is
 // immutable shared state. `table_stats` is the engine's per-table
 // statistics snapshot (may be null when the plan is explicit and no
 // EXPLAIN is requested).
@@ -180,22 +152,24 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
           ? stmt.limit + 1
           : table.size();
 
-  // Hard selection (exact-match world). Row indices, not a copy; the
-  // WHERE-less case keeps "all rows" implicit instead of materializing an
-  // identity vector per cached entry. The predicate reads one scratch row
-  // whose condition cells are refreshed per row — no whole-row Tuples.
+  // Hard selection (exact-match world): the candidate pool as row
+  // indices; a null `pool_ptr` means "all rows" (no identity vector). The
+  // predicate reads one scratch row whose condition cells are refreshed
+  // per row — no whole-row Tuples.
+  std::vector<size_t> pool;
+  const std::vector<size_t>* pool_ptr = nullptr;
   Clock::time_point t0 = Clock::now();
   if (stmt.where) {
-    exec->filtered_rows = table.SelectWhere(
+    pool = table.SelectWhere(
         psql::CompileCondition(*stmt.where, table.schema()),
         psql::ConditionColumns(*stmt.where, table.schema()), nullptr,
         pool_cap);
-    exec->use_row_subset = true;
+    pool_ptr = &pool;
     plan_str += " -> where[" + stmt.where->ToString() + "]";
   } else if (pool_cap < table.size()) {
-    exec->filtered_rows.resize(pool_cap);
-    std::iota(exec->filtered_rows.begin(), exec->filtered_rows.end(), 0);
-    exec->use_row_subset = true;
+    pool.resize(pool_cap);
+    std::iota(pool.begin(), pool.end(), 0);
+    pool_ptr = &pool;
   }
   exec->compile_ns += ElapsedNs(t0, Clock::now());
 
@@ -206,43 +180,42 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
 
   // Quality supervision predicate (throws without a preference, exactly
   // like the legacy executor).
+  std::function<bool(const Tuple&)> but_only;
+  std::vector<size_t> but_only_cols;
   if (stmt.but_only) {
-    exec->but_only = psql::CompileQualityCondition(*stmt.but_only, preference,
-                                                   table.schema());
-    exec->but_only_cols =
+    but_only = psql::CompileQualityCondition(*stmt.but_only, preference,
+                                             table.schema());
+    but_only_cols =
         psql::QualityConditionColumns(*stmt.but_only, table.schema());
   }
 
+  // The answer, in result order.
+  std::vector<size_t> rows;
   if (preference && stmt.ranked) {
     // §6.2 ranked model: descending combined utility instead of BMO.
-    exec->ranked = true;
     exec->preference_term = preference->ToString();
     t0 = Clock::now();
-    exec->utility = BindRankedUtility(preference, table.schema());
+    const RankedUtility utility = BindRankedUtility(preference, table.schema());
     exec->optimize_ns += ElapsedNs(t0, Clock::now());
     t0 = Clock::now();
-    if (exec->but_only) {
+    if (but_only) {
       // Unlike BMO (where BUT ONLY supervises the best-matches result),
       // ranking draws from the qualifying pool: TOP k returns k rows
       // whenever k rows satisfy the quality bound.
-      exec->filtered_rows = table.SelectWhere(
-          exec->but_only, exec->but_only_cols,
-          exec->use_row_subset ? &exec->filtered_rows : nullptr);
-      exec->use_row_subset = true;
+      pool = table.SelectWhere(but_only, but_only_cols, pool_ptr);
+      pool_ptr = &pool;
       plan_str += " -> but_only[" + stmt.but_only->ToString() + "]";
     }
+    // Def. 16 grouping under the ranked model: top k per group, groups
+    // in deterministic first-occurrence order of the candidate pool.
+    std::vector<std::vector<size_t>> groups;
     if (!stmt.grouping.empty()) {
-      // Def. 16 grouping under the ranked model: top k per group, groups
-      // in deterministic first-occurrence order of the candidate pool.
-      exec->groups =
-          GroupRowsBy(table, table.ResolveColumns(stmt.grouping),
-                      exec->use_row_subset ? &exec->filtered_rows : nullptr);
-      plan_str += " -> ranked_groupby[" + exec->preference_term + ", " +
-                  TopKText(stmt.top_k) + "]";
-    } else {
-      plan_str += " -> ranked[" + exec->preference_term + ", " +
-                  TopKText(stmt.top_k) + "]";
+      groups = GroupRowsBy(table, table.ResolveColumns(stmt.grouping),
+                           pool_ptr);
     }
+    plan_str += std::string(stmt.grouping.empty() ? " -> ranked["
+                                                  : " -> ranked_groupby[") +
+                exec->preference_term + ", " + TopKText(stmt.top_k) + "]";
     exec->compile_ns += ElapsedNs(t0, Clock::now());
     if (stmt.explain) {
       exec->plan_details =
@@ -255,6 +228,20 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
                : "derived single sort key") +
           ", descending; ties broken by input order\n";
     }
+    t0 = Clock::now();
+    auto append_top_k = [&](const std::vector<size_t>* from) {
+      RankedRows rr = TopKRows(table, utility, stmt.top_k, from);
+      for (size_t i = 0; i < rr.rows.size(); ++i) {
+        rows.push_back(from != nullptr ? (*from)[rr.rows[i]] : rr.rows[i]);
+        exec->utilities.push_back(rr.utilities[i]);
+      }
+    };
+    if (stmt.grouping.empty()) {
+      append_top_k(pool_ptr);
+    } else {
+      for (const std::vector<size_t>& group : groups) append_top_k(&group);
+    }
+    exec->kernel_ns += ElapsedNs(t0, Clock::now());
   } else if (preference) {
     exec->preference_term = preference->ToString();
     // Stage 1 — statistics-level planning. Mirror the legacy routing:
@@ -262,8 +249,7 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
     // over the engine's incremental table statistics); an explicit
     // algorithm skips rewrites and becomes a pass-through plan.
     PrefPtr exec_pref = preference;
-    const size_t pool_size =
-        exec->use_row_subset ? exec->filtered_rows.size() : table.size();
+    const size_t pool_size = pool_ptr ? pool.size() : table.size();
     PhysicalPlan physical = PhysicalPlan::FromOptions(options);
     OptimizedQuery optimized;
     bool costed = false;
@@ -281,191 +267,153 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
       }
       if (stmt.explain) exec->plan_details = optimized.Explain();
     }
-    exec->exec_pref = exec_pref;
 
+    // The compiled blocks live only for this build: one over the
+    // candidate pool, or one per group (Def. 16).
+    std::vector<CompiledBlock> blocks;
+    BmoAlgorithm algorithm = physical.algorithm;
     if (physical.algorithm == BmoAlgorithm::kDecomposition) {
-      // Decomposition cascade: relation-level evaluator; materialize the
-      // WHERE result once and share it.
+      // Decomposition cascade: the relation-level evaluator over the
+      // materialized WHERE result, its rows mapped back to the table's.
       t0 = Clock::now();
-      exec->filtered =
-          stmt.where ? std::make_shared<const Relation>(
-                           table.SelectRows(exec->filtered_rows))
-                     : exec->snapshot;
-      exec->plan = physical;
+      Relation filtered;
+      if (pool_ptr) filtered = table.SelectRows(pool);
+      const Relation& input = pool_ptr ? filtered : table;
       exec->compile_ns += ElapsedNs(t0, Clock::now());
+      t0 = Clock::now();
+      if (!input.empty()) {
+        rows = stmt.grouping.empty()
+                   ? BmoDecompositionIndices(input, exec_pref)
+                   : BmoDecompositionGroupByIndices(input, exec_pref,
+                                                    stmt.grouping);
+      }
+      if (pool_ptr) {
+        for (size_t& row : rows) row = pool[row];
+      }
+      exec->kernel_ns += ElapsedNs(t0, Clock::now());
+      exec->estimated_ns = physical.estimated_ns;
       exec->kernel_variant = "closure";  // Prop 11 cascade, closure order
     } else {
       // Stage 2 — compile each block once and refine its plan with the
       // measured block statistics (exact distinct counts, injectivity,
-      // the sampled window probe): one block over the candidate pool, or
-      // one per group (Def. 16), so warm runs do only kernel work.
+      // the sampled window probe).
       t0 = Clock::now();
-      const std::vector<size_t>* pool_ptr =
-          exec->use_row_subset ? &exec->filtered_rows : nullptr;
       PlanScope scope;
       scope.allow_decomposition = false;
+      std::vector<std::vector<size_t>> groups;
       if (stmt.grouping.empty()) {
-        exec->blocks.push_back(
+        blocks.push_back(
             CompileBlock(table, exec_pref, pool_ptr, options, scope));
       } else {
-        exec->groups = GroupRowsBy(
-            table, table.ResolveColumns(stmt.grouping), pool_ptr);
-        exec->blocks.reserve(exec->groups.size());
-        for (const std::vector<size_t>& rows : exec->groups) {
-          exec->blocks.push_back(
-              CompileBlock(table, exec_pref, &rows, options, scope));
+        groups = GroupRowsBy(table, table.ResolveColumns(stmt.grouping),
+                             pool_ptr);
+        blocks.reserve(groups.size());
+        for (const std::vector<size_t>& group : groups) {
+          blocks.push_back(
+              CompileBlock(table, exec_pref, &group, options, scope));
         }
       }
       uint64_t plan_ns = 0;
-      for (const CompiledBlock& block : exec->blocks) {
-        plan_ns += block.plan_ns;
-      }
+      for (const CompiledBlock& block : blocks) plan_ns += block.plan_ns;
       exec->compile_ns += ElapsedNs(t0, Clock::now()) - plan_ns;
       exec->optimize_ns += plan_ns;
       if (stmt.grouping.empty()) {
         // The block saw the actual data, so its plan supersedes the
         // estimate-level one.
-        exec->plan = exec->blocks[0].plan;
+        algorithm = blocks[0].plan.algorithm;
+        exec->estimated_ns = blocks[0].plan.estimated_ns;
         if (costed && stmt.explain) {
-          optimized.plan = exec->plan;
+          optimized.plan = blocks[0].plan;
           exec->plan_details = optimized.Explain();
         }
-        exec->kernel_variant = exec->blocks[0].KernelVariant();
+        exec->kernel_variant = blocks[0].KernelVariant();
       } else {
         // The grouped statement's estimate is the sum of the per-group
         // plans actually executed — the stage-1 table-level estimate
         // would make EXPLAIN's estimated-vs-actual comparison meaningless.
         if (costed) {
-          physical.estimated_ns = 0.0;
-          for (const CompiledBlock& block : exec->blocks) {
-            physical.estimated_ns += block.plan.estimated_ns;
+          for (const CompiledBlock& block : blocks) {
+            exec->estimated_ns += block.plan.estimated_ns;
           }
           if (stmt.explain) {
             // The cost table above is the stage-1 table-level view; make
             // explicit that execution runs one refined plan per group and
             // that the reported estimate is their sum.
             exec->plan_details +=
-                "grouping: " + std::to_string(exec->groups.size()) +
+                "grouping: " + std::to_string(groups.size()) +
                 " group(s), plans refined per group; estimated cost is "
                 "the per-group sum\n";
           }
         }
-        exec->plan = physical;
         // An empty pool has no groups, so nothing compiles.
         exec->kernel_variant =
-            !exec->blocks.empty() && options.vectorize &&
+            !blocks.empty() && options.vectorize &&
                     ScoreTable::CompilableTerm(exec_pref)
                 ? std::string("per-group[") +
                       simd::ResolveKernel(options.simd).name + "]"
                 : "closure";
       }
+      t0 = Clock::now();
+      if (stmt.grouping.empty()) {
+        AppendMaximalRows(exec_pref, blocks[0], pool_ptr, &rows);
+      } else {
+        for (size_t g = 0; g < groups.size(); ++g) {
+          AppendMaximalRows(exec_pref, blocks[g], &groups[g], &rows);
+        }
+        std::sort(rows.begin(), rows.end());
+      }
+      exec->kernel_ns += ElapsedNs(t0, Clock::now());
     }
-    plan_str += std::string(stmt.grouping.empty() ? " -> bmo[" : " -> bmo_groupby[") +
-                exec_pref->ToString() + ", " +
-                BmoAlgorithmName(exec->plan.algorithm) +
+    plan_str += std::string(stmt.grouping.empty() ? " -> bmo["
+                                                  : " -> bmo_groupby[") +
+                exec_pref->ToString() + ", " + BmoAlgorithmName(algorithm) +
                 ", kernel=" + exec->kernel_variant + "]";
     if (stmt.explain && !exec->plan_details.empty()) {
       exec->plan_details += "kernel: " + exec->kernel_variant + "\n" +
-                            CompilePaths(exec->blocks, !stmt.grouping.empty());
+                            CompilePaths(blocks, !stmt.grouping.empty());
     }
+    if (but_only) {
+      t0 = Clock::now();
+      rows = table.SelectWhere(but_only, but_only_cols, &rows);
+      exec->kernel_ns += ElapsedNs(t0, Clock::now());
+      plan_str += " -> but_only[" + stmt.but_only->ToString() + "]";
+    }
+  } else if (pool_ptr) {
+    rows = std::move(pool);
+  } else {
+    rows.resize(table.size());
+    std::iota(rows.begin(), rows.end(), 0);
   }
 
-  exec->plan_prefix = std::move(plan_str);
+  if (!stmt.select_list.empty()) plan_str += " -> project";
+  if (stmt.limit > 0 && rows.size() > stmt.limit) {
+    rows.resize(stmt.limit);
+    if (exec->utilities.size() > stmt.limit) {
+      exec->utilities.resize(stmt.limit);
+    }
+    plan_str += " -> limit " + std::to_string(stmt.limit);
+  }
+  exec->rows.assign(rows.begin(), rows.end());
+  exec->utilities.shrink_to_fit();
+  exec->plan_text = std::move(plan_str);
   return exec;
 }
 
-// Executes a compiled plan: kernel work + materialization only, steered
-// entirely by the cached PhysicalPlan (per group for GROUPING). Pure
-// function of immutable shared state — safe to run concurrently.
+// Serves an entry: a gather of its memoized rows, then the projection.
+// Pure function of immutable shared state — safe to run concurrently.
 psql::QueryResult ExecuteExec(const Plan& plan, const Exec& exec) {
-  const psql::SelectStatement& stmt = plan.stmt;
-  const Relation& table = *exec.snapshot;
+  const std::vector<std::string>& select_list = plan.stmt.select_list;
   psql::QueryResult result;
+  // Projecting first shares the kept columns, so the gather copies only
+  // those.
+  result.relation = select_list.empty()
+                        ? exec.snapshot->SelectRowIds(exec.rows)
+                        : exec.snapshot->Project(select_list)
+                              .SelectRowIds(exec.rows);
+  result.utilities = exec.utilities;
   result.preference_term = exec.preference_term;
+  result.plan = exec.plan_text;
   result.plan_details = exec.plan_details;
-  std::string plan_str = exec.plan_prefix;
-
-  Relation current;
-  std::vector<double> utilities;
-  const bool subset = exec.use_row_subset;
-
-  if (exec.ivm) {
-    // Maintained view: the result row set is already known exactly.
-    current = table.SelectRows(exec.filtered_rows);
-  } else if (exec.ranked) {
-    // WHERE and BUT ONLY were folded into the candidate pool at compile.
-    std::vector<size_t> rows;
-    if (!stmt.grouping.empty()) {
-      for (const auto& group : exec.groups) {
-        RankedRows rr = TopKRows(table, exec.utility, stmt.top_k, &group);
-        for (size_t i = 0; i < rr.rows.size(); ++i) {
-          rows.push_back(group[rr.rows[i]]);
-          utilities.push_back(rr.utilities[i]);
-        }
-      }
-    } else {
-      RankedRows rr = TopKRows(table, exec.utility, stmt.top_k,
-                               subset ? &exec.filtered_rows : nullptr);
-      for (size_t i = 0; i < rr.rows.size(); ++i) {
-        rows.push_back(subset ? exec.filtered_rows[rr.rows[i]] : rr.rows[i]);
-        utilities.push_back(rr.utilities[i]);
-      }
-    }
-    current = table.SelectRows(rows);
-  } else if (plan.preference) {
-    if (exec.filtered) {
-      // Decomposition cascade (grouped or not): relation-level evaluator
-      // over the materialized WHERE result.
-      BmoOptions run_options;
-      run_options.algorithm = BmoAlgorithm::kDecomposition;
-      current = stmt.grouping.empty()
-                    ? Bmo(*exec.filtered, exec.exec_pref, run_options)
-                    : BmoGroupBy(*exec.filtered, exec.exec_pref,
-                                 stmt.grouping, run_options);
-    } else if (stmt.grouping.empty()) {
-      std::vector<size_t> rows;
-      AppendMaximalRows(exec.exec_pref, exec.blocks[0],
-                        subset ? &exec.filtered_rows : nullptr, &rows);
-      current = table.SelectRows(rows);
-    } else {
-      // GROUPING: per-group kernel work over the cached blocks.
-      std::vector<size_t> rows;
-      for (size_t g = 0; g < exec.groups.size(); ++g) {
-        AppendMaximalRows(exec.exec_pref, exec.blocks[g], &exec.groups[g],
-                          &rows);
-      }
-      std::sort(rows.begin(), rows.end());
-      current = table.SelectRows(rows);
-    }
-    if (exec.but_only) {
-      current = current.SelectRows(
-          current.SelectWhere(exec.but_only, exec.but_only_cols));
-      plan_str += " -> but_only[" + stmt.but_only->ToString() + "]";
-    }
-  } else {
-    current = subset ? table.SelectRows(exec.filtered_rows) : table;
-  }
-
-  // Projection.
-  if (!stmt.select_list.empty()) {
-    current = current.Project(stmt.select_list);
-    plan_str += " -> project";
-  }
-
-  // LIMIT.
-  if (stmt.limit > 0 && current.size() > stmt.limit) {
-    std::vector<size_t> head(stmt.limit);
-    std::iota(head.begin(), head.end(), 0);
-    current = current.SelectRows(head);
-    plan_str += " -> limit " + std::to_string(stmt.limit);
-  }
-  if (exec.ranked && utilities.size() > current.size()) {
-    utilities.resize(current.size());
-  }
-
-  result.relation = std::move(current);
-  result.utilities = std::move(utilities);
-  result.plan = std::move(plan_str);
   return result;
 }
 
@@ -794,18 +742,19 @@ std::shared_ptr<const engine_internal::Exec> Engine::GetOrBuildExec(
     table_stats = GetStats(plan.stmt.table, version, snapshot,
                            &stats->stats_ns);
   }
-  // Build outside the lock: compilation may be heavy and must not block
-  // concurrent queries. A racing build of the same key produces an
+  // Build outside the lock: compilation and the kernel may be heavy and
+  // must not block concurrent queries. A racing build of the same key produces an
   // identical immutable entry; last writer wins.
   std::shared_ptr<const Exec> exec = BuildExec(
       plan, options, std::move(snapshot), version, table_stats.get());
   stats->optimize_ns = exec->optimize_ns;
   stats->compile_ns = exec->compile_ns;
+  stats->kernel_ns = exec->kernel_ns;
   auto lock = Lock();
   ++stats_.exec_misses;
   // Don't cache an entry whose table version was bumped (and invalidated)
   // while we built: it could never be hit again and would pin the stale
-  // snapshot + score table until the table's next mutation.
+  // snapshot until the table's next mutation.
   if (options_.enable_exec_cache &&
       catalog_.Version(plan.stmt.table) == version) {
     stats_.exec_evictions += exec_cache_.Put(key, exec);
@@ -859,20 +808,24 @@ psql::QueryResult Engine::RunWithStats(const engine_internal::Plan& plan,
   Clock::time_point t1 = Clock::now();
   psql::QueryResult result = ExecuteExec(plan, *exec);
   Clock::time_point t2 = Clock::now();
-  stats.execute_ns = ElapsedNs(t1, t2);
+  // A miss ran the kernel while building the entry (kernel_ns); a hit
+  // only gathers.
+  stats.execute_ns = stats.kernel_ns + ElapsedNs(t1, t2);
   stats.total_ns = ElapsedNs(t0, t2);
   stats.kernel = exec->kernel_variant;
-  stats.estimated_cost_ns = exec->plan.estimated_ns;
+  stats.estimated_cost_ns = exec->estimated_ns;
   // Eviction counters were copied under GetOrBuildExec's lock.
   result.stats = stats;
   if (plan.stmt.explain) {
     result.plan_details += "timing: " + stats.ToString() + "\n";
-    if (exec->plan.estimated_ns > 0.0) {
+    if (exec->estimated_ns > 0.0) {
+      // Against the kernel time the entry recorded, so a warm hit
+      // compares the same work as the run that built it.
       char line[96];
       std::snprintf(line, sizeof(line),
                     "cost: estimated %.3fms vs actual %.3fms\n",
-                    exec->plan.estimated_ns / 1e6,
-                    static_cast<double>(stats.execute_ns) / 1e6);
+                    exec->estimated_ns / 1e6,
+                    static_cast<double>(exec->kernel_ns) / 1e6);
       result.plan_details += line;
     }
   }
@@ -1247,19 +1200,19 @@ void Engine::RefreshViewExec(const ViewSlot& slot, uint64_t version) {
   if (!options_.enable_exec_cache) return;
   // The view already knows the exact result row set for the new version:
   // replace the entry InvalidateTable just dropped instead of leaving the
-  // next Execute() to recompute from scratch.
+  // next Execute() to recompute from scratch. Subscribable statements
+  // have no stage past the BMO, so the view's antichain is the whole
+  // answer.
   auto exec = std::make_shared<Exec>();
   const std::string& table = slot.plan->stmt.table;
   exec->table_name = table;
   exec->version = version;
   exec->snapshot = catalog_.GetShared(table);
-  exec->use_row_subset = true;
-  exec->filtered_rows = slot.view->MaximaTableRows();
-  exec->ivm = true;
-  exec->exec_pref = slot.plan->preference;
+  const std::vector<size_t> rows = slot.view->MaximaTableRows();
+  exec->rows.assign(rows.begin(), rows.end());
   exec->preference_term = slot.plan->preference->ToString();
   exec->kernel_variant = "ivm-delta";
-  exec->plan_prefix =
+  exec->plan_text =
       "scan(" + table + ")" +
       (slot.plan->stmt.where
            ? " -> where[" + slot.plan->stmt.where->ToString() + "]"

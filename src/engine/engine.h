@@ -1,7 +1,7 @@
 // The stateful Preference SQL engine: the long-lived query service the
 // paper's serving scenario assumes. Repeated preference queries against
-// the same relations dominate real traffic, so the engine separates the
-// reusable per-statement work from per-call kernel execution:
+// the same relations dominate real traffic, so the engine does each
+// statement's work once per table version and memoizes it:
 //
 //   Engine          owns the Catalog (copy-on-write relation snapshots with
 //                   per-table version counters), the default execution
@@ -12,26 +12,27 @@
 //                                     parsed AST + translated preference
 //                                     term (data-independent);
 //                     - exec cache:   (statement, table version, options) ->
-//                                     the PhysicalPlan, WHERE row set and
-//                                     the compiled blocks — one over the
-//                                     candidate pool, or one per group
-//                                     for GROUPING statements — each
-//                                     built by the same compile -> plan
-//                                     unit Bmo/BmoGroupBy use
-//                                     (internal::CompileBlock in
-//                                     eval/bmo_internal.h; data-
-//                                     dependent). A block holds its
-//                                     score table, refined plan and,
-//                                     when it deduplicated the pool, a
-//                                     32-bit row map — not projected
-//                                     Tuples; only the closure fallback
-//                                     (terms that do not compile) keeps
-//                                     the Tuples its kernels read.
+//                                     the statement's memoized answer.
+//                                     σ[P](R) is a pure function of the
+//                                     term and the relation, and the key
+//                                     pins both, so a miss runs the whole
+//                                     data-dependent pipeline once — WHERE,
+//                                     the statistics-driven planner, the
+//                                     compile -> plan unit Bmo/BmoGroupBy
+//                                     use (internal::CompileBlock in
+//                                     eval/bmo_internal.h) and the kernel,
+//                                     then GROUPING, TOP k, BUT ONLY and
+//                                     LIMIT — and keeps only the final
+//                                     32-bit table rows (plus utilities
+//                                     for ranked statements), the plan
+//                                     text, the kernel label, the cost
+//                                     estimate and the timings. The
+//                                     compiled blocks die with the build.
 //                                     CacheStats::exec_bytes sums what
 //                                     the live entries hold.
 //   PreparedQuery   Engine::Prepare(sql)'s handle on a cached plan;
-//                   Run() does only the BMO kernel work (or the ranked
-//                   sort) plus result materialization on a warm cache.
+//                   Run() on a warm cache gathers the memoized rows and
+//                   projects them: it runs no kernel.
 //
 // Relation mutation through the engine (RegisterTable / Insert) bumps the
 // table's version, which invalidates dependent exec-cache entries; readers
@@ -155,8 +156,8 @@ struct EngineOptions {
   /// Cache optimized + compiled execution state by (statement, table
   /// version, options). Disable for cold-execution baselines.
   bool enable_exec_cache = true;
-  /// LRU entry caps for the two caches (0 = unbounded). Compiled exec
-  /// state pins relation snapshots and score tables, so production
+  /// LRU entry caps for the two caches (0 = unbounded). An exec entry
+  /// holds its answer rows and pins its relation snapshot, so production
   /// deployments with open-ended query text should keep this bounded.
   size_t plan_cache_capacity = 512;
   size_t exec_cache_capacity = 256;
@@ -170,8 +171,8 @@ class Engine;
 
 /// A prepared statement: immutable parsed AST + translated preference
 /// term, bound to an Engine. Run() executes against the current table
-/// version, reusing the engine's compiled score-table state when the
-/// version still matches. Cheap to copy; safe to Run() concurrently.
+/// version, serving the engine's memoized answer when the version still
+/// matches. Cheap to copy; safe to Run() concurrently.
 class PreparedQuery {
  public:
   /// Executes and returns the result. Per-phase stats report only the
@@ -179,7 +180,7 @@ class PreparedQuery {
   psql::QueryResult Run() const;
 
   /// Same, overriding the execution options for this run (a different
-  /// option signature compiles its own exec-cache entry).
+  /// option signature builds its own exec-cache entry).
   psql::QueryResult Run(const BmoOptions& options) const;
 
   const psql::SelectStatement& statement() const;
@@ -397,9 +398,9 @@ class Engine {
     /// means the cache lookup path itself has become the bottleneck.
     uint64_t lock_acquisitions = 0;
     uint64_t lock_contentions = 0;
-    /// Gauge: heap bytes held by the live exec-cache entries (row sets,
-    /// row maps, retained Tuples, score and id buffers, group entries;
-    /// relation snapshots are shared with the catalog and not counted).
+    /// Gauge: heap bytes held by the live exec-cache entries (answer
+    /// rows, ranked utilities and plan texts; relation snapshots are
+    /// shared with the catalog and not counted).
     size_t exec_bytes = 0;
   };
   CacheStats cache_stats() const;

@@ -284,12 +284,6 @@ std::string CompiledBlock::KernelVariant() const {
   return table->KernelVariant(plan.algorithm, plan);
 }
 
-size_t CompiledBlock::HeapBytes() const {
-  return VectorBytes(proj.row_to_value) + VectorBytes(proj.values) +
-         proj.values.size() * proj.proj_schema.size() * sizeof(Value) +
-         (table ? table->HeapBytes() : 0);
-}
-
 CompiledBlock CompileBlock(const Relation& r, const PrefPtr& p,
                            const std::vector<size_t>* rows,
                            const BmoOptions& options, const PlanScope& scope) {

@@ -31,7 +31,7 @@
 // which every other request degrades.
 //
 // One pipeline: every evaluation — Bmo, each group of BmoGroupBy, and the
-// engine's cached statements (engine/engine.h) — compiles one block per
+// engine's exec-cache builds (engine/engine.h) — compiles one block per
 // candidate pool through internal::CompileBlock (eval/bmo_internal.h):
 // one score-table compile over the column store — of the pool as it is,
 // or of its deduplicated representatives under heavy duplication — then

@@ -17,14 +17,10 @@
 
 namespace prefdb::internal {
 
-template <typename T>
-size_t VectorBytes(const std::vector<T>& v) {
-  return v.capacity() * sizeof(T);
-}
-
 /// σ[P] over one candidate pool, compiled and planned: everything a run
-/// reads, and nothing else. The engine caches one per ungrouped statement
-/// and one per GROUPING group; Bmo/BmoGroupBy build them transiently.
+/// reads, and nothing else. Built transiently, one per pool or group, by
+/// Bmo/BmoGroupBy and by the engine's exec-cache build, which keeps only
+/// the rows the run returns.
 struct CompiledBlock {
   /// The 32-bit row map from pool positions to table rows (or to
   /// `proj.values` on the closure path). Empty means identity: table row
@@ -43,10 +39,6 @@ struct CompiledBlock {
   /// Label of the kernel a run executes (QueryStats.kernel): the table's
   /// variant for the planned algorithm, "closure" when nothing compiled.
   std::string KernelVariant() const;
-  /// Heap bytes: row map, the closure path's Tuples and their Value
-  /// cells (string payloads past the inline buffer not counted) and the
-  /// table.
-  size_t HeapBytes() const;
 };
 
 /// Compiles and plans σ[P](R) over `rows` of `r` (null = every row):

@@ -1,6 +1,7 @@
 #include "eval/decomposition.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -12,8 +13,9 @@ namespace prefdb {
 
 namespace {
 
-// Single-pass evaluation of a score-induced base preference: the maxima are
-// exactly the rows attaining the maximum score (x <P y iff f(x) < f(y)).
+// Single-pass evaluation of a score-induced base preference (x <P y iff
+// f(x) < f(y)): the maxima are the rows attaining the maximum score, plus
+// the rows scoring NaN, which no row beats.
 std::vector<size_t> ScoredBaseIndices(const Relation& r,
                                       const ScoredBasePreference& p) {
   auto idx = r.schema().IndexOf(p.attribute());
@@ -22,19 +24,30 @@ std::vector<size_t> ScoredBaseIndices(const Relation& r,
     throw std::out_of_range("attribute '" + p.attribute() +
                             "' not found in schema");
   }
+  std::vector<double> scores(r.size());
   double best = -std::numeric_limits<double>::infinity();
-  bool seen = false;
   for (size_t i = 0; i < r.size(); ++i) {
-    double s = p.ScoreOf(r.ValueAt(i, *idx));
-    if (!seen || s > best) {
-      best = s;
-      seen = true;
-    }
+    scores[i] = p.ScoreOf(r.ValueAt(i, *idx));
+    if (scores[i] > best) best = scores[i];
   }
   for (size_t i = 0; i < r.size(); ++i) {
-    if (p.ScoreOf(r.ValueAt(i, *idx)) == best) out.push_back(i);
+    if (scores[i] == best || std::isnan(scores[i])) out.push_back(i);
   }
   return out;
+}
+
+// True when `rows` of R are pairwise equal on `attrs` under Value
+// equality (NaN equals nothing, itself included).
+bool OneEqualityClass(const Relation& r, const std::vector<size_t>& rows,
+                      const std::vector<std::string>& attrs) {
+  if (rows.size() < 2) return true;
+  for (size_t c : r.ResolveColumns(attrs)) {
+    const Value first = r.ValueAt(rows[0], c);
+    for (size_t row : rows) {
+      if (r.ValueAt(row, c) != first) return false;
+    }
+  }
+  return true;
 }
 
 std::vector<size_t> FallbackIndices(const Relation& r, const PrefPtr& p) {
@@ -144,14 +157,15 @@ std::vector<size_t> BmoDecompositionIndices(const Relation& r,
       if (!DisjointAttributeSets(p1->attributes(), p2->attributes())) {
         return FallbackIndices(r, p);
       }
-      if (p1->IsChain()) {
-        // Prop 11: a cascade of preference queries.
-        std::vector<size_t> first = BmoDecompositionIndices(r, p1);
-        Relation sub = r.SelectRows(first);
-        return Remap(first, BmoDecompositionIndices(sub, p2));
+      std::vector<size_t> left = BmoDecompositionIndices(r, p1);
+      if (p1->IsChain() && OneEqualityClass(r, left, p1->attributes())) {
+        // Prop 11: a cascade of preference queries. A chain's maxima are
+        // one equality class — unless NaN cells, which compare with
+        // nothing, break the chain on this data.
+        Relation sub = r.SelectRows(left);
+        return Remap(left, BmoDecompositionIndices(sub, p2));
       }
       // Prop 10: σ[P1](R) ∩ σ[P2 groupby A1](R).
-      std::vector<size_t> left = BmoDecompositionIndices(r, p1);
       std::vector<size_t> right =
           BmoDecompositionGroupByIndices(r, p2, p1->attributes());
       return Relation::IndexIntersect(left, right);

@@ -13,8 +13,9 @@ std::string QueryStats::ToString() const {
   std::string out = "parse=" + ms(parse_ns) + "ms translate=" +
                     ms(translate_ns) + "ms stats=" + ms(stats_ns) +
                     "ms optimize=" + ms(optimize_ns) +
-                    "ms compile=" + ms(compile_ns) + "ms execute=" +
-                    ms(execute_ns) + "ms total=" + ms(total_ns) + "ms";
+                    "ms compile=" + ms(compile_ns) + "ms kernel=" +
+                    ms(kernel_ns) + "ms execute=" + ms(execute_ns) +
+                    "ms total=" + ms(total_ns) + "ms";
   out += std::string(" plan_cache=") + (plan_cache_hit ? "hit" : "miss");
   out += std::string(" exec_cache=") + (exec_cache_hit ? "hit" : "miss");
   if (estimated_cost_ns > 0.0) {
@@ -24,7 +25,7 @@ std::string QueryStats::ToString() const {
     out += " evictions=" + std::to_string(plan_cache_evictions) + "/" +
            std::to_string(exec_cache_evictions);
   }
-  if (!kernel.empty()) out += " kernel=" + kernel;
+  if (!kernel.empty()) out += " variant=" + kernel;
   return out;
 }
 

@@ -32,23 +32,31 @@ struct QueryStats {
   uint64_t stats_ns = 0;
   uint64_t optimize_ns = 0;
   uint64_t compile_ns = 0;  // WHERE filter + projection index + score table
-  uint64_t execute_ns = 0;  // BMO kernel / ranked sort + materialization
+  /// BMO kernel / ranked sort (plus a BMO statement's BUT ONLY filter
+  /// over its answer) this call ran: the exec-cache entry's build on a
+  /// miss, 0 on a hit, which serves the entry's memoized rows.
+  uint64_t kernel_ns = 0;
+  /// kernel_ns + materialization (the gather of the answer rows and the
+  /// projection).
+  uint64_t execute_ns = 0;
   uint64_t total_ns = 0;
   /// Parse+translate served from the engine's plan cache (always true for
   /// PreparedQuery::Run, which holds its plan).
   bool plan_cache_hit = false;
-  /// Optimize+compile served from the engine's score-table cache.
+  /// Optimize, compile and kernel served from the engine's exec cache,
+  /// which memoizes each statement's answer rows.
   bool exec_cache_hit = false;
   /// The cost model's estimate for the chosen physical plan (0 when the
   /// plan was not costed: explicit algorithm, ranked, preference-less).
-  /// EXPLAIN prints it next to the measured execute time.
+  /// EXPLAIN prints it next to the kernel time of the entry's build.
   double estimated_cost_ns = 0.0;
   /// Cumulative LRU evictions of the engine's caches at the time of this
   /// run (see EngineOptions::{plan,exec}_cache_capacity).
   uint64_t plan_cache_evictions = 0;
   uint64_t exec_cache_evictions = 0;
-  /// Kernel variant the BMO stage runs, e.g. "bnl[avx2,tile=8192]",
-  /// "sfs[scalar]", "closure" (empty for ranked / preference-less plans).
+  /// Kernel variant the BMO stage ran when the answer was built, e.g.
+  /// "bnl[avx2,tile=8192]", "sfs[scalar]", "closure", "ivm-delta" (empty
+  /// for ranked / preference-less plans).
   std::string kernel;
 
   /// One-line human-readable rendering for the REPL and EXPLAIN.

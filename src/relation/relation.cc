@@ -223,9 +223,11 @@ Relation Relation::Sorted(const std::vector<std::string>& names) const {
 }
 
 Relation Relation::SelectRows(const std::vector<size_t>& row_indices) const {
-  std::vector<uint32_t> rows;
-  rows.reserve(row_indices.size());
-  for (size_t i : row_indices) rows.push_back(static_cast<uint32_t>(i));
+  return SelectRowIds(
+      std::vector<uint32_t>(row_indices.begin(), row_indices.end()));
+}
+
+Relation Relation::SelectRowIds(std::vector<uint32_t> rows) const {
   Relation out;
   out.schema_ = schema_;
   out.store_ = ColumnStore::View(store_, std::move(rows));

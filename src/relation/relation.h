@@ -12,6 +12,7 @@
 #define PREFDB_RELATION_RELATION_H_
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <initializer_list>
 #include <memory>
@@ -118,6 +119,8 @@ class Relation {
   /// an index view over the shared column buffers (materialized when the
   /// selection drops at least half the rows, so it never pins them).
   Relation SelectRows(const std::vector<size_t>& row_indices) const;
+  /// Same over 32-bit row ids, which the view keeps as they are.
+  Relation SelectRowIds(std::vector<uint32_t> rows) const;
 
   /// Set-like helpers over row-index vectors (sorted ascending).
   static std::vector<size_t> IndexIntersect(const std::vector<size_t>& a,

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/base_preferences.h"
 #include "core/complex_preferences.h"
 #include "core/numeric_preferences.h"
@@ -191,6 +193,31 @@ TEST(DecompositionTest, PartialOverlapFallsBackCorrectly) {
   PrefPtr p = Prioritized(Pareto(Lowest("x"), Lowest("y")), Highest("x"));
   EXPECT_EQ(BmoDecompositionIndices(r, p),
             BmoIndices(r, p, {BmoAlgorithm::kNaive}));
+}
+
+TEST(DecompositionTest, NaNCellsBreakTheChainButNotTheAnswer) {
+  // A NaN cell compares with nothing, so LOWEST(x) keeps every NaN row
+  // beside the minimum and is no chain on this data: the cascade of
+  // Prop 11 would drop rows, Prop 10 must not.
+  Relation r(Schema{{"x", ValueType::kDouble}, {"y", ValueType::kInt}});
+  const double nan = std::nan("");
+  r.Add({Value(nan), Value(3)});
+  r.Add({Value(1.0), Value(1)});
+  r.Add({Value(nan), Value(5)});
+  r.Add({Value(1.0), Value(4)});
+  r.Add({Value(2.0), Value(9)});
+  r.Add({Value(), Value(7)});
+  BmoOptions oracle{BmoAlgorithm::kNaive};
+  oracle.vectorize = false;
+  EXPECT_EQ(BmoDecompositionIndices(r, Lowest("x")),
+            (std::vector<size_t>{0, 1, 2, 3}));
+  for (const PrefPtr& p :
+       {Prioritized(Lowest("x"), Highest("y")),
+        Pareto(Lowest("x"), Highest("y")),
+        Prioritized(Highest("y"), Lowest("x"))}) {
+    EXPECT_EQ(BmoDecompositionIndices(r, p), BmoIndices(r, p, oracle))
+        << p->ToString();
+  }
 }
 
 }  // namespace
