@@ -17,6 +17,9 @@
 #include <utility>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -34,6 +37,24 @@ namespace prefdb::server {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// A cold query builds its exec entry on a worker and frees every buffer
+// the build compiled (pool, score tables, kernel scratch) before it
+// answers. glibc raises its mmap threshold to the size of each large
+// block freed, so after the first such free these buffers stay in the
+// worker's arena, and how much of them the arenas keep depends on the
+// order queries ran in: peak RSS then moved by 8 MiB from one run of an
+// ingest workload to the next. A fixed threshold (glibc's initial 128
+// KiB) hands every large buffer back to the kernel when it is freed.
+// Pinning it stops the sliding, but the trim threshold keeps whatever
+// the sliding rule last raised it to, so it is pinned to its initial
+// value too.
+void PinMallocThresholds() {
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+  mallopt(M_TRIM_THRESHOLD, 128 * 1024);
+#endif
+}
 
 Frame ErrorFrame(psql::ErrorCode code, const std::string& message) {
   return Frame{FrameType::kError,
@@ -351,6 +372,7 @@ void Server::Impl::Start() {
   size_t workers = options.num_workers != 0
                        ? options.num_workers
                        : std::max(1u, std::thread::hardware_concurrency());
+  PinMallocThresholds();
   workers_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });

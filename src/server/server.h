@@ -37,7 +37,10 @@
 //                   without ever executing, and one still running at
 //                   the deadline is answered TIMEOUT by the loop's
 //                   deadline timer while the worker's result is
-//                   discarded on completion.
+//                   discarded on completion. Start() pins glibc's mmap
+//                   and trim thresholds (process-wide), so the large
+//                   buffers a cold query frees go back to the kernel
+//                   instead of staying in the worker's arena.
 //   delta push      no pusher threads: each subscription's delta queue
 //                   carries a notifier (ivm::SubscriptionState hook)
 //                   that flags the connection and signals the eventfd;
