@@ -11,10 +11,14 @@
 //                                 chosen kernel) per workload regime
 //
 // After the benchmarks run, main() executes the misprediction check: for
-// every workload family, each eligible block algorithm is wall-clocked
-// on the compiled table (median of 3) and the planner's choice must land
-// within 1.3x of the best measured algorithm — the acceptance bound that
-// keeps the cost-model constants honest as kernels evolve.
+// every workload family — the four above at 4096 rows, plus three at
+// serving scale (100k rows): 3-d anti-correlated vectors and the
+// generated car table under the serving mix's 3-d Pareto term and its
+// LOWEST(price) chain — each eligible block algorithm (BNL, and SFS when
+// the table has sort keys) is wall-clocked on the compiled table (median
+// of 3) and the planner's choice must land within 1.3x of the best
+// measured algorithm — the acceptance bound that keeps the cost-model
+// constants honest as kernels evolve.
 
 #include <benchmark/benchmark.h>
 
@@ -141,19 +145,17 @@ double MedianMs(const std::function<void()>& fn) {
   return samples[1];
 }
 
-bool CheckFamily(const Family& family, size_t n) {
-  Relation r = GenerateVectors(n, family.d, family.corr, 42);
-  PrefPtr p = SkylinePref(family.d);
+bool CheckFamily(const char* name, const Relation& r, const PrefPtr& p) {
   auto table = ScoreTable::Compile(p, r);
   if (!table) {
-    std::fprintf(stderr, "planner-check %s: term did not compile\n",
-                 family.name);
+    std::fprintf(stderr, "planner-check %s: term did not compile\n", name);
     return false;
   }
   const size_t m = table->rows();
   PlanScope scope;
   scope.allow_decomposition = false;
-  PhysicalPlan plan = PlanPhysical(MeasureTermStats(*table, p, n), {}, scope);
+  PhysicalPlan plan =
+      PlanPhysical(MeasureTermStats(*table, p, r.size()), {}, scope);
 
   struct Candidate {
     BmoAlgorithm algo;
@@ -172,10 +174,6 @@ bool CheckFamily(const Family& family, size_t n) {
     candidates.push_back(
         {BmoAlgorithm::kSortFilter, time_algo(BmoAlgorithm::kSortFilter)});
   }
-  if (table->CanDivideConquer()) {
-    candidates.push_back(
-        {BmoAlgorithm::kDivideConquer, time_algo(BmoAlgorithm::kDivideConquer)});
-  }
   double best = candidates[0].ms;
   const Candidate* chosen = nullptr;
   for (const Candidate& c : candidates) {
@@ -183,10 +181,10 @@ bool CheckFamily(const Family& family, size_t n) {
     if (c.algo == plan.algorithm) chosen = &c;
   }
   if (chosen == nullptr) {
-    // Block scope leaves only the table's kernels (BNL, SFS, D&C), all
-    // timed above; any other choice is a real failure.
+    // Block scope leaves only the table's kernels (BNL, SFS), both timed
+    // above; any other choice is a real failure.
     std::fprintf(stderr, "planner-check %s: chose %s, not a block kernel\n",
-                 family.name, BmoAlgorithmName(plan.algorithm));
+                 name, BmoAlgorithmName(plan.algorithm));
     return false;
   }
   // 1.3x of best measured, plus a 50us absolute floor for clock noise on
@@ -194,18 +192,35 @@ bool CheckFamily(const Family& family, size_t n) {
   const double bound = std::max(best * 1.3, best + 0.05);
   const bool ok = chosen->ms <= bound;
   std::fprintf(stderr,
-               "planner-check %-9s m=%zu chose %-3s %.3fms (best %.3fms, "
+               "planner-check %-18s m=%zu chose %-3s %.3fms (best %.3fms, "
                "bound %.3fms, window~%.0f) %s\n",
-               family.name, m, BmoAlgorithmName(plan.algorithm), chosen->ms,
-               best, bound, plan.stats.est_window, ok ? "OK" : "MISPREDICT");
+               name, m, BmoAlgorithmName(plan.algorithm), chosen->ms, best,
+               bound, plan.stats.est_window, ok ? "OK" : "MISPREDICT");
   return ok;
 }
 
 bool RunMispredictionCheck() {
   bool ok = true;
   for (const Family& family : kFamilies) {
-    ok = CheckFamily(family, 4096) && ok;
+    ok = CheckFamily(family.name,
+                     GenerateVectors(4096, family.d, family.corr, 42),
+                     SkylinePref(family.d)) &&
+         ok;
   }
+  // Serving scale: the row count of the serving benchmark's tables, whose
+  // generator seed the car families share.
+  constexpr size_t kServingRows = 100000;
+  ok = CheckFamily("anti_d3/100k",
+                   GenerateVectors(kServingRows, 3,
+                                   Correlation::kAntiCorrelated, 42),
+                   SkylinePref(3)) &&
+       ok;
+  const Relation cars = GenerateCars(kServingRows, 20020820);
+  ok = CheckFamily("car_pareto_d3/100k", cars,
+                   Pareto(Pareto(Lowest("price"), Lowest("mileage")),
+                          Highest("horsepower"))) &&
+       ok;
+  ok = CheckFamily("car_lowest/100k", cars, Lowest("price")) && ok;
   std::fprintf(stderr, "planner-check: %s\n", ok ? "passed" : "FAILED");
   return ok;
 }

@@ -1,14 +1,13 @@
 // Benchmark P1 (see DESIGN.md): BMO/skyline algorithm comparison — naive
-// O(n^2), BNL [BKS01], sort-filter (SFS-style), divide & conquer [KLP75]
-// and the Prop-8-12 decomposition evaluator — across data correlation,
-// cardinality n and dimensionality d.
+// O(n^2), BNL [BKS01], sort-filter (SFS-style) and the Prop-8-12
+// decomposition evaluator — across data correlation, cardinality n and
+// dimensionality d.
 //
 // The expected *shape* (who wins, where the crossovers are):
 //   - naive degrades quadratically everywhere;
 //   - BNL shines on correlated data (tiny windows) and degrades on
 //     anti-correlated data (windows approach the full skyline);
-//   - SFS presorting amortizes on large anti-correlated inputs;
-//   - D&C wins asymptotically for low d on big inputs.
+//   - SFS presorting amortizes on large anti-correlated inputs.
 
 #include <benchmark/benchmark.h>
 
@@ -109,8 +108,6 @@ SKYLINE_BENCH(bnl, BmoAlgorithm::kBlockNestedLoop, indep,
               Correlation::kIndependent);
 SKYLINE_BENCH(sfs, BmoAlgorithm::kSortFilter, indep,
               Correlation::kIndependent);
-SKYLINE_BENCH(dc, BmoAlgorithm::kDivideConquer, indep,
-              Correlation::kIndependent);
 
 SKYLINE_BENCH_SMALL(naive, BmoAlgorithm::kNaive, anti,
                     Correlation::kAntiCorrelated);
@@ -118,14 +115,10 @@ SKYLINE_BENCH(bnl, BmoAlgorithm::kBlockNestedLoop, anti,
               Correlation::kAntiCorrelated);
 SKYLINE_BENCH(sfs, BmoAlgorithm::kSortFilter, anti,
               Correlation::kAntiCorrelated);
-SKYLINE_BENCH(dc, BmoAlgorithm::kDivideConquer, anti,
-              Correlation::kAntiCorrelated);
 
 SKYLINE_BENCH(bnl, BmoAlgorithm::kBlockNestedLoop, corr,
               Correlation::kCorrelated);
 SKYLINE_BENCH(sfs, BmoAlgorithm::kSortFilter, corr,
-              Correlation::kCorrelated);
-SKYLINE_BENCH(dc, BmoAlgorithm::kDivideConquer, corr,
               Correlation::kCorrelated);
 
 // Ablation: auto algorithm selection vs the best hand-picked one.
@@ -215,13 +208,6 @@ KERNEL_BNL_INDEP(avx2_tiled, SimdMode::kAvx2, 0);
                (std::vector<std::vector<int64_t>>{{4096, 10000, 100000}, \
                                                   {4}}))
 KERNEL_SFS_ANTI(avx2, SimdMode::kAvx2);
-
-#define KERNEL_DC_INDEP(variant, simd)                                     \
-  KERNEL_BENCH(dc, BmoAlgorithm::kDivideConquer, variant, simd, kUntiled, \
-               indep, Correlation::kIndependent,                           \
-               (std::vector<std::vector<int64_t>>{{4096, 10000, 100000},   \
-                                                  {4}}))
-KERNEL_DC_INDEP(avx2, SimdMode::kAvx2);
 
 // The deduplicating compile CompileBlock takes under heavy duplication:
 // equality-code the term's columns, then compile one representative row

@@ -35,17 +35,16 @@ int main(int argc, char** argv) {
   std::printf("SKYLINE OF d0, ..., d%zu (all HIGHEST) over n=%zu points\n\n",
               d - 1, n);
 
-  std::printf("%-16s %10s %10s %10s %10s\n", "correlation", "skyline",
-              "bnl[ms]", "sfs[ms]", "dc[ms]");
+  std::printf("%-16s %10s %10s %10s\n", "correlation", "skyline",
+              "bnl[ms]", "sfs[ms]");
   for (Correlation corr : {Correlation::kCorrelated,
                            Correlation::kIndependent,
                            Correlation::kAntiCorrelated}) {
     Relation r = GenerateVectors(n, d, corr, 123);
     size_t size = ResultSize(r, skyline);
-    std::printf("%-16s %10zu %10.1f %10.1f %10.1f\n", CorrelationName(corr),
-                size, MillisFor(r, skyline, BmoAlgorithm::kBlockNestedLoop),
-                MillisFor(r, skyline, BmoAlgorithm::kSortFilter),
-                MillisFor(r, skyline, BmoAlgorithm::kDivideConquer));
+    std::printf("%-16s %10zu %10.1f %10.1f\n", CorrelationName(corr), size,
+                MillisFor(r, skyline, BmoAlgorithm::kBlockNestedLoop),
+                MillisFor(r, skyline, BmoAlgorithm::kSortFilter));
   }
 
   // Non-monotonicity demo: grow the relation, watch the skyline shrink.

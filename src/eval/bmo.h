@@ -10,10 +10,6 @@
 //   kSortFilter      SFS-style: presort by the compiled score table's
 //                    topologically compatible sort keys, then a one-sided
 //                    window scan; falls back to BNL when no keys exist
-//   kDivideConquer   the maxima algorithm of [KLP75] over compiled score
-//                    columns; applies when coordinatewise score dominance
-//                    is the preference order (the 'SKYLINE OF' fragment,
-//                    §6.1); falls back to BNL otherwise
 //   kDecomposition   divide & conquer via the decomposition theorems
 //                    Props 8-12 (see eval/decomposition.h)
 //   kAuto            cost-based: the statistics subsystem (stats/stats.h)
@@ -24,7 +20,7 @@
 //                    level; the optimizer in eval/optimizer.h routes it
 //                    before the block is materialized.)
 //
-// kSortFilter and kDivideConquer run only on compiled score tables
+// kSortFilter runs only on compiled score tables
 // (exec/score_table.h). Terms that do not compile, and vectorize = false,
 // evaluate through the preference's closures with two algorithms: kNaive
 // (the reference oracle every other path is tested against) and BNL, to
@@ -56,11 +52,10 @@ enum class BmoAlgorithm {
   kNaive,
   kBlockNestedLoop,
   kSortFilter,
-  kDivideConquer,
   kDecomposition,
 };
 
-/// The algorithm's SQL/wire name ("auto", "bnl", "dc", ...); "?" for a
+/// The algorithm's SQL/wire name ("auto", "bnl", "sfs", ...); "?" for a
 /// value past the last enumerator.
 const char* BmoAlgorithmName(BmoAlgorithm algo);
 
@@ -152,19 +147,6 @@ std::vector<bool> MaximaNaive(const std::vector<Tuple>& values,
                               const LessFn& less);
 std::vector<bool> MaximaBnl(const std::vector<Tuple>& values,
                             const LessFn& less);
-
-namespace simd {
-struct KernelOps;
-}  // namespace simd
-
-/// [KLP75] divide & conquer over a flat row-major matrix of to-maximize
-/// scores: row i is the `d` doubles at `scores + i * stride`. Exact iff
-/// the preference order equals coordinatewise score dominance
-/// (ScoreTable::CanDivideConquer). The quadratic base-case blocks run
-/// through the batch dominance `kernel` (exec/simd/dominance.h).
-std::vector<bool> MaximaDivideConquerFlat(const double* scores, size_t n,
-                                          size_t d, size_t stride,
-                                          const simd::KernelOps& kernel);
 
 }  // namespace prefdb
 

@@ -26,7 +26,7 @@ namespace prefdb {
 /// Plans σ[P](R) from term structure and relation statistics: derives
 /// TableStats (restricted to P's attributes), estimates TermStats, and
 /// runs the cost model over every eligible algorithm (tiled-SIMD BNL,
-/// SFS, KLP75 D&C, Prop 11 decomposition cascade). `options` supplies
+/// SFS, Prop 11 decomposition cascade). `options` supplies
 /// the kernel fields.
 PhysicalPlan ChooseAlgorithm(const Relation& r, const PrefPtr& p,
                              const BmoOptions& options = {});

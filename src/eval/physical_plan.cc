@@ -1,18 +1,38 @@
 // Cost formulas and constants.
 //
-// Calibration (PR 4 bench families, bench/baselines/BENCH_kernels.json,
-// Release, one core; m = 4096 distinct values):
-//   BNL anti d4:  scalar 8.04ms / AVX2 4.05ms with a measured window
-//                 ~1.5k rows -> per-(pair, column) costs of ~0.65 /
-//                 0.32 ns (cost = c * d * m * w/2).
-//   DC indep d4:  AVX2 base cases 1.88ms
-//                 -> c_dc * m * log2(m)^(d-2) with c_dc ~3.2 ns.
-//   SFS anti d4:  AVX2 1.46ms = presort (~20 ns per (element, key)
-//                 comparison at m log2 m) + the one-sided scan, which
-//                 costs early-exit probes for dominated candidates plus
-//                 ~w^2/4 survivor cross-tests.
+// Calibration: kernel time of ScoreTable::Maxima (AVX2, one core, Release,
+// a shared 4-vCPU Xeon host; min of 3-7 repetitions, median of 3 runs) on
+// the bench_planner skylines (GenerateVectors, seed 42, d = 2..4) and the
+// generated car and trip tables, at m = 4096, 8192, 20000 and 100000. w is
+// the planner's window estimate, the sampled probe of MeasureTermStats.
+//   BNL, narrow windows (w < 30): 0.10-0.26 ms at 4096 and 2.6-7.9 ms at
+//     100k, i.e. 25-80 ns per candidate row whatever d -> stream_row_ns 25
+//     (the scan call, the evict words and the Row() gather dominate).
+//   BNL anti d4 at 100k: 125 ms with a final window of 2148 rows
+//     -> ~0.3 ns per (pair, column) at the window's mean half-width:
+//     pair_avx2_ns stays 0.32 (pair_scalar_ns keeps its 2x ratio).
+//   SFS, narrow windows: 0.47-0.68 ms at 4096 and 24-29 ms at 100k, i.e.
+//     ~13 ns per (element, key) comparison at m log2 m for the presort
+//     alone. The one-sided scan's probes are data-dependent: a dominated
+//     candidate pays 40-80 window probes on anti-correlated d3, 240-300
+//     on anti d4, and nearly the whole window (0.7-1.4 w) on the car
+//     3-d Pareto, whose summed key is ruled by its widest column.
+//     sort_key_ns = 41 (with sfs_probe_rows 6) is the value that puts the
+//     BNL/SFS crossover between the measured families with the widest
+//     margin (1.14x):
+//       anti d4, 4096:    BNL 6.76 ms, SFS 2.27 ms; est 2.72 / 2.37 -> sfs
+//       anti d4, 100k:    BNL 125 ms,  SFS 53.7 ms; est 352 / 78.4 -> sfs
+//       anti d3, 100k:    BNL 14.4 ms, SFS 31.1 ms; est 60.0 / 69.0 -> bnl
+//       car 3-d, 100k:    BNL 32.8 ms, SFS 113 ms;  est 60.4 / 69.0 -> bnl
+//     with the previous 20 ns the last two went to SFS. The one family the
+//     formulas cannot place is anti d3 at 4096 (BNL 1.16 ms, SFS 0.86 ms):
+//     it runs BNL.
+//   A score chain (one LOWEST/HIGHEST column) runs BNL's one-level window:
+//     0.03 ms at 4096 and 0.83 ms at 100k with 14,210 rows tied at the
+//     top, priced as one streaming pass (stream_row_ns per row).
 // bench_planner re-validates these continuously: the chosen plan must
-// stay within 1.3x of the best measured algorithm on each family.
+// stay within 1.3x of the best measured algorithm on each family, at 4096
+// rows and at 100k.
 
 #include "eval/physical_plan.h"
 
@@ -172,10 +192,18 @@ PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
       std::max(1024.0,
                static_cast<double>(c.bnl_tile_budget_bytes) /
                    (d * (sizeof(double) + sizeof(uint32_t)) + sizeof(size_t))));
-  double bnl_ns = pair * m * std::max(1.0, w) / 2.0 + c.stream_row_ns * m;
-  if (w > tile_rows) bnl_ns += pair * (m / tile_rows) * w;
+  // On a score chain the compiled window is one score level, decided
+  // against one member: a single streaming pass, whatever the tie count.
+  const bool one_level = compiled && stats.score_chain;
+  double bnl_ns = c.stream_row_ns * m;
+  if (!one_level) {
+    bnl_ns += pair * m * w / 2.0;
+    if (w > tile_rows) bnl_ns += pair * (m / tile_rows) * w;
+  }
   costs.push_back({BmoAlgorithm::kBlockNestedLoop, true, bnl_ns,
-                   compiled ? "tiled SIMD batch window" : "window scan"});
+                   one_level  ? "one score level, one pass"
+                   : compiled ? "tiled SIMD batch window"
+                              : "window scan"});
 
   // --- SFS: presort by the table's topologically compatible keys, then
   // a one-sided scan — dominated candidates exit after a few probes,
@@ -193,22 +221,6 @@ PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
   } else {
     costs.push_back({BmoAlgorithm::kSortFilter, false, 0.0,
                      "no topologically compatible sort keys"});
-  }
-
-  // --- KLP75 divide & conquer: exact only when coordinatewise score
-  // dominance is the preference order (flat Pareto, injective columns).
-  if (!compiled) {
-    costs.push_back({BmoAlgorithm::kDivideConquer, false, 0.0,
-                     "closure path runs BNL only"});
-  } else if (stats.dc_exact) {
-    const double dc_ns =
-        c.dc_batch_ns * m * std::pow(Log2(m), std::max(1.0, d - 2.0));
-    costs.push_back({BmoAlgorithm::kDivideConquer, true, dc_ns,
-                     "KLP75 recursion"});
-  } else {
-    costs.push_back({BmoAlgorithm::kDivideConquer, false, 0.0,
-                     "score dominance not exact (non-injective or "
-                     "prioritized term)"});
   }
 
   // --- Prop 11 decomposition cascade: sort once by the chain head, then
@@ -249,19 +261,14 @@ PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
   switch (plan.algorithm) {
     case BmoAlgorithm::kBlockNestedLoop:
       plan.rationale =
-          std::string(compiled
-                          ? "tiled SIMD BNL window beats the alternatives"
-                          : "generic BNL window scan is cheapest") +
+          std::string(one_level  ? "score chain: one-level BNL window, one pass"
+                      : compiled ? "tiled SIMD BNL window beats the alternatives"
+                                 : "generic BNL window scan is cheapest") +
           " (" + summary + ")";
       break;
     case BmoAlgorithm::kSortFilter:
       plan.rationale =
           "large window favors presorting: SFS one-sided scan (" +
-          std::string(summary) + ")";
-      break;
-    case BmoAlgorithm::kDivideConquer:
-      plan.rationale =
-          "KLP75 divide & conquer wins on exact score dominance (" +
           std::string(summary) + ")";
       break;
     case BmoAlgorithm::kDecomposition:

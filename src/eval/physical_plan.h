@@ -6,11 +6,11 @@
 //
 // Plans are produced by a calibrated cost model (the paper's §7 outlook:
 // "cost-based optimization to choose between direct implementations of
-// the Pareto operator and divide & conquer algorithms"): per-algorithm
-// cost formulas over TermStats (stats/stats.h) with constants calibrated
-// from the PR 4 benchmark families (bench_skyline_algorithms kernel
-// families; re-validated continuously by bench_planner's misprediction
-// gate).
+// the Pareto operator and divide & conquer algorithms", the latter being
+// the decomposition cascade of Props 8-12): per-algorithm cost formulas
+// over TermStats (stats/stats.h) with constants calibrated from measured
+// kernel times (re-validated continuously by bench_planner's
+// misprediction gate).
 
 #ifndef PREFDB_EVAL_PHYSICAL_PLAN_H_
 #define PREFDB_EVAL_PHYSICAL_PLAN_H_
@@ -87,24 +87,24 @@ TermStats EstimateClosureBlockStats(size_t distinct_values,
 PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
                           const PlanScope& scope = {});
 
-/// Cost-model constants, calibrated from the PR 4 bench families on the
-/// reference machine (see physical_plan.cc for the per-constant
-/// derivation). Exposed for bench_planner and tests.
+/// Cost-model constants, calibrated from measured kernel times at 4096 and
+/// 100k rows (see physical_plan.cc for the per-constant derivation).
+/// Exposed for bench_planner and tests.
 struct CostConstants {
   /// Per-(row pair, column) dominance test, by kernel class.
   double pair_closure_ns = 45.0;  // LessFn closure dispatch, per pair
   double pair_scalar_ns = 0.65;   // portable batch kernels
   double pair_avx2_ns = 0.32;     // AVX2 batch kernels
-  /// Per-(element, key) presort comparison (SFS, compiled keys).
-  double sort_key_ns = 20.0;
+  /// Per-(element, key) presort comparison (SFS, compiled keys), plus
+  /// the one-sided scan's per-row cost that does not grow with the
+  /// window.
+  double sort_key_ns = 41.0;
   /// Per-element closure sort (decomposition cascade's chain sort).
   double closure_sort_ns = 40.0;
   /// Early-exit window probes a presorted (dominated) candidate pays.
   double sfs_probe_rows = 6.0;
-  /// KLP75 per-(element, log-level) constant (batch-kernel base cases).
-  double dc_batch_ns = 3.2;
   /// Per-row streaming overhead of a window scan.
-  double stream_row_ns = 2.0;
+  double stream_row_ns = 25.0;
   /// The blocked-BNL tile budget measured from the machine's L2 cache at
   /// startup (exec/hardware.h). Windows wider than the rows this budget
   /// holds pay the tile-reduce-then-merge passes, modeled as extra

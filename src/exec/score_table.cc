@@ -578,36 +578,14 @@ size_t ScoreTable::FindDominator(size_t x,
   return static_cast<size_t>(-1);
 }
 
-bool ScoreTable::CanDivideConquer() const {
-  if (prog_.mode != simd::DominanceProgram::Mode::kFlatPareto) return false;
-  for (uint8_t u : prog_.use_ids) {
-    if (u) return false;
-  }
-  return true;
-}
-
-BmoAlgorithm ScoreTable::ResolveAlgorithm() const {
-  if (CanDivideConquer()) return BmoAlgorithm::kDivideConquer;
-  if (HasSortKeys()) return BmoAlgorithm::kSortFilter;
-  return BmoAlgorithm::kBlockNestedLoop;
+bool ScoreTable::IsScoreChain() const {
+  return cols_ == 1 && !prog_.use_ids[0];
 }
 
 BmoAlgorithm ScoreTable::ResolveFor(BmoAlgorithm algo) const {
-  if (algo == BmoAlgorithm::kAuto) {
-    algo = ResolveAlgorithm();
-    // With the batch kernels, the tiled BNL window beats the KLP75
-    // recursion at every measured size (see ChooseAlgorithm).
-    if (algo == BmoAlgorithm::kDivideConquer) {
-      algo = BmoAlgorithm::kBlockNestedLoop;
-    }
-  }
-  if (algo == BmoAlgorithm::kSortFilter && !HasSortKeys()) {
-    algo = BmoAlgorithm::kBlockNestedLoop;
-  }
-  if (algo == BmoAlgorithm::kDivideConquer && !CanDivideConquer()) {
-    algo = BmoAlgorithm::kBlockNestedLoop;
-  }
-  return algo;
+  if (algo == BmoAlgorithm::kNaive) return algo;
+  if (algo == BmoAlgorithm::kSortFilter && HasSortKeys()) return algo;
+  return BmoAlgorithm::kBlockNestedLoop;
 }
 
 // ---------------------------------------------------------------------------
@@ -641,6 +619,26 @@ std::vector<bool> ScoreTable::BnlBatch(const simd::KernelOps& ops,
                                        size_t tile_rows) const {
   const size_t m = rows.size();
   std::vector<bool> maximal(m, false);
+  if (IsScoreChain()) {
+    // One score column without ids: a row is dominated iff some score
+    // beats its own, and no score is NaN. The window is one score level:
+    // a candidate below it is dropped, one equal to it (-0.0 == +0.0
+    // included) joins it, one above it replaces it.
+    std::vector<size_t> level;
+    double best = 0.0;
+    for (size_t pos = 0; pos < m; ++pos) {
+      const double s = Row(rows[pos])[0];
+      if (level.empty() || s > best) {
+        level.clear();
+        best = s;
+      } else if (s < best) {
+        continue;
+      }
+      level.push_back(pos);
+    }
+    for (size_t pos : level) maximal[pos] = true;
+    return maximal;
+  }
   simd::RowBlock window(cols_);       // global antichain of survivors
   simd::RowBlock tile_window(cols_);  // per-tile local maxima
   std::vector<uint64_t> evict;
@@ -710,17 +708,6 @@ std::vector<bool> ScoreTable::MaximaSubset(BmoAlgorithm algo,
   algo = ResolveFor(algo);
 
   const size_t m = rows.size();
-  if (algo == BmoAlgorithm::kDivideConquer) {
-    // Gather the candidate rows into one contiguous matrix (a single
-    // allocation) and run the flat KLP75 kernel.
-    std::vector<double> flat(m * cols_);
-    for (size_t i = 0; i < m; ++i) {
-      const double* s = Row(rows[i]);
-      std::copy(s, s + cols_, flat.begin() + i * cols_);
-    }
-    return MaximaDivideConquerFlat(flat.data(), m, cols_, cols_, ops);
-  }
-
   if (algo == BmoAlgorithm::kNaive) {
     // The exhaustive baseline: every row against the whole block (an
     // entry equal to the row never dominates it).
@@ -785,19 +772,12 @@ std::vector<bool> ScoreTable::MaximaSubset(BmoAlgorithm algo,
     }
   }
 
-  // Everything left runs the tiled BNL window; the relation-level
-  // kDecomposition lands here too.
+  // Everything left runs the tiled BNL window.
   return BnlBatch(ops, rows, ResolveTileRows(plan.bnl_tile_rows));
 }
 
 std::vector<bool> ScoreTable::Maxima(BmoAlgorithm algo,
                                      const PhysicalPlan& plan) const {
-  algo = ResolveFor(algo);
-  if (algo == BmoAlgorithm::kDivideConquer) {
-    // The whole table is contiguous: run KLP75 directly over its storage.
-    const simd::KernelOps& ops = simd::ResolveKernel(plan.simd);
-    return MaximaDivideConquerFlat(scores_.data(), rows_, cols_, cols_, ops);
-  }
   std::vector<size_t> rows(rows_);
   std::iota(rows.begin(), rows.end(), 0);
   return MaximaSubset(algo, rows, plan);
@@ -807,19 +787,10 @@ std::string ScoreTable::KernelVariant(BmoAlgorithm algo,
                                       const PhysicalPlan& plan) const {
   algo = ResolveFor(algo);
   const std::string impl = simd::ResolveKernel(plan.simd).name;
-  switch (algo) {
-    case BmoAlgorithm::kNaive:
-      return "naive[" + impl + "]";
-    case BmoAlgorithm::kBlockNestedLoop:
-      return "bnl[" + impl + ",tile=" +
-             std::to_string(ResolveTileRows(plan.bnl_tile_rows)) + "]";
-    case BmoAlgorithm::kSortFilter:
-      return "sfs[" + impl + "]";
-    case BmoAlgorithm::kDivideConquer:
-      return "dc[" + impl + "]";
-    default:
-      return impl;
-  }
+  if (algo == BmoAlgorithm::kNaive) return "naive[" + impl + "]";
+  if (algo == BmoAlgorithm::kSortFilter) return "sfs[" + impl + "]";
+  return "bnl[" + impl + ",tile=" +
+         std::to_string(ResolveTileRows(plan.bnl_tile_rows)) + "]";
 }
 
 }  // namespace prefdb

@@ -1,8 +1,7 @@
 // Vectorized score-table execution layer: compiles a preference term once
 // over a pool of rows of a relation's column store into a flat numeric
 // matrix plus a dominance descriptor, so the BMO inner loops (BNL window,
-// SFS presort + window, KLP75 divide & conquer) run over raw
-// `const double*` rows instead of chasing per-comparison std::function
+// SFS presort + window) run over raw `const double*` rows instead of chasing per-comparison std::function
 // closures and Tuple copies.
 //
 // What compiles (Kießling Defs. 6-9 fragment), and how each leaf reads
@@ -41,9 +40,9 @@
 // Def. 8/9 equality is *value* equality, not score equality: AROUND(10)
 // scores 5 and 15 identically although the values are incomparable. Each
 // column therefore carries equality-class ids; columns whose scores are
-// injective on the pool skip the id test (score equality suffices), which
-// is also the data-dependent precondition for the divide & conquer
-// kernel (coordinatewise score dominance == Def. 8).
+// injective on the pool skip the id test (score equality suffices). A
+// table of one such column orders its rows by score alone, so its BNL
+// window never holds more than one score level (IsScoreChain).
 //
 // The matrix is stored row-major: a dominance test touches every column of
 // exactly two rows, so the two rows' scores are contiguous cache lines.
@@ -109,11 +108,11 @@ class ScoreTable {
   /// rows whose witness died.
   size_t FindDominator(size_t x, const std::vector<size_t>& rows) const;
 
-  /// True when the KLP75 divide & conquer kernel is exact on this block:
-  /// flat Pareto descriptor and every column injective (score ties imply
-  /// equal values), so Def. 8 dominance equals coordinatewise score
-  /// dominance.
-  bool CanDivideConquer() const;
+  /// True when the table is one score column whose score ties are value
+  /// ties (no id test): the order is a chain over the distinct values
+  /// (LOWEST/HIGHEST on a NaN-free numeric column), so the BMO set is the
+  /// top score level and the BNL window never holds more than one level.
+  bool IsScoreChain() const;
 
   /// True when topologically compatible sort keys exist for the SFS kernel.
   bool HasSortKeys() const { return !sort_keys_.empty(); }
@@ -130,14 +129,8 @@ class ScoreTable {
   /// The compiled dominance descriptor (shared with the batch kernels).
   const simd::DominanceProgram& program() const { return prog_; }
 
-  /// Block-algorithm resolution with the same preference order the
-  /// sequential evaluator uses: D&C when exact, else SFS when keys exist,
-  /// else BNL.
-  BmoAlgorithm ResolveAlgorithm() const;
-
   /// Maximal-row flags over the whole table under the chosen kernel
-  /// (kAuto resolves via ResolveAlgorithm; ineligible requests degrade to
-  /// BNL). `plan` supplies the kernel fields of the physical plan — the
+  /// (kAuto and ineligible requests run BNL). `plan` supplies the kernel fields of the physical plan — the
   /// batch dominance kernel (scalar/AVX2 dispatch) and the tiled-BNL
   /// block size.
   std::vector<bool> Maxima(BmoAlgorithm algo,
@@ -151,7 +144,7 @@ class ScoreTable {
 
   /// Human-readable label of the kernel variant Maxima would run for
   /// `algo` under `plan` — e.g. "bnl[avx2,tile=8192]", "sfs[scalar]",
-  /// "dc[avx2]", "naive[scalar]" — surfaced by EXPLAIN and QueryStats.
+  /// "naive[scalar]" — surfaced by EXPLAIN and QueryStats.
   std::string KernelVariant(BmoAlgorithm algo,
                             const PhysicalPlan& plan = {}) const;
 
@@ -192,17 +185,18 @@ class ScoreTable {
   double SortKeyValue(size_t row, size_t key) const;
 
   /// Shared resolution for the execution entry points and KernelVariant:
-  /// kAuto via ResolveAlgorithm (preferring the tiled BNL window over
-  /// D&C), then the degrade rules (SFS without sort keys -> BNL, D&C
-  /// without exactness -> BNL), so the reported variant can never drift
-  /// from what executes.
+  /// naive and SFS (with sort keys) run as asked, everything else — kAuto
+  /// included; the planner, not the table, chooses — runs BNL, so the
+  /// reported variant can never drift from what executes.
   BmoAlgorithm ResolveFor(BmoAlgorithm algo) const;
 
   /// Blocked/tiled BNL over the batch dominance kernels. Streams
   /// candidates against the window while it is smaller than `tile_rows`;
   /// once the window outgrows that budget, each tile is reduced to its
   /// local maxima in cache and only the survivors antichain-merge into
-  /// the global window. Returned flags align with `rows`.
+  /// the global window. On a score chain the window is one score level
+  /// and each candidate is decided against one member of it. Returned
+  /// flags align with `rows`.
   std::vector<bool> BnlBatch(const simd::KernelOps& ops,
                              const std::vector<size_t>& rows,
                              size_t tile_rows) const;

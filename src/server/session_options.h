@@ -8,7 +8,7 @@
 //   timeout_ms=<n>         per-query deadline (0 = none, at most
 //                          kMaxTimeoutMs)
 //   vectorize=on|off       score-table kernels vs closure baseline
-//   algorithm=auto|naive|bnl|sfs|dc|decomposition
+//   algorithm=auto|naive|bnl|sfs|decomposition
 //   simd=auto|scalar|avx2
 //   max_pending_deltas=<n> per-subscription server-side delta bound
 //                          before coalescing (0 = engine default);

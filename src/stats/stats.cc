@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 
 #include "exec/score_table.h"
 
@@ -385,7 +384,8 @@ std::string TermStats::ToString() const {
                 "n=%zu m=%zu d=%zu keys=%zu window~%.0f%s%s%s", input_rows,
                 distinct_values, dims, table_keys, est_window,
                 measured_window ? " (sampled)" : "",
-                dc_exact ? " dc-exact" : "", chain_head ? " chain-head" : "");
+                score_chain ? " score-chain" : "",
+                chain_head ? " chain-head" : "");
   return buf;
 }
 
@@ -402,40 +402,19 @@ TermStats EstimateTermStats(const TableStats& stats, const PrefPtr& p,
 
   // Distinct projections: capped product of per-leaf distinct counts.
   double product = 1.0;
-  bool all_injective = true;
-  bool flat_pareto = true;
-  {
-    PrefPtr cur = p;
-    while (cur->kind() == PreferenceKind::kDual) cur = cur->children()[0];
-    // A single leaf counts as flat Pareto of one column.
-    std::function<bool(const PrefPtr&)> no_prio = [&](const PrefPtr& q0) {
-      PrefPtr q = q0;
-      while (q->kind() == PreferenceKind::kDual) q = q->children()[0];
-      if (q->kind() == PreferenceKind::kPrioritized) return false;
-      if (q->kind() == PreferenceKind::kPareto) {
-        for (const PrefPtr& child : q->children()) {
-          if (!no_prio(child)) return false;
-        }
-      }
-      return true;
-    };
-    flat_pareto = no_prio(cur);
-  }
   for (const PrefPtr& leaf : leaves) {
     size_t distinct = LeafInputDistinct(stats, leaf, pool_rows);
-    bool numeric = LeafAllNumeric(stats, leaf);
     product = std::min(product * static_cast<double>(std::max<size_t>(
                                      1, distinct)),
                        static_cast<double>(pool_rows) + 1.0);
-    bool injective = (leaf->kind() == PreferenceKind::kLowest ||
-                      leaf->kind() == PreferenceKind::kHighest) &&
-                     numeric;
-    all_injective = all_injective && injective;
   }
   out.distinct_values = std::max<size_t>(
       pool_rows == 0 ? 0 : 1,
       std::min<size_t>(pool_rows, static_cast<size_t>(product)));
-  out.dc_exact = out.compilable && flat_pareto && all_injective;
+  out.score_chain = out.compilable && leaves.size() == 1 &&
+                    (leaves[0]->kind() == PreferenceKind::kLowest ||
+                     leaves[0]->kind() == PreferenceKind::kHighest) &&
+                    LeafAllNumeric(stats, leaves[0]);
   out.table_keys =
       out.compilable && ScoreTable::HasStaticSortKeys(p) ? 1 : 0;
   out.chain_head = PrioritizedChainHead(p);
@@ -456,7 +435,7 @@ TermStats MeasureTermStats(const ScoreTable& table, const PrefPtr& p,
   out.dims = std::max<size_t>(1, table.cols());
   out.table_keys = table.num_sort_keys();
   out.compilable = true;
-  out.dc_exact = table.CanDivideConquer();
+  out.score_chain = table.IsScoreChain();
   out.chain_head = PrioritizedChainHead(p);
   const std::vector<uint32_t>& distinct = table.column_distinct();
   if (out.chain_head && !distinct.empty()) {

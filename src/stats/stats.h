@@ -139,9 +139,11 @@ struct TermStats {
   size_t table_keys = 0;
   /// The term compiles into the score-table kernels.
   bool compilable = false;
-  /// Coordinatewise score dominance is (predicted to be) exact: flat
-  /// Pareto with every column injective — the KLP75 precondition.
-  bool dc_exact = false;
+  /// The block is (predicted to be) one score column whose ties are
+  /// value ties — LOWEST/HIGHEST on a NaN-free numeric column
+  /// (ScoreTable::IsScoreChain): BNL's window is one score level, so the
+  /// maxima take one streaming pass.
+  bool score_chain = false;
   /// Prioritized accumulation with a chain head over disjoint attributes
   /// (the Prop 11 cascade structure).
   bool chain_head = false;

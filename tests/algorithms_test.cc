@@ -1,6 +1,6 @@
-// Cross-validation of all BMO algorithms: naive, BNL, sort-filter, divide
-// & conquer [KLP75] and the Prop-8-12 decomposition evaluator must agree on
-// randomized workloads (parameterized sweep over n, d, correlation).
+// Cross-validation of all BMO algorithms: naive, BNL, sort-filter and the
+// Prop-8-12 decomposition evaluator must agree on randomized workloads
+// (parameterized sweep over n, d, correlation).
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "core/numeric_preferences.h"
 #include "datagen/vectors.h"
 #include "eval/bmo.h"
-#include "exec/simd/dominance.h"
 #include "test_support.h"
 
 namespace prefdb {
@@ -36,8 +35,7 @@ TEST_P(AlgorithmAgreementTest, AllAlgorithmsComputeTheSameSkyline) {
   std::vector<size_t> naive = BmoIndices(r, p, {BmoAlgorithm::kNaive});
   for (BmoAlgorithm algo :
        {BmoAlgorithm::kBlockNestedLoop, BmoAlgorithm::kSortFilter,
-        BmoAlgorithm::kDivideConquer, BmoAlgorithm::kDecomposition,
-        BmoAlgorithm::kAuto}) {
+        BmoAlgorithm::kDecomposition, BmoAlgorithm::kAuto}) {
     EXPECT_EQ(BmoIndices(r, p, {algo}), naive)
         << BmoAlgorithmName(algo) << " disagrees on n=" << param.n
         << " d=" << param.d << " " << CorrelationName(param.corr);
@@ -104,25 +102,19 @@ TEST_P(MixedTermAgreementTest, GeneralTermsAgreeAcrossGenericAlgorithms) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MixedTermAgreementTest,
                          ::testing::Values(2, 4, 6, 10, 12, 14));
 
-TEST(DivideConquerTest, MaximaOnKnownPoints) {
-  // Maximize both dims: skyline of a staircase, one row per point.
-  const std::vector<double> pts = {1, 9, 2, 8, 3, 7, 3, 9, 0, 0, 9, 1, 9, 1};
-  std::vector<bool> max = MaximaDivideConquerFlat(
-      pts.data(), 7, 2, 2, simd::ResolveKernel(SimdMode::kAuto));
-  EXPECT_FALSE(max[0]);  // (1,9) < (3,9)
-  EXPECT_FALSE(max[1]);  // (2,8) < (3,9)
-  EXPECT_FALSE(max[2]);  // (3,7) < (3,9)
-  EXPECT_TRUE(max[3]);   // (3,9)
-  EXPECT_FALSE(max[4]);
-  EXPECT_TRUE(max[5]);   // (9,1)
-  EXPECT_TRUE(max[6]);   // duplicate of a maximum is also maximal
-}
-
-TEST(DivideConquerTest, OneDimensionalMaxima) {
-  const std::vector<double> pts = {3, 9, 9, 1};
-  std::vector<bool> max = MaximaDivideConquerFlat(
-      pts.data(), 4, 1, 1, simd::ResolveKernel(SimdMode::kAuto));
-  EXPECT_EQ(max, (std::vector<bool>{false, true, true, false}));
+TEST(BnlTest, OneColumnKeepsTheWholeTopLevel) {
+  // A single LOWEST/HIGHEST column is a score chain: the BNL window is one
+  // score level, and every row tied at the top survives.
+  Relation r(Schema{{"a", ValueType::kInt}});
+  for (int v : {3, 9, 9, 1, 9}) r.Add({v});
+  for (BmoAlgorithm algo : {BmoAlgorithm::kBlockNestedLoop,
+                            BmoAlgorithm::kSortFilter, BmoAlgorithm::kAuto}) {
+    EXPECT_EQ(BmoIndices(r, Highest("a"), {algo}),
+              (std::vector<size_t>{1, 2, 4}))
+        << BmoAlgorithmName(algo);
+    EXPECT_EQ(BmoIndices(r, Lowest("a"), {algo}), (std::vector<size_t>{3}))
+        << BmoAlgorithmName(algo);
+  }
 }
 
 TEST(BnlTest, WindowHandlesDominatorArrivingLate) {
@@ -145,7 +137,7 @@ TEST(SortFilterTest, FallsBackWithoutSortKeys) {
   EXPECT_EQ(best.at(0)[0], Value("b"));
 }
 
-TEST(AutoTest, PicksDivideConquerForSkylineFragment) {
+TEST(AutoTest, MatchesNaiveOnSkylineFragment) {
   // Smoke check through the public API: auto must be correct; the specific
   // choice is covered by benchmarks.
   Relation r = GenerateVectors(200, 3, Correlation::kAntiCorrelated, 3);

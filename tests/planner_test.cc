@@ -55,7 +55,7 @@ TEST(PlannerGoldenTest, AntiCorrelatedWideWindowPicksSfs) {
 
 TEST(PlannerGoldenTest, IndependentNarrowWindowPicksBnl) {
   // PR 4 measured winner on the independent d4 family: tiled SIMD BNL
-  // (0.22ms) over SFS (whose presort alone costs ~1ms) and D&C (1.88ms).
+  // (0.22ms) over SFS, whose presort alone costs ~1ms.
   Relation r = GenerateVectors(8192, 4, Correlation::kIndependent, 42);
   PhysicalPlan plan = PlanMeasured(r, SkylinePref(4));
   EXPECT_EQ(plan.algorithm, BmoAlgorithm::kBlockNestedLoop);
@@ -68,28 +68,33 @@ TEST(PlannerGoldenTest, CorrelatedDataPicksBnl) {
   EXPECT_EQ(plan.algorithm, BmoAlgorithm::kBlockNestedLoop);
 }
 
-TEST(PlannerGoldenTest, NonInjectiveColumnsDisqualifyDc) {
-  // AROUND over a discrete domain ties distinct values in score (|x-10|
-  // collapses 5 and 15), so coordinatewise dominance is not the
-  // preference order: D&C must be ineligible whatever it costs.
-  Schema s({{"d0", ValueType::kInt}, {"d1", ValueType::kInt}});
+TEST(PlannerGoldenTest, ScoreChainPlansOneBnlPass) {
+  // LOWEST over a column with 2048 rows tied at the minimum: BNL's window
+  // is one score level, so the plan is BNL priced as one streaming pass,
+  // however wide the tied level is.
+  Schema s({{"d0", ValueType::kInt}});
   Relation r(s);
   std::mt19937_64 rng(9);
   for (int i = 0; i < 8192; ++i) {
-    r.Add({Value(int64_t(rng() % 21)), Value(int64_t(rng() % 1000))});
+    r.Add({Value(int64_t(i % 4 == 0 ? 0 : 1 + rng() % 100000))});
   }
-  PrefPtr p = Pareto(Around("d0", 10), Highest("d1"));
-  auto table = ScoreTable::Compile(p, r);
+  PrefPtr lowest = Lowest("d0");
+  auto table = ScoreTable::Compile(lowest, r);
   ASSERT_TRUE(table.has_value());
-  TermStats stats = MeasureTermStats(*table, p, r.size());
-  EXPECT_FALSE(stats.dc_exact);
+  TermStats stats = MeasureTermStats(*table, lowest, r.size());
+  EXPECT_TRUE(stats.score_chain);
   PhysicalPlan plan = PlanPhysical(stats, BmoOptions{});
-  for (const AlgorithmCost& cost : plan.considered) {
-    if (cost.algorithm == BmoAlgorithm::kDivideConquer) {
-      EXPECT_FALSE(cost.eligible);
-    }
-  }
-  EXPECT_NE(plan.algorithm, BmoAlgorithm::kDivideConquer);
+  EXPECT_EQ(plan.algorithm, BmoAlgorithm::kBlockNestedLoop);
+  EXPECT_LT(plan.estimated_ns, 1e6);
+  // AROUND over a discrete domain ties distinct values in score (|x-10|
+  // collapses 5 and 15), so its column keeps equality ids: no chain.
+  Relation small(s);
+  for (int i = 0; i < 8192; ++i) small.Add({Value(int64_t(rng() % 21))});
+  PrefPtr around = Around("d0", 10);
+  auto around_table = ScoreTable::Compile(around, small);
+  ASSERT_TRUE(around_table.has_value());
+  EXPECT_FALSE(
+      MeasureTermStats(*around_table, around, small.size()).score_chain);
 }
 
 TEST(PlannerGoldenTest, LowDistinctCountsShrinkTheEstimate) {
@@ -133,7 +138,6 @@ TEST(PlannerGoldenTest, ExplainCostsListsEveryConsideredAlgorithm) {
   EXPECT_NE(text.find("stats:"), std::string::npos);
   EXPECT_NE(text.find("bnl:"), std::string::npos);
   EXPECT_NE(text.find("sfs:"), std::string::npos);
-  EXPECT_NE(text.find("dc:"), std::string::npos);
   EXPECT_NE(text.find("decomposition:"), std::string::npos);
   EXPECT_NE(text.find("<- chosen"), std::string::npos);
 }

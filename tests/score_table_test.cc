@@ -4,7 +4,7 @@
 // Pareto/prioritized nestings of layered, pos/neg and numerical leaves —
 // and non-compilable terms must fall back to the closure path untouched.
 // Plus the NaN / -inf sort-key guards for the SFS comparator and the
-// data-dependent divide & conquer eligibility.
+// data-dependent score-chain fast path of the BNL window.
 
 #include "exec/score_table.h"
 
@@ -128,8 +128,8 @@ TEST(ScoreTableTest, CompilableTermCoverage) {
 TEST(ScoreTableTest, IntersectionTermsMatchClosure) {
   Relation r = MixedRelation(400, 77);
   // Intersections of strict partial orders are strict partial orders, so
-  // every kernel must agree (SFS/D&C degrade to BNL: intersection nodes
-  // derive no sort keys and never run flat-Pareto).
+  // every kernel must agree (SFS degrades to BNL: intersection nodes
+  // derive no sort keys).
   PrefPtr isect =
       Intersection(Pos("color", {"red", "blue"}), Neg("color", {"black"}));
   PrefPtr numeric_isect =
@@ -142,8 +142,7 @@ TEST(ScoreTableTest, IntersectionTermsMatchClosure) {
     std::vector<size_t> expected = BmoIndices(r, p, Closure());
     for (BmoAlgorithm algo :
          {BmoAlgorithm::kAuto, BmoAlgorithm::kBlockNestedLoop,
-          BmoAlgorithm::kSortFilter, BmoAlgorithm::kDivideConquer,
-          BmoAlgorithm::kNaive}) {
+          BmoAlgorithm::kSortFilter, BmoAlgorithm::kNaive}) {
       EXPECT_EQ(BmoIndices(r, p, Vectorized(algo)), expected)
           << p->ToString() << " algo=" << BmoAlgorithmName(algo);
     }
@@ -196,8 +195,7 @@ TEST(ScoreTableTest, RandomizedTermsMatchClosureBnl) {
       std::vector<size_t> expected = BmoIndices(r, p, Closure());
       for (BmoAlgorithm algo :
            {BmoAlgorithm::kAuto, BmoAlgorithm::kBlockNestedLoop,
-            BmoAlgorithm::kSortFilter, BmoAlgorithm::kDivideConquer,
-            BmoAlgorithm::kNaive}) {
+            BmoAlgorithm::kSortFilter, BmoAlgorithm::kNaive}) {
         EXPECT_EQ(BmoIndices(r, p, Vectorized(algo)), expected)
             << p->ToString() << " algo=" << BmoAlgorithmName(algo);
       }
@@ -220,35 +218,42 @@ TEST(ScoreTableTest, ClosureSfsMatchesOnRandomizedTerms) {
   }
 }
 
-TEST(ScoreTableTest, DivideConquerRequiresInjectiveScores) {
+TEST(ScoreTableTest, ScoreChainIsOneColumnWithoutIds) {
   // AROUND(10) ties 5 and 15 in score although the values are distinct
-  // and incomparable (Def. 8 equality is value equality): raw score
-  // dominance would wrongly eliminate (15, 1). The compiled table must
-  // detect the non-injective column and refuse D&C.
+  // (Def. 8 equality is value equality), so its column keeps equality ids
+  // and is no score chain; neither is any two-column term.
   Schema s({{"a", ValueType::kInt}, {"b", ValueType::kInt}});
   Relation r(s);
   r.Add({5, 2});
   r.Add({15, 1});
-  PrefPtr p = Pareto(Around("a", 10), Highest("b"));
-  auto table = ScoreTable::Compile(p, r);
-  ASSERT_TRUE(table.has_value());
-  EXPECT_FALSE(table->CanDivideConquer());
-  // Both rows are maximal whatever algorithm is requested.
-  for (BmoAlgorithm algo :
-       {BmoAlgorithm::kAuto, BmoAlgorithm::kDivideConquer,
-        BmoAlgorithm::kSortFilter}) {
-    EXPECT_EQ(BmoIndices(r, p, Vectorized(algo)),
-              (std::vector<size_t>{0, 1}))
-        << BmoAlgorithmName(algo);
+  r.Add({15, 1});
+  for (const PrefPtr& p :
+       {Around("a", 10), Pareto(Around("a", 10), Highest("b"))}) {
+    auto table = ScoreTable::Compile(p, r);
+    ASSERT_TRUE(table.has_value());
+    EXPECT_FALSE(table->IsScoreChain()) << p->ToString();
+    for (BmoAlgorithm algo :
+         {BmoAlgorithm::kAuto, BmoAlgorithm::kBlockNestedLoop,
+          BmoAlgorithm::kSortFilter}) {
+      EXPECT_EQ(BmoIndices(r, p, Vectorized(algo)),
+                (std::vector<size_t>{0, 1, 2}))
+          << p->ToString() << " algo=" << BmoAlgorithmName(algo);
+    }
   }
-  // Injective numeric skylines do qualify.
-  Relation v = GenerateVectors(500, 3, Correlation::kAntiCorrelated, 5);
-  PrefPtr sky = Pareto({Highest("d0"), Highest("d1"), Highest("d2")});
-  auto sky_table = ScoreTable::Compile(sky, v);
-  ASSERT_TRUE(sky_table.has_value());
-  EXPECT_TRUE(sky_table->CanDivideConquer());
-  EXPECT_EQ(BmoIndices(v, sky, Vectorized(BmoAlgorithm::kDivideConquer)),
-            BmoIndices(v, sky, Closure()));
+  // LOWEST/HIGHEST on a NaN-free numeric column are chains: the answer is
+  // the whole top score level, ties included.
+  for (const PrefPtr& p : {Highest("a"), Dual(Lowest("a")), Lowest("b")}) {
+    auto table = ScoreTable::Compile(p, r);
+    ASSERT_TRUE(table.has_value());
+    EXPECT_TRUE(table->IsScoreChain()) << p->ToString();
+    for (BmoAlgorithm algo :
+         {BmoAlgorithm::kAuto, BmoAlgorithm::kBlockNestedLoop,
+          BmoAlgorithm::kSortFilter, BmoAlgorithm::kNaive}) {
+      EXPECT_EQ(BmoIndices(r, p, Vectorized(algo)),
+                (std::vector<size_t>{1, 2}))
+          << p->ToString() << " algo=" << BmoAlgorithmName(algo);
+    }
+  }
 }
 
 TEST(ScoreTableTest, NanScoresKeepSfsSoundAndCrashFree) {
@@ -330,7 +335,7 @@ TEST(ScoreTableTest, DualOfAccumulationsMatchClosure) {
     std::vector<size_t> expected = BmoIndices(r, p, Closure());
     for (BmoAlgorithm algo :
          {BmoAlgorithm::kAuto, BmoAlgorithm::kBlockNestedLoop,
-          BmoAlgorithm::kSortFilter, BmoAlgorithm::kDivideConquer}) {
+          BmoAlgorithm::kSortFilter}) {
       EXPECT_EQ(BmoIndices(r, p, Vectorized(algo)), expected)
           << p->ToString() << " algo=" << BmoAlgorithmName(algo);
     }

@@ -561,7 +561,7 @@ TEST(SessionOptionsTest, AppliesAndSerializesTheWholeVocabulary) {
   for (BmoAlgorithm algorithm :
        {BmoAlgorithm::kAuto, BmoAlgorithm::kNaive,
         BmoAlgorithm::kBlockNestedLoop, BmoAlgorithm::kSortFilter,
-        BmoAlgorithm::kDivideConquer, BmoAlgorithm::kDecomposition}) {
+        BmoAlgorithm::kDecomposition}) {
     for (SimdMode simd :
          {SimdMode::kAuto, SimdMode::kScalar, SimdMode::kAvx2}) {
       SessionOptions sent;

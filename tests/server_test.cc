@@ -211,8 +211,12 @@ TEST(ServerTest, SessionOptionsApplyAndValidate) {
   EXPECT_TRUE(response.relation ==
               served.Reference(kMixQueries[0]).relation);
 
-  EXPECT_EQ(client.Set("algorithm", "quantum").error.code,
-            psql::ErrorCode::kBadArgument);
+  // "dc" is not an algorithm name: there is no divide & conquer kernel.
+  for (const char* bad : {"quantum", "dc"}) {
+    EXPECT_EQ(client.Set("algorithm", bad).error.code,
+              psql::ErrorCode::kBadArgument)
+        << bad;
+  }
   EXPECT_EQ(client.Set("no_such_option", "1").error.code,
             psql::ErrorCode::kBadArgument);
   EXPECT_EQ(client.RoundTrip(Frame{FrameType::kSet, "garbage"}).error.code,

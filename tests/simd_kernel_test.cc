@@ -3,7 +3,7 @@
 // return exactly the closure-based answer for every compilable term —
 // randomized across Pareto/prioritized/layered/pos-neg/numeric leaves,
 // including NULL and NaN columns, ragged tails (N not a multiple of the
-// lane width) and forced-algorithm paths (BNL/SFS/D&C).
+// lane width) and forced-algorithm paths (BNL/SFS).
 
 #include <gtest/gtest.h>
 
@@ -174,26 +174,6 @@ TEST(SimdKernelTest, TiledEqualsUntiledBnl) {
   }
 }
 
-TEST(SimdKernelTest, SkylineDivideConquerAcrossKernels) {
-  // The D&C base-case blocks run through the batch kernels; the flags
-  // must match the closure naive oracle.
-  for (size_t d : {2u, 3u, 5u}) {
-    Relation r = GenerateVectors(2000, d, Correlation::kAntiCorrelated, 11);
-    std::vector<PrefPtr> prefs;
-    for (size_t i = 0; i < d; ++i) {
-      prefs.push_back(Highest("d" + std::to_string(i)));
-    }
-    PrefPtr p = Pareto(prefs);
-    std::vector<size_t> expected =
-        Rows(r, p, Closure(BmoAlgorithm::kNaive));
-    for (SimdMode mode : KernelModes()) {
-      EXPECT_EQ(Rows(r, p, WithKernel(BmoAlgorithm::kDivideConquer, mode)),
-                expected)
-          << "d=" << d << " simd=" << SimdModeName(mode);
-    }
-  }
-}
-
 TEST(SimdKernelTest, ForcedAvx2DegradesGracefully) {
   // On machines without AVX2 the forced mode must silently run the batch
   // scalar kernels; on machines with it, both must agree anyway.
@@ -301,7 +281,7 @@ TEST(SimdKernelTest, TablesWithAndWithoutIdMatrixMatchTheOracle) {
       SCOPED_TRACE(SimdModeName(mode));
       for (BmoAlgorithm algo :
            {BmoAlgorithm::kNaive, BmoAlgorithm::kBlockNestedLoop,
-            BmoAlgorithm::kSortFilter, BmoAlgorithm::kDivideConquer}) {
+            BmoAlgorithm::kSortFilter}) {
         EXPECT_EQ(table->Maxima(algo, plan), expected)
             << BmoAlgorithmName(algo);
         EXPECT_EQ(table->MaximaSubset(algo, odd, plan), expected_odd)

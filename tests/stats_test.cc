@@ -79,18 +79,22 @@ TEST(TableStatsTest, IncrementalBuilderMatchesRescan) {
 TEST(TermStatsTest, EstimateSeesStructure) {
   Relation cars = GenerateCars(5000, 11);
   TableStats table = TableStats::Derive(cars);
-  // Injective numeric skyline: D&C-exact, window from the closed form.
+  // One injective numeric column is a score chain.
+  EXPECT_TRUE(EstimateTermStats(table, Lowest("price"), 5000).score_chain);
+  // Injective numeric skyline: no chain, window from the closed form.
   TermStats sky = EstimateTermStats(
       table, Pareto(Lowest("price"), Lowest("mileage")), 5000);
   EXPECT_TRUE(sky.compilable);
-  EXPECT_TRUE(sky.dc_exact);
+  EXPECT_FALSE(sky.score_chain);
   EXPECT_EQ(sky.dims, 2u);
   EXPECT_GT(sky.est_window, 1.0);
   EXPECT_LT(sky.est_window, 200.0);
   // AROUND breaks injectivity but keeps keys.
   TermStats around = EstimateTermStats(
       table, Pareto(Around("price", 20000), Lowest("mileage")), 5000);
-  EXPECT_FALSE(around.dc_exact);
+  EXPECT_FALSE(around.score_chain);
+  EXPECT_FALSE(
+      EstimateTermStats(table, Around("price", 20000), 5000).score_chain);
   EXPECT_GT(around.table_keys, 0u);
   // Chain-head prioritization is flagged with the head's cardinality.
   TermStats chain = EstimateTermStats(
@@ -119,7 +123,7 @@ TEST(TermStatsTest, MeasuredWindowSeparatesCorrelationRegimes) {
   EXPECT_TRUE(anti.measured_window);
   EXPECT_TRUE(indep.measured_window);
   EXPECT_GT(anti.est_window, 4.0 * indep.est_window);
-  EXPECT_TRUE(anti.dc_exact);
+  EXPECT_FALSE(anti.score_chain);
   EXPECT_EQ(anti.dims, 4u);
 }
 
