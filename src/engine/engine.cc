@@ -1013,6 +1013,9 @@ Engine::CacheStats Engine::cache_stats() const {
   out.lock_contentions = lock_contentions_.load(std::memory_order_relaxed);
   exec_cache_.ForEach(
       [&out](const Exec& exec) { out.exec_bytes += exec.HeapBytes(); });
+  for (const auto& [table, slots] : views_) {
+    for (const auto& slot : slots) out.view_bytes += slot->view->HeapBytes();
+  }
   return out;
 }
 

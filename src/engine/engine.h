@@ -402,6 +402,10 @@ class Engine {
     /// rows, ranked utilities and plan texts; relation snapshots are
     /// shared with the catalog and not counted).
     size_t exec_bytes = 0;
+    /// Gauge: heap bytes held by the live maintained views
+    /// (MaintainedView::HeapBytes: candidate column buffers not shared
+    /// with a snapshot, row ids, witnesses and antichains).
+    size_t view_bytes = 0;
   };
   CacheStats cache_stats() const;
   void ClearCaches();

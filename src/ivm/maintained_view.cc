@@ -11,113 +11,113 @@ MaintainedView::MaintainedView(PrefPtr preference,
                                const Relation& snapshot, uint64_t version,
                                const BmoOptions& options)
     : pref_(std::move(preference)),
-      table_schema_(snapshot.schema()),
-      proj_schema_(snapshot.schema().Project(pref_->attributes())),
       proj_cols_(snapshot.ResolveColumns(pref_->attributes())),
       where_(std::move(where)),
-      less_(pref_->Bind(proj_schema_)),
+      less_(pref_->Bind(snapshot.schema().Project(pref_->attributes()))),
       compilable_(options.vectorize && ScoreTable::CompilableTerm(pref_)),
       plan_(PhysicalPlan::FromOptions(options)),
       version_(version) {
-  Seed(snapshot);
-}
-
-void MaintainedView::Seed(const Relation& snapshot) {
-  cands_.reserve(snapshot.size());
-  // RowAt, not at(): the candidates keep their own rows, so the
-  // snapshot's shared row cache would be a second, permanent copy.
-  for (size_t i = 0; i < snapshot.size(); ++i) {
-    Tuple row = snapshot.RowAt(i);
-    if (where_ && !where_(row)) continue;
-    Candidate c;
-    c.proj = row.Project(proj_cols_);
-    c.row = std::move(row);
-    c.table_row = i;
-    c.witness = kMaximal;
-    cands_.push_back(std::move(c));
+  // The candidates share the snapshot's column buffers. The engine runs
+  // every mutation while its own thread still holds the seed snapshot,
+  // so the view's first write clones the buffers it touches.
+  if (where_) {
+    std::vector<size_t> all(snapshot.schema().size());
+    std::iota(all.begin(), all.end(), size_t{0});
+    const std::vector<size_t> survivors = snapshot.SelectWhere(where_, all);
+    table_rows_.assign(survivors.begin(), survivors.end());
+    rows_ = snapshot.SelectRowIds(table_rows_);
+  } else {
+    table_rows_.resize(snapshot.size());
+    std::iota(table_rows_.begin(), table_rows_.end(), uint32_t{0});
+    rows_ = snapshot;
   }
+  witness_.assign(table_rows_.size(), kMaximal);
   Reseed();
 }
 
 void MaintainedView::Reseed() {
-  std::vector<size_t> all(cands_.size());
+  std::vector<size_t> all(rows_.size());
   std::iota(all.begin(), all.end(), size_t{0});
-  std::optional<ScoreTable> table;
-  const std::vector<bool> flags = MaximaOf(all, &table);
+  const Pass pass = RunPass(all);
   antichain_.clear();
   for (size_t k = 0; k < all.size(); ++k) {
-    if (flags[k]) antichain_.push_back(k);
+    if (pass.flags[k]) antichain_.push_back(static_cast<uint32_t>(k));
   }
-  AssignWitnesses(all, flags, table);
+  AssignWitnesses(all, pass);
 }
 
-std::vector<bool> MaintainedView::MaximaOf(
-    const std::vector<size_t>& subset,
-    std::optional<ScoreTable>* table_out) const {
-  if (subset.empty()) return {};
+MaintainedView::Pass MaintainedView::RunPass(
+    const std::vector<size_t>& subset) const {
+  Pass pass;
+  if (subset.empty()) return pass;
   if (compilable_) {
-    // Table row k is subset position k: the witness probes index it so.
-    Relation block(proj_schema_);
-    for (size_t i : subset) block.Add(cands_[i].proj);
-    auto table = ScoreTable::Compile(pref_, block);
-    auto flags = table->Maxima(BmoAlgorithm::kAuto, plan_);
-    if (table_out) *table_out = std::move(table);
-    return flags;
+    // Subsets are ascending and duplicate-free, so one as large as the
+    // candidate set is all of it: compile without a pool.
+    const bool all = subset.size() == rows_.size();
+    pass.table = ScoreTable::Compile(pref_, rows_, all ? nullptr : &subset);
+    pass.flags = pass.table->Maxima(BmoAlgorithm::kAuto, plan_);
+    return pass;
   }
-  std::vector<Tuple> projs;
-  projs.reserve(subset.size());
-  for (size_t i : subset) projs.push_back(cands_[i].proj);
-  return MaximaBnl(projs, less_);
+  pass.projs.reserve(subset.size());
+  for (size_t i : subset) {
+    std::vector<Value> values;
+    values.reserve(proj_cols_.size());
+    for (size_t c : proj_cols_) values.push_back(rows_.ValueAt(i, c));
+    pass.projs.emplace_back(std::move(values));
+  }
+  pass.flags = MaximaBnl(pass.projs, less_);
+  return pass;
+}
+
+size_t MaintainedView::Dominator(const Pass& pass, size_t k,
+                                 const std::vector<size_t>& positions) const {
+  if (pass.table) return pass.table->FindDominator(k, positions);
+  for (size_t pos : positions) {
+    if (less_(pass.projs[k], pass.projs[pos])) return pos;
+  }
+  return static_cast<size_t>(-1);
 }
 
 void MaintainedView::AssignWitnesses(const std::vector<size_t>& subset,
-                                     const std::vector<bool>& flags,
-                                     const std::optional<ScoreTable>& table) {
-  std::vector<size_t> flagged;  // block positions of the subset's maxima
+                                     const Pass& pass) {
+  std::vector<size_t> flagged;  // subset positions of the subset's maxima
   for (size_t k = 0; k < subset.size(); ++k) {
-    if (flags[k]) flagged.push_back(k);
+    if (pass.flags[k]) flagged.push_back(k);
   }
   for (size_t k = 0; k < subset.size(); ++k) {
-    Candidate& c = cands_[subset[k]];
-    if (flags[k]) {
-      c.witness = kMaximal;
-      continue;
-    }
-    size_t witness = kMaximal;
-    if (table) {
-      const size_t pos = table->FindDominator(k, flagged);
-      if (pos != static_cast<size_t>(-1)) witness = subset[pos];
-    } else {
-      for (size_t f : flagged) {
-        if (less_(c.proj, cands_[subset[f]].proj)) {
-          witness = subset[f];
-          break;
-        }
+    uint32_t witness = kMaximal;
+    if (!pass.flags[k]) {
+      const size_t pos = Dominator(pass, k, flagged);
+      if (pos != static_cast<size_t>(-1)) {
+        witness = static_cast<uint32_t>(subset[pos]);
       }
     }
-    c.witness = witness;
+    witness_[subset[k]] = witness;
   }
 }
 
 void MaintainedView::Compact(const std::vector<char>& dead,
                              std::vector<char>* aux) {
-  std::vector<size_t> remap(cands_.size(), kMaximal);
-  size_t next = 0;
-  for (size_t i = 0; i < cands_.size(); ++i) {
+  std::vector<uint32_t> remap(witness_.size(), kMaximal);
+  uint32_t next = 0;
+  for (size_t i = 0; i < witness_.size(); ++i) {
     if (dead[i]) continue;
     remap[i] = next;
     if (i != next) {
-      cands_[next] = std::move(cands_[i]);
+      table_rows_[next] = table_rows_[i];
+      witness_[next] = witness_[i];
       if (aux) (*aux)[next] = (*aux)[i];
     }
     ++next;
   }
-  cands_.resize(next);
+  table_rows_.resize(next);
+  witness_.resize(next);
   if (aux) aux->resize(next);
-  for (Candidate& c : cands_) {
-    if (c.witness != kMaximal) c.witness = remap[c.witness];
+  for (uint32_t& w : witness_) {
+    if (w != kMaximal) w = remap[w];
   }
-  for (size_t& m : antichain_) m = remap[m];
+  for (uint32_t& m : antichain_) m = remap[m];
+  rows_.EraseRows(dead);
 }
 
 ViewDelta MaintainedView::ApplyInsert(const Tuple& row, size_t table_row,
@@ -128,59 +128,47 @@ ViewDelta MaintainedView::ApplyInsert(const Tuple& row, size_t table_row,
   ++mstats_.inserts;
   if (where_ && !where_(row)) return d;
 
-  const size_t idx = cands_.size();
-  Candidate c;
-  c.row = row;
-  c.proj = row.Project(proj_cols_);
-  c.table_row = table_row;
-  c.witness = kMaximal;
-  cands_.push_back(std::move(c));
+  const size_t idx = rows_.size();
+  rows_.Add(row);
+  table_rows_.push_back(static_cast<uint32_t>(table_row));
+  witness_.push_back(kMaximal);
 
   // Batch-kernel maxima pass over (antichain ∪ {new row}). The new row is
   // maximal in the full candidate set iff it is maximal here: any
   // dominated candidate's dominator chains up to an antichain member.
-  std::vector<size_t> block = antichain_;
+  std::vector<size_t> block(antichain_.begin(), antichain_.end());
   block.push_back(idx);
-  std::optional<ScoreTable> table;
-  const std::vector<bool> flags = MaximaOf(block, &table);
+  const Pass pass = RunPass(block);
   const size_t new_pos = block.size() - 1;
 
-  if (!flags[new_pos]) {
+  if (!pass.flags[new_pos]) {
     // Dominated on arrival: record a witness, result set unchanged.
-    size_t witness = kMaximal;
-    if (table) {
-      std::vector<size_t> positions(antichain_.size());
-      std::iota(positions.begin(), positions.end(), size_t{0});
-      const size_t pos = table->FindDominator(new_pos, positions);
-      if (pos != static_cast<size_t>(-1)) witness = block[pos];
-    } else {
-      for (size_t m : antichain_) {
-        if (less_(cands_[idx].proj, cands_[m].proj)) {
-          witness = m;
-          break;
-        }
-      }
+    std::vector<size_t> positions(antichain_.size());
+    std::iota(positions.begin(), positions.end(), size_t{0});
+    const size_t pos = Dominator(pass, new_pos, positions);
+    if (pos != static_cast<size_t>(-1)) {
+      witness_[idx] = static_cast<uint32_t>(block[pos]);
     }
-    cands_[idx].witness = witness;
     return d;
   }
 
-  std::vector<size_t> next;
+  std::vector<uint32_t> next;
   next.reserve(antichain_.size() + 1);
-  for (size_t k = 0; k + 1 < block.size(); ++k) {
-    const size_t m = block[k];
-    if (flags[k]) {
+  for (size_t k = 0; k < new_pos; ++k) {
+    const uint32_t m = antichain_[k];
+    if (pass.flags[k]) {
       next.push_back(m);
       continue;
     }
     // Antichain members are mutually incomparable, so only the new row
     // can have defeated m — it is m's witness.
-    cands_[m].witness = idx;
-    d.exits.push_back(cands_[m].row);
+    witness_[m] = static_cast<uint32_t>(idx);
+    d.exits.push_back(rows_.RowAt(m));
   }
-  next.push_back(idx);  // idx is the largest candidate index: stays sorted
+  // idx is the largest candidate index: the antichain stays sorted.
+  next.push_back(static_cast<uint32_t>(idx));
   antichain_ = std::move(next);
-  d.enters.push_back(cands_[idx].row);
+  d.enters.push_back(rows_.RowAt(idx));
   mstats_.enters += d.enters.size();
   mstats_.exits += d.exits.size();
   return d;
@@ -192,42 +180,42 @@ ViewDelta MaintainedView::ApplyDelete(
   d.version = new_version;
   version_ = new_version;
   ++mstats_.deletes;
-  if (deleted_table_rows.empty() || cands_.empty()) return d;
+  if (deleted_table_rows.empty() || table_rows_.empty()) return d;
 
   // Mark dead candidates and shift survivors' table rows down by the
   // number of deleted rows below them (one merge walk: both sides are
   // sorted ascending).
-  std::vector<char> dead(cands_.size(), 0);
+  std::vector<char> dead(table_rows_.size(), 0);
   size_t di = 0;
   bool any_dead = false;
-  for (size_t i = 0; i < cands_.size(); ++i) {
-    const size_t t = cands_[i].table_row;
+  for (size_t i = 0; i < table_rows_.size(); ++i) {
+    const size_t t = table_rows_[i];
     while (di < deleted_table_rows.size() && deleted_table_rows[di] < t) ++di;
     if (di < deleted_table_rows.size() && deleted_table_rows[di] == t) {
       dead[i] = 1;
       any_dead = true;
     } else {
-      cands_[i].table_row = t - di;
+      table_rows_[i] = static_cast<uint32_t>(t - di);
     }
   }
   if (!any_dead) return d;  // deleted rows were not candidates
 
-  std::vector<size_t> surviving_anti;
+  std::vector<uint32_t> surviving_anti;
   surviving_anti.reserve(antichain_.size());
-  for (size_t m : antichain_) {
+  for (uint32_t m : antichain_) {
     if (dead[m]) {
-      d.exits.push_back(cands_[m].row);
+      d.exits.push_back(rows_.RowAt(m));
     } else {
       surviving_anti.push_back(m);
     }
   }
   // Orphans: live dominated candidates whose recorded dominator died.
   // Everyone else's witness is still alive and still dominates them.
-  std::vector<size_t> orphans;
-  for (size_t i = 0; i < cands_.size(); ++i) {
+  std::vector<uint32_t> orphans;
+  for (size_t i = 0; i < witness_.size(); ++i) {
     if (dead[i]) continue;
-    const size_t w = cands_[i].witness;
-    if (w != kMaximal && dead[w]) orphans.push_back(i);
+    const uint32_t w = witness_[i];
+    if (w != kMaximal && dead[w]) orphans.push_back(static_cast<uint32_t>(i));
   }
 
   size_t live = 0;
@@ -241,13 +229,13 @@ ViewDelta MaintainedView::ApplyDelete(
     // Most witnesses died at once: orphan maintenance would degenerate to
     // a full scan, so run exactly that, once, with fresh bookkeeping.
     ++mstats_.reseeds;
-    std::vector<char> was_max(cands_.size(), 0);
-    for (size_t m : antichain_) was_max[m] = 1;
+    std::vector<char> was_max(witness_.size(), 0);
+    for (uint32_t m : antichain_) was_max[m] = 1;
     antichain_.clear();
     Compact(dead, &was_max);
     Reseed();
-    for (size_t m : antichain_) {
-      if (!was_max[m]) d.enters.push_back(cands_[m].row);
+    for (uint32_t m : antichain_) {
+      if (!was_max[m]) d.enters.push_back(rows_.RowAt(m));
     }
   } else {
     // New antichain = maxima of (surviving antichain ∪ orphans): surviving
@@ -268,14 +256,13 @@ ViewDelta MaintainedView::ApplyDelete(
         is_orphan.push_back(1);
       }
     }
-    std::optional<ScoreTable> table;
-    const std::vector<bool> flags = MaximaOf(combined, &table);
-    AssignWitnesses(combined, flags, table);
+    const Pass pass = RunPass(combined);
+    AssignWitnesses(combined, pass);
     antichain_.clear();
     for (size_t k = 0; k < combined.size(); ++k) {
-      if (!flags[k]) continue;
-      antichain_.push_back(combined[k]);
-      if (is_orphan[k]) d.enters.push_back(cands_[combined[k]].row);
+      if (!pass.flags[k]) continue;
+      antichain_.push_back(static_cast<uint32_t>(combined[k]));
+      if (is_orphan[k]) d.enters.push_back(rows_.RowAt(combined[k]));
     }
     Compact(dead, nullptr);
   }
@@ -295,15 +282,22 @@ ViewDelta MaintainedView::Resync() const {
 std::vector<Tuple> MaintainedView::MaximaRows() const {
   std::vector<Tuple> rows;
   rows.reserve(antichain_.size());
-  for (size_t m : antichain_) rows.push_back(cands_[m].row);
+  for (uint32_t m : antichain_) rows.push_back(rows_.RowAt(m));
   return rows;
 }
 
 std::vector<size_t> MaintainedView::MaximaTableRows() const {
   std::vector<size_t> rows;
   rows.reserve(antichain_.size());
-  for (size_t m : antichain_) rows.push_back(cands_[m].table_row);
+  for (uint32_t m : antichain_) rows.push_back(table_rows_[m]);
   return rows;
+}
+
+size_t MaintainedView::HeapBytes() const {
+  return rows_.store().OwnedHeapBytes() +
+         (table_rows_.capacity() + witness_.capacity() +
+          antichain_.capacity()) *
+             sizeof(uint32_t);
 }
 
 }  // namespace prefdb::ivm

@@ -15,12 +15,25 @@
 // died ("orphans"); surviving maxima provably stay maximal, so the new
 // antichain is the maxima of (surviving antichain ∪ orphans).
 //
+// Storage is columnar. The candidates (WHERE survivors) are one Relation
+// that starts out sharing the seed snapshot's column buffers: the whole
+// snapshot without a WHERE, SelectRows(survivors) with one. Beside it sit
+// two 32-bit vectors, each candidate's current table row and its witness,
+// and the antichain of candidate indices: 8 bytes per candidate until the
+// first mutation clones the buffers it writes. Inserts append to the
+// columns and deletes compact them in place (Relation::EraseRows). On the
+// 20k-row car table that comes to about 220 B per candidate, against
+// about 650 B for the whole-row plus projected Tuple per candidate it
+// replaces. Delta and resync rows materialize from the columns (RowAt)
+// only when they enter or exit.
+//
 // Dominance passes reuse the compiled execution layer: when the term
-// compiles, each pass builds a ScoreTable over the touched projections
-// (antichain + batch — NOT the whole table) and runs the SIMD batch
-// kernels; non-compilable terms fall back to the bound closure order.
-// When most witnesses die at once, orphan maintenance degenerates into a
-// full scan — the cost model (EstimateViewMaintenanceNs vs
+// compiles, each pass compiles a ScoreTable straight from the candidate
+// columns over the touched rows (antichain + batch — NOT the whole
+// table) and runs the SIMD batch kernels; non-compilable terms fall back
+// to the bound closure order over projections materialized for that pass
+// only. When most witnesses die at once, orphan maintenance degenerates
+// into a full scan — the cost model (EstimateViewMaintenanceNs vs
 // EstimateViewReseedNs, eval/physical_plan.h) prices both and the view
 // reseeds from scratch when that is cheaper.
 //
@@ -75,50 +88,54 @@ class MaintainedView {
   /// Table version the view state reflects.
   uint64_t version() const { return version_; }
   /// Candidate rows mirrored (WHERE survivors), and current maxima count.
-  size_t candidates() const { return cands_.size(); }
+  size_t candidates() const { return rows_.size(); }
   size_t antichain_size() const { return antichain_.size(); }
   /// Current result rows, in table order.
   std::vector<Tuple> MaximaRows() const;
   /// Current-table row indices of the result, ascending — the engine's
   /// exec-cache refresh path serves subscribed queries from these.
   std::vector<size_t> MaximaTableRows() const;
-  const Schema& schema() const { return table_schema_; }
+  const Schema& schema() const { return rows_.schema(); }
   const ViewMaintenanceStats& maintenance_stats() const { return mstats_; }
+  /// Heap bytes the view alone holds: the candidate column buffers it
+  /// does not share with a snapshot (by capacity), its id vectors and
+  /// its antichain.
+  size_t HeapBytes() const;
 
  private:
-  static constexpr size_t kMaximal = static_cast<size_t>(-1);
+  static constexpr uint32_t kMaximal = UINT32_MAX;
 
-  struct Candidate {
-    Tuple row;         // full table row (result rows are served from here)
-    Tuple proj;        // projection onto the preference's attributes
-    size_t table_row;  // index in the *current* table snapshot
-    size_t witness;    // kMaximal, or index of a live dominating candidate
+  /// One dominance pass over a candidate subset: maximal flags aligned
+  /// with the subset, and what the witness probes read — the compiled
+  /// table (row k = subset position k) or, on the closure path, the
+  /// subset's projections.
+  struct Pass {
+    std::vector<bool> flags;
+    std::optional<ScoreTable> table;
+    std::vector<Tuple> projs;
   };
 
-  void Seed(const Relation& snapshot);
   /// Rebuilds antichain + witnesses with a full pass over all live
   /// candidates.
   void Reseed();
-  /// Maximal flags over the candidate subset (projections), through the
+  /// Maxima of `subset` (ascending candidate indices), through the
   /// compiled batch kernels when the term compiles, else the closure
-  /// order. Returned flags align with `subset`; `table_out` (nullable)
-  /// receives the compiled block for follow-up witness probes.
-  std::vector<bool> MaximaOf(const std::vector<size_t>& subset,
-                             std::optional<ScoreTable>* table_out) const;
+  /// order.
+  Pass RunPass(const std::vector<size_t>& subset) const;
+  /// First of `positions` (subset positions of `pass`) that dominates
+  /// position `k`, or SIZE_MAX.
+  size_t Dominator(const Pass& pass, size_t k,
+                   const std::vector<size_t>& positions) const;
   /// Witness bookkeeping for every subset member: flagged rows become
   /// kMaximal, dominated rows record one flagged dominator (transitivity
   /// guarantees one exists among the subset's maxima).
-  void AssignWitnesses(const std::vector<size_t>& subset,
-                       const std::vector<bool>& flags,
-                       const std::optional<ScoreTable>& table);
+  void AssignWitnesses(const std::vector<size_t>& subset, const Pass& pass);
   /// Erases dead candidates and remaps witness indices + antichain_ (and
   /// `aux`, a per-candidate marker vector, when non-null) onto the
   /// compacted numbering. All witnesses must be live on entry.
   void Compact(const std::vector<char>& dead, std::vector<char>* aux);
 
   PrefPtr pref_;
-  Schema table_schema_;
-  Schema proj_schema_;
   std::vector<size_t> proj_cols_;
   std::function<bool(const Tuple&)> where_;
   LessFn less_;             // closure order over projections (always exact)
@@ -126,8 +143,11 @@ class MaintainedView {
   PhysicalPlan plan_;       // kernel knobs for the compiled passes
 
   uint64_t version_ = 0;
-  std::vector<Candidate> cands_;   // ascending table_row
-  std::vector<size_t> antichain_;  // maximal candidate indices, ascending
+  Relation rows_;                     // candidate rows, ascending table row
+  std::vector<uint32_t> table_rows_;  // candidate -> current table row
+  std::vector<uint32_t> witness_;     // kMaximal, or a live dominating
+                                      // candidate's index
+  std::vector<uint32_t> antichain_;   // maximal candidate indices, ascending
   ViewMaintenanceStats mstats_;
 };
 

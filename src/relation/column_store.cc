@@ -1,5 +1,6 @@
 #include "relation/column_store.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -24,6 +25,42 @@ std::optional<uint32_t> StringDict::Find(const std::string& s) const {
   return it->second;
 }
 
+size_t StringDict::HeapBytes() const {
+  const size_t inline_capacity = std::string().capacity();
+  size_t bodies = 0;
+  for (const std::string& str : strings_) {
+    if (str.capacity() > inline_capacity) bodies += str.capacity() + 1;
+  }
+  // The index holds a second copy of every string in its nodes.
+  return strings_.capacity() * sizeof(std::string) + 2 * bodies +
+         index_.bucket_count() * sizeof(void*) +
+         index_.size() * (sizeof(std::pair<const std::string, uint32_t>) +
+                          2 * sizeof(void*));
+}
+
+namespace {
+
+/// The code of `s` in `*dict`, interning it if new. The dictionary may be
+/// shared with a column snapshot some reader is walking, and interning a
+/// new entry would mutate it under them: clone it first (codes are
+/// append-only, so the clone keeps every issued code valid). The probe
+/// copy is an acquire-release increment of the count, so when this
+/// column turns out to be the only holder, this thread is ordered after
+/// every former holder's last read; use_count() alone is a relaxed load.
+uint32_t InternCode(const std::string& s, std::shared_ptr<StringDict>* dict) {
+  if (*dict == nullptr) {
+    *dict = std::make_shared<StringDict>();
+  } else if (auto code = (*dict)->Find(s)) {
+    return *code;
+  } else if (std::shared_ptr<StringDict> probe = *dict;
+             probe.use_count() > 2) {
+    *dict = std::make_shared<StringDict>(**dict);
+  }
+  return (*dict)->Intern(s);
+}
+
+}  // namespace
+
 void Column::Append(const Value& v) {
   const size_t row = tags.size();
   tags.push_back(static_cast<uint8_t>(v.type()));
@@ -44,15 +81,6 @@ void Column::Append(const Value& v) {
     case ValueType::kString: {
       nums.push_back(0.0);
       if (codes.empty() && row > 0) codes.resize(row, 0);
-      if (dict == nullptr) {
-        dict = std::make_shared<StringDict>();
-      } else if (dict.use_count() > 1 && !dict->Find(v.as_string())) {
-        // The dictionary is shared with a column snapshot some reader may
-        // be walking; interning a new entry would mutate it under them.
-        // Clone before the first novel string (codes are append-only, so
-        // the clone keeps every issued code valid).
-        dict = std::make_shared<StringDict>(*dict);
-      }
       ++string_count;
       break;
     }
@@ -61,7 +89,7 @@ void Column::Append(const Value& v) {
     ints.push_back(v.is_int() ? v.as_int() : 0);
   }
   if (!codes.empty() || (v.is_string() && string_count == 1)) {
-    codes.push_back(v.is_string() ? dict->Intern(v.as_string()) : 0);
+    codes.push_back(v.is_string() ? InternCode(v.as_string(), &dict) : 0);
   }
 }
 
@@ -90,9 +118,72 @@ Tuple ColumnStore::MaterializeRow(size_t row) const {
   return Tuple(std::move(values));
 }
 
+namespace {
+
+/// Capacity a clone or flatten of `rows` rows reserves (see MutableColumn).
+size_t WithHeadroom(size_t rows) { return rows + rows / 8 + 1; }
+
+template <typename T>
+void CopyWithCapacity(const std::vector<T>& src, size_t capacity,
+                      std::vector<T>* dst) {
+  if (src.empty()) return;  // lazily allocated buffers stay empty
+  dst->reserve(capacity);
+  dst->assign(src.begin(), src.end());
+}
+
+/// A run of surviving rows: `len` rows starting at `from`.
+struct KeepRun {
+  size_t from;
+  size_t len;
+};
+
+/// Drops `dead_rows` (ascending) from `col` by sliding each run of
+/// survivors after the first dead row down over the gap.
+void EraseColumnRows(const std::vector<size_t>& dead_rows,
+                     const std::vector<KeepRun>& keep, Column* col) {
+  for (size_t r : dead_rows) {
+    switch (col->TagAt(r)) {
+      case ValueType::kNull: --col->null_count; break;
+      case ValueType::kInt: --col->int_count; break;
+      case ValueType::kDouble:
+        if (std::isnan(col->nums[r])) --col->nan_count;
+        break;
+      case ValueType::kString: --col->string_count; break;
+    }
+  }
+  auto compact = [&](auto& buf) {
+    if (buf.empty()) return;  // lazily allocated buffers stay empty
+    size_t w = dead_rows.front();
+    for (const KeepRun& run : keep) {
+      std::copy(buf.begin() + run.from, buf.begin() + run.from + run.len,
+                buf.begin() + w);
+      w += run.len;
+    }
+    buf.resize(w);
+  };
+  compact(col->tags);
+  compact(col->nums);
+  compact(col->ints);
+  compact(col->codes);
+}
+
+}  // namespace
+
 std::shared_ptr<Column>& ColumnStore::MutableColumn(size_t c) {
   if (cols_[c].use_count() != 1) {
-    cols_[c] = std::make_shared<Column>(*cols_[c]);
+    const Column& src = *cols_[c];
+    const size_t capacity = WithHeadroom(src.size());
+    auto clone = std::make_shared<Column>();
+    CopyWithCapacity(src.tags, capacity, &clone->tags);
+    CopyWithCapacity(src.nums, capacity, &clone->nums);
+    CopyWithCapacity(src.ints, capacity, &clone->ints);
+    CopyWithCapacity(src.codes, capacity, &clone->codes);
+    clone->dict = src.dict;
+    clone->null_count = src.null_count;
+    clone->int_count = src.int_count;
+    clone->string_count = src.string_count;
+    clone->nan_count = src.nan_count;
+    cols_[c] = std::move(clone);
   }
   return cols_[c];
 }
@@ -103,6 +194,54 @@ void ColumnStore::AppendRow(const Tuple& t) {
     MutableColumn(c)->Append(t[c]);
   }
   ++nrows_;
+}
+
+void ColumnStore::RemoveRows(const std::vector<char>& dead) {
+  std::vector<size_t> dead_rows;
+  std::vector<KeepRun> keep;  // survivor runs after the first dead row
+  for (size_t r = 0; r < nrows_; ++r) {
+    if (dead[r]) {
+      dead_rows.push_back(r);
+    } else if (!dead_rows.empty()) {
+      if (!keep.empty() && keep.back().from + keep.back().len == r) {
+        ++keep.back().len;
+      } else {
+        keep.push_back({r, 1});
+      }
+    }
+  }
+  if (dead_rows.empty()) return;
+  if (perm_ != nullptr) {
+    auto perm = std::make_shared<std::vector<uint32_t>>();
+    perm->reserve(nrows_ - dead_rows.size());
+    for (size_t r = 0; r < nrows_; ++r) {
+      if (!dead[r]) perm->push_back((*perm_)[r]);
+    }
+    perm_ = std::move(perm);
+  } else {
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      EraseColumnRows(dead_rows, keep, MutableColumn(c).get());
+    }
+  }
+  nrows_ -= dead_rows.size();
+}
+
+size_t ColumnStore::OwnedHeapBytes() const {
+  size_t bytes = 0;
+  for (const auto& col : cols_) {
+    if (col.use_count() != 1) continue;
+    bytes += sizeof(Column) + col->tags.capacity() * sizeof(uint8_t) +
+             col->nums.capacity() * sizeof(double) +
+             col->ints.capacity() * sizeof(int64_t) +
+             col->codes.capacity() * sizeof(uint32_t);
+    if (col->dict != nullptr && col->dict.use_count() == 1) {
+      bytes += col->dict->HeapBytes();
+    }
+  }
+  if (perm_ != nullptr && perm_.use_count() == 1) {
+    bytes += perm_->capacity() * sizeof(uint32_t);
+  }
+  return bytes;
 }
 
 ColumnStore ColumnStore::ProjectColumns(const std::vector<size_t>& cols) const {
@@ -118,13 +257,13 @@ namespace {
 
 /// Columnar gather: the flat-buffer analogue of copying selected rows.
 std::shared_ptr<Column> GatherColumn(const Column& src, const uint32_t* rows,
-                                     size_t n) {
+                                     size_t n, size_t capacity) {
   auto out = std::make_shared<Column>();
   out->dict = src.dict;  // codes stay valid; the dict is append-only
-  out->tags.reserve(n);
-  out->nums.reserve(n);
-  if (!src.ints.empty()) out->ints.reserve(n);
-  if (!src.codes.empty()) out->codes.reserve(n);
+  out->tags.reserve(capacity);
+  out->nums.reserve(capacity);
+  if (!src.ints.empty()) out->ints.reserve(capacity);
+  if (!src.codes.empty()) out->codes.reserve(capacity);
   for (size_t i = 0; i < n; ++i) {
     const size_t r = rows[i];
     const uint8_t tag = src.tags[r];
@@ -163,7 +302,8 @@ ColumnStore ColumnStore::View(const ColumnStore& base,
     // releases the base buffers instead of pinning them.
     out.cols_.reserve(base.cols_.size());
     for (const auto& col : base.cols_) {
-      out.cols_.push_back(GatherColumn(*col, rows.data(), rows.size()));
+      out.cols_.push_back(
+          GatherColumn(*col, rows.data(), rows.size(), rows.size()));
     }
   }
   return out;
@@ -174,7 +314,8 @@ void ColumnStore::Flatten() {
   std::shared_ptr<const std::vector<uint32_t>> perm = std::move(perm_);
   perm_ = nullptr;
   for (auto& col : cols_) {
-    col = GatherColumn(*col, perm->data(), perm->size());
+    col = GatherColumn(*col, perm->data(), perm->size(),
+                       WithHeadroom(perm->size()));
   }
 }
 

@@ -32,6 +32,9 @@ class StringDict {
   std::optional<uint32_t> Find(const std::string& s) const;
   const std::string& At(uint32_t code) const { return strings_[code]; }
   size_t size() const { return strings_.size(); }
+  /// Approximate heap bytes: the string vector and out-of-line string
+  /// bodies, plus one hash node (key copy and bucket) per entry.
+  size_t HeapBytes() const;
 
  private:
   std::vector<std::string> strings_;
@@ -102,6 +105,20 @@ class ColumnStore {
   /// first; shared columns are cloned before the append (per-column COW).
   void AppendRow(const Tuple& t);
 
+  /// Removes the logical rows flagged in `dead` (one flag per row),
+  /// keeping the survivors in order. A flat store compacts each column in
+  /// place, moving only the rows after the first dead one; shared columns
+  /// are cloned first (per-column COW), so other holders keep their rows.
+  /// A view drops the dead entries from its permutation and leaves the
+  /// buffers alone.
+  void RemoveRows(const std::vector<char>& dead);
+
+  /// Heap bytes of the buffers only this store references, by capacity:
+  /// columns, dictionaries and the permutation whose shared_ptr it alone
+  /// holds. Buffers shared with a snapshot or another copy are not
+  /// counted; they belong to every holder at once.
+  size_t OwnedHeapBytes() const;
+
   /// Column-sharing projection: the returned store references the chosen
   /// column buffers (and this store's permutation) without copying.
   ColumnStore ProjectColumns(const std::vector<size_t>& cols) const;
@@ -116,6 +133,9 @@ class ColumnStore {
   void Flatten();
 
  private:
+  /// Column `c`, cloned first when another store shares it. A clone, like
+  /// Flatten's gather, reserves an eighth of headroom: a plain copy has no
+  /// spare capacity, so the owner's next append would double every buffer.
   std::shared_ptr<Column>& MutableColumn(size_t c);
 
   size_t nrows_ = 0;

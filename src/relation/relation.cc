@@ -111,6 +111,18 @@ void Relation::Add(Tuple t) {
   }
 }
 
+void Relation::EraseRows(const std::vector<char>& dead) {
+  if (dead.size() != size()) {
+    throw std::invalid_argument("EraseRows: " + std::to_string(dead.size()) +
+                                " flags for " + std::to_string(size()) +
+                                " rows");
+  }
+  store_.RemoveRows(dead);
+  if (cache_ptr_.load(std::memory_order_acquire) != nullptr) {
+    InvalidateRowCache();
+  }
+}
+
 std::vector<size_t> Relation::ResolveColumns(
     const std::vector<std::string>& names) const {
   std::vector<size_t> out;

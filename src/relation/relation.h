@@ -89,6 +89,12 @@ class Relation {
   /// Appends a row; the arity must match the schema.
   void Add(Tuple t);
   void Add(std::initializer_list<Value> values) { Add(Tuple(values)); }
+  /// Removes the rows flagged in `dead` (one flag per row) in place,
+  /// keeping the survivors in order (ColumnStore::RemoveRows: per-column
+  /// COW, only the rows after the first dead one move). Unlike
+  /// SelectRows, a flat relation stays flat, so the next Add does not
+  /// gather every cell.
+  void EraseRows(const std::vector<char>& dead);
 
   /// Resolves attribute names to column indices; throws std::out_of_range
   /// on an unknown attribute (programming error in a query plan).

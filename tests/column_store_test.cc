@@ -161,6 +161,123 @@ TEST(ColumnStoreTest, CopyOnWriteSharesBuffersAndClonesPerColumn) {
   EXPECT_EQ(copy.ValueAt(0, 0), base.ValueAt(0, 0));
 }
 
+// MessyRelation plus a column mixing every cell kind: NULL, NaN, int,
+// double and string cells side by side.
+Relation MixedRelation(size_t n, uint64_t seed) {
+  Relation messy = MessyRelation(n, seed);
+  std::mt19937_64 rng(seed + 1);
+  Schema s({{"tag", ValueType::kString},
+            {"units", ValueType::kInt},
+            {"level", ValueType::kDouble},
+            {"mixed", ValueType::kString}});
+  Relation r(s);
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<Value> values = messy.RowAt(i).values();
+    switch (rng() % 5) {
+      case 0: values.push_back(Value()); break;
+      case 1: values.push_back(Value(kNaN)); break;
+      case 2: values.push_back(Value(int64_t(rng() % 9))); break;
+      case 3: values.push_back(Value(double(rng() % 9) / 4)); break;
+      default: values.push_back(Value("m" + std::to_string(rng() % 5))); break;
+    }
+    r.Add(Tuple(std::move(values)));
+  }
+  return r;
+}
+
+// Flags for the erase patterns: none, the first row, the last row, every
+// row, or a seeded mix.
+std::vector<std::pair<std::string, std::vector<char>>> ErasePatterns(
+    size_t n, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<char> none(n, 0), first(n, 0), last(n, 0), every(n, 1), mix(n);
+  first[0] = 1;
+  last[n - 1] = 1;
+  for (char& f : mix) f = rng() % 3 == 0 ? 1 : 0;
+  return {{"none", none}, {"first", first}, {"last", last},
+          {"every", every}, {"mix", mix}};
+}
+
+// Rebuilds `r`'s surviving rows into a fresh relation, row by row.
+Relation Survivors(const Relation& r, const std::vector<char>& dead) {
+  Relation out(r.schema());
+  for (size_t i = 0; i < r.size(); ++i) {
+    if (!dead[i]) out.Add(r.RowAt(i));
+  }
+  return out;
+}
+
+TEST(ColumnStoreTest, EraseRowsMatchesARebuildFromTheSurvivors) {
+  for (uint64_t seed : {3u, 4u}) {
+    for (const auto& [name, dead] : ErasePatterns(90, seed)) {
+      Relation r = MixedRelation(90, seed);
+      const Relation expected = Survivors(r, dead);
+      r.EraseRows(dead);
+      ASSERT_EQ(RowSeq(r), RowSeq(expected)) << name;
+      EXPECT_FALSE(r.store().IsView()) << name;
+      for (size_t c = 0; c < r.schema().size(); ++c) {
+        const Column& got = r.store().column(c);
+        const Column& want = expected.store().column(c);
+        EXPECT_EQ(got.size(), r.size()) << name << " col " << c;
+        EXPECT_EQ(got.null_count, want.null_count) << name << " col " << c;
+        EXPECT_EQ(got.int_count, want.int_count) << name << " col " << c;
+        EXPECT_EQ(got.string_count, want.string_count) << name << " col " << c;
+        EXPECT_EQ(got.nan_count, want.nan_count) << name << " col " << c;
+      }
+      // The compacted buffers keep taking appends of every cell kind.
+      const Tuple row({Value("omega"), Value(int64_t(7)), Value(kNaN),
+                       Value(int64_t(3))});
+      r.Add(row);
+      ASSERT_EQ(r.size(), expected.size() + 1) << name;
+      EXPECT_EQ(r.RowAt(r.size() - 1).ToString(), row.ToString()) << name;
+    }
+  }
+}
+
+TEST(ColumnStoreTest, EraseRowsOnASharedCopyLeavesTheSourceIntact) {
+  const Relation base = MixedRelation(120, 31);
+  const std::vector<std::string> before = RowSeq(base);
+  const StringDict* dict = base.store().column(0).dict.get();
+  const size_t dict_size = dict->size();
+  Relation copy = base;
+  const std::vector<char> dead = ErasePatterns(base.size(), 31).back().second;
+  copy.EraseRows(dead);
+  EXPECT_EQ(RowSeq(copy), RowSeq(Survivors(base, dead)));
+  // The erase cloned the copy's columns; the source's buffers, rows and
+  // dictionary are untouched.
+  for (size_t c = 0; c < base.schema().size(); ++c) {
+    EXPECT_NE(&base.store().column(c), &copy.store().column(c));
+  }
+  EXPECT_EQ(RowSeq(base), before);
+  // A string new to the shared dictionary clones it for the copy alone.
+  copy.Add(Tuple({Value("novel"), Value(int64_t(1)), Value(0.5), Value()}));
+  EXPECT_EQ(base.store().column(0).dict.get(), dict);
+  EXPECT_EQ(dict->size(), dict_size);
+  EXPECT_FALSE(dict->Find("novel").has_value());
+  EXPECT_EQ(copy.ValueAt(copy.size() - 1, 0), Value("novel"));
+  EXPECT_EQ(RowSeq(base), before);
+}
+
+TEST(ColumnStoreTest, EraseRowsOnAnIndexViewMatchesItsFlattenedForm) {
+  const Relation base = MixedRelation(100, 41);
+  const std::vector<std::string> before = RowSeq(base);
+  for (const auto& [name, dead] : ErasePatterns(base.size(), 41)) {
+    Relation view = base.Sorted({"units", "tag"});
+    ASSERT_TRUE(view.store().IsView());
+    Relation flat = Survivors(view, std::vector<char>(view.size(), 0));
+    ASSERT_FALSE(flat.store().IsView());
+    view.EraseRows(dead);
+    flat.EraseRows(dead);
+    EXPECT_EQ(RowSeq(view), RowSeq(flat)) << name;
+    EXPECT_EQ(RowSeq(base), before) << name;
+    // An append flattens the view; rows stay in order.
+    const Tuple row({Value("tail"), Value(), Value(1.0), Value("m9")});
+    view.Add(row);
+    flat.Add(row);
+    EXPECT_EQ(RowSeq(view), RowSeq(flat)) << name;
+  }
+}
+
 // Row-major reference model: the same pipeline applied to plain tuples.
 struct ReferenceModel {
   Schema schema;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <chrono>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "core/base_preferences.h"
 #include "core/complex_preferences.h"
 #include "core/numeric_preferences.h"
+#include "datagen/cars.h"
 #include "engine/engine.h"
 #include "eval/bmo.h"
 #include "ivm/maintained_view.h"
@@ -37,17 +39,21 @@ Schema CarSchema() {
 }
 
 /// Random row; ~6% NULL and ~6% NaN in the double column so maintenance
-/// is exercised on non-total orders.
-Tuple RandomCar(std::mt19937* rng) {
+/// is exercised on non-total orders. With `novel_makes`, about one row in
+/// four carries a make string no earlier row used.
+Tuple RandomCar(std::mt19937* rng, bool novel_makes = false) {
   static const char* kMakes[] = {"Opel", "BMW", "Audi", "Ford"};
+  static int novel = 0;
   Value score;
   switch ((*rng)() % 16) {
     case 0: break;  // NULL
     case 1: score = Value(std::nan("")); break;
     default: score = Value(static_cast<double>((*rng)() % 100) / 7.0); break;
   }
-  return Tuple{Value(kMakes[(*rng)() % 4]),
-               Value(static_cast<int64_t>((*rng)() % 50)),
+  Value make = novel_makes && (*rng)() % 4 == 0
+                   ? Value("Make" + std::to_string(novel++))
+                   : Value(kMakes[(*rng)() % 4]);
+  return Tuple{make, Value(static_cast<int64_t>((*rng)() % 50)),
                Value(static_cast<int64_t>((*rng)() % 50)), score};
 }
 
@@ -81,55 +87,96 @@ std::vector<std::string> RowSet(const Relation& rel) {
   return RowSet(rel.tuples());
 }
 
-/// The reference: full recompute of the maintained fragment.
-std::vector<std::string> Recompute(const Relation& table, const PrefPtr& term,
-                                   const BmoOptions& options) {
-  return RowSet(table.SelectRows(BmoIndices(table, term, options)));
+/// The reference: full recompute of the maintained fragment, over the
+/// rows `where` (nullable) keeps.
+std::vector<std::string> Recompute(
+    const Relation& table, const PrefPtr& term, const BmoOptions& options,
+    const std::function<bool(const Tuple&)>& where = nullptr) {
+  const Relation cands = where ? table.Filter(where) : table;
+  return RowSet(cands.SelectRows(BmoIndices(cands, term, options)));
+}
+
+/// One mutation trace: which rows are candidates, and how it starts.
+struct TraceCase {
+  const char* name;
+  std::function<bool(const Tuple&)> where;
+  bool keeps_half;    // with a WHERE: at least half the rows survive, so
+                      // the seed is an index view (else it materializes)
+  bool delete_first;  // the first mutation deletes from the seed snapshot
+  bool novel_makes;   // inserts bring strings new to the seed's dictionary
+};
+
+std::vector<TraceCase> TraceCases() {
+  return {
+      {"all rows", nullptr, true, false, false},
+      // price is uniform on [0, 50): about a quarter survives.
+      {"where keeps < half",
+       [](const Tuple& t) { return t[1] < Value(static_cast<int64_t>(12)); },
+       false, false, false},
+      // About three quarters survive.
+      {"where keeps > half",
+       [](const Tuple& t) { return t[0] != Value("Ford"); }, true, false,
+       false},
+      {"delete first", nullptr, true, true, false},
+      {"novel strings", nullptr, true, false, true},
+  };
 }
 
 TEST(MaintainedViewTest, MatchesRecomputeUnderRandomMutations) {
   for (bool vectorize : {true, false}) {
     BmoOptions options;
     options.vectorize = vectorize;
-    size_t term_id = 0;
-    for (const PrefPtr& term : TestTerms()) {
-      std::mt19937 rng(1234 + 100 * term_id++ + (vectorize ? 1 : 0));
-      Relation table(CarSchema());
-      for (int i = 0; i < 40; ++i) table.Add(RandomCar(&rng));
-      ivm::MaintainedView view(term, nullptr, table, 1, options);
-      EXPECT_EQ(RowSet(view.MaximaRows()), Recompute(table, term, options));
+    for (const TraceCase& tc : TraceCases()) {
+      size_t term_id = 0;
+      for (const PrefPtr& term : TestTerms()) {
+        std::mt19937 rng(1234 + 100 * term_id++ + (vectorize ? 1 : 0));
+        Relation table(CarSchema());
+        for (int i = 0; i < 40; ++i) table.Add(RandomCar(&rng));
+        const std::vector<std::string> seed_rows = RowSet(table);
+        const Relation seed = table;  // the snapshot the view seeded from
+        ivm::MaintainedView view(term, tc.where, table, 1, options);
+        ASSERT_EQ(view.candidates() * 2 >= table.size(), tc.keeps_half)
+            << tc.name;
+        EXPECT_EQ(RowSet(view.MaximaRows()),
+                  Recompute(table, term, options, tc.where));
 
-      uint64_t version = 1;
-      for (int step = 0; step < 120; ++step) {
-        ++version;
-        if (table.size() == 0 || rng() % 3 != 0) {
-          Tuple row = RandomCar(&rng);
-          Relation next = table;
-          next.Add(row);
-          view.ApplyInsert(row, table.size(), version);
-          table = std::move(next);
-        } else {
-          // Delete a random subset (occasionally large, to force the
-          // reseed path).
-          size_t want = rng() % 4 == 0 ? table.size() / 2 : 1 + rng() % 3;
-          std::vector<size_t> dead;
-          for (size_t i = 0; i < table.size() && dead.size() < want; ++i) {
-            if (rng() % table.size() < want) dead.push_back(i);
-          }
-          if (dead.empty()) dead.push_back(rng() % table.size());
-          std::vector<size_t> survivors;
-          for (size_t i = 0; i < table.size(); ++i) {
-            if (!std::binary_search(dead.begin(), dead.end(), i)) {
-              survivors.push_back(i);
+        uint64_t version = 1;
+        for (int step = 0; step < 120; ++step) {
+          ++version;
+          const bool insert = !(tc.delete_first && step == 0) &&
+                              (table.size() == 0 || rng() % 3 != 0);
+          if (insert) {
+            Tuple row = RandomCar(&rng, tc.novel_makes);
+            Relation next = table;
+            next.Add(row);
+            view.ApplyInsert(row, table.size(), version);
+            table = std::move(next);
+          } else {
+            // Delete a random subset (occasionally large, to force the
+            // reseed path).
+            size_t want = rng() % 4 == 0 ? table.size() / 2 : 1 + rng() % 3;
+            std::vector<size_t> dead;
+            for (size_t i = 0; i < table.size() && dead.size() < want; ++i) {
+              if (rng() % table.size() < want) dead.push_back(i);
             }
+            if (dead.empty()) dead.push_back(rng() % table.size());
+            std::vector<size_t> survivors;
+            for (size_t i = 0; i < table.size(); ++i) {
+              if (!std::binary_search(dead.begin(), dead.end(), i)) {
+                survivors.push_back(i);
+              }
+            }
+            view.ApplyDelete(dead, version);
+            table = table.SelectRows(survivors);
           }
-          view.ApplyDelete(dead, version);
-          table = table.SelectRows(survivors);
+          ASSERT_EQ(RowSet(view.MaximaRows()),
+                    Recompute(table, term, options, tc.where))
+              << tc.name << ": term " << term->ToString()
+              << " vectorize=" << vectorize << " step " << step;
+          ASSERT_EQ(view.version(), version);
         }
-        ASSERT_EQ(RowSet(view.MaximaRows()), Recompute(table, term, options))
-            << "term " << term->ToString() << " vectorize=" << vectorize
-            << " step " << step;
-        ASSERT_EQ(view.version(), version);
+        // The view's writes cloned the buffers it shared with the seed.
+        EXPECT_EQ(RowSet(seed), seed_rows) << tc.name;
       }
     }
   }
@@ -200,6 +247,45 @@ TEST(MaintainedViewTest, WhereFilterRestrictsCandidates) {
   ASSERT_EQ(delta.exits.size(), 1u);
 }
 
+TEST(MaintainedViewTest, HeapBytesCountsOnlyWhatTheViewOwns) {
+  Relation table = GenerateCars(20000, 17);
+  const PrefPtr term = Pareto(Lowest("price"), Lowest("mileage"));
+  ivm::MaintainedView view(term, nullptr, table, 1);
+  const size_t n = view.candidates();
+  ASSERT_EQ(n, table.size());
+  // Right after the seed the column buffers are the snapshot's: the view
+  // holds its table-row and witness ids, plus the antichain.
+  EXPECT_GE(view.HeapBytes(), 2 * sizeof(uint32_t) * n);
+  EXPECT_LE(view.HeapBytes(),
+            (2 * n + 2 * view.antichain_size()) * sizeof(uint32_t));
+
+  // A few inserts and deletes clone the buffers the view writes.
+  const Relation extra = GenerateCars(8, 18);
+  uint64_t version = 1;
+  for (size_t k = 0; k < extra.size(); ++k) {
+    Tuple row = extra.RowAt(k);
+    row[0] = Value(static_cast<int64_t>(1000000 + k));  // fresh oid
+    Relation next = table;
+    next.Add(row);
+    view.ApplyInsert(row, table.size(), ++version);
+    table = std::move(next);
+    const size_t victim = (k * 7919) % table.size();
+    std::vector<size_t> survivors;
+    for (size_t i = 0; i < table.size(); ++i) {
+      if (i != victim) survivors.push_back(i);
+    }
+    view.ApplyDelete({victim}, ++version);
+    table = table.SelectRows(survivors);
+  }
+  EXPECT_EQ(RowSet(view.MaximaRows()), Recompute(table, term, BmoOptions{}));
+  // Whole-row plus projected Tuple candidates took about 650 B each on
+  // this table; the columns must hold well under half of that.
+  const double per_candidate =
+      static_cast<double>(view.HeapBytes()) / view.candidates();
+  EXPECT_GT(per_candidate, 100.0);  // the buffers are the view's own now
+  EXPECT_LT(per_candidate, 325.0);
+}
+
 // --- engine integration ----------------------------------------------------
 
 Relation SmallCars() {
@@ -209,6 +295,20 @@ Relation SmallCars() {
   car.Add({"BMW", 39, 20, 3.0});
   car.Add({"BMW", 45, 80, 4.0});
   return car;
+}
+
+TEST(EngineSubscribeTest, ViewBytesGaugeSumsLiveViews) {
+  Engine engine;
+  engine.RegisterTable("car", SmallCars());
+  EXPECT_EQ(engine.cache_stats().view_bytes, 0u);
+  Engine::Subscription sub =
+      engine.Subscribe("SELECT * FROM car PREFERRING LOWEST(price)");
+  const size_t seeded = engine.cache_stats().view_bytes;
+  EXPECT_GT(seeded, 0u);
+  engine.Insert("car", {"Ford", 1, 1, 0.0});
+  EXPECT_GT(engine.cache_stats().view_bytes, seeded);  // owns its columns
+  sub.Cancel();
+  EXPECT_EQ(engine.cache_stats().view_bytes, 0u);
 }
 
 TEST(EngineSubscribeTest, BootstrapResyncThenIncrementalDeltas) {

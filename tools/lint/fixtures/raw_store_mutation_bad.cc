@@ -15,6 +15,8 @@ struct ColumnStore {
   // LINT-EXPECT: prefdb-raw-store-mutation
   void AppendRow(const Tuple& t);
   // LINT-EXPECT: prefdb-raw-store-mutation
+  void RemoveRows(const std::vector<char>& dead);
+  // LINT-EXPECT: prefdb-raw-store-mutation
   void* MutableColumn(std::size_t c);
 };
 
@@ -23,6 +25,11 @@ void BypassIngest(ColumnStore* store, const std::vector<Tuple>& batch) {
     // LINT-EXPECT: prefdb-raw-store-mutation
     store->AppendRow(t);
   }
+}
+
+void BypassErase(ColumnStore* store, const std::vector<char>& dead) {
+  // LINT-EXPECT: prefdb-raw-store-mutation
+  store->RemoveRows(dead);
 }
 
 void* BypassCow(ColumnStore* store, std::size_t c) {

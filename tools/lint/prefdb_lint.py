@@ -35,11 +35,12 @@ each rule):
       resync contract.
   prefdb-raw-store-mutation
       No spelling of ColumnStore's mutating entry points (AppendRow /
-      MutableColumn) outside src/relation/ and the engine ingest path
-      (src/engine/engine.cc). Columns are copy-on-write and shared across
-      snapshots, views and zero-copy score tables; a stray mutation path
-      that skips the per-column clone corrupts every borrower. Everything
-      else mutates through Relation's API (Add / Delete / Update).
+      RemoveRows / MutableColumn) outside src/relation/ and the engine
+      ingest path (src/engine/engine.cc). Columns are copy-on-write and
+      shared across snapshots, views and zero-copy score tables; a stray
+      mutation path that skips the per-column clone corrupts every
+      borrower. Everything else mutates through Relation's API (Add /
+      EraseRows).
   prefdb-row-cache
       No Relation::tuples() in the served paths (src/engine/, src/stats/,
       src/ivm/, src/server/, src/eval/ranked.cc): it materializes a
@@ -375,22 +376,22 @@ def delta_queue_findings(src: SourceFile):
 def store_mutation_findings(src: SourceFile):
     """prefdb-raw-store-mutation, shared by both engines: the method names
     are the syntactic markers (MutableColumn is private to ColumnStore and
-    AppendRow is the store's only public mutator, so any spelling outside
-    the allowed files is a friend-style bypass or a parallel copy of the
-    COW bookkeeping — both break the shared-column invariant the zero-copy
-    score tables borrow against)."""
+    AppendRow and RemoveRows are the store's only public mutators, so any
+    spelling outside the allowed files is a friend-style bypass or a
+    parallel copy of the COW bookkeeping — both break the shared-column
+    invariant the zero-copy score tables borrow against)."""
     findings = []
     path = src.effective_path
     if in_dir(path, "src/relation/") or path == "src/engine/engine.cc":
         return findings
     for line_no, text in enumerate(src.lines, 1):
-        for m in re.finditer(r"\b(AppendRow|MutableColumn)\b", text):
+        for m in re.finditer(r"\b(AppendRow|RemoveRows|MutableColumn)\b", text):
             if not src.is_suppressed("prefdb-raw-store-mutation", line_no):
                 findings.append(Finding(
                     path, line_no, "prefdb-raw-store-mutation",
                     f"ColumnStore::{m.group(1)} touched outside "
                     "src/relation/ and the engine ingest path; mutate "
-                    "through Relation (Add/Delete/Update) so per-column "
+                    "through Relation (Add/EraseRows) so per-column "
                     "COW protects shared snapshots and zero-copy tables"))
     return findings
 
