@@ -179,7 +179,7 @@ void WriteJson(const DriverOptions& opt, const std::vector<Family>& families) {
 int main(int argc, char** argv) {
   DriverOptions opt = ParseArgs(argc, argv);
   const PrefPtr term = Pareto(Lowest("price"), Lowest("mileage"));
-  const BmoOptions bmo;  // defaults: vectorized, kAuto — the serving config
+  const BmoOptions bmo;  // defaults: kAuto, compiled kernels — the serving config
 
   const Relation seed_table = GenerateCars(opt.rows, opt.seed);
   const Relation pool = GenerateCars(opt.mutations, opt.seed + 1);

@@ -152,10 +152,7 @@ bool CheckFamily(const char* name, const Relation& r, const PrefPtr& p) {
     return false;
   }
   const size_t m = table->rows();
-  PlanScope scope;
-  scope.allow_decomposition = false;
-  PhysicalPlan plan =
-      PlanPhysical(MeasureTermStats(*table, p, r.size()), {}, scope);
+  PhysicalPlan plan = PlanPhysical(MeasureTermStats(*table, p, r.size()), {});
 
   struct Candidate {
     BmoAlgorithm algo;

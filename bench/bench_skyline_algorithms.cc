@@ -1,7 +1,8 @@
-// Benchmark P1 (see DESIGN.md): BMO/skyline algorithm comparison — naive
-// O(n^2), BNL [BKS01], sort-filter (SFS-style) and the Prop-8-12
-// decomposition evaluator — across data correlation, cardinality n and
-// dimensionality d.
+// Benchmark P1 (see DESIGN.md): BMO/skyline algorithm comparison — the
+// naive O(n^2) closure oracle, BNL [BKS01] and sort-filter (SFS-style) —
+// across data correlation, cardinality n and dimensionality d. The
+// Prop-8-12 decomposition evaluator has its own driver,
+// bench_decomposition.
 //
 // The expected *shape* (who wins, where the crossovers are):
 //   - naive degrades quadratically everywhere;
@@ -33,15 +34,13 @@ PrefPtr SkylinePref(size_t d) {
   return Pareto(prefs);
 }
 
-void RunSkyline(benchmark::State& state, BmoAlgorithm algo, Correlation corr,
-                bool vectorize = true) {
+void RunSkyline(benchmark::State& state, BmoAlgorithm algo, Correlation corr) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t d = static_cast<size_t>(state.range(1));
   Relation r = GenerateVectors(n, d, corr, 42);
   PrefPtr p = SkylinePref(d);
   BmoOptions options;
   options.algorithm = algo;
-  options.vectorize = vectorize;
   size_t result_size = 0;
   for (auto _ : state) {
     std::vector<size_t> rows = BmoIndices(r, p, options);
@@ -53,12 +52,24 @@ void RunSkyline(benchmark::State& state, BmoAlgorithm algo, Correlation corr,
                           static_cast<int64_t>(n));
 }
 
+// The closure BNL window, the one kernel of terms that do not compile:
+// the projection index plus MaximaBnl, timed whole as BmoIndices is.
+void RunClosureBnl(benchmark::State& state, const Relation& r,
+                   const PrefPtr& p) {
+  for (auto _ : state) {
+    ProjectionIndex proj = BuildProjectionIndex(r, *p);
+    std::vector<bool> maxima =
+        MaximaBnl(proj.values, p->Bind(proj.proj_schema));
+    benchmark::DoNotOptimize(maxima);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(r.size()));
+}
+
 // Level-based terms (POS/LAYERED under Pareto/prioritization) over a
 // low-cardinality categorical column plus numeric chains: the workload the
 // score table newly opens to SFS (no closure sort keys exist).
-void RunLevelTerm(benchmark::State& state, BmoAlgorithm algo,
-                  bool vectorize) {
-  const size_t n = static_cast<size_t>(state.range(0));
+Relation LevelRelation(size_t n) {
   Relation r = GenerateVectors(n, 5, Correlation::kAntiCorrelated, 7);
   // Dict-encode d4 into 8 buckets so POS has categorical structure; the
   // 4-d Pareto tail keeps windows large enough that presorting matters.
@@ -71,18 +82,13 @@ void RunLevelTerm(benchmark::State& state, BmoAlgorithm algo,
     cat.Add({t[0], t[1], t[2], t[3],
              Value(static_cast<int64_t>(*t[4].numeric() * 8) % 8)});
   }
-  PrefPtr p = Prioritized(
+  return cat;
+}
+
+PrefPtr LevelTerm() {
+  return Prioritized(
       Pos("bucket", {Value(0), Value(3)}),
       Pareto({Highest("d0"), Highest("d1"), Highest("d2"), Highest("d3")}));
-  BmoOptions options;
-  options.algorithm = algo;
-  options.vectorize = vectorize;
-  for (auto _ : state) {
-    std::vector<size_t> rows = BmoIndices(cat, p, options);
-    benchmark::DoNotOptimize(rows);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
 }
 
 #define SKYLINE_BENCH(algo_name, algo, corr_name, corr)                  \
@@ -133,15 +139,18 @@ BENCHMARK(BM_auto_anti)
 // BNL only), up to N=100k (the headline comparison; tiny N kept for the
 // CI smoke).
 void BM_bnl_closure_anti(benchmark::State& state) {
-  RunSkyline(state, BmoAlgorithm::kBlockNestedLoop,
-             Correlation::kAntiCorrelated, false);
+  const size_t d = static_cast<size_t>(state.range(1));
+  RunClosureBnl(state,
+                GenerateVectors(static_cast<size_t>(state.range(0)), d,
+                                Correlation::kAntiCorrelated, 42),
+                SkylinePref(d));
 }
 BENCHMARK(BM_bnl_closure_anti)
     ->ArgsProduct({{1024, 16384, 100000}, {2, 4}})
     ->Unit(benchmark::kMillisecond);
 void BM_bnl_vector_anti(benchmark::State& state) {
   RunSkyline(state, BmoAlgorithm::kBlockNestedLoop,
-             Correlation::kAntiCorrelated, true);
+             Correlation::kAntiCorrelated);
 }
 BENCHMARK(BM_bnl_vector_anti)
     ->ArgsProduct({{1024, 16384, 100000}, {2, 4}})
@@ -299,13 +308,22 @@ BENCHMARK(BM_end_to_end_cold_zero_copy)
 // Level-term workload: closure evaluation has no sort keys (BNL only),
 // the score table compiles levels and presorts.
 void BM_level_closure(benchmark::State& state) {
-  RunLevelTerm(state, BmoAlgorithm::kAuto, false);
+  RunClosureBnl(state, LevelRelation(static_cast<size_t>(state.range(0))),
+                LevelTerm());
 }
 BENCHMARK(BM_level_closure)
     ->Arg(1024)->Arg(16384)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 void BM_level_vector(benchmark::State& state) {
-  RunLevelTerm(state, BmoAlgorithm::kAuto, true);
+  const size_t n = static_cast<size_t>(state.range(0));
+  const Relation cat = LevelRelation(n);
+  const PrefPtr p = LevelTerm();
+  for (auto _ : state) {
+    std::vector<size_t> rows = BmoIndices(cat, p);
+    benchmark::DoNotOptimize(rows);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
 }
 BENCHMARK(BM_level_vector)
     ->Arg(1024)->Arg(16384)->Arg(100000)

@@ -11,10 +11,9 @@
 #include <utility>
 
 #include "eval/bmo_internal.h"
-#include "eval/decomposition.h"
 #include "eval/optimizer.h"
 #include "eval/ranked.h"
-#include "exec/score_table.h"
+#include "exec/simd/dominance.h"
 #include "psql/error.h"
 #include "psql/translator.h"
 
@@ -88,12 +87,10 @@ uint64_t ElapsedNs(Clock::time_point begin, Clock::time_point end) {
 }
 
 // Option fields that change an exec entry (its plan text and kernel
-// label; never its rows): algorithm choice inputs, the vectorization
-// switch and the kernel policy.
+// label; never its rows): the algorithm request and the kernel policy.
 std::string OptionsSignature(const BmoOptions& o) {
   return std::to_string(static_cast<int>(o.algorithm)) + ":" +
-         (o.vectorize ? "v" : "c") + ":" + SimdModeName(o.simd) + ":" +
-         std::to_string(o.bnl_tile_rows);
+         SimdModeName(o.simd) + ":" + std::to_string(o.bnl_tile_rows);
 }
 
 std::string TopKText(size_t k) {
@@ -250,7 +247,7 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
     // algorithm skips rewrites and becomes a pass-through plan.
     PrefPtr exec_pref = preference;
     const size_t pool_size = pool_ptr ? pool.size() : table.size();
-    PhysicalPlan physical = PhysicalPlan::FromOptions(options);
+    BmoAlgorithm algorithm = options.algorithm;
     OptimizedQuery optimized;
     bool costed = false;
     if (stmt.explain || options.algorithm == BmoAlgorithm::kAuto) {
@@ -262,7 +259,7 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
       exec->optimize_ns += ElapsedNs(t0, Clock::now());
       exec_pref = optimized.simplified;
       if (options.algorithm == BmoAlgorithm::kAuto) {
-        physical = optimized.plan;
+        algorithm = optimized.plan.algorithm;
         costed = true;
       }
       if (stmt.explain) exec->plan_details = optimized.Explain();
@@ -271,99 +268,70 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
     // The compiled blocks live only for this build: one over the
     // candidate pool, or one per group (Def. 16).
     std::vector<CompiledBlock> blocks;
-    BmoAlgorithm algorithm = physical.algorithm;
-    if (physical.algorithm == BmoAlgorithm::kDecomposition) {
-      // Decomposition cascade: the relation-level evaluator over the
-      // materialized WHERE result, its rows mapped back to the table's.
-      t0 = Clock::now();
-      Relation filtered;
-      if (pool_ptr) filtered = table.SelectRows(pool);
-      const Relation& input = pool_ptr ? filtered : table;
-      exec->compile_ns += ElapsedNs(t0, Clock::now());
-      t0 = Clock::now();
-      if (!input.empty()) {
-        rows = stmt.grouping.empty()
-                   ? BmoDecompositionIndices(input, exec_pref)
-                   : BmoDecompositionGroupByIndices(input, exec_pref,
-                                                    stmt.grouping);
-      }
-      if (pool_ptr) {
-        for (size_t& row : rows) row = pool[row];
-      }
-      exec->kernel_ns += ElapsedNs(t0, Clock::now());
-      exec->estimated_ns = physical.estimated_ns;
-      exec->kernel_variant = "closure";  // Prop 11 cascade, closure order
+    // Stage 2 — compile each block once and refine its plan with the
+    // measured block statistics (exact distinct counts, injectivity,
+    // the sampled window probe).
+    t0 = Clock::now();
+    std::vector<std::vector<size_t>> groups;
+    if (stmt.grouping.empty()) {
+      blocks.push_back(CompileBlock(table, exec_pref, pool_ptr, options));
     } else {
-      // Stage 2 — compile each block once and refine its plan with the
-      // measured block statistics (exact distinct counts, injectivity,
-      // the sampled window probe).
-      t0 = Clock::now();
-      PlanScope scope;
-      scope.allow_decomposition = false;
-      std::vector<std::vector<size_t>> groups;
-      if (stmt.grouping.empty()) {
-        blocks.push_back(
-            CompileBlock(table, exec_pref, pool_ptr, options, scope));
-      } else {
-        groups = GroupRowsBy(table, table.ResolveColumns(stmt.grouping),
-                             pool_ptr);
-        blocks.reserve(groups.size());
-        for (const std::vector<size_t>& group : groups) {
-          blocks.push_back(
-              CompileBlock(table, exec_pref, &group, options, scope));
-        }
+      groups = GroupRowsBy(table, table.ResolveColumns(stmt.grouping),
+                           pool_ptr);
+      blocks.reserve(groups.size());
+      for (const std::vector<size_t>& group : groups) {
+        blocks.push_back(CompileBlock(table, exec_pref, &group, options));
       }
-      uint64_t plan_ns = 0;
-      for (const CompiledBlock& block : blocks) plan_ns += block.plan_ns;
-      exec->compile_ns += ElapsedNs(t0, Clock::now()) - plan_ns;
-      exec->optimize_ns += plan_ns;
-      if (stmt.grouping.empty()) {
-        // The block saw the actual data, so its plan supersedes the
-        // estimate-level one.
-        algorithm = blocks[0].plan.algorithm;
-        exec->estimated_ns = blocks[0].plan.estimated_ns;
-        if (costed && stmt.explain) {
-          optimized.plan = blocks[0].plan;
-          exec->plan_details = optimized.Explain();
-        }
-        exec->kernel_variant = blocks[0].KernelVariant();
-      } else {
-        // The grouped statement's estimate is the sum of the per-group
-        // plans actually executed — the stage-1 table-level estimate
-        // would make EXPLAIN's estimated-vs-actual comparison meaningless.
-        if (costed) {
-          for (const CompiledBlock& block : blocks) {
-            exec->estimated_ns += block.plan.estimated_ns;
-          }
-          if (stmt.explain) {
-            // The cost table above is the stage-1 table-level view; make
-            // explicit that execution runs one refined plan per group and
-            // that the reported estimate is their sum.
-            exec->plan_details +=
-                "grouping: " + std::to_string(groups.size()) +
-                " group(s), plans refined per group; estimated cost is "
-                "the per-group sum\n";
-          }
-        }
-        // An empty pool has no groups, so nothing compiles.
-        exec->kernel_variant =
-            !blocks.empty() && options.vectorize &&
-                    ScoreTable::CompilableTerm(exec_pref)
-                ? std::string("per-group[") +
-                      simd::ResolveKernel(options.simd).name + "]"
-                : "closure";
-      }
-      t0 = Clock::now();
-      if (stmt.grouping.empty()) {
-        AppendMaximalRows(exec_pref, blocks[0], pool_ptr, &rows);
-      } else {
-        for (size_t g = 0; g < groups.size(); ++g) {
-          AppendMaximalRows(exec_pref, blocks[g], &groups[g], &rows);
-        }
-        std::sort(rows.begin(), rows.end());
-      }
-      exec->kernel_ns += ElapsedNs(t0, Clock::now());
     }
+    uint64_t plan_ns = 0;
+    for (const CompiledBlock& block : blocks) plan_ns += block.plan_ns;
+    exec->compile_ns += ElapsedNs(t0, Clock::now()) - plan_ns;
+    exec->optimize_ns += plan_ns;
+    if (stmt.grouping.empty()) {
+      // The block saw the actual data, so its plan supersedes the
+      // estimate-level one.
+      algorithm = blocks[0].plan.algorithm;
+      exec->estimated_ns = blocks[0].plan.estimated_ns;
+      if (costed && stmt.explain) {
+        optimized.plan = blocks[0].plan;
+        exec->plan_details = optimized.Explain();
+      }
+      exec->kernel_variant = blocks[0].KernelVariant();
+    } else {
+      // The grouped statement's estimate is the sum of the per-group
+      // plans actually executed — the stage-1 table-level estimate
+      // would make EXPLAIN's estimated-vs-actual comparison meaningless.
+      if (costed) {
+        for (const CompiledBlock& block : blocks) {
+          exec->estimated_ns += block.plan.estimated_ns;
+        }
+        if (stmt.explain) {
+          // The cost table above is the stage-1 table-level view; make
+          // explicit that execution runs one refined plan per group and
+          // that the reported estimate is their sum.
+          exec->plan_details +=
+              "grouping: " + std::to_string(groups.size()) +
+              " group(s), plans refined per group; estimated cost is "
+              "the per-group sum\n";
+        }
+      }
+      // An empty pool has no groups, so nothing compiles.
+      exec->kernel_variant =
+          !blocks.empty() && blocks[0].table
+              ? std::string("per-group[") +
+                    simd::ResolveKernel(options.simd).name + "]"
+              : "closure";
+    }
+    t0 = Clock::now();
+    if (stmt.grouping.empty()) {
+      AppendMaximalRows(exec_pref, blocks[0], pool_ptr, &rows);
+    } else {
+      for (size_t g = 0; g < groups.size(); ++g) {
+        AppendMaximalRows(exec_pref, blocks[g], &groups[g], &rows);
+      }
+      std::sort(rows.begin(), rows.end());
+    }
+    exec->kernel_ns += ElapsedNs(t0, Clock::now());
     plan_str += std::string(stmt.grouping.empty() ? " -> bmo["
                                                   : " -> bmo_groupby[") +
                 exec_pref->ToString() + ", " + BmoAlgorithmName(algorithm) +

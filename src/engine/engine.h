@@ -149,7 +149,7 @@ class LruMap {
 }  // namespace engine_internal
 
 struct EngineOptions {
-  /// Default execution options (algorithm, thread budget, vectorize).
+  /// Default execution options (algorithm, SIMD mode, BNL tile size).
   BmoOptions bmo;
   /// Cache parsed + translated plans by normalized statement text.
   bool enable_plan_cache = true;

@@ -5,7 +5,6 @@
 
 #include "core/numeric_preferences.h"
 #include "eval/bmo_internal.h"
-#include "eval/decomposition.h"
 #include "exec/score_table.h"
 
 namespace prefdb {
@@ -16,7 +15,6 @@ const char* BmoAlgorithmName(BmoAlgorithm algo) {
     case BmoAlgorithm::kNaive: return "naive";
     case BmoAlgorithm::kBlockNestedLoop: return "bnl";
     case BmoAlgorithm::kSortFilter: return "sfs";
-    case BmoAlgorithm::kDecomposition: return "decomposition";
   }
   return "?";
 }
@@ -103,10 +101,11 @@ std::string CompiledBlock::KernelVariant() const {
 
 CompiledBlock CompileBlock(const Relation& r, const PrefPtr& p,
                            const std::vector<size_t>* rows,
-                           const BmoOptions& options, const PlanScope& scope) {
+                           const BmoOptions& options) {
   CompiledBlock block;
   const size_t pool_size = rows ? rows->size() : r.size();
-  if (options.vectorize && pool_size > 0 && ScoreTable::CompilableTerm(p)) {
+  if (options.algorithm != BmoAlgorithm::kNaive && pool_size > 0 &&
+      ScoreTable::CompilableTerm(p)) {
     const std::vector<size_t> cols = r.ResolveColumns(p->attributes());
     if (LikelyMostlyDistinct(r, cols, rows)) {
       block.table = ScoreTable::Compile(p, r, rows);
@@ -126,13 +125,13 @@ CompiledBlock CompileBlock(const Relation& r, const PrefPtr& p,
     block.proj = BuildProjectionIndex(r, *p, rows);
   }
   const auto t0 = std::chrono::steady_clock::now();
+  // A closure block's stats stay default (not compilable): its plan is a
+  // pass-through, never costed.
   TermStats stats;
-  if (options.algorithm == BmoAlgorithm::kAuto) {
-    stats = block.table ? MeasureTermStats(*block.table, p, pool_size)
-                        : EstimateClosureBlockStats(block.proj.values.size(),
-                                                    pool_size, p);
+  if (block.table && options.algorithm == BmoAlgorithm::kAuto) {
+    stats = MeasureTermStats(*block.table, p, pool_size);
   }
-  block.plan = PlanPhysical(stats, options, scope);
+  block.plan = PlanPhysical(stats, options);
   block.plan_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
@@ -166,15 +165,9 @@ void AppendMaximalRows(const PrefPtr& p, const CompiledBlock& block,
 std::vector<size_t> BmoIndices(const Relation& r, const PrefPtr& p,
                                const BmoOptions& options) {
   if (r.empty()) return {};
-  if (options.algorithm == BmoAlgorithm::kDecomposition) {
-    return BmoDecompositionIndices(r, p);
-  }
-  PlanScope scope;
-  scope.allow_decomposition = false;
   std::vector<size_t> rows;
-  internal::AppendMaximalRows(
-      p, internal::CompileBlock(r, p, nullptr, options, scope), nullptr,
-      &rows);
+  internal::AppendMaximalRows(p, internal::CompileBlock(r, p, nullptr, options),
+                              nullptr, &rows);
   return rows;
 }
 
@@ -186,17 +179,12 @@ std::vector<size_t> BmoGroupByIndices(
     const Relation& r, const PrefPtr& p,
     const std::vector<std::string>& group_attrs, const BmoOptions& options) {
   if (r.empty()) return {};
-  if (options.algorithm == BmoAlgorithm::kDecomposition) {
-    return BmoDecompositionGroupByIndices(r, p, group_attrs);
-  }
   const std::vector<std::vector<size_t>> groups =
       GroupRowsBy(r, r.ResolveColumns(group_attrs));
-  PlanScope scope;
-  scope.allow_decomposition = false;
   std::vector<size_t> out;
   for (const std::vector<size_t>& rows : groups) {
-    internal::AppendMaximalRows(
-        p, internal::CompileBlock(r, p, &rows, options, scope), &rows, &out);
+    internal::AppendMaximalRows(p, internal::CompileBlock(r, p, &rows, options),
+                                &rows, &out);
   }
   std::sort(out.begin(), out.end());
   return out;

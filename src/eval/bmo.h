@@ -3,28 +3,26 @@
 //   σ[P groupby A](R)  = σ[A<-> & P](R)                          (Def. 16)
 //
 // Algorithms:
-//   kNaive           exhaustive O(m^2) better-than tests over distinct
-//                    projections (the paper's baseline, §5.1)
+//   kNaive           exhaustive O(m^2) better-than tests through the
+//                    preference's closures over distinct projections (the
+//                    paper's baseline, §5.1): the reference oracle every
+//                    other path is tested against
 //   kBlockNestedLoop BNL window algorithm [BKS01], generalized to arbitrary
 //                    strict partial orders
 //   kSortFilter      SFS-style: presort by the compiled score table's
 //                    topologically compatible sort keys, then a one-sided
 //                    window scan; falls back to BNL when no keys exist
-//   kDecomposition   divide & conquer via the decomposition theorems
-//                    Props 8-12 (see eval/decomposition.h)
 //   kAuto            cost-based: the statistics subsystem (stats/stats.h)
 //                    measures the block (distinct counts, injectivity, a
 //                    sampled window probe) and the calibrated cost model
-//                    (eval/physical_plan.h) picks the cheapest eligible
-//                    plan. (kDecomposition is never auto-picked at block
-//                    level; the optimizer in eval/optimizer.h routes it
-//                    before the block is materialized.)
+//                    (eval/physical_plan.h) picks BNL or SFS.
 //
-// kSortFilter runs only on compiled score tables
-// (exec/score_table.h). Terms that do not compile, and vectorize = false,
-// evaluate through the preference's closures with two algorithms: kNaive
-// (the reference oracle every other path is tested against) and BNL, to
-// which every other request degrades.
+// Every request but kNaive runs on a compiled score table
+// (exec/score_table.h) when the term compiles. A term that does not
+// compile (SUBSET, LINEAR_SUM, non-weak-order EXPLICIT, user subclasses)
+// runs the closure BNL window (MaximaBnl) whatever the request, planned
+// by no cost model. The paper's divide & conquer evaluator (Props 8-12)
+// is a library function of its own, eval/decomposition.h.
 //
 // One pipeline: every evaluation — Bmo, each group of BmoGroupBy, and the
 // engine's exec-cache builds (engine/engine.h) — compiles one block per
@@ -52,7 +50,6 @@ enum class BmoAlgorithm {
   kNaive,
   kBlockNestedLoop,
   kSortFilter,
-  kDecomposition,
 };
 
 /// The algorithm's SQL/wire name ("auto", "bnl", "sfs", ...); "?" for a
@@ -60,8 +57,8 @@ enum class BmoAlgorithm {
 const char* BmoAlgorithmName(BmoAlgorithm algo);
 
 /// Which batch dominance kernel the compiled score-table paths run
-/// (exec/simd/dominance.h). Only meaningful when `vectorize` is on; the
-/// closure path is always scalar.
+/// (exec/simd/dominance.h). The closure paths (kNaive, terms that do not
+/// compile) ignore it.
 enum class SimdMode : uint8_t {
   /// Runtime dispatch: AVX2 when the build and CPU support it, else the
   /// portable batch kernels.
@@ -83,11 +80,6 @@ const char* SimdModeName(SimdMode mode);
 /// paths).
 struct BmoOptions {
   BmoAlgorithm algorithm = BmoAlgorithm::kAuto;
-  /// Compile the term into the vectorized score-table kernels
-  /// (exec/score_table.h) when possible; terms that do not compile fall
-  /// back to the closure path regardless. Off = always closures (naive
-  /// or BNL; the baseline for equivalence tests and benchmarks).
-  bool vectorize = true;
   /// Dominance-kernel implementation for the compiled paths.
   SimdMode simd = SimdMode::kAuto;
   /// Tile size (and engagement threshold) for the blocked BNL window
@@ -142,7 +134,9 @@ struct ProjectionIndex {
 ProjectionIndex BuildProjectionIndex(const Relation& r, const Preference& p,
                                      const std::vector<size_t>* rows = nullptr);
 
-/// Maximal-value flags over a distinct-value set under a bound order.
+/// Maximal-value flags over a distinct-value set under a bound order:
+/// MaximaNaive is the exhaustive oracle (kNaive), MaximaBnl the window
+/// every term that does not compile runs.
 std::vector<bool> MaximaNaive(const std::vector<Tuple>& values,
                               const LessFn& less);
 std::vector<bool> MaximaBnl(const std::vector<Tuple>& values,

@@ -42,25 +42,23 @@ struct CompiledBlock {
 };
 
 /// Compiles and plans σ[P](R) over `rows` of `r` (null = every row):
-///   1. when the request vectorizes and the term compiles, one
-///      ScoreTable::Compile over the column store. Its one decision,
-///      observed from the data by LikelyMostlyDistinct: compile the pool
-///      as it is (identity row map), or deduplicate first — the pool is
-///      then ComputeGroupCoding's representatives and the row map its
-///      codes;
+///   1. unless the request is kNaive or the term does not compile
+///      (ScoreTable::CompilableTerm), one ScoreTable::Compile over the
+///      column store. Its one decision, observed from the data by
+///      LikelyMostlyDistinct: compile the pool as it is (identity row
+///      map), or deduplicate first — the pool is then
+///      ComputeGroupCoding's representatives and the row map its codes;
 ///   2. otherwise the closure path: the distinct projected Tuples of the
-///      projection index;
-///   3. kAuto plans with measured table statistics (a structural estimate
-///      on the closure path) under `scope`; an explicit algorithm is a
-///      pass-through plan.
-/// kDecomposition is relation-level: callers route it before this.
+///      projection index, with a pass-through plan;
+///   3. kAuto on a compiled table plans with its measured statistics; an
+///      explicit algorithm is a pass-through plan.
 CompiledBlock CompileBlock(const Relation& r, const PrefPtr& p,
                            const std::vector<size_t>* rows,
-                           const BmoOptions& options, const PlanScope& scope);
+                           const BmoOptions& options);
 
 /// Runs a compiled block on the caller's thread — the table's kernels
-/// when it compiled, else the closure path (the naive oracle for kNaive,
-/// the BNL window for every other algorithm) — and appends the
+/// when it compiled, else the closure path (MaximaNaive for kNaive,
+/// MaximaBnl for every other request) — and appends the
 /// qualifying pool positions to `out` as global rows through `rows`
 /// (null = identity), ascending.
 void AppendMaximalRows(const PrefPtr& p, const CompiledBlock& block,

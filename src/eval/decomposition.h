@@ -7,6 +7,11 @@
 //   Prop 12   σ[P1 (x) P2](R) = σ[P1&P2](R) ∪ σ[P2&P1](R)
 //                                ∪ YY(P1&P2, P2&P1)_R
 // down to base preferences, which are evaluated in a single pass.
+//
+// This is the divide & conquer side of the paper's §7 outlook, kept as a
+// library evaluator: callers invoke it directly. The planner
+// (eval/physical_plan.h) never routes to it, and no BmoAlgorithm names
+// it.
 
 #ifndef PREFDB_EVAL_DECOMPOSITION_H_
 #define PREFDB_EVAL_DECOMPOSITION_H_

@@ -1,7 +1,9 @@
 // The preference query optimizer front-end (the paper's §7 outlook:
 // "heuristic transformations ..., cost-based optimization to choose
 // between direct implementations of the Pareto operator and divide &
-// conquer algorithms exploiting the decomposition principles").
+// conquer algorithms exploiting the decomposition principles"). The cost
+// model chooses between the compiled kernels (BNL, SFS); the divide &
+// conquer evaluator is a library function, eval/decomposition.h.
 //
 // Pipeline: algebraic simplification (Props 3/4a/6 rewrites, which
 // preserve the BMO answer by Prop 7) -> statistics derivation
@@ -26,8 +28,8 @@ namespace prefdb {
 /// Plans σ[P](R) from term structure and relation statistics: derives
 /// TableStats (restricted to P's attributes), estimates TermStats, and
 /// runs the cost model over every eligible algorithm (tiled-SIMD BNL,
-/// SFS, Prop 11 decomposition cascade). `options` supplies
-/// the kernel fields.
+/// SFS). A term that does not compile gets the uncosted closure BNL
+/// plan. `options` supplies the kernel fields.
 PhysicalPlan ChooseAlgorithm(const Relation& r, const PrefPtr& p,
                              const BmoOptions& options = {});
 

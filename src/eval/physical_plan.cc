@@ -48,35 +48,26 @@ namespace prefdb {
 
 namespace {
 
-enum class KernelClass { kClosure, kScalar, kAvx2 };
+enum class KernelClass { kScalar, kAvx2 };
 
 const char* KernelClassName(KernelClass k) {
   switch (k) {
-    case KernelClass::kClosure: return "closure";
     case KernelClass::kScalar: return "scalar";
     case KernelClass::kAvx2: return "avx2";
   }
   return "?";
 }
 
-KernelClass ResolveKernelClass(const TermStats& stats,
-                               const BmoOptions& request) {
-  if (!request.vectorize || !stats.compilable) return KernelClass::kClosure;
+KernelClass ResolveKernelClass(const BmoOptions& request) {
   return std::string(simd::ResolveKernel(request.simd).name) == "avx2"
              ? KernelClass::kAvx2
              : KernelClass::kScalar;
 }
 
-/// Cost of one dominance test between two rows, by kernel class. The
-/// compiled kernels scale with the column count; the closure path pays
-/// per-node std::function dispatch with a milder tree-size factor.
+/// Cost of one dominance test between two rows, by kernel class: the
+/// compiled kernels scale with the column count.
 double PairNs(const CostConstants& c, KernelClass k, double d) {
-  switch (k) {
-    case KernelClass::kClosure: return c.pair_closure_ns + 8.0 * d;
-    case KernelClass::kScalar: return c.pair_scalar_ns * d;
-    case KernelClass::kAvx2: return c.pair_avx2_ns * d;
-  }
-  return c.pair_closure_ns;
+  return (k == KernelClass::kAvx2 ? c.pair_avx2_ns : c.pair_scalar_ns) * d;
 }
 
 double Log2(double x) { return std::log2(std::max(2.0, x)); }
@@ -123,20 +114,9 @@ double EstimateViewReseedNs(size_t rows, size_t window,
          n * w / 2.0 * c.pair_scalar_ns;
 }
 
-TermStats EstimateClosureBlockStats(size_t distinct_values,
-                                    size_t input_rows, const PrefPtr& p) {
-  TermStats stats;
-  stats.input_rows = input_rows;
-  stats.distinct_values = distinct_values;
-  stats.dims = std::max<size_t>(1, p->attributes().size());
-  stats.est_window = WindowClosedForm(distinct_values, stats.dims);
-  return stats;
-}
-
 PhysicalPlan PhysicalPlan::FromOptions(const BmoOptions& options) {
   PhysicalPlan plan;
   plan.algorithm = options.algorithm;
-  plan.vectorize = options.vectorize;
   plan.simd = options.simd;
   plan.bnl_tile_rows = options.bnl_tile_rows;
   return plan;
@@ -160,8 +140,7 @@ std::string PhysicalPlan::ExplainCosts() const {
   return out;
 }
 
-PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
-                          const PlanScope& scope) {
+PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request) {
   PhysicalPlan plan = PhysicalPlan::FromOptions(request);
   plan.stats = stats;
 
@@ -169,14 +148,19 @@ PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
     plan.rationale = "algorithm explicitly requested";
     return plan;
   }
+  if (!stats.compilable) {
+    // Nothing compiled: the closure BNL window is the one kernel left.
+    plan.algorithm = BmoAlgorithm::kBlockNestedLoop;
+    plan.rationale = "no compiled table: closure BNL window";
+    return plan;
+  }
 
   const CostConstants& c = CostConstants::Get();
-  const KernelClass kc = ResolveKernelClass(stats, request);
+  const KernelClass kc = ResolveKernelClass(request);
   const double m = static_cast<double>(std::max<size_t>(1, stats.distinct_values));
   const double d = static_cast<double>(std::max<size_t>(1, stats.dims));
   const double w = std::max(1.0, stats.est_window);
   const double pair = PairNs(c, kc, d);
-  const bool compiled = kc != KernelClass::kClosure;
 
   std::vector<AlgorithmCost>& costs = plan.considered;
 
@@ -194,24 +178,20 @@ PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
                    (d * (sizeof(double) + sizeof(uint32_t)) + sizeof(size_t))));
   // On a score chain the compiled window is one score level, decided
   // against one member: a single streaming pass, whatever the tie count.
-  const bool one_level = compiled && stats.score_chain;
+  const bool one_level = stats.score_chain;
   double bnl_ns = c.stream_row_ns * m;
   if (!one_level) {
     bnl_ns += pair * m * w / 2.0;
     if (w > tile_rows) bnl_ns += pair * (m / tile_rows) * w;
   }
   costs.push_back({BmoAlgorithm::kBlockNestedLoop, true, bnl_ns,
-                   one_level  ? "one score level, one pass"
-                   : compiled ? "tiled SIMD batch window"
-                              : "window scan"});
+                   one_level ? "one score level, one pass"
+                             : "tiled SIMD batch window"});
 
   // --- SFS: presort by the table's topologically compatible keys, then
   // a one-sided scan — dominated candidates exit after a few probes,
   // survivors cross-test against the whole window.
-  if (!compiled) {
-    costs.push_back({BmoAlgorithm::kSortFilter, false, 0.0,
-                     "closure path runs BNL only"});
-  } else if (stats.table_keys > 0) {
+  if (stats.table_keys > 0) {
     const double sort_ns = c.sort_key_ns *
                            static_cast<double>(stats.table_keys) * m *
                            Log2(m);
@@ -221,26 +201,6 @@ PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
   } else {
     costs.push_back({BmoAlgorithm::kSortFilter, false, 0.0,
                      "no topologically compatible sort keys"});
-  }
-
-  // --- Prop 11 decomposition cascade: sort once by the chain head, then
-  // evaluate the submodel only on the head's best block (closure path).
-  if (!scope.allow_decomposition) {
-    costs.push_back({BmoAlgorithm::kDecomposition, false, 0.0,
-                     "relation-level strategy not available here"});
-  } else if (stats.chain_head) {
-    const double m_sub =
-        m / static_cast<double>(std::max<size_t>(1, stats.head_distinct));
-    const double decomp_ns =
-        c.closure_sort_ns * m * Log2(m) +
-        PairNs(c, KernelClass::kClosure, d) * std::max(1.0, m_sub) *
-            std::max(1.0, w) / 2.0 +
-        c.stream_row_ns * m;
-    costs.push_back({BmoAlgorithm::kDecomposition, true, decomp_ns,
-                     "Prop 11 cascade (chain head)"});
-  } else {
-    costs.push_back({BmoAlgorithm::kDecomposition, false, 0.0,
-                     "no prioritized chain head"});
   }
 
   // Pick the cheapest eligible algorithm.
@@ -261,19 +221,13 @@ PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
   switch (plan.algorithm) {
     case BmoAlgorithm::kBlockNestedLoop:
       plan.rationale =
-          std::string(one_level  ? "score chain: one-level BNL window, one pass"
-                      : compiled ? "tiled SIMD BNL window beats the alternatives"
-                                 : "generic BNL window scan is cheapest") +
+          std::string(one_level ? "score chain: one-level BNL window, one pass"
+                                : "tiled SIMD BNL window beats the alternatives") +
           " (" + summary + ")";
       break;
     case BmoAlgorithm::kSortFilter:
       plan.rationale =
           "large window favors presorting: SFS one-sided scan (" +
-          std::string(summary) + ")";
-      break;
-    case BmoAlgorithm::kDecomposition:
-      plan.rationale =
-          "selective chain head: Prop 11 cascade evaluation (" +
           std::string(summary) + ")";
       break;
     default:

@@ -6,11 +6,14 @@
 //
 // Plans are produced by a calibrated cost model (the paper's §7 outlook:
 // "cost-based optimization to choose between direct implementations of
-// the Pareto operator and divide & conquer algorithms", the latter being
-// the decomposition cascade of Props 8-12): per-algorithm cost formulas
-// over TermStats (stats/stats.h) with constants calibrated from measured
+// the Pareto operator and divide & conquer algorithms"): per-algorithm
+// cost formulas for the compiled score-table kernels (BNL, SFS) over
+// TermStats (stats/stats.h), with constants calibrated from measured
 // kernel times (re-validated continuously by bench_planner's
-// misprediction gate).
+// misprediction gate). The divide & conquer side of that quote is the
+// library evaluator in eval/decomposition.h, which the planner does not
+// route to; a term that does not compile has one kernel, the closure
+// BNL window, and gets a pass-through plan.
 
 #ifndef PREFDB_EVAL_PHYSICAL_PLAN_H_
 #define PREFDB_EVAL_PHYSICAL_PLAN_H_
@@ -32,21 +35,12 @@ struct AlgorithmCost {
   std::string note;  // ineligibility reason or formula driver summary
 };
 
-/// Which algorithm families the planner may consider. Block-level
-/// planning (a single distinct-value block) excludes the relation-level
-/// decomposition cascade.
-struct PlanScope {
-  bool allow_decomposition = true;
-};
-
 /// The planned physical execution of one BMO evaluation.
 struct PhysicalPlan {
   /// Chosen algorithm. kAuto only in pass-through plans built by
   /// FromOptions (per-block resolution then happens data-aware inside
   /// the kernels, exactly like the pre-plan behavior).
   BmoAlgorithm algorithm = BmoAlgorithm::kAuto;
-  /// Compile into the score-table kernels when the term allows it.
-  bool vectorize = true;
   /// Batch dominance kernel selection (exec/simd/dominance.h).
   SimdMode simd = SimdMode::kAuto;
   /// Blocked-BNL tile size; 0 = auto (L2-sized via BnlTileBudgetBytes).
@@ -72,35 +66,26 @@ struct PhysicalPlan {
   std::string ExplainCosts() const;
 };
 
-/// Light structural statistics for a materialized distinct-value block
-/// on the closure path (no compiled table): exact m and the closed-form
-/// window estimate.
-TermStats EstimateClosureBlockStats(size_t distinct_values,
-                                    size_t input_rows, const PrefPtr& p);
-
 /// Builds the plan for evaluating a term over a pool described by
 /// `stats` (derive stats with EstimateTermStats or MeasureTermStats).
 /// An explicit `request.algorithm` (!= kAuto) short-circuits the cost
 /// comparison and is honored verbatim (kernels still degrade ineligible
-/// requests exactly as before); kAuto runs the calibrated cost model
-/// over every algorithm `scope` allows and picks the cheapest.
-PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request,
-                          const PlanScope& scope = {});
+/// requests exactly as before). kAuto on a compilable term runs the
+/// calibrated cost model over BNL and SFS and picks the cheaper; on a
+/// term that does not compile it plans the closure BNL window, uncosted.
+PhysicalPlan PlanPhysical(const TermStats& stats, const BmoOptions& request);
 
 /// Cost-model constants, calibrated from measured kernel times at 4096 and
 /// 100k rows (see physical_plan.cc for the per-constant derivation).
 /// Exposed for bench_planner and tests.
 struct CostConstants {
   /// Per-(row pair, column) dominance test, by kernel class.
-  double pair_closure_ns = 45.0;  // LessFn closure dispatch, per pair
   double pair_scalar_ns = 0.65;   // portable batch kernels
   double pair_avx2_ns = 0.32;     // AVX2 batch kernels
   /// Per-(element, key) presort comparison (SFS, compiled keys), plus
   /// the one-sided scan's per-row cost that does not grow with the
   /// window.
   double sort_key_ns = 41.0;
-  /// Per-element closure sort (decomposition cascade's chain sort).
-  double closure_sort_ns = 40.0;
   /// Early-exit window probes a presorted (dominated) candidate pays.
   double sfs_probe_rows = 6.0;
   /// Per-row streaming overhead of a window scan.

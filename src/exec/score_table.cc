@@ -583,7 +583,6 @@ bool ScoreTable::IsScoreChain() const {
 }
 
 BmoAlgorithm ScoreTable::ResolveFor(BmoAlgorithm algo) const {
-  if (algo == BmoAlgorithm::kNaive) return algo;
   if (algo == BmoAlgorithm::kSortFilter && HasSortKeys()) return algo;
   return BmoAlgorithm::kBlockNestedLoop;
 }
@@ -707,20 +706,8 @@ std::vector<bool> ScoreTable::MaximaSubset(BmoAlgorithm algo,
   const simd::KernelOps& ops = simd::ResolveKernel(plan.simd);
   algo = ResolveFor(algo);
 
-  const size_t m = rows.size();
-  if (algo == BmoAlgorithm::kNaive) {
-    // The exhaustive baseline: every row against the whole block (an
-    // entry equal to the row never dominates it).
-    simd::RowBlock block(cols_);
-    for (size_t i = 0; i < m; ++i) block.Append(Row(rows[i]), Ids(rows[i]), i);
-    std::vector<bool> maximal(m);
-    for (size_t i = 0; i < m; ++i) {
-      maximal[i] = !ops.dominated(prog_, Row(rows[i]), Ids(rows[i]), block);
-    }
-    return maximal;
-  }
-
   if (algo == BmoAlgorithm::kSortFilter) {
+    const size_t m = rows.size();
     // Presort descending by key vectors, then a one-sided window scan.
     // Sound only under strict key compatibility (x <P y => keys(x) lex <
     // keys(y)), which finite keys guarantee; a NaN or +/-inf key value
@@ -787,7 +774,6 @@ std::string ScoreTable::KernelVariant(BmoAlgorithm algo,
                                       const PhysicalPlan& plan) const {
   algo = ResolveFor(algo);
   const std::string impl = simd::ResolveKernel(plan.simd).name;
-  if (algo == BmoAlgorithm::kNaive) return "naive[" + impl + "]";
   if (algo == BmoAlgorithm::kSortFilter) return "sfs[" + impl + "]";
   return "bnl[" + impl + ",tile=" +
          std::to_string(ResolveTileRows(plan.bnl_tile_rows)) + "]";

@@ -129,10 +129,12 @@ class ScoreTable {
   /// The compiled dominance descriptor (shared with the batch kernels).
   const simd::DominanceProgram& program() const { return prog_; }
 
-  /// Maximal-row flags over the whole table under the chosen kernel
-  /// (kAuto and ineligible requests run BNL). `plan` supplies the kernel fields of the physical plan — the
-  /// batch dominance kernel (scalar/AVX2 dispatch) and the tiled-BNL
-  /// block size.
+  /// Maximal-row flags over the whole table under the chosen kernel: SFS
+  /// when asked for and the table has sort keys, BNL for everything else
+  /// (kAuto and kNaive included — the naive oracle is the closure path,
+  /// MaximaNaive in eval/bmo.h). `plan` supplies the kernel fields of the
+  /// physical plan — the batch dominance kernel (scalar/AVX2 dispatch)
+  /// and the tiled-BNL block size.
   std::vector<bool> Maxima(BmoAlgorithm algo,
                            const PhysicalPlan& plan = {}) const;
 
@@ -143,8 +145,8 @@ class ScoreTable {
                                  const PhysicalPlan& plan = {}) const;
 
   /// Human-readable label of the kernel variant Maxima would run for
-  /// `algo` under `plan` — e.g. "bnl[avx2,tile=8192]", "sfs[scalar]",
-  /// "naive[scalar]" — surfaced by EXPLAIN and QueryStats.
+  /// `algo` under `plan` — e.g. "bnl[avx2,tile=8192]", "sfs[scalar]" —
+  /// surfaced by EXPLAIN and QueryStats.
   std::string KernelVariant(BmoAlgorithm algo,
                             const PhysicalPlan& plan = {}) const;
 
@@ -185,7 +187,7 @@ class ScoreTable {
   double SortKeyValue(size_t row, size_t key) const;
 
   /// Shared resolution for the execution entry points and KernelVariant:
-  /// naive and SFS (with sort keys) run as asked, everything else — kAuto
+  /// SFS (with sort keys) runs as asked, everything else — kAuto
   /// included; the planner, not the table, chooses — runs BNL, so the
   /// reported variant can never drift from what executes.
   BmoAlgorithm ResolveFor(BmoAlgorithm algo) const;

@@ -14,7 +14,7 @@ MaintainedView::MaintainedView(PrefPtr preference,
       proj_cols_(snapshot.ResolveColumns(pref_->attributes())),
       where_(std::move(where)),
       less_(pref_->Bind(snapshot.schema().Project(pref_->attributes()))),
-      compilable_(options.vectorize && ScoreTable::CompilableTerm(pref_)),
+      compilable_(ScoreTable::CompilableTerm(pref_)),
       plan_(PhysicalPlan::FromOptions(options)),
       version_(version) {
   // The candidates share the snapshot's column buffers. The engine runs

@@ -111,7 +111,7 @@ class Client {
     return SendPrepare(sql).Get();
   }
   ClientResponse Run(uint64_t handle) { return SendRun(handle).Get(); }
-  /// Session option ("timeout_ms", "vectorize", "algorithm", "simd",
+  /// Session option ("timeout_ms", "algorithm", "simd",
   /// "max_pending_deltas"; see server/session_options.h).
   ClientResponse Set(const std::string& name, const std::string& value) {
     return SendSet(name, value).Get();

@@ -58,16 +58,6 @@ std::string SessionOptions::Apply(const std::string& name,
     max_pending_deltas = static_cast<size_t>(v);
     return "";
   }
-  if (name == "vectorize") {
-    if (value == "on") {
-      bmo.vectorize = true;
-    } else if (value == "off") {
-      bmo.vectorize = false;
-    } else {
-      return "vectorize expects on|off";
-    }
-    return "";
-  }
   if (name == "algorithm") {
     return ParseName(value, BmoAlgorithmName, &bmo.algorithm)
                ? ""
@@ -93,7 +83,6 @@ std::vector<std::pair<std::string, std::string>> SessionOptions::Serialize()
     const {
   return {
       {"timeout_ms", std::to_string(timeout_ms)},
-      {"vectorize", bmo.vectorize ? "on" : "off"},
       {"algorithm", BmoAlgorithmName(bmo.algorithm)},
       {"simd", SimdModeName(bmo.simd)},
       {"max_pending_deltas", std::to_string(max_pending_deltas)},

@@ -7,8 +7,7 @@
 //
 //   timeout_ms=<n>         per-query deadline (0 = none, at most
 //                          kMaxTimeoutMs)
-//   vectorize=on|off       score-table kernels vs closure baseline
-//   algorithm=auto|naive|bnl|sfs|decomposition
+//   algorithm=auto|naive|bnl|sfs  (naive = the closure oracle)
 //   simd=auto|scalar|avx2
 //   max_pending_deltas=<n> per-subscription server-side delta bound
 //                          before coalescing (0 = engine default);
@@ -35,8 +34,8 @@ struct SessionOptions {
   /// `now + timeout` far inside the steady clock's nanosecond range.
   static constexpr uint64_t kMaxTimeoutMs = 7ull * 24 * 3600 * 1000;
 
-  /// Kernel options for this session's queries; vectorize / algorithm /
-  /// simd write their fields directly.
+  /// Kernel options for this session's queries; algorithm / simd write
+  /// their fields directly.
   BmoOptions bmo;
   /// Per-query deadline in milliseconds (0 = none).
   uint64_t timeout_ms = 30000;

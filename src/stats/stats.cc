@@ -117,13 +117,6 @@ void CollectLeaves(const PrefPtr& p, std::vector<PrefPtr>* out) {
   out->push_back(cur);
 }
 
-bool PrioritizedChainHead(const PrefPtr& p) {
-  if (p->kind() != PreferenceKind::kPrioritized) return false;
-  auto kids = p->children();
-  return kids[0]->IsChain() &&
-         DisjointAttributeSets(kids[0]->attributes(), kids[1]->attributes());
-}
-
 /// Estimated number of distinct *score classes* a leaf induces on a
 /// column with `distinct` distinct values: injective leaves resolve every
 /// value, level-based leaves collapse values into a handful of layers.
@@ -381,11 +374,10 @@ bool KeySet::Insert(uint64_t key) {
 std::string TermStats::ToString() const {
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "n=%zu m=%zu d=%zu keys=%zu window~%.0f%s%s%s", input_rows,
+                "n=%zu m=%zu d=%zu keys=%zu window~%.0f%s%s", input_rows,
                 distinct_values, dims, table_keys, est_window,
                 measured_window ? " (sampled)" : "",
-                score_chain ? " score-chain" : "",
-                chain_head ? " chain-head" : "");
+                score_chain ? " score-chain" : "");
   return buf;
 }
 
@@ -417,10 +409,6 @@ TermStats EstimateTermStats(const TableStats& stats, const PrefPtr& p,
                     LeafAllNumeric(stats, leaves[0]);
   out.table_keys =
       out.compilable && ScoreTable::HasStaticSortKeys(p) ? 1 : 0;
-  out.chain_head = PrioritizedChainHead(p);
-  if (out.chain_head) {
-    out.head_distinct = LeafInputDistinct(stats, p->children()[0], pool_rows);
-  }
   out.est_window = std::max(
       1.0, static_cast<double>(out.distinct_values) *
                MaximaFraction(stats, p, out.distinct_values, pool_rows));
@@ -436,12 +424,7 @@ TermStats MeasureTermStats(const ScoreTable& table, const PrefPtr& p,
   out.table_keys = table.num_sort_keys();
   out.compilable = true;
   out.score_chain = table.IsScoreChain();
-  out.chain_head = PrioritizedChainHead(p);
   const std::vector<uint32_t>& distinct = table.column_distinct();
-  if (out.chain_head && !distinct.empty()) {
-    out.head_distinct =
-        distinct[0] == 0 ? table.rows() : distinct[0];
-  }
 
   const size_t m = table.rows();
   if (m < 4096) {

@@ -8,8 +8,8 @@
 //
 // The paper's §7 outlook asks for "cost-based optimization to choose
 // between direct implementations of the Pareto operator and divide &
-// conquer algorithms" — these are the observed quantities that choice
-// runs on.
+// conquer algorithms" — these are the observed quantities the choice
+// between the compiled kernels (BNL, SFS) runs on.
 
 #ifndef PREFDB_STATS_STATS_H_
 #define PREFDB_STATS_STATS_H_
@@ -137,18 +137,14 @@ struct TermStats {
   size_t dims = 0;
   /// Lexicographic sort keys the compiled table exposes (0 = none).
   size_t table_keys = 0;
-  /// The term compiles into the score-table kernels.
+  /// The term compiles into the score-table kernels; only then does the
+  /// cost model run (eval/physical_plan.h).
   bool compilable = false;
   /// The block is (predicted to be) one score column whose ties are
   /// value ties — LOWEST/HIGHEST on a NaN-free numeric column
   /// (ScoreTable::IsScoreChain): BNL's window is one score level, so the
   /// maxima take one streaming pass.
   bool score_chain = false;
-  /// Prioritized accumulation with a chain head over disjoint attributes
-  /// (the Prop 11 cascade structure).
-  bool chain_head = false;
-  /// Distinct values of the chain head's attribute (0 = unknown).
-  size_t head_distinct = 0;
   /// Estimated maxima count w — the BNL window / SFS survivor set size.
   double est_window = 1.0;
   /// est_window came from a sampled kernel probe, not the closed form.

@@ -1,6 +1,7 @@
-// Cross-validation of all BMO algorithms: naive, BNL, sort-filter and the
-// Prop-8-12 decomposition evaluator must agree on randomized workloads
-// (parameterized sweep over n, d, correlation).
+// Cross-validation of all BMO algorithms: BNL, sort-filter, auto and the
+// Prop-8-12 decomposition evaluator must agree with the naive closure
+// oracle on randomized workloads (parameterized sweep over n, d,
+// correlation).
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include "core/numeric_preferences.h"
 #include "datagen/vectors.h"
 #include "eval/bmo.h"
+#include "eval/decomposition.h"
 #include "test_support.h"
 
 namespace prefdb {
@@ -33,13 +35,15 @@ TEST_P(AlgorithmAgreementTest, AllAlgorithmsComputeTheSameSkyline) {
   Relation r = GenerateVectors(param.n, param.d, param.corr, /*seed=*/7);
   PrefPtr p = SkylinePreference(param.d);
   std::vector<size_t> naive = BmoIndices(r, p, {BmoAlgorithm::kNaive});
-  for (BmoAlgorithm algo :
-       {BmoAlgorithm::kBlockNestedLoop, BmoAlgorithm::kSortFilter,
-        BmoAlgorithm::kDecomposition, BmoAlgorithm::kAuto}) {
+  for (BmoAlgorithm algo : {BmoAlgorithm::kBlockNestedLoop,
+                            BmoAlgorithm::kSortFilter, BmoAlgorithm::kAuto}) {
     EXPECT_EQ(BmoIndices(r, p, {algo}), naive)
         << BmoAlgorithmName(algo) << " disagrees on n=" << param.n
         << " d=" << param.d << " " << CorrelationName(param.corr);
   }
+  EXPECT_EQ(BmoDecompositionIndices(r, p), naive)
+      << "decomposition disagrees on n=" << param.n << " d=" << param.d
+      << " " << CorrelationName(param.corr);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -90,12 +94,13 @@ TEST_P(MixedTermAgreementTest, GeneralTermsAgreeAcrossGenericAlgorithms) {
       default: p = Prioritized(Pareto(px, py), gen_y.Term(1)); break;
     }
     std::vector<size_t> naive = BmoIndices(r, p, {BmoAlgorithm::kNaive});
-    for (BmoAlgorithm algo :
-         {BmoAlgorithm::kBlockNestedLoop, BmoAlgorithm::kSortFilter,
-          BmoAlgorithm::kDecomposition, BmoAlgorithm::kAuto}) {
+    for (BmoAlgorithm algo : {BmoAlgorithm::kBlockNestedLoop,
+                              BmoAlgorithm::kSortFilter, BmoAlgorithm::kAuto}) {
       EXPECT_EQ(BmoIndices(r, p, {algo}), naive)
           << BmoAlgorithmName(algo) << " disagrees on " << p->ToString();
     }
+    EXPECT_EQ(BmoDecompositionIndices(r, p), naive)
+        << "decomposition disagrees on " << p->ToString();
   }
 }
 

@@ -476,19 +476,14 @@ TEST(ColumnStoreTest, IdentityDedupAndClosureAgree) {
     }
     quantized.Add(Tuple(std::move(q)));
   }
-  BmoOptions closure;
-  closure.vectorize = false;
-  BmoOptions vectorized;
-  vectorized.vectorize = true;
+  const BmoOptions oracle{BmoAlgorithm::kNaive};
   for (const PrefPtr& p : VectorTerms()) {
     ASSERT_TRUE(ScoreTable::CompilableTerm(p)) << p->ToString();
-    // Mostly-distinct input → the vectorized path compiles the rows as
+    // Mostly-distinct input → the compiled path compiles the rows as
     // they are.
-    EXPECT_EQ(BmoIndices(r, p, vectorized), BmoIndices(r, p, closure))
-        << p->ToString();
-    // Duplicated input → the vectorized path deduplicates first.
-    EXPECT_EQ(BmoIndices(quantized, p, vectorized),
-              BmoIndices(quantized, p, closure))
+    EXPECT_EQ(BmoIndices(r, p), BmoIndices(r, p, oracle)) << p->ToString();
+    // Duplicated input → the compiled path deduplicates first.
+    EXPECT_EQ(BmoIndices(quantized, p), BmoIndices(quantized, p, oracle))
         << p->ToString();
 
     // Direct compile contract: table row i is pool position i (relation
@@ -531,12 +526,8 @@ TEST(ColumnStoreTest, NullAndNanColumnsCompileAndAgreeWithTheClosure) {
     poisoned.Add(t);
   }
   PrefPtr p = Pareto(Highest("d0"), Lowest("d1"));
-  BmoOptions closure;
-  closure.vectorize = false;
-  BmoOptions vectorized;
-  vectorized.vectorize = true;
-  EXPECT_EQ(BmoIndices(poisoned, p, vectorized),
-            BmoIndices(poisoned, p, closure));
+  EXPECT_EQ(BmoIndices(poisoned, p),
+            BmoIndices(poisoned, p, {BmoAlgorithm::kNaive}));
 }
 
 TEST(ColumnStoreTest, IvmTracesOverColumnarSnapshotsMatchRecompute) {
@@ -546,9 +537,7 @@ TEST(ColumnStoreTest, IvmTracesOverColumnarSnapshotsMatchRecompute) {
   std::mt19937_64 rng(77);
   Relation table = GenerateVectors(60, 3, Correlation::kAntiCorrelated, 5);
   PrefPtr term = Pareto({Highest("d0"), Highest("d1"), Highest("d2")});
-  BmoOptions options;
-  options.vectorize = true;
-  ivm::MaintainedView view(term, nullptr, table, 1, options);
+  ivm::MaintainedView view(term, nullptr, table, 1);
   uint64_t version = 1;
   for (int step = 0; step < 80; ++step) {
     ++version;
@@ -572,7 +561,8 @@ TEST(ColumnStoreTest, IvmTracesOverColumnarSnapshotsMatchRecompute) {
       table = table.SelectRows(survivors);  // index view over shared cols
     }
     ASSERT_EQ(RowSet(view.MaximaRows()),
-              RowSet(table.SelectRows(BmoIndices(table, term, options))))
+              RowSet(table.SelectRows(
+                  BmoIndices(table, term, {BmoAlgorithm::kNaive}))))
         << "step " << step;
   }
 }

@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
+#include <string>
 
 #include "core/base_preferences.h"
 #include "core/complex_preferences.h"
 #include "core/numeric_preferences.h"
 #include "eval/bmo.h"
+#include "psql/parser.h"
+#include "psql/translator.h"
 #include "test_support.h"
 
 namespace prefdb {
@@ -207,8 +211,7 @@ TEST(DecompositionTest, NaNCellsBreakTheChainButNotTheAnswer) {
   r.Add({Value(1.0), Value(4)});
   r.Add({Value(2.0), Value(9)});
   r.Add({Value(), Value(7)});
-  BmoOptions oracle{BmoAlgorithm::kNaive};
-  oracle.vectorize = false;
+  const BmoOptions oracle{BmoAlgorithm::kNaive};
   EXPECT_EQ(BmoDecompositionIndices(r, Lowest("x")),
             (std::vector<size_t>{0, 1, 2, 3}));
   for (const PrefPtr& p :
@@ -217,6 +220,52 @@ TEST(DecompositionTest, NaNCellsBreakTheChainButNotTheAnswer) {
         Prioritized(Highest("y"), Lowest("x"))}) {
     EXPECT_EQ(BmoDecompositionIndices(r, p), BmoIndices(r, p, oracle))
         << p->ToString();
+  }
+}
+
+TEST(DecompositionTest, EvaluatorMatchesTheNaiveOracle) {
+  // The evaluator, grouped and ungrouped, on the whole relation and on a
+  // WHERE-style subset, must return the naive oracle's rows, NaN and NULL
+  // cells included. (A small pool: the evaluator's YY sets are quadratic
+  // in the distinct projections.)
+  std::mt19937_64 rng(91);
+  const char* groups[] = {"north", "south", "east"};
+  const char* kinds[] = {"a", "b", "c", "d"};
+  Relation r(Schema{{"id", ValueType::kInt},
+                    {"g", ValueType::kString},
+                    {"c", ValueType::kString},
+                    {"x", ValueType::kDouble},
+                    {"y", ValueType::kInt}});
+  std::vector<size_t> y_below_70;
+  for (int64_t i = 0; i < 600; ++i) {
+    const uint64_t dice = rng() % 20;
+    const Value x = dice == 0   ? Value()
+                    : dice == 1 ? Value(std::nan(""))
+                                : Value(double(rng() % 200) / 4);
+    const int64_t y = int64_t(rng() % 100);
+    if (y < 70) y_below_70.push_back(r.size());
+    r.Add({Value(i), groups[rng() % 3], kinds[rng() % 4], x, Value(y)});
+  }
+  const Relation& whole = r;
+  const Relation subset = r.SelectRows(y_below_70);
+  const BmoOptions oracle{BmoAlgorithm::kNaive};
+  for (const char* preferring :
+       {"LOWEST(x) AND HIGHEST(y)", "LOWEST(x) CASCADE HIGHEST(y)",
+        "(c = 'a' ELSE c <> 'b') AND y AROUND 50 CASCADE LOWEST(x)"}) {
+    const PrefPtr p = psql::TranslatePreferenceChain(
+        psql::Parse(std::string("SELECT * FROM t PREFERRING ") + preferring)
+            .preferring);
+    for (const Relation* input : {&whole, &subset}) {
+      SCOPED_TRACE(std::string(preferring) +
+                   (input == &whole ? "" : " WHERE y < 70"));
+      const std::vector<size_t> expected = BmoIndices(*input, p, oracle);
+      ASSERT_FALSE(expected.empty());
+      EXPECT_EQ(BmoDecompositionIndices(*input, p), expected);
+      const std::vector<size_t> grouped =
+          BmoGroupByIndices(*input, p, {"g"}, oracle);
+      ASSERT_FALSE(grouped.empty());
+      EXPECT_EQ(BmoDecompositionGroupByIndices(*input, p, {"g"}), grouped);
+    }
   }
 }
 

@@ -183,18 +183,19 @@ TEST(EngineTest, ExplicitAlgorithmsShareTheCache) {
   bnl.algorithm = BmoAlgorithm::kBlockNestedLoop;
   BmoOptions sfs;
   sfs.algorithm = BmoAlgorithm::kSortFilter;
-  BmoOptions closures;
-  closures.vectorize = false;
+  BmoOptions naive;
+  naive.algorithm = BmoAlgorithm::kNaive;
   psql::QueryResult auto_res = engine.Execute(sql);
   psql::QueryResult bnl_res = engine.Execute(sql, bnl);
   psql::QueryResult sfs_res = engine.Execute(sql, sfs);
-  psql::QueryResult closure_res = engine.Execute(sql, closures);
+  psql::QueryResult naive_res = engine.Execute(sql, naive);
   EXPECT_TRUE(auto_res.relation.SameRows(bnl_res.relation));
   EXPECT_TRUE(auto_res.relation.SameRows(sfs_res.relation));
-  EXPECT_TRUE(auto_res.relation.SameRows(closure_res.relation));
+  EXPECT_TRUE(auto_res.relation.SameRows(naive_res.relation));
+  EXPECT_EQ(naive_res.stats.kernel, "closure");
   // Distinct option signatures must not collide in the exec cache.
   EXPECT_TRUE(engine.Execute(sql, bnl).stats.exec_cache_hit);
-  EXPECT_TRUE(engine.Execute(sql, closures).stats.exec_cache_hit);
+  EXPECT_TRUE(engine.Execute(sql, naive).stats.exec_cache_hit);
 }
 
 TEST(EngineTest, ConcurrentRunsOnOnePreparedQuery) {
@@ -488,22 +489,14 @@ TEST(EngineTest, ExecBytesGaugeCountsCompactEntries) {
 }
 
 TEST(EngineTest, ClosureFallbackKeepsItsTuplesAndMatchesTheOracle) {
-  // Terms that do not compile (here vectorize=false, and an EXPLICIT
-  // graph that is not a weak order) run the closure kernels over the
-  // distinct Tuples when the entry is built; warm runs serve the rows it
-  // memoized. Both must return the naive oracle's rows.
+  // A term that does not compile (here an EXPLICIT graph that is not a
+  // weak order) runs the closure BNL window over the distinct Tuples
+  // when the entry is built; warm runs serve the rows it memoized. Both
+  // must return the naive oracle's rows.
   Engine engine;
   engine.RegisterTable("car", GenerateCars(3000, 5));
   const std::shared_ptr<const Relation> car = engine.Snapshot("car");
-  BmoOptions oracle;
-  oracle.algorithm = BmoAlgorithm::kNaive;
-  oracle.vectorize = false;
-  BmoOptions closures;
-  closures.vectorize = false;
-  PrefPtr pareto = Pareto(Lowest("price"), Lowest("mileage"));
-  PreparedQuery sql = engine.Prepare(
-      "SELECT * FROM car PREFERRING LOWEST(price) AND LOWEST(mileage)",
-      closures);
+  const BmoOptions oracle{BmoAlgorithm::kNaive};
   PrefPtr forest = Pareto(
       Explicit("category", {{Value("roadster"), Value("coupe")},
                             {Value("passenger"), Value("van")}}),
@@ -511,13 +504,9 @@ TEST(EngineTest, ClosureFallbackKeepsItsTuplesAndMatchesTheOracle) {
   ASSERT_FALSE(ScoreTable::CompilableTerm(forest));
   PreparedQuery term = engine.Prepare("car", forest);
   for (int run = 0; run < 2; ++run) {
-    psql::QueryResult a = sql.Run();
     psql::QueryResult b = term.Run();
-    EXPECT_EQ(a.stats.exec_cache_hit, run > 0);
     EXPECT_EQ(b.stats.exec_cache_hit, run > 0);
-    EXPECT_EQ(a.stats.kernel, "closure");
     EXPECT_EQ(b.stats.kernel, "closure");
-    EXPECT_TRUE(a.relation.SameRows(Bmo(*car, pareto, oracle)));
     EXPECT_TRUE(b.relation.SameRows(Bmo(*car, forest, oracle)));
   }
   EXPECT_GT(engine.cache_stats().exec_bytes, 0u);
@@ -874,10 +863,7 @@ TEST(EngineTest, EveryPathAgreesWithTheNaiveOracle) {
   // and the closure naive oracle must return the same rows for every
   // term family, grouped or not, under kAuto and every explicit block
   // algorithm (SFS degrades to BNL where it does not apply).
-  // DecompositionBuildMatchesTheNaiveOracle covers kDecomposition.
-  BmoOptions oracle;
-  oracle.algorithm = BmoAlgorithm::kNaive;
-  oracle.vectorize = false;
+  const BmoOptions oracle{BmoAlgorithm::kNaive};
   for (const AgreementFamily& family : AgreementFamilies()) {
     Engine engine;
     engine.RegisterTable("t", family.relation);
@@ -927,62 +913,6 @@ TEST(EngineTest, EveryPathAgreesWithTheNaiveOracle) {
                     std::string::npos,
                 !family.compile_path.empty())
           << explain.plan_details;
-    }
-  }
-}
-
-TEST(EngineTest, DecompositionBuildMatchesTheNaiveOracle) {
-  // The relation-level decomposition evaluator runs once, when the entry
-  // is built, over the WHERE result; its rows map back to the table's.
-  // Cold and cached answers must equal the naive oracle's, NaN and NULL
-  // cells included. (Smaller pools than the families above: the
-  // evaluator's YY sets are quadratic in the distinct projections.)
-  std::mt19937_64 rng(91);
-  const char* groups[] = {"north", "south", "east"};
-  const char* kinds[] = {"a", "b", "c", "d"};
-  Relation r(Schema{{"id", ValueType::kInt},
-                    {"g", ValueType::kString},
-                    {"c", ValueType::kString},
-                    {"x", ValueType::kDouble},
-                    {"y", ValueType::kInt}});
-  for (int64_t i = 0; i < 600; ++i) {
-    const uint64_t dice = rng() % 20;
-    const Value x = dice == 0   ? Value()
-                    : dice == 1 ? Value(std::nan(""))
-                                : Value(double(rng() % 200) / 4);
-    r.Add({Value(i), groups[rng() % 3], kinds[rng() % 4], x,
-           Value(int64_t(rng() % 100))});
-  }
-  psql::Catalog catalog;
-  catalog.Register("t", r);
-  EngineOptions cacheless;
-  cacheless.enable_plan_cache = false;
-  cacheless.enable_exec_cache = false;
-  BmoOptions oracle;
-  oracle.algorithm = BmoAlgorithm::kNaive;
-  oracle.vectorize = false;
-  BmoOptions decomposition;
-  decomposition.algorithm = BmoAlgorithm::kDecomposition;
-  Engine engine(catalog);
-  for (const char* where : {"", " WHERE y < 70"}) {
-    for (const char* preferring :
-         {"LOWEST(x) AND HIGHEST(y)", "LOWEST(x) CASCADE HIGHEST(y)",
-          "(c = 'a' ELSE c <> 'b') AND y AROUND 50 CASCADE LOWEST(x)"}) {
-      for (const char* grouping : {"", " GROUPING g"}) {
-        const std::string sql = std::string("SELECT * FROM t") + where +
-                                " PREFERRING " + preferring + grouping;
-        SCOPED_TRACE(sql);
-        const std::vector<int64_t> expected =
-            Ids(Engine(catalog, cacheless).Execute(sql, oracle).relation);
-        ASSERT_FALSE(expected.empty());
-        for (int run = 0; run < 2; ++run) {  // cold, then cached
-          const psql::QueryResult result = engine.Execute(sql, decomposition);
-          EXPECT_EQ(result.stats.exec_cache_hit, run > 0);
-          EXPECT_EQ(result.stats.kernel, "closure");
-          EXPECT_EQ(run > 0, result.stats.kernel_ns == 0);
-          EXPECT_EQ(Ids(result.relation), expected);
-        }
-      }
     }
   }
 }
@@ -1110,8 +1040,7 @@ TEST(EngineTest, WarmHitRunsNoKernel) {
   cacheless.enable_plan_cache = false;
   cacheless.enable_exec_cache = false;
   Engine engine(catalog);
-  BmoOptions closures;
-  closures.vectorize = false;
+  const BmoOptions naive{BmoAlgorithm::kNaive};
   const std::pair<std::string, BmoOptions> cases[] = {
       {"SELECT * FROM car WHERE price < 30000 "
        "PREFERRING LOWEST(price) AND LOWEST(mileage)",
@@ -1132,7 +1061,7 @@ TEST(EngineTest, WarmHitRunsNoKernel) {
        "PREFERRING LOWEST(mileage) AND LOWEST(price) LIMIT 3",
        {}},
       {"SELECT * FROM car PREFERRING LOWEST(price) AND LOWEST(mileage)",
-       closures},
+       naive},
   };
   for (const auto& [sql, options] : cases) {
     SCOPED_TRACE(sql);

@@ -34,48 +34,18 @@ TEST(ChooserTest, SkylineFragmentPrefersTiledSimdBnl) {
   EXPECT_GT(c.estimated_ns, 0.0);
 }
 
-TEST(ChooserTest, ChainHeadMakesDecompositionEligible) {
-  // A prioritized chain head is the Prop 11 structure: the cascade is
-  // always *considered* with a cost estimate. With the compiled kernels
-  // the BNL window over the lex descriptor is far cheaper (the window
-  // stays near the head's best block), so the cascade is not chosen —
-  // the cost model's honest correction of the old structural heuristic.
+TEST(ChooserTest, ChainHeadPlansACompiledKernel) {
+  // A prioritized chain head (the Prop 11 structure) compiles like any
+  // other term: the cost model compares the compiled kernels only, and
+  // the BNL window over the lex descriptor stays near the head's best
+  // block, so it wins.
   Relation r = GenerateCars(5000, 2);
   PrefPtr p = Prioritized(Lowest("price"), Pos("color", {"red"}));
   PhysicalPlan c = ChooseAlgorithm(r, p);
-  bool decomposition_considered = false;
-  for (const AlgorithmCost& cost : c.considered) {
-    if (cost.algorithm == BmoAlgorithm::kDecomposition) {
-      decomposition_considered = cost.eligible && cost.est_ns > 0.0;
-    }
-  }
-  EXPECT_TRUE(decomposition_considered);
+  ASSERT_EQ(c.considered.size(), 2u);
+  EXPECT_EQ(c.considered[0].algorithm, BmoAlgorithm::kBlockNestedLoop);
+  EXPECT_EQ(c.considered[1].algorithm, BmoAlgorithm::kSortFilter);
   EXPECT_EQ(c.algorithm, BmoAlgorithm::kBlockNestedLoop);
-  // Non-chain heads are not eligible at all.
-  PhysicalPlan d = ChooseAlgorithm(r, Pareto(Lowest("price"), Lowest("mileage")));
-  for (const AlgorithmCost& cost : d.considered) {
-    if (cost.algorithm == BmoAlgorithm::kDecomposition) {
-      EXPECT_FALSE(cost.eligible);
-    }
-  }
-}
-
-TEST(ChooserTest, SelectiveChainHeadOverClosureTailUsesDecomposition) {
-  // The cascade's winning regime: a selective chain head in front of a
-  // term that only evaluates through closures (non-compilable tail) with
-  // a wide estimated window — sorting once and cascading into the best
-  // block beats paying closure dominance tests across the whole pool.
-  TermStats stats;
-  stats.input_rows = 50000;
-  stats.distinct_values = 50000;
-  stats.dims = 4;
-  stats.compilable = false;
-  stats.chain_head = true;
-  stats.head_distinct = 5;
-  stats.est_window = 130.0;
-  PhysicalPlan plan = PlanPhysical(stats, BmoOptions{});
-  EXPECT_EQ(plan.algorithm, BmoAlgorithm::kDecomposition);
-  EXPECT_NE(plan.rationale.find("Prop 11"), std::string::npos);
 }
 
 TEST(ChooserTest, LevelTermsStayEligibleForVectorizedSfs) {
@@ -98,12 +68,6 @@ TEST(ChooserTest, LevelTermsStayEligibleForVectorizedSfs) {
 
 TEST(ChooserTest, UnstructuredTermsFallBackToBnl) {
   Relation r = GenerateCars(5000, 4);
-  // With vectorization disabled the same level term has no sort keys.
-  PrefPtr p = Pareto(Pos("color", {"red"}), Pos("make", {"Audi"}));
-  BmoOptions no_vector;
-  no_vector.vectorize = false;
-  EXPECT_EQ(ChooseAlgorithm(r, p, no_vector).algorithm,
-            BmoAlgorithm::kBlockNestedLoop);
   // Intersection aggregations compile but derive no sort keys and are
   // never flat-Pareto, so BNL is the only eligible kernel.
   PrefPtr hard = Intersection(Pos("color", {"red"}), Neg("color", {"blue"}));

@@ -37,9 +37,7 @@ PhysicalPlan PlanMeasured(const Relation& r, const PrefPtr& p,
                           const BmoOptions& options = {}) {
   auto table = ScoreTable::Compile(p, r);
   EXPECT_TRUE(table.has_value());
-  PlanScope scope;
-  scope.allow_decomposition = false;
-  return PlanPhysical(MeasureTermStats(*table, p, r.size()), options, scope);
+  return PlanPhysical(MeasureTermStats(*table, p, r.size()), options);
 }
 
 TEST(PlannerGoldenTest, AntiCorrelatedWideWindowPicksSfs) {
@@ -112,23 +110,25 @@ TEST(PlannerGoldenTest, LowDistinctCountsShrinkTheEstimate) {
   EXPECT_LT(plan.estimated_ns, 1e6);
 }
 
-TEST(PlannerGoldenTest, ScopeMasksRelationLevelStrategies) {
-  TermStats stats;
-  stats.input_rows = 100000;
-  stats.distinct_values = 100000;
-  stats.dims = 3;
-  stats.chain_head = true;
-  stats.head_distinct = 4;
-  stats.est_window = 500.0;
-  PlanScope block_scope;
-  block_scope.allow_decomposition = false;
-  PhysicalPlan plan = PlanPhysical(stats, BmoOptions{}, block_scope);
-  EXPECT_NE(plan.algorithm, BmoAlgorithm::kDecomposition);
-  for (const AlgorithmCost& cost : plan.considered) {
-    if (cost.algorithm == BmoAlgorithm::kDecomposition) {
-      EXPECT_FALSE(cost.eligible);
-    }
-  }
+TEST(PlannerGoldenTest, NonCompilableTermIsAnUncostedClosurePlan) {
+  // A term that does not compile has one kernel, the closure BNL window:
+  // kAuto plans it without a cost table, and the engine's estimate-level
+  // stats (TermStats::compilable) say so before anything is built.
+  Relation cars = GenerateCars(2000, 5);
+  PrefPtr forest = Pareto(
+      Explicit("category", {{Value("roadster"), Value("coupe")},
+                            {Value("passenger"), Value("van")}}),
+      Lowest("price"));
+  ASSERT_FALSE(ScoreTable::CompilableTerm(forest));
+  TermStats stats =
+      EstimateTermStats(TableStats::Derive(cars), forest, cars.size());
+  EXPECT_FALSE(stats.compilable);
+  PhysicalPlan plan = PlanPhysical(stats, BmoOptions{});
+  EXPECT_EQ(plan.algorithm, BmoAlgorithm::kBlockNestedLoop);
+  EXPECT_TRUE(plan.considered.empty());
+  EXPECT_EQ(plan.ExplainCosts(), "");
+  EXPECT_EQ(BmoIndices(cars, forest),
+            BmoIndices(cars, forest, {BmoAlgorithm::kNaive}));
 }
 
 TEST(PlannerGoldenTest, ExplainCostsListsEveryConsideredAlgorithm) {
@@ -138,19 +138,16 @@ TEST(PlannerGoldenTest, ExplainCostsListsEveryConsideredAlgorithm) {
   EXPECT_NE(text.find("stats:"), std::string::npos);
   EXPECT_NE(text.find("bnl:"), std::string::npos);
   EXPECT_NE(text.find("sfs:"), std::string::npos);
-  EXPECT_NE(text.find("decomposition:"), std::string::npos);
   EXPECT_NE(text.find("<- chosen"), std::string::npos);
 }
 
 TEST(PlannerGoldenTest, FromOptionsIsPassThrough) {
   BmoOptions options;
   options.algorithm = BmoAlgorithm::kSortFilter;
-  options.vectorize = false;
   options.simd = SimdMode::kScalar;
   options.bnl_tile_rows = 77;
   PhysicalPlan plan = PhysicalPlan::FromOptions(options);
   EXPECT_EQ(plan.algorithm, BmoAlgorithm::kSortFilter);
-  EXPECT_FALSE(plan.vectorize);
   EXPECT_EQ(plan.simd, SimdMode::kScalar);
   EXPECT_EQ(plan.bnl_tile_rows, 77u);
   EXPECT_TRUE(plan.considered.empty());

@@ -1,10 +1,11 @@
 // Tests for the vectorized score-table execution layer
 // (exec/score_table.h): the compiled kernels must return exactly the
-// closure-based BNL answer for every compilable term — randomized across
-// Pareto/prioritized nestings of layered, pos/neg and numerical leaves —
-// and non-compilable terms must fall back to the closure path untouched.
-// Plus the NaN / -inf sort-key guards for the SFS comparator and the
-// data-dependent score-chain fast path of the BNL window.
+// naive closure oracle's answer for every compilable term — randomized
+// across Pareto/prioritized nestings of layered, pos/neg and numerical
+// leaves — and non-compilable terms must fall back to the closure BNL
+// window, which must agree with the oracle too. Plus the NaN / -inf
+// sort-key guards for the SFS comparator and the data-dependent
+// score-chain fast path of the BNL window.
 
 #include "exec/score_table.h"
 
@@ -26,19 +27,9 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-BmoOptions Closure(BmoAlgorithm algo = BmoAlgorithm::kBlockNestedLoop) {
-  BmoOptions options;
-  options.algorithm = algo;
-  options.vectorize = false;
-  return options;
-}
-
-BmoOptions Vectorized(BmoAlgorithm algo) {
-  BmoOptions options;
-  options.algorithm = algo;
-  options.vectorize = true;
-  return options;
-}
+// The reference every compiled kernel is checked against: the
+// exhaustive closure test over distinct projections.
+const BmoOptions kOracle{BmoAlgorithm::kNaive};
 
 // A relation with level-friendly string columns and numeric columns,
 // including NULLs and int/double mixtures in the numeric ones.
@@ -139,11 +130,11 @@ TEST(ScoreTableTest, IntersectionTermsMatchClosure) {
         Prioritized(Lowest("price"), numeric_isect),
         Prioritized(isect, Highest("score"))}) {
     ASSERT_TRUE(ScoreTable::CompilableTerm(p)) << p->ToString();
-    std::vector<size_t> expected = BmoIndices(r, p, Closure());
+    std::vector<size_t> expected = BmoIndices(r, p, kOracle);
     for (BmoAlgorithm algo :
          {BmoAlgorithm::kAuto, BmoAlgorithm::kBlockNestedLoop,
-          BmoAlgorithm::kSortFilter, BmoAlgorithm::kNaive}) {
-      EXPECT_EQ(BmoIndices(r, p, Vectorized(algo)), expected)
+          BmoAlgorithm::kSortFilter}) {
+      EXPECT_EQ(BmoIndices(r, p, {algo}), expected)
           << p->ToString() << " algo=" << BmoAlgorithmName(algo);
     }
   }
@@ -155,8 +146,8 @@ TEST(ScoreTableTest, DisjointUnionCompilesTheClosureFormula) {
   // for compilable pieces (weak orders have full range), so window
   // algorithms are order-dependent here — exactly as with the closure.
   // The compiled descriptor must still encode the same *formula*
-  // (l1 || l2), which the order-independent naive kernel checks exactly:
-  // row-by-row elimination depends only on the pairwise test.
+  // (l1 || l2): the table's pairwise test must equal the closure's on
+  // every row pair.
   PrefPtr uni =
       DisjointUnion(Explicit("color", {{Value("red"), Value("blue")}}),
                     Explicit("color", {{Value("green"), Value("black")}}));
@@ -165,9 +156,20 @@ TEST(ScoreTableTest, DisjointUnionCompilesTheClosureFormula) {
         DisjointUnion(Lowest("price"), Around("score", 5.0)),
         Intersection(uni, Pos("color", {"blue", "black"}))}) {
     ASSERT_TRUE(ScoreTable::CompilableTerm(p)) << p->ToString();
-    EXPECT_EQ(BmoIndices(r, p, Vectorized(BmoAlgorithm::kNaive)),
-              BmoIndices(r, p, Closure(BmoAlgorithm::kNaive)))
-        << p->ToString();
+    const std::optional<ScoreTable> table = ScoreTable::Compile(p, r);
+    const LessFn less = p->Bind(r.schema().Project(p->attributes()));
+    const std::vector<size_t> cols = r.ResolveColumns(p->attributes());
+    std::vector<Tuple> projs;
+    for (size_t i = 0; i < r.size(); ++i) {
+      projs.push_back(r.RowAt(i).Project(cols));
+    }
+    size_t mismatches = 0;
+    for (size_t x = 0; x < r.size(); ++x) {
+      for (size_t y = 0; y < r.size(); ++y) {
+        if (table->Less(x, y) != less(projs[x], projs[y])) ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << p->ToString();
   }
 }
 
@@ -183,7 +185,7 @@ TEST(ScoreTableTest, ExplicitGraphsCompileOnlyWhenLevelable) {
   EXPECT_FALSE(ScoreTable::CompilableTerm(forest));
   // The non-levelable graph still evaluates correctly via closures.
   Relation r = testing::StringRelation("g", {"a", "b", "c", "d", "z"});
-  EXPECT_TRUE(Bmo(r, forest).SameRows(Bmo(r, forest, Closure())));
+  EXPECT_TRUE(Bmo(r, forest).SameRows(Bmo(r, forest, kOracle)));
 }
 
 TEST(ScoreTableTest, RandomizedTermsMatchClosureBnl) {
@@ -192,27 +194,36 @@ TEST(ScoreTableTest, RandomizedTermsMatchClosureBnl) {
     Relation r = MixedRelation(400, seed * 101);
     for (int round = 0; round < 8; ++round) {
       PrefPtr p = gen.Term(2 + round % 2);
-      std::vector<size_t> expected = BmoIndices(r, p, Closure());
+      std::vector<size_t> expected = BmoIndices(r, p, kOracle);
       for (BmoAlgorithm algo :
            {BmoAlgorithm::kAuto, BmoAlgorithm::kBlockNestedLoop,
-            BmoAlgorithm::kSortFilter, BmoAlgorithm::kNaive}) {
-        EXPECT_EQ(BmoIndices(r, p, Vectorized(algo)), expected)
+            BmoAlgorithm::kSortFilter}) {
+        EXPECT_EQ(BmoIndices(r, p, {algo}), expected)
             << p->ToString() << " algo=" << BmoAlgorithmName(algo);
       }
     }
   }
 }
 
-TEST(ScoreTableTest, ClosureSfsMatchesOnRandomizedTerms) {
-  // The closure SFS path (vectorize off) shares the NaN/-inf guards and
-  // the equal-key cleanup; it must agree with closure BNL too.
+TEST(ScoreTableTest, ClosureBnlMatchesTheOracle) {
+  // MaximaBnl is the one kernel of terms that do not compile; it must
+  // agree with MaximaNaive over the distinct projections, NULL cells
+  // included. It runs here on the projection index directly, over the
+  // generator's terms and over a forest EXPLICIT that does not compile.
+  const PrefPtr forest =
+      Explicit("color", {{Value("red"), Value("blue")},
+                         {Value("green"), Value("black")}});
+  ASSERT_FALSE(ScoreTable::CompilableTerm(forest));
   for (uint64_t seed : {11u, 12u, 13u}) {
     CompilableTermGen gen(seed);
     Relation r = MixedRelation(300, seed * 7);
-    for (int round = 0; round < 6; ++round) {
-      PrefPtr p = gen.Term(2);
-      EXPECT_EQ(BmoIndices(r, p, Closure(BmoAlgorithm::kSortFilter)),
-                BmoIndices(r, p, Closure()))
+    for (int round = 0; round < 8; ++round) {
+      PrefPtr p = round < 6 ? gen.Term(2)
+                            : Prioritized(forest, gen.Term(round - 6));
+      const ProjectionIndex index = BuildProjectionIndex(r, *p);
+      const LessFn less = p->Bind(index.proj_schema);
+      EXPECT_EQ(MaximaBnl(index.values, less),
+                MaximaNaive(index.values, less))
           << p->ToString();
     }
   }
@@ -235,8 +246,7 @@ TEST(ScoreTableTest, ScoreChainIsOneColumnWithoutIds) {
     for (BmoAlgorithm algo :
          {BmoAlgorithm::kAuto, BmoAlgorithm::kBlockNestedLoop,
           BmoAlgorithm::kSortFilter}) {
-      EXPECT_EQ(BmoIndices(r, p, Vectorized(algo)),
-                (std::vector<size_t>{0, 1, 2}))
+      EXPECT_EQ(BmoIndices(r, p, {algo}), (std::vector<size_t>{0, 1, 2}))
           << p->ToString() << " algo=" << BmoAlgorithmName(algo);
     }
   }
@@ -249,8 +259,7 @@ TEST(ScoreTableTest, ScoreChainIsOneColumnWithoutIds) {
     for (BmoAlgorithm algo :
          {BmoAlgorithm::kAuto, BmoAlgorithm::kBlockNestedLoop,
           BmoAlgorithm::kSortFilter, BmoAlgorithm::kNaive}) {
-      EXPECT_EQ(BmoIndices(r, p, Vectorized(algo)),
-                (std::vector<size_t>{1, 2}))
+      EXPECT_EQ(BmoIndices(r, p, {algo}), (std::vector<size_t>{1, 2}))
           << p->ToString() << " algo=" << BmoAlgorithmName(algo);
     }
   }
@@ -270,11 +279,9 @@ TEST(ScoreTableTest, NanScoresKeepSfsSoundAndCrashFree) {
       "a", [](const Value& v) { return *v.numeric() >= 5 ? kNaN : 1.0; },
       "nan_above_5");
   PrefPtr p = Pareto(nan_score, Highest("b"));
-  std::vector<size_t> expected = BmoIndices(r, p, Closure());
-  EXPECT_EQ(BmoIndices(r, p, Closure(BmoAlgorithm::kSortFilter)), expected);
-  EXPECT_EQ(BmoIndices(r, p, Vectorized(BmoAlgorithm::kSortFilter)),
-            expected);
-  EXPECT_EQ(BmoIndices(r, p, Vectorized(BmoAlgorithm::kAuto)), expected);
+  std::vector<size_t> expected = BmoIndices(r, p, kOracle);
+  EXPECT_EQ(BmoIndices(r, p, {BmoAlgorithm::kSortFilter}), expected);
+  EXPECT_EQ(BmoIndices(r, p, {BmoAlgorithm::kAuto}), expected);
 }
 
 TEST(ScoreTableTest, NonNumericMinusInfKeysTieSoundly) {
@@ -288,10 +295,8 @@ TEST(ScoreTableTest, NonNumericMinusInfKeysTieSoundly) {
   r.Add({Value(), 20});
   r.Add({Value(5), 1});
   PrefPtr p = Pareto(Lowest("price"), Highest("power"));
-  std::vector<size_t> expected = BmoIndices(r, p, Closure());
-  EXPECT_EQ(BmoIndices(r, p, Closure(BmoAlgorithm::kSortFilter)), expected);
-  EXPECT_EQ(BmoIndices(r, p, Vectorized(BmoAlgorithm::kSortFilter)),
-            expected);
+  std::vector<size_t> expected = BmoIndices(r, p, kOracle);
+  EXPECT_EQ(BmoIndices(r, p, {BmoAlgorithm::kSortFilter}), expected);
 }
 
 TEST(ScoreTableTest, MinusInfKeyPrefixTiesCannotReorderLaterKeys) {
@@ -308,13 +313,10 @@ TEST(ScoreTableTest, MinusInfKeyPrefixTiesCannotReorderLaterKeys) {
   r.Add({Value(), 7, 1});
   r.Add({3, 0, 0});
   PrefPtr p = Prioritized(Pareto(Lowest("p"), Highest("b")), Highest("c"));
-  std::vector<size_t> expected = BmoIndices(r, p, Closure());
+  std::vector<size_t> expected = BmoIndices(r, p, kOracle);
   EXPECT_EQ(expected, (std::vector<size_t>{1, 2}));
-  EXPECT_EQ(BmoIndices(r, p, Closure(BmoAlgorithm::kSortFilter)), expected);
-  EXPECT_EQ(BmoIndices(r, p, Closure(BmoAlgorithm::kAuto)), expected);
-  EXPECT_EQ(BmoIndices(r, p, Vectorized(BmoAlgorithm::kSortFilter)),
-            expected);
-  EXPECT_EQ(BmoIndices(r, p, Vectorized(BmoAlgorithm::kAuto)), expected);
+  EXPECT_EQ(BmoIndices(r, p, {BmoAlgorithm::kSortFilter}), expected);
+  EXPECT_EQ(BmoIndices(r, p, {BmoAlgorithm::kAuto}), expected);
 }
 
 TEST(ScoreTableTest, DualOfAccumulationsMatchClosure) {
@@ -332,11 +334,11 @@ TEST(ScoreTableTest, DualOfAccumulationsMatchClosure) {
   };
   for (const PrefPtr& p : terms) {
     ASSERT_TRUE(ScoreTable::CompilableTerm(p)) << p->ToString();
-    std::vector<size_t> expected = BmoIndices(r, p, Closure());
+    std::vector<size_t> expected = BmoIndices(r, p, kOracle);
     for (BmoAlgorithm algo :
          {BmoAlgorithm::kAuto, BmoAlgorithm::kBlockNestedLoop,
           BmoAlgorithm::kSortFilter}) {
-      EXPECT_EQ(BmoIndices(r, p, Vectorized(algo)), expected)
+      EXPECT_EQ(BmoIndices(r, p, {algo}), expected)
           << p->ToString() << " algo=" << BmoAlgorithmName(algo);
     }
   }
@@ -346,31 +348,29 @@ TEST(ScoreTableTest, GroupingTermsCompileViaAntiChain) {
   // Def. 16 grouping device A<-> & P as one compiled term.
   Relation r = MixedRelation(300, 7);
   PrefPtr p = Prioritized(AntiChain("make"), Lowest("price"));
-  EXPECT_EQ(BmoIndices(r, p, Vectorized(BmoAlgorithm::kAuto)),
-            BmoIndices(r, p, Closure()));
-  EXPECT_EQ(BmoIndices(r, p, Vectorized(BmoAlgorithm::kAuto)),
-            BmoGroupByIndices(r, Lowest("price"), {"make"}, Closure()));
+  EXPECT_EQ(BmoIndices(r, p), BmoIndices(r, p, kOracle));
+  EXPECT_EQ(BmoIndices(r, p),
+            BmoGroupByIndices(r, Lowest("price"), {"make"}, kOracle));
   // Multi-attribute grouping keys groups on value combinations.
   for (const PrefPtr& q :
        {Lowest("price"), Pareto(Lowest("price"), Pos("color", {"red"}))}) {
-    EXPECT_EQ(BmoGroupByIndices(r, q, {"make", "color"},
-                                Vectorized(BmoAlgorithm::kAuto)),
-              BmoGroupByIndices(r, q, {"make", "color"}, Closure()))
+    EXPECT_EQ(BmoGroupByIndices(r, q, {"make", "color"}),
+              BmoGroupByIndices(r, q, {"make", "color"}, kOracle))
         << q->ToString();
   }
 }
 
 TEST(ScoreTableTest, FallbackTermsStillEvaluate) {
-  // LINEAR_SUM and SUBSET don't compile; the vectorized options must
-  // transparently use closures and agree with the explicit closure run.
+  // LINEAR_SUM and SUBSET don't compile; every request must
+  // transparently run the closure BNL window and agree with the oracle.
   Relation r = testing::IntRelation("x", {1, 2, 3, 4, 5, 6});
   PrefPtr sub = Subset(Lowest("x"), {Tuple({Value(2)}), Tuple({Value(4)}),
                                      Tuple({Value(5)})});
-  EXPECT_TRUE(Bmo(r, sub).SameRows(Bmo(r, sub, Closure())));
+  EXPECT_TRUE(Bmo(r, sub).SameRows(Bmo(r, sub, kOracle)));
   PrefPtr lin =
       LinearSum("x", Lowest("x"), Highest("x"),
                 {Value(1), Value(2), Value(3)}, {Value(4), Value(5), Value(6)});
-  EXPECT_TRUE(Bmo(r, lin).SameRows(Bmo(r, lin, Closure())));
+  EXPECT_TRUE(Bmo(r, lin).SameRows(Bmo(r, lin, kOracle)));
 }
 
 }  // namespace

@@ -510,8 +510,6 @@ TEST(SessionOptionsTest, AppliesAndSerializesTheWholeVocabulary) {
   SessionOptions options;
   EXPECT_EQ(options.Apply("timeout_ms", "1500"), "");
   EXPECT_EQ(options.timeout_ms, 1500u);
-  EXPECT_EQ(options.Apply("vectorize", "off"), "");
-  EXPECT_FALSE(options.bmo.vectorize);
   EXPECT_EQ(options.Apply("algorithm", "sfs"), "");
   EXPECT_EQ(options.bmo.algorithm, BmoAlgorithm::kSortFilter);
   EXPECT_EQ(options.Apply("simd", "scalar"), "");
@@ -551,7 +549,6 @@ TEST(SessionOptionsTest, AppliesAndSerializesTheWholeVocabulary) {
     EXPECT_EQ(copy.Apply(name, value), "") << name << "=" << value;
   }
   EXPECT_EQ(copy.timeout_ms, options.timeout_ms);
-  EXPECT_EQ(copy.bmo.vectorize, options.bmo.vectorize);
   EXPECT_EQ(copy.bmo.algorithm, options.bmo.algorithm);
   EXPECT_EQ(copy.bmo.simd, options.bmo.simd);
   EXPECT_EQ(copy.max_pending_deltas, options.max_pending_deltas);
@@ -560,8 +557,7 @@ TEST(SessionOptionsTest, AppliesAndSerializesTheWholeVocabulary) {
   // BmoAlgorithmName / SimdModeName.
   for (BmoAlgorithm algorithm :
        {BmoAlgorithm::kAuto, BmoAlgorithm::kNaive,
-        BmoAlgorithm::kBlockNestedLoop, BmoAlgorithm::kSortFilter,
-        BmoAlgorithm::kDecomposition}) {
+        BmoAlgorithm::kBlockNestedLoop, BmoAlgorithm::kSortFilter}) {
     for (SimdMode simd :
          {SimdMode::kAuto, SimdMode::kScalar, SimdMode::kAvx2}) {
       SessionOptions sent;

@@ -201,7 +201,6 @@ TEST(ServerTest, PreparedHandlesRunTheStatement) {
 TEST(ServerTest, SessionOptionsApplyAndValidate) {
   ServedEngine served;
   Client client = served.Connect();
-  EXPECT_TRUE(client.Set("vectorize", "off").ok);
   EXPECT_TRUE(client.Set("algorithm", "bnl").ok);
   // Every query runs on one worker thread: there is no threads option.
   EXPECT_EQ(client.Set("threads", "2").error.code,
@@ -211,11 +210,17 @@ TEST(ServerTest, SessionOptionsApplyAndValidate) {
   EXPECT_TRUE(response.relation ==
               served.Reference(kMixQueries[0]).relation);
 
-  // "dc" is not an algorithm name: there is no divide & conquer kernel.
-  for (const char* bad : {"quantum", "dc"}) {
-    EXPECT_EQ(client.Set("algorithm", bad).error.code,
+  // The divide & conquer evaluator is a library function, not a planned
+  // kernel, and only algorithm=naive selects the closure path.
+  for (const auto& [name, value] :
+       {std::pair<const char*, const char*>{"algorithm", "quantum"},
+        {"algorithm", "dc"},
+        {"algorithm", "decomposition"},
+        {"vectorize", "off"},
+        {"vectorize", "on"}}) {
+    EXPECT_EQ(client.Set(name, value).error.code,
               psql::ErrorCode::kBadArgument)
-        << bad;
+        << name << "=" << value;
   }
   EXPECT_EQ(client.Set("no_such_option", "1").error.code,
             psql::ErrorCode::kBadArgument);
