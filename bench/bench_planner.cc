@@ -3,16 +3,14 @@
 // Families (tracked by the CI perf gate at n=4096, see bench/compare.py):
 //   BM_planner_anchor_scalar      forced scalar-kernel BNL (the per-file
 //                                 anchor that cancels machine speed)
-//   BM_planner_overhead_estimate  statistics-level planning only
-//                                 (EstimateTermStats + cost model)
 //   BM_planner_overhead_measured  measured planning only (sampled window
 //                                 probe + cost model, table precompiled)
 //   BM_planner_chosen_<family>    end-to-end kAuto execution (plan +
 //                                 chosen kernel) per workload regime
 //
 // After the benchmarks run, main() executes the misprediction check: for
-// every workload family — the four above at 4096 rows, plus three at
-// serving scale (100k rows): 3-d anti-correlated vectors and the
+// every workload family — the four chosen families at 4096 rows, plus
+// three at serving scale (100k rows): 3-d anti-correlated vectors and the
 // generated car table under the serving mix's 3-d Pareto term and its
 // LOWEST(price) chain — each eligible block algorithm (BNL, and SFS when
 // the table has sort keys) is wall-clocked on the compiled table (median
@@ -71,22 +69,6 @@ void BM_planner_anchor_scalar(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_planner_anchor_scalar)->Arg(4096)->Unit(benchmark::kMillisecond);
-
-// --- planning overhead, statistics level (what ChooseAlgorithm costs on
-// the engine's cached TableStats).
-void BM_planner_overhead_estimate(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Relation r = GenerateVectors(n, 4, Correlation::kIndependent, 42);
-  PrefPtr p = SkylinePref(4);
-  TableStats stats = TableStats::Derive(r, p->attributes());
-  for (auto _ : state) {
-    PhysicalPlan plan = ChooseAlgorithm(stats, n, p, {});
-    benchmark::DoNotOptimize(plan);
-  }
-}
-BENCHMARK(BM_planner_overhead_estimate)
-    ->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
 
 // --- planning overhead, measured level (the sampled window probe over a
 // precompiled table + the cost model).

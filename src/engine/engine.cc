@@ -90,7 +90,7 @@ uint64_t ElapsedNs(Clock::time_point begin, Clock::time_point end) {
 // label; never its rows): the algorithm request and the kernel policy.
 std::string OptionsSignature(const BmoOptions& o) {
   return std::to_string(static_cast<int>(o.algorithm)) + ":" +
-         SimdModeName(o.simd) + ":" + std::to_string(o.bnl_tile_rows);
+         SimdModeName(o.simd);
 }
 
 std::string TopKText(size_t k) {
@@ -119,18 +119,37 @@ std::string CompilePaths(const std::vector<CompiledBlock>& blocks,
   return out.empty() ? out : out + "\n";
 }
 
+// EXPLAIN's line for a grouped statement: how many groups ran which
+// algorithm, each group having planned its own block.
+std::string GroupingLine(const std::vector<CompiledBlock>& blocks) {
+  std::string counts;
+  for (BmoAlgorithm algorithm :
+       {BmoAlgorithm::kNaive, BmoAlgorithm::kBlockNestedLoop,
+        BmoAlgorithm::kSortFilter}) {
+    const auto n = std::count_if(
+        blocks.begin(), blocks.end(), [algorithm](const CompiledBlock& b) {
+          return b.plan.algorithm == algorithm;
+        });
+    if (n == 0) continue;
+    counts += (counts.empty() ? "" : ", ") +
+              std::string(BmoAlgorithmName(algorithm)) + " ×" +
+              std::to_string(n);
+  }
+  return "grouping: " + std::to_string(blocks.size()) +
+         " group(s), each planned from its own block: " +
+         (counts.empty() ? "none" : counts) +
+         "; estimated cost is the per-group sum\n";
+}
+
 // Builds the exec entry for (plan, snapshot, options): runs the whole
-// data-dependent pipeline once — the WHERE filter, the statistics-driven
-// planner, the score-table compiler and the kernel — and keeps only the
-// answer rows. Called without engine locks; everything it touches is
-// immutable shared state. `table_stats` is the engine's per-table
-// statistics snapshot (may be null when the plan is explicit and no
-// EXPLAIN is requested).
+// data-dependent pipeline once — the WHERE filter, the rewrites, the
+// score-table compiler with each block's measured plan, and the kernel —
+// and keeps only the answer rows. Called without engine locks;
+// everything it touches is immutable shared state.
 std::shared_ptr<const Exec> BuildExec(const Plan& plan,
                                       const BmoOptions& options,
                                       std::shared_ptr<const Relation> snapshot,
-                                      uint64_t version,
-                                      const TableStats* table_stats) {
+                                      uint64_t version) {
   const psql::SelectStatement& stmt = plan.stmt;
   auto exec = std::make_shared<Exec>();
   exec->table_name = stmt.table;
@@ -241,36 +260,22 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
     exec->kernel_ns += ElapsedNs(t0, Clock::now());
   } else if (preference) {
     exec->preference_term = preference->ToString();
-    // Stage 1 — statistics-level planning. Mirror the legacy routing:
-    // the optimizer runs for EXPLAIN or kAuto (simplify + cost model
-    // over the engine's incremental table statistics); an explicit
-    // algorithm skips rewrites and becomes a pass-through plan.
+    // Stage 1 — rewrites, for EXPLAIN or kAuto (Props 3/4a/6, which
+    // preserve the answer by Prop 7); an explicit algorithm runs the term
+    // as written.
     PrefPtr exec_pref = preference;
-    const size_t pool_size = pool_ptr ? pool.size() : table.size();
-    BmoAlgorithm algorithm = options.algorithm;
-    OptimizedQuery optimized;
-    bool costed = false;
+    std::vector<RewriteStep> rewrites;
     if (stmt.explain || options.algorithm == BmoAlgorithm::kAuto) {
       t0 = Clock::now();
-      TableStats empty;
-      empty.rows = table.size();
-      optimized = Optimize(table_stats != nullptr ? *table_stats : empty,
-                           pool_size, preference, options);
+      exec_pref = Simplify(preference, &rewrites);
       exec->optimize_ns += ElapsedNs(t0, Clock::now());
-      exec_pref = optimized.simplified;
-      if (options.algorithm == BmoAlgorithm::kAuto) {
-        algorithm = optimized.plan.algorithm;
-        costed = true;
-      }
-      if (stmt.explain) exec->plan_details = optimized.Explain();
     }
 
-    // The compiled blocks live only for this build: one over the
-    // candidate pool, or one per group (Def. 16).
+    // Stage 2 — compile each block once and plan it from its measured
+    // statistics (exact distinct counts, injectivity, the sampled window
+    // probe): one block over the candidate pool, or one per group
+    // (Def. 16). The blocks live only for this build.
     std::vector<CompiledBlock> blocks;
-    // Stage 2 — compile each block once and refine its plan with the
-    // measured block statistics (exact distinct counts, injectivity,
-    // the sampled window probe).
     t0 = Clock::now();
     std::vector<std::vector<size_t>> groups;
     if (stmt.grouping.empty()) {
@@ -284,37 +289,19 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
       }
     }
     uint64_t plan_ns = 0;
-    for (const CompiledBlock& block : blocks) plan_ns += block.plan_ns;
+    for (const CompiledBlock& block : blocks) {
+      plan_ns += block.plan_ns;
+      exec->estimated_ns += block.plan.estimated_ns;
+    }
     exec->compile_ns += ElapsedNs(t0, Clock::now()) - plan_ns;
     exec->optimize_ns += plan_ns;
+    // The plan text names the algorithm that ran; a grouped statement
+    // names the request, since each group planned itself.
+    BmoAlgorithm algorithm = options.algorithm;
     if (stmt.grouping.empty()) {
-      // The block saw the actual data, so its plan supersedes the
-      // estimate-level one.
       algorithm = blocks[0].plan.algorithm;
-      exec->estimated_ns = blocks[0].plan.estimated_ns;
-      if (costed && stmt.explain) {
-        optimized.plan = blocks[0].plan;
-        exec->plan_details = optimized.Explain();
-      }
       exec->kernel_variant = blocks[0].KernelVariant();
     } else {
-      // The grouped statement's estimate is the sum of the per-group
-      // plans actually executed — the stage-1 table-level estimate
-      // would make EXPLAIN's estimated-vs-actual comparison meaningless.
-      if (costed) {
-        for (const CompiledBlock& block : blocks) {
-          exec->estimated_ns += block.plan.estimated_ns;
-        }
-        if (stmt.explain) {
-          // The cost table above is the stage-1 table-level view; make
-          // explicit that execution runs one refined plan per group and
-          // that the reported estimate is their sum.
-          exec->plan_details +=
-              "grouping: " + std::to_string(groups.size()) +
-              " group(s), plans refined per group; estimated cost is "
-              "the per-group sum\n";
-        }
-      }
       // An empty pool has no groups, so nothing compiles.
       exec->kernel_variant =
           !blocks.empty() && blocks[0].table
@@ -336,7 +323,20 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
                                                   : " -> bmo_groupby[") +
                 exec_pref->ToString() + ", " + BmoAlgorithmName(algorithm) +
                 ", kernel=" + exec->kernel_variant + "]";
-    if (stmt.explain && !exec->plan_details.empty()) {
+    if (stmt.explain) {
+      // The plan of the block that ran, or of the largest group's block.
+      OptimizedQuery explained;
+      explained.original = preference;
+      explained.simplified = exec_pref;
+      explained.rewrites = std::move(rewrites);
+      size_t shown = 0;
+      for (size_t g = 1; g < groups.size(); ++g) {
+        if (groups[g].size() > groups[shown].size()) shown = g;
+      }
+      explained.plan = blocks.empty() ? PlanPhysical(TermStats{}, options)
+                                      : blocks[shown].plan;
+      exec->plan_details = explained.Explain();
+      if (!stmt.grouping.empty()) exec->plan_details += GroupingLine(blocks);
       exec->plan_details += "kernel: " + exec->kernel_variant + "\n" +
                             CompilePaths(blocks, !stmt.grouping.empty());
     }
@@ -508,27 +508,8 @@ void Engine::Insert(const std::string& name, Tuple row) {
     auto lock = Lock();
     if (catalog_.Version(name) != version) continue;  // raced; redo the copy
     catalog_.Register(name, std::move(next));
-    // Invalidate dependent exec state, then roll the statistics forward
-    // incrementally (O(columns), no rescan) when we have them for the
-    // superseded version.
     const uint64_t new_version = catalog_.Version(name);
-    StatsEntry entry;
-    bool stats_fresh = false;
-    if (auto stats_it = stats_cache_.find(name);
-        stats_it != stats_cache_.end() &&
-        stats_it->second.version == version &&
-        stats_it->second.builder != nullptr) {
-      entry = std::move(stats_it->second);
-      stats_fresh = true;
-    }
-    InvalidateTable(name);  // also drops the (now stale) stats entry
-    if (stats_fresh) {
-      entry.builder->AddRow(row);
-      entry.version = new_version;
-      entry.stats =
-          std::make_shared<const TableStats>(entry.builder->Snapshot());
-      stats_cache_[name] = std::move(entry);
-    }
+    InvalidateTable(name);
     // Maintained views: one batch-kernel pass against each view's
     // antichain, delta fan-out, and the exec-cache refresh — all inside
     // this critical section, so subscribers observe the same mutation
@@ -585,9 +566,6 @@ size_t Engine::DeleteWhere(const std::string& name,
     if (catalog_.Version(name) != version) continue;  // raced; redo the scan
     catalog_.Register(name, std::move(next));
     const uint64_t new_version = catalog_.Version(name);
-    // Row removal cannot roll TableStats forward (distinct/null counters
-    // are additive only): InvalidateTable drops the entry and the next
-    // Stats() call rescans.
     InvalidateTable(name);
     NotifyViewsDelete(name, deleted, new_version);
     return deleted.size();
@@ -620,7 +598,6 @@ void Engine::InvalidateTable(const std::string& name) {
       [&name](const engine_internal::Exec& exec) {
         return exec.table_name == name;
       });
-  stats_cache_.erase(name);
 }
 
 std::shared_ptr<const engine_internal::Plan> Engine::GetOrBuildPlan(
@@ -702,19 +679,11 @@ std::shared_ptr<const engine_internal::Exec> Engine::GetOrBuildExec(
       }
     }
   }
-  // The statistics-level planner only runs for kAuto or EXPLAIN BMO
-  // statements; skip the per-table stats snapshot otherwise.
-  std::shared_ptr<const TableStats> table_stats;
-  if (plan.preference && !plan.stmt.ranked &&
-      (plan.stmt.explain || options.algorithm == BmoAlgorithm::kAuto)) {
-    table_stats = GetStats(plan.stmt.table, version, snapshot,
-                           &stats->stats_ns);
-  }
   // Build outside the lock: compilation and the kernel may be heavy and
   // must not block concurrent queries. A racing build of the same key produces an
   // identical immutable entry; last writer wins.
-  std::shared_ptr<const Exec> exec = BuildExec(
-      plan, options, std::move(snapshot), version, table_stats.get());
+  std::shared_ptr<const Exec> exec =
+      BuildExec(plan, options, std::move(snapshot), version);
   stats->optimize_ns = exec->optimize_ns;
   stats->compile_ns = exec->compile_ns;
   stats->kernel_ns = exec->kernel_ns;
@@ -732,39 +701,10 @@ std::shared_ptr<const engine_internal::Exec> Engine::GetOrBuildExec(
   return exec;
 }
 
-std::shared_ptr<const TableStats> Engine::GetStats(
-    const std::string& name, uint64_t version,
-    const std::shared_ptr<const Relation>& snapshot, uint64_t* derive_ns) {
-  {
-    auto lock = Lock();
-    auto it = stats_cache_.find(name);
-    if (it != stats_cache_.end() && it->second.version == version &&
-        it->second.stats != nullptr) {
-      return it->second.stats;
-    }
-  }
-  // Derive outside the lock (a columnar scan of the snapshot), then
-  // publish unless the table moved on while we scanned.
-  Clock::time_point t0 = Clock::now();
-  auto builder = std::make_shared<TableStatsBuilder>(*snapshot);
-  auto derived = std::make_shared<const TableStats>(builder->Snapshot());
-  if (derive_ns != nullptr) *derive_ns += ElapsedNs(t0, Clock::now());
-  auto lock = Lock();
-  if (catalog_.Has(name) && catalog_.Version(name) == version) {
-    stats_cache_[name] = StatsEntry{version, std::move(builder), derived};
-  }
-  return derived;
-}
-
 std::shared_ptr<const TableStats> Engine::Stats(const std::string& name) {
-  std::shared_ptr<const Relation> snapshot;
-  uint64_t version = 0;
-  {
-    auto lock = Lock();
-    snapshot = catalog_.GetShared(name);  // throws when unknown
-    version = catalog_.Version(name);
-  }
-  return GetStats(name, version, snapshot);
+  // The scan runs outside the lock, over the immutable snapshot.
+  return std::make_shared<const TableStats>(
+      TableStats::Derive(*Snapshot(name)));
 }
 
 psql::QueryResult Engine::RunWithStats(const engine_internal::Plan& plan,
@@ -991,7 +931,6 @@ void Engine::ClearCaches() {
   auto lock = Lock();
   plan_cache_.Clear();
   exec_cache_.Clear();
-  stats_cache_.clear();
 }
 
 // --- subscriptions / incremental view maintenance

@@ -5,9 +5,7 @@
 //
 //   Engine          owns the Catalog (copy-on-write relation snapshots with
 //                   per-table version counters), the default execution
-//                   options / thread budget, per-table statistics
-//                   (stats/stats.h, maintained incrementally across
-//                   Insert), and two LRU-bounded caches:
+//                   options, and two LRU-bounded caches:
 //                     - plan cache:   normalized statement text ->
 //                                     parsed AST + translated preference
 //                                     term (data-independent);
@@ -17,10 +15,12 @@
 //                                     term and the relation, and the key
 //                                     pins both, so a miss runs the whole
 //                                     data-dependent pipeline once — WHERE,
-//                                     the statistics-driven planner, the
-//                                     compile -> plan unit Bmo/BmoGroupBy
-//                                     use (internal::CompileBlock in
-//                                     eval/bmo_internal.h) and the kernel,
+//                                     the rewrites, the compile -> plan
+//                                     unit Bmo/BmoGroupBy use
+//                                     (internal::CompileBlock in
+//                                     eval/bmo_internal.h: each block is
+//                                     planned from its compiled table's
+//                                     measured statistics) and the kernel,
 //                                     then GROUPING, TOP k, BUT ONLY and
 //                                     LIMIT — and keeps only the final
 //                                     32-bit table rows (plus utilities
@@ -410,12 +410,13 @@ class Engine {
   CacheStats cache_stats() const;
   void ClearCaches();
 
-  /// Current statistics snapshot for `name` (derived on demand, then
-  /// maintained incrementally across Insert). Throws std::out_of_range
-  /// when the table is unknown. Derivation scans the snapshot's column
-  /// buffers (TableStatsBuilder), never its row cache: no served path —
-  /// statistics, WHERE / BUT ONLY / DELETE scans, TOP k, subscription
-  /// seeds — materializes a whole-row Tuple copy of a catalog snapshot.
+  /// Statistics of `name`'s current snapshot, derived by a full columnar
+  /// scan on every call (TableStats::Derive); nothing is cached, and no
+  /// query reads them. Throws std::out_of_range when the table is
+  /// unknown. The scan reads the snapshot's column buffers, never its row
+  /// cache: no served path — statistics, WHERE / BUT ONLY / DELETE scans,
+  /// TOP k, subscription seeds — materializes a whole-row Tuple copy of a
+  /// catalog snapshot.
   std::shared_ptr<const TableStats> Stats(const std::string& name);
 
   const EngineOptions& options() const { return options_; }
@@ -433,16 +434,8 @@ class Engine {
   psql::QueryResult RunWithStats(
       const engine_internal::Plan& plan, const BmoOptions& options,
       psql::QueryStats stats, std::chrono::steady_clock::time_point start);
-  /// Drops exec-cache entries and the stats entry for `name`; caller
-  /// holds mu_.
+  /// Drops the exec-cache entries of `name`; caller holds mu_.
   void InvalidateTable(const std::string& name);
-  /// Stats for (name, version): served from the per-table entry when
-  /// fresh, else derived from `snapshot` outside the lock, adding the
-  /// derivation time to `*derive_ns` when non-null.
-  std::shared_ptr<const TableStats> GetStats(
-      const std::string& name, uint64_t version,
-      const std::shared_ptr<const Relation>& snapshot,
-      uint64_t* derive_ns = nullptr);
 
   std::shared_ptr<const engine_internal::Plan> BuildTermPlan(
       const std::string& table, const PrefPtr& preference, bool ranked,
@@ -488,14 +481,6 @@ class Engine {
   Subscription AttachSubscriber(ViewSlot& slot, size_t max_pending);
   ViewMaintenanceStats SubscriptionViewStats(uint64_t id) const;
 
-  /// Incrementally maintained per-table statistics (guarded by mu_; the
-  /// builder's hash sets make Insert-time maintenance O(columns)).
-  struct StatsEntry {
-    uint64_t version = 0;
-    std::shared_ptr<TableStatsBuilder> builder;
-    std::shared_ptr<const TableStats> stats;
-  };
-
   /// Locks mu_, counting the acquisition and (via a failed try_lock)
   /// whether it contended. All engine paths lock through this.
   std::unique_lock<std::mutex> Lock() const;
@@ -508,7 +493,6 @@ class Engine {
   PreferenceRepository repository_;
   engine_internal::LruMap<engine_internal::Plan> plan_cache_;
   engine_internal::LruMap<engine_internal::Exec> exec_cache_;
-  std::unordered_map<std::string, StatsEntry> stats_cache_;
   CacheStats stats_;
   /// Registered maintained views by table (guarded by mu_).
   std::unordered_map<std::string, std::vector<std::shared_ptr<ViewSlot>>>

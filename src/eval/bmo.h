@@ -82,12 +82,6 @@ struct BmoOptions {
   BmoAlgorithm algorithm = BmoAlgorithm::kAuto;
   /// Dominance-kernel implementation for the compiled paths.
   SimdMode simd = SimdMode::kAuto;
-  /// Tile size (and engagement threshold) for the blocked BNL window
-  /// loop: candidates stream against the window while it holds fewer
-  /// rows than this; beyond it, tiles are reduced to their local maxima
-  /// in cache before touching the global window. 0 = auto-size so the
-  /// window stays L2-resident; >= the input size disables tiling.
-  size_t bnl_tile_rows = 0;
 };
 
 /// Evaluates σ[P](R); preserves input row order and duplicates (a tuple

@@ -1,22 +1,8 @@
 #include "eval/optimizer.h"
 
-#include <functional>
-#include <stdexcept>
-
-#include "core/complex_preferences.h"
+#include "eval/bmo_internal.h"
 
 namespace prefdb {
-
-PhysicalPlan ChooseAlgorithm(const Relation& r, const PrefPtr& p,
-                             const BmoOptions& options) {
-  TableStats stats = TableStats::Derive(r, p->attributes());
-  return ChooseAlgorithm(stats, r.size(), p, options);
-}
-
-PhysicalPlan ChooseAlgorithm(const TableStats& stats, size_t pool_rows,
-                             const PrefPtr& p, const BmoOptions& options) {
-  return PlanPhysical(EstimateTermStats(stats, p, pool_rows), options);
-}
 
 std::string OptimizedQuery::Explain() const {
   std::string out = "preference: " + original->ToString() + "\n";
@@ -36,40 +22,20 @@ std::string OptimizedQuery::Explain() const {
   return out;
 }
 
-namespace {
-
-OptimizedQuery OptimizeWith(
-    const PrefPtr& p,
-    const std::function<PhysicalPlan(const PrefPtr&)>& choose) {
+OptimizedQuery Optimize(const Relation& r, const PrefPtr& p,
+                        const BmoOptions& options) {
   OptimizedQuery out;
   out.original = p;
   out.simplified = Simplify(p, &out.rewrites);
-  out.plan = choose(out.simplified);
+  out.plan = internal::CompileBlock(r, out.simplified, nullptr, options).plan;
   return out;
-}
-
-}  // namespace
-
-OptimizedQuery Optimize(const Relation& r, const PrefPtr& p,
-                        const BmoOptions& options) {
-  return OptimizeWith(p, [&](const PrefPtr& simplified) {
-    return ChooseAlgorithm(r, simplified, options);
-  });
-}
-
-OptimizedQuery Optimize(const TableStats& stats, size_t pool_rows,
-                        const PrefPtr& p, const BmoOptions& options) {
-  return OptimizeWith(p, [&](const PrefPtr& simplified) {
-    return ChooseAlgorithm(stats, pool_rows, simplified, options);
-  });
 }
 
 Relation BmoOptimized(const Relation& r, const PrefPtr& p,
                       const BmoOptions& options) {
-  OptimizedQuery optimized = Optimize(r, p, options);
-  BmoOptions exec_options = options;
-  exec_options.algorithm = optimized.plan.algorithm;
-  return Bmo(r, optimized.simplified, exec_options);
+  BmoOptions auto_options = options;
+  auto_options.algorithm = BmoAlgorithm::kAuto;
+  return Bmo(r, Simplify(p), auto_options);
 }
 
 }  // namespace prefdb

@@ -118,7 +118,6 @@ PhysicalPlan PhysicalPlan::FromOptions(const BmoOptions& options) {
   PhysicalPlan plan;
   plan.algorithm = options.algorithm;
   plan.simd = options.simd;
-  plan.bnl_tile_rows = options.bnl_tile_rows;
   return plan;
 }
 

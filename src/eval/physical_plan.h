@@ -1,8 +1,10 @@
 // The physical plan: the single planned artifact the whole execution
 // pipeline consumes — the algorithm, the kernel fields (SIMD mode, BNL
-// tile size) and the cost model's report. The optimizer emits it,
-// eval/bmo + exec/score_table execute it on the caller's thread, and
-// engine/engine caches it per (statement, table version, options).
+// tile size) and the cost model's report. Every BMO block is planned
+// from its own compiled table (internal::CompileBlock,
+// eval/bmo_internal.h); eval/bmo + exec/score_table execute the plan on
+// the caller's thread, and the engine's exec cache keeps the answer it
+// produced per (statement, table version, options).
 //
 // Plans are produced by a calibrated cost model (the paper's §7 outlook:
 // "cost-based optimization to choose between direct implementations of
@@ -43,7 +45,12 @@ struct PhysicalPlan {
   BmoAlgorithm algorithm = BmoAlgorithm::kAuto;
   /// Batch dominance kernel selection (exec/simd/dominance.h).
   SimdMode simd = SimdMode::kAuto;
-  /// Blocked-BNL tile size; 0 = auto (L2-sized via BnlTileBudgetBytes).
+  /// Blocked-BNL tile size (and engagement threshold): candidates stream
+  /// against the window while it holds fewer rows than this; beyond it,
+  /// tiles are reduced to their local maxima in cache before touching the
+  /// global window. 0 = auto (L2-sized via BnlTileBudgetBytes); >= the
+  /// input size disables tiling. No request sets it: kernel benches and
+  /// tests set it on the plan they hand to ScoreTable::Maxima.
   size_t bnl_tile_rows = 0;
 
   /// The statistics the plan was costed against.
@@ -67,7 +74,8 @@ struct PhysicalPlan {
 };
 
 /// Builds the plan for evaluating a term over a pool described by
-/// `stats` (derive stats with EstimateTermStats or MeasureTermStats).
+/// `stats` (MeasureTermStats over the block's compiled table; default
+/// stats for a block that did not compile).
 /// An explicit `request.algorithm` (!= kAuto) short-circuits the cost
 /// comparison and is honored verbatim (kernels still degrade ineligible
 /// requests exactly as before). kAuto on a compilable term runs the

@@ -11,8 +11,7 @@ std::string QueryStats::ToString() const {
     return std::string(buf);
   };
   std::string out = "parse=" + ms(parse_ns) + "ms translate=" +
-                    ms(translate_ns) + "ms stats=" + ms(stats_ns) +
-                    "ms optimize=" + ms(optimize_ns) +
+                    ms(translate_ns) + "ms optimize=" + ms(optimize_ns) +
                     "ms compile=" + ms(compile_ns) + "ms kernel=" +
                     ms(kernel_ns) + "ms execute=" + ms(execute_ns) +
                     "ms total=" + ms(total_ns) + "ms";

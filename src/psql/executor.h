@@ -27,9 +27,6 @@ namespace prefdb::psql {
 struct QueryStats {
   uint64_t parse_ns = 0;
   uint64_t translate_ns = 0;
-  /// Table-statistics derivation the planner waited for (0 when the
-  /// engine's per-table statistics were fresh).
-  uint64_t stats_ns = 0;
   uint64_t optimize_ns = 0;
   uint64_t compile_ns = 0;  // WHERE filter + projection index + score table
   /// BMO kernel / ranked sort (plus a BMO statement's BUT ONLY filter

@@ -51,9 +51,7 @@ struct SessionOptions {
   std::string ApplyWire(const std::string& payload);
 
   /// Renders the full option set as (name, value) pairs — the SET
-  /// sequence that reproduces this struct on a fresh session. Only
-  /// wire-settable fields are emitted (bnl_tile_rows etc. are not part
-  /// of the SET vocabulary).
+  /// sequence that reproduces this struct on a fresh session.
   std::vector<std::pair<std::string, std::string>> Serialize() const;
 };
 

@@ -15,14 +15,12 @@ using stats_internal::DistinctValues;
 using stats_internal::KeySet;
 
 /// Distinct tracking saturates at this many values per column, bounding
-/// both derivation paths' memory independent of table size.
+/// the derivation's memory independent of table size.
 constexpr size_t kDistinctCap = 1 << 16;
 
-/// The one per-cell rule of every derivation path (TableStats::Derive,
-/// the columnar TableStatsBuilder scan, AddRow). Beyond the saturation
-/// cap the count freezes and the flag is set (the real count is "at
-/// least the cap"); estimation then treats the column as pool-scale
-/// cardinality.
+/// The per-cell rule of TableStats::Derive. Beyond the saturation cap
+/// the count freezes and the flag is set (the real count is "at least
+/// the cap").
 class CellCounter {
  public:
   CellCounter(ColumnStats* stats, DistinctValues* seen)
@@ -53,7 +51,7 @@ class CellCounter {
   /// Returns whether `s` is in the distinct set afterwards. `known`: an
   /// earlier call returned true for this string (a repeated dictionary
   /// code), so only the counters move, without hashing it again.
-  bool String(const std::string& s, bool known = false) {
+  bool String(const std::string& s, bool known) {
     ++stats_.non_numeric_count;
     if (!Room()) return known;
     if (!known && seen_.strings.insert(s).second) ++stats_.distinct;
@@ -117,152 +115,6 @@ void CollectLeaves(const PrefPtr& p, std::vector<PrefPtr>* out) {
   out->push_back(cur);
 }
 
-/// Estimated number of distinct *score classes* a leaf induces on a
-/// column with `distinct` distinct values: injective leaves resolve every
-/// value, level-based leaves collapse values into a handful of layers.
-size_t LeafClasses(const PrefPtr& leaf, size_t distinct, bool all_numeric) {
-  switch (leaf->kind()) {
-    case PreferenceKind::kLowest:
-    case PreferenceKind::kHighest:
-      // Strictly monotone score: injective on numeric columns; NULLs and
-      // strings collapse into the shared -inf class.
-      return all_numeric ? distinct : std::max<size_t>(1, distinct / 2);
-    case PreferenceKind::kAround:
-    case PreferenceKind::kBetween:
-    case PreferenceKind::kScore:
-      // Distance-style scores tie symmetric values (|x-z| collapses two
-      // values per class in the worst case).
-      return std::max<size_t>(1, distinct / 2);
-    case PreferenceKind::kPos:
-    case PreferenceKind::kNeg:
-      return std::min<size_t>(distinct, 2);
-    case PreferenceKind::kPosNeg:
-    case PreferenceKind::kPosPos:
-      return std::min<size_t>(distinct, 3);
-    case PreferenceKind::kLayered:
-    case PreferenceKind::kExplicit:
-      return std::min<size_t>(distinct, 4);
-    case PreferenceKind::kAntiChain:
-      // Pure equality: no value dominates another.
-      return 1;
-    default:
-      return std::max<size_t>(1, distinct);
-  }
-}
-
-size_t LeafInputDistinct(const TableStats& stats, const PrefPtr& leaf,
-                         size_t pool_rows) {
-  size_t distinct = pool_rows;
-  for (const std::string& attr : leaf->attributes()) {
-    const ColumnStats* c = stats.Column(attr);
-    // A saturated counter only proves "at least the cap": assume
-    // pool-scale cardinality rather than a 15x-low frozen count.
-    if (c != nullptr && !c->distinct_saturated) {
-      distinct = std::min(distinct, std::max<size_t>(1, c->distinct));
-    }
-  }
-  return std::min(distinct, std::max<size_t>(1, pool_rows));
-}
-
-bool LeafAllNumeric(const TableStats& stats, const PrefPtr& leaf) {
-  for (const std::string& attr : leaf->attributes()) {
-    const ColumnStats* c = stats.Column(attr);
-    if (!c || !c->AllNumeric(stats.rows)) return false;
-  }
-  return true;
-}
-
-/// Leaves of a subtree whose score classes exceed 1 act as independent
-/// skyline dimensions; constant columns cannot discriminate. Pure
-/// equality leaves (anti-chains) are not dimensions either — they
-/// *partition* the block: Pareto dominance requires equality on them,
-/// so every distinct combination is its own incomparable group.
-/// `group_product` multiplies in those group counts.
-size_t EffectiveDims(const TableStats& stats, const PrefPtr& p,
-                     size_t pool_rows, double* group_product) {
-  std::vector<PrefPtr> leaves;
-  CollectLeaves(p, &leaves);
-  size_t dims = 0;
-  for (const PrefPtr& leaf : leaves) {
-    if (leaf->kind() == PreferenceKind::kAntiChain) {
-      if (group_product != nullptr) {
-        *group_product *= static_cast<double>(
-            std::max<size_t>(1, LeafInputDistinct(stats, leaf, pool_rows)));
-      }
-      continue;
-    }
-    size_t classes = LeafClasses(leaf, LeafInputDistinct(stats, leaf, pool_rows),
-                                 LeafAllNumeric(stats, leaf));
-    if (classes > 1) ++dims;
-  }
-  return dims;
-}
-
-/// Expected fraction of m distinct values that are maximal under the
-/// subtree. Pareto subtrees use the independence closed form over their
-/// effective dimensions; prioritized subtrees multiply the head's
-/// surviving fraction into a tail evaluated on the shrunken pool (the
-/// Prop 11 view: the tail only discriminates within the head's best
-/// block); leaves keep their top score class.
-double MaximaFraction(const TableStats& stats, const PrefPtr& p0, size_t m,
-                      size_t pool_rows) {
-  if (m == 0) return 0.0;
-  PrefPtr p = p0;
-  while (p->kind() == PreferenceKind::kDual) p = p->children()[0];
-  switch (p->kind()) {
-    case PreferenceKind::kPareto: {
-      // Anti-chain columns split the block into `groups` incomparable
-      // partitions (equality on them is required for dominance); each
-      // partition keeps its own skyline over the ordering dimensions.
-      double groups = 1.0;
-      size_t dims = EffectiveDims(stats, p, pool_rows, &groups);
-      groups = std::min(groups, static_cast<double>(m));
-      const size_t m_group = std::max<size_t>(
-          1, static_cast<size_t>(static_cast<double>(m) / groups));
-      const double w =
-          std::min(static_cast<double>(m),
-                   groups * WindowClosedForm(m_group, std::max<size_t>(1, dims)));
-      return w / static_cast<double>(m);
-    }
-    case PreferenceKind::kPrioritized: {
-      auto kids = p->children();
-      PrefPtr head = kids[0];
-      while (head->kind() == PreferenceKind::kDual) head = head->children()[0];
-      if (head->kind() != PreferenceKind::kPareto &&
-          head->kind() != PreferenceKind::kPrioritized) {
-        // Leaf head: its values split into `classes` layers; only the top
-        // layer survives, and the ~distinct/classes distinct head values
-        // within it are mutually incomparable groups (Def. 9 equality is
-        // value equality) — the tail only discriminates inside a group.
-        // Injective heads collapse to one group (the classic selective
-        // chain head); an anti-chain head makes every distinct value its
-        // own group (the Def. 16 grouping device).
-        size_t distinct = LeafInputDistinct(stats, head, pool_rows);
-        size_t classes = LeafClasses(head, distinct, LeafAllNumeric(stats, head));
-        double groups = std::max(
-            1.0, static_cast<double>(distinct) / static_cast<double>(classes));
-        double m_top =
-            std::max(1.0, static_cast<double>(m) / static_cast<double>(classes));
-        size_t m_group =
-            std::max<size_t>(1, static_cast<size_t>(m_top / groups));
-        double w = groups * static_cast<double>(m_group) *
-                   MaximaFraction(stats, kids[1], m_group, pool_rows);
-        return std::min(1.0, w / static_cast<double>(m));
-      }
-      // Complex head: multiplicative fallback on the head's own maxima.
-      double head_frac = MaximaFraction(stats, kids[0], m, pool_rows);
-      size_t sub = std::max<size_t>(
-          1, static_cast<size_t>(static_cast<double>(m) * head_frac));
-      return head_frac * MaximaFraction(stats, kids[1], sub, pool_rows);
-    }
-    default: {
-      size_t classes = LeafClasses(p, LeafInputDistinct(stats, p, pool_rows),
-                                   LeafAllNumeric(stats, p));
-      return 1.0 / static_cast<double>(std::max<size_t>(1, classes));
-    }
-  }
-}
-
 }  // namespace
 
 double WindowClosedForm(size_t m, size_t eff_dims) {
@@ -291,51 +143,22 @@ const ColumnStats* TableStats::Column(const std::string& name) const {
 
 TableStats TableStats::Derive(const Relation& r,
                               const std::vector<std::string>& attrs) {
-  if (attrs.empty()) return TableStatsBuilder(r).Snapshot();
-  // Restricted derivation: scan only the named columns.
   TableStats out;
   out.rows = r.size();
   out.names = attrs;
-  out.columns.resize(attrs.size());
-  const std::vector<size_t> cols = r.ResolveColumns(attrs);
+  if (out.names.empty()) {
+    for (const Attribute& a : r.schema().attributes()) {
+      out.names.push_back(a.name);
+    }
+  }
+  const std::vector<size_t> cols = r.ResolveColumns(out.names);
+  out.columns.resize(cols.size());
   for (size_t i = 0; i < cols.size(); ++i) {
     DistinctValues seen;
     ScanColumn(r, cols[i], &out.columns[i], &seen);
   }
   return out;
 }
-
-TableStatsBuilder::TableStatsBuilder(const Schema& schema) {
-  stats_.names.reserve(schema.size());
-  for (const Attribute& a : schema.attributes()) stats_.names.push_back(a.name);
-  stats_.columns.resize(schema.size());
-  distinct_.resize(schema.size());
-}
-
-TableStatsBuilder::TableStatsBuilder(const Relation& r)
-    : TableStatsBuilder(r.schema()) {
-  stats_.rows = r.size();
-  for (size_t c = 0; c < stats_.columns.size(); ++c) {
-    ScanColumn(r, c, &stats_.columns[c], &distinct_[c]);
-  }
-}
-
-void TableStatsBuilder::AddRow(const Tuple& row) {
-  ++stats_.rows;
-  for (size_t i = 0; i < stats_.columns.size() && i < row.size(); ++i) {
-    const Value& v = row[i];
-    CellCounter counter(&stats_.columns[i], &distinct_[i]);
-    if (v.is_null()) {
-      counter.Null();
-    } else if (v.is_string()) {
-      counter.String(v.as_string());
-    } else {
-      counter.Number(*v.numeric());
-    }
-  }
-}
-
-TableStats TableStatsBuilder::Snapshot() const { return stats_; }
 
 namespace stats_internal {
 
@@ -379,40 +202,6 @@ std::string TermStats::ToString() const {
                 measured_window ? " (sampled)" : "",
                 score_chain ? " score-chain" : "");
   return buf;
-}
-
-TermStats EstimateTermStats(const TableStats& stats, const PrefPtr& p,
-                            size_t pool_rows) {
-  TermStats out;
-  out.input_rows = pool_rows;
-  out.compilable = ScoreTable::CompilableTerm(p);
-
-  std::vector<PrefPtr> leaves;
-  CollectLeaves(p, &leaves);
-  out.dims = std::max<size_t>(1, out.compilable ? leaves.size()
-                                                : p->attributes().size());
-
-  // Distinct projections: capped product of per-leaf distinct counts.
-  double product = 1.0;
-  for (const PrefPtr& leaf : leaves) {
-    size_t distinct = LeafInputDistinct(stats, leaf, pool_rows);
-    product = std::min(product * static_cast<double>(std::max<size_t>(
-                                     1, distinct)),
-                       static_cast<double>(pool_rows) + 1.0);
-  }
-  out.distinct_values = std::max<size_t>(
-      pool_rows == 0 ? 0 : 1,
-      std::min<size_t>(pool_rows, static_cast<size_t>(product)));
-  out.score_chain = out.compilable && leaves.size() == 1 &&
-                    (leaves[0]->kind() == PreferenceKind::kLowest ||
-                     leaves[0]->kind() == PreferenceKind::kHighest) &&
-                    LeafAllNumeric(stats, leaves[0]);
-  out.table_keys =
-      out.compilable && ScoreTable::HasStaticSortKeys(p) ? 1 : 0;
-  out.est_window = std::max(
-      1.0, static_cast<double>(out.distinct_values) *
-               MaximaFraction(stats, p, out.distinct_values, pool_rows));
-  return out;
 }
 
 TermStats MeasureTermStats(const ScoreTable& table, const PrefPtr& p,
@@ -459,10 +248,9 @@ TermStats MeasureTermStats(const ScoreTable& table, const PrefPtr& p,
   // Two-point window probe: maxima of two nested samples fit the
   // Pareto-front growth exponent alpha in w(m) ~ m^alpha, which captures
   // the data's correlation regime (anti-correlated fronts grow near
-  // linearly, independent ones polylogarithmically) — the feedback loop
-  // ROADMAP calls "feeding measured window sizes back into
-  // ChooseAlgorithm". Samples are *strided* across the whole block, not
-  // prefixes: physically sorted input (a CSV ordered by one attribute)
+  // linearly, independent ones polylogarithmically) — the signal that
+  // separates BNL from SFS. Samples are *strided* across the whole block,
+  // not prefixes: physically sorted input (a CSV ordered by one attribute)
   // would make a prefix a biased subset of the value distribution and
   // pin a mispredicted plan into the exec cache.
   const size_t s2 = std::min<size_t>(m, 1024);

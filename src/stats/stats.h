@@ -1,10 +1,9 @@
-// The statistics subsystem feeding the cost-based planner
-// (eval/physical_plan.h): per-relation column statistics maintained
-// incrementally on the engine's versioned snapshots, and per-term
-// statistics (distinct counts, injectivity, estimated antichain width)
-// derived either from table statistics alone (estimation, before any
-// data is materialized) or from a compiled score table (measurement,
-// including a sampled window probe).
+// The statistics subsystem: per-relation column statistics derived on
+// demand by a columnar scan (TableStats::Derive), and the per-term
+// statistics feeding the cost-based planner (eval/physical_plan.h):
+// distinct counts, injectivity and the estimated antichain width,
+// measured from the compiled score table of the block being planned
+// (MeasureTermStats, including a sampled window probe).
 //
 // The paper's §7 outlook asks for "cost-based optimization to choose
 // between direct implementations of the Pareto operator and divide &
@@ -29,13 +28,12 @@ namespace prefdb {
 class ScoreTable;
 
 /// Per-column statistics of one relation snapshot. Distinct counts are
-/// exact (hash-set based, up to a cap); the builder keeps the sets so
-/// Insert-time maintenance is O(columns) per row instead of a rescan.
+/// exact (hash-set based) up to a cap of 2^16 values per column, which
+/// bounds the scan's memory independent of table size.
 struct ColumnStats {
   size_t distinct = 0;
-  /// True when distinct tracking hit the builder's saturation cap: the
-  /// real count is *at least* `distinct`; estimation falls back to
-  /// pool-scale cardinality.
+  /// True when distinct tracking hit the saturation cap: the real count
+  /// is *at least* `distinct`.
   bool distinct_saturated = false;
   size_t null_count = 0;
   size_t nan_count = 0;
@@ -49,21 +47,19 @@ struct ColumnStats {
   }
 };
 
-/// Statistics of one relation snapshot. Cheap to copy (plain counters);
-/// the engine shares one instance per (table, version) across plans.
+/// Statistics of one relation snapshot. Cheap to copy (plain counters).
 struct TableStats {
   size_t rows = 0;
   std::vector<std::string> names;    // column names, schema order
   std::vector<ColumnStats> columns;  // aligned with names
 
-  /// Stats for `name`, or nullptr when the column is unknown (planning
-  /// then falls back to worst-case assumptions).
+  /// Stats for `name`, or nullptr when the column is unknown.
   const ColumnStats* Column(const std::string& name) const;
 
-  /// Full-scan derivation for standalone callers (the free-function BMO
-  /// paths and tests). `attrs` restricts the scan to the named columns
-  /// (empty = all), so per-term derivation costs O(rows * |A|). Scans the
-  /// column buffers, like TableStatsBuilder(const Relation&).
+  /// Full-scan derivation. `attrs` restricts the scan to the named
+  /// columns (empty = all), so it costs O(rows * |attrs|). Scans the
+  /// column buffers (tags, widened numerics, each distinct dictionary
+  /// string once), never the relation's row cache.
   static TableStats Derive(const Relation& r,
                            const std::vector<std::string>& attrs = {});
 };
@@ -103,45 +99,23 @@ struct DistinctValues {
 
 }  // namespace stats_internal
 
-/// Incremental maintainer of TableStats: the engine keeps one per table
-/// and feeds Insert rows through AddRow, so statistics stay exact across
-/// mutations without rescanning the relation. Per-column distinct
-/// tracking saturates at 2^16 values (the count then reads "at least
-/// 65536"), bounding the builder's memory independent of table size.
-/// Building from a relation scans its column buffers (tags, widened
-/// numerics, dictionary strings), never its row cache.
-class TableStatsBuilder {
- public:
-  explicit TableStatsBuilder(const Schema& schema);
-  explicit TableStatsBuilder(const Relation& r);
-
-  void AddRow(const Tuple& row);
-  /// Current statistics (copies the counters, not the hash sets).
-  TableStats Snapshot() const;
-
- private:
-  TableStats stats_;
-  std::vector<stats_internal::DistinctValues> distinct_;
-};
-
 /// Statistics of one preference term against one candidate pool: the
-/// cost model's inputs. Derived by estimation (EstimateTermStats, from
-/// TableStats + term structure) or measurement (MeasureTermStats, from a
-/// compiled score table, including a sampled window probe).
+/// cost model's inputs, measured from a compiled score table
+/// (MeasureTermStats).
 struct TermStats {
   /// Candidate rows n (duplicates included; WHERE survivors).
   size_t input_rows = 0;
   /// Distinct projections m — what the maxima kernels actually scan.
   size_t distinct_values = 0;
-  /// Compiled score columns d (term attribute count on the closure path).
+  /// Compiled score columns d.
   size_t dims = 0;
   /// Lexicographic sort keys the compiled table exposes (0 = none).
   size_t table_keys = 0;
   /// The term compiles into the score-table kernels; only then does the
   /// cost model run (eval/physical_plan.h).
   bool compilable = false;
-  /// The block is (predicted to be) one score column whose ties are
-  /// value ties — LOWEST/HIGHEST on a NaN-free numeric column
+  /// The block is one score column whose ties are value ties —
+  /// LOWEST/HIGHEST on a NaN-free numeric column
   /// (ScoreTable::IsScoreChain): BNL's window is one score level, so the
   /// maxima take one streaming pass.
   bool score_chain = false;
@@ -152,14 +126,6 @@ struct TermStats {
 
   std::string ToString() const;
 };
-
-/// Estimates term statistics from table statistics alone (no data
-/// materialized): distinct projections from per-column distinct counts,
-/// window width from the independence closed form, injectivity from
-/// leaf kinds + column numeric-ness. `pool_rows` is the candidate pool
-/// (WHERE survivors); pass stats.rows when unfiltered.
-TermStats EstimateTermStats(const TableStats& stats, const PrefPtr& p,
-                            size_t pool_rows);
 
 /// Measures term statistics from a compiled score table over the actual
 /// block (the pool, or its deduplicated representatives): exact column

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <limits>
 #include <numeric>
@@ -17,14 +18,18 @@
 #include <string>
 #include <thread>
 
+#include "algebra/simplifier.h"
 #include "core/base_preferences.h"
 #include "core/complex_preferences.h"
 #include "core/numeric_preferences.h"
 #include "datagen/cars.h"
 #include "datagen/vectors.h"
+#include "eval/bmo_internal.h"
 #include "eval/ranked.h"
 #include "exec/score_table.h"
 #include "psql/executor.h"
+#include "psql/parser.h"
+#include "psql/translator.h"
 
 namespace prefdb {
 namespace {
@@ -286,6 +291,10 @@ TEST(EngineTest, ExplainCarriesTimingLine) {
   EXPECT_NE(res.plan_details.find("timing: parse="), std::string::npos);
   EXPECT_NE(res.plan_details.find("exec_cache="), std::string::npos);
   EXPECT_GT(res.stats.total_ns, 0u);
+  const psql::QueryStats& s = res.stats;
+  EXPECT_LE(s.parse_ns + s.translate_ns + s.optimize_ns + s.compile_ns +
+                s.execute_ns,
+            s.total_ns);
 }
 
 TEST(EngineTest, StoredPreferencesPrepareAndCache) {
@@ -418,7 +427,7 @@ TEST(EngineTest, ExplainReportsEstimatedVersusActualCost) {
   EXPECT_GT(res.stats.estimated_cost_ns, 0.0);
 }
 
-TEST(EngineTest, StatsAreMaintainedIncrementallyAcrossInserts) {
+TEST(EngineTest, StatsFollowTheCurrentSnapshot) {
   Engine engine;
   engine.RegisterTable("car", SmallCars());
   std::shared_ptr<const TableStats> before = engine.Stats("car");
@@ -572,6 +581,56 @@ TEST(EngineTest, ExplainNamesTheCompilePathOfEveryGroup) {
   EXPECT_NE(ungrouped.plan_details.find("compile: zero-copy\n"),
             std::string::npos)
       << ungrouped.plan_details;
+}
+
+TEST(EngineTest, GroupedExplainCountsEveryGroupAndSumsTheirEstimates) {
+  // Each group plans its own block: the grouping line counts the groups
+  // per algorithm, the estimate is the sum of the blocks' estimates, and
+  // the plan text names the request rather than one group's algorithm.
+  Engine engine;
+  engine.RegisterTable("car", GenerateCars(5000, 3));
+  const std::string query =
+      "SELECT * FROM car PREFERRING LOWEST(price) AND LOWEST(mileage) "
+      "GROUPING make";
+  const psql::QueryResult res = engine.Execute("EXPLAIN " + query);
+  const Relation& car = *engine.Snapshot("car");
+  const std::vector<std::vector<size_t>> groups =
+      GroupRowsBy(car, car.ResolveColumns({"make"}));
+  ASSERT_GT(groups.size(), 1u);
+
+  const std::string& details = res.plan_details;
+  const std::string head = "grouping: " + std::to_string(groups.size()) +
+                           " group(s), each planned from its own block: ";
+  const size_t at = details.find(head);
+  ASSERT_NE(at, std::string::npos) << details;
+  const size_t from = at + head.size();
+  const std::string counts =
+      details.substr(from, details.find(';', from) - from);
+  const std::string times = "×";
+  size_t counted = 0;
+  for (size_t x = counts.find(times); x != std::string::npos;
+       x = counts.find(times, x + 1)) {
+    counted += std::stoul(counts.substr(x + times.size()));
+  }
+  EXPECT_EQ(counted, groups.size()) << details;
+
+  const PrefPtr p = Simplify(
+      psql::TranslatePreferenceChain(psql::Parse(query).preferring));
+  double sum = 0.0;
+  for (const std::vector<size_t>& group : groups) {
+    sum += internal::CompileBlock(car, p, &group, {}).plan.estimated_ns;
+  }
+  ASSERT_GT(sum, 0.0);
+  EXPECT_NEAR(res.stats.estimated_cost_ns, sum, sum * 1e-9);
+  char line[64];
+  std::snprintf(line, sizeof(line), "cost: estimated %.3fms vs", sum / 1e6);
+  EXPECT_NE(details.find(line), std::string::npos) << details;
+
+  EXPECT_NE(res.plan.find(", auto, kernel="), std::string::npos) << res.plan;
+  BmoOptions forced;
+  forced.algorithm = BmoAlgorithm::kSortFilter;
+  EXPECT_NE(engine.Execute(query, forced).plan.find(", sfs, kernel="),
+            std::string::npos);
 }
 
 // One term family of the cross-path agreement test: a relation with an
@@ -1007,27 +1066,6 @@ TEST(EngineTest, ServedPathsNeverBuildTheSnapshotRowCache) {
   engine.Stats("car");
   EXPECT_FALSE(built());
   EXPECT_TRUE(sub.Poll().has_value());  // the bootstrap resync
-}
-
-TEST(EngineTest, StatsDerivationIsItsOwnPhase) {
-  Engine engine;
-  engine.RegisterTable("car", GenerateCars(2000, 5));
-  const std::string sql = "EXPLAIN SELECT * FROM car PREFERRING LOWEST(price)";
-  psql::QueryResult cold = engine.Execute(sql);
-  EXPECT_GT(cold.stats.stats_ns, 0u);
-  EXPECT_NE(cold.plan_details.find(" stats="), std::string::npos)
-      << cold.plan_details;
-  const psql::QueryStats& s = cold.stats;
-  EXPECT_LE(s.parse_ns + s.translate_ns + s.stats_ns + s.optimize_ns +
-                s.compile_ns + s.execute_ns,
-            s.total_ns);
-  // Fresh statistics are served from the engine's per-table entry.
-  engine.ClearCaches();
-  engine.Stats("car");
-  EXPECT_EQ(engine.Execute(sql).stats.stats_ns, 0u);
-  // A delete drops them; the next planned read derives again.
-  engine.Execute("DELETE FROM car WHERE price > 20000");
-  EXPECT_GT(engine.Execute(sql).stats.stats_ns, 0u);
 }
 
 TEST(EngineTest, WarmHitRunsNoKernel) {

@@ -7,28 +7,33 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/base_preferences.h"
 #include "core/complex_preferences.h"
 #include "core/numeric_preferences.h"
 #include "datagen/cars.h"
 #include "datagen/random_terms.h"
 #include "datagen/vectors.h"
+#include "engine/engine.h"
+#include "psql/parser.h"
+#include "psql/translator.h"
 
 namespace prefdb {
 namespace {
 
 TEST(ChooserTest, SmallInputsUseBnl) {
   Relation r = GenerateCars(100, 1);
-  PhysicalPlan c = ChooseAlgorithm(r, Lowest("price"));
+  PhysicalPlan c = Optimize(r, Lowest("price")).plan;
   EXPECT_EQ(c.algorithm, BmoAlgorithm::kBlockNestedLoop);
 }
 
 TEST(ChooserTest, SkylineFragmentPrefersTiledSimdBnl) {
-  // Independent 3-d data keeps the estimated window narrow: the tiled
+  // Independent 3-d data keeps the measured window narrow: the tiled
   // SIMD BNL window beats a presort.
   Relation r = GenerateVectors(5000, 3, Correlation::kIndependent, 1);
   PrefPtr p = Pareto({Highest("d0"), Highest("d1"), Lowest("d2")});
-  PhysicalPlan c = ChooseAlgorithm(r, p);
+  PhysicalPlan c = Optimize(r, p).plan;
   EXPECT_EQ(c.algorithm, BmoAlgorithm::kBlockNestedLoop);
   EXPECT_NE(c.rationale.find("SIMD"), std::string::npos);
   EXPECT_GT(c.estimated_ns, 0.0);
@@ -41,7 +46,7 @@ TEST(ChooserTest, ChainHeadPlansACompiledKernel) {
   // block, so it wins.
   Relation r = GenerateCars(5000, 2);
   PrefPtr p = Prioritized(Lowest("price"), Pos("color", {"red"}));
-  PhysicalPlan c = ChooseAlgorithm(r, p);
+  PhysicalPlan c = Optimize(r, p).plan;
   ASSERT_EQ(c.considered.size(), 2u);
   EXPECT_EQ(c.considered[0].algorithm, BmoAlgorithm::kBlockNestedLoop);
   EXPECT_EQ(c.considered[1].algorithm, BmoAlgorithm::kSortFilter);
@@ -51,11 +56,11 @@ TEST(ChooserTest, ChainHeadPlansACompiledKernel) {
 TEST(ChooserTest, LevelTermsStayEligibleForVectorizedSfs) {
   // POS leaves have no closure sort keys, but they dict-encode as level
   // columns in the score table, which keeps SFS eligible; with the tiny
-  // estimated window of a 2-level x 2-level term, the BNL window is
-  // still the cheaper plan.
+  // window of a 2-level x 2-level term, the BNL window is still the
+  // cheaper plan.
   Relation r = GenerateCars(5000, 4);
   PrefPtr p = Pareto(Pos("color", {"red"}), Pos("make", {"Audi"}));
-  PhysicalPlan c = ChooseAlgorithm(r, p);
+  PhysicalPlan c = Optimize(r, p).plan;
   bool sfs_eligible = false;
   for (const AlgorithmCost& cost : c.considered) {
     if (cost.algorithm == BmoAlgorithm::kSortFilter) {
@@ -71,15 +76,14 @@ TEST(ChooserTest, UnstructuredTermsFallBackToBnl) {
   // Intersection aggregations compile but derive no sort keys and are
   // never flat-Pareto, so BNL is the only eligible kernel.
   PrefPtr hard = Intersection(Pos("color", {"red"}), Neg("color", {"blue"}));
-  EXPECT_EQ(ChooseAlgorithm(r, hard).algorithm,
-            BmoAlgorithm::kBlockNestedLoop);
+  EXPECT_EQ(Optimize(r, hard).plan.algorithm, BmoAlgorithm::kBlockNestedLoop);
 }
 
 TEST(ChooserTest, ExplicitAlgorithmShortCircuitsTheCostModel) {
   Relation r = GenerateCars(2000, 9);
   BmoOptions forced;
   forced.algorithm = BmoAlgorithm::kSortFilter;
-  PhysicalPlan c = ChooseAlgorithm(r, Lowest("price"), forced);
+  PhysicalPlan c = Optimize(r, Lowest("price"), forced).plan;
   EXPECT_EQ(c.algorithm, BmoAlgorithm::kSortFilter);
   EXPECT_TRUE(c.considered.empty());
   EXPECT_NE(c.rationale.find("explicitly"), std::string::npos);
@@ -108,6 +112,41 @@ TEST(OptimizeTest, ExplainMentionsEverything) {
   EXPECT_NE(text.find("cost model:"), std::string::npos);
   EXPECT_NE(text.find("<- chosen"), std::string::npos);
   EXPECT_NE(text.find("est "), std::string::npos);
+}
+
+TEST(OptimizeTest, PlanIsTheOneTheEngineExplains) {
+  // Optimize plans the same compiled block a query runs, so its algorithm
+  // (and the rationale quoting its estimate) is the one the engine's
+  // EXPLAIN reports for the same term and table.
+  const std::vector<std::pair<Relation, std::string>> cases = {
+      {GenerateCars(5000, 2), "LOWEST(price) AND LOWEST(mileage)"},
+      {GenerateCars(5000, 2), "LOWEST(price)"},
+      {GenerateVectors(8192, 4, Correlation::kAntiCorrelated, 42),
+       "HIGHEST(d0) AND HIGHEST(d1) AND HIGHEST(d2) AND HIGHEST(d3)"},
+      {GenerateVectors(8192, 4, Correlation::kIndependent, 42),
+       "HIGHEST(d0) AND HIGHEST(d1) AND HIGHEST(d2) AND HIGHEST(d3)"},
+  };
+  std::set<BmoAlgorithm> chosen;
+  for (const auto& [r, term] : cases) {
+    Engine engine;
+    engine.RegisterTable("t", r);
+    const psql::QueryResult res =
+        engine.Execute("EXPLAIN SELECT * FROM t PREFERRING " + term);
+    const PhysicalPlan plan =
+        Optimize(r, psql::TranslatePreferenceChain(
+                        psql::Parse("SELECT * FROM t PREFERRING " + term)
+                            .preferring))
+            .plan;
+    const std::string line = "algorithm: " +
+                             std::string(BmoAlgorithmName(plan.algorithm)) +
+                             " -- " + plan.rationale + "\n";
+    EXPECT_NE(res.plan_details.find(line), std::string::npos)
+        << term << "\n" << res.plan_details;
+    chosen.insert(plan.algorithm);
+  }
+  // The anti-correlated block's sampled window sends it to SFS.
+  EXPECT_EQ(chosen, (std::set<BmoAlgorithm>{BmoAlgorithm::kBlockNestedLoop,
+                                            BmoAlgorithm::kSortFilter}));
 }
 
 class OptimizerPropertyTest : public ::testing::TestWithParam<uint64_t> {};

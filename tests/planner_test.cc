@@ -95,35 +95,18 @@ TEST(PlannerGoldenTest, ScoreChainPlansOneBnlPass) {
       MeasureTermStats(*around_table, around, small.size()).score_chain);
 }
 
-TEST(PlannerGoldenTest, LowDistinctCountsShrinkTheEstimate) {
-  // Level terms over low-cardinality columns have tiny distinct-value
-  // blocks; the estimate must reflect m, not the row count, and the plan
-  // must stay a cheap window scan.
-  Relation cars = GenerateCars(20000, 3);
-  TableStats table_stats = TableStats::Derive(cars);
-  TermStats stats = EstimateTermStats(
-      table_stats, Pareto(Pos("color", {"red"}), Pos("make", {"Audi"})),
-      20000);
-  EXPECT_LT(stats.distinct_values, 2000u);
-  PhysicalPlan plan = PlanPhysical(stats, BmoOptions{});
-  EXPECT_EQ(plan.algorithm, BmoAlgorithm::kBlockNestedLoop);
-  EXPECT_LT(plan.estimated_ns, 1e6);
-}
-
 TEST(PlannerGoldenTest, NonCompilableTermIsAnUncostedClosurePlan) {
   // A term that does not compile has one kernel, the closure BNL window:
-  // kAuto plans it without a cost table, and the engine's estimate-level
-  // stats (TermStats::compilable) say so before anything is built.
+  // kAuto plans it without a cost table, from default (not compilable)
+  // block statistics.
   Relation cars = GenerateCars(2000, 5);
   PrefPtr forest = Pareto(
       Explicit("category", {{Value("roadster"), Value("coupe")},
                             {Value("passenger"), Value("van")}}),
       Lowest("price"));
   ASSERT_FALSE(ScoreTable::CompilableTerm(forest));
-  TermStats stats =
-      EstimateTermStats(TableStats::Derive(cars), forest, cars.size());
-  EXPECT_FALSE(stats.compilable);
-  PhysicalPlan plan = PlanPhysical(stats, BmoOptions{});
+  PhysicalPlan plan = Optimize(cars, forest).plan;
+  EXPECT_FALSE(plan.stats.compilable);
   EXPECT_EQ(plan.algorithm, BmoAlgorithm::kBlockNestedLoop);
   EXPECT_TRUE(plan.considered.empty());
   EXPECT_EQ(plan.ExplainCosts(), "");
@@ -145,11 +128,9 @@ TEST(PlannerGoldenTest, FromOptionsIsPassThrough) {
   BmoOptions options;
   options.algorithm = BmoAlgorithm::kSortFilter;
   options.simd = SimdMode::kScalar;
-  options.bnl_tile_rows = 77;
   PhysicalPlan plan = PhysicalPlan::FromOptions(options);
   EXPECT_EQ(plan.algorithm, BmoAlgorithm::kSortFilter);
   EXPECT_EQ(plan.simd, SimdMode::kScalar);
-  EXPECT_EQ(plan.bnl_tile_rows, 77u);
   EXPECT_TRUE(plan.considered.empty());
 }
 

@@ -20,6 +20,7 @@
 #include "core/numeric_preferences.h"
 #include "datagen/vectors.h"
 #include "eval/bmo.h"
+#include "eval/physical_plan.h"
 #include "exec/score_table.h"
 #include "exec/simd/dominance.h"
 #include "test_support.h"
@@ -29,13 +30,31 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-BmoOptions WithKernel(BmoAlgorithm algo, SimdMode simd,
-                      size_t tile = 0) {
+BmoOptions WithKernel(BmoAlgorithm algo, SimdMode simd) {
   BmoOptions options;
   options.algorithm = algo;
   options.simd = simd;
-  options.bnl_tile_rows = tile;
   return options;
+}
+
+// The BNL kernel of `p`'s table compiled over every row of `r` (table row
+// i is relation row i), run under an explicit tile size: the maximal rows,
+// ascending.
+std::vector<size_t> TiledBnlRows(const Relation& r, const PrefPtr& p,
+                                 SimdMode simd, size_t tile) {
+  auto table = ScoreTable::Compile(p, r);
+  EXPECT_TRUE(table.has_value()) << p->ToString();
+  if (!table) return {};
+  PhysicalPlan plan;
+  plan.simd = simd;
+  plan.bnl_tile_rows = tile;
+  const std::vector<bool> maximal =
+      table->Maxima(BmoAlgorithm::kBlockNestedLoop, plan);
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < maximal.size(); ++i) {
+    if (maximal[i]) rows.push_back(i);
+  }
+  return rows;
 }
 
 // The reference answer: the closure path's naive exhaustive test.
@@ -158,9 +177,7 @@ TEST(SimdKernelTest, TiledEqualsUntiledBnl) {
     std::vector<size_t> expected = Rows(r, p, kOracle);
     for (SimdMode mode : {SimdMode::kScalar, SimdMode::kAvx2}) {
       for (size_t tile : {8u, 64u, 100000u}) {
-        EXPECT_EQ(
-            Rows(r, p, WithKernel(BmoAlgorithm::kBlockNestedLoop, mode, tile)),
-            expected)
+        EXPECT_EQ(TiledBnlRows(r, p, mode, tile), expected)
             << "term=" << p->ToString() << " simd=" << SimdModeName(mode)
             << " tile=" << tile;
       }

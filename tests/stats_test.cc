@@ -1,6 +1,6 @@
 // Tests for the statistics subsystem (stats/stats.h): exact column
-// statistics, incremental maintenance equivalence, and the term-level
-// estimation/measurement paths feeding the cost model.
+// statistics against a Tuple-walking reference, and the measured term
+// statistics feeding the cost model.
 
 #include "stats/stats.h"
 
@@ -54,54 +54,6 @@ TEST(TableStatsTest, RestrictedDeriveMatchesFull) {
   EXPECT_EQ(restricted.Column("mileage"), nullptr);
 }
 
-TEST(TableStatsTest, IncrementalBuilderMatchesRescan) {
-  Relation cars = GenerateCars(300, 7);
-  TableStatsBuilder builder(cars.schema());
-  Relation grown(cars.schema());
-  for (const Tuple& t : cars.tuples()) {
-    builder.AddRow(t);
-    grown.Add(t);
-  }
-  TableStats incremental = builder.Snapshot();
-  TableStats rescan = TableStats::Derive(grown);
-  ASSERT_EQ(incremental.rows, rescan.rows);
-  ASSERT_EQ(incremental.columns.size(), rescan.columns.size());
-  for (size_t c = 0; c < rescan.columns.size(); ++c) {
-    EXPECT_EQ(incremental.columns[c].distinct, rescan.columns[c].distinct)
-        << rescan.names[c];
-    EXPECT_EQ(incremental.columns[c].null_count,
-              rescan.columns[c].null_count);
-    EXPECT_EQ(incremental.columns[c].non_numeric_count,
-              rescan.columns[c].non_numeric_count);
-  }
-}
-
-TEST(TermStatsTest, EstimateSeesStructure) {
-  Relation cars = GenerateCars(5000, 11);
-  TableStats table = TableStats::Derive(cars);
-  // One injective numeric column is a score chain.
-  EXPECT_TRUE(EstimateTermStats(table, Lowest("price"), 5000).score_chain);
-  // Injective numeric skyline: no chain, window from the closed form.
-  TermStats sky = EstimateTermStats(
-      table, Pareto(Lowest("price"), Lowest("mileage")), 5000);
-  EXPECT_TRUE(sky.compilable);
-  EXPECT_FALSE(sky.score_chain);
-  EXPECT_EQ(sky.dims, 2u);
-  EXPECT_GT(sky.est_window, 1.0);
-  EXPECT_LT(sky.est_window, 200.0);
-  // AROUND breaks injectivity but keeps keys.
-  TermStats around = EstimateTermStats(
-      table, Pareto(Around("price", 20000), Lowest("mileage")), 5000);
-  EXPECT_FALSE(around.score_chain);
-  EXPECT_FALSE(
-      EstimateTermStats(table, Around("price", 20000), 5000).score_chain);
-  EXPECT_GT(around.table_keys, 0u);
-  // An injective chain head pins the window near one group.
-  TermStats chain = EstimateTermStats(
-      table, Prioritized(Lowest("price"), Pos("color", {"red"})), 5000);
-  EXPECT_LT(chain.est_window, 64.0);
-}
-
 TEST(TermStatsTest, MeasuredWindowSeparatesCorrelationRegimes) {
   // The closed form cannot distinguish anti-correlated from independent
   // data; the two-point sampled probe must. This is the signal that
@@ -147,14 +99,12 @@ TEST(TermStatsTest, StridedProbeSurvivesPhysicallySortedInput) {
 }
 
 TEST(TableStatsTest, DistinctTrackingSaturatesNotGrows) {
-  Schema s({{"x", ValueType::kInt}});
-  TableStatsBuilder builder(s);
-  for (int64_t i = 0; i < (1 << 16) + 500; ++i) builder.AddRow(Tuple{i});
-  TableStats stats = builder.Snapshot();
+  Relation wide(Schema{{"x", ValueType::kInt}});
+  for (int64_t i = 0; i < (1 << 16) + 500; ++i) wide.Add({i});
+  TableStats stats = TableStats::Derive(wide);
   EXPECT_EQ(stats.rows, static_cast<size_t>((1 << 16) + 500));
   EXPECT_EQ(stats.Column("x")->distinct, static_cast<size_t>(1 << 16));
-  // The flag marks "at least the cap"; estimation then assumes
-  // pool-scale cardinality instead of the frozen count.
+  // The flag marks "at least the cap".
   EXPECT_TRUE(stats.Column("x")->distinct_saturated);
   TableStats derived = TableStats::Derive([] {
     Relation r(Schema{{"x", ValueType::kInt}});
@@ -165,7 +115,7 @@ TEST(TableStatsTest, DistinctTrackingSaturatesNotGrows) {
 }
 
 // Tuple-walking reference for the columnar derivation: the per-value
-// rule the builder applied before statistics read the column buffers —
+// rule statistics applied before they read the column buffers —
 // one unordered_set<Value> per column (Value equality: numeric widening,
 // NULL == NULL), NaN counted once and never inserted, saturation at the
 // cap flagged by any later non-NaN value.
@@ -243,7 +193,6 @@ TEST(TableStatsTest, ColumnarDeriveMatchesTupleReference) {
   Relation r = EdgeCaseTable();
   const TableStats want = ReferenceStats(r.schema(), RowsOf(r));
   ExpectSameStats(TableStats::Derive(r), want);
-  ExpectSameStats(TableStatsBuilder(r).Snapshot(), want);
   // Spot-check the reference itself on the equality edge cases
   // (num: 3 == 3.0, -0 == 0, NaN, NULL).
   EXPECT_EQ(want.Column("num")->distinct, 4u);
@@ -261,7 +210,7 @@ TEST(TableStatsTest, ColumnarDeriveMatchesTupleReference) {
   ExpectSameStats(TableStats::Derive(view),
                   ReferenceStats(view.schema(), RowsOf(view)));
   Relation sorted = r.Sorted({"text"});
-  ExpectSameStats(TableStatsBuilder(sorted).Snapshot(),
+  ExpectSameStats(TableStats::Derive(sorted),
                   ReferenceStats(sorted.schema(), RowsOf(sorted)));
   EXPECT_FALSE(r.row_cache_built());
 }
@@ -290,7 +239,6 @@ TEST(TableStatsTest, ColumnarSaturationMatchesTupleReference) {
   EXPECT_TRUE(want.Column("exact")->distinct_saturated);  // the late NULL
   EXPECT_EQ(want.Column("n")->distinct, cap + 1);  // cap + the NaN class
   ExpectSameStats(TableStats::Derive(r), want);
-  ExpectSameStats(TableStatsBuilder(r).Snapshot(), want);
 
   // Exactly cap distinct values and nothing after: not saturated.
   Relation exact(Schema{{"x", ValueType::kInt}});
@@ -301,33 +249,21 @@ TEST(TableStatsTest, ColumnarSaturationMatchesTupleReference) {
   ExpectSameStats(at_cap, ReferenceStats(exact.schema(), RowsOf(exact)));
 }
 
-TEST(TableStatsTest, AddRowAfterColumnarBuildMatchesReference) {
-  Relation r = EdgeCaseTable();
-  TableStatsBuilder builder(r);
-  std::vector<Tuple> rows = RowsOf(r);
-  const std::vector<Tuple> more = {
-      Tuple{Value(3), Value(3), Value((int64_t{1} << 53) + 1), Value("a")},
-      Tuple{Value(-0.0), Value("3"), Value(7), Value("new")},
-      Tuple{Value(std::nan("")), Value(), Value(), Value()},
-      Tuple{Value(4.5), Value(4.5), Value(8), Value("b")}};
-  for (const Tuple& t : more) {
-    builder.AddRow(t);
-    rows.push_back(t);
-    ExpectSameStats(builder.Snapshot(), ReferenceStats(r.schema(), rows));
-  }
-}
-
 TEST(TermStatsTest, AntiChainInParetoMultipliesTheWindow) {
   // Pareto(A<->, P): dominance requires equality on the anti-chain
   // attributes, so every distinct combination is its own incomparable
   // group — the window scales with the group count, not the polylog
-  // skyline form.
-  Relation cars = GenerateCars(20000, 5);
-  TableStats table = TableStats::Derive(cars);
-  const size_t makes = table.Column("make")->distinct;
+  // skyline form. Below 4096 rows the measured statistics use the closed
+  // form, with the anti-chain column as the group multiplier.
+  Relation cars = GenerateCars(3000, 5);
+  const size_t makes = TableStats::Derive(cars).Column("make")->distinct;
   ASSERT_GT(makes, 2u);
-  TermStats stats = EstimateTermStats(
-      table, Pareto(AntiChain("make"), Lowest("price")), 20000);
+  PrefPtr p = Pareto(AntiChain("make"), Lowest("price"));
+  auto table = ScoreTable::Compile(p, cars);
+  ASSERT_TRUE(table.has_value());
+  ASSERT_LT(table->rows(), 4096u);
+  TermStats stats = MeasureTermStats(*table, p, cars.size());
+  EXPECT_FALSE(stats.measured_window);
   EXPECT_GE(stats.est_window, static_cast<double>(makes));
 }
 
