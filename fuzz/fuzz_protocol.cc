@@ -1,17 +1,27 @@
 // Fuzz harness for the wire codec (server/protocol.h) and the server's
-// frame reassembly (FrameAssembler, server/wire_io.h): frame headers,
-// value/row decoding, result parsing, and chunked reassembly of the raw
-// client byte stream. Invariants under test:
+// frame reassembly (FrameAssembler, server/wire_io.h): frame headers, the
+// binary columnar result, delta and insert decoders, and chunked
+// reassembly of the raw client byte stream. Invariants under test:
 //
-//  - no decoder crashes, hangs, or overflows on arbitrary bytes (the
+//  - no decoder crashes, hangs or overflows on arbitrary bytes (the
 //    payload is attacker-controlled up to the frame cap);
-//  - decoding always makes forward progress (*pos never moves backwards —
-//    the 'S' length-wrap bug fixed in this PR violated exactly this);
-//  - a payload that parses re-serializes to a payload that parses to the
-//    same shape (round-trip stability);
+//  - every declared length or count is checked against the remaining
+//    bytes before anything is allocated for it (under ASan, a huge
+//    declared count would abort on the allocation);
+//  - a string code is below its dictionary size and every tag is a known
+//    type (the decoded columns pass ColumnStore::FromColumns, which
+//    throws otherwise);
+//  - decode, encode, decode gives the same cells, bit for bit, and the
+//    re-encoded bytes equal the input: the decoders accept canonical
+//    frames only;
 //  - reassembly does not depend on how the stream was chunked: any
 //    chunking yields the frames (and the final oversized/need-more
 //    verdict) of a one-shot append, and no frame exceeds the cap.
+//
+// The seed corpus (fuzz/corpus/protocol) holds encoder output — a valid
+// result, delta and insert — and hand-broken frames named after their
+// defect (a huge row count, an out-of-range code, a truncated column,
+// trailing bytes), plus the framing and assembler seeds.
 //
 // Links against libFuzzer under -DPREFDB_FUZZERS=ON; otherwise
 // fuzz/driver_main.cc replays the seed corpus in plain ctest.
@@ -19,6 +29,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,47 +40,87 @@
 
 namespace {
 
-void CheckRows(const std::string& payload) {
-  size_t pos = 0;
-  while (pos < payload.size()) {
-    size_t before = pos;
-    auto row = prefdb::server::DecodeRow(payload, &pos);
-    if (!row) break;
-    if (pos <= before) __builtin_trap();  // no forward progress
+/// Bitwise cell equality: type, int64, the double's bits, the string.
+bool SameCells(const prefdb::Relation& a, const prefdb::Relation& b) {
+  if (!(a.schema() == b.schema()) || a.size() != b.size()) return false;
+  for (size_t c = 0; c < a.schema().size(); ++c) {
+    for (size_t i = 0; i < a.size(); ++i) {
+      const prefdb::Value x = a.ValueAt(i, c);
+      const prefdb::Value y = b.ValueAt(i, c);
+      if (x.type() != y.type()) return false;
+      if (x.is_double()) {
+        const double dx = x.as_double();
+        const double dy = y.as_double();
+        if (std::memcmp(&dx, &dy, sizeof dx) != 0) return false;
+      } else if (!x.is_null() && x != y) {
+        return false;
+      }
+    }
   }
-}
-
-void CheckDelta(const std::string& payload) {
-  auto parsed = prefdb::server::ParseDelta(payload);
-  if (!parsed) return;
-  // Round-trip: a parsed delta must re-serialize to a payload that
-  // parses back to the same shape (the server pushes exactly this).
-  std::string wire = prefdb::server::SerializeDelta(
-      parsed->subscription, parsed->enters.schema(), parsed->version,
-      parsed->resync, parsed->enters.tuples(), parsed->exits.tuples());
-  auto reparsed = prefdb::server::ParseDelta(wire);
-  if (!reparsed) __builtin_trap();
-  if (reparsed->subscription != parsed->subscription) __builtin_trap();
-  if (reparsed->version != parsed->version) __builtin_trap();
-  if (reparsed->resync != parsed->resync) __builtin_trap();
-  if (reparsed->enters.size() != parsed->enters.size()) __builtin_trap();
-  if (reparsed->exits.size() != parsed->exits.size()) __builtin_trap();
+  return true;
 }
 
 void CheckResult(const std::string& payload) {
   auto parsed = prefdb::server::ParseResult(payload);
   if (!parsed) return;
-  // Round-trip: a parsed result must re-serialize to a parseable payload
-  // of identical shape.
   prefdb::psql::QueryResult result;
   result.relation = parsed->relation;
   result.utilities = parsed->utilities;
   result.stats.kernel = parsed->kernel;
-  auto reparsed =
-      prefdb::server::ParseResult(prefdb::server::SerializeResult(result));
+  const std::string wire = prefdb::server::SerializeResult(result);
+  if (wire != payload) __builtin_trap();
+  auto reparsed = prefdb::server::ParseResult(wire);
+  if (!reparsed || !SameCells(reparsed->relation, parsed->relation)) {
+    __builtin_trap();
+  }
+  if (reparsed->kernel != parsed->kernel ||
+      reparsed->utilities.size() != parsed->utilities.size()) {
+    __builtin_trap();
+  }
+  for (size_t i = 0; i < parsed->utilities.size(); ++i) {
+    if (std::memcmp(&reparsed->utilities[i], &parsed->utilities[i],
+                    sizeof(double)) != 0) {
+      __builtin_trap();
+    }
+  }
+}
+
+std::vector<prefdb::Tuple> Rows(const prefdb::Relation& r) {
+  std::vector<prefdb::Tuple> rows;
+  for (size_t i = 0; i < r.size(); ++i) rows.push_back(r.RowAt(i));
+  return rows;
+}
+
+void CheckDelta(const std::string& payload) {
+  auto parsed = prefdb::server::ParseDelta(payload);
+  if (!parsed) return;
+  const std::string wire = prefdb::server::SerializeDelta(
+      parsed->subscription, parsed->enters.schema(), parsed->version,
+      parsed->resync, Rows(parsed->enters), Rows(parsed->exits));
+  if (wire != payload) __builtin_trap();
+  auto reparsed = prefdb::server::ParseDelta(wire);
   if (!reparsed) __builtin_trap();
-  if (reparsed->relation.size() != parsed->relation.size()) __builtin_trap();
-  if (reparsed->utilities.size() != parsed->utilities.size()) {
+  if (reparsed->subscription != parsed->subscription ||
+      reparsed->version != parsed->version ||
+      reparsed->resync != parsed->resync ||
+      !SameCells(reparsed->enters, parsed->enters) ||
+      !SameCells(reparsed->exits, parsed->exits)) {
+    __builtin_trap();
+  }
+}
+
+void CheckInsert(const std::string& payload) {
+  auto parsed = prefdb::server::ParseInsert(payload);
+  if (!parsed) return;
+  const std::string wire =
+      prefdb::server::SerializeInsert(parsed->table, parsed->row);
+  if (wire != payload) __builtin_trap();
+  auto reparsed = prefdb::server::ParseInsert(wire);
+  if (!reparsed || reparsed->table != parsed->table) __builtin_trap();
+  prefdb::Schema schema(
+      std::vector<prefdb::Attribute>(parsed->row.size()));
+  if (!SameCells(prefdb::Relation(schema, {reparsed->row}),
+                 prefdb::Relation(schema, {parsed->row}))) {
     __builtin_trap();
   }
 }
@@ -159,9 +210,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     (void)prefdb::server::DecodeFrameHeader(data, &type);
   }
   std::string payload(reinterpret_cast<const char*>(data), size);
-  CheckRows(payload);
   CheckResult(payload);
   CheckDelta(payload);
+  CheckInsert(payload);
   CheckTagged(payload);
   CheckAssembler(payload);
   return 0;

@@ -309,6 +309,56 @@ ColumnStore ColumnStore::View(const ColumnStore& base,
   return out;
 }
 
+ColumnStore ColumnStore::FromColumns(size_t rows, std::vector<Column> columns) {
+  ColumnStore out;
+  out.nrows_ = rows;
+  out.cols_.reserve(columns.size());
+  for (Column& col : columns) {
+    if (col.tags.size() != rows || col.nums.size() != rows ||
+        (!col.ints.empty() && col.ints.size() != rows) ||
+        (!col.codes.empty() && col.codes.size() != rows)) {
+      throw std::invalid_argument("column buffers do not hold " +
+                                  std::to_string(rows) + " rows");
+    }
+    const size_t dict_size = col.dict == nullptr ? 0 : col.dict->size();
+    col.null_count = col.int_count = col.string_count = col.nan_count = 0;
+    for (size_t r = 0; r < rows; ++r) {
+      const ValueType type = static_cast<ValueType>(col.tags[r]);
+      switch (type) {
+        case ValueType::kNull:
+          col.nums[r] = 0.0;
+          ++col.null_count;
+          break;
+        case ValueType::kInt:
+          if (col.ints.empty()) {
+            throw std::invalid_argument("int row without an int buffer");
+          }
+          col.nums[r] = static_cast<double>(col.ints[r]);
+          ++col.int_count;
+          break;
+        case ValueType::kDouble:
+          if (std::isnan(col.nums[r])) ++col.nan_count;
+          break;
+        case ValueType::kString:
+          if (col.codes.empty() || col.codes[r] >= dict_size) {
+            throw std::invalid_argument("string row without a valid code");
+          }
+          col.nums[r] = 0.0;
+          ++col.string_count;
+          break;
+        default:
+          throw std::invalid_argument("unknown column tag " +
+                                      std::to_string(col.tags[r]));
+      }
+      // ints and codes hold 0 at the rows that do not use them.
+      if (type != ValueType::kInt && !col.ints.empty()) col.ints[r] = 0;
+      if (type != ValueType::kString && !col.codes.empty()) col.codes[r] = 0;
+    }
+    out.cols_.push_back(std::make_shared<Column>(std::move(col)));
+  }
+  return out;
+}
+
 void ColumnStore::Flatten() {
   if (perm_ == nullptr) return;
   std::shared_ptr<const std::vector<uint32_t>> perm = std::move(perm_);

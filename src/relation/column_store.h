@@ -129,6 +129,17 @@ class ColumnStore {
   /// full base buffers (the engine Delete path relies on this).
   static ColumnStore View(const ColumnStore& base, std::vector<uint32_t> rows);
 
+  /// A flat store over whole columns, each `rows` rows long, as a decoder
+  /// builds them. The caller fills `tags`, the doubles of kDouble rows in
+  /// `nums` (sized to the rows), `ints` when some row is kInt and `codes`
+  /// plus `dict` when some row is kString; `ints`/`codes` are empty or
+  /// one per row. The factory derives the rest of the Column invariants
+  /// that Column::Append keeps: the counters, the widened `nums` of kInt
+  /// rows, 0.0 in `nums` and 0 in `ints`/`codes` at the rows that do not
+  /// use them. Throws std::invalid_argument on a wrong length, an unknown
+  /// tag, a missing buffer or a string code outside the dictionary.
+  static ColumnStore FromColumns(size_t rows, std::vector<Column> columns);
+
   /// Materializes a view into flat columns; no-op when already flat.
   void Flatten();
 

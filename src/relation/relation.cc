@@ -58,6 +58,15 @@ Relation::Relation(Schema schema, std::vector<Tuple> tuples)
   for (Tuple& t : tuples) Add(std::move(t));
 }
 
+Relation::Relation(Schema schema, ColumnStore store)
+    : schema_(std::move(schema)), store_(std::move(store)) {
+  if (store_.num_columns() != schema_.size()) {
+    throw std::invalid_argument(
+        "store of " + std::to_string(store_.num_columns()) +
+        " columns does not match schema " + schema_.ToString());
+  }
+}
+
 Relation& Relation::operator=(const Relation& other) {
   if (this != &other) {
     schema_ = other.schema_;

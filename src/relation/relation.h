@@ -36,6 +36,10 @@ class Relation {
   explicit Relation(Schema schema)
       : schema_(std::move(schema)), store_(schema_.size()) {}
   Relation(Schema schema, std::vector<Tuple> tuples);
+  /// Adopts `store` as the relation's rows (ColumnStore::FromColumns
+  /// builds one from decoded buffers). Throws std::invalid_argument when
+  /// the store's column count differs from the schema's arity.
+  Relation(Schema schema, ColumnStore store);
 
   Relation(const Relation& other)
       : schema_(other.schema_), store_(other.store_) {}

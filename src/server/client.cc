@@ -210,9 +210,7 @@ Client::ResponseFuture Client::SendSet(const std::string& name,
 
 Client::ResponseFuture Client::SendInsert(const std::string& table,
                                           const Tuple& row) {
-  std::string payload = table + "\n";
-  EncodeRow(row, &payload);
-  return Send(Frame{FrameType::kInsert, std::move(payload)});
+  return Send(Frame{FrameType::kInsert, SerializeInsert(table, row)});
 }
 
 Client::ResponseFuture Client::SendSubscribe(const std::string& sql) {

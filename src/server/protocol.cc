@@ -1,59 +1,12 @@
 #include "server/protocol.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
 #include <cstring>
-#include <numeric>
+#include <limits>
+#include <memory>
+#include <unordered_map>
 
 namespace prefdb::server {
-
-namespace {
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::optional<ValueType> ParseTypeName(const std::string& name) {
-  if (name == "NULL") return ValueType::kNull;
-  if (name == "INT") return ValueType::kInt;
-  if (name == "DOUBLE") return ValueType::kDouble;
-  if (name == "STRING") return ValueType::kString;
-  return std::nullopt;
-}
-
-/// Reads "<prefix> ...\n" starting at *pos; returns the "..." part and
-/// advances past the newline. nullopt when the line is missing/mislabeled.
-std::optional<std::string> TakeLine(const std::string& data, size_t* pos,
-                                    const char* prefix) {
-  size_t len = std::strlen(prefix);
-  if (data.compare(*pos, len, prefix) != 0) return std::nullopt;
-  size_t start = *pos + len;
-  size_t nl = data.find('\n', start);
-  if (nl == std::string::npos) return std::nullopt;
-  std::string line = data.substr(start, nl - start);
-  *pos = nl + 1;
-  return line;
-}
-
-std::vector<std::string> SplitCommas(const std::string& text) {
-  std::vector<std::string> parts;
-  if (text.empty()) return parts;
-  size_t start = 0;
-  for (;;) {
-    size_t comma = text.find(',', start);
-    if (comma == std::string::npos) {
-      parts.push_back(text.substr(start));
-      return parts;
-    }
-    parts.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-}
-
-}  // namespace
 
 std::string EncodeFrame(const Frame& frame) {
   std::string out;
@@ -106,284 +59,438 @@ bool DecodeTaggedPayload(Frame* frame, uint64_t* request_id) {
   return true;
 }
 
-std::string EncodeValue(const Value& value) {
-  switch (value.type()) {
-    case ValueType::kNull:
-      return "N";
-    case ValueType::kInt:
-      return "I" + std::to_string(value.as_int());
-    case ValueType::kDouble:
-      return "D" + FormatDouble(value.as_double());
-    case ValueType::kString:
-      return "S" + std::to_string(value.as_string().size()) + ":" +
-             value.as_string();
-  }
-  return "N";
-}
-
-void EncodeRow(const Tuple& row, std::string* out) {
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (i > 0) out->push_back(' ');
-    *out += EncodeValue(row[i]);
-  }
-  out->push_back('\n');
-}
-
 namespace {
 
-std::optional<Value> DecodeValue(const std::string& data, size_t* pos) {
-  if (*pos >= data.size()) return std::nullopt;
-  char tag = data[*pos];
-  ++*pos;
-  switch (tag) {
-    case 'N':
-      return Value();
-    case 'I': {
-      size_t end = data.find_first_of(" \n", *pos);
-      if (end == std::string::npos) return std::nullopt;
-      errno = 0;
-      char* parsed_end = nullptr;
-      std::string text = data.substr(*pos, end - *pos);
-      long long v = std::strtoll(text.c_str(), &parsed_end, 10);
-      if (errno != 0 || parsed_end == text.c_str() || *parsed_end != '\0') {
-        return std::nullopt;
-      }
-      *pos = end;
-      return Value(static_cast<int64_t>(v));
-    }
-    case 'D': {
-      size_t end = data.find_first_of(" \n", *pos);
-      if (end == std::string::npos) return std::nullopt;
-      char* parsed_end = nullptr;
-      std::string text = data.substr(*pos, end - *pos);
-      double v = std::strtod(text.c_str(), &parsed_end);
-      if (parsed_end == text.c_str() || *parsed_end != '\0') {
-        return std::nullopt;
-      }
-      *pos = end;
-      return Value(v);
-    }
-    case 'S': {
-      size_t colon = data.find(':', *pos);
-      if (colon == std::string::npos) return std::nullopt;
-      errno = 0;
-      char* parsed_end = nullptr;
-      std::string count_text = data.substr(*pos, colon - *pos);
-      unsigned long long count =
-          std::strtoull(count_text.c_str(), &parsed_end, 10);
-      // Compare against the remaining bytes, never `colon + 1 + count`:
-      // count comes off the wire and the sum wraps size_t, which would
-      // pass the bounds check and then wrap *pos backwards (infinite
-      // parse loop on a 17-byte frame).
-      if (errno != 0 || parsed_end == count_text.c_str() ||
-          *parsed_end != '\0' || count > data.size() - (colon + 1)) {
-        return std::nullopt;
-      }
-      *pos = colon + 1 + count;
-      return Value(data.substr(colon + 1, count));
-    }
-    default:
-      return std::nullopt;
+constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+
+/// Appends little-endian integers and length-prefixed bytes to a payload.
+class Writer {
+ public:
+  explicit Writer(std::string* out) : out_(out) {}
+
+  void U8(uint8_t v) { out_->push_back(static_cast<char>(v)); }
+  void U32(uint32_t v) { Put(Grow(4), v, 4); }
+  void U64(uint64_t v) { Put(Grow(8), v, 8); }
+  void Str(const std::string& s) {
+    U32(static_cast<uint32_t>(s.size()));
+    out_->append(s);
   }
+  void Reserve(size_t extra) { out_->reserve(out_->size() + extra); }
+  /// Appends `n` bytes and returns where they start. The pointer is valid
+  /// until the next append.
+  unsigned char* Grow(size_t n) {
+    const size_t at = out_->size();
+    out_->resize(at + n);
+    return reinterpret_cast<unsigned char*>(&(*out_)[at]);
+  }
+  static void Put(unsigned char* p, uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      p[i] = static_cast<unsigned char>(v >> (8 * i));
+    }
+  }
+
+ private:
+  std::string* out_;
+};
+
+/// Consumes the same encoding; every read fails instead of running past
+/// the end.
+class Reader {
+ public:
+  explicit Reader(const std::string& data)
+      : p_(reinterpret_cast<const unsigned char*>(data.data())),
+        end_(p_ + data.size()) {}
+
+  size_t remaining() const { return static_cast<size_t>(end_ - p_); }
+  bool done() const { return p_ == end_; }
+
+  bool U8(uint8_t* v) {
+    if (remaining() < 1) return false;
+    *v = *p_++;
+    return true;
+  }
+  bool U32(uint32_t* v) {
+    const unsigned char* p = Take(4);
+    if (p == nullptr) return false;
+    *v = static_cast<uint32_t>(Get(p, 4));
+    return true;
+  }
+  bool U64(uint64_t* v) {
+    const unsigned char* p = Take(8);
+    if (p == nullptr) return false;
+    *v = Get(p, 8);
+    return true;
+  }
+  bool Str(std::string* s) {
+    uint32_t len = 0;
+    if (!U32(&len)) return false;
+    const unsigned char* p = Take(len);
+    if (p == nullptr) return false;
+    s->assign(reinterpret_cast<const char*>(p), len);
+    return true;
+  }
+  /// The next `n` bytes, or nullptr when fewer remain.
+  const unsigned char* Take(size_t n) {
+    if (n > remaining()) return nullptr;
+    const unsigned char* p = p_;
+    p_ += n;
+    return p;
+  }
+  static uint64_t Get(const unsigned char* p, int bytes) {
+    uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
+    return v;
+  }
+
+ private:
+  const unsigned char* p_;
+  const unsigned char* end_;
+};
+
+uint64_t DoubleBits(double d) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof bits);
+  return bits;
+}
+
+double BitsDouble(uint64_t bits) {
+  double d = 0.0;
+  std::memcpy(&d, &bits, sizeof d);
+  return d;
+}
+
+bool IsNumericTag(uint8_t tag) {
+  return tag == static_cast<uint8_t>(ValueType::kInt) ||
+         tag == static_cast<uint8_t>(ValueType::kDouble);
+}
+
+constexpr uint8_t kStringTag = static_cast<uint8_t>(ValueType::kString);
+
+void PutSchema(const Schema& schema, Writer* w) {
+  w->U32(static_cast<uint32_t>(schema.size()));
+  for (const Attribute& a : schema.attributes()) {
+    w->U8(static_cast<uint8_t>(a.type));
+    w->Str(a.name);
+  }
+}
+
+bool GetSchema(Reader* r, Schema* schema) {
+  uint32_t n = 0;
+  // An attribute costs at least 5 bytes (type and name length).
+  if (!r->U32(&n) || n > r->remaining() / 5) return false;
+  std::vector<Attribute> attrs(n);
+  for (Attribute& a : attrs) {
+    uint8_t type = 0;
+    if (!r->U8(&type) || type > kStringTag || !r->Str(&a.name)) return false;
+    a.type = static_cast<ValueType>(type);
+  }
+  *schema = Schema(std::move(attrs));
+  return true;
+}
+
+/// Canonical string codes of one column: each distinct string the rows
+/// use, numbered in first-occurrence order. Small dictionaries remap
+/// through a flat array; a dictionary much larger than the rows (a
+/// selective answer over a high-cardinality column) through a hash map,
+/// so the work follows the rows, not the dictionary.
+class CodeRemap {
+ public:
+  CodeRemap(size_t dict_size, size_t rows) {
+    if (dict_size <= 2 * rows + 1024) flat_.assign(dict_size, kUnset);
+  }
+  /// The canonical code of source code `code`, numbering it if new.
+  uint32_t Map(uint32_t code) {
+    uint32_t* slot = nullptr;
+    if (!flat_.empty()) {
+      slot = &flat_[code];
+    } else {
+      slot = &sparse_.emplace(code, kUnset).first->second;
+    }
+    if (*slot == kUnset) {
+      *slot = static_cast<uint32_t>(order_.size());
+      order_.push_back(code);
+    }
+    return *slot;
+  }
+  /// Source codes in canonical order.
+  const std::vector<uint32_t>& order() const { return order_; }
+
+ private:
+  static constexpr uint32_t kUnset = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> flat_;
+  std::unordered_map<uint32_t, uint32_t> sparse_;
+  std::vector<uint32_t> order_;
+};
+
+/// Appends `store`'s logical rows in the rows grammar, reading the column
+/// buffers through the store's permutation.
+void PutRows(const ColumnStore& store, Writer* w) {
+  const size_t n = store.rows();
+  w->U64(n);
+  if (store.num_columns() == 0) {
+    w->Grow(n);  // zero-filled
+    return;
+  }
+  // Every cell takes at most 9 bytes; dictionary strings come on top.
+  w->Reserve(n * 9 * store.num_columns());
+  std::vector<uint32_t> phys(n);
+  for (size_t i = 0; i < n; ++i) {
+    phys[i] = static_cast<uint32_t>(store.PhysicalRow(i));
+  }
+  for (size_t c = 0; c < store.num_columns(); ++c) {
+    const Column& col = store.column(c);
+    // Counters cover the whole column, so a uniform column stays uniform
+    // under any selection of its rows.
+    const size_t rows = col.size();
+    const bool all_ints = col.int_count == rows;
+    const bool all_doubles =
+        col.null_count + col.int_count + col.string_count == 0;
+    const bool all_strings = col.string_count == rows;
+    unsigned char* tags = w->Grow(n);
+    size_t numeric = 0;
+    size_t strings = 0;
+    if (all_ints || all_doubles || all_strings) {
+      const ValueType type = all_ints      ? ValueType::kInt
+                             : all_doubles ? ValueType::kDouble
+                                           : ValueType::kString;
+      std::memset(tags, static_cast<int>(type), n);
+      (all_strings ? strings : numeric) = n;
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        const uint8_t tag = col.tags[phys[i]];
+        tags[i] = tag;
+        numeric += IsNumericTag(tag);
+        strings += tag == kStringTag;
+      }
+    }
+    unsigned char* nums = w->Grow(8 * numeric);
+    if (all_ints) {
+      for (size_t i = 0; i < n; ++i) {
+        Writer::Put(nums + 8 * i, static_cast<uint64_t>(col.ints[phys[i]]), 8);
+      }
+    } else if (all_doubles) {
+      for (size_t i = 0; i < n; ++i) {
+        Writer::Put(nums + 8 * i, DoubleBits(col.nums[phys[i]]), 8);
+      }
+    } else if (numeric > 0) {
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t row = phys[i];
+        const uint8_t tag = col.tags[row];
+        if (tag == static_cast<uint8_t>(ValueType::kInt)) {
+          Writer::Put(nums, static_cast<uint64_t>(col.ints[row]), 8);
+          nums += 8;
+        } else if (tag == static_cast<uint8_t>(ValueType::kDouble)) {
+          Writer::Put(nums, DoubleBits(col.nums[row]), 8);
+          nums += 8;
+        }
+      }
+    }
+    if (strings == 0) {
+      w->U32(0);
+      continue;
+    }
+    CodeRemap remap(col.dict->size(), strings);
+    std::vector<uint32_t> codes;
+    codes.reserve(strings);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t row = phys[i];
+      if (col.tags[row] == kStringTag) {
+        codes.push_back(remap.Map(col.codes[row]));
+      }
+    }
+    w->U32(static_cast<uint32_t>(remap.order().size()));
+    for (uint32_t code : remap.order()) w->Str(col.dict->At(code));
+    unsigned char* out = w->Grow(4 * codes.size());
+    for (size_t k = 0; k < codes.size(); ++k) {
+      Writer::Put(out + 4 * k, codes[k], 4);
+    }
+  }
+}
+
+/// Decodes one column of `n` rows; false on malformed or non-canonical
+/// input.
+bool GetColumn(Reader* r, size_t n, Column* col) {
+  const unsigned char* tags = r->Take(n);
+  if (tags == nullptr) return false;
+  constexpr uint8_t kIntTag = static_cast<uint8_t>(ValueType::kInt);
+  constexpr uint8_t kDoubleTag = static_cast<uint8_t>(ValueType::kDouble);
+  size_t ints = 0;
+  size_t doubles = 0;
+  size_t strings = 0;
+  uint8_t max_tag = 0;
+  for (size_t i = 0; i < n; ++i) {
+    max_tag = std::max(max_tag, tags[i]);
+    ints += tags[i] == kIntTag;
+    doubles += tags[i] == kDoubleTag;
+    strings += tags[i] == kStringTag;
+  }
+  if (max_tag > kStringTag) return false;
+  const size_t numeric = ints + doubles;
+  if (numeric > r->remaining() / 8) return false;
+  const unsigned char* nums = r->Take(8 * numeric);
+  col->tags.assign(tags, tags + n);
+  col->nums.resize(n);
+  if (ints > 0) col->ints.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (tags[i] == kIntTag) {
+      col->ints[i] = static_cast<int64_t>(Reader::Get(nums, 8));
+      nums += 8;
+    } else if (tags[i] == kDoubleTag) {
+      col->nums[i] = BitsDouble(Reader::Get(nums, 8));
+      nums += 8;
+    }
+  }
+  uint32_t dict_size = 0;
+  if (!r->U32(&dict_size) || dict_size > strings) return false;
+  if (strings == 0) return true;
+  // Each entry costs at least its 4-byte length.
+  if (dict_size > r->remaining() / 4) return false;
+  col->dict = std::make_shared<StringDict>();
+  std::string s;
+  for (uint32_t k = 0; k < dict_size; ++k) {
+    if (!r->Str(&s) || col->dict->Intern(s) != k) return false;  // repeated
+  }
+  if (strings > r->remaining() / 4) return false;
+  const unsigned char* codes = r->Take(4 * strings);
+  col->codes.resize(n);
+  uint32_t next = 0;  // the first code not yet used
+  for (size_t i = 0; i < n; ++i) {
+    if (tags[i] != kStringTag) continue;
+    const uint32_t code = static_cast<uint32_t>(Reader::Get(codes, 4));
+    codes += 4;
+    if (code > next || code >= dict_size) return false;
+    if (code == next) ++next;
+    col->codes[i] = code;
+  }
+  return next == dict_size;
+}
+
+/// Decodes the rows grammar into a flat store of `num_columns` columns.
+std::optional<ColumnStore> GetRows(Reader* r, size_t num_columns) {
+  uint64_t n = 0;
+  // Every row costs at least one byte per column, or one zero byte in a
+  // zero-column frame.
+  if (!r->U64(&n) || n > r->remaining() || n > kMaxU32) return std::nullopt;
+  if (num_columns == 0) {
+    const unsigned char* pad = r->Take(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      if (pad[i] != 0) return std::nullopt;
+    }
+  } else if (n > r->remaining() / num_columns) {
+    return std::nullopt;
+  }
+  std::vector<Column> columns(num_columns);
+  for (Column& col : columns) {
+    if (!GetColumn(r, n, &col)) return std::nullopt;
+  }
+  return ColumnStore::FromColumns(n, std::move(columns));
+}
+
+/// Delta and insert rows arrive as Tuples: the encoder reads them from a
+/// column store built one row at a time (no copy of the whole vector).
+ColumnStore ColumnsOf(const Schema& schema, const std::vector<Tuple>& rows) {
+  Relation relation(schema);
+  for (const Tuple& row : rows) relation.Add(row);
+  return relation.store();
+}
+
+std::optional<Relation> GetRelation(Reader* r, const Schema& schema) {
+  std::optional<ColumnStore> store = GetRows(r, schema.size());
+  if (!store) return std::nullopt;
+  return Relation(schema, std::move(*store));
 }
 
 }  // namespace
 
-std::optional<Tuple> DecodeRow(const std::string& data, size_t* pos) {
-  std::vector<Value> values;
-  if (*pos < data.size() && data[*pos] == '\n') {
-    ++*pos;
-    return Tuple(std::move(values));
-  }
-  for (;;) {
-    auto value = DecodeValue(data, pos);
-    if (!value) return std::nullopt;
-    values.push_back(std::move(*value));
-    if (*pos >= data.size()) return std::nullopt;
-    char sep = data[*pos];
-    ++*pos;
-    if (sep == '\n') return Tuple(std::move(values));
-    if (sep != ' ') return std::nullopt;
-  }
-}
-
 std::string SerializeResult(const psql::QueryResult& result) {
-  std::string out = "schema ";
-  const Schema& schema = result.relation.schema();
-  for (size_t i = 0; i < schema.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += schema.at(i).name;
-    out.push_back(':');
-    out += ValueTypeName(schema.at(i).type);
-  }
-  out += "\nutilities ";
-  for (size_t i = 0; i < result.utilities.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += FormatDouble(result.utilities[i]);
-  }
-  out += "\nkernel " + result.stats.kernel;
-  const Relation& rel = result.relation;
-  out += "\nrows " + std::to_string(rel.size()) + "\n";
-  // One scratch row refreshed per result row: no Tuple copy of the whole
-  // result (the relation's row cache) is built just to be encoded.
-  std::vector<size_t> cols(schema.size());
-  std::iota(cols.begin(), cols.end(), 0);
-  Tuple row;
-  for (size_t i = 0; i < rel.size(); ++i) {
-    rel.LoadCells(i, cols, &row);
-    EncodeRow(row, &out);
-  }
+  std::string out;
+  Writer w(&out);
+  PutSchema(result.relation.schema(), &w);
+  w.U32(static_cast<uint32_t>(result.utilities.size()));
+  for (double u : result.utilities) w.U64(DoubleBits(u));
+  w.Str(result.stats.kernel);
+  PutRows(result.relation.store(), &w);
   return out;
 }
 
 std::optional<WireResult> ParseResult(const std::string& payload) {
-  size_t pos = 0;
-  auto schema_line = TakeLine(payload, &pos, "schema ");
-  auto utilities_line = TakeLine(payload, &pos, "utilities ");
-  auto kernel_line = TakeLine(payload, &pos, "kernel ");
-  auto rows_line = TakeLine(payload, &pos, "rows ");
-  if (!schema_line || !utilities_line || !kernel_line || !rows_line) {
-    return std::nullopt;
-  }
-
+  Reader r(payload);
   WireResult result;
-  std::vector<Attribute> attrs;
-  for (const std::string& part : SplitCommas(*schema_line)) {
-    size_t colon = part.rfind(':');
-    if (colon == std::string::npos) return std::nullopt;
-    auto type = ParseTypeName(part.substr(colon + 1));
-    if (!type) return std::nullopt;
-    attrs.push_back(Attribute{part.substr(0, colon), *type});
-  }
-  for (const std::string& part : SplitCommas(*utilities_line)) {
-    char* end = nullptr;
-    double v = std::strtod(part.c_str(), &end);
-    if (end == part.c_str() || *end != '\0') return std::nullopt;
-    result.utilities.push_back(v);
-  }
-  result.kernel = *kernel_line;
-
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long row_count = std::strtoull(rows_line->c_str(), &end, 10);
-  if (errno != 0 || end == rows_line->c_str() || *end != '\0') {
+  Schema schema;
+  uint32_t utilities = 0;
+  if (!GetSchema(&r, &schema) || !r.U32(&utilities) ||
+      utilities > r.remaining() / 8) {
     return std::nullopt;
   }
-
-  // Every encoded row costs at least one payload byte ('\n'), so a
-  // declared count beyond the remaining bytes is malformed. Checking
-  // before reserve() keeps a 30-byte frame claiming 2^60 rows from
-  // asking the allocator for petabytes.
-  if (row_count > payload.size() - pos) return std::nullopt;
-  std::vector<Tuple> tuples;
-  tuples.reserve(row_count);
-  for (unsigned long long i = 0; i < row_count; ++i) {
-    auto row = DecodeRow(payload, &pos);
-    if (!row || row->size() != attrs.size()) return std::nullopt;
-    tuples.push_back(std::move(*row));
+  result.utilities.resize(utilities);
+  for (double& u : result.utilities) {
+    uint64_t bits = 0;
+    r.U64(&bits);
+    u = BitsDouble(bits);
   }
-  if (pos != payload.size()) return std::nullopt;
-  result.relation = Relation(Schema(std::move(attrs)), std::move(tuples));
+  if (!r.Str(&result.kernel)) return std::nullopt;
+  std::optional<Relation> relation = GetRelation(&r, schema);
+  if (!relation || !r.done()) return std::nullopt;
+  result.relation = std::move(*relation);
   return result;
 }
-
-namespace {
-
-std::string EncodeSchemaLine(const Schema& schema) {
-  std::string out = "schema ";
-  for (size_t i = 0; i < schema.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += schema.at(i).name;
-    out.push_back(':');
-    out += ValueTypeName(schema.at(i).type);
-  }
-  out.push_back('\n');
-  return out;
-}
-
-std::optional<uint64_t> ParseCount(const std::string& text) {
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return std::nullopt;
-  return static_cast<uint64_t>(v);
-}
-
-/// Reads "<label> <count>\n" + that many encoded rows. Shares the guards
-/// of ParseResult: count checked against remaining payload bytes BEFORE
-/// reserve (every row costs >= 1 byte), arity checked per row.
-std::optional<std::vector<Tuple>> ParseRowBlock(const std::string& payload,
-                                                size_t* pos,
-                                                const char* label,
-                                                size_t arity) {
-  auto line = TakeLine(payload, pos, label);
-  if (!line) return std::nullopt;
-  auto count = ParseCount(*line);
-  if (!count || *count > payload.size() - *pos) return std::nullopt;
-  std::vector<Tuple> rows;
-  rows.reserve(*count);
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto row = DecodeRow(payload, pos);
-    if (!row || row->size() != arity) return std::nullopt;
-    rows.push_back(std::move(*row));
-  }
-  return rows;
-}
-
-}  // namespace
 
 std::string SerializeDelta(uint64_t subscription, const Schema& schema,
                            uint64_t version, bool resync,
                            const std::vector<Tuple>& enters,
                            const std::vector<Tuple>& exits) {
-  std::string out = "subscription " + std::to_string(subscription) + "\n";
-  out += "version " + std::to_string(version) + "\n";
-  out += "resync " + std::string(resync ? "1" : "0") + "\n";
-  out += EncodeSchemaLine(schema);
-  out += "enters " + std::to_string(enters.size()) + "\n";
-  for (const Tuple& row : enters) EncodeRow(row, &out);
-  out += "exits " + std::to_string(exits.size()) + "\n";
-  for (const Tuple& row : exits) EncodeRow(row, &out);
+  std::string out;
+  Writer w(&out);
+  w.U64(subscription);
+  w.U64(version);
+  w.U8(resync ? 1 : 0);
+  PutSchema(schema, &w);
+  PutRows(ColumnsOf(schema, enters), &w);
+  PutRows(ColumnsOf(schema, exits), &w);
   return out;
 }
 
 std::optional<WireDelta> ParseDelta(const std::string& payload) {
-  size_t pos = 0;
-  auto sub_line = TakeLine(payload, &pos, "subscription ");
-  auto version_line = TakeLine(payload, &pos, "version ");
-  auto resync_line = TakeLine(payload, &pos, "resync ");
-  auto schema_line = TakeLine(payload, &pos, "schema ");
-  if (!sub_line || !version_line || !resync_line || !schema_line) {
-    return std::nullopt;
-  }
+  Reader r(payload);
   WireDelta delta;
-  auto sub = ParseCount(*sub_line);
-  auto version = ParseCount(*version_line);
-  if (!sub || !version) return std::nullopt;
-  delta.subscription = *sub;
-  delta.version = *version;
-  if (*resync_line == "1") {
-    delta.resync = true;
-  } else if (*resync_line != "0") {
+  uint8_t resync = 0;
+  Schema schema;
+  if (!r.U64(&delta.subscription) || !r.U64(&delta.version) ||
+      !r.U8(&resync) || resync > 1 || !GetSchema(&r, &schema)) {
     return std::nullopt;
   }
-  std::vector<Attribute> attrs;
-  for (const std::string& part : SplitCommas(*schema_line)) {
-    size_t colon = part.rfind(':');
-    if (colon == std::string::npos) return std::nullopt;
-    auto type = ParseTypeName(part.substr(colon + 1));
-    if (!type) return std::nullopt;
-    attrs.push_back(Attribute{part.substr(0, colon), *type});
-  }
-  auto enters = ParseRowBlock(payload, &pos, "enters ", attrs.size());
+  delta.resync = resync == 1;
+  std::optional<Relation> enters = GetRelation(&r, schema);
   if (!enters) return std::nullopt;
-  auto exits = ParseRowBlock(payload, &pos, "exits ", attrs.size());
-  if (!exits) return std::nullopt;
-  if (pos != payload.size()) return std::nullopt;
-  Schema schema(std::move(attrs));
-  delta.enters = Relation(schema, std::move(*enters));
-  delta.exits = Relation(std::move(schema), std::move(*exits));
+  std::optional<Relation> exits = GetRelation(&r, schema);
+  if (!exits || !r.done()) return std::nullopt;
+  delta.enters = std::move(*enters);
+  delta.exits = std::move(*exits);
   return delta;
+}
+
+std::string SerializeInsert(const std::string& table, const Tuple& row) {
+  std::string out;
+  Writer w(&out);
+  w.Str(table);
+  w.U32(static_cast<uint32_t>(row.size()));
+  // The columns carry no names: only the arity travels.
+  PutRows(ColumnsOf(Schema(std::vector<Attribute>(row.size())), {row}), &w);
+  return out;
+}
+
+std::optional<WireInsert> ParseInsert(const std::string& payload) {
+  Reader r(payload);
+  WireInsert insert;
+  uint32_t arity = 0;
+  // A row costs at least one tag byte per column.
+  if (!r.Str(&insert.table) || !r.U32(&arity) || arity > r.remaining()) {
+    return std::nullopt;
+  }
+  std::optional<ColumnStore> store = GetRows(&r, arity);
+  if (!store || store->rows() != 1 || !r.done()) return std::nullopt;
+  insert.row = store->MaterializeRow(0);
+  return insert;
 }
 
 }  // namespace prefdb::server

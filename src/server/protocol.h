@@ -7,9 +7,9 @@
 //   uint64  request id, big-endian (the first 8 payload bytes)
 //   bytes   body
 //
-// Requests carry Preference SQL text or small textual commands; responses
-// carry a serialized QueryResult, an acknowledgement, or a serialized
-// QueryError (psql/error.h).
+// Requests carry Preference SQL text, small textual commands or an insert
+// row; responses carry a serialized QueryResult, an acknowledgement, or a
+// serialized QueryError (psql/error.h).
 //
 // The request id is client-assigned and echoed on the response, so many
 // requests can be in flight on one connection and responses may arrive
@@ -20,10 +20,13 @@
 // version negotiation: a connection's first frame already carries its
 // request id.
 //
-// Result payloads use a self-delimiting text encoding (SerializeResult /
-// ParseResult) that round-trips Values exactly — including NULLs, negative
-// zero aside, non-finite doubles, and strings containing commas, quotes or
-// newlines — so a client-side diff against a local Engine run is byte-safe.
+// Result, delta and insert payloads carry rows in one binary columnar
+// frame (grammar below, above SerializeResult): per column a type tag per
+// row, the raw 8 bytes of each numeric cell and dictionary codes for
+// strings. Every cell round-trips exactly — NULL, NaN payloads, -0.0,
+// infinities, the whole int64 range, strings holding any byte — and the
+// bytes are canonical, so a client-side diff against a local Engine run
+// is a byte compare.
 //
 // This header is socket-free: framing works over any byte sink/source, so
 // the codec is unit-testable and reusable (e.g. for a future unix-domain
@@ -56,8 +59,8 @@ enum class FrameType : uint8_t {
   /// Payload: "name=value" session option (see server.h for the
   /// vocabulary). Response: kOk or kError.
   kSet = 'S',
-  /// Payload: table name '\n' one encoded row (EncodeRow). Response:
-  /// kOk or kError.
+  /// Payload: SerializeInsert(...), a table name and one row. Response:
+  /// kResult (an empty acknowledgement) or kError.
   kInsert = 'I',
   /// Payload: empty. Response: kOk ("pong"). Liveness probe.
   kPing = 'G',
@@ -124,37 +127,47 @@ std::string EncodeTaggedFrame(uint64_t request_id, const Frame& frame);
 /// prefix — a protocol error.
 bool DecodeTaggedPayload(Frame* frame, uint64_t* request_id);
 
-// --- value / row / result text encoding -----------------------------------
+// --- binary columnar row frames -------------------------------------------
 //
-//   value := 'N'                          NULL
-//          | 'I' <decimal int64>
-//          | 'D' <%.17g double>           (nan/inf/-inf included)
-//          | 'S' <decimal byte count> ':' <raw bytes>
-//   row   := value (' ' value)* '\n'     (empty rows encode as '\n')
+// Integers are little-endian; a double travels as its IEEE-754 bits in a
+// u64. Every count and length is checked against the bytes that remain
+// before anything is allocated for it.
 //
-// The 'S' length prefix makes the encoding self-delimiting, so strings may
-// contain any byte including ' ' and '\n'.
+//   str     := u32 byte length, the bytes
+//   schema  := u32 n, n x (u8 declared type, str name)
+//   type    := 0 NULL | 1 INT | 2 DOUBLE | 3 STRING      (ValueType)
+//   rows    := u64 row count r, then for each column of the schema:
+//                r x u8 tag                one type per row; 0 marks NULL
+//                k x u64 payload           one per INT/DOUBLE row, in row
+//                                          order: the int64, or the bits
+//                u32 d, d x str            the distinct strings of the
+//                                          column, in first-occurrence order
+//                s x u32 code              one per STRING row, below d
+//              a zero-column frame instead carries r zero bytes, so every
+//              row costs at least one byte
+//
+// The encoding is canonical: the bytes depend only on what the grammar
+// carries (the schema, each cell's type and value, the utilities and the
+// kernel), never on how the rows are stored (a view, a flattened copy,
+// unused dictionary entries, an allocated int shadow).
+// The decoders accept canonical frames only — a dictionary entry that is
+// unused, repeated or out of first-occurrence order is rejected — so
+// re-encoding a decoded frame reproduces it byte for byte.
+//
+//   result  := schema, u32 u, u x u64 utility bits, str kernel, rows
+//   delta   := u64 subscription, u64 version, u8 resync (0|1), schema,
+//              rows enters, rows exits
+//   insert  := str table, u32 arity, rows (exactly one row)
+//
+// Timing stats are deliberately not shipped: results must diff bytewise
+// against a local reference execution.
 
-std::string EncodeValue(const Value& value);
-void EncodeRow(const Tuple& row, std::string* out);
-
-/// Parses one encoded row starting at `*pos` (advances past the trailing
-/// '\n'). Returns nullopt on malformed input.
-std::optional<Tuple> DecodeRow(const std::string& data, size_t* pos);
-
-/// QueryResult wire rendering:
-///
-///   schema <name>:<TYPE>(,<name>:<TYPE>)*\n     ("schema \n" if empty)
-///   utilities <%.17g>(,<%.17g>)*\n              ("utilities \n" if none)
-///   kernel <kernel string>\n
-///   rows <decimal count>\n
-///   <count> encoded rows
-///
-/// Timing stats are deliberately not shipped: results must diff bytewise
-/// against a local reference execution.
+/// Encodes a QueryResult's relation (read through its view, if any),
+/// utilities and kernel label.
 std::string SerializeResult(const psql::QueryResult& result);
 
-/// Parsed form of a kResult payload.
+/// Parsed form of a kResult payload. The relation is flat: its columns
+/// are built directly from the frame, with no row Tuples.
 struct WireResult {
   Relation relation;
   std::vector<double> utilities;
@@ -168,15 +181,7 @@ std::optional<WireResult> ParseResult(const std::string& payload);
 /// to a subscription. resync=true means "discard your state, `enters` IS
 /// the full current result" (the bootstrap delta, and the coalesced
 /// recovery after the subscriber overflowed its server-side queue).
-///
-///   subscription <decimal id>\n
-///   version <decimal table version>\n
-///   resync <0|1>\n
-///   schema <name>:<TYPE>(,<name>:<TYPE>)*\n      ("schema \n" if empty)
-///   enters <decimal count>\n
-///   <count> encoded rows
-///   exits <decimal count>\n
-///   <count> encoded rows
+/// `enters` and `exits` share the subscribed table's schema.
 struct WireDelta {
   uint64_t subscription = 0;
   uint64_t version = 0;
@@ -194,6 +199,18 @@ std::string SerializeDelta(uint64_t subscription, const Schema& schema,
 
 /// Inverse of SerializeDelta; nullopt on malformed input.
 std::optional<WireDelta> ParseDelta(const std::string& payload);
+
+/// Parsed form of a kInsert payload.
+struct WireInsert {
+  std::string table;
+  Tuple row;
+};
+
+/// Renders a kInsert payload: one row for `table`.
+std::string SerializeInsert(const std::string& table, const Tuple& row);
+
+/// Inverse of SerializeInsert; nullopt on malformed input.
+std::optional<WireInsert> ParseInsert(const std::string& payload);
 
 }  // namespace prefdb::server
 

@@ -244,6 +244,8 @@ struct Server::Impl {
   std::atomic<uint64_t> read_pauses_{0};
   std::atomic<uint64_t> subscriptions_opened_{0};
   std::atomic<uint64_t> deltas_pushed_{0};
+  std::atomic<uint64_t> result_bytes_{0};
+  std::atomic<uint64_t> encode_ns_{0};
 
   Impl(Engine* engine_in, ServerOptions options_in)
       : engine(engine_in), options(std::move(options_in)) {}
@@ -293,6 +295,20 @@ struct Server::Impl {
   /// connection. Dropped when the request was already answered or the
   /// connection is gone.
   void CompleteJob(const std::shared_ptr<Job>& job, Frame frame);
+
+  /// Runs `serialize` for a kResult or kDelta payload, counting its
+  /// bytes and time in result_bytes / encode_ns. Any thread.
+  template <typename Serialize>
+  Frame Encode(FrameType type, Serialize serialize) {
+    const Clock::time_point start = Clock::now();
+    Frame frame{type, serialize()};
+    encode_ns_.fetch_add(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             start)
+            .count()));
+    result_bytes_.fetch_add(frame.payload.size());
+    return frame;
+  }
 
   void NotePeakQueueDepth(uint64_t depth) {
     uint64_t seen = peak_queue_depth_.load(std::memory_order_relaxed);
@@ -711,13 +727,8 @@ void Server::Impl::DispatchFrame(const std::shared_ptr<Connection>& conn,
       break;
     }
     case FrameType::kInsert: {
-      size_t nl = frame.payload.find('\n');
-      std::optional<Tuple> row;
-      size_t pos = nl == std::string::npos ? 0 : nl + 1;
-      if (nl != std::string::npos) {
-        row = DecodeRow(frame.payload, &pos);
-      }
-      if (!row || pos != frame.payload.size()) {
+      std::optional<WireInsert> insert = ParseInsert(frame.payload);
+      if (!insert) {
         protocol_errors_.fetch_add(1);
         AppendResponse(conn, request_id,
                        ErrorFrame(psql::ErrorCode::kProtocol,
@@ -725,12 +736,10 @@ void Server::Impl::DispatchFrame(const std::shared_ptr<Connection>& conn,
         break;
       }
       Engine* eng = engine;
-      std::string table = frame.payload.substr(0, nl);
-      Tuple values = std::move(*row);
       AdmitJob(
           conn, request_id,
-          [eng, table, values] {
-            eng->Insert(table, values);
+          [eng, ins = std::move(*insert)] {
+            eng->Insert(ins.table, ins.row);
             psql::QueryResult ack;  // empty result as the acknowledgement
             return ack;
           },
@@ -766,12 +775,15 @@ void Server::Impl::AdmitJob(const std::shared_ptr<Connection>& conn,
           std::string::npos) {
     delay_ms = 0;
   }
-  job->work = [body = std::move(body), sql_for_errors, delay_ms]() -> Frame {
+  job->work = [this, body = std::move(body), sql_for_errors,
+               delay_ms]() -> Frame {
     if (delay_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
     }
     try {
-      return Frame{FrameType::kResult, SerializeResult(body())};
+      psql::QueryResult result = body();
+      return Encode(FrameType::kResult,
+                    [&result] { return SerializeResult(result); });
     } catch (const std::exception& e) {
       return ErrorFrame(psql::ClassifyException(e, sql_for_errors));
     }
@@ -897,10 +909,11 @@ void Server::Impl::DrainDeltas(Clock::time_point now) {
     bool wrote = false;
     for (auto& sub : conn->subscriptions) {
       while (std::optional<ivm::ViewDelta> delta = sub.handle.Poll()) {
-        Frame frame{FrameType::kDelta,
-                    SerializeDelta(sub.handle.id(), sub.handle.schema(),
-                                   delta->version, delta->resync,
-                                   delta->enters, delta->exits)};
+        Frame frame = Encode(FrameType::kDelta, [&] {
+          return SerializeDelta(sub.handle.id(), sub.handle.schema(),
+                                delta->version, delta->resync, delta->enters,
+                                delta->exits);
+        });
         AppendResponse(conn, sub.request_id, frame);
         deltas_pushed_.fetch_add(1);
         wrote = true;
@@ -1141,6 +1154,8 @@ ServerStats Server::stats() const {
   out.read_pauses = impl_->read_pauses_.load();
   out.subscriptions_opened = impl_->subscriptions_opened_.load();
   out.deltas_pushed = impl_->deltas_pushed_.load();
+  out.result_bytes = impl_->result_bytes_.load();
+  out.encode_ns = impl_->encode_ns_.load();
   return out;
 }
 

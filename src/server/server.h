@@ -150,6 +150,12 @@ struct ServerStats {
   uint64_t subscriptions_opened = 0;
   /// kDelta frames pushed to clients (resyncs included).
   uint64_t deltas_pushed = 0;
+  /// Payload bytes of the kResult and kDelta frames encoded (request id
+  /// and frame header excluded), and the nanoseconds spent encoding them
+  /// (SerializeResult / SerializeDelta). Counted once a frame is encoded,
+  /// also when its request was answered TIMEOUT in the meantime.
+  uint64_t result_bytes = 0;
+  uint64_t encode_ns = 0;
 };
 
 /// A running server. Start() spawns the threads; Stop() (or destruction)

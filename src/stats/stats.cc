@@ -134,28 +134,14 @@ double WindowClosedForm(size_t m, size_t eff_dims) {
 // ---------------------------------------------------------------------------
 // TableStats
 
-const ColumnStats* TableStats::Column(const std::string& name) const {
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) return &columns[i];
-  }
-  return nullptr;
-}
-
-TableStats TableStats::Derive(const Relation& r,
-                              const std::vector<std::string>& attrs) {
+TableStats TableStats::Derive(const Relation& r) {
   TableStats out;
   out.rows = r.size();
-  out.names = attrs;
-  if (out.names.empty()) {
-    for (const Attribute& a : r.schema().attributes()) {
-      out.names.push_back(a.name);
-    }
-  }
-  const std::vector<size_t> cols = r.ResolveColumns(out.names);
-  out.columns.resize(cols.size());
-  for (size_t i = 0; i < cols.size(); ++i) {
+  out.columns.resize(r.schema().size());
+  for (size_t c = 0; c < r.schema().size(); ++c) {
+    out.names.push_back(r.schema().at(c).name);
     DistinctValues seen;
-    ScanColumn(r, cols[i], &out.columns[i], &seen);
+    ScanColumn(r, c, &out.columns[c], &seen);
   }
   return out;
 }

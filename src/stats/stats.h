@@ -40,11 +40,6 @@ struct ColumnStats {
   /// Non-null values that are not numeric (strings in an INT column
   /// break the LOWEST/HIGHEST monotone fast path and score them -inf).
   size_t non_numeric_count = 0;
-
-  bool AllNumeric(size_t rows) const {
-    return null_count == 0 && nan_count == 0 && non_numeric_count == 0 &&
-           rows > 0;
-  }
 };
 
 /// Statistics of one relation snapshot. Cheap to copy (plain counters).
@@ -53,15 +48,10 @@ struct TableStats {
   std::vector<std::string> names;    // column names, schema order
   std::vector<ColumnStats> columns;  // aligned with names
 
-  /// Stats for `name`, or nullptr when the column is unknown.
-  const ColumnStats* Column(const std::string& name) const;
-
-  /// Full-scan derivation. `attrs` restricts the scan to the named
-  /// columns (empty = all), so it costs O(rows * |attrs|). Scans the
+  /// Full-scan derivation over every column, O(rows * columns). Scans the
   /// column buffers (tags, widened numerics, each distinct dictionary
   /// string once), never the relation's row cache.
-  static TableStats Derive(const Relation& r,
-                           const std::vector<std::string>& attrs = {});
+  static TableStats Derive(const Relation& r);
 };
 
 namespace stats_internal {

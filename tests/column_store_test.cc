@@ -140,6 +140,72 @@ TEST(ColumnStoreTest, Int64PrecisionSurvivesTheWidenedShadow) {
   EXPECT_NE(r.ValueAt(0, 0).as_int(), r.ValueAt(1, 0).as_int());
 }
 
+TEST(ColumnStoreTest, FromColumnsRestoresTheAppendInvariants) {
+  // A decoder fills tags, the doubles, ints and codes; the factory must
+  // derive everything else exactly as Column::Append keeps it.
+  Relation r = MessyRelation(300, 11);
+  r.Add({Value("alpha"), Value(int64_t{7}), Value(-0.0)});
+  std::vector<Column> columns;
+  for (size_t c = 0; c < r.schema().size(); ++c) {
+    Column col = r.store().column(c);
+    col.null_count = col.int_count = col.string_count = col.nan_count = 99;
+    for (size_t i = 0; i < col.size(); ++i) {
+      if (col.TagAt(i) != ValueType::kDouble) col.nums[i] = 5.0;
+      if (!col.ints.empty() && col.TagAt(i) != ValueType::kInt) {
+        col.ints[i] = 3;
+      }
+      if (!col.codes.empty() && col.TagAt(i) != ValueType::kString) {
+        col.codes[i] = 1;
+      }
+    }
+    columns.push_back(std::move(col));
+  }
+  ColumnStore store = ColumnStore::FromColumns(r.size(), columns);
+  ASSERT_EQ(store.rows(), r.size());
+  for (size_t c = 0; c < r.schema().size(); ++c) {
+    const Column& got = store.column(c);
+    const Column& want = r.store().column(c);
+    EXPECT_EQ(got.null_count, want.null_count) << c;
+    EXPECT_EQ(got.int_count, want.int_count) << c;
+    EXPECT_EQ(got.string_count, want.string_count) << c;
+    EXPECT_EQ(got.nan_count, want.nan_count) << c;
+    EXPECT_EQ(got.tags, want.tags) << c;
+    EXPECT_EQ(got.ints, want.ints) << c;
+    EXPECT_EQ(got.codes, want.codes) << c;
+    ASSERT_EQ(got.nums.size(), want.nums.size());
+    for (size_t i = 0; i < want.nums.size(); ++i) {
+      EXPECT_TRUE(got.nums[i] == want.nums[i] ||
+                  (std::isnan(got.nums[i]) && std::isnan(want.nums[i])))
+          << c << "," << i;
+    }
+  }
+  EXPECT_EQ(RowSeq(Relation(r.schema(), store)), RowSeq(r));
+  EXPECT_THROW({ Relation bad(Schema{}, store); }, std::invalid_argument);
+
+  auto broken = [&](size_t c, auto&& edit) {
+    std::vector<Column> copy = columns;
+    edit(&copy[c]);
+    return copy;
+  };
+  const size_t n = r.size();
+  EXPECT_THROW(ColumnStore::FromColumns(
+                   n, broken(0, [](Column* col) { col->tags.pop_back(); })),
+               std::invalid_argument);
+  EXPECT_THROW(ColumnStore::FromColumns(
+                   n, broken(2, [](Column* col) { col->tags[0] = 4; })),
+               std::invalid_argument);
+  EXPECT_THROW(ColumnStore::FromColumns(
+                   n, broken(1, [](Column* col) { col->ints.clear(); })),
+               std::invalid_argument);
+  EXPECT_THROW(
+      ColumnStore::FromColumns(n, broken(0,
+                                         [](Column* col) {
+                                           col->codes.back() = static_cast<
+                                               uint32_t>(col->dict->size());
+                                         })),
+      std::invalid_argument);
+}
+
 TEST(ColumnStoreTest, CopyOnWriteSharesBuffersAndClonesPerColumn) {
   Relation base = MessyRelation(200, 21);
   Relation copy = base;

@@ -82,6 +82,7 @@ TEST(DeltaCodecTest, RoundTripsExactly) {
   EXPECT_EQ(parsed->enters.schema().at(0).name, "s");
   EXPECT_EQ(parsed->enters.at(0)[0], Value("with space, comma\nand newline"));
   EXPECT_TRUE(std::isnan(parsed->enters.at(0)[2].as_double()));
+  EXPECT_TRUE(std::signbit(parsed->enters.at(1)[2].as_double()));
   EXPECT_EQ(parsed->exits.at(0)[2], Value(1.0 / 3.0));
 }
 
@@ -91,26 +92,37 @@ TEST(DeltaCodecTest, RejectsMalformedPayloads) {
                                     {Tuple{Value(static_cast<int64_t>(5))}}, {});
   ASSERT_TRUE(ParseDelta(good).has_value());
   EXPECT_FALSE(ParseDelta("").has_value());
-  EXPECT_FALSE(ParseDelta("subscription x\n").has_value());
+  EXPECT_FALSE(ParseDelta(good.substr(0, 16)).has_value());
   EXPECT_FALSE(ParseDelta(good + "trailing").has_value());
+  // subscription, version, resync flag, then the schema (u32 count, u8
+  // type, u32 length, "i"): the enters row count starts at byte 27.
+  constexpr size_t kEntersAt = 8 + 8 + 1 + 4 + 1 + 4 + 1;
+  auto with_enters = [&](uint64_t count) {
+    std::string out = good;
+    for (int i = 0; i < 8; ++i) {
+      out[kEntersAt + i] = static_cast<char>(count >> (8 * i));
+    }
+    return out;
+  };
+  ASSERT_TRUE(ParseDelta(with_enters(1)).has_value());
   // Row-count lies (both directions) must not parse.
-  std::string lied = good;
-  size_t at = lied.find("enters 1");
-  lied.replace(at, 8, "enters 2");
-  EXPECT_FALSE(ParseDelta(lied).has_value());
-  std::string huge = good;
-  huge.replace(at, 8, "enters 1152921504606846976");
-  EXPECT_FALSE(ParseDelta(huge).has_value());
-  // Arity mismatch between schema and row.
+  EXPECT_FALSE(ParseDelta(with_enters(2)).has_value());
+  EXPECT_FALSE(ParseDelta(with_enters(0)).has_value());
+  EXPECT_FALSE(ParseDelta(with_enters(uint64_t{1} << 60)).has_value());
+  std::string resync = good;
+  resync[16] = 2;  // the flag is 0 or 1
+  EXPECT_FALSE(ParseDelta(resync).has_value());
+  // Arity mismatch: a one-column header in front of two-column rows.
   std::string two_cols = SerializeDelta(
       1, Schema({{"a", ValueType::kInt}, {"b", ValueType::kInt}}), 2, false,
       {Tuple{Value(static_cast<int64_t>(1)), Value(static_cast<int64_t>(2))}},
       {});
-  size_t schema_at = two_cols.find("schema a:INT,b:INT");
-  std::string mismatched = two_cols;
-  mismatched.replace(schema_at, std::strlen("schema a:INT,b:INT"),
-                     "schema a:INT");
-  EXPECT_FALSE(ParseDelta(mismatched).has_value());
+  std::string one_col_header = SerializeDelta(
+      1, Schema({{"a", ValueType::kInt}}), 2, false, {}, {});
+  one_col_header.resize(kEntersAt);
+  const size_t two_col_rows = kEntersAt + 1 + 4 + 1;  // a second attribute
+  EXPECT_FALSE(
+      ParseDelta(one_col_header + two_cols.substr(two_col_rows)).has_value());
 }
 
 TEST_F(PushFixture, SubscribeDeliversBootstrapThenDeltas) {

@@ -12,6 +12,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <condition_variable>
 #include <iterator>
 #include <mutex>
@@ -75,81 +77,277 @@ class ServedEngine {
 
 // --- codec ---------------------------------------------------------------
 
-TEST(ProtocolTest, ValueEncodingRoundTripsEveryType) {
-  Tuple row{Value(), Value(int64_t{-42}), Value(3.5),
-            Value("with space"), Value(std::string("line\nbreak, 'q'")),
-            Value(std::nan("")), Value(1e300), Value(std::string())};
-  std::string encoded;
-  EncodeRow(row, &encoded);
-  size_t pos = 0;
-  auto decoded = DecodeRow(encoded, &pos);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(pos, encoded.size());
-  ASSERT_EQ(decoded->size(), row.size());
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (row[i].is_double() && std::isnan(row[i].as_double())) {
-      EXPECT_TRUE(std::isnan((*decoded)[i].as_double()));
-    } else {
-      EXPECT_EQ((*decoded)[i], row[i]) << "column " << i;
-    }
-  }
+/// Little-endian writers for hand-made frames (the grammar in protocol.h).
+void PutU32(std::string* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+void PutU64(std::string* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+void PutStr(std::string* out, const std::string& s) {
+  PutU32(out, static_cast<uint32_t>(s.size()));
+  *out += s;
 }
 
-TEST(ProtocolTest, ResultSerializationRoundTrips) {
+/// A result header: schema, no utilities, kernel "k".
+std::string ResultHeader(const Schema& schema) {
+  std::string out;
+  PutU32(&out, static_cast<uint32_t>(schema.size()));
+  for (const Attribute& a : schema.attributes()) {
+    out.push_back(static_cast<char>(a.type));
+    PutStr(&out, a.name);
+  }
+  PutU32(&out, 0);
+  PutStr(&out, "k");
+  return out;
+}
+
+/// Same runtime type and same value, bit for bit: NaN payloads, -0.0 and
+/// int/double are told apart, unlike Value::operator==.
+::testing::AssertionResult SameCells(const Relation& got,
+                                     const Relation& want) {
+  if (!(got.schema() == want.schema())) {
+    return ::testing::AssertionFailure()
+           << "schema " << got.schema().ToString() << " vs "
+           << want.schema().ToString();
+  }
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " rows vs " << want.size();
+  }
+  for (size_t i = 0; i < want.size(); ++i) {
+    for (size_t c = 0; c < want.schema().size(); ++c) {
+      const Value g = got.ValueAt(i, c);
+      const Value w = want.ValueAt(i, c);
+      bool same = g.type() == w.type();
+      if (same && w.is_double()) {
+        const double gd = g.as_double();
+        const double wd = w.as_double();
+        same = std::memcmp(&gd, &wd, sizeof gd) == 0;
+      } else if (same && !w.is_null()) {
+        same = g == w;
+      }
+      if (!same) {
+        return ::testing::AssertionFailure()
+               << "cell (" << i << ", " << c << "): " << g.ToString()
+               << " vs " << w.ToString();
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::string Encode(const Relation& r) {
   psql::QueryResult result;
-  Schema schema({{"name", ValueType::kString}, {"price", ValueType::kInt}});
-  Relation rel(schema);
-  rel.Add({"an,odd\nname", 42});
-  rel.Add({Value(), 7});
+  result.relation = r;
+  result.stats.kernel = "k";
+  return SerializeResult(result);
+}
+
+TEST(ProtocolTest, EdgeCellsRoundTripExactly) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t above_2_53 = (int64_t{1} << 53) + 1;
+  const double payload_nan = -std::nan("0x5a5a");
+  Relation rel(Schema({{"i", ValueType::kInt},
+                       {"d", ValueType::kDouble},
+                       {"s", ValueType::kString},
+                       {"mixed", ValueType::kString}}));
+  rel.Add({Value(kMin), Value(std::nan("")), Value(std::string()),
+           Value("text")});
+  rel.Add({Value(kMax), Value(-0.0), Value(std::string("nul\0byte", 8)),
+           Value(above_2_53)});
+  rel.Add({Value(above_2_53), Value(inf), Value("line\nbreak, 'q'"),
+           Value(-0.0)});
+  rel.Add({Value(), Value(-inf), Value(), Value()});
+  rel.Add({Value(int64_t{0}), Value(payload_nan), Value("line\nbreak, 'q'"),
+           Value(2.5)});
+  psql::QueryResult result;
   result.relation = rel;
-  result.utilities = {0.75, 0.25};
+  result.utilities = {0.75, -0.0, std::nan(""), inf};
   result.stats.kernel = "bnl[avx2,tile=8192]";
   auto parsed = ParseResult(SerializeResult(result));
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_TRUE(parsed->relation == rel);
-  EXPECT_EQ(parsed->utilities, result.utilities);
+  EXPECT_TRUE(SameCells(parsed->relation, rel));
+  ASSERT_EQ(parsed->utilities.size(), result.utilities.size());
+  EXPECT_EQ(std::memcmp(parsed->utilities.data(), result.utilities.data(),
+                        sizeof(double) * result.utilities.size()),
+            0);
   EXPECT_EQ(parsed->kernel, result.stats.kernel);
+  EXPECT_FALSE(parsed->relation.store().IsView());
+}
+
+TEST(ProtocolTest, EmptyShapesRoundTrip) {
+  // Zero rows, zero columns, and zero columns with rows (one zero byte per
+  // row on the wire).
+  Relation no_rows(Schema({{"a", ValueType::kInt}, {"b", ValueType::kString}}));
+  Relation no_cols;
+  Relation empty_rows(Schema{}, {Tuple{}, Tuple{}, Tuple{}});
+  for (const Relation* r : {&no_rows, &no_cols, &empty_rows}) {
+    auto parsed = ParseResult(Encode(*r));
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_TRUE(SameCells(parsed->relation, *r));
+    EXPECT_EQ(Encode(parsed->relation), Encode(*r));
+  }
+  std::string padded = ResultHeader(Schema{});
+  PutU64(&padded, 2);
+  padded += std::string("\0\1", 2);
+  EXPECT_FALSE(ParseResult(padded).has_value());
+}
+
+TEST(ProtocolTest, EncodingIsCanonical) {
+  Relation base(Schema({{"n", ValueType::kDouble},
+                        {"s", ValueType::kString},
+                        {"i", ValueType::kInt}}));
+  base.Add({Value(1), Value("b"), Value(7)});
+  base.Add({Value(2.5), Value("a"), Value()});
+  base.Add({Value(std::nan("")), Value("c"), Value(9)});
+  base.Add({Value(-0.0), Value("a"), Value(3.5)});
+  base.Add({Value(), Value(), Value(int64_t{1} << 60)});
+
+  // A view and its flattened copy.
+  Relation view = base.SelectRows({4, 2, 0, 3, 1});
+  ASSERT_TRUE(view.store().IsView());
+  Relation flat(view.schema());
+  for (size_t i = 0; i < view.size(); ++i) flat.Add(view.RowAt(i));
+  EXPECT_EQ(Encode(view), Encode(flat));
+
+  // A relation rebuilt from its own frame.
+  auto parsed = ParseResult(Encode(view));
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(Encode(parsed->relation), Encode(view));
+
+  // Unused dictionary entries ("b", "c" after the erase) and an int
+  // shadow with no int left in the column.
+  Relation erased = base;
+  erased.EraseRows({1, 0, 1, 0, 0});
+  ASSERT_EQ(erased.store().column(1).dict->size(), 3u);
+  ASSERT_FALSE(erased.store().column(0).ints.empty());
+  ASSERT_EQ(erased.store().column(0).int_count, 0u);
+  Relation fresh(base.schema());
+  for (size_t i : {1, 3, 4}) fresh.Add(base.RowAt(i));
+  ASSERT_TRUE(fresh.store().column(0).ints.empty());
+  EXPECT_EQ(Encode(erased), Encode(fresh));
+  // The same through a view whose selection skips column n's int row.
+  Relation no_ints = base.SelectRows({1, 3, 4});
+  EXPECT_EQ(Encode(no_ints), Encode(fresh));
+
+  // A few rows over a dictionary far larger than them (the hash-map
+  // remap) encode like the same rows in a fresh relation.
+  Relation wide(Schema({{"s", ValueType::kString}}));
+  for (int i = 0; i < 5000; ++i) wide.Add({Value("v" + std::to_string(i))});
+  Relation few = wide.SelectRows({4321, 7, 4321});
+  ASSERT_EQ(few.store().column(0).dict->size(), 5000u);
+  Relation few_fresh(wide.schema());
+  for (size_t i = 0; i < few.size(); ++i) few_fresh.Add(few.RowAt(i));
+  EXPECT_EQ(Encode(few), Encode(few_fresh));
 }
 
 TEST(ProtocolTest, MalformedResultPayloadsAreRejected) {
+  const Schema strings({{"s", ValueType::kString}});
+  const std::string header = ResultHeader(strings);
+  // One string row "x": tag, no numerics, dictionary {"x"}, code 0.
+  std::string valid = header;
+  PutU64(&valid, 1);
+  valid.push_back(3);
+  PutU32(&valid, 1);
+  PutStr(&valid, "x");
+  PutU32(&valid, 0);
+  ASSERT_TRUE(ParseResult(valid).has_value());
+  ASSERT_EQ(Encode(ParseResult(valid)->relation), valid);
+
   EXPECT_FALSE(ParseResult("").has_value());
-  EXPECT_FALSE(ParseResult("schema a:INT\n").has_value());
-  EXPECT_FALSE(
-      ParseResult("schema a:INT\nutilities \nkernel \nrows 2\nI1\n")
-          .has_value());
-  EXPECT_FALSE(
-      ParseResult("schema a:INT\nutilities \nkernel \nrows 1\nI1 I2\n")
-          .has_value());
-  EXPECT_FALSE(
-      ParseResult("schema a:BOGUS\nutilities \nkernel \nrows 0\n")
-          .has_value());
+  for (size_t cut = 0; cut < valid.size(); ++cut) {
+    EXPECT_FALSE(ParseResult(valid.substr(0, cut)).has_value()) << cut;
+  }
+  EXPECT_FALSE(ParseResult(valid + "x").has_value());  // trailing bytes
+
+  auto with_code = [&](uint32_t code) {
+    std::string out = valid;
+    out.resize(out.size() - 4);
+    PutU32(&out, code);
+    return out;
+  };
+  EXPECT_FALSE(ParseResult(with_code(1)).has_value());  // past the dict
+  EXPECT_FALSE(ParseResult(with_code(0xffffffffu)).has_value());
+
+  std::string bad_tag = valid;
+  bad_tag[header.size() + 8] = 4;
+  EXPECT_FALSE(ParseResult(bad_tag).has_value());
+  std::string bad_type = valid;
+  bad_type[4] = 9;  // the declared type of the first attribute
+  EXPECT_FALSE(ParseResult(bad_type).has_value());
+
+  // Non-canonical dictionaries: an unused entry, a repeated entry, and
+  // codes out of first-occurrence order.
+  auto two_rows = [&](const std::vector<std::string>& dict, uint32_t c0,
+                      uint32_t c1) {
+    std::string out = header;
+    PutU64(&out, 2);
+    out += std::string("\3\3", 2);
+    PutU32(&out, static_cast<uint32_t>(dict.size()));
+    for (const std::string& s : dict) PutStr(&out, s);
+    PutU32(&out, c0);
+    PutU32(&out, c1);
+    return out;
+  };
+  ASSERT_TRUE(ParseResult(two_rows({"x", "y"}, 0, 1)).has_value());
+  ASSERT_TRUE(ParseResult(two_rows({"x"}, 0, 0)).has_value());
+  EXPECT_FALSE(ParseResult(two_rows({"x", "y"}, 0, 0)).has_value());
+  EXPECT_FALSE(ParseResult(two_rows({"x", "x"}, 0, 1)).has_value());
+  EXPECT_FALSE(ParseResult(two_rows({"x", "y"}, 1, 0)).has_value());
+
+  // A string length beyond the payload.
+  std::string long_str = header;
+  PutU64(&long_str, 1);
+  long_str.push_back(3);
+  PutU32(&long_str, 1);
+  PutU32(&long_str, 0xffffffffu);
+  long_str += "x";
+  EXPECT_FALSE(ParseResult(long_str).has_value());
 }
 
-// Regression (found by fuzz/fuzz_protocol.cc): a declared row count far
-// beyond the remaining payload must be rejected before the tuple vector
-// reserves for it — a 40-byte frame claiming 2^64-1 rows asked the
-// allocator for petabytes.
-TEST(ProtocolTest, HugeDeclaredRowCountIsRejectedWithoutAllocating) {
-  EXPECT_FALSE(
-      ParseResult(
-          "schema \nutilities \nkernel k\nrows 18446744073709551615\n")
-          .has_value());
-  EXPECT_FALSE(
-      ParseResult("schema a:INT\nutilities \nkernel k\nrows 1000\nI1\n")
-          .has_value());
+// A declared count far beyond the remaining payload must be rejected
+// before anything is allocated for it.
+TEST(ProtocolTest, HugeDeclaredCountsAreRejectedWithoutAllocating) {
+  std::string rows = ResultHeader(Schema({{"a", ValueType::kInt}}));
+  PutU64(&rows, std::numeric_limits<uint64_t>::max());
+  rows.push_back(1);
+  EXPECT_FALSE(ParseResult(rows).has_value());
+  std::string no_cols = ResultHeader(Schema{});
+  PutU64(&no_cols, uint64_t{1} << 40);
+  EXPECT_FALSE(ParseResult(no_cols).has_value());
+  std::string attrs;
+  PutU32(&attrs, 0xffffffffu);
+  EXPECT_FALSE(ParseResult(attrs).has_value());
+  std::string utilities;
+  PutU32(&utilities, 0);
+  PutU32(&utilities, 0x20000000u);
+  EXPECT_FALSE(ParseResult(utilities).has_value());
+  std::string dict = ResultHeader(Schema({{"s", ValueType::kString}}));
+  PutU64(&dict, 1);
+  dict.push_back(3);
+  PutU32(&dict, 0xffffffffu);
+  EXPECT_FALSE(ParseResult(dict).has_value());
 }
 
-// Regression (found by fuzz/fuzz_protocol.cc): an 'S' value whose declared
-// byte count wraps `colon + 1 + count` around size_t used to pass the
-// bounds check and drag the parse position backwards — an infinite loop
-// on a 17-byte frame.
-TEST(ProtocolTest, StringLengthOverflowDoesNotWrapThePosition) {
-  std::string payload = "S18446744073709551615:x\n";
-  size_t pos = 0;
-  EXPECT_FALSE(DecodeRow(payload, &pos).has_value());
-  EXPECT_FALSE(
-      ParseResult("schema s:STRING\nutilities \nkernel k\nrows 1\n" + payload)
-          .has_value());
+TEST(ProtocolTest, InsertRowsRoundTrip) {
+  Tuple row{Value(), Value(std::numeric_limits<int64_t>::min()), Value(-0.0),
+            Value(std::string("a\0b", 3))};
+  std::string payload = SerializeInsert("car", row);
+  auto parsed = ParseInsert(payload);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->table, "car");
+  ASSERT_EQ(parsed->row.size(), row.size());
+  EXPECT_TRUE(parsed->row[0].is_null());
+  EXPECT_EQ(parsed->row[1], row[1]);
+  EXPECT_TRUE(parsed->row[2].is_double() &&
+              std::signbit(parsed->row[2].as_double()));
+  EXPECT_EQ(parsed->row[3], row[3]);
+  EXPECT_FALSE(ParseInsert(payload + "x").has_value());
+  EXPECT_FALSE(ParseInsert(payload.substr(0, payload.size() - 1)).has_value());
+  EXPECT_FALSE(ParseInsert("").has_value());
 }
 
 TEST(ProtocolTest, ErrorCodesRoundTripByName) {
@@ -178,6 +376,41 @@ TEST(ServerTest, QueryMatchesSingleThreadedReference) {
   }
   EXPECT_TRUE(client.Ping().ok);
   EXPECT_TRUE(client.Goodbye().ok);
+}
+
+TEST(ServerTest, CountsEncodedResultBytesAndTime) {
+  ServedEngine served;
+  Client client = served.Connect();
+  ServerStats before = served.server_->stats();
+  EXPECT_EQ(before.result_bytes, 0u);
+  EXPECT_EQ(before.encode_ns, 0u);
+  client.SendRawBytes(
+      EncodeTaggedFrame(1, Frame{FrameType::kQuery, kMixQueries[0]}));
+  Frame reply = client.ReadResponse();
+  ASSERT_EQ(reply.type, FrameType::kResult);
+  ServerStats after = served.server_->stats();
+  EXPECT_EQ(after.result_bytes, reply.payload.size());
+  EXPECT_GT(after.encode_ns, 0u);
+  // Acknowledgements, handles and errors are not result frames.
+  ASSERT_TRUE(client.Ping().ok);
+  ASSERT_FALSE(client.Query("SELECT nonsense").ok);
+  ClientResponse sub =
+      client.Subscribe("SELECT * FROM car PREFERRING LOWEST(price)");
+  ASSERT_TRUE(sub.ok);
+  std::optional<WireDelta> delta = client.ReadDelta(5000);
+  ASSERT_TRUE(delta.has_value());
+  std::vector<Tuple> enters;
+  for (size_t i = 0; i < delta->enters.size(); ++i) {
+    enters.push_back(delta->enters.RowAt(i));
+  }
+  // The encoding is canonical, so re-encoding the push gives its size.
+  const size_t delta_bytes =
+      SerializeDelta(delta->subscription, delta->enters.schema(),
+                     delta->version, delta->resync, enters, {})
+          .size();
+  ServerStats pushed = served.server_->stats();
+  EXPECT_EQ(pushed.result_bytes, reply.payload.size() + delta_bytes);
+  EXPECT_GT(pushed.encode_ns, after.encode_ns);
 }
 
 TEST(ServerTest, PreparedHandlesRunTheStatement) {
@@ -444,11 +677,20 @@ TEST(ServerTest, UnknownFrameTypeAnswersProtocolError) {
 TEST(ServerTest, MalformedInsertPayloadAnswersProtocolError) {
   ServedEngine served;
   Client client = served.Connect();
-  EXPECT_EQ(client.RoundTrip(Frame{FrameType::kInsert, "car"}).error.code,
-            psql::ErrorCode::kProtocol);
-  EXPECT_EQ(
-      client.RoundTrip(Frame{FrameType::kInsert, "car\nI1 Zjunk\n"}).error.code,
-      psql::ErrorCode::kProtocol);
+  const std::string valid = SerializeInsert("car", Tuple{Value(1)});
+  std::string bad_tag = valid;
+  bad_tag[bad_tag.size() - 13] = 7;  // the row's tag, before 8 + 4 bytes
+  std::string two_rows;
+  PutStr(&two_rows, "car");
+  PutU32(&two_rows, 0);
+  PutU64(&two_rows, 2);
+  two_rows += std::string(2, '\0');
+  for (const std::string& payload :
+       {std::string("car"), valid.substr(0, valid.size() - 1), valid + "x",
+        bad_tag, two_rows}) {
+    EXPECT_EQ(client.RoundTrip(Frame{FrameType::kInsert, payload}).error.code,
+              psql::ErrorCode::kProtocol);
+  }
   EXPECT_TRUE(client.Ping().ok);
 }
 

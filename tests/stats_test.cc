@@ -31,27 +31,13 @@ TEST(TableStatsTest, DeriveCountsColumns) {
   r.Add({Value(), "x"});
   TableStats stats = TableStats::Derive(r);
   ASSERT_EQ(stats.rows, 4u);
-  const ColumnStats* a = stats.Column("a");
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->distinct, 3u);  // 1, 2, NULL
-  EXPECT_EQ(a->null_count, 1u);
-  EXPECT_FALSE(a->AllNumeric(stats.rows));
-  const ColumnStats* b = stats.Column("b");
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(b->distinct, 2u);
-  EXPECT_EQ(b->non_numeric_count, 4u);
-  EXPECT_EQ(stats.Column("missing"), nullptr);
-}
-
-TEST(TableStatsTest, RestrictedDeriveMatchesFull) {
-  Relation cars = GenerateCars(500, 3);
-  TableStats full = TableStats::Derive(cars);
-  TableStats restricted = TableStats::Derive(cars, {"price", "make"});
-  EXPECT_EQ(restricted.Column("price")->distinct,
-            full.Column("price")->distinct);
-  EXPECT_EQ(restricted.Column("make")->distinct,
-            full.Column("make")->distinct);
-  EXPECT_EQ(restricted.Column("mileage"), nullptr);
+  ASSERT_EQ(stats.names, (std::vector<std::string>{"a", "b"}));
+  const ColumnStats& a = stats.columns[0];
+  EXPECT_EQ(a.distinct, 3u);  // 1, 2, NULL
+  EXPECT_EQ(a.null_count, 1u);
+  const ColumnStats& b = stats.columns[1];
+  EXPECT_EQ(b.distinct, 2u);
+  EXPECT_EQ(b.non_numeric_count, 4u);
 }
 
 TEST(TermStatsTest, MeasuredWindowSeparatesCorrelationRegimes) {
@@ -103,15 +89,15 @@ TEST(TableStatsTest, DistinctTrackingSaturatesNotGrows) {
   for (int64_t i = 0; i < (1 << 16) + 500; ++i) wide.Add({i});
   TableStats stats = TableStats::Derive(wide);
   EXPECT_EQ(stats.rows, static_cast<size_t>((1 << 16) + 500));
-  EXPECT_EQ(stats.Column("x")->distinct, static_cast<size_t>(1 << 16));
+  EXPECT_EQ(stats.columns[0].distinct, static_cast<size_t>(1 << 16));
   // The flag marks "at least the cap".
-  EXPECT_TRUE(stats.Column("x")->distinct_saturated);
+  EXPECT_TRUE(stats.columns[0].distinct_saturated);
   TableStats derived = TableStats::Derive([] {
     Relation r(Schema{{"x", ValueType::kInt}});
     for (int64_t i = 0; i < 100; ++i) r.Add({i});
     return r;
   }());
-  EXPECT_FALSE(derived.Column("x")->distinct_saturated);
+  EXPECT_FALSE(derived.columns[0].distinct_saturated);
 }
 
 // Tuple-walking reference for the columnar derivation: the per-value
@@ -195,17 +181,13 @@ TEST(TableStatsTest, ColumnarDeriveMatchesTupleReference) {
   ExpectSameStats(TableStats::Derive(r), want);
   // Spot-check the reference itself on the equality edge cases
   // (num: 3 == 3.0, -0 == 0, NaN, NULL).
-  EXPECT_EQ(want.Column("num")->distinct, 4u);
-  EXPECT_EQ(want.Column("mixed")->distinct, 6u);  // 3, '3', NULL, 'x', NaN, -0
-  EXPECT_EQ(want.Column("big")->distinct, 4u);    // 2^53, 2^53-1, NULL, 2^53+2
-  EXPECT_EQ(want.Column("text")->distinct, 4u);   // 'a', 'b', NULL, ''
+  EXPECT_EQ(want.columns[0].distinct, 4u);  // num
+  EXPECT_EQ(want.columns[1].distinct, 6u);  // mixed: 3, '3', NULL, 'x', NaN, -0
+  EXPECT_EQ(want.columns[2].distinct, 4u);  // big: 2^53, 2^53-1, NULL, 2^53+2
+  EXPECT_EQ(want.columns[3].distinct, 4u);  // text: 'a', 'b', NULL, ''
+  EXPECT_EQ(want.columns[0].nan_count, 2u);
 
-  // Restricted derivation and index views (permuted, filtered rows).
-  TableStats restricted = TableStats::Derive(r, {"text", "num"});
-  ASSERT_EQ(restricted.names, (std::vector<std::string>{"text", "num"}));
-  EXPECT_EQ(restricted.columns[0].distinct, want.Column("text")->distinct);
-  EXPECT_EQ(restricted.columns[1].distinct, want.Column("num")->distinct);
-  EXPECT_EQ(restricted.columns[1].nan_count, 2u);
+  // Index views (permuted, filtered rows).
   Relation view = r.SelectRows({7, 5, 3, 1, 0, 2, 4, 6});
   ExpectSameStats(TableStats::Derive(view),
                   ReferenceStats(view.schema(), RowsOf(view)));
@@ -234,18 +216,18 @@ TEST(TableStatsTest, ColumnarSaturationMatchesTupleReference) {
   r.Add({Value(int64_t{1}), Value("s1"), Value(), Value(int64_t{0})});
   r.Add({Value(std::nan("")), Value("s2"), Value("m0"), Value()});
   const TableStats want = ReferenceStats(r.schema(), RowsOf(r));
-  EXPECT_TRUE(want.Column("n")->distinct_saturated);
-  EXPECT_TRUE(want.Column("s")->distinct_saturated);
-  EXPECT_TRUE(want.Column("exact")->distinct_saturated);  // the late NULL
-  EXPECT_EQ(want.Column("n")->distinct, cap + 1);  // cap + the NaN class
+  EXPECT_TRUE(want.columns[0].distinct_saturated);  // n
+  EXPECT_TRUE(want.columns[1].distinct_saturated);  // s
+  EXPECT_TRUE(want.columns[3].distinct_saturated);  // exact: the late NULL
+  EXPECT_EQ(want.columns[0].distinct, cap + 1);  // cap + the NaN class
   ExpectSameStats(TableStats::Derive(r), want);
 
   // Exactly cap distinct values and nothing after: not saturated.
   Relation exact(Schema{{"x", ValueType::kInt}});
   for (size_t i = 0; i < cap; ++i) exact.Add({Value(static_cast<int64_t>(i))});
   TableStats at_cap = TableStats::Derive(exact);
-  EXPECT_EQ(at_cap.Column("x")->distinct, cap);
-  EXPECT_FALSE(at_cap.Column("x")->distinct_saturated);
+  EXPECT_EQ(at_cap.columns[0].distinct, cap);
+  EXPECT_FALSE(at_cap.columns[0].distinct_saturated);
   ExpectSameStats(at_cap, ReferenceStats(exact.schema(), RowsOf(exact)));
 }
 
@@ -256,7 +238,7 @@ TEST(TermStatsTest, AntiChainInParetoMultipliesTheWindow) {
   // skyline form. Below 4096 rows the measured statistics use the closed
   // form, with the anti-chain column as the group multiplier.
   Relation cars = GenerateCars(3000, 5);
-  const size_t makes = TableStats::Derive(cars).Column("make")->distinct;
+  const size_t makes = TableStats::Derive(cars).columns[1].distinct;  // make
   ASSERT_GT(makes, 2u);
   PrefPtr p = Pareto(AntiChain("make"), Lowest("price"));
   auto table = ScoreTable::Compile(p, cars);
