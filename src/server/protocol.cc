@@ -4,7 +4,6 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 
 namespace prefdb::server {
 
@@ -189,36 +188,25 @@ bool GetSchema(Reader* r, Schema* schema) {
 }
 
 /// Canonical string codes of one column: each distinct string the rows
-/// use, numbered in first-occurrence order. Small dictionaries remap
-/// through a flat array; a dictionary much larger than the rows (a
-/// selective answer over a high-cardinality column) through a hash map,
-/// so the work follows the rows, not the dictionary.
+/// use, numbered in first-occurrence order.
 class CodeRemap {
  public:
-  CodeRemap(size_t dict_size, size_t rows) {
-    if (dict_size <= 2 * rows + 1024) flat_.assign(dict_size, kUnset);
-  }
+  explicit CodeRemap(size_t dict_size) : canonical_(dict_size, kUnset) {}
   /// The canonical code of source code `code`, numbering it if new.
   uint32_t Map(uint32_t code) {
-    uint32_t* slot = nullptr;
-    if (!flat_.empty()) {
-      slot = &flat_[code];
-    } else {
-      slot = &sparse_.emplace(code, kUnset).first->second;
-    }
-    if (*slot == kUnset) {
-      *slot = static_cast<uint32_t>(order_.size());
+    uint32_t& slot = canonical_[code];
+    if (slot == kUnset) {
+      slot = static_cast<uint32_t>(order_.size());
       order_.push_back(code);
     }
-    return *slot;
+    return slot;
   }
   /// Source codes in canonical order.
   const std::vector<uint32_t>& order() const { return order_; }
 
  private:
   static constexpr uint32_t kUnset = std::numeric_limits<uint32_t>::max();
-  std::vector<uint32_t> flat_;
-  std::unordered_map<uint32_t, uint32_t> sparse_;
+  std::vector<uint32_t> canonical_;
   std::vector<uint32_t> order_;
 };
 
@@ -237,24 +225,24 @@ void PutRows(const ColumnStore& store, Writer* w) {
   for (size_t i = 0; i < n; ++i) {
     phys[i] = static_cast<uint32_t>(store.PhysicalRow(i));
   }
+  // One column's tags in row order, so the payload loops read them
+  // sequentially instead of gathering them again through `phys`.
+  std::vector<uint8_t> tags(n);
   for (size_t c = 0; c < store.num_columns(); ++c) {
     const Column& col = store.column(c);
-    // Counters cover the whole column, so a uniform column stays uniform
-    // under any selection of its rows.
+    // The counters cover the whole column, so a column of one type keeps
+    // it under any selection of its rows and needs no gather of its tags.
     const size_t rows = col.size();
-    const bool all_ints = col.int_count == rows;
-    const bool all_doubles =
-        col.null_count + col.int_count + col.string_count == 0;
-    const bool all_strings = col.string_count == rows;
-    unsigned char* tags = w->Grow(n);
+    const size_t doubles =
+        rows - col.null_count - col.int_count - col.string_count;
     size_t numeric = 0;
     size_t strings = 0;
-    if (all_ints || all_doubles || all_strings) {
-      const ValueType type = all_ints      ? ValueType::kInt
-                             : all_doubles ? ValueType::kDouble
-                                           : ValueType::kString;
-      std::memset(tags, static_cast<int>(type), n);
-      (all_strings ? strings : numeric) = n;
+    if (n > 0 && (col.null_count == rows || col.int_count == rows ||
+                  doubles == rows || col.string_count == rows)) {
+      const uint8_t tag = col.tags[0];
+      std::memset(tags.data(), tag, n);
+      numeric = IsNumericTag(tag) ? n : 0;
+      strings = tag == kStringTag ? n : 0;
     } else {
       for (size_t i = 0; i < n; ++i) {
         const uint8_t tag = col.tags[phys[i]];
@@ -263,40 +251,26 @@ void PutRows(const ColumnStore& store, Writer* w) {
         strings += tag == kStringTag;
       }
     }
+    std::copy(tags.begin(), tags.end(), w->Grow(n));
     unsigned char* nums = w->Grow(8 * numeric);
-    if (all_ints) {
-      for (size_t i = 0; i < n; ++i) {
-        Writer::Put(nums + 8 * i, static_cast<uint64_t>(col.ints[phys[i]]), 8);
-      }
-    } else if (all_doubles) {
-      for (size_t i = 0; i < n; ++i) {
-        Writer::Put(nums + 8 * i, DoubleBits(col.nums[phys[i]]), 8);
-      }
-    } else if (numeric > 0) {
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t row = phys[i];
-        const uint8_t tag = col.tags[row];
-        if (tag == static_cast<uint8_t>(ValueType::kInt)) {
-          Writer::Put(nums, static_cast<uint64_t>(col.ints[row]), 8);
-          nums += 8;
-        } else if (tag == static_cast<uint8_t>(ValueType::kDouble)) {
-          Writer::Put(nums, DoubleBits(col.nums[row]), 8);
-          nums += 8;
-        }
+    for (size_t i = 0; i < n; ++i) {
+      if (tags[i] == static_cast<uint8_t>(ValueType::kInt)) {
+        Writer::Put(nums, static_cast<uint64_t>(col.ints[phys[i]]), 8);
+        nums += 8;
+      } else if (tags[i] == static_cast<uint8_t>(ValueType::kDouble)) {
+        Writer::Put(nums, DoubleBits(col.nums[phys[i]]), 8);
+        nums += 8;
       }
     }
     if (strings == 0) {
       w->U32(0);
       continue;
     }
-    CodeRemap remap(col.dict->size(), strings);
+    CodeRemap remap(col.dict->size());
     std::vector<uint32_t> codes;
     codes.reserve(strings);
     for (size_t i = 0; i < n; ++i) {
-      const uint32_t row = phys[i];
-      if (col.tags[row] == kStringTag) {
-        codes.push_back(remap.Map(col.codes[row]));
-      }
+      if (tags[i] == kStringTag) codes.push_back(remap.Map(col.codes[phys[i]]));
     }
     w->U32(static_cast<uint32_t>(remap.order().size()));
     for (uint32_t code : remap.order()) w->Str(col.dict->At(code));

@@ -233,15 +233,25 @@ TEST(ProtocolTest, EncodingIsCanonical) {
   Relation no_ints = base.SelectRows({1, 3, 4});
   EXPECT_EQ(Encode(no_ints), Encode(fresh));
 
-  // A few rows over a dictionary far larger than them (the hash-map
-  // remap) encode like the same rows in a fresh relation.
-  Relation wide(Schema({{"s", ValueType::kString}}));
-  for (int i = 0; i < 5000; ++i) wide.Add({Value("v" + std::to_string(i))});
+  // A few rows over a dictionary far larger than them encode like the
+  // same rows in a fresh relation; so does a column that is all NULL.
+  Relation wide(Schema({{"s", ValueType::kString}, {"z", ValueType::kInt}}));
+  for (int i = 0; i < 5000; ++i) {
+    wide.Add({Value("v" + std::to_string(i)), Value()});
+  }
   Relation few = wide.SelectRows({4321, 7, 4321});
   ASSERT_EQ(few.store().column(0).dict->size(), 5000u);
   Relation few_fresh(wide.schema());
   for (size_t i = 0; i < few.size(); ++i) few_fresh.Add(few.RowAt(i));
   EXPECT_EQ(Encode(few), Encode(few_fresh));
+  auto few_parsed = ParseResult(Encode(few));
+  ASSERT_TRUE(few_parsed.has_value());
+  ASSERT_EQ(few_parsed->relation.size(), 3u);
+  EXPECT_EQ(few_parsed->relation.RowAt(0)[0], Value("v4321"));
+  EXPECT_EQ(few_parsed->relation.RowAt(1)[0], Value("v7"));
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(few_parsed->relation.RowAt(i)[1].is_null());
+  }
 }
 
 TEST(ProtocolTest, MalformedResultPayloadsAreRejected) {
