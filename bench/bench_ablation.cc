@@ -88,19 +88,20 @@ void BM_dedup_rawrows(benchmark::State& state) {
   PrefPtr p = Pareto(Pos("color", {"red", "blue"}),
                      PosPos("category", {"cabriolet"}, {"roadster"}));
   LessFn less = p->Bind(cars.schema());
+  const std::vector<Tuple> rows = cars.tuples();  // materialized untimed
   for (auto _ : state) {
     // BNL over raw rows, no projection dedup.
     std::vector<size_t> window;
-    for (size_t i = 0; i < cars.size(); ++i) {
+    for (size_t i = 0; i < rows.size(); ++i) {
       bool dominated = false;
       size_t keep = 0;
       for (size_t w = 0; w < window.size(); ++w) {
-        if (!dominated && less(cars.at(i), cars.at(window[w]))) {
+        if (!dominated && less(rows[i], rows[window[w]])) {
           dominated = true;
           for (; w < window.size(); ++w) window[keep++] = window[w];
           break;
         }
-        if (less(cars.at(window[w]), cars.at(i))) continue;
+        if (less(rows[window[w]], rows[i])) continue;
         window[keep++] = window[w];
       }
       window.resize(keep);

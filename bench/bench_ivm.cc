@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
               .count());
     }
     // Cross-check: the maintained antichain must equal a recompute.
-    if (view.MaximaRows().size() != BmoIndices(table, term, bmo).size()) {
+    if (view.antichain_size() != BmoIndices(table, term, bmo).size()) {
       std::fprintf(stderr, "maintained view diverged from recompute\n");
       return 1;
     }

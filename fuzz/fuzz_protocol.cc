@@ -19,7 +19,8 @@
 //    verdict) of a one-shot append, and no frame exceeds the cap.
 //
 // The seed corpus (fuzz/corpus/protocol) holds encoder output — a valid
-// result, delta and insert — and hand-broken frames named after their
+// result, deltas (one with both row sets, one with exits only) and an
+// insert — and hand-broken frames named after their
 // defect (a huge row count, an out-of-range code, a truncated column,
 // trailing bytes), plus the framing and assembler seeds.
 //
@@ -85,18 +86,11 @@ void CheckResult(const std::string& payload) {
   }
 }
 
-std::vector<prefdb::Tuple> Rows(const prefdb::Relation& r) {
-  std::vector<prefdb::Tuple> rows;
-  for (size_t i = 0; i < r.size(); ++i) rows.push_back(r.RowAt(i));
-  return rows;
-}
-
 void CheckDelta(const std::string& payload) {
   auto parsed = prefdb::server::ParseDelta(payload);
   if (!parsed) return;
-  const std::string wire = prefdb::server::SerializeDelta(
-      parsed->subscription, parsed->enters.schema(), parsed->version,
-      parsed->resync, Rows(parsed->enters), Rows(parsed->exits));
+  const std::string wire =
+      prefdb::server::SerializeDelta(parsed->subscription, *parsed);
   if (wire != payload) __builtin_trap();
   auto reparsed = prefdb::server::ParseDelta(wire);
   if (!reparsed) __builtin_trap();

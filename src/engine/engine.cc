@@ -1008,8 +1008,7 @@ Engine::Subscription Engine::Subscribe(const std::string& sql,
 Engine::Subscription Engine::AttachSubscriber(ViewSlot& slot,
                                               size_t max_pending) {
   auto state = std::make_shared<ivm::SubscriptionState>(
-      slot.view->schema(), slot.plan->stmt.table,
-      slot.plan->preference->ToString(), max_pending);
+      slot.plan->stmt.table, slot.plan->preference->ToString(), max_pending);
   const uint64_t id = next_subscription_id_++;
   slot.subs.emplace_back(id, state);
   // Bootstrap snapshot in the same critical section that registered the
@@ -1163,11 +1162,6 @@ void Engine::Subscription::Cancel() {
     engine_ = nullptr;
   }
   // state_ is kept: queued deltas still drain through Poll().
-}
-
-const Schema& Engine::Subscription::schema() const {
-  static const Schema kEmpty;
-  return state_ ? state_->schema() : kEmpty;
 }
 
 const std::string& Engine::Subscription::table() const {

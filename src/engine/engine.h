@@ -278,9 +278,7 @@ class Engine {
     uint64_t id() const { return id_; }
     bool active() const { return state_ != nullptr; }
 
-    /// Row schema of delivered tuples / subscribed table / canonical term.
-    /// Empty when !active().
-    const Schema& schema() const;
+    /// Subscribed table / canonical term. Empty when !active().
     const std::string& table() const;
     const std::string& preference_term() const;
 
@@ -413,10 +411,9 @@ class Engine {
   /// Statistics of `name`'s current snapshot, derived by a full columnar
   /// scan on every call (TableStats::Derive); nothing is cached, and no
   /// query reads them. Throws std::out_of_range when the table is
-  /// unknown. The scan reads the snapshot's column buffers, never its row
-  /// cache: no served path — statistics, WHERE / BUT ONLY / DELETE scans,
-  /// TOP k, subscription seeds — materializes a whole-row Tuple copy of a
-  /// catalog snapshot.
+  /// unknown. The scan reads the snapshot's column buffers: no served
+  /// path — statistics, WHERE / BUT ONLY / DELETE scans, TOP k,
+  /// subscription seeds — materializes a catalog snapshot's rows.
   std::shared_ptr<const TableStats> Stats(const std::string& name);
 
   const EngineOptions& options() const { return options_; }

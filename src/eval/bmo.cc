@@ -211,12 +211,7 @@ bool IsPerfectMatch(const Tuple& t, const Relation& r, const PrefPtr& p,
   // Perfect match: t[A] in max(P) over the whole domain (Def. 14b), and t
   // must of course be in R.
   bool in_r = false;
-  for (const Tuple& row : r.tuples()) {
-    if (row == t) {
-      in_r = true;
-      break;
-    }
-  }
+  for (size_t i = 0; i < r.size() && !in_r; ++i) in_r = r.RowAt(i) == t;
   if (!in_r) return false;
   for (const Tuple& v : universe) {
     if (less(proj, v)) return false;

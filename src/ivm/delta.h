@@ -12,14 +12,21 @@
 // snapshot-consistent bootstrap structural rather than a client protocol,
 // and (b) when a slow subscriber overflows its bounded delta queue, where
 // one coalesced snapshot replaces the dropped backlog.
+//
+// Both row sets are Relations with the table's schema, empty ones too.
+// A delta owns its column buffers (the view gathers them into flat
+// stores of their own), so copies of it, one per subscriber, share those
+// buffers with each other and never with the view: a delta waiting in a
+// queue costs the view's next mutation nothing. Only the append-only
+// string dictionaries are shared; the view clones one before interning a
+// new string into it while a delta still holds it.
 
 #ifndef PREFDB_IVM_DELTA_H_
 #define PREFDB_IVM_DELTA_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "relation/tuple.h"
+#include "relation/relation.h"
 
 namespace prefdb::ivm {
 
@@ -34,9 +41,10 @@ struct ViewDelta {
   /// True: discard all accumulated state; `enters` is the full result set.
   bool resync = false;
   /// Rows entering the result set, in table order.
-  std::vector<Tuple> enters;
-  /// Rows leaving the result set (deleted or newly dominated).
-  std::vector<Tuple> exits;
+  Relation enters;
+  /// Rows leaving the result set (deleted or newly dominated), in table
+  /// order.
+  Relation exits;
 
   bool Empty() const { return !resync && enters.empty() && exits.empty(); }
 };

@@ -1,6 +1,7 @@
 #include "ivm/maintained_view.h"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <utility>
 
@@ -16,6 +17,7 @@ MaintainedView::MaintainedView(PrefPtr preference,
       less_(pref_->Bind(snapshot.schema().Project(pref_->attributes()))),
       compilable_(ScoreTable::CompilableTerm(pref_)),
       plan_(PhysicalPlan::FromOptions(options)),
+      empty_(snapshot.schema()),
       version_(version) {
   // The candidates share the snapshot's column buffers. The engine runs
   // every mutation while its own thread still holds the seed snapshot,
@@ -97,7 +99,7 @@ void MaintainedView::AssignWitnesses(const std::vector<size_t>& subset,
 }
 
 void MaintainedView::Compact(const std::vector<char>& dead,
-                             std::vector<char>* aux) {
+                             std::vector<char>* was_max) {
   std::vector<uint32_t> remap(witness_.size(), kMaximal);
   uint32_t next = 0;
   for (size_t i = 0; i < witness_.size(); ++i) {
@@ -106,13 +108,13 @@ void MaintainedView::Compact(const std::vector<char>& dead,
     if (i != next) {
       table_rows_[next] = table_rows_[i];
       witness_[next] = witness_[i];
-      if (aux) (*aux)[next] = (*aux)[i];
+      (*was_max)[next] = (*was_max)[i];
     }
     ++next;
   }
   table_rows_.resize(next);
   witness_.resize(next);
-  if (aux) aux->resize(next);
+  was_max->resize(next);
   for (uint32_t& w : witness_) {
     if (w != kMaximal) w = remap[w];
   }
@@ -120,10 +122,23 @@ void MaintainedView::Compact(const std::vector<char>& dead,
   rows_.EraseRows(dead);
 }
 
+ViewDelta MaintainedView::NoChange(uint64_t version) const {
+  ViewDelta d;
+  d.version = version;
+  d.enters = empty_;
+  d.exits = empty_;
+  return d;
+}
+
+Relation MaintainedView::Gather(std::vector<uint32_t> candidates) const {
+  if (candidates.empty()) return empty_;
+  return Relation(rows_.schema(),
+                  ColumnStore::Gather(rows_.store(), std::move(candidates)));
+}
+
 ViewDelta MaintainedView::ApplyInsert(const Tuple& row, size_t table_row,
                                       uint64_t new_version) {
-  ViewDelta d;
-  d.version = new_version;
+  ViewDelta d = NoChange(new_version);
   version_ = new_version;
   ++mstats_.inserts;
   if (where_ && !where_(row)) return d;
@@ -154,6 +169,7 @@ ViewDelta MaintainedView::ApplyInsert(const Tuple& row, size_t table_row,
 
   std::vector<uint32_t> next;
   next.reserve(antichain_.size() + 1);
+  std::vector<uint32_t> exits;
   for (size_t k = 0; k < new_pos; ++k) {
     const uint32_t m = antichain_[k];
     if (pass.flags[k]) {
@@ -163,12 +179,13 @@ ViewDelta MaintainedView::ApplyInsert(const Tuple& row, size_t table_row,
     // Antichain members are mutually incomparable, so only the new row
     // can have defeated m — it is m's witness.
     witness_[m] = static_cast<uint32_t>(idx);
-    d.exits.push_back(rows_.RowAt(m));
+    exits.push_back(m);
   }
   // idx is the largest candidate index: the antichain stays sorted.
   next.push_back(static_cast<uint32_t>(idx));
   antichain_ = std::move(next);
-  d.enters.push_back(rows_.RowAt(idx));
+  d.enters = Gather({static_cast<uint32_t>(idx)});
+  d.exits = Gather(std::move(exits));
   mstats_.enters += d.enters.size();
   mstats_.exits += d.exits.size();
   return d;
@@ -176,8 +193,7 @@ ViewDelta MaintainedView::ApplyInsert(const Tuple& row, size_t table_row,
 
 ViewDelta MaintainedView::ApplyDelete(
     const std::vector<size_t>& deleted_table_rows, uint64_t new_version) {
-  ViewDelta d;
-  d.version = new_version;
+  ViewDelta d = NoChange(new_version);
   version_ = new_version;
   ++mstats_.deletes;
   if (deleted_table_rows.empty() || table_rows_.empty()) return d;
@@ -200,15 +216,15 @@ ViewDelta MaintainedView::ApplyDelete(
   }
   if (!any_dead) return d;  // deleted rows were not candidates
 
+  std::vector<char> was_max(witness_.size(), 0);
   std::vector<uint32_t> surviving_anti;
+  std::vector<uint32_t> exits;
   surviving_anti.reserve(antichain_.size());
   for (uint32_t m : antichain_) {
-    if (dead[m]) {
-      d.exits.push_back(rows_.RowAt(m));
-    } else {
-      surviving_anti.push_back(m);
-    }
+    was_max[m] = 1;
+    (dead[m] ? exits : surviving_anti).push_back(m);
   }
+  d.exits = Gather(std::move(exits));  // before Compact erases them
   // Orphans: live dominated candidates whose recorded dominator died.
   // Everyone else's witness is still alive and still dominates them.
   std::vector<uint32_t> orphans;
@@ -229,61 +245,44 @@ ViewDelta MaintainedView::ApplyDelete(
     // Most witnesses died at once: orphan maintenance would degenerate to
     // a full scan, so run exactly that, once, with fresh bookkeeping.
     ++mstats_.reseeds;
-    std::vector<char> was_max(witness_.size(), 0);
-    for (uint32_t m : antichain_) was_max[m] = 1;
     antichain_.clear();
     Compact(dead, &was_max);
     Reseed();
-    for (uint32_t m : antichain_) {
-      if (!was_max[m]) d.enters.push_back(rows_.RowAt(m));
-    }
   } else {
     // New antichain = maxima of (surviving antichain ∪ orphans): surviving
     // maxima provably stay maximal after a delete, and a previously
     // dominated row can only have risen if its witness died.
     std::vector<size_t> combined;
-    std::vector<char> is_orphan;
     combined.reserve(surviving_anti.size() + orphans.size());
-    is_orphan.reserve(combined.capacity());
-    size_t a = 0, b = 0;  // disjoint sorted merge
-    while (a < surviving_anti.size() || b < orphans.size()) {
-      if (b == orphans.size() ||
-          (a < surviving_anti.size() && surviving_anti[a] < orphans[b])) {
-        combined.push_back(surviving_anti[a++]);
-        is_orphan.push_back(0);
-      } else {
-        combined.push_back(orphans[b++]);
-        is_orphan.push_back(1);
-      }
-    }
+    std::merge(surviving_anti.begin(), surviving_anti.end(), orphans.begin(),
+               orphans.end(), std::back_inserter(combined));
     const Pass pass = RunPass(combined);
     AssignWitnesses(combined, pass);
     antichain_.clear();
     for (size_t k = 0; k < combined.size(); ++k) {
-      if (!pass.flags[k]) continue;
-      antichain_.push_back(static_cast<uint32_t>(combined[k]));
-      if (is_orphan[k]) d.enters.push_back(rows_.RowAt(combined[k]));
+      if (pass.flags[k]) {
+        antichain_.push_back(static_cast<uint32_t>(combined[k]));
+      }
     }
-    Compact(dead, nullptr);
+    Compact(dead, &was_max);
   }
+  // Entering rows are the new maxima that were not maximal before: the
+  // orphans that rose, or what the reseed found.
+  std::vector<uint32_t> enters;
+  for (uint32_t m : antichain_) {
+    if (!was_max[m]) enters.push_back(m);
+  }
+  d.enters = Gather(std::move(enters));
   mstats_.enters += d.enters.size();
   mstats_.exits += d.exits.size();
   return d;
 }
 
 ViewDelta MaintainedView::Resync() const {
-  ViewDelta d;
-  d.version = version_;
+  ViewDelta d = NoChange(version_);
   d.resync = true;
-  d.enters = MaximaRows();
+  d.enters = Gather(antichain_);
   return d;
-}
-
-std::vector<Tuple> MaintainedView::MaximaRows() const {
-  std::vector<Tuple> rows;
-  rows.reserve(antichain_.size());
-  for (uint32_t m : antichain_) rows.push_back(rows_.RowAt(m));
-  return rows;
 }
 
 std::vector<size_t> MaintainedView::MaximaTableRows() const {

@@ -24,8 +24,10 @@
 // columns and deletes compact them in place (Relation::EraseRows). On the
 // 20k-row car table that comes to about 220 B per candidate, against
 // about 650 B for the whole-row plus projected Tuple per candidate it
-// replaces. Delta and resync rows materialize from the columns (RowAt)
-// only when they enter or exit.
+// replaces. A delta's rows are gathered from the columns once per
+// mutation into flat column buffers the delta owns (ColumnStore::Gather;
+// only the append-only string dictionaries are shared), so a delta held
+// by a subscriber never pins the view's columns.
 //
 // Dominance passes reuse the compiled execution layer: when the term
 // compiles, each pass compiles a ScoreTable straight from the candidate
@@ -90,12 +92,9 @@ class MaintainedView {
   /// Candidate rows mirrored (WHERE survivors), and current maxima count.
   size_t candidates() const { return rows_.size(); }
   size_t antichain_size() const { return antichain_.size(); }
-  /// Current result rows, in table order.
-  std::vector<Tuple> MaximaRows() const;
   /// Current-table row indices of the result, ascending — the engine's
   /// exec-cache refresh path serves subscribed queries from these.
   std::vector<size_t> MaximaTableRows() const;
-  const Schema& schema() const { return rows_.schema(); }
   const ViewMaintenanceStats& maintenance_stats() const { return mstats_; }
   /// Heap bytes the view alone holds: the candidate column buffers it
   /// does not share with a snapshot (by capacity), its id vectors and
@@ -130,10 +129,16 @@ class MaintainedView {
   /// kMaximal, dominated rows record one flagged dominator (transitivity
   /// guarantees one exists among the subset's maxima).
   void AssignWitnesses(const std::vector<size_t>& subset, const Pass& pass);
-  /// Erases dead candidates and remaps witness indices + antichain_ (and
-  /// `aux`, a per-candidate marker vector, when non-null) onto the
-  /// compacted numbering. All witnesses must be live on entry.
-  void Compact(const std::vector<char>& dead, std::vector<char>* aux);
+  /// Erases dead candidates and remaps witness indices, antichain_ and
+  /// `was_max` (one flag per candidate) onto the compacted numbering. All
+  /// witnesses must be live on entry.
+  void Compact(const std::vector<char>& dead, std::vector<char>* was_max);
+  /// A delta at `version` with empty enters and exits.
+  ViewDelta NoChange(uint64_t version) const;
+  /// `candidates` (ascending candidate indices), gathered into a flat
+  /// store that shares no column with the view; empty_ when there are
+  /// none.
+  Relation Gather(std::vector<uint32_t> candidates) const;
 
   PrefPtr pref_;
   std::vector<size_t> proj_cols_;
@@ -141,6 +146,10 @@ class MaintainedView {
   LessFn less_;             // closure order over projections (always exact)
   bool compilable_ = false; // ScoreTable::CompilableTerm(pref_)
   PhysicalPlan plan_;       // kernel knobs for the compiled passes
+  // Zero-row relation with the table's schema, copied into every empty
+  // enters/exits. Nothing writes to it, so the copies share its (empty)
+  // columns without ever cloning them.
+  Relation empty_;
 
   uint64_t version_ = 0;
   Relation rows_;                     // candidate rows, ascending table row

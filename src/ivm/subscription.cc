@@ -4,10 +4,9 @@
 
 namespace prefdb::ivm {
 
-SubscriptionState::SubscriptionState(Schema schema, std::string table,
-                                     std::string term, size_t max_pending)
+SubscriptionState::SubscriptionState(std::string table, std::string term,
+                                     size_t max_pending)
     : max_pending_(max_pending == 0 ? 1 : max_pending),
-      schema_(std::move(schema)),
       table_(std::move(table)),
       term_(std::move(term)) {}
 

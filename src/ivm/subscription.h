@@ -28,16 +28,14 @@
 #include <utility>
 
 #include "ivm/delta.h"
-#include "relation/schema.h"
 
 namespace prefdb::ivm {
 
 class SubscriptionState {
  public:
-  /// `schema`/`table`/`term` describe the subscribed query for consumers
-  /// (wire serialization, introspection); `max_pending` bounds the queue.
-  SubscriptionState(Schema schema, std::string table, std::string term,
-                    size_t max_pending);
+  /// `table`/`term` describe the subscribed query for consumers
+  /// (introspection); `max_pending` bounds the queue.
+  SubscriptionState(std::string table, std::string term, size_t max_pending);
 
   /// Producer side (engine, under its lock). False when the queue is full
   /// — the caller must follow up with PushResync (losing deltas without
@@ -72,7 +70,6 @@ class SubscriptionState {
   /// Times the producer had to coalesce this subscriber's backlog.
   uint64_t coalesced_resyncs() const;
 
-  const Schema& schema() const { return schema_; }
   const std::string& table() const { return table_; }
   const std::string& term() const { return term_; }
 
@@ -88,7 +85,6 @@ class SubscriptionState {
   bool closed_ = false;
   uint64_t coalesced_resyncs_ = 0;
   std::function<void()> notifier_;
-  const Schema schema_;
   const std::string table_;
   const std::string term_;
 };

@@ -149,11 +149,13 @@ MiningResult MinePreferences(const std::vector<LogEntry>& log,
     if (numeric) {
       NumericStats stats;
       for (const LogEntry& entry : log) {
-        for (const Tuple& t : entry.shown.tuples()) {
-          if (auto v = t[col].numeric()) stats.population.push_back(*v);
+        for (size_t row = 0; row < entry.shown.size(); ++row) {
+          if (auto v = entry.shown.ValueAt(row, col).numeric()) {
+            stats.population.push_back(*v);
+          }
         }
         for (size_t row : entry.chosen) {
-          if (auto v = entry.shown.at(row)[col].numeric()) {
+          if (auto v = entry.shown.ValueAt(row, col).numeric()) {
             stats.chosen.push_back(*v);
           }
         }
@@ -162,12 +164,12 @@ MiningResult MinePreferences(const std::vector<LogEntry>& log,
     } else {
       CategoricalStats stats;
       for (const LogEntry& entry : log) {
-        for (const Tuple& t : entry.shown.tuples()) {
-          ++stats.offered[t[col]];
+        for (size_t row = 0; row < entry.shown.size(); ++row) {
+          ++stats.offered[entry.shown.ValueAt(row, col)];
           ++stats.total_offered;
         }
         for (size_t row : entry.chosen) {
-          ++stats.picked[entry.shown.at(row)[col]];
+          ++stats.picked[entry.shown.ValueAt(row, col)];
           ++stats.total_picked;
         }
       }

@@ -285,27 +285,36 @@ std::shared_ptr<Column> GatherColumn(const Column& src, const uint32_t* rows,
 
 }  // namespace
 
+ColumnStore ColumnStore::Gather(const ColumnStore& base,
+                                std::vector<uint32_t> rows) {
+  if (base.perm_ != nullptr) {
+    for (uint32_t& r : rows) r = (*base.perm_)[r];
+  }
+  ColumnStore out;
+  out.nrows_ = rows.size();
+  out.cols_.reserve(base.cols_.size());
+  for (const auto& col : base.cols_) {
+    out.cols_.push_back(
+        GatherColumn(*col, rows.data(), rows.size(), rows.size()));
+  }
+  return out;
+}
+
 ColumnStore ColumnStore::View(const ColumnStore& base,
                               std::vector<uint32_t> rows) {
+  // Selecting under half the rows: materialize, so the shrunken store
+  // releases the base buffers instead of pinning them.
+  if (rows.size() * 2 < base.nrows_ && !base.cols_.empty()) {
+    return Gather(base, std::move(rows));
+  }
   // Compose with the base's own permutation so views stay single-hop.
   if (base.perm_ != nullptr) {
     for (uint32_t& r : rows) r = (*base.perm_)[r];
   }
   ColumnStore out;
   out.nrows_ = rows.size();
-  if (rows.size() * 2 >= base.nrows_ || base.cols_.empty()) {
-    out.cols_ = base.cols_;
-    out.perm_ =
-        std::make_shared<const std::vector<uint32_t>>(std::move(rows));
-  } else {
-    // Selecting under half the rows: materialize, so the shrunken store
-    // releases the base buffers instead of pinning them.
-    out.cols_.reserve(base.cols_.size());
-    for (const auto& col : base.cols_) {
-      out.cols_.push_back(
-          GatherColumn(*col, rows.data(), rows.size(), rows.size()));
-    }
-  }
+  out.cols_ = base.cols_;
+  out.perm_ = std::make_shared<const std::vector<uint32_t>>(std::move(rows));
   return out;
 }
 

@@ -129,6 +129,13 @@ class ColumnStore {
   /// full base buffers (the engine Delete path relies on this).
   static ColumnStore View(const ColumnStore& base, std::vector<uint32_t> rows);
 
+  /// A flat store of `base`'s logical rows `rows` that shares no column
+  /// buffer with `base`, so it never makes `base`'s next mutation clone
+  /// one. String columns share `base`'s append-only dictionary, which a
+  /// write interning a new string clones first.
+  static ColumnStore Gather(const ColumnStore& base,
+                            std::vector<uint32_t> rows);
+
   /// A flat store over whole columns, each `rows` rows long, as a decoder
   /// builds them. The caller fills `tags`, the doubles of kDouble rows in
   /// `nums` (sized to the rows), `ints` when some row is kInt and `codes`

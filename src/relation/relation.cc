@@ -67,45 +67,11 @@ Relation::Relation(Schema schema, ColumnStore store)
   }
 }
 
-Relation& Relation::operator=(const Relation& other) {
-  if (this != &other) {
-    schema_ = other.schema_;
-    store_ = other.store_;
-    InvalidateRowCache();
-  }
-  return *this;
-}
-
-Relation& Relation::operator=(Relation&& other) noexcept {
-  if (this != &other) {
-    schema_ = std::move(other.schema_);
-    store_ = std::move(other.store_);
-    InvalidateRowCache();
-  }
-  return *this;
-}
-
-void Relation::InvalidateRowCache() {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  cache_ptr_.store(nullptr, std::memory_order_release);
-  tuple_cache_.reset();
-}
-
-const std::vector<Tuple>& Relation::tuples() const {
-  if (const auto* cached = cache_ptr_.load(std::memory_order_acquire)) {
-    return *cached;
-  }
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  if (tuple_cache_ == nullptr) {
-    auto rows = std::make_shared<std::vector<Tuple>>();
-    rows->reserve(store_.rows());
-    for (size_t i = 0; i < store_.rows(); ++i) {
-      rows->push_back(store_.MaterializeRow(i));
-    }
-    tuple_cache_ = std::move(rows);
-    cache_ptr_.store(tuple_cache_.get(), std::memory_order_release);
-  }
-  return *tuple_cache_;
+std::vector<Tuple> Relation::tuples() const {
+  std::vector<Tuple> rows;
+  rows.reserve(size());
+  for (size_t i = 0; i < size(); ++i) rows.push_back(RowAt(i));
+  return rows;
 }
 
 void Relation::Add(Tuple t) {
@@ -115,9 +81,6 @@ void Relation::Add(Tuple t) {
                                 schema_.ToString());
   }
   store_.AppendRow(t);
-  if (cache_ptr_.load(std::memory_order_acquire) != nullptr) {
-    InvalidateRowCache();
-  }
 }
 
 void Relation::EraseRows(const std::vector<char>& dead) {
@@ -127,9 +90,6 @@ void Relation::EraseRows(const std::vector<char>& dead) {
                                 " rows");
   }
   store_.RemoveRows(dead);
-  if (cache_ptr_.load(std::memory_order_acquire) != nullptr) {
-    InvalidateRowCache();
-  }
 }
 
 std::vector<size_t> Relation::ResolveColumns(

@@ -2,21 +2,21 @@
 // relational operations preference evaluation needs: projection, selection,
 // distinct, sorting, grouping, set operations by row identity.
 //
-// Storage is column-major (SoA, see column_store.h): this class is the
-// row-oriented façade. Row accessors materialize lazily; SelectRows /
-// Filter / Sorted / Project produce index views or column-sharing
-// relations instead of copying rows, and copying a Relation shares the
-// column buffers (per-column copy-on-write on the next mutation).
+// Storage is column-major (SoA, see column_store.h), and the columns are
+// the only stored form of a row: this class is the row-oriented façade.
+// A Tuple is a transient value, built per call by the row accessors
+// (RowAt, ValueAt, tuples) or passed in through Add, and never kept.
+// SelectRows / Filter / Sorted / Project produce index views or
+// column-sharing relations instead of copying rows, and copying a
+// Relation shares the column buffers (per-column copy-on-write on the
+// next mutation).
 
 #ifndef PREFDB_RELATION_RELATION_H_
 #define PREFDB_RELATION_RELATION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -41,31 +41,17 @@ class Relation {
   /// the store's column count differs from the schema's arity.
   Relation(Schema schema, ColumnStore store);
 
-  Relation(const Relation& other)
-      : schema_(other.schema_), store_(other.store_) {}
-  Relation(Relation&& other) noexcept
-      : schema_(std::move(other.schema_)), store_(std::move(other.store_)) {}
-  Relation& operator=(const Relation& other);
-  Relation& operator=(Relation&& other) noexcept;
-
   const Schema& schema() const { return schema_; }
 
-  /// Row-compatibility view: materializes (once, thread-safely) a tuple
-  /// vector over the columnar store. Prefer RowAt/ValueAt on hot paths —
-  /// they touch only the requested cells.
-  const std::vector<Tuple>& tuples() const;
+  /// Every row, materialized from the column buffers on each call. Prefer
+  /// RowAt/ValueAt on hot paths: they touch only the requested cells.
+  std::vector<Tuple> tuples() const;
 
   size_t size() const { return store_.rows(); }
   bool empty() const { return store_.rows() == 0; }
-  const Tuple& at(size_t i) const { return tuples()[i]; }
+  Tuple at(size_t i) const { return RowAt(i); }
 
-  /// True once tuples()/at() has materialized the row cache — an
-  /// observer for tests that pin "this path reads columns only".
-  bool row_cache_built() const {
-    return cache_ptr_.load(std::memory_order_acquire) != nullptr;
-  }
-
-  /// Materializes a single row from the column buffers (no cache).
+  /// Materializes a single row from the column buffers.
   Tuple RowAt(size_t i) const { return store_.MaterializeRow(i); }
   /// Materializes a single cell from the column buffers.
   Value ValueAt(size_t row, size_t col) const {
@@ -148,16 +134,8 @@ class Relation {
   std::string ToString(size_t max_rows = 50) const;
 
  private:
-  void InvalidateRowCache();
-
   Schema schema_;
   ColumnStore store_;
-
-  // Lazy row-compatibility cache: double-checked publish so shared
-  // immutable snapshots can serve tuples()/at() from any thread.
-  mutable std::mutex cache_mu_;
-  mutable std::shared_ptr<const std::vector<Tuple>> tuple_cache_;
-  mutable std::atomic<const std::vector<Tuple>*> cache_ptr_{nullptr};
 };
 
 }  // namespace prefdb

@@ -5,17 +5,31 @@
 #include <limits>
 #include <memory>
 
+#include "psql/error.h"
+
 namespace prefdb::server {
+
+namespace {
+
+/// Appends the low `bytes` bytes of `v`, most significant first.
+void PutBigEndian(std::string* out, uint64_t v, int bytes) {
+  for (int shift = 8 * (bytes - 1); shift >= 0; shift -= 8) {
+    out->push_back(static_cast<char>((v >> shift) & 0xff));
+  }
+}
+
+/// Appends the frame header: the payload length, then the type.
+void PutFrameHeader(std::string* out, size_t payload_bytes, FrameType type) {
+  PutBigEndian(out, payload_bytes, 4);
+  out->push_back(static_cast<char>(type));
+}
+
+}  // namespace
 
 std::string EncodeFrame(const Frame& frame) {
   std::string out;
   out.reserve(kFrameHeaderBytes + frame.payload.size());
-  uint32_t len = static_cast<uint32_t>(frame.payload.size());
-  out.push_back(static_cast<char>((len >> 24) & 0xff));
-  out.push_back(static_cast<char>((len >> 16) & 0xff));
-  out.push_back(static_cast<char>((len >> 8) & 0xff));
-  out.push_back(static_cast<char>(len & 0xff));
-  out.push_back(static_cast<char>(frame.type));
+  PutFrameHeader(&out, frame.payload.size(), frame.type);
   out += frame.payload;
   return out;
 }
@@ -30,20 +44,18 @@ uint32_t DecodeFrameHeader(const unsigned char header[kFrameHeaderBytes],
   return len;
 }
 
+void AppendTaggedFrame(std::string* out, uint64_t request_id,
+                       const Frame& frame) {
+  out->reserve(out->size() + kFrameHeaderBytes + kRequestIdBytes +
+               frame.payload.size());
+  PutFrameHeader(out, kRequestIdBytes + frame.payload.size(), frame.type);
+  PutBigEndian(out, request_id, 8);
+  out->append(frame.payload);
+}
+
 std::string EncodeTaggedFrame(uint64_t request_id, const Frame& frame) {
   std::string out;
-  out.reserve(kFrameHeaderBytes + kRequestIdBytes + frame.payload.size());
-  uint32_t len =
-      static_cast<uint32_t>(kRequestIdBytes + frame.payload.size());
-  out.push_back(static_cast<char>((len >> 24) & 0xff));
-  out.push_back(static_cast<char>((len >> 16) & 0xff));
-  out.push_back(static_cast<char>((len >> 8) & 0xff));
-  out.push_back(static_cast<char>(len & 0xff));
-  out.push_back(static_cast<char>(frame.type));
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<char>((request_id >> shift) & 0xff));
-  }
-  out += frame.payload;
+  AppendTaggedFrame(&out, request_id, frame);
   return out;
 }
 
@@ -360,14 +372,6 @@ std::optional<ColumnStore> GetRows(Reader* r, size_t num_columns) {
   return ColumnStore::FromColumns(n, std::move(columns));
 }
 
-/// Delta and insert rows arrive as Tuples: the encoder reads them from a
-/// column store built one row at a time (no copy of the whole vector).
-ColumnStore ColumnsOf(const Schema& schema, const std::vector<Tuple>& rows) {
-  Relation relation(schema);
-  for (const Tuple& row : rows) relation.Add(row);
-  return relation.store();
-}
-
 std::optional<Relation> GetRelation(Reader* r, const Schema& schema) {
   std::optional<ColumnStore> store = GetRows(r, schema.size());
   if (!store) return std::nullopt;
@@ -409,18 +413,21 @@ std::optional<WireResult> ParseResult(const std::string& payload) {
   return result;
 }
 
-std::string SerializeDelta(uint64_t subscription, const Schema& schema,
-                           uint64_t version, bool resync,
-                           const std::vector<Tuple>& enters,
-                           const std::vector<Tuple>& exits) {
+std::string SerializeDelta(uint64_t subscription,
+                           const ivm::ViewDelta& delta) {
+  if (delta.exits.schema() != delta.enters.schema()) {
+    throw psql::BadArgumentError(
+        "delta exits schema " + delta.exits.schema().ToString() +
+        " differs from enters schema " + delta.enters.schema().ToString());
+  }
   std::string out;
   Writer w(&out);
   w.U64(subscription);
-  w.U64(version);
-  w.U8(resync ? 1 : 0);
-  PutSchema(schema, &w);
-  PutRows(ColumnsOf(schema, enters), &w);
-  PutRows(ColumnsOf(schema, exits), &w);
+  w.U64(delta.version);
+  w.U8(delta.resync ? 1 : 0);
+  PutSchema(delta.enters.schema(), &w);
+  PutRows(delta.enters.store(), &w);
+  PutRows(delta.exits.store(), &w);
   return out;
 }
 
@@ -449,7 +456,9 @@ std::string SerializeInsert(const std::string& table, const Tuple& row) {
   w.Str(table);
   w.U32(static_cast<uint32_t>(row.size()));
   // The columns carry no names: only the arity travels.
-  PutRows(ColumnsOf(Schema(std::vector<Attribute>(row.size())), {row}), &w);
+  Relation rows(Schema(std::vector<Attribute>(row.size())));
+  rows.Add(row);
+  PutRows(rows.store(), &w);
   return out;
 }
 

@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "ivm/delta.h"
 #include "psql/executor.h"
 #include "relation/relation.h"
 
@@ -98,8 +99,7 @@ struct Frame {
 /// Frame header size on the wire (4-byte length + 1-byte type).
 inline constexpr size_t kFrameHeaderBytes = 5;
 
-/// Serializes the outer framing only (header + payload, no request id):
-/// the primitive under EncodeTaggedFrame.
+/// Serializes the outer framing only (header + payload, no request id).
 std::string EncodeFrame(const Frame& frame);
 
 /// Parses the 5 header bytes; returns the payload length and writes the
@@ -118,8 +118,12 @@ inline constexpr size_t kRequestIdBytes = 8;
 /// can own them; each of these closes the connection.
 inline constexpr uint64_t kNoRequestId = 0;
 
-/// Serializes a frame as it goes on the wire: header + 8-byte big-endian
-/// `request_id` + payload.
+/// Appends a frame as it goes on the wire to `*out`: header + 8-byte
+/// big-endian `request_id` + payload, written in place.
+void AppendTaggedFrame(std::string* out, uint64_t request_id,
+                       const Frame& frame);
+
+/// AppendTaggedFrame into a new string.
 std::string EncodeTaggedFrame(uint64_t request_id, const Frame& frame);
 
 /// Strips the leading request id from a frame payload in place. Returns
@@ -177,25 +181,21 @@ struct WireResult {
 /// Inverse of SerializeResult; nullopt on malformed input.
 std::optional<WireResult> ParseResult(const std::string& payload);
 
-/// One kDelta payload: a maintained view's result-set change, addressed
-/// to a subscription. resync=true means "discard your state, `enters` IS
-/// the full current result" (the bootstrap delta, and the coalesced
-/// recovery after the subscriber overflowed its server-side queue).
-/// `enters` and `exits` share the subscribed table's schema.
-struct WireDelta {
+/// One kDelta payload: a maintained view's result-set change (see
+/// ivm/delta.h), addressed to a subscription. resync=true means "discard
+/// your state, `enters` IS the full current result" (the bootstrap delta,
+/// and the coalesced recovery after the subscriber overflowed its
+/// server-side queue). `enters` and `exits` share the subscribed table's
+/// schema; parsed, both are flat stores built from the frame.
+struct WireDelta : ivm::ViewDelta {
   uint64_t subscription = 0;
-  uint64_t version = 0;
-  bool resync = false;
-  Relation enters;
-  Relation exits;
 };
 
-/// Renders one delta push. `schema` is the subscribed table's row schema
-/// (enters/exits rows are full table rows).
-std::string SerializeDelta(uint64_t subscription, const Schema& schema,
-                           uint64_t version, bool resync,
-                           const std::vector<Tuple>& enters,
-                           const std::vector<Tuple>& exits);
+/// Renders one delta push for `subscription`: the schema of `enters`, then
+/// the rows of `enters` and of `exits`, encoded like result rows. Throws
+/// psql::BadArgumentError, a std::invalid_argument, when `exits`' schema
+/// differs from `enters'`.
+std::string SerializeDelta(uint64_t subscription, const ivm::ViewDelta& delta);
 
 /// Inverse of SerializeDelta; nullopt on malformed input.
 std::optional<WireDelta> ParseDelta(const std::string& payload);

@@ -866,7 +866,7 @@ void Server::Impl::CompleteJob(const std::shared_ptr<Job>& job, Frame frame) {
       } else {
         queries_ok_.fetch_add(1);
       }
-      conn->out_buf += EncodeTaggedFrame(job->request_id, frame);
+      AppendTaggedFrame(&conn->out_buf, job->request_id, frame);
       appended = true;
     }
   }
@@ -910,9 +910,7 @@ void Server::Impl::DrainDeltas(Clock::time_point now) {
     for (auto& sub : conn->subscriptions) {
       while (std::optional<ivm::ViewDelta> delta = sub.handle.Poll()) {
         Frame frame = Encode(FrameType::kDelta, [&] {
-          return SerializeDelta(sub.handle.id(), sub.handle.schema(),
-                                delta->version, delta->resync, delta->enters,
-                                delta->exits);
+          return SerializeDelta(sub.handle.id(), *delta);
         });
         AppendResponse(conn, sub.request_id, frame);
         deltas_pushed_.fetch_add(1);
@@ -937,11 +935,11 @@ void Server::Impl::ExpireDeadlines(Clock::time_point now) {
         const std::shared_ptr<Job>& job = it->second;
         if (job->has_deadline && now > job->deadline) {
           job->abandoned.store(true);
-          conn->out_buf += EncodeTaggedFrame(
-              it->first, ErrorFrame(psql::ErrorCode::kTimeout,
-                                    "query exceeded its " +
-                                        std::to_string(job->timeout_ms) +
-                                        "ms deadline"));
+          AppendTaggedFrame(&conn->out_buf, it->first,
+                            ErrorFrame(psql::ErrorCode::kTimeout,
+                                       "query exceeded its " +
+                                           std::to_string(job->timeout_ms) +
+                                           "ms deadline"));
           queries_timeout_.fetch_add(1);
           it = conn->inflight.erase(it);
           wrote = true;
@@ -987,7 +985,7 @@ void Server::Impl::AppendResponse(const std::shared_ptr<Connection>& conn,
                                   uint64_t request_id, const Frame& frame) {
   std::lock_guard<std::mutex> lock(conn->out_mu);
   if (conn->closed) return;
-  conn->out_buf += EncodeTaggedFrame(request_id, frame);
+  AppendTaggedFrame(&conn->out_buf, request_id, frame);
 }
 
 Server::Impl::FlushResult Server::Impl::FlushOut(
@@ -1050,8 +1048,8 @@ void Server::Impl::MaybeFinish(const std::shared_ptr<Connection>& conn) {
     if (conn->goodbye_pending && conn->inflight.empty()) {
       // Every request admitted before the goodbye has answered and its
       // response sits in the out-buffer ahead of this ack.
-      conn->out_buf += EncodeTaggedFrame(conn->goodbye_request_id,
-                                         Frame{FrameType::kOk, "bye"});
+      AppendTaggedFrame(&conn->out_buf, conn->goodbye_request_id,
+                        Frame{FrameType::kOk, "bye"});
       conn->goodbye_pending = false;
       ack_appended = true;
     }

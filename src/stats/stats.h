@@ -50,7 +50,7 @@ struct TableStats {
 
   /// Full-scan derivation over every column, O(rows * columns). Scans the
   /// column buffers (tags, widened numerics, each distinct dictionary
-  /// string once), never the relation's row cache.
+  /// string once), never materialized rows.
   static TableStats Derive(const Relation& r);
 };
 

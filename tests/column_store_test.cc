@@ -99,9 +99,9 @@ TEST(ColumnStoreTest, ConstructorsAndAccessorsRoundTripEveryValueType) {
     Relation bulk(incremental.schema(), rows);
     ASSERT_EQ(bulk.size(), incremental.size());
     for (size_t i = 0; i < bulk.size(); ++i) {
-      // Three accessor paths: cached tuples(), per-row materialization,
-      // per-cell reads — all must reconstruct the exact Value (NULLs
-      // stay NULL, ints stay ints, NaN stays NaN).
+      // Both accessor paths, per-row materialization and per-cell
+      // reads, must reconstruct the exact Value (NULLs stay NULL, ints
+      // stay ints, NaN stays NaN).
       EXPECT_EQ(bulk.at(i).ToString(), incremental.RowAt(i).ToString());
       for (size_t c = 0; c < bulk.schema().size(); ++c) {
         EXPECT_EQ(bulk.ValueAt(i, c).ToString(),
@@ -626,7 +626,7 @@ TEST(ColumnStoreTest, IvmTracesOverColumnarSnapshotsMatchRecompute) {
       view.ApplyDelete(dead, version);
       table = table.SelectRows(survivors);  // index view over shared cols
     }
-    ASSERT_EQ(RowSet(view.MaximaRows()),
+    ASSERT_EQ(RowSet(view.Resync().enters),
               RowSet(table.SelectRows(
                   BmoIndices(table, term, {BmoAlgorithm::kNaive}))))
         << "step " << step;

@@ -80,16 +80,14 @@ std::vector<PrefPtr> TestTerms() {
 
 /// Sorted row renderings — multiset equality that is NaN-safe (Value's
 /// operator== is IEEE on doubles; the text rendering is not).
-std::vector<std::string> RowSet(const std::vector<Tuple>& rows) {
+std::vector<std::string> RowSet(const Relation& rel) {
   std::vector<std::string> out;
-  out.reserve(rows.size());
-  for (const Tuple& t : rows) out.push_back(t.ToString());
+  out.reserve(rel.size());
+  for (size_t i = 0; i < rel.size(); ++i) {
+    out.push_back(rel.RowAt(i).ToString());
+  }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-std::vector<std::string> RowSet(const Relation& rel) {
-  return RowSet(rel.tuples());
 }
 
 /// The reference: the naive oracle's full recompute of the maintained
@@ -140,7 +138,7 @@ TEST(MaintainedViewTest, MatchesRecomputeUnderRandomMutations) {
       ivm::MaintainedView view(term, tc.where, table, 1);
       ASSERT_EQ(view.candidates() * 2 >= table.size(), tc.keeps_half)
           << tc.name;
-      EXPECT_EQ(RowSet(view.MaximaRows()),
+      EXPECT_EQ(RowSet(view.Resync().enters),
                 Recompute(table, term, tc.where));
 
       uint64_t version = 1;
@@ -172,7 +170,7 @@ TEST(MaintainedViewTest, MatchesRecomputeUnderRandomMutations) {
           view.ApplyDelete(dead, version);
           table = table.SelectRows(survivors);
         }
-        ASSERT_EQ(RowSet(view.MaximaRows()),
+        ASSERT_EQ(RowSet(view.Resync().enters),
                   Recompute(table, term, tc.where))
             << tc.name << ": term " << term->ToString() << " step "
             << step;
@@ -212,14 +210,16 @@ TEST(MaintainedViewTest, DeltasReplayToTheMaintainedState) {
       table = table.SelectRows(survivors);
     }
     ASSERT_FALSE(delta.resync);
-    for (const Tuple& t : delta.exits) {
+    for (const Tuple& t : delta.exits.tuples()) {
       auto it = std::find(mirror.begin(), mirror.end(), t.ToString());
       ASSERT_NE(it, mirror.end()) << "exit for a row the client never had";
       mirror.erase(it);
     }
-    for (const Tuple& t : delta.enters) mirror.push_back(t.ToString());
+    for (const Tuple& t : delta.enters.tuples()) {
+      mirror.push_back(t.ToString());
+    }
     std::sort(mirror.begin(), mirror.end());
-    ASSERT_EQ(mirror, RowSet(view.MaximaRows())) << "step " << step;
+    ASSERT_EQ(mirror, RowSet(view.Resync().enters)) << "step " << step;
     if (!delta.Empty()) ASSERT_EQ(delta.version, version);
   }
   const ViewMaintenanceStats& ms = view.maintenance_stats();
@@ -234,8 +234,9 @@ TEST(MaintainedViewTest, WhereFilterRestrictsCandidates) {
   table.Add({"Opel", 20, 9, 0.5});
   auto where = [](const Tuple& t) { return t[0] == Value("Opel"); };
   ivm::MaintainedView view(Lowest("price"), where, table, 1);
-  ASSERT_EQ(view.MaximaRows().size(), 1u);
-  EXPECT_EQ(view.MaximaRows()[0][1], Value(static_cast<int64_t>(10)));
+  const Relation maxima = view.Resync().enters;
+  ASSERT_EQ(maxima.size(), 1u);
+  EXPECT_EQ(maxima.ValueAt(0, 1), Value(static_cast<int64_t>(10)));
   // A non-matching insert is invisible; a matching better one takes over.
   EXPECT_TRUE(view.ApplyInsert(Tuple{Value("Audi"), Value(static_cast<int64_t>(2)),
                                      Value(static_cast<int64_t>(2)), Value(1.0)},
@@ -279,13 +280,75 @@ TEST(MaintainedViewTest, HeapBytesCountsOnlyWhatTheViewOwns) {
     view.ApplyDelete({victim}, ++version);
     table = table.SelectRows(survivors);
   }
-  EXPECT_EQ(RowSet(view.MaximaRows()), Recompute(table, term));
+  EXPECT_EQ(RowSet(view.Resync().enters), Recompute(table, term));
   // Whole-row plus projected Tuple candidates took about 650 B each on
   // this table; the columns must hold well under half of that.
   const double per_candidate =
       static_cast<double>(view.HeapBytes()) / view.candidates();
   EXPECT_GT(per_candidate, 100.0);  // the buffers are the view's own now
   EXPECT_LT(per_candidate, 325.0);
+}
+
+TEST(MaintainedViewTest, HeldDeltasShareNoBufferWithTheView) {
+  // Two views absorb the same mutations; every delta of the first one is
+  // held, as a subscriber queue holds it, and the second one's dropped. A
+  // delta sharing a column with its view would make the view's next write
+  // clone it, and would keep it out of the view's HeapBytes, so the two
+  // views' heaps would differ. The rows reuse the table's makes, so both
+  // views keep sharing the table's dictionary and it counts in neither.
+  Relation table = GenerateCars(2000, 23);
+  const PrefPtr term = Pareto(Lowest("price"), Lowest("mileage"));
+  ivm::MaintainedView held_view(term, nullptr, table, 1);
+  ivm::MaintainedView free_view(term, nullptr, table, 1);
+  std::vector<ivm::ViewDelta> held = {held_view.Resync()};
+  std::vector<Tuple> inserted;
+  uint64_t version = 1;
+  for (int64_t k = 0; k < 6; ++k) {
+    // Each row beats every earlier one.
+    Tuple row = table.RowAt(static_cast<size_t>(k));
+    row[0] = Value(1000000 + k);
+    row[5] = Value(int64_t{-1} - k);
+    row[6] = Value(int64_t{-1} - k);
+    ++version;
+    held.push_back(held_view.ApplyInsert(row, table.size(), version));
+    free_view.ApplyInsert(row, table.size(), version);
+    table.Add(row);
+    inserted.push_back(row);
+    ASSERT_EQ(held.back().enters.size(), 1u);
+    EXPECT_EQ(held.back().enters.RowAt(0), row);
+    EXPECT_EQ(held_view.HeapBytes(), free_view.HeapBytes()) << "insert " << k;
+  }
+  // Deleting the last maximum exits it, and its predecessor re-enters.
+  ++version;
+  held.push_back(held_view.ApplyDelete({table.size() - 1}, version));
+  free_view.ApplyDelete({table.size() - 1}, version);
+  ASSERT_EQ(held.back().exits.size(), 1u);
+  ASSERT_EQ(held.back().enters.size(), 1u);
+  EXPECT_EQ(held.back().exits.RowAt(0), inserted[5]);
+  EXPECT_EQ(held.back().enters.RowAt(0), inserted[4]);
+  EXPECT_EQ(held_view.HeapBytes(), free_view.HeapBytes()) << "delete";
+  for (const ivm::ViewDelta& delta : held) {
+    for (const Relation* rows : {&delta.enters, &delta.exits}) {
+      EXPECT_EQ(rows->schema(), table.schema());
+      EXPECT_FALSE(rows->store().IsView());
+    }
+  }
+  // A make no row had goes into the view's dictionary, which the held
+  // deltas share: every held row still reads as it did.
+  std::vector<std::vector<Tuple>> before;
+  for (const ivm::ViewDelta& delta : held) {
+    before.push_back(delta.enters.tuples());
+  }
+  Tuple row = inserted[4];
+  row[1] = Value("make-new");
+  row[5] = Value(int64_t{-100});
+  const ivm::ViewDelta fresh =
+      held_view.ApplyInsert(row, table.size() - 1, ++version);
+  ASSERT_EQ(fresh.enters.size(), 1u);
+  EXPECT_EQ(fresh.enters.RowAt(0), row);
+  for (size_t i = 0; i < held.size(); ++i) {
+    EXPECT_EQ(held[i].enters.tuples(), before[i]) << "delta " << i;
+  }
 }
 
 // --- engine integration ----------------------------------------------------
@@ -339,7 +402,7 @@ TEST(EngineSubscribeTest, BootstrapResyncThenIncrementalDeltas) {
   ASSERT_TRUE(delta.has_value());
   EXPECT_FALSE(delta->resync);
   ASSERT_EQ(delta->enters.size(), 1u);
-  EXPECT_EQ(delta->enters[0][0], Value("Ford"));
+  EXPECT_EQ(delta->enters.ValueAt(0, 0), Value("Ford"));
   EXPECT_EQ(delta->exits.size(), 2u);  // both previous maxima are beaten
 
   // Deleting the dominator brings the old maxima back.

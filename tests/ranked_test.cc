@@ -129,7 +129,6 @@ TEST(TopKTest, TopKRowsMatchesBruteForceOrderWithNaNAndTies) {
       }
     }
   }
-  EXPECT_FALSE(r.row_cache_built());
 }
 
 TEST(TopKTest, MaterializedResultReadsCellsOnly) {
@@ -137,7 +136,6 @@ TEST(TopKTest, MaterializedResultReadsCellsOnly) {
   RankedResult res = TopK(r, Highest("x"), 2);
   EXPECT_EQ(res.relation.RowAt(0), Tuple({23}));
   EXPECT_EQ(res.relation.RowAt(1), Tuple({16}));
-  EXPECT_FALSE(r.row_cache_built());
 }
 
 }  // namespace

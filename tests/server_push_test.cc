@@ -60,6 +60,17 @@ class PushFixture : public ::testing::Test {
   std::unique_ptr<Server> server_;
 };
 
+/// A delta at `version` over `schema` holding `enters` and `exits`.
+ivm::ViewDelta MakeDelta(const Schema& schema, uint64_t version, bool resync,
+                         std::vector<Tuple> enters, std::vector<Tuple> exits) {
+  ivm::ViewDelta delta;
+  delta.version = version;
+  delta.resync = resync;
+  delta.enters = Relation(schema, std::move(enters));
+  delta.exits = Relation(schema, std::move(exits));
+  return delta;
+}
+
 TEST(DeltaCodecTest, RoundTripsExactly) {
   Schema schema({{"s", ValueType::kString},
                  {"i", ValueType::kInt},
@@ -71,7 +82,8 @@ TEST(DeltaCodecTest, RoundTripsExactly) {
   };
   std::vector<Tuple> exits = {Tuple{Value(""), Value(static_cast<int64_t>(0)),
                                     Value(1.0 / 3.0)}};
-  std::string payload = SerializeDelta(42, schema, 9, true, enters, exits);
+  std::string payload =
+      SerializeDelta(42, MakeDelta(schema, 9, true, enters, exits));
   auto parsed = ParseDelta(payload);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->subscription, 42u);
@@ -88,8 +100,9 @@ TEST(DeltaCodecTest, RoundTripsExactly) {
 
 TEST(DeltaCodecTest, RejectsMalformedPayloads) {
   Schema schema({{"i", ValueType::kInt}});
-  std::string good = SerializeDelta(1, schema, 2, false,
-                                    {Tuple{Value(static_cast<int64_t>(5))}}, {});
+  std::string good = SerializeDelta(
+      1, MakeDelta(schema, 2, false, {Tuple{Value(static_cast<int64_t>(5))}},
+                   {}));
   ASSERT_TRUE(ParseDelta(good).has_value());
   EXPECT_FALSE(ParseDelta("").has_value());
   EXPECT_FALSE(ParseDelta(good.substr(0, 16)).has_value());
@@ -114,11 +127,13 @@ TEST(DeltaCodecTest, RejectsMalformedPayloads) {
   EXPECT_FALSE(ParseDelta(resync).has_value());
   // Arity mismatch: a one-column header in front of two-column rows.
   std::string two_cols = SerializeDelta(
-      1, Schema({{"a", ValueType::kInt}, {"b", ValueType::kInt}}), 2, false,
-      {Tuple{Value(static_cast<int64_t>(1)), Value(static_cast<int64_t>(2))}},
-      {});
+      1, MakeDelta(Schema({{"a", ValueType::kInt}, {"b", ValueType::kInt}}), 2,
+                   false,
+                   {Tuple{Value(static_cast<int64_t>(1)),
+                          Value(static_cast<int64_t>(2))}},
+                   {}));
   std::string one_col_header = SerializeDelta(
-      1, Schema({{"a", ValueType::kInt}}), 2, false, {}, {});
+      1, MakeDelta(Schema({{"a", ValueType::kInt}}), 2, false, {}, {}));
   one_col_header.resize(kEntersAt);
   const size_t two_col_rows = kEntersAt + 1 + 4 + 1;  // a second attribute
   EXPECT_FALSE(

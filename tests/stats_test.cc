@@ -194,7 +194,6 @@ TEST(TableStatsTest, ColumnarDeriveMatchesTupleReference) {
   Relation sorted = r.Sorted({"text"});
   ExpectSameStats(TableStats::Derive(sorted),
                   ReferenceStats(sorted.schema(), RowsOf(sorted)));
-  EXPECT_FALSE(r.row_cache_built());
 }
 
 TEST(TableStatsTest, ColumnarSaturationMatchesTupleReference) {

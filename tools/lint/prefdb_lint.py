@@ -43,10 +43,11 @@ each rule):
       EraseRows).
   prefdb-row-cache
       No Relation::tuples() in the served paths (src/engine/, src/stats/,
-      src/ivm/, src/server/, src/eval/ranked.cc): it materializes a
-      permanent whole-row Tuple copy of a catalog snapshot (49.7 MiB for
-      a 100k-row, 12-column table). Read cells (ValueAt, LoadCells /
-      SelectWhere, the ColumnStore buffers) instead.
+      src/ivm/, src/server/, src/eval/ranked.cc): each call materializes
+      every row of the relation as a Tuple from the columns (about
+      50 MiB for a 100k-row, 12-column table), only to drop it again.
+      Read cells (ValueAt, LoadCells / SelectWhere, the ColumnStore
+      buffers) instead.
   prefdb-nolint-reason
       Every NOLINT must name its check(s) and carry an inline reason:
       "NOLINT(check): reason". All suppressions are counted and listed.
@@ -402,8 +403,9 @@ ROW_CACHE_FILES = {"src/eval/ranked.cc"}
 
 def row_cache_findings(src: SourceFile):
     """prefdb-row-cache, shared by both engines: the accessor's spelling
-    is the marker — any tuples() call in a served path builds (or reads)
-    the snapshot-lifetime row cache the columnar store exists to avoid."""
+    is the marker — any tuples() call in a served path materializes every
+    row of the relation on each call, the whole-row copy the columnar
+    store exists to avoid."""
     findings = []
     path = src.effective_path
     if not (any(in_dir(path, d) for d in ROW_CACHE_DIRS)
@@ -414,9 +416,10 @@ def row_cache_findings(src: SourceFile):
             if not src.is_suppressed("prefdb-row-cache", line_no):
                 findings.append(Finding(
                     path, line_no, "prefdb-row-cache",
-                    "Relation::tuples() on a served path materializes a "
-                    "whole-row copy of the snapshot; read cells (ValueAt, "
-                    "LoadCells/SelectWhere, ColumnStore buffers) instead"))
+                    "Relation::tuples() on a served path materializes "
+                    "every row as a Tuple on each call; read cells "
+                    "(ValueAt, LoadCells/SelectWhere, ColumnStore buffers) "
+                    "instead"))
     return findings
 
 
