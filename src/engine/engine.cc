@@ -51,8 +51,6 @@ struct Exec {
   std::string plan_text;     // the executed plan, every stage included
   std::string plan_details;  // optimizer / ranked EXPLAIN text
   std::string kernel_variant;  // BMO kernel label (QueryStats.kernel)
-  /// The cost model's estimate for the plan that ran (0 when uncosted).
-  double estimated_ns = 0.0;
   uint64_t optimize_ns = 0;
   uint64_t compile_ns = 0;
   /// The build's kernel (or ranked sort), plus a BMO statement's BUT ONLY
@@ -119,26 +117,29 @@ std::string CompilePaths(const std::vector<CompiledBlock>& blocks,
   return out.empty() ? out : out + "\n";
 }
 
-// EXPLAIN's line for a grouped statement: how many groups ran which
-// algorithm, each group having planned its own block.
-std::string GroupingLine(const std::vector<CompiledBlock>& blocks) {
+// EXPLAIN's line for a grouped statement: how many groups each kernel
+// finished, and how many of them switched from BNL to SFS on the way.
+std::string GroupingLine(const std::vector<MaximaRun>& runs) {
   std::string counts;
   for (BmoAlgorithm algorithm :
        {BmoAlgorithm::kNaive, BmoAlgorithm::kBlockNestedLoop,
         BmoAlgorithm::kSortFilter}) {
-    const auto n = std::count_if(
-        blocks.begin(), blocks.end(), [algorithm](const CompiledBlock& b) {
-          return b.plan.algorithm == algorithm;
-        });
+    const auto n = std::count_if(runs.begin(), runs.end(),
+                                 [algorithm](const MaximaRun& run) {
+                                   return run.finished == algorithm;
+                                 });
     if (n == 0) continue;
     counts += (counts.empty() ? "" : ", ") +
               std::string(BmoAlgorithmName(algorithm)) + " ×" +
               std::to_string(n);
   }
-  return "grouping: " + std::to_string(blocks.size()) +
-         " group(s), each planned from its own block: " +
-         (counts.empty() ? "none" : counts) +
-         "; estimated cost is the per-group sum\n";
+  const auto switched = std::count_if(
+      runs.begin(), runs.end(),
+      [](const MaximaRun& run) { return run.switched(); });
+  return "grouping: " + std::to_string(runs.size()) +
+         " group(s), each run on its own block: " +
+         (counts.empty() ? "none" : counts) + "; " +
+         std::to_string(switched) + " switched bnl→sfs\n";
 }
 
 // Builds the exec entry for (plan, snapshot, options): runs the whole
@@ -271,10 +272,9 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
       exec->optimize_ns += ElapsedNs(t0, Clock::now());
     }
 
-    // Stage 2 — compile each block once and plan it from its measured
-    // statistics (exact distinct counts, injectivity, the sampled window
-    // probe): one block over the candidate pool, or one per group
-    // (Def. 16). The blocks live only for this build.
+    // Stage 2 — compile and plan each block once: one block over the
+    // candidate pool, or one per group (Def. 16). The blocks live only
+    // for this build.
     std::vector<CompiledBlock> blocks;
     t0 = Clock::now();
     std::vector<std::vector<size_t>> groups;
@@ -288,19 +288,26 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
         blocks.push_back(CompileBlock(table, exec_pref, &group, options));
       }
     }
-    uint64_t plan_ns = 0;
-    for (const CompiledBlock& block : blocks) {
-      plan_ns += block.plan_ns;
-      exec->estimated_ns += block.plan.estimated_ns;
+    exec->compile_ns += ElapsedNs(t0, Clock::now());
+    std::vector<MaximaRun> runs;
+    runs.reserve(blocks.size());
+    t0 = Clock::now();
+    if (stmt.grouping.empty()) {
+      runs.push_back(AppendMaximalRows(exec_pref, blocks[0], pool_ptr, &rows));
+    } else {
+      for (size_t g = 0; g < groups.size(); ++g) {
+        runs.push_back(
+            AppendMaximalRows(exec_pref, blocks[g], &groups[g], &rows));
+      }
+      std::sort(rows.begin(), rows.end());
     }
-    exec->compile_ns += ElapsedNs(t0, Clock::now()) - plan_ns;
-    exec->optimize_ns += plan_ns;
-    // The plan text names the algorithm that ran; a grouped statement
-    // names the request, since each group planned itself.
+    exec->kernel_ns += ElapsedNs(t0, Clock::now());
+    // The plan text names the kernel that finished the pass; a grouped
+    // statement names the request, since each group ran its own.
     BmoAlgorithm algorithm = options.algorithm;
     if (stmt.grouping.empty()) {
-      algorithm = blocks[0].plan.algorithm;
-      exec->kernel_variant = blocks[0].KernelVariant();
+      if (algorithm == BmoAlgorithm::kAuto) algorithm = runs[0].finished;
+      exec->kernel_variant = blocks[0].KernelVariant(runs[0]);
     } else {
       // An empty pool has no groups, so nothing compiles.
       exec->kernel_variant =
@@ -309,22 +316,12 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
                     simd::ResolveKernel(options.simd).name + "]"
               : "closure";
     }
-    t0 = Clock::now();
-    if (stmt.grouping.empty()) {
-      AppendMaximalRows(exec_pref, blocks[0], pool_ptr, &rows);
-    } else {
-      for (size_t g = 0; g < groups.size(); ++g) {
-        AppendMaximalRows(exec_pref, blocks[g], &groups[g], &rows);
-      }
-      std::sort(rows.begin(), rows.end());
-    }
-    exec->kernel_ns += ElapsedNs(t0, Clock::now());
     plan_str += std::string(stmt.grouping.empty() ? " -> bmo["
                                                   : " -> bmo_groupby[") +
                 exec_pref->ToString() + ", " + BmoAlgorithmName(algorithm) +
                 ", kernel=" + exec->kernel_variant + "]";
     if (stmt.explain) {
-      // The plan of the block that ran, or of the largest group's block.
+      // The plan and run of the block, or of the largest group's block.
       OptimizedQuery explained;
       explained.original = preference;
       explained.simplified = exec_pref;
@@ -333,10 +330,12 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
       for (size_t g = 1; g < groups.size(); ++g) {
         if (groups[g].size() > groups[shown].size()) shown = g;
       }
-      explained.plan = blocks.empty() ? PlanPhysical(TermStats{}, options)
+      explained.plan = blocks.empty() ? PhysicalPlan::FromOptions(options)
                                       : blocks[shown].plan;
       exec->plan_details = explained.Explain();
-      if (!stmt.grouping.empty()) exec->plan_details += GroupingLine(blocks);
+      const std::string ran = runs.empty() ? "" : runs[shown].ToString();
+      if (!ran.empty()) exec->plan_details += ran + "\n";
+      if (!stmt.grouping.empty()) exec->plan_details += GroupingLine(runs);
       exec->plan_details += "kernel: " + exec->kernel_variant + "\n" +
                             CompilePaths(blocks, !stmt.grouping.empty());
     }
@@ -721,21 +720,10 @@ psql::QueryResult Engine::RunWithStats(const engine_internal::Plan& plan,
   stats.execute_ns = stats.kernel_ns + ElapsedNs(t1, t2);
   stats.total_ns = ElapsedNs(t0, t2);
   stats.kernel = exec->kernel_variant;
-  stats.estimated_cost_ns = exec->estimated_ns;
   // Eviction counters were copied under GetOrBuildExec's lock.
   result.stats = stats;
   if (plan.stmt.explain) {
     result.plan_details += "timing: " + stats.ToString() + "\n";
-    if (exec->estimated_ns > 0.0) {
-      // Against the kernel time the entry recorded, so a warm hit
-      // compares the same work as the run that built it.
-      char line[96];
-      std::snprintf(line, sizeof(line),
-                    "cost: estimated %.3fms vs actual %.3fms\n",
-                    exec->estimated_ns / 1e6,
-                    static_cast<double>(exec->kernel_ns) / 1e6);
-      result.plan_details += line;
-    }
   }
   return result;
 }

@@ -18,15 +18,14 @@
 //                                     the rewrites, the compile -> plan
 //                                     unit Bmo/BmoGroupBy use
 //                                     (internal::CompileBlock in
-//                                     eval/bmo_internal.h: each block is
-//                                     planned from its compiled table's
-//                                     measured statistics) and the kernel,
+//                                     eval/bmo_internal.h) and the kernel,
+//                                     which picks BNL or SFS while it runs,
 //                                     then GROUPING, TOP k, BUT ONLY and
 //                                     LIMIT — and keeps only the final
 //                                     32-bit table rows (plus utilities
 //                                     for ranked statements), the plan
-//                                     text, the kernel label, the cost
-//                                     estimate and the timings. The
+//                                     text, the kernel label and the
+//                                     timings. The
 //                                     compiled blocks die with the build.
 //                                     CacheStats::exec_bytes sums what
 //                                     the live entries hold.

@@ -1,7 +1,7 @@
 #include "eval/bmo.h"
 
 #include <algorithm>
-#include <chrono>
+#include <string>
 
 #include "core/numeric_preferences.h"
 #include "eval/bmo_internal.h"
@@ -94,9 +94,9 @@ std::vector<bool> MaximaBnl(const std::vector<Tuple>& values,
 
 namespace internal {
 
-std::string CompiledBlock::KernelVariant() const {
+std::string CompiledBlock::KernelVariant(const MaximaRun& run) const {
   if (!table) return "closure";
-  return table->KernelVariant(plan.algorithm, plan);
+  return table->KernelVariant(run, plan);
 }
 
 CompiledBlock CompileBlock(const Relation& r, const PrefPtr& p,
@@ -124,30 +124,39 @@ CompiledBlock CompileBlock(const Relation& r, const PrefPtr& p,
   } else {
     block.proj = BuildProjectionIndex(r, *p, rows);
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  // A closure block's stats stay default (not compilable): its plan is a
-  // pass-through, never costed.
-  TermStats stats;
-  if (block.table && options.algorithm == BmoAlgorithm::kAuto) {
-    stats = MeasureTermStats(*block.table, p, pool_size);
+  block.plan = PhysicalPlan::FromOptions(options);
+  if (options.algorithm != BmoAlgorithm::kAuto) {
+    block.plan.rationale = "algorithm explicitly requested";
+  } else if (!block.table) {
+    block.plan.algorithm = BmoAlgorithm::kBlockNestedLoop;
+    block.plan.rationale = "no compiled table: closure BNL window";
+  } else if (const size_t bound = block.table->SwitchBound(); bound > 0) {
+    block.plan.rationale = "BNL window, finished by an SFS presort once it "
+                           "holds more than " +
+                           std::to_string(bound) +
+                           " rows and 6·√i after i rows";
+  } else {
+    block.plan.algorithm = BmoAlgorithm::kBlockNestedLoop;
+    block.plan.rationale = block.table->IsScoreChain()
+                               ? "score chain: one-level BNL window, one pass"
+                               : "no sort keys: BNL window";
   }
-  block.plan = PlanPhysical(stats, options);
-  block.plan_ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
   return block;
 }
 
-void AppendMaximalRows(const PrefPtr& p, const CompiledBlock& block,
-                       const std::vector<size_t>* rows,
-                       std::vector<size_t>* out) {
+MaximaRun AppendMaximalRows(const PrefPtr& p, const CompiledBlock& block,
+                            const std::vector<size_t>* rows,
+                            std::vector<size_t>* out) {
+  MaximaRun run;
   std::vector<bool> maximal;
   if (block.table) {
-    maximal = block.table->Maxima(block.plan.algorithm, block.plan);
+    maximal = block.table->Maxima(block.plan.algorithm, block.plan, &run);
   } else {
     const LessFn less = p->Bind(block.proj.proj_schema);
-    maximal = block.plan.algorithm == BmoAlgorithm::kNaive
+    run.finished = block.plan.algorithm == BmoAlgorithm::kNaive
+                       ? BmoAlgorithm::kNaive
+                       : BmoAlgorithm::kBlockNestedLoop;
+    maximal = run.finished == BmoAlgorithm::kNaive
                   ? MaximaNaive(block.proj.values, less)
                   : MaximaBnl(block.proj.values, less);
   }
@@ -158,6 +167,7 @@ void AppendMaximalRows(const PrefPtr& p, const CompiledBlock& block,
       out->push_back(rows ? (*rows)[i] : i);
     }
   }
+  return run;
 }
 
 }  // namespace internal

@@ -12,17 +12,18 @@
 //   kSortFilter      SFS-style: presort by the compiled score table's
 //                    topologically compatible sort keys, then a one-sided
 //                    window scan; falls back to BNL when no keys exist
-//   kAuto            cost-based: the statistics subsystem (stats/stats.h)
-//                    measures the block (distinct counts, injectivity, a
-//                    sampled window probe) and the calibrated cost model
-//                    (eval/physical_plan.h) picks BNL or SFS.
+//   kAuto            decided while it runs: BNL streams, and once its
+//                    window is wide it hands the window plus the rows not
+//                    yet streamed to SFS (ScoreTable::Maxima,
+//                    exec/score_table.h); BNL throughout where SFS does
+//                    not apply.
 //
 // Every request but kNaive runs on a compiled score table
 // (exec/score_table.h) when the term compiles. A term that does not
 // compile (SUBSET, LINEAR_SUM, non-weak-order EXPLICIT, user subclasses)
-// runs the closure BNL window (MaximaBnl) whatever the request, planned
-// by no cost model. The paper's divide & conquer evaluator (Props 8-12)
-// is a library function of its own, eval/decomposition.h.
+// runs the closure BNL window (MaximaBnl) whatever the request. The
+// paper's divide & conquer evaluator (Props 8-12) is a library function
+// of its own, eval/decomposition.h.
 //
 // One pipeline: every evaluation — Bmo, each group of BmoGroupBy, and the
 // engine's exec-cache builds (engine/engine.h) — compiles one block per
@@ -75,9 +76,7 @@ const char* SimdModeName(SimdMode mode);
 
 /// The caller-facing execution *request*. These knobs are inputs to the
 /// planner: every execution path consumes them only through the
-/// PhysicalPlan (eval/physical_plan.h) the cost model derives from them
-/// (PhysicalPlan::FromOptions for explicit algorithms / pass-through
-/// paths).
+/// PhysicalPlan (eval/physical_plan.h) built from them.
 struct BmoOptions {
   BmoAlgorithm algorithm = BmoAlgorithm::kAuto;
   /// Dominance-kernel implementation for the compiled paths.

@@ -29,16 +29,13 @@ struct CompiledBlock {
   ProjectionIndex proj;
   std::optional<ScoreTable> table;
   PhysicalPlan plan;
-  /// Part of CompileBlock's wall time spent planning (statistics + cost
-  /// model), so callers can report it apart from compilation.
-  uint64_t plan_ns = 0;
 
   /// True when the table was compiled over the pool's rows as they are
   /// (identity row map), false when over deduplicated representatives.
   bool identity() const { return proj.row_to_value.empty(); }
-  /// Label of the kernel a run executes (QueryStats.kernel): the table's
-  /// variant for the planned algorithm, "closure" when nothing compiled.
-  std::string KernelVariant() const;
+  /// Label of the kernel that finished `run` (QueryStats.kernel): the
+  /// table's variant, "closure" when nothing compiled.
+  std::string KernelVariant(const MaximaRun& run) const;
 };
 
 /// Compiles and plans σ[P](R) over `rows` of `r` (null = every row):
@@ -50,7 +47,8 @@ struct CompiledBlock {
 ///      ComputeGroupCoding's representatives and the row map its codes;
 ///   2. otherwise the closure path: the distinct projected Tuples of the
 ///      projection index, with a pass-through plan;
-///   3. kAuto on a compiled table plans with its measured statistics; an
+///   3. kAuto stays kAuto on a table that can switch from BNL to SFS
+///      while it runs (ScoreTable::SwitchBound), and is BNL otherwise; an
 ///      explicit algorithm is a pass-through plan.
 CompiledBlock CompileBlock(const Relation& r, const PrefPtr& p,
                            const std::vector<size_t>* rows,
@@ -60,10 +58,10 @@ CompiledBlock CompileBlock(const Relation& r, const PrefPtr& p,
 /// when it compiled, else the closure path (MaximaNaive for kNaive,
 /// MaximaBnl for every other request) — and appends the
 /// qualifying pool positions to `out` as global rows through `rows`
-/// (null = identity), ascending.
-void AppendMaximalRows(const PrefPtr& p, const CompiledBlock& block,
-                       const std::vector<size_t>* rows,
-                       std::vector<size_t>* out);
+/// (null = identity), ascending. Returns what the pass ran.
+MaximaRun AppendMaximalRows(const PrefPtr& p, const CompiledBlock& block,
+                            const std::vector<size_t>* rows,
+                            std::vector<size_t>* out);
 
 }  // namespace prefdb::internal
 

@@ -16,7 +16,6 @@ std::string OptimizedQuery::Explain() const {
   } else {
     out += "rewrites: (none)\n";
   }
-  out += plan.ExplainCosts();
   out += "algorithm: " + std::string(BmoAlgorithmName(plan.algorithm)) +
          " -- " + plan.rationale + "\n";
   return out;

@@ -1,5 +1,5 @@
 // Runtime hardware discovery for the execution layer: cache geometry the
-// kernels and the cost model size themselves against. Detection happens
+// kernels size themselves against. Detection happens
 // once (thread-safe static init); unknown values fall back to
 // conservative constants so the kernels never degrade below the tuned
 // PR 4 behavior on machines where sysconf reports nothing.

@@ -217,7 +217,6 @@ struct ScoreTable::ColumnData {
   std::vector<double> scores;
   std::vector<uint32_t> ids;  // read only when use_ids
   bool use_ids = false;
-  uint32_t classes = 0;  // equality classes (0 = injective fast path)
 };
 
 void ScoreTable::Assemble(std::vector<ColumnData>&& columns, size_t count,
@@ -240,10 +239,8 @@ void ScoreTable::Assemble(std::vector<ColumnData>&& columns, size_t count,
   scores_.resize(count * cols_);
   if (any_ids) ids_.resize(count * cols_);
   prog_.use_ids.resize(cols_);
-  col_distinct_.resize(cols_);
   for (size_t c = 0; c < cols_; ++c) {
     prog_.use_ids[c] = columns[c].use_ids ? 1 : 0;
-    col_distinct_[c] = columns[c].classes;
     for (size_t r = 0; r < count; ++r) {
       scores_[r * cols_ + c] = columns[c].scores[r];
     }
@@ -317,7 +314,6 @@ std::optional<ScoreTable> ScoreTable::Compile(const PrefPtr& p,
     ColumnData out;
     out.scores.resize(count);
     for (size_t i = 0; i < count; ++i) out.scores[i] = class_scores[ids[i]];
-    out.classes = static_cast<uint32_t>(class_scores.size());
     out.use_ids = ClassScoresTie(std::move(class_scores));
     out.ids = std::move(ids);
     columns.push_back(std::move(out));
@@ -489,7 +485,6 @@ std::optional<ScoreTable> ScoreTable::Compile(const PrefPtr& p,
 size_t ScoreTable::HeapBytes() const {
   size_t bytes = scores_.capacity() * sizeof(double) +
                  ids_.capacity() * sizeof(uint32_t) +
-                 col_distinct_.capacity() * sizeof(uint32_t) +
                  prog_.use_ids.capacity() * sizeof(uint8_t) +
                  prog_.nodes.capacity() *
                      sizeof(simd::DominanceProgram::Node) +
@@ -582,15 +577,42 @@ bool ScoreTable::IsScoreChain() const {
   return cols_ == 1 && !prog_.use_ids[0];
 }
 
-BmoAlgorithm ScoreTable::ResolveFor(BmoAlgorithm algo) const {
-  if (algo == BmoAlgorithm::kSortFilter && HasSortKeys()) return algo;
-  return BmoAlgorithm::kBlockNestedLoop;
+// ---------------------------------------------------------------------------
+// Kernels, through the batch dominance kernels.
+
+namespace {
+
+// kAuto hands BNL over to SFS once its window holds more than
+// kSwitchWindowPerSqrtRow * sqrt(m) rows (m: the table's rows, the
+// SwitchBound) and more than kSwitchWindowPerSqrtStreamed * sqrt(i)
+// rows (i: the rows streamed so far). The first keeps narrow skylines on
+// BNL, whose window scans then cost less than a presort; the second keeps
+// a window that grows slower than sqrt(i) on BNL (the car table's 3-d
+// Pareto, where the summed SFS key probes most of the window). Both
+// were picked from kernel timings of the planner families: see
+// bench/bench_planner.cc.
+constexpr double kSwitchWindowPerSqrtRow = 2.5;
+constexpr size_t kSwitchWindowPerSqrtStreamed = 6;
+
+}  // namespace
+
+std::string MaximaRun::ToString() const {
+  if (switched()) {
+    return "switch: bnl→sfs at row " + std::to_string(switch_row) +
+           " of " + std::to_string(rows) + ", window " +
+           std::to_string(switch_window) + " (final " +
+           std::to_string(maxima) + ")";
+  }
+  if (bound == 0) return "";
+  return "no switch (bound " + std::to_string(bound) + ", final window " +
+         std::to_string(maxima) + ")";
 }
 
-// ---------------------------------------------------------------------------
-// Kernels. Each runs over an explicit row-index list through the batch
-// dominance kernels, so the whole table and a sampled row subset share
-// one code path.
+size_t ScoreTable::SwitchBound() const {
+  if (!HasSortKeys() || IsScoreChain()) return 0;
+  return static_cast<size_t>(std::ceil(
+      kSwitchWindowPerSqrtRow * std::sqrt(static_cast<double>(rows_))));
+}
 
 double ScoreTable::SortKeyValue(size_t row, size_t key) const {
   double sum = 0.0;
@@ -614,9 +636,9 @@ size_t ScoreTable::ResolveTileRows(size_t requested) const {
 }
 
 std::vector<bool> ScoreTable::BnlBatch(const simd::KernelOps& ops,
-                                       const std::vector<size_t>& rows,
-                                       size_t tile_rows) const {
-  const size_t m = rows.size();
+                                       size_t tile_rows, size_t bound,
+                                       MaximaRun* run) const {
+  const size_t m = rows_;
   std::vector<bool> maximal(m, false);
   if (IsScoreChain()) {
     // One score column without ids: a row is dominated iff some score
@@ -625,42 +647,68 @@ std::vector<bool> ScoreTable::BnlBatch(const simd::KernelOps& ops,
     // included) joins it, one above it replaces it.
     std::vector<size_t> level;
     double best = 0.0;
-    for (size_t pos = 0; pos < m; ++pos) {
-      const double s = Row(rows[pos])[0];
+    for (size_t row = 0; row < m; ++row) {
+      const double s = Row(row)[0];
       if (level.empty() || s > best) {
         level.clear();
         best = s;
       } else if (s < best) {
         continue;
       }
-      level.push_back(pos);
+      level.push_back(row);
     }
-    for (size_t pos : level) maximal[pos] = true;
+    for (size_t row : level) maximal[row] = true;
+    run->maxima = level.size();
     return maximal;
   }
+  run->bound = bound;
+  if (bound == 0) bound = m;  // the window never holds more than m rows
   simd::RowBlock window(cols_);       // global antichain of survivors
   simd::RowBlock tile_window(cols_);  // per-tile local maxima
   std::vector<uint64_t> evict;
   std::vector<uint64_t> merge_evict;
   std::vector<size_t> survivors;
   auto words_for = [](size_t n) { return (n + 63) / 64; };
-  // One BNL step of candidate row `pos` against `win`: true iff it
-  // survives (evicting what it dominates). A dominated candidate never
-  // dominates a window entry (antichain + transitivity), so the
-  // early-out scan is exact.
-  auto step = [&](simd::RowBlock& win, size_t pos) {
+  // One BNL step of candidate `row` against `win`: true iff it survives
+  // (evicting what it dominates). A dominated candidate never dominates a
+  // window entry (antichain + transitivity), so the early-out scan is
+  // exact.
+  auto step = [&](simd::RowBlock& win, size_t row) {
     evict.resize(words_for(win.size()));
-    if (ops.scan(prog_, Row(rows[pos]), Ids(rows[pos]), win, evict.data())) {
+    if (ops.scan(prog_, Row(row), Ids(row), win, evict.data())) {
       return false;
     }
     bool any = false;
     for (uint64_t w : evict) any = any || w != 0;
     if (any) win.Evict(evict.data());
-    win.Append(Row(rows[pos]), Ids(rows[pos]), pos);
+    win.Append(Row(row), Ids(row), row);
     return true;
   };
   size_t i = 0;
   while (i < m) {
+    if (window.size() > bound &&
+        window.size() * window.size() >
+            kSwitchWindowPerSqrtStreamed * kSwitchWindowPerSqrtStreamed * i) {
+      // Every row streamed so far is in the window or dominated by a
+      // member of it (transitivity), so the maxima of the window plus
+      // the rows not yet streamed are the table's. A non-finite key
+      // keeps the pass on BNL.
+      std::vector<size_t> rest;
+      rest.reserve(window.size() + m - i);
+      for (size_t w = 0; w < window.size(); ++w) {
+        rest.push_back(window.payload(w));
+      }
+      for (size_t row = i; row < m; ++row) rest.push_back(row);
+      if (std::optional<std::vector<bool>> flags = SfsRows(ops, rest, run)) {
+        for (size_t k = 0; k < rest.size(); ++k) {
+          if ((*flags)[k]) maximal[rest[k]] = true;
+        }
+        run->switch_row = i;
+        run->switch_window = window.size();
+        return maximal;
+      }
+      bound = m;
+    }
     if (window.size() < tile_rows) {
       // Window still cache-resident: classic streaming BNL.
       step(window, i++);
@@ -680,101 +728,90 @@ std::vector<bool> ScoreTable::BnlBatch(const simd::KernelOps& ops,
     merge_evict.assign(words_for(window.size()), 0);
     survivors.clear();
     for (size_t w = 0; w < tile_window.size(); ++w) {
-      const size_t pos = tile_window.payload(w);
+      const size_t row = tile_window.payload(w);
       evict.resize(words_for(window.size()));
-      if (ops.scan(prog_, Row(rows[pos]), Ids(rows[pos]), window,
-                   evict.data())) {
+      if (ops.scan(prog_, Row(row), Ids(row), window, evict.data())) {
         continue;
       }
       for (size_t k = 0; k < evict.size(); ++k) merge_evict[k] |= evict[k];
-      survivors.push_back(pos);
+      survivors.push_back(row);
     }
     bool any = false;
     for (uint64_t w : merge_evict) any = any || w != 0;
     if (any) window.Evict(merge_evict.data());
-    for (size_t pos : survivors) {
-      window.Append(Row(rows[pos]), Ids(rows[pos]), pos);
-    }
+    for (size_t row : survivors) window.Append(Row(row), Ids(row), row);
   }
   for (size_t w = 0; w < window.size(); ++w) maximal[window.payload(w)] = true;
+  run->maxima = window.size();
   return maximal;
 }
 
-std::vector<bool> ScoreTable::MaximaSubset(BmoAlgorithm algo,
-                                           const std::vector<size_t>& rows,
-                                           const PhysicalPlan& plan) const {
-  const simd::KernelOps& ops = simd::ResolveKernel(plan.simd);
-  algo = ResolveFor(algo);
-
-  if (algo == BmoAlgorithm::kSortFilter) {
-    const size_t m = rows.size();
-    // Presort descending by key vectors, then a one-sided window scan.
-    // Sound only under strict key compatibility (x <P y => keys(x) lex <
-    // keys(y)), which finite keys guarantee; a NaN or +/-inf key value
-    // (unscorable values, -inf-absorbed Pareto sums that tie although a
-    // component is strictly better) voids it, so such blocks degrade to
-    // the exact BNL window below.
-    const size_t nk = sort_keys_.size();
-    std::vector<double> keys(m * nk);
-    bool finite = true;
-    for (size_t i = 0; i < m && finite; ++i) {
-      for (size_t k = 0; k < nk; ++k) {
-        double v = SortKeyValue(rows[i], k);
-        if (!std::isfinite(v)) {
-          finite = false;
-          break;
-        }
-        keys[i * nk + k] = v;
-      }
-    }
-    if (finite) {
-      std::vector<uint32_t> order(m);
-      std::iota(order.begin(), order.end(), 0);
-      std::sort(order.begin(), order.end(),
-                [&keys, nk](uint32_t a, uint32_t b) {
-                  const double* ka = keys.data() + a * nk;
-                  const double* kb = keys.data() + b * nk;
-                  for (size_t k = 0; k < nk; ++k) {
-                    // Keys were finiteness-checked above (`finite`).
-                    if (exec::ScoreNeqNanFree(ka[k], kb[k])) {
-                      return ka[k] > kb[k];
-                    }
-                  }
-                  return false;
-                });
-      // One-sided batch window scan: the presort guarantees candidates
-      // never evict, so only "is it dominated" is needed.
-      std::vector<bool> maximal(m, false);
-      simd::RowBlock window(cols_);
-      for (uint32_t i : order) {
-        if (ops.dominated(prog_, Row(rows[i]), Ids(rows[i]), window)) {
-          continue;
-        }
-        window.Append(Row(rows[i]), Ids(rows[i]), i);
-      }
-      for (size_t w = 0; w < window.size(); ++w) {
-        maximal[window.payload(w)] = true;
-      }
-      return maximal;
+std::optional<std::vector<bool>> ScoreTable::SfsRows(
+    const simd::KernelOps& ops, const std::vector<size_t>& rows,
+    MaximaRun* run) const {
+  const size_t m = rows.size();
+  // Presort descending by key vectors, then a one-sided window scan.
+  // Sound only under strict key compatibility (x <P y => keys(x) lex <
+  // keys(y)), which finite keys guarantee; a NaN or +/-inf key value
+  // (unscorable values, -inf-absorbed Pareto sums that tie although a
+  // component is strictly better) voids it.
+  const size_t nk = sort_keys_.size();
+  std::vector<double> keys(m * nk);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t k = 0; k < nk; ++k) {
+      const double v = SortKeyValue(rows[i], k);
+      if (!std::isfinite(v)) return std::nullopt;
+      keys[i * nk + k] = v;
     }
   }
-
-  // Everything left runs the tiled BNL window.
-  return BnlBatch(ops, rows, ResolveTileRows(plan.bnl_tile_rows));
+  std::vector<uint32_t> order(m);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&keys, nk](uint32_t a, uint32_t b) {
+    const double* ka = keys.data() + a * nk;
+    const double* kb = keys.data() + b * nk;
+    for (size_t k = 0; k < nk; ++k) {
+      // Keys were finiteness-checked above.
+      if (exec::ScoreNeqNanFree(ka[k], kb[k])) return ka[k] > kb[k];
+    }
+    return false;
+  });
+  // One-sided batch window scan: the presort guarantees candidates never
+  // evict, so only "is it dominated" is needed.
+  std::vector<bool> maximal(m, false);
+  simd::RowBlock window(cols_);
+  for (uint32_t i : order) {
+    if (ops.dominated(prog_, Row(rows[i]), Ids(rows[i]), window)) continue;
+    window.Append(Row(rows[i]), Ids(rows[i]), i);
+  }
+  for (size_t w = 0; w < window.size(); ++w) maximal[window.payload(w)] = true;
+  run->finished = BmoAlgorithm::kSortFilter;
+  run->maxima = window.size();
+  return maximal;
 }
 
 std::vector<bool> ScoreTable::Maxima(BmoAlgorithm algo,
-                                     const PhysicalPlan& plan) const {
-  std::vector<size_t> rows(rows_);
-  std::iota(rows.begin(), rows.end(), 0);
-  return MaximaSubset(algo, rows, plan);
+                                     const PhysicalPlan& plan,
+                                     MaximaRun* run) const {
+  const simd::KernelOps& ops = simd::ResolveKernel(plan.simd);
+  MaximaRun local;
+  if (run == nullptr) run = &local;
+  *run = MaximaRun{};
+  run->rows = rows_;
+  if (algo == BmoAlgorithm::kSortFilter && HasSortKeys()) {
+    std::vector<size_t> all(rows_);
+    std::iota(all.begin(), all.end(), 0);
+    if (std::optional<std::vector<bool>> flags = SfsRows(ops, all, run)) {
+      return std::move(*flags);
+    }
+  }
+  return BnlBatch(ops, ResolveTileRows(plan.bnl_tile_rows),
+                  algo == BmoAlgorithm::kAuto ? SwitchBound() : 0, run);
 }
 
-std::string ScoreTable::KernelVariant(BmoAlgorithm algo,
+std::string ScoreTable::KernelVariant(const MaximaRun& run,
                                       const PhysicalPlan& plan) const {
-  algo = ResolveFor(algo);
   const std::string impl = simd::ResolveKernel(plan.simd).name;
-  if (algo == BmoAlgorithm::kSortFilter) return "sfs[" + impl + "]";
+  if (run.finished == BmoAlgorithm::kSortFilter) return "sfs[" + impl + "]";
   return "bnl[" + impl + ",tile=" +
          std::to_string(ResolveTileRows(plan.bnl_tile_rows)) + "]";
 }

@@ -46,6 +46,12 @@
 //
 // The matrix is stored row-major: a dominance test touches every column of
 // exactly two rows, so the two rows' scores are contiguous cache lines.
+//
+// Maxima runs BNL, SFS, or — under kAuto — both in one pass: BNL streams
+// the rows, and once its window is wide (SwitchBound, plus a density
+// test against the rows streamed so far) the window and the rows not yet
+// streamed are presorted and finish as SFS. The choice between the two
+// kernels is observed while they run; MaximaRun reports it.
 
 #ifndef PREFDB_EXEC_SCORE_TABLE_H_
 #define PREFDB_EXEC_SCORE_TABLE_H_
@@ -64,6 +70,29 @@
 namespace prefdb {
 
 class Relation;
+
+/// What one ScoreTable::Maxima pass ran: the kernel that finished it and,
+/// under kAuto, where BNL handed over to SFS.
+struct MaximaRun {
+  /// The kernel that produced the flags.
+  BmoAlgorithm finished = BmoAlgorithm::kBlockNestedLoop;
+  /// kAuto's bound on the BNL window (ScoreTable::SwitchBound); 0 when
+  /// the pass could not switch.
+  size_t bound = 0;
+  /// Rows BNL had streamed when it handed over to SFS, and its window's
+  /// size then; both 0 when the pass did not switch.
+  size_t switch_row = 0;
+  size_t switch_window = 0;
+  /// Rows of the pass, and the maximal rows it returned.
+  size_t rows = 0;
+  size_t maxima = 0;
+
+  bool switched() const { return switch_row > 0; }
+  /// EXPLAIN's line: "switch: bnl→sfs at row i of m, window w (final f)",
+  /// "no switch (bound b, final window f)", or "" when the pass could
+  /// not switch.
+  std::string ToString() const;
+};
 
 class ScoreTable {
  public:
@@ -95,7 +124,7 @@ class ScoreTable {
   size_t cols() const { return cols_; }
 
   /// Heap bytes owned by the table: score matrix, id matrix (empty when
-  /// no column uses ids), per-column counts, descriptor and sort keys.
+  /// no column uses ids), descriptor and sort keys.
   size_t HeapBytes() const;
 
   /// Exact strict-partial-order test "x <P y" between two compiled rows;
@@ -118,36 +147,33 @@ class ScoreTable {
   bool HasSortKeys() const { return !sort_keys_.empty(); }
   size_t num_sort_keys() const { return sort_keys_.size(); }
 
-  /// Exact per-column equality-class counts on this block, in descriptor
-  /// column order. 0 means "injective by construction" (the numeric
-  /// LOWEST/HIGHEST fast path skips id assignment): every row its own
-  /// class. Feeds MeasureTermStats (stats/stats.h).
-  const std::vector<uint32_t>& column_distinct() const {
-    return col_distinct_;
-  }
-
   /// The compiled dominance descriptor (shared with the batch kernels).
   const simd::DominanceProgram& program() const { return prog_; }
 
-  /// Maximal-row flags over the whole table under the chosen kernel: SFS
-  /// when asked for and the table has sort keys, BNL for everything else
-  /// (kAuto and kNaive included — the naive oracle is the closure path,
-  /// MaximaNaive in eval/bmo.h). `plan` supplies the kernel fields of the
-  /// physical plan — the batch dominance kernel (scalar/AVX2 dispatch)
-  /// and the tiled-BNL block size.
-  std::vector<bool> Maxima(BmoAlgorithm algo,
-                           const PhysicalPlan& plan = {}) const;
+  /// kAuto's bound on the BNL window: ceil(2.5 * sqrt(rows())), or 0 when
+  /// kAuto runs BNL throughout (a score chain, or a table without sort
+  /// keys).
+  size_t SwitchBound() const;
 
-  /// Maximal flags over an arbitrary row subset (the statistics window
-  /// probe, stats/stats.h). Returned flags align with `rows`.
-  std::vector<bool> MaximaSubset(BmoAlgorithm algo,
-                                 const std::vector<size_t>& rows,
-                                 const PhysicalPlan& plan = {}) const;
+  /// Maximal-row flags over the whole table. kSortFilter presorts by the
+  /// sort keys and scans a one-sided window; kAuto streams BNL and, once
+  /// its window holds more than SwitchBound() rows and more than 6·√i
+  /// after i rows, presorts that window plus the rows not yet streamed
+  /// and finishes as SFS (every row BNL dropped is dominated by a window
+  /// member, so the maxima of window and rest are the maxima of the
+  /// table). Everything else — kNaive too;
+  /// the naive oracle is the closure path, MaximaNaive in eval/bmo.h —
+  /// runs BNL, and SFS falls back to BNL on a row list with a non-finite
+  /// key. `plan` supplies the kernel fields: the batch dominance kernel
+  /// (scalar/AVX2 dispatch) and the tiled-BNL block size. `run`, when
+  /// given, receives what the pass ran.
+  std::vector<bool> Maxima(BmoAlgorithm algo, const PhysicalPlan& plan = {},
+                           MaximaRun* run = nullptr) const;
 
-  /// Human-readable label of the kernel variant Maxima would run for
-  /// `algo` under `plan` — e.g. "bnl[avx2,tile=8192]", "sfs[scalar]" —
-  /// surfaced by EXPLAIN and QueryStats.
-  std::string KernelVariant(BmoAlgorithm algo,
+  /// Label of the kernel that finished `run` under `plan` — e.g.
+  /// "bnl[avx2,tile=8192]", "sfs[scalar]" — surfaced by EXPLAIN and
+  /// QueryStats.
+  std::string KernelVariant(const MaximaRun& run,
                             const PhysicalPlan& plan = {}) const;
 
  private:
@@ -186,22 +212,21 @@ class ScoreTable {
 
   double SortKeyValue(size_t row, size_t key) const;
 
-  /// Shared resolution for the execution entry points and KernelVariant:
-  /// SFS (with sort keys) runs as asked, everything else — kAuto
-  /// included; the planner, not the table, chooses — runs BNL, so the
-  /// reported variant can never drift from what executes.
-  BmoAlgorithm ResolveFor(BmoAlgorithm algo) const;
-
-  /// Blocked/tiled BNL over the batch dominance kernels. Streams
-  /// candidates against the window while it is smaller than `tile_rows`;
-  /// once the window outgrows that budget, each tile is reduced to its
-  /// local maxima in cache and only the survivors antichain-merge into
-  /// the global window. On a score chain the window is one score level
-  /// and each candidate is decided against one member of it. Returned
-  /// flags align with `rows`.
-  std::vector<bool> BnlBatch(const simd::KernelOps& ops,
-                             const std::vector<size_t>& rows,
-                             size_t tile_rows) const;
+  /// Tiled BNL over every table row through the batch dominance
+  /// kernels. Streams candidates against the window while it is smaller
+  /// than `tile_rows`; once the window outgrows that budget, each tile is
+  /// reduced to its local maxima in cache and only the survivors
+  /// antichain-merge into the global window. On a score chain the window
+  /// is one score level and each candidate is decided against one member
+  /// of it. Once the window holds more than `bound` rows (0 = never), the
+  /// window plus the rows not yet streamed finish under SfsRows.
+  std::vector<bool> BnlBatch(const simd::KernelOps& ops, size_t tile_rows,
+                             size_t bound, MaximaRun* run) const;
+  /// Presorted one-sided window scan over `rows`; flags align with
+  /// `rows`. nullopt when a key value is not finite.
+  std::optional<std::vector<bool>> SfsRows(const simd::KernelOps& ops,
+                                           const std::vector<size_t>& rows,
+                                           MaximaRun* run) const;
   size_t ResolveTileRows(size_t requested) const;
 
   size_t rows_ = 0;
@@ -209,7 +234,6 @@ class ScoreTable {
   std::vector<double> scores_;  // row-major rows_ x cols_
   std::vector<uint32_t> ids_;   // row-major equality-class ids; empty
                                 // when no column has use_ids
-  std::vector<uint32_t> col_distinct_;  // per-column classes (0 = injective)
   /// Dominance descriptor (mode, per-column id flags, node program),
   /// shared with the batch kernels.
   simd::DominanceProgram prog_;

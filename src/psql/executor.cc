@@ -17,9 +17,6 @@ std::string QueryStats::ToString() const {
                     "ms total=" + ms(total_ns) + "ms";
   out += std::string(" plan_cache=") + (plan_cache_hit ? "hit" : "miss");
   out += std::string(" exec_cache=") + (exec_cache_hit ? "hit" : "miss");
-  if (estimated_cost_ns > 0.0) {
-    out += " est=" + ms(static_cast<uint64_t>(estimated_cost_ns)) + "ms";
-  }
   if (plan_cache_evictions > 0 || exec_cache_evictions > 0) {
     out += " evictions=" + std::to_string(plan_cache_evictions) + "/" +
            std::to_string(exec_cache_evictions);

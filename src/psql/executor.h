@@ -43,17 +43,18 @@ struct QueryStats {
   /// Optimize, compile and kernel served from the engine's exec cache,
   /// which memoizes each statement's answer rows.
   bool exec_cache_hit = false;
-  /// The cost model's estimate for the chosen physical plan (0 when the
-  /// plan was not costed: explicit algorithm, ranked, preference-less).
-  /// EXPLAIN prints it next to the kernel time of the entry's build.
+  /// Always 0: no plan is costed any more (kAuto picks BNL or SFS while
+  /// it runs, and EXPLAIN reports where it switched). Kept for readers
+  /// that still consume the field.
   double estimated_cost_ns = 0.0;
   /// Cumulative LRU evictions of the engine's caches at the time of this
   /// run (see EngineOptions::{plan,exec}_cache_capacity).
   uint64_t plan_cache_evictions = 0;
   uint64_t exec_cache_evictions = 0;
-  /// Kernel variant the BMO stage ran when the answer was built, e.g.
-  /// "bnl[avx2,tile=8192]", "sfs[scalar]", "closure", "ivm-delta" (empty
-  /// for ranked / preference-less plans).
+  /// Kernel variant that finished the BMO stage when the answer was
+  /// built, e.g. "bnl[avx2,tile=8192]", "sfs[scalar]" (also when kAuto
+  /// switched to SFS mid-pass), "per-group[avx2]", "closure",
+  /// "ivm-delta" (empty for ranked / preference-less plans).
   std::string kernel;
 
   /// One-line human-readable rendering for the REPL and EXPLAIN.

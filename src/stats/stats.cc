@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-
-#include "exec/score_table.h"
 
 namespace prefdb {
 
@@ -100,36 +97,7 @@ void ScanColumn(const Relation& r, size_t col, ColumnStats* stats,
   }
 }
 
-/// Leaves of a compilable accumulation in score-table column order
-/// (DUAL wrappers stripped; Pareto/prioritized left-to-right, matching
-/// the descriptor build of ScoreTable::Compile, the one score-table
-/// compiler, in exec/score_table.cc).
-void CollectLeaves(const PrefPtr& p, std::vector<PrefPtr>* out) {
-  PrefPtr cur = p;
-  while (cur->kind() == PreferenceKind::kDual) cur = cur->children()[0];
-  if (cur->kind() == PreferenceKind::kPareto ||
-      cur->kind() == PreferenceKind::kPrioritized) {
-    for (const PrefPtr& child : cur->children()) CollectLeaves(child, out);
-    return;
-  }
-  out->push_back(cur);
-}
-
 }  // namespace
-
-double WindowClosedForm(size_t m, size_t eff_dims) {
-  if (m <= 1) return static_cast<double>(m);
-  if (eff_dims <= 1) return 1.0;
-  const double ln_m = std::log(static_cast<double>(m));
-  double w = 1.0;
-  // (ln m)^(d-1) / (d-1)!, accumulated factor-by-factor so large d cannot
-  // overflow before the clamp.
-  for (size_t k = 1; k < eff_dims; ++k) {
-    w *= ln_m / static_cast<double>(k);
-    if (w >= static_cast<double>(m)) return static_cast<double>(m);
-  }
-  return std::max(1.0, std::min(w, static_cast<double>(m)));
-}
 
 // ---------------------------------------------------------------------------
 // TableStats
@@ -176,93 +144,5 @@ bool KeySet::Insert(uint64_t key) {
 }
 
 }  // namespace stats_internal
-
-// ---------------------------------------------------------------------------
-// TermStats
-
-std::string TermStats::ToString() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "n=%zu m=%zu d=%zu keys=%zu window~%.0f%s%s", input_rows,
-                distinct_values, dims, table_keys, est_window,
-                measured_window ? " (sampled)" : "",
-                score_chain ? " score-chain" : "");
-  return buf;
-}
-
-TermStats MeasureTermStats(const ScoreTable& table, const PrefPtr& p,
-                           size_t input_rows) {
-  TermStats out;
-  out.input_rows = input_rows;
-  out.distinct_values = table.rows();
-  out.dims = std::max<size_t>(1, table.cols());
-  out.table_keys = table.num_sort_keys();
-  out.compilable = true;
-  out.score_chain = table.IsScoreChain();
-  const std::vector<uint32_t>& distinct = table.column_distinct();
-
-  const size_t m = table.rows();
-  if (m < 4096) {
-    // Small blocks finish in microseconds under any kernel; the closed
-    // form is plenty and the probe (two sampled scans) would cost a
-    // significant fraction of just running the query. Anti-chain leaves
-    // are group multipliers, not skyline dimensions (dominance requires
-    // equality on them); leaves align with columns in compile order.
-    std::vector<PrefPtr> leaves;
-    CollectLeaves(p, &leaves);
-    size_t eff = 0;
-    double groups = 1.0;
-    for (size_t c = 0; c < distinct.size(); ++c) {
-      const bool antichain = c < leaves.size() &&
-                             leaves[c]->kind() == PreferenceKind::kAntiChain;
-      const size_t classes = distinct[c] == 0 ? m : distinct[c];
-      if (antichain) {
-        groups *= static_cast<double>(std::max<size_t>(1, classes));
-      } else if (classes > 1) {
-        ++eff;
-      }
-    }
-    groups = std::min(groups, static_cast<double>(std::max<size_t>(1, m)));
-    const size_t m_group = std::max<size_t>(
-        1, static_cast<size_t>(static_cast<double>(m) / groups));
-    out.est_window =
-        std::min(static_cast<double>(m),
-                 groups * WindowClosedForm(m_group, std::max<size_t>(1, eff)));
-    return out;
-  }
-
-  // Two-point window probe: maxima of two nested samples fit the
-  // Pareto-front growth exponent alpha in w(m) ~ m^alpha, which captures
-  // the data's correlation regime (anti-correlated fronts grow near
-  // linearly, independent ones polylogarithmically) — the signal that
-  // separates BNL from SFS. Samples are *strided* across the whole block,
-  // not prefixes: physically sorted input (a CSV ordered by one attribute)
-  // would make a prefix a biased subset of the value distribution and
-  // pin a mispredicted plan into the exec cache.
-  const size_t s2 = std::min<size_t>(m, 1024);
-  const size_t s1 = s2 / 2;
-  auto count = [&table, m](size_t sample) {
-    std::vector<size_t> rows;
-    rows.reserve(sample);
-    const double step = static_cast<double>(m) / static_cast<double>(sample);
-    for (size_t i = 0; i < sample; ++i) {
-      rows.push_back(
-          std::min(m - 1, static_cast<size_t>(static_cast<double>(i) * step)));
-    }
-    std::vector<bool> maximal =
-        table.MaximaSubset(BmoAlgorithm::kBlockNestedLoop, rows);
-    return static_cast<double>(
-        std::count(maximal.begin(), maximal.end(), true));
-  };
-  const double w1 = std::max(1.0, count(s1));
-  const double w2 = std::max(1.0, count(s2));
-  double alpha = std::log2(std::max(1.0, w2 / w1));
-  alpha = std::max(0.0, std::min(1.0, alpha));
-  out.est_window = std::min(
-      static_cast<double>(m),
-      w2 * std::pow(static_cast<double>(m) / static_cast<double>(s2), alpha));
-  out.measured_window = true;
-  return out;
-}
 
 }  // namespace prefdb

@@ -1,14 +1,11 @@
 // The statistics subsystem: per-relation column statistics derived on
-// demand by a columnar scan (TableStats::Derive), and the per-term
-// statistics feeding the cost-based planner (eval/physical_plan.h):
-// distinct counts, injectivity and the estimated antichain width,
-// measured from the compiled score table of the block being planned
-// (MeasureTermStats, including a sampled window probe).
+// demand by a columnar scan (TableStats::Derive), and the lifetime
+// counters of a maintained view (ViewMaintenanceStats).
 //
-// The paper's §7 outlook asks for "cost-based optimization to choose
-// between direct implementations of the Pareto operator and divide &
-// conquer algorithms" — these are the observed quantities the choice
-// between the compiled kernels (BNL, SFS) runs on.
+// No query plan reads these statistics: kAuto chooses between the
+// compiled BNL and SFS kernels while it runs, from the window it
+// observes (ScoreTable::Maxima, exec/score_table.h), not from an
+// estimate.
 
 #ifndef PREFDB_STATS_STATS_H_
 #define PREFDB_STATS_STATS_H_
@@ -20,12 +17,9 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/preference.h"
 #include "relation/relation.h"
 
 namespace prefdb {
-
-class ScoreTable;
 
 /// Per-column statistics of one relation snapshot. Distinct counts are
 /// exact (hash-set based) up to a cap of 2^16 values per column, which
@@ -88,48 +82,6 @@ struct DistinctValues {
 };
 
 }  // namespace stats_internal
-
-/// Statistics of one preference term against one candidate pool: the
-/// cost model's inputs, measured from a compiled score table
-/// (MeasureTermStats).
-struct TermStats {
-  /// Candidate rows n (duplicates included; WHERE survivors).
-  size_t input_rows = 0;
-  /// Distinct projections m — what the maxima kernels actually scan.
-  size_t distinct_values = 0;
-  /// Compiled score columns d.
-  size_t dims = 0;
-  /// Lexicographic sort keys the compiled table exposes (0 = none).
-  size_t table_keys = 0;
-  /// The term compiles into the score-table kernels; only then does the
-  /// cost model run (eval/physical_plan.h).
-  bool compilable = false;
-  /// The block is one score column whose ties are value ties —
-  /// LOWEST/HIGHEST on a NaN-free numeric column
-  /// (ScoreTable::IsScoreChain): BNL's window is one score level, so the
-  /// maxima take one streaming pass.
-  bool score_chain = false;
-  /// Estimated maxima count w — the BNL window / SFS survivor set size.
-  double est_window = 1.0;
-  /// est_window came from a sampled kernel probe, not the closed form.
-  bool measured_window = false;
-
-  std::string ToString() const;
-};
-
-/// Measures term statistics from a compiled score table over the actual
-/// block (the pool, or its deduplicated representatives): exact column
-/// distinct counts and injectivity;
-/// when the block is large enough, the window width is extrapolated from
-/// maxima probes of two nested sample prefixes (a two-point fit of the
-/// Pareto-front growth exponent), which is what distinguishes
-/// anti-correlated from independent data — the closed form cannot.
-TermStats MeasureTermStats(const ScoreTable& table, const PrefPtr& p,
-                           size_t input_rows);
-
-/// The (ln m)^(d-1) / (d-1)! skyline-cardinality closed form for
-/// independent dimensions, clamped to [1, m].
-double WindowClosedForm(size_t m, size_t eff_dims);
 
 /// Lifetime counters of one maintained view (ivm/maintained_view.h):
 /// mutation mix, result-set churn, and how often delete maintenance fell

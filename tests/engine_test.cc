@@ -414,17 +414,38 @@ TEST(EngineTest, PerGroupCompiledStateIsCachedAndReused) {
   EXPECT_TRUE(warm.relation.SameRows(direct));
 }
 
-TEST(EngineTest, ExplainReportsEstimatedVersusActualCost) {
+TEST(EngineTest, ExplainReportsWhereThePassSwitched) {
+  // EXPLAIN reports what the kAuto pass ran, not an estimate: the car
+  // 2-d Pareto's window stays under its bound, the anti-correlated d4
+  // skyline's outgrows it and the pass finishes as SFS.
   Engine engine;
   engine.RegisterTable("car", GenerateCars(1500, 3));
+  engine.RegisterTable(
+      "v", GenerateVectors(4096, 4, Correlation::kAntiCorrelated, 42));
   psql::QueryResult res = engine.Execute(
       "EXPLAIN SELECT * FROM car PREFERRING LOWEST(price) AND "
       "LOWEST(mileage)");
-  EXPECT_NE(res.plan_details.find("cost model:"), std::string::npos);
-  EXPECT_NE(res.plan_details.find("<- chosen"), std::string::npos);
-  EXPECT_NE(res.plan_details.find("cost: estimated"), std::string::npos);
-  EXPECT_NE(res.plan_details.find("vs actual"), std::string::npos);
-  EXPECT_GT(res.stats.estimated_cost_ns, 0.0);
+  EXPECT_NE(res.plan_details.find("no switch (bound "),
+            std::string::npos)
+      << res.plan_details;
+  EXPECT_EQ(res.plan_details.find("cost"), std::string::npos)
+      << res.plan_details;
+  EXPECT_EQ(res.stats.estimated_cost_ns, 0.0);
+  EXPECT_EQ(res.stats.kernel.rfind("bnl[", 0), 0u) << res.stats.kernel;
+
+  res = engine.Execute(
+      "EXPLAIN SELECT * FROM v PREFERRING HIGHEST(d0) AND HIGHEST(d1) AND "
+      "HIGHEST(d2) AND HIGHEST(d3)");
+  EXPECT_NE(res.plan_details.find("switch: bnl→sfs at row "),
+            std::string::npos)
+      << res.plan_details;
+  EXPECT_NE(res.plan_details.find(" of 4096, window 161 (final "),
+            std::string::npos)
+      << res.plan_details;
+  // QueryStats names the kernel that finished the pass.
+  EXPECT_EQ(res.stats.kernel.rfind("sfs[", 0), 0u) << res.stats.kernel;
+  EXPECT_NE(res.plan.find(", sfs, kernel=sfs["), std::string::npos)
+      << res.plan;
 }
 
 TEST(EngineTest, StatsFollowTheCurrentSnapshot) {
@@ -583,54 +604,54 @@ TEST(EngineTest, ExplainNamesTheCompilePathOfEveryGroup) {
       << ungrouped.plan_details;
 }
 
-TEST(EngineTest, GroupedExplainCountsEveryGroupAndSumsTheirEstimates) {
-  // Each group plans its own block: the grouping line counts the groups
-  // per algorithm, the estimate is the sum of the blocks' estimates, and
-  // the plan text names the request rather than one group's algorithm.
+TEST(EngineTest, GroupedExplainCountsEveryGroupAndItsSwitch) {
+  // Each group runs its own block: the grouping line counts the groups
+  // per finishing kernel and how many switched from BNL to SFS, and the
+  // plan text names the request rather than one group's kernel. Group
+  // "anti" holds anti-correlated rows, whose window outgrows its bound;
+  // group "indep" independent rows, whose window stays narrow.
+  Relation r(Schema{{"g", ValueType::kString},
+                    {"d0", ValueType::kDouble},
+                    {"d1", ValueType::kDouble},
+                    {"d2", ValueType::kDouble},
+                    {"d3", ValueType::kDouble}});
+  for (const auto& [group, corr] :
+       {std::pair<const char*, Correlation>{"anti",
+                                            Correlation::kAntiCorrelated},
+        {"indep", Correlation::kIndependent}}) {
+    const Relation v = GenerateVectors(4096, 4, corr, 42);
+    for (size_t i = 0; i < v.size(); ++i) {
+      Tuple row({Value(group)});
+      for (size_t c = 0; c < 4; ++c) row.Append(v.ValueAt(i, c));
+      r.Add(std::move(row));
+    }
+  }
   Engine engine;
-  engine.RegisterTable("car", GenerateCars(5000, 3));
+  engine.RegisterTable("t", r);
   const std::string query =
-      "SELECT * FROM car PREFERRING LOWEST(price) AND LOWEST(mileage) "
-      "GROUPING make";
+      "SELECT * FROM t PREFERRING HIGHEST(d0) AND HIGHEST(d1) AND "
+      "HIGHEST(d2) AND HIGHEST(d3) GROUPING g";
   const psql::QueryResult res = engine.Execute("EXPLAIN " + query);
-  const Relation& car = *engine.Snapshot("car");
-  const std::vector<std::vector<size_t>> groups =
-      GroupRowsBy(car, car.ResolveColumns({"make"}));
-  ASSERT_GT(groups.size(), 1u);
-
   const std::string& details = res.plan_details;
-  const std::string head = "grouping: " + std::to_string(groups.size()) +
-                           " group(s), each planned from its own block: ";
-  const size_t at = details.find(head);
-  ASSERT_NE(at, std::string::npos) << details;
-  const size_t from = at + head.size();
-  const std::string counts =
-      details.substr(from, details.find(';', from) - from);
-  const std::string times = "×";
-  size_t counted = 0;
-  for (size_t x = counts.find(times); x != std::string::npos;
-       x = counts.find(times, x + 1)) {
-    counted += std::stoul(counts.substr(x + times.size()));
-  }
-  EXPECT_EQ(counted, groups.size()) << details;
-
-  const PrefPtr p = Simplify(
-      psql::TranslatePreferenceChain(psql::Parse(query).preferring));
-  double sum = 0.0;
-  for (const std::vector<size_t>& group : groups) {
-    sum += internal::CompileBlock(car, p, &group, {}).plan.estimated_ns;
-  }
-  ASSERT_GT(sum, 0.0);
-  EXPECT_NEAR(res.stats.estimated_cost_ns, sum, sum * 1e-9);
-  char line[64];
-  std::snprintf(line, sizeof(line), "cost: estimated %.3fms vs", sum / 1e6);
-  EXPECT_NE(details.find(line), std::string::npos) << details;
+  EXPECT_NE(details.find("grouping: 2 group(s), each run on its own block: "
+                         "bnl ×1, sfs ×1; 1 switched bnl→sfs\n"),
+            std::string::npos)
+      << details;
+  // The shown run is the largest group's; both hold 4096 rows, so the
+  // first, which switched.
+  EXPECT_NE(details.find("switch: bnl→sfs at row "), std::string::npos)
+      << details;
+  EXPECT_EQ(details.find("cost"), std::string::npos) << details;
+  EXPECT_EQ(res.stats.estimated_cost_ns, 0.0);
 
   EXPECT_NE(res.plan.find(", auto, kernel="), std::string::npos) << res.plan;
   BmoOptions forced;
   forced.algorithm = BmoAlgorithm::kSortFilter;
-  EXPECT_NE(engine.Execute(query, forced).plan.find(", sfs, kernel="),
-            std::string::npos);
+  const psql::QueryResult sfs = engine.Execute("EXPLAIN " + query, forced);
+  EXPECT_NE(sfs.plan.find(", sfs, kernel="), std::string::npos);
+  EXPECT_NE(sfs.plan_details.find("sfs ×2; 0 switched"), std::string::npos)
+      << sfs.plan_details;
+  EXPECT_TRUE(sfs.relation.SameRows(res.relation));
 }
 
 // One term family of the cross-path agreement test: a relation with an
@@ -641,6 +662,7 @@ struct AgreementFamily {
   std::string preferring;  // SQL spelling; empty when SQL has none
   PrefPtr term;
   std::string compile_path;  // EXPLAIN's path; empty when nothing compiles
+  bool switches = false;     // kAuto's ungrouped pass switches BNL -> SFS
 };
 
 // Adds a family twice: over a mostly-distinct pool, which compiles as it
@@ -897,6 +919,28 @@ std::vector<AgreementFamily> AgreementFamilies() {
         {"duplicates tying at the best value", r, "LOWEST(x)", Lowest("x"),
          "dedup"});
   }
+  {
+    // Anti-correlated d4: kAuto's window outgrows its bound within the
+    // first few hundred rows, and the pass finishes as SFS.
+    const Relation v = GenerateVectors(2048, 4, Correlation::kAntiCorrelated,
+                                       2024);
+    Relation r(Schema{{"id", ValueType::kInt},
+                      {"g", ValueType::kString},
+                      {"d0", ValueType::kDouble},
+                      {"d1", ValueType::kDouble},
+                      {"d2", ValueType::kDouble},
+                      {"d3", ValueType::kDouble}});
+    for (size_t i = 0; i < v.size(); ++i) {
+      Tuple row({Value(static_cast<int64_t>(i)), Value(groups[rng() % 4])});
+      for (size_t c = 0; c < 4; ++c) row.Append(v.ValueAt(i, c));
+      r.Add(std::move(row));
+    }
+    families.push_back(
+        {"anti-correlated d4 skyline that switches to SFS", r,
+         "HIGHEST(d0) AND HIGHEST(d1) AND HIGHEST(d2) AND HIGHEST(d3)",
+         Pareto({Highest("d0"), Highest("d1"), Highest("d2"), Highest("d3")}),
+         "zero-copy", true});
+  }
   // An empty relation: nothing to compile, nothing qualifies.
   families.push_back({"empty relation",
                       Relation(Schema{{"id", ValueType::kInt},
@@ -972,6 +1016,11 @@ TEST(EngineTest, EveryPathAgreesWithTheNaiveOracle) {
                     std::string::npos,
                 !family.compile_path.empty())
           << explain.plan_details;
+      if (family.switches && !grouped) {
+        EXPECT_NE(explain.plan_details.find("switch: bnl→sfs"),
+                  std::string::npos)
+            << explain.plan_details;
+      }
     }
   }
 }

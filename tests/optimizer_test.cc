@@ -1,7 +1,7 @@
 // Tests for the preference query optimizer (eval/optimizer.h): rewrites
-// preserve answers (Prop 7), the cost model picks the measured-winner
-// plans across statistics regimes, EXPLAIN reports the per-algorithm
-// cost table.
+// preserve answers (Prop 7), kAuto plans an adaptive BNL -> SFS pass
+// where the table can switch and BNL elsewhere, EXPLAIN reports the plan
+// and, from the engine, where the pass switched.
 
 #include "eval/optimizer.h"
 
@@ -16,6 +16,7 @@
 #include "datagen/random_terms.h"
 #include "datagen/vectors.h"
 #include "engine/engine.h"
+#include "exec/score_table.h"
 #include "psql/parser.h"
 #include "psql/translator.h"
 
@@ -28,55 +29,64 @@ TEST(ChooserTest, SmallInputsUseBnl) {
   EXPECT_EQ(c.algorithm, BmoAlgorithm::kBlockNestedLoop);
 }
 
-TEST(ChooserTest, SkylineFragmentPrefersTiledSimdBnl) {
-  // Independent 3-d data keeps the measured window narrow: the tiled
-  // SIMD BNL window beats a presort.
+TEST(ChooserTest, SkylineFragmentPlansTheAdaptivePass) {
+  // A compiled Pareto skyline with sort keys: kAuto stays kAuto, and the
+  // kernel picks BNL or SFS while it runs. Independent 3-d data keeps the
+  // window narrow, so the pass never leaves BNL.
   Relation r = GenerateVectors(5000, 3, Correlation::kIndependent, 1);
   PrefPtr p = Pareto({Highest("d0"), Highest("d1"), Lowest("d2")});
   PhysicalPlan c = Optimize(r, p).plan;
-  EXPECT_EQ(c.algorithm, BmoAlgorithm::kBlockNestedLoop);
-  EXPECT_NE(c.rationale.find("SIMD"), std::string::npos);
-  EXPECT_GT(c.estimated_ns, 0.0);
+  EXPECT_EQ(c.algorithm, BmoAlgorithm::kAuto);
+  EXPECT_NE(c.rationale.find("SFS presort"), std::string::npos);
+  auto table = ScoreTable::Compile(p, r);
+  ASSERT_TRUE(table.has_value());
+  MaximaRun run;
+  table->Maxima(c.algorithm, c, &run);
+  EXPECT_FALSE(run.switched());
+  EXPECT_EQ(run.finished, BmoAlgorithm::kBlockNestedLoop);
 }
 
 TEST(ChooserTest, ChainHeadPlansACompiledKernel) {
   // A prioritized chain head (the Prop 11 structure) compiles like any
-  // other term: the cost model compares the compiled kernels only, and
-  // the BNL window over the lex descriptor stays near the head's best
-  // block, so it wins.
+  // other term, with two sort keys, so kAuto plans the adaptive pass; the
+  // BNL window over the lex descriptor stays near the head's best block,
+  // so it never switches.
   Relation r = GenerateCars(5000, 2);
   PrefPtr p = Prioritized(Lowest("price"), Pos("color", {"red"}));
   PhysicalPlan c = Optimize(r, p).plan;
-  ASSERT_EQ(c.considered.size(), 2u);
-  EXPECT_EQ(c.considered[0].algorithm, BmoAlgorithm::kBlockNestedLoop);
-  EXPECT_EQ(c.considered[1].algorithm, BmoAlgorithm::kSortFilter);
-  EXPECT_EQ(c.algorithm, BmoAlgorithm::kBlockNestedLoop);
+  EXPECT_EQ(c.algorithm, BmoAlgorithm::kAuto);
+  auto table = ScoreTable::Compile(p, r);
+  ASSERT_TRUE(table.has_value());
+  EXPECT_EQ(table->num_sort_keys(), 2u);
+  MaximaRun run;
+  table->Maxima(c.algorithm, c, &run);
+  EXPECT_FALSE(run.switched());
 }
 
 TEST(ChooserTest, LevelTermsStayEligibleForVectorizedSfs) {
   // POS leaves have no closure sort keys, but they dict-encode as level
-  // columns in the score table, which keeps SFS eligible; with the tiny
-  // window of a 2-level x 2-level term, the BNL window is still the
-  // cheaper plan.
+  // columns in the score table, which keeps SFS eligible: kAuto plans the
+  // adaptive pass. With the tiny window of a 2-level x 2-level term, it
+  // never leaves BNL.
   Relation r = GenerateCars(5000, 4);
   PrefPtr p = Pareto(Pos("color", {"red"}), Pos("make", {"Audi"}));
   PhysicalPlan c = Optimize(r, p).plan;
-  bool sfs_eligible = false;
-  for (const AlgorithmCost& cost : c.considered) {
-    if (cost.algorithm == BmoAlgorithm::kSortFilter) {
-      sfs_eligible = cost.eligible;
-    }
-  }
-  EXPECT_TRUE(sfs_eligible);
-  EXPECT_EQ(c.algorithm, BmoAlgorithm::kBlockNestedLoop);
+  EXPECT_EQ(c.algorithm, BmoAlgorithm::kAuto);
+  EXPECT_EQ(Bmo(r, p).size(), Bmo(r, p, {BmoAlgorithm::kNaive}).size());
 }
 
 TEST(ChooserTest, UnstructuredTermsFallBackToBnl) {
   Relation r = GenerateCars(5000, 4);
-  // Intersection aggregations compile but derive no sort keys and are
-  // never flat-Pareto, so BNL is the only eligible kernel.
+  // A disjoint union derives no sort key (one side's strict improvement
+  // leaves the summed key unordered), so BNL is the only kernel.
+  PrefPtr split = DisjointUnion(Pos("color", {"red"}), Neg("make", {"Audi"}));
+  EXPECT_EQ(Optimize(r, split).plan.algorithm,
+            BmoAlgorithm::kBlockNestedLoop);
+  // An intersection keys like Pareto (both sides improve strictly), so
+  // kAuto plans the adaptive pass.
   PrefPtr hard = Intersection(Pos("color", {"red"}), Neg("color", {"blue"}));
-  EXPECT_EQ(Optimize(r, hard).plan.algorithm, BmoAlgorithm::kBlockNestedLoop);
+  EXPECT_EQ(Optimize(r, hard).plan.algorithm, BmoAlgorithm::kAuto);
+  EXPECT_TRUE(Bmo(r, hard).SameRows(Bmo(r, hard, {BmoAlgorithm::kNaive})));
 }
 
 TEST(ChooserTest, ExplicitAlgorithmShortCircuitsTheCostModel) {
@@ -85,7 +95,6 @@ TEST(ChooserTest, ExplicitAlgorithmShortCircuitsTheCostModel) {
   forced.algorithm = BmoAlgorithm::kSortFilter;
   PhysicalPlan c = Optimize(r, Lowest("price"), forced).plan;
   EXPECT_EQ(c.algorithm, BmoAlgorithm::kSortFilter);
-  EXPECT_TRUE(c.considered.empty());
   EXPECT_NE(c.rationale.find("explicitly"), std::string::npos);
 }
 
@@ -106,18 +115,18 @@ TEST(OptimizeTest, ExplainMentionsEverything) {
   EXPECT_NE(text.find("preference:"), std::string::npos);
   EXPECT_NE(text.find("algorithm:"), std::string::npos);
   EXPECT_NE(text.find("rewrites"), std::string::npos);
-  // The cost model's comparison table: statistics plus one estimate per
-  // considered algorithm, marking the choice.
-  EXPECT_NE(text.find("stats:"), std::string::npos);
-  EXPECT_NE(text.find("cost model:"), std::string::npos);
-  EXPECT_NE(text.find("<- chosen"), std::string::npos);
-  EXPECT_NE(text.find("est "), std::string::npos);
+  // The planned algorithm and why: an adaptive pass, no estimate.
+  EXPECT_NE(text.find("algorithm: auto -- BNL window, finished by an SFS "
+                      "presort once it holds more than "),
+            std::string::npos)
+      << text;
 }
 
 TEST(OptimizeTest, PlanIsTheOneTheEngineExplains) {
   // Optimize plans the same compiled block a query runs, so its algorithm
-  // (and the rationale quoting its estimate) is the one the engine's
-  // EXPLAIN reports for the same term and table.
+  // (and the rationale quoting its switch bound) is the one the engine's
+  // EXPLAIN reports for the same term and table. The engine adds what
+  // the pass ran.
   const std::vector<std::pair<Relation, std::string>> cases = {
       {GenerateCars(5000, 2), "LOWEST(price) AND LOWEST(mileage)"},
       {GenerateCars(5000, 2), "LOWEST(price)"},
@@ -127,6 +136,7 @@ TEST(OptimizeTest, PlanIsTheOneTheEngineExplains) {
        "HIGHEST(d0) AND HIGHEST(d1) AND HIGHEST(d2) AND HIGHEST(d3)"},
   };
   std::set<BmoAlgorithm> chosen;
+  size_t switched = 0;
   for (const auto& [r, term] : cases) {
     Engine engine;
     engine.RegisterTable("t", r);
@@ -143,10 +153,17 @@ TEST(OptimizeTest, PlanIsTheOneTheEngineExplains) {
     EXPECT_NE(res.plan_details.find(line), std::string::npos)
         << term << "\n" << res.plan_details;
     chosen.insert(plan.algorithm);
+    if (res.plan_details.find("switch: bnl→sfs") != std::string::npos) {
+      ++switched;
+      EXPECT_NE(res.plan.find(", sfs, kernel=sfs["), std::string::npos)
+          << res.plan;
+    }
   }
-  // The anti-correlated block's sampled window sends it to SFS.
+  // The LOWEST chain plans BNL, the others the adaptive pass; of those,
+  // only the anti-correlated block's window grows wide enough to switch.
   EXPECT_EQ(chosen, (std::set<BmoAlgorithm>{BmoAlgorithm::kBlockNestedLoop,
-                                            BmoAlgorithm::kSortFilter}));
+                                            BmoAlgorithm::kAuto}));
+  EXPECT_EQ(switched, 1u);
 }
 
 class OptimizerPropertyTest : public ::testing::TestWithParam<uint64_t> {};

@@ -1,8 +1,8 @@
-// Tests for the cost-based physical planner (eval/physical_plan.h):
-// golden plan choices across statistics regimes (correlation, distinct
-// counts, injectivity), randomized "chosen plan == reference answer"
-// equality, and the pass-through/override semantics every execution
-// layer relies on.
+// Tests for the physical planner (eval/physical_plan.h) and the run-time
+// BNL -> SFS switch it leaves to kAuto (ScoreTable::Maxima): where the
+// pass switches across correlation regimes, randomized "kAuto == naive
+// reference" equality, and the pass-through/override semantics every
+// execution layer relies on.
 
 #include "eval/physical_plan.h"
 
@@ -31,44 +31,48 @@ PrefPtr SkylinePref(size_t d) {
   return Pareto(prefs);
 }
 
-// Plans a workload through the measured path (compile + sampled window
-// probe), exactly what BmoIndices and the engine's exec builder do.
-PhysicalPlan PlanMeasured(const Relation& r, const PrefPtr& p,
-                          const BmoOptions& options = {}) {
+// Runs kAuto over the table compiled from every row of `r`, as BmoIndices
+// does, and returns what the pass ran.
+MaximaRun RunAuto(const Relation& r, const PrefPtr& p) {
   auto table = ScoreTable::Compile(p, r);
   EXPECT_TRUE(table.has_value());
-  return PlanPhysical(MeasureTermStats(*table, p, r.size()), options);
+  MaximaRun run;
+  if (table) table->Maxima(BmoAlgorithm::kAuto, {}, &run);
+  return run;
 }
 
-TEST(PlannerGoldenTest, AntiCorrelatedWideWindowPicksSfs) {
-  // PR 4 measured winner on the gated anti-correlated d4 family: the
-  // presorted one-sided SFS scan (1.46ms) beats the BNL window (4.05ms)
-  // once the window is wide. The sampled probe is what reveals the wide
-  // window.
+TEST(PlannerGoldenTest, AntiCorrelatedWideWindowSwitchesToSfs) {
+  // On the anti-correlated d4 family the BNL window outgrows its bound
+  // within the first few hundred rows, and the presorted SFS scan
+  // finishes the pass (SFS beats BNL there about 3x).
   Relation r = GenerateVectors(8192, 4, Correlation::kAntiCorrelated, 42);
-  PhysicalPlan plan = PlanMeasured(r, SkylinePref(4));
-  EXPECT_EQ(plan.algorithm, BmoAlgorithm::kSortFilter);
-  EXPECT_TRUE(plan.stats.measured_window);
+  const MaximaRun run = RunAuto(r, SkylinePref(4));
+  EXPECT_TRUE(run.switched());
+  EXPECT_EQ(run.finished, BmoAlgorithm::kSortFilter);
+  EXPECT_GT(run.switch_window, run.bound);
+  EXPECT_LT(run.switch_row, r.size() / 4);
+  EXPECT_GE(run.maxima, run.switch_window / 2);
 }
 
-TEST(PlannerGoldenTest, IndependentNarrowWindowPicksBnl) {
-  // PR 4 measured winner on the independent d4 family: tiled SIMD BNL
-  // (0.22ms) over SFS, whose presort alone costs ~1ms.
+TEST(PlannerGoldenTest, IndependentNarrowWindowStaysOnBnl) {
+  // Independent d4: the skyline stays far below the bound, so the pass is
+  // BNL throughout.
   Relation r = GenerateVectors(8192, 4, Correlation::kIndependent, 42);
-  PhysicalPlan plan = PlanMeasured(r, SkylinePref(4));
-  EXPECT_EQ(plan.algorithm, BmoAlgorithm::kBlockNestedLoop);
+  const MaximaRun run = RunAuto(r, SkylinePref(4));
+  EXPECT_FALSE(run.switched());
+  EXPECT_EQ(run.finished, BmoAlgorithm::kBlockNestedLoop);
+  EXPECT_GT(run.bound, run.maxima);
 }
 
-TEST(PlannerGoldenTest, CorrelatedDataPicksBnl) {
+TEST(PlannerGoldenTest, CorrelatedDataStaysOnBnl) {
   // Correlated data has near-singleton windows: nothing amortizes a sort.
   Relation r = GenerateVectors(8192, 4, Correlation::kCorrelated, 42);
-  PhysicalPlan plan = PlanMeasured(r, SkylinePref(4));
-  EXPECT_EQ(plan.algorithm, BmoAlgorithm::kBlockNestedLoop);
+  EXPECT_FALSE(RunAuto(r, SkylinePref(4)).switched());
 }
 
 TEST(PlannerGoldenTest, ScoreChainPlansOneBnlPass) {
   // LOWEST over a column with 2048 rows tied at the minimum: BNL's window
-  // is one score level, so the plan is BNL priced as one streaming pass,
+  // is one score level, so the plan is BNL and the pass cannot switch,
   // however wide the tied level is.
   Schema s({{"d0", ValueType::kInt}});
   Relation r(s);
@@ -79,26 +83,30 @@ TEST(PlannerGoldenTest, ScoreChainPlansOneBnlPass) {
   PrefPtr lowest = Lowest("d0");
   auto table = ScoreTable::Compile(lowest, r);
   ASSERT_TRUE(table.has_value());
-  TermStats stats = MeasureTermStats(*table, lowest, r.size());
-  EXPECT_TRUE(stats.score_chain);
-  PhysicalPlan plan = PlanPhysical(stats, BmoOptions{});
+  EXPECT_TRUE(table->IsScoreChain());
+  EXPECT_EQ(table->SwitchBound(), 0u);
+  const PhysicalPlan plan = Optimize(r, lowest).plan;
   EXPECT_EQ(plan.algorithm, BmoAlgorithm::kBlockNestedLoop);
-  EXPECT_LT(plan.estimated_ns, 1e6);
+  EXPECT_NE(plan.rationale.find("score chain"), std::string::npos);
+  const MaximaRun run = RunAuto(r, lowest);
+  EXPECT_EQ(run.bound, 0u);
+  EXPECT_EQ(run.maxima, 2048u);
+  EXPECT_EQ(run.ToString(), "");
   // AROUND over a discrete domain ties distinct values in score (|x-10|
-  // collapses 5 and 15), so its column keeps equality ids: no chain.
+  // collapses 5 and 15), so its column keeps equality ids: no chain, and
+  // kAuto may switch.
   Relation small(s);
   for (int i = 0; i < 8192; ++i) small.Add({Value(int64_t(rng() % 21))});
   PrefPtr around = Around("d0", 10);
   auto around_table = ScoreTable::Compile(around, small);
   ASSERT_TRUE(around_table.has_value());
-  EXPECT_FALSE(
-      MeasureTermStats(*around_table, around, small.size()).score_chain);
+  EXPECT_FALSE(around_table->IsScoreChain());
+  EXPECT_GT(around_table->SwitchBound(), 0u);
 }
 
-TEST(PlannerGoldenTest, NonCompilableTermIsAnUncostedClosurePlan) {
+TEST(PlannerGoldenTest, NonCompilableTermIsAClosurePlan) {
   // A term that does not compile has one kernel, the closure BNL window:
-  // kAuto plans it without a cost table, from default (not compilable)
-  // block statistics.
+  // kAuto plans it as BNL.
   Relation cars = GenerateCars(2000, 5);
   PrefPtr forest = Pareto(
       Explicit("category", {{Value("roadster"), Value("coupe")},
@@ -106,22 +114,26 @@ TEST(PlannerGoldenTest, NonCompilableTermIsAnUncostedClosurePlan) {
       Lowest("price"));
   ASSERT_FALSE(ScoreTable::CompilableTerm(forest));
   PhysicalPlan plan = Optimize(cars, forest).plan;
-  EXPECT_FALSE(plan.stats.compilable);
   EXPECT_EQ(plan.algorithm, BmoAlgorithm::kBlockNestedLoop);
-  EXPECT_TRUE(plan.considered.empty());
-  EXPECT_EQ(plan.ExplainCosts(), "");
+  EXPECT_NE(plan.rationale.find("closure"), std::string::npos);
   EXPECT_EQ(BmoIndices(cars, forest),
             BmoIndices(cars, forest, {BmoAlgorithm::kNaive}));
 }
 
-TEST(PlannerGoldenTest, ExplainCostsListsEveryConsideredAlgorithm) {
-  Relation r = GenerateVectors(8192, 3, Correlation::kIndependent, 3);
-  PhysicalPlan plan = PlanMeasured(r, SkylinePref(3));
-  std::string text = plan.ExplainCosts();
-  EXPECT_NE(text.find("stats:"), std::string::npos);
-  EXPECT_NE(text.find("bnl:"), std::string::npos);
-  EXPECT_NE(text.find("sfs:"), std::string::npos);
-  EXPECT_NE(text.find("<- chosen"), std::string::npos);
+TEST(PlannerGoldenTest, RunReportsTheSwitchPoint) {
+  // EXPLAIN's line is what the pass measured.
+  MaximaRun run;
+  run.rows = 4096;
+  run.bound = 160;
+  run.maxima = 182;
+  EXPECT_EQ(run.ToString(), "no switch (bound 160, final window 182)");
+  run.finished = BmoAlgorithm::kSortFilter;
+  run.switch_row = 274;
+  run.switch_window = 161;
+  run.maxima = 677;
+  EXPECT_EQ(run.ToString(),
+            "switch: bnl→sfs at row 274 of 4096, window 161 (final 677)");
+  EXPECT_EQ(MaximaRun{}.ToString(), "");
 }
 
 TEST(PlannerGoldenTest, FromOptionsIsPassThrough) {
@@ -131,11 +143,10 @@ TEST(PlannerGoldenTest, FromOptionsIsPassThrough) {
   PhysicalPlan plan = PhysicalPlan::FromOptions(options);
   EXPECT_EQ(plan.algorithm, BmoAlgorithm::kSortFilter);
   EXPECT_EQ(plan.simd, SimdMode::kScalar);
-  EXPECT_TRUE(plan.considered.empty());
 }
 
-// The planner's choice must never change answers: whatever the cost
-// model picks across regimes equals the naive reference.
+// The switch must never change answers: wherever kAuto hands over to SFS
+// across regimes, its answer equals the naive reference.
 class PlannerEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PlannerEquivalenceTest, ChosenPlanEqualsReferenceAnswer) {
@@ -152,7 +163,7 @@ TEST_P(PlannerEquivalenceTest, ChosenPlanEqualsReferenceAnswer) {
     }
     std::vector<size_t> reference =
         BmoIndices(cars, p, {BmoAlgorithm::kNaive});
-    // kAuto routes through CompileBlock -> PlanPhysical -> kernels.
+    // kAuto routes through CompileBlock -> the adaptive kernel.
     EXPECT_EQ(BmoIndices(cars, p, {}), reference) << p->ToString();
     // And the full optimizer pipeline (rewrites + plan) agrees too.
     EXPECT_TRUE(

@@ -13,6 +13,7 @@
 #include <numeric>
 #include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/base_preferences.h"
@@ -278,7 +279,7 @@ TEST(SimdKernelTest, TablesWithAndWithoutIdMatrixMatchTheOracle) {
       }
     }
 
-    // Odd rows as an arbitrary subset.
+    // Odd rows as an arbitrary pool.
     std::vector<size_t> odd;
     std::vector<Tuple> odd_values;
     for (size_t i = 1; i < m; i += 2) {
@@ -286,16 +287,126 @@ TEST(SimdKernelTest, TablesWithAndWithoutIdMatrixMatchTheOracle) {
       odd_values.push_back(proj.values[i]);
     }
     const std::vector<bool> expected_odd = MaximaNaive(odd_values, less);
+    std::optional<ScoreTable> odd_table = ScoreTable::Compile(
+        p, Relation(proj.proj_schema, proj.values), &odd);
+    ASSERT_TRUE(odd_table.has_value());
     for (SimdMode mode : KernelModes()) {
       PhysicalPlan plan;
       plan.simd = mode;
       SCOPED_TRACE(SimdModeName(mode));
       for (BmoAlgorithm algo :
-           {BmoAlgorithm::kBlockNestedLoop, BmoAlgorithm::kSortFilter}) {
+           {BmoAlgorithm::kAuto, BmoAlgorithm::kBlockNestedLoop,
+            BmoAlgorithm::kSortFilter}) {
         EXPECT_EQ(table->Maxima(algo, plan), expected)
             << BmoAlgorithmName(algo);
-        EXPECT_EQ(table->MaximaSubset(algo, odd, plan), expected_odd)
+        EXPECT_EQ(odd_table->Maxima(algo, plan), expected_odd)
             << BmoAlgorithmName(algo);
+      }
+    }
+  }
+}
+
+// The kAuto switch from BNL to SFS: one block per shape the switch can
+// take. Each table is compiled over every row of its relation, so table
+// row i is relation row i and the closure naive oracle runs over the
+// rows themselves.
+struct SwitchCase {
+  std::string name;
+  Relation relation;
+  PrefPtr term;
+  /// Rows BNL streams before it switches; 0 = the pass must not switch.
+  /// SIZE_MAX = it switches somewhere.
+  size_t switch_row;
+};
+
+std::vector<SwitchCase> SwitchCases() {
+  std::vector<SwitchCase> cases;
+  const PrefPtr skyline4 =
+      Pareto({Highest("d0"), Highest("d1"), Highest("d2"), Highest("d3")});
+  const size_t anywhere = static_cast<size_t>(-1);
+  const Relation anti =
+      GenerateVectors(2048, 4, Correlation::kAntiCorrelated, 42);
+  cases.push_back({"switches early", anti, skyline4, anywhere});
+  // A relation ingested sorted by one attribute streams a biased prefix
+  // first; the switch must still be exact.
+  cases.push_back({"switches early on sorted input", anti.Sorted({"d0"}),
+                   skyline4, anywhere});
+  cases.push_back({"never switches",
+                   GenerateVectors(2048, 3, Correlation::kIndependent, 42),
+                   Pareto({Highest("d0"), Highest("d1"), Highest("d2")}), 0});
+  {
+    // 100 rows, bound ceil(2.5 * sqrt(100)) = 25. A chain of 39 rows
+    // keeps the window at one row, then 60 incomparable front rows grow
+    // it by one per row: after i rows it holds i - 39, which first
+    // exceeds 6 * sqrt(i) at i = 99. The last row then both survives and
+    // evicts one front row.
+    Relation r(Schema{{"a", ValueType::kDouble}, {"b", ValueType::kDouble}});
+    for (int k = 0; k < 39; ++k) r.Add({Value(k - 1000.0), Value(k - 1000.0)});
+    for (int k = 0; k < 60; ++k) r.Add({Value(double(k)), Value(59.0 - k)});
+    r.Add({Value(29.5), Value(30.5)});
+    cases.push_back({"switches on its last row", r,
+                     Pareto(Highest("a"), Highest("b")), 99});
+  }
+  {
+    // The anti-correlated rows again, with NaN, +inf and -inf scores
+    // after the switch point: the presort's keys are not finite there, so
+    // the pass stays on BNL.
+    Relation r(anti.schema());
+    for (size_t i = 0; i < anti.size(); ++i) {
+      Tuple row = anti.RowAt(i);
+      if (i >= 1000 && i % 97 == 0) {
+        const double special[] = {kNaN, std::numeric_limits<double>::infinity(),
+                                  -std::numeric_limits<double>::infinity()};
+        row[i % 4] = Value(special[i % 3]);
+      }
+      r.Add(std::move(row));
+    }
+    cases.push_back({"keys turn non-finite after the switch", r, skyline4, 0});
+  }
+  {
+    // A score chain: one LOWEST column over ints, a quarter of the rows
+    // tied at the minimum. Its window is one score level; it never
+    // switches.
+    std::mt19937_64 rng(3);
+    Relation r(Schema{{"x", ValueType::kInt}});
+    for (int i = 0; i < 2048; ++i) {
+      r.Add({Value(int64_t(i % 4 == 0 ? -7 : int64_t(rng() % 5000)))});
+    }
+    cases.push_back({"score chain", r, Lowest("x"), 0});
+  }
+  return cases;
+}
+
+TEST(SimdKernelTest, AutoSwitchMatchesBnlAndTheOracle) {
+  for (const SwitchCase& c : SwitchCases()) {
+    SCOPED_TRACE(c.name);
+    std::optional<ScoreTable> table = ScoreTable::Compile(c.term, c.relation);
+    ASSERT_TRUE(table.has_value());
+    ASSERT_EQ(table->rows(), c.relation.size());
+    const std::vector<bool> oracle = MaximaNaive(
+        c.relation.tuples(), c.term->Bind(c.relation.schema()));
+    for (SimdMode mode : KernelModes()) {
+      SCOPED_TRACE(SimdModeName(mode));
+      PhysicalPlan plan;
+      plan.simd = mode;
+      MaximaRun run;
+      const std::vector<bool> adaptive =
+          table->Maxima(BmoAlgorithm::kAuto, plan, &run);
+      EXPECT_EQ(adaptive, table->Maxima(BmoAlgorithm::kBlockNestedLoop, plan));
+      EXPECT_EQ(adaptive, oracle);
+      EXPECT_EQ(run.rows, c.relation.size());
+      EXPECT_EQ(run.maxima, static_cast<size_t>(std::count(
+                                oracle.begin(), oracle.end(), true)));
+      if (c.switch_row == 0) {
+        EXPECT_FALSE(run.switched()) << run.ToString();
+        EXPECT_EQ(run.finished, BmoAlgorithm::kBlockNestedLoop);
+      } else {
+        EXPECT_TRUE(run.switched()) << run.ToString();
+        EXPECT_EQ(run.finished, BmoAlgorithm::kSortFilter);
+        EXPECT_GT(run.switch_window, run.bound);
+        if (c.switch_row != static_cast<size_t>(-1)) {
+          EXPECT_EQ(run.switch_row, c.switch_row) << run.ToString();
+        }
       }
     }
   }

@@ -1,6 +1,5 @@
 // Tests for the statistics subsystem (stats/stats.h): exact column
-// statistics against a Tuple-walking reference, and the measured term
-// statistics feeding the cost model.
+// statistics against a Tuple-walking reference.
 
 #include "stats/stats.h"
 
@@ -10,14 +9,6 @@
 #include <string>
 #include <unordered_set>
 #include <vector>
-
-#include "core/base_preferences.h"
-#include "core/complex_preferences.h"
-#include "core/numeric_preferences.h"
-#include "datagen/cars.h"
-#include "datagen/vectors.h"
-#include "eval/bmo.h"
-#include "exec/score_table.h"
 
 namespace prefdb {
 namespace {
@@ -38,50 +29,6 @@ TEST(TableStatsTest, DeriveCountsColumns) {
   const ColumnStats& b = stats.columns[1];
   EXPECT_EQ(b.distinct, 2u);
   EXPECT_EQ(b.non_numeric_count, 4u);
-}
-
-TEST(TermStatsTest, MeasuredWindowSeparatesCorrelationRegimes) {
-  // The closed form cannot distinguish anti-correlated from independent
-  // data; the two-point sampled probe must. This is the signal that
-  // flips the BNL/SFS decision on the PR 4 bench families.
-  const size_t n = 8192;
-  PrefPtr p = Pareto({Highest("d0"), Highest("d1"), Highest("d2"),
-                      Highest("d3")});
-  auto measure = [&](Correlation corr) {
-    Relation r = GenerateVectors(n, 4, corr, 42);
-    auto table = ScoreTable::Compile(p, r);
-    EXPECT_TRUE(table.has_value());
-    return MeasureTermStats(*table, p, n);
-  };
-  TermStats anti = measure(Correlation::kAntiCorrelated);
-  TermStats indep = measure(Correlation::kIndependent);
-  EXPECT_TRUE(anti.measured_window);
-  EXPECT_TRUE(indep.measured_window);
-  EXPECT_GT(anti.est_window, 4.0 * indep.est_window);
-  EXPECT_FALSE(anti.score_chain);
-  EXPECT_EQ(anti.dims, 4u);
-}
-
-TEST(TermStatsTest, StridedProbeSurvivesPhysicallySortedInput) {
-  // The probe samples strided across the block, so a relation ingested
-  // pre-sorted by one attribute (a biased *prefix*, not a biased sample)
-  // must still reveal the wide anti-correlated window instead of
-  // pinning a BNL plan where SFS wins.
-  const size_t n = 8192;
-  PrefPtr p = Pareto({Highest("d0"), Highest("d1"), Highest("d2"),
-                      Highest("d3")});
-  auto measure = [&](const Relation& r) {
-    auto table = ScoreTable::Compile(p, r);
-    EXPECT_TRUE(table.has_value());
-    return MeasureTermStats(*table, p, n).est_window;
-  };
-  Relation anti = GenerateVectors(n, 4, Correlation::kAntiCorrelated, 42);
-  const double unsorted = measure(anti);
-  const double sorted = measure(anti.Sorted({"d0"}));
-  // Same data, same front: the sampled estimates must agree to within a
-  // small factor rather than collapsing on the sorted layout.
-  EXPECT_GT(sorted, unsorted / 3.0);
-  EXPECT_LT(sorted, unsorted * 3.0);
 }
 
 TEST(TableStatsTest, DistinctTrackingSaturatesNotGrows) {
@@ -228,47 +175,6 @@ TEST(TableStatsTest, ColumnarSaturationMatchesTupleReference) {
   EXPECT_EQ(at_cap.columns[0].distinct, cap);
   EXPECT_FALSE(at_cap.columns[0].distinct_saturated);
   ExpectSameStats(at_cap, ReferenceStats(exact.schema(), RowsOf(exact)));
-}
-
-TEST(TermStatsTest, AntiChainInParetoMultipliesTheWindow) {
-  // Pareto(A<->, P): dominance requires equality on the anti-chain
-  // attributes, so every distinct combination is its own incomparable
-  // group — the window scales with the group count, not the polylog
-  // skyline form. Below 4096 rows the measured statistics use the closed
-  // form, with the anti-chain column as the group multiplier.
-  Relation cars = GenerateCars(3000, 5);
-  const size_t makes = TableStats::Derive(cars).columns[1].distinct;  // make
-  ASSERT_GT(makes, 2u);
-  PrefPtr p = Pareto(AntiChain("make"), Lowest("price"));
-  auto table = ScoreTable::Compile(p, cars);
-  ASSERT_TRUE(table.has_value());
-  ASSERT_LT(table->rows(), 4096u);
-  TermStats stats = MeasureTermStats(*table, p, cars.size());
-  EXPECT_FALSE(stats.measured_window);
-  EXPECT_GE(stats.est_window, static_cast<double>(makes));
-}
-
-TEST(TermStatsTest, MeasuredColumnDistinctIsExact) {
-  Schema s({{"color", ValueType::kString}, {"price", ValueType::kInt}});
-  Relation r(s);
-  const char* colors[] = {"red", "blue", "green"};
-  for (int i = 0; i < 60; ++i) r.Add({colors[i % 3], i});
-  PrefPtr p = Pareto(Pos("color", {"red"}), Lowest("price"));
-  auto table = ScoreTable::Compile(p, r);
-  ASSERT_TRUE(table.has_value());
-  // POS(red) collapses blue/green into one level but their equality
-  // classes stay distinct values: 3 classes on the color column.
-  ASSERT_EQ(table->column_distinct().size(), 2u);
-  EXPECT_EQ(table->column_distinct()[0], 3u);
-}
-
-TEST(WindowClosedFormTest, ShapeAndClamps) {
-  EXPECT_DOUBLE_EQ(WindowClosedForm(1, 4), 1.0);
-  EXPECT_DOUBLE_EQ(WindowClosedForm(100000, 1), 1.0);
-  // (ln m)^(d-1)/(d-1)! grows with d and m, clamped to m.
-  EXPECT_GT(WindowClosedForm(100000, 4), WindowClosedForm(100000, 2));
-  EXPECT_GT(WindowClosedForm(100000, 3), WindowClosedForm(1000, 3));
-  EXPECT_LE(WindowClosedForm(64, 12), 64.0);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // prefdb-lint: pretend-path=src/eval/closure_reference.cc
-// Clean fixture for prefdb-row-cache: tuples() outside the served paths
-// (reference evaluators, tools, tests) is the row-compatibility view it
-// exists for.
+// Clean fixture for prefdb-row-cache: outside the served paths
+// (reference evaluators, tools, tests) tuples() is free to build the
+// relation's rows, which is what it exists for.
 
 #include <cstddef>
 #include <vector>
@@ -9,7 +9,7 @@
 struct Tuple {};
 
 struct Relation {
-  const std::vector<Tuple>& tuples() const;
+  std::vector<Tuple> tuples() const;
   std::size_t size() const;
 };
 

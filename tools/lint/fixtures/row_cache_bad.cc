@@ -1,7 +1,8 @@
 // prefdb-lint: pretend-path=src/server/encode_shortcut.cc
 // Negative fixture for prefdb-row-cache: a served path must not call
-// Relation::tuples() — it materializes a snapshot-lifetime whole-row
-// Tuple copy of the relation. Encoders and scans read cells instead.
+// Relation::tuples() — it builds a whole-row Tuple for every row of the
+// relation from its columns, on each call. Encoders and scans read cells
+// instead.
 
 #include <cstddef>
 #include <string>
@@ -11,7 +12,7 @@ struct Tuple {};
 
 struct Relation {
   // LINT-EXPECT: prefdb-row-cache
-  const std::vector<Tuple>& tuples() const;
+  std::vector<Tuple> tuples() const;
   std::size_t size() const;
 };
 
